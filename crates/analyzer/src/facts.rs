@@ -27,7 +27,7 @@ pub const OBSERVABILITY_CRATES: &[&str] = &["obs", "profile", "telemetry", "memp
 /// Crates whose mutexes participate in the lock-order analysis. The
 /// pool's own synchronization (`par`) is the audited domain of the one
 /// unsafe crate and is excluded.
-pub const LOCK_SCOPE_CRATES: &[&str] = &["store", "telemetry", "obs", "serve"];
+pub const LOCK_SCOPE_CRATES: &[&str] = &["store", "profile", "obs", "serve"];
 
 /// One located fact.
 #[derive(Debug, Clone, PartialEq, Eq)]

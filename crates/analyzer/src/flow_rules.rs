@@ -711,8 +711,8 @@ mod tests {
     fn lock_held_across_pool_boundary() {
         let (files, graph, f) = setup(
             &[(
-                "crates/telemetry/src/m.rs",
-                "telemetry",
+                "crates/profile/src/m.rs",
+                "profile",
                 "impl M {\n    fn flush(&self, xs: &[u8]) {\n        let g = self.shard.lock().unwrap();\n        let p = pool(0);\n        p.par_map(xs, |x| *x);\n    }\n}\n",
             )],
             &[],

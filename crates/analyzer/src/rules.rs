@@ -27,7 +27,7 @@
 //! |------|-------|-----------|
 //! | `determinism-taint` | workspace | no call path from a result-crate public fn to a nondeterminism source |
 //! | `panic-reachability` | workspace | no panic site in support crates reachable from result-crate entry points |
-//! | `lock-order` | `store`/`telemetry`/`obs` | Mutex acquisition graph is acyclic; no guard held across a pool boundary |
+//! | `lock-order` | `store`/`profile`/`obs`/`serve` | Mutex acquisition graph is acyclic; no guard held across a pool boundary |
 //! | `hot-path-alloc` | workspace | fns reachable from hot spans do not allocate per call |
 //! | `stale-suppression` | workspace | every `allow(...)` still matches a finding |
 //!
@@ -498,7 +498,7 @@ fn obs_metric_name(file: &SourceFile, out: &mut Vec<Diagnostic>) {
 /// uncontexted emission still reaches the sink, but with no trace/span
 /// ids linking it to the submitting span, so the causal tree that
 /// `uniq trace report` rebuilds grows orphans and the per-worker
-/// telemetry shards cannot attribute the event to a lane.
+/// registry shards cannot attribute the event to a lane.
 fn obs_context(file: &SourceFile, out: &mut Vec<Diagnostic>) {
     const ENTRY_POINTS: &[&str] = &["par_map", "par_map_chunked", "try_par_map"];
     const EMITTERS: &[&str] = &["span", "metric", "counter"];

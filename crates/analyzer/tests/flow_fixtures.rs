@@ -99,11 +99,7 @@ fn panic_site_reachable_from_result_entry_is_flagged_at_the_site() {
 #[test]
 fn lock_cycle_and_pool_boundary_are_flagged() {
     let report = run(
-        &[spec(
-            "crates/telemetry/src/locks.rs",
-            "telemetry",
-            LOCK_CYCLE,
-        )],
+        &[spec("crates/profile/src/locks.rs", "profile", LOCK_CYCLE)],
         false,
     );
     let diags = &report.diagnostics;
@@ -121,17 +117,13 @@ fn lock_cycle_and_pool_boundary_are_flagged() {
         .find(|d| d.message.contains("pool boundary"))
         .expect("pool-boundary finding");
     assert_eq!(pool.line, 31);
-    assert!(pool.message.contains("telemetry.alpha"), "{}", pool.message);
+    assert!(pool.message.contains("profile.alpha"), "{}", pool.message);
 }
 
 #[test]
 fn consistent_lock_order_with_early_release_is_quiet() {
     let report = run(
-        &[spec(
-            "crates/telemetry/src/locks.rs",
-            "telemetry",
-            LOCK_CLEAN,
-        )],
+        &[spec("crates/profile/src/locks.rs", "profile", LOCK_CLEAN)],
         false,
     );
     assert!(report.diagnostics.is_empty(), "{:#?}", report.diagnostics);

@@ -1,15 +1,23 @@
 //! A tiny `--flag value` argument parser.
 
-use std::collections::BTreeMap;
+use std::cell::RefCell;
+use std::collections::{BTreeMap, BTreeSet};
+
+/// Every option that takes no value, across all commands.
+pub const SWITCHES: &[&str] = &[
+    "anechoic", "near", "trace", "no-skip", "no-cache", "shutdown", "profile", "memprof",
+];
 
 /// Parsed command line: a subcommand plus `--key value` / `--switch`
-/// options.
+/// options. Every lookup marks its key as read, so [`Args::unused`] can
+/// name the options the command never consulted — typically a typo.
 #[derive(Debug, Clone, Default)]
 pub struct Args {
     /// The subcommand (first positional argument).
     pub command: String,
     options: BTreeMap<String, String>,
     switches: Vec<String>,
+    read: RefCell<BTreeSet<String>>,
 }
 
 /// Parse errors.
@@ -39,9 +47,9 @@ impl std::fmt::Display for ArgError {
 impl std::error::Error for ArgError {}
 
 impl Args {
-    /// Parses raw arguments (without the program name). `switch_names`
-    /// lists flags that take no value.
-    pub fn parse(raw: &[String], switch_names: &[&str]) -> Result<Args, ArgError> {
+    /// Parses raw arguments (without the program name); the names in
+    /// [`SWITCHES`] take no value.
+    pub fn parse(raw: &[String]) -> Result<Args, ArgError> {
         let mut it = raw.iter();
         let command = it.next().ok_or(ArgError::MissingCommand)?.clone();
         let mut options = BTreeMap::new();
@@ -50,7 +58,7 @@ impl Args {
             let key = tok
                 .strip_prefix("--")
                 .ok_or_else(|| ArgError::BadValue("<positional>".into(), tok.clone()))?;
-            if switch_names.contains(&key) {
+            if SWITCHES.contains(&key) {
                 switches.push(key.to_string());
             } else {
                 let val = it
@@ -63,11 +71,17 @@ impl Args {
             command,
             options,
             switches,
+            read: RefCell::default(),
         })
+    }
+
+    fn mark_read(&self, key: &str) {
+        self.read.borrow_mut().insert(key.to_string());
     }
 
     /// A string option.
     pub fn get(&self, key: &str) -> Option<&str> {
+        self.mark_read(key);
         self.options.get(key).map(String::as_str)
     }
 
@@ -98,7 +112,31 @@ impl Args {
 
     /// Whether a value-less switch was present.
     pub fn switch(&self, key: &str) -> bool {
+        self.mark_read(key);
         self.switches.iter().any(|s| s == key)
+    }
+
+    /// The options and switches given on the command line that no lookup
+    /// has read, sorted by name.
+    pub fn unused(&self) -> Vec<String> {
+        let read = self.read.borrow();
+        let mut unused: Vec<String> = self
+            .options
+            .keys()
+            .chain(&self.switches)
+            .filter(|k| !read.contains(*k))
+            .cloned()
+            .collect();
+        unused.sort();
+        unused
+    }
+
+    /// Prints `warning: unused option --KEY` on stderr for each of
+    /// [`Args::unused`].
+    pub fn warn_unused(&self) {
+        for key in self.unused() {
+            eprintln!("warning: unused option --{key}");
+        }
     }
 }
 
@@ -112,11 +150,7 @@ mod tests {
 
     #[test]
     fn parses_command_options_switches() {
-        let a = Args::parse(
-            &raw("personalize --seed 42 --anechoic --grid 5"),
-            &["anechoic"],
-        )
-        .unwrap();
+        let a = Args::parse(&raw("personalize --seed 42 --anechoic --grid 5")).unwrap();
         assert_eq!(a.command, "personalize");
         assert_eq!(a.get_u64("seed", 0).unwrap(), 42);
         assert_eq!(a.get_f64("grid", 1.0).unwrap(), 5.0);
@@ -126,25 +160,25 @@ mod tests {
 
     #[test]
     fn defaults_apply() {
-        let a = Args::parse(&raw("info"), &[]).unwrap();
+        let a = Args::parse(&raw("info")).unwrap();
         assert_eq!(a.get_f64("theta", 30.0).unwrap(), 30.0);
         assert!(a.get("table").is_none());
     }
 
     #[test]
     fn missing_command_rejected() {
-        assert_eq!(Args::parse(&[], &[]).unwrap_err(), ArgError::MissingCommand);
+        assert_eq!(Args::parse(&[]).unwrap_err(), ArgError::MissingCommand);
     }
 
     #[test]
     fn missing_value_rejected() {
-        let err = Args::parse(&raw("x --seed"), &[]).unwrap_err();
+        let err = Args::parse(&raw("x --seed")).unwrap_err();
         assert_eq!(err, ArgError::MissingValue("seed".into()));
     }
 
     #[test]
     fn bad_number_rejected() {
-        let a = Args::parse(&raw("x --seed banana"), &[]).unwrap();
+        let a = Args::parse(&raw("x --seed banana")).unwrap();
         assert!(matches!(
             a.get_u64("seed", 0),
             Err(ArgError::BadValue(_, _))
@@ -153,8 +187,26 @@ mod tests {
 
     #[test]
     fn required_option() {
-        let a = Args::parse(&raw("x --table t.hrtf"), &[]).unwrap();
+        let a = Args::parse(&raw("x --table t.hrtf")).unwrap();
         assert_eq!(a.require("table").unwrap(), "t.hrtf");
         assert!(a.require("missing").is_err());
+    }
+
+    #[test]
+    fn unread_options_are_reported() {
+        let a = Args::parse(&raw(
+            "personalize --seed 1 --profile-ot p.json --profile --near",
+        ))
+        .unwrap();
+        assert_eq!(a.get_u64("seed", 0).unwrap(), 1);
+        assert!(a.switch("profile"));
+        // Reading an absent key marks nothing that was given.
+        assert!(a.get("profile-out").is_none());
+        assert_eq!(
+            a.unused(),
+            vec!["near".to_string(), "profile-ot".to_string()]
+        );
+        assert!(a.switch("near"));
+        assert_eq!(a.unused(), vec!["profile-ot".to_string()]);
     }
 }

@@ -8,67 +8,64 @@ use uniq_core::config::UniqConfig;
 use uniq_core::degrade::DegradationPolicy;
 use uniq_core::pipeline::{personalize_faulted_with_retry, personalize_with_retry};
 use uniq_faults::FaultPlan;
-use uniq_obs::report::Report;
-use uniq_obs::sink::{JsonLinesSink, MemorySink, MultiSink, Sink, StderrSink};
-use uniq_profile::ProfileSink;
+use uniq_obs::sink::{JsonLinesSink, MultiSink, Sink, StderrSink};
+use uniq_profile::{ProfileReport, ProfileSink};
 use uniq_subjects::Subject;
 use uniq_telemetry::ledger::{self, LedgerRecord};
-use uniq_telemetry::TelemetrySink;
 
-/// Runs a parsed command; returns a human-readable report or an error
-/// message.
+/// Runs a parsed command under the sinks its flags ask for; returns a
+/// human-readable report or an error message.
 ///
-/// `--trace` streams a live span tree to stderr and appends an end-of-run
-/// stage-timing/metrics summary; `--metrics-out FILE` writes every
-/// observability event as JSON lines. Both observe the same run — neither
-/// changes the pipeline's numeric output.
+/// - `--trace` streams a live span tree to stderr and ends with the
+///   registry table; `--metrics-out FILE` writes every event as JSON lines.
+/// - `--profile` appends the registry table to the command's output.
+///   `--profile-out FILE` writes the registry as JSON, `--flame-out FILE`
+///   as collapsed stacks, `--telemetry-out FILE` as Prometheus text.
+/// - `--memprof` runs the command under the counting allocator and
+///   appends the per-stage allocation table; `--alloc-out FILE` writes
+///   the snapshot JSON, `--alloc-flame-out FILE` bytes-weighted collapsed
+///   stacks. With `--profile`, the latency table grows alloc columns and
+///   the `--profile-out` JSON an `alloc` section.
+///
+/// All of them observe one run: none changes the numeric output, and the
+/// registry's files are written even when the command fails — the
+/// profile of a failed run is evidence.
 pub fn run(args: &Args) -> Result<String, String> {
-    run_observed(args, None, dispatch)
-}
-
-/// `uniq faults <command> …`: runs the wrapped command with a fault plan
-/// injected at the signal boundaries (see `uniq-faults`). Only
-/// `personalize` supports injection; the degradation report is appended
-/// to the command's output. The wrapped command's failure — and its
-/// nonzero exit status — propagates unchanged (see [`exit_code`]).
-pub fn run_faults(args: &Args) -> Result<String, String> {
-    run_observed(args, None, dispatch_faulted)
-}
-
-/// Maps a command outcome to the process exit status. Shared by every
-/// wrapper (`profile`, `faults`, and their compositions) so a wrapped
-/// command that fails always surfaces a nonzero status — wrappers must
-/// never swallow it.
-pub fn exit_code<T>(result: &Result<T, String>) -> i32 {
-    match result {
-        Ok(_) => 0,
-        Err(_) => 1,
-    }
-}
-
-/// Runs `args` under the requested observability sinks plus an optional
-/// `extra` sink (the profiler). One shared assembly point so `uniq
-/// profile <command> --trace --metrics-out F` composes instead of the
-/// inner scope shadowing the profiler (innermost sink wins in uniq-obs).
-fn run_observed(
-    args: &Args,
-    extra: Option<Arc<dyn Sink>>,
-    dispatch_fn: impl FnOnce(&Args) -> Result<String, String>,
-) -> Result<String, String> {
+    /// A registry exporter, keyed by its option name, then by the file
+    /// path given for it.
+    type Export<'a> = (&'a str, fn(&ProfileReport) -> String);
     let trace = args.switch("trace");
+    let profile = args.switch("profile");
+    let memprof = args.switch("memprof");
     let metrics_out = args.get("metrics-out");
-    let telemetry_out = args.get("telemetry-out");
-    let telemetry_json = args.get("telemetry-json");
-    let want_telemetry = telemetry_out.is_some() || telemetry_json.is_some();
-    if !trace && metrics_out.is_none() && !want_telemetry {
-        return match extra {
-            Some(sink) => uniq_obs::with_sink(sink, || dispatch_fn(args)),
-            None => dispatch_fn(args),
-        };
+    let mut exports: Vec<Export> = vec![
+        ("profile-out", ProfileReport::to_json),
+        ("flame-out", ProfileReport::collapsed_stacks),
+        ("telemetry-out", ProfileReport::prometheus),
+    ];
+    if memprof {
+        if !uniq_memprof::installed() {
+            return Err(
+                "--memprof: the counting allocator is not installed in this binary (build the \
+                 `uniq` binary, whose main.rs declares it as #[global_allocator])"
+                    .to_string(),
+            );
+        }
+        exports.push(("alloc-out", |r| {
+            r.alloc.as_ref().map(|a| a.to_json()).unwrap_or_default()
+        }));
+        exports.push(("alloc-flame-out", ProfileReport::alloc_collapsed_stacks));
     }
+    let exports: Vec<Export> = exports
+        .into_iter()
+        .filter_map(|(key, export)| args.get(key).map(|path| (path, export)))
+        .collect();
 
-    let memory = Arc::new(MemorySink::new());
-    let mut sinks: Vec<Arc<dyn Sink>> = vec![memory.clone()];
+    // Allocation attribution rides on the span stack, so `--memprof`
+    // needs a sink too; the registry is it.
+    let registry =
+        (trace || profile || memprof || !exports.is_empty()).then(|| Arc::new(ProfileSink::new()));
+    let mut sinks: Vec<Arc<dyn Sink>> = Vec::new();
     if trace {
         sinks.push(Arc::new(StderrSink::new()));
     }
@@ -77,40 +74,50 @@ fn run_observed(
             .map_err(|e| format!("cannot create {path}: {e}"))?;
         sinks.push(Arc::new(sink));
     }
-    let telemetry = if want_telemetry {
-        let sink = Arc::new(TelemetrySink::new());
-        sinks.push(sink.clone());
-        Some(sink)
-    } else {
-        None
-    };
-    sinks.extend(extra);
+    if let Some(registry) = &registry {
+        sinks.push(registry.clone());
+    }
+    if sinks.is_empty() {
+        return dispatch(args);
+    }
     let multi = Arc::new(MultiSink::new(sinks));
-    let result = uniq_obs::with_sink(multi.clone(), || dispatch_fn(args));
+    let mut alloc = None;
+    let result = uniq_obs::with_sink(multi.clone(), || {
+        if !memprof {
+            return dispatch(args);
+        }
+        // Measure the dispatch only (sink assembly and report rendering
+        // stay out), and emit the summary while the sinks are still
+        // installed so the registry carries the alloc aggregates.
+        let (result, snap) = uniq_memprof::measure(|| dispatch(args));
+        snap.emit_obs_summary();
+        alloc = Some(snap);
+        result
+    });
     // Push buffered sinks (JSON lines) to disk even on error paths.
     multi.flush();
-    if let Some(sink) = telemetry {
-        // The registry of a failed run is evidence — export regardless.
-        let snapshot = sink.snapshot();
-        if let Some(path) = telemetry_out {
-            std::fs::write(
-                Path::new(path),
-                uniq_telemetry::expose::prometheus(&snapshot),
-            )
+    let Some(registry) = registry else {
+        return result;
+    };
+    let mut report = registry.report();
+    if let Some(snap) = alloc {
+        report.attach_alloc(snap);
+    }
+    for (path, export) in exports {
+        std::fs::write(Path::new(path), export(&report))
             .map_err(|e| format!("cannot write {path}: {e}"))?;
-        }
-        if let Some(path) = telemetry_json {
-            std::fs::write(
-                Path::new(path),
-                uniq_telemetry::expose::snapshot_json(&snapshot),
-            )
-            .map_err(|e| format!("cannot write {path}: {e}"))?;
-        }
     }
     if trace {
-        eprintln!("\n{}", Report::from_events(&memory.events()));
+        eprintln!("\n{report}");
     }
-    result
+    let output = result?;
+    Ok(if profile {
+        format!("{output}\n\n{report}")
+    } else if let Some(snap) = &report.alloc {
+        format!("{output}\n\n{}", snap.render_table())
+    } else {
+        output
+    })
 }
 
 /// `uniq analyze [OPTIONS]`: runs the whole-workspace static analyzer
@@ -242,7 +249,7 @@ pub fn store_cmd(args: &[String]) -> i32 {
          \x20 verify --store DIR\n\
          \x20 export --store DIR --key KEY --out FILE.uniqhrtf\n\
          \x20 import --store DIR --table FILE.uniqhrtf [--seed N]";
-    let parsed = match Args::parse(args, &["anechoic"]) {
+    let parsed = match Args::parse(args) {
         Ok(p) => p,
         Err(e) => {
             eprintln!("error: {e}\n{USAGE}");
@@ -266,6 +273,7 @@ pub fn store_cmd(args: &[String]) -> i32 {
         }
     };
     uniq_obs::flush_global_sink();
+    parsed.warn_unused();
     match result {
         Ok((report, code)) => {
             println!("{report}");
@@ -509,127 +517,6 @@ fn append_history(args: &Args, record: &LedgerRecord) -> Result<Option<String>, 
     Ok(Some(format!("ledger record appended to {path}")))
 }
 
-/// `uniq profile <command> …`: runs any subcommand under a
-/// [`ProfileSink`] and appends the per-stage latency table to the
-/// command's own output. `--profile-out FILE` additionally writes the
-/// machine-readable JSON report, `--flame-out FILE` the collapsed-stack
-/// lines (flamegraph input). Both files are written even when the
-/// profiled command fails — the profile of a failed run is evidence.
-///
-/// Profiling observes the exact same run the bare command would execute:
-/// the numeric output is bit-identical (asserted by the workspace
-/// `profiling` integration test).
-pub fn run_profile(args: &Args) -> Result<String, String> {
-    profile_with(args, dispatch)
-}
-
-/// `uniq profile faults <command> …`: the profiler wrapped around a
-/// faulted run — both layers compose, and the wrapped command's failure
-/// still propagates.
-pub fn run_profile_faults(args: &Args) -> Result<String, String> {
-    profile_with(args, dispatch_faulted)
-}
-
-fn profile_with(
-    args: &Args,
-    dispatch_fn: fn(&Args) -> Result<String, String>,
-) -> Result<String, String> {
-    let profile = Arc::new(ProfileSink::new());
-    let result = run_observed(args, Some(profile.clone()), dispatch_fn);
-    let report = profile.report();
-    if let Some(path) = args.get("profile-out") {
-        std::fs::write(Path::new(path), report.to_json())
-            .map_err(|e| format!("cannot write {path}: {e}"))?;
-    }
-    if let Some(path) = args.get("flame-out") {
-        std::fs::write(Path::new(path), report.collapsed_stacks())
-            .map_err(|e| format!("cannot write {path}: {e}"))?;
-    }
-    match result {
-        Ok(output) => Ok(format!("{output}\n\n{}", report.render_table())),
-        Err(e) => Err(e),
-    }
-}
-
-/// `uniq memprof [profile] [faults] <command> …`: runs the wrapped
-/// command under the counting allocator and appends the per-stage
-/// allocation table to its output. `--alloc-out FILE` writes the
-/// machine-readable snapshot JSON, `--alloc-flame-out FILE`
-/// bytes-weighted collapsed-stack lines (call paths when composed with
-/// `profile`, bare stage frames otherwise). Composes with every
-/// observability flag; when `profile` is in the stack the latency table
-/// grows allocs/alloc-bytes columns and `--profile-out` JSON an `alloc`
-/// section.
-pub fn run_memprof(args: &Args, profiled: bool, faulted: bool) -> Result<String, String> {
-    if !uniq_memprof::installed() {
-        return Err(
-            "memprof: the counting allocator is not installed in this binary (build the `uniq` \
-             binary, whose main.rs declares it as #[global_allocator])"
-                .to_string(),
-        );
-    }
-    let dispatch_fn: fn(&Args) -> Result<String, String> =
-        if faulted { dispatch_faulted } else { dispatch };
-    let profile = profiled.then(|| Arc::new(ProfileSink::new()));
-    // Stage attribution rides on the span stack, and spans are inert with
-    // no sink installed — so a memory-only run installs the no-op
-    // stage-tracking sink.
-    let extra: Arc<dyn Sink> = match &profile {
-        Some(sink) => sink.clone(),
-        None => Arc::new(uniq_memprof::StageTrackingSink),
-    };
-    let mut snap = uniq_memprof::AllocSnapshot::default();
-    let result = run_observed(args, Some(extra), |args| {
-        // Measure the dispatch only (sink assembly and report rendering
-        // stay out), and emit the summary while the sinks are still
-        // installed so telemetry exports carry the alloc aggregates.
-        let (result, measured) = uniq_memprof::measure(|| dispatch_fn(args));
-        measured.emit_obs_summary();
-        snap = measured;
-        result
-    });
-    if let Some(path) = args.get("alloc-out") {
-        std::fs::write(Path::new(path), snap.to_json())
-            .map_err(|e| format!("cannot write {path}: {e}"))?;
-    }
-    match &profile {
-        Some(sink) => {
-            let mut report = sink.report();
-            report.attach_alloc(snap);
-            if let Some(path) = args.get("alloc-flame-out") {
-                std::fs::write(Path::new(path), report.alloc_collapsed_stacks())
-                    .map_err(|e| format!("cannot write {path}: {e}"))?;
-            }
-            if let Some(path) = args.get("profile-out") {
-                std::fs::write(Path::new(path), report.to_json())
-                    .map_err(|e| format!("cannot write {path}: {e}"))?;
-            }
-            if let Some(path) = args.get("flame-out") {
-                std::fs::write(Path::new(path), report.collapsed_stacks())
-                    .map_err(|e| format!("cannot write {path}: {e}"))?;
-            }
-            result.map(|output| format!("{output}\n\n{}", report.render_table()))
-        }
-        None => {
-            if let Some(path) = args.get("alloc-flame-out") {
-                // No profiler, no call paths: one frame per stage.
-                let mut lines = String::new();
-                for (stage, alloc) in &snap.stages {
-                    if alloc.bytes > 0 {
-                        lines.push_str(&format!("{stage} {}\n", alloc.bytes));
-                    }
-                }
-                if snap.unattributed.bytes > 0 {
-                    lines.push_str(&format!("(unattributed) {}\n", snap.unattributed.bytes));
-                }
-                std::fs::write(Path::new(path), lines)
-                    .map_err(|e| format!("cannot write {path}: {e}"))?;
-            }
-            result.map(|output| format!("{output}\n\n{}", snap.render_table()))
-        }
-    }
-}
-
 fn dispatch(args: &Args) -> Result<String, String> {
     match args.command.as_str() {
         "personalize" => personalize_cmd(args),
@@ -804,94 +691,6 @@ fn loadgen_cmd(args: &Args) -> Result<String, String> {
     Ok(lines.join("\n"))
 }
 
-fn dispatch_faulted(args: &Args) -> Result<String, String> {
-    match args.command.as_str() {
-        "personalize" => personalize_faulted_cmd(args),
-        "help" | "--help" => Ok(usage()),
-        other => Err(format!(
-            "`faults` wraps personalize only, not {other:?}\n\n{}",
-            usage()
-        )),
-    }
-}
-
-fn personalize_faulted_cmd(args: &Args) -> Result<String, String> {
-    let seed = args.get_u64("seed", 42).map_err(|e| e.to_string())?;
-    let grid = args.get_f64("grid", 5.0).map_err(|e| e.to_string())?;
-    let snr = args.get_f64("snr", 35.0).map_err(|e| e.to_string())?;
-    let cfg = UniqConfig {
-        in_room: !args.switch("anechoic"),
-        grid_step_deg: grid,
-        snr_db: snr,
-        ..UniqConfig::default()
-    };
-
-    let spec = args.require("fault-plan").map_err(|e| e.to_string())?;
-    let fault_seed = args
-        .get_u64("fault-seed", seed)
-        .map_err(|e| e.to_string())?;
-    let plan = FaultPlan::parse(spec, fault_seed).map_err(|e| format!("--fault-plan: {e}"))?;
-    let retries = args
-        .get_u64("fault-retries", 1)
-        .map_err(|e| e.to_string())? as usize;
-    let policy = DegradationPolicy {
-        stop_retries: retries,
-        skip_failed_stops: !args.switch("no-skip"),
-        ..DegradationPolicy::default()
-    };
-
-    let subject = Subject::from_seed(seed);
-    let faulted = personalize_faulted_with_retry(&subject, &cfg, seed, &plan, &policy, 3)
-        .map_err(|e| format!("personalization failed under faults: {e}"))?;
-
-    if let Some(path) = args.get("fault-report") {
-        std::fs::write(Path::new(path), faulted.degradation.to_json())
-            .map_err(|e| format!("cannot write {path}: {e}"))?;
-    }
-
-    let result = &faulted.result;
-    let mut lines = vec![format!(
-        "personalized subject {seed} under fault plan {spec:?} in {} attempt(s)\n\
-         fitted head: a={:.3} b={:.3} c={:.3} (residual {:.1}°)",
-        result.attempts,
-        result.fusion.head.a,
-        result.fusion.head.b,
-        result.fusion.head.c,
-        result.fusion.mean_residual_deg,
-    )];
-    lines.push(format!("{}", faulted.degradation));
-    if let Some(out) = args.get("out") {
-        uniq_core::io::save(&result.hrtf, Path::new(out))
-            .map_err(|e| format!("cannot write {out}: {e}"))?;
-        lines.push(format!(
-            "table written to {out} ({} near + {} far angles)",
-            result.hrtf.near().len(),
-            result.hrtf.far().len(),
-        ));
-    }
-    let deg = &faulted.degradation;
-    let mut record = LedgerRecord::new("personalize-faulted");
-    record.seed = seed;
-    record.fingerprint = format!("{:#018x}", single_fingerprint(seed, result));
-    record.quality.insert(
-        "fusion_mean_residual_deg".into(),
-        result.fusion.mean_residual_deg,
-    );
-    record
-        .quality
-        .insert("mean_stop_quality".into(), deg.mean_quality);
-    record.degradation = Some(format!(
-        "stops {}/{} kept, {} dropped, {} retries, classes [{}]",
-        deg.stops_used,
-        deg.stops_planned,
-        deg.stops_dropped,
-        deg.retries,
-        deg.fault_classes.join(","),
-    ));
-    lines.extend(append_history(args, &record)?);
-    Ok(lines.join("\n"))
-}
-
 /// The usage text.
 pub fn usage() -> String {
     "uniq — HRTF personalization (SIGCOMM'21 reproduction)\n\
@@ -899,6 +698,15 @@ pub fn usage() -> String {
      commands:\n\
      \x20 personalize --seed N --out FILE [--anechoic] [--grid DEG] [--snr DB]\n\
      \x20     run the full pipeline for synthetic subject N, save the table\n\
+     \x20 personalize --fault-plan SPEC [--fault-seed N] [--fault-retries R]\n\
+     \x20             [--no-skip] [--fault-report FILE] [--out FILE] [usual flags]\n\
+     \x20     personalize under a deterministic fault plan with graceful\n\
+     \x20     degradation (skip/retry corrupted stops, re-weighted fusion);\n\
+     \x20     prints the degradation report, optionally as JSON (--fault-report)\n\
+     \x20     SPEC: comma-separated name[:param[:param]][@stop][~], e.g.\n\
+     \x20     \"drop@2,snr:-12@4,clip:0.35\" — classes: drop truncate clip snr\n\
+     \x20     gyro-dropout gyro-sat jitter dup reorder; trailing ~ = transient\n\
+     \x20     (heals on retry)\n\
      \x20 batch --subjects N [--seed BASE] [--threads T] [--anechoic] [--grid DEG]\n\
      \x20       [--snr DB] [--scaling T1,T2,..] [--out FILE]\n\
      \x20     personalize N synthetic subjects concurrently (T=0 or unset: auto\n\
@@ -938,6 +746,7 @@ pub fn usage() -> String {
      \x20     seeded closed-loop load generator: N subjects over concurrent\n\
      \x20     clients, fraction R re-requested to exercise the cache; prints\n\
      \x20     throughput + p50/p99 latency; --shutdown stops the server after\n\
+     \x20     the run\n\
      \n\
      quality gates:\n\
      \x20 analyze [--strict] [--format text|json] [--out FILE] [--threads N]\n\
@@ -945,11 +754,22 @@ pub fn usage() -> String {
      \x20     call-graph determinism / panic-reachability / lock-order /\n\
      \x20     hot-path-allocation lints (exit 1 on findings)\n\
      \n\
-     observability (any command):\n\
-     \x20 --trace              live span tree on stderr + end-of-run stage summary\n\
-     \x20 --metrics-out FILE   write spans/metrics/counters as JSON lines\n\
-     \x20 --telemetry-out FILE write the aggregated registry as Prometheus text\n\
-     \x20 --telemetry-json FILE write the aggregated registry as a JSON snapshot\n\
+     observability (any command; every flag observes the same run):\n\
+     \x20 --trace                live span tree on stderr + the registry table\n\
+     \x20 --metrics-out FILE     write spans/metrics/counters as JSON lines\n\
+     \x20 --profile              append the registry table: per-stage latency\n\
+     \x20                        (count/total/p50/p90/p99/max, per-thread rows),\n\
+     \x20                        counters and metrics\n\
+     \x20 --profile-out FILE     write the registry as JSON\n\
+     \x20 --flame-out FILE       write collapsed-stack flamegraph lines\n\
+     \x20 --telemetry-out FILE   write the registry as Prometheus text\n\
+     \x20 --memprof              run under the counting allocator and append the\n\
+     \x20                        per-stage allocation table; with --profile the\n\
+     \x20                        latency table grows alloc columns and the\n\
+     \x20                        --profile-out JSON an alloc section\n\
+     \x20 --alloc-out FILE       (--memprof) write the allocation snapshot JSON\n\
+     \x20 --alloc-flame-out FILE (--memprof) write bytes-weighted collapsed stacks\n\
+     \x20 options no command reads are named on stderr as unused\n\
      \n\
      telemetry:\n\
      \x20 trace report FILE\n\
@@ -959,36 +779,9 @@ pub fn usage() -> String {
      \x20     gate the newest run ledger record against its history (trend:\n\
      \x20     median/MAD drift; compare: last two records); exit 0 ok,\n\
      \x20     1 latency warning, 2 quality regression\n\
-     \x20 --history PATH       (personalize/batch/faults) append a run record to\n\
-     \x20     the ledger (PATH `default` = bench_results/history.jsonl)\n\
-     \n\
-     profiling:\n\
-     \x20 profile <command> [args...] [--profile-out FILE] [--flame-out FILE]\n\
-     \x20     run any command under the profiler; prints a per-stage latency\n\
-     \x20     table (count/total/p50/p90/p99/max, per-thread attribution) and\n\
-     \x20     optionally writes JSON (--profile-out) and collapsed-stack\n\
-     \x20     flamegraph lines (--flame-out)\n\
-     \n\
-     memory profiling:\n\
-     \x20 memprof <command> [args...] [--alloc-out FILE] [--alloc-flame-out FILE]\n\
-     \x20     run any command under the counting allocator; prints a per-stage\n\
-     \x20     allocation table (allocs/bytes/frees/peak-live/largest, attributed\n\
-     \x20     to the active span) and optionally writes the snapshot JSON\n\
-     \x20     (--alloc-out) and bytes-weighted collapsed-stack lines\n\
-     \x20     (--alloc-flame-out); composes with profile and faults: `uniq\n\
-     \x20     memprof profile personalize …` adds alloc columns to the latency\n\
-     \x20     table and an alloc section to --profile-out JSON\n\
-     \n\
-     fault injection:\n\
-     \x20 faults personalize --fault-plan SPEC [--fault-seed N] [--fault-retries R]\n\
-     \x20        [--no-skip] [--fault-report FILE] [--out FILE] [usual flags...]\n\
-     \x20     personalize under a deterministic fault plan with graceful\n\
-     \x20     degradation (skip/retry corrupted stops, re-weighted fusion);\n\
-     \x20     prints the degradation report, optionally as JSON (--fault-report)\n\
-     \x20     SPEC: comma-separated name[:param[:param]][@stop][~], e.g.\n\
-     \x20     \"drop@2,snr:-12@4,clip:0.35\" — classes: drop truncate clip snr\n\
-     \x20     gyro-dropout gyro-sat jitter dup reorder; trailing ~ = transient\n\
-     \x20     (heals on retry); composes with profile: uniq profile faults …\n"
+     \x20 --history PATH         (personalize/batch/serve/loadgen/store put)\n\
+     \x20     append a run record to the ledger (PATH `default` =\n\
+     \x20     bench_results/history.jsonl)\n"
         .to_string()
 }
 
@@ -1003,9 +796,12 @@ fn signal_kind(name: &str) -> Result<SignalKind, String> {
     }
 }
 
+/// `uniq personalize`: the full pipeline for one synthetic subject. With
+/// `--fault-plan`, the plan is injected at the signal boundaries (see
+/// `uniq-faults`), the run degrades gracefully, and the degradation
+/// report joins the output; the table file is then optional.
 fn personalize_cmd(args: &Args) -> Result<String, String> {
     let seed = args.get_u64("seed", 42).map_err(|e| e.to_string())?;
-    let out = args.require("out").map_err(|e| e.to_string())?;
     let grid = args.get_f64("grid", 5.0).map_err(|e| e.to_string())?;
     let snr = args.get_f64("snr", 35.0).map_err(|e| e.to_string())?;
     let cfg = UniqConfig {
@@ -1014,14 +810,44 @@ fn personalize_cmd(args: &Args) -> Result<String, String> {
         snr_db: snr,
         ..UniqConfig::default()
     };
+    let fault_plan = args.get("fault-plan");
+    let out = match fault_plan {
+        Some(_) => args.get("out"),
+        None => Some(args.require("out").map_err(|e| e.to_string())?),
+    };
 
     let subject = Subject::from_seed(seed);
     let sw = uniq_obs::Stopwatch::start();
-    let result = personalize_with_retry(&subject, &cfg, seed, 3)
-        .map_err(|e| format!("personalization failed: {e}"))?;
+    let (result, degradation) = match fault_plan {
+        None => {
+            let result = personalize_with_retry(&subject, &cfg, seed, 3)
+                .map_err(|e| format!("personalization failed: {e}"))?;
+            (result, None)
+        }
+        Some(spec) => {
+            let fault_seed = args
+                .get_u64("fault-seed", seed)
+                .map_err(|e| e.to_string())?;
+            let plan =
+                FaultPlan::parse(spec, fault_seed).map_err(|e| format!("--fault-plan: {e}"))?;
+            let retries = args
+                .get_u64("fault-retries", 1)
+                .map_err(|e| e.to_string())? as usize;
+            let policy = DegradationPolicy {
+                stop_retries: retries,
+                skip_failed_stops: !args.switch("no-skip"),
+                ..DegradationPolicy::default()
+            };
+            let faulted = personalize_faulted_with_retry(&subject, &cfg, seed, &plan, &policy, 3)
+                .map_err(|e| format!("personalization failed under faults: {e}"))?;
+            if let Some(path) = args.get("fault-report") {
+                std::fs::write(Path::new(path), faulted.degradation.to_json())
+                    .map_err(|e| format!("cannot write {path}: {e}"))?;
+            }
+            (faulted.result, Some(faulted.degradation))
+        }
+    };
     let wall_seconds = sw.elapsed_seconds();
-    uniq_core::io::save(&result.hrtf, Path::new(out))
-        .map_err(|e| format!("cannot write {out}: {e}"))?;
 
     let errs: Vec<f64> = result
         .localization
@@ -1030,19 +856,35 @@ fn personalize_cmd(args: &Args) -> Result<String, String> {
         .collect();
     let loc_median = uniq_dsp::stats::median(&errs);
     let mut lines = vec![format!(
-        "personalized subject {seed} in {} attempt(s)\n\
+        "personalized subject {seed}{} in {} attempt(s)\n\
          fitted head: a={:.3} b={:.3} c={:.3} (residual {:.1}°)\n\
-         localization median {loc_median:.1}°\n\
-         table written to {out} ({} near + {} far angles)",
+         localization median {loc_median:.1}°",
+        fault_plan
+            .map(|spec| format!(" under fault plan {spec:?}"))
+            .unwrap_or_default(),
         result.attempts,
         result.fusion.head.a,
         result.fusion.head.b,
         result.fusion.head.c,
         result.fusion.mean_residual_deg,
-        result.hrtf.near().len(),
-        result.hrtf.far().len(),
     )];
-    let mut record = LedgerRecord::new("personalize");
+    if let Some(deg) = &degradation {
+        lines.push(deg.to_string());
+    }
+    if let Some(out) = out {
+        uniq_core::io::save(&result.hrtf, Path::new(out))
+            .map_err(|e| format!("cannot write {out}: {e}"))?;
+        lines.push(format!(
+            "table written to {out} ({} near + {} far angles)",
+            result.hrtf.near().len(),
+            result.hrtf.far().len(),
+        ));
+    }
+    let mut record = LedgerRecord::new(if degradation.is_some() {
+        "personalize-faulted"
+    } else {
+        "personalize"
+    });
     record.seed = seed;
     record.threads = cfg.threads as u64;
     record.wall_seconds = wall_seconds;
@@ -1058,6 +900,19 @@ fn personalize_cmd(args: &Args) -> Result<String, String> {
     record
         .quality
         .insert("attempts".into(), result.attempts as f64);
+    if let Some(deg) = &degradation {
+        record
+            .quality
+            .insert("mean_stop_quality".into(), deg.mean_quality);
+        record.degradation = Some(format!(
+            "stops {}/{} kept, {} dropped, {} retries, classes [{}]",
+            deg.stops_used,
+            deg.stops_planned,
+            deg.stops_dropped,
+            deg.retries,
+            deg.fault_classes.join(","),
+        ));
+    }
     lines.extend(append_history(args, &record)?);
     Ok(lines.join("\n"))
 }
@@ -1285,14 +1140,18 @@ mod tests {
     use crate::args::Args;
 
     /// The lib-test binary installs the counting allocator itself (the
-    /// `uniq` binary does this in its main.rs) so the memprof wrapper is
-    /// testable through the public entry points.
+    /// `uniq` binary does this in its main.rs) so `--memprof` is testable
+    /// through the public entry point.
     #[global_allocator]
     static ALLOC: uniq_memprof::CountingAllocator = uniq_memprof::CountingAllocator::new();
 
+    /// The allocation counters are process-global: `--memprof` runs in
+    /// this binary take turns.
+    static MEMPROF: std::sync::Mutex<()> = std::sync::Mutex::new(());
+
     fn argv(s: &str) -> Args {
         let raw: Vec<String> = s.split_whitespace().map(String::from).collect();
-        Args::parse(&raw, &["anechoic", "near", "trace", "no-skip"]).unwrap()
+        Args::parse(&raw).unwrap()
     }
 
     fn temp_path(name: &str) -> std::path::PathBuf {
@@ -1388,83 +1247,23 @@ mod tests {
     }
 
     #[test]
-    fn profile_wraps_personalize_and_exports() {
-        let table = temp_path("prof.uniqhrtf");
-        let json = temp_path("prof.json");
-        let flame = temp_path("prof.folded");
-        let out = run_profile(&argv(&format!(
-            "personalize --seed 6 --out {} --anechoic --grid 15 --profile-out {} --flame-out {}",
-            table.display(),
-            json.display(),
-            flame.display()
-        )))
-        .expect("profiled personalize");
-        assert!(out.contains("table written"), "command output lost: {out}");
-        assert!(out.contains("per-stage wall clock:"), "no table: {out}");
-        for col in ["count", "p50", "p90", "p99", "threads:"] {
-            assert!(out.contains(col), "missing {col:?} in:\n{out}");
-        }
-
-        // The JSON export parses with our own reader and covers every
-        // pipeline stage.
-        let doc =
-            uniq_profile::json::Json::parse(&std::fs::read_to_string(&json).unwrap()).unwrap();
-        let stages: Vec<&str> = doc
-            .get("stages")
-            .unwrap()
-            .as_array()
-            .unwrap()
-            .iter()
-            .map(|s| s.get("name").unwrap().as_str().unwrap())
-            .collect();
-        for required in uniq_obs::names::PIPELINE_STAGES {
-            assert!(
-                stages.contains(required),
-                "stage {required} missing: {stages:?}"
-            );
-        }
-
-        // Collapsed-stack lines: `span;child;leaf self_nanos`.
-        let folded = std::fs::read_to_string(&flame).unwrap();
-        assert!(!folded.is_empty());
-        for line in folded.lines() {
-            let (path, value) = line.rsplit_once(' ').expect("line has no value");
-            assert!(
-                path.split(';').all(|seg| !seg.is_empty()),
-                "bad path {path:?}"
-            );
-            value.parse::<u64>().expect("self time not an integer");
-        }
-        assert!(
-            folded.lines().any(|l| l.starts_with("personalize;")),
-            "no nested path under personalize:\n{folded}"
-        );
-
-        std::fs::remove_file(&table).ok();
-        std::fs::remove_file(&json).ok();
-        std::fs::remove_file(&flame).ok();
-    }
-
-    #[test]
-    fn memprof_wraps_personalize_and_exports() {
+    fn memprof_flag_appends_alloc_table_and_exports() {
+        let _turn = MEMPROF.lock().unwrap_or_else(|e| e.into_inner());
         let table = temp_path("mp.uniqhrtf");
         let json = temp_path("mp_alloc.json");
         let folded = temp_path("mp_alloc.folded");
-        let out = run_memprof(
-            &argv(&format!(
-                "personalize --seed 6 --out {} --anechoic --grid 15 --alloc-out {} \
-                 --alloc-flame-out {}",
-                table.display(),
-                json.display(),
-                folded.display()
-            )),
-            false,
-            false,
-        )
+        let out = run(&argv(&format!(
+            "personalize --seed 6 --out {} --anechoic --grid 15 --memprof --alloc-out {} \
+             --alloc-flame-out {}",
+            table.display(),
+            json.display(),
+            folded.display()
+        )))
         .expect("memprofed personalize");
         assert!(out.contains("table written"), "command output lost: {out}");
         assert!(out.contains("per-stage allocations:"), "no table: {out}");
         assert!(out.contains("fusion"), "hot stage missing: {out}");
+        assert!(!out.contains("per-stage wall clock:"), "{out}");
 
         let doc =
             uniq_profile::json::Json::parse(&std::fs::read_to_string(&json).unwrap()).unwrap();
@@ -1491,46 +1290,12 @@ mod tests {
     }
 
     #[test]
-    fn memprof_composes_with_profile() {
-        let table = temp_path("mpp.uniqhrtf");
-        let json = temp_path("mpp_prof.json");
-        let out = run_memprof(
-            &argv(&format!(
-                "personalize --seed 6 --out {} --anechoic --grid 15 --profile-out {}",
-                table.display(),
-                json.display()
-            )),
-            true,
-            false,
-        )
-        .expect("memprof profile personalize");
-        // Both tables, and the latency table grew the alloc columns.
-        assert!(
-            out.contains("per-stage wall clock:"),
-            "no latency table: {out}"
-        );
-        assert!(out.contains("alloc-b"), "no alloc columns: {out}");
-        assert!(
-            out.contains("per-stage allocations:"),
-            "no alloc table: {out}"
-        );
-
-        let doc =
-            uniq_profile::json::Json::parse(&std::fs::read_to_string(&json).unwrap()).unwrap();
-        let alloc = doc.get("alloc").expect("profile JSON has no alloc section");
-        assert!(alloc.get("stages").is_some());
-
-        std::fs::remove_file(&table).ok();
-        std::fs::remove_file(&json).ok();
-    }
-
-    #[test]
     fn profile_of_failed_command_still_writes_report() {
         let json = temp_path("prof_fail.json");
         // personalize without --out fails; the profile file must exist
         // and parse anyway.
-        let err = run_profile(&argv(&format!(
-            "personalize --seed 6 --profile-out {}",
+        let err = run(&argv(&format!(
+            "personalize --seed 6 --profile --profile-out {}",
             json.display()
         )))
         .unwrap_err();
@@ -1544,7 +1309,7 @@ mod tests {
     #[test]
     fn faulted_personalize_reports_degradation() {
         let report = temp_path("deg.json");
-        let out = run_faults(&argv(&format!(
+        let out = run(&argv(&format!(
             "personalize --seed 6 --anechoic --grid 15 --snr 45 \
              --fault-plan drop@2 --fault-report {}",
             report.display()
@@ -1553,38 +1318,26 @@ mod tests {
         assert!(out.contains("fault plan"), "no plan echo: {out}");
         assert!(out.contains("degradation:"), "no report: {out}");
         assert!(out.contains("drop"), "fault class missing: {out}");
+        assert!(!out.contains("table written"), "no --out given: {out}");
         let json = std::fs::read_to_string(&report).unwrap();
         assert!(json.contains("\"stops_dropped\""), "bad report: {json}");
         std::fs::remove_file(&report).ok();
     }
 
     #[test]
-    fn faults_wraps_personalize_only() {
-        let err = run_faults(&argv("info --table /tmp/x.uniqhrtf")).unwrap_err();
-        assert!(err.contains("wraps personalize only"), "{err}");
-    }
-
-    #[test]
     fn bad_fault_plan_reported() {
-        let err = run_faults(&argv(
-            "personalize --seed 6 --anechoic --grid 15 --fault-plan warp@2",
-        ))
-        .unwrap_err();
-        assert!(err.contains("unknown fault class"), "{err}");
+        let plan = "personalize --seed 6 --anechoic --grid 15 --fault-plan warp@2";
+        for flags in ["", " --profile --trace"] {
+            let err = run(&argv(&format!("{plan}{flags}"))).unwrap_err();
+            assert!(err.contains("unknown fault class"), "{err}");
+        }
     }
 
     #[test]
-    fn exit_code_propagates_wrapped_failures() {
-        // The fix under test: a failing command wrapped by `faults` (or
-        // `profile faults`) must map to a nonzero exit status, never 0.
-        assert_eq!(exit_code(&Ok::<_, String>("fine".to_string())), 0);
-        let failing = run_faults(&argv("personalize --seed 6 --anechoic --fault-plan warp@2"));
-        assert_eq!(exit_code(&failing), 1);
-        let missing_plan = run_faults(&argv("personalize --seed 6 --anechoic"));
-        assert_eq!(exit_code(&missing_plan), 1);
-        let profiled =
-            run_profile_faults(&argv("personalize --seed 6 --anechoic --fault-plan warp@2"));
-        assert_eq!(exit_code(&profiled), 1);
+    fn fault_options_without_a_plan_are_unused() {
+        let args = argv("info --table /nonexistent/x.uniqhrtf --fault-seed 3 --no-skip");
+        assert!(run(&args).is_err());
+        assert_eq!(args.unused(), vec!["fault-seed", "no-skip"]);
     }
 
     #[test]
@@ -1642,32 +1395,127 @@ mod tests {
         std::fs::remove_file(&metrics).ok();
     }
 
+    /// `name total` rows of the table's `counters:` section.
+    fn table_counters(table: &str) -> std::collections::BTreeMap<String, u64> {
+        table
+            .lines()
+            .skip_while(|l| *l != "counters:")
+            .skip(1)
+            .take_while(|l| l.starts_with("  "))
+            .map(|l| {
+                let (name, total) = l.trim().split_once(' ').unwrap();
+                (name.to_string(), total.trim().parse().unwrap())
+            })
+            .collect()
+    }
+
     #[test]
-    fn telemetry_out_writes_registry_exports() {
-        let table = temp_path("telem.uniqhrtf");
-        let prom = temp_path("telem.prom");
-        let json = temp_path("telem.json");
-        run(&argv(&format!(
-            "personalize --seed 6 --out {} --anechoic --grid 15 \
-             --telemetry-out {} --telemetry-json {}",
-            table.display(),
+    fn one_run_composes_every_flag_and_exports_agree() {
+        let _turn = MEMPROF.lock().unwrap_or_else(|e| e.into_inner());
+        let prom = temp_path("all.prom");
+        let json = temp_path("all.json");
+        let flame = temp_path("all.folded");
+        let args = argv(&format!(
+            "personalize --seed 6 --anechoic --grid 15 --snr 45 --trace --profile --memprof \
+             --fault-plan drop@2 --telemetry-out {} --profile-out {} --flame-out {}",
             prom.display(),
-            json.display()
-        )))
-        .expect("personalize with telemetry");
+            json.display(),
+            flame.display()
+        ));
+        let out = run(&args).expect("composed personalize");
+        assert!(args.unused().is_empty(), "{:?}", args.unused());
+        for needle in [
+            "degradation:",
+            "per-stage wall clock:",
+            "p99",
+            "threads:",
+            "metrics:",
+            "alloc-b",
+            "per-stage allocations:",
+        ] {
+            assert!(out.contains(needle), "missing {needle:?} in:\n{out}");
+        }
 
-        let text = std::fs::read_to_string(&prom).unwrap();
-        assert!(text.contains("uniq_personalize_ns_count"), "{text}");
-        assert!(text.contains("uniq_obs_telemetry_overhead_ns"), "{text}");
-
+        // The personalize span count, from each exporter.
+        let table_count: u64 = out
+            .lines()
+            .find_map(|l| {
+                let mut cols = l.split_whitespace();
+                (cols.next() == Some("personalize")).then(|| cols.next().unwrap().parse().unwrap())
+            })
+            .expect("personalize row in the table");
         let doc =
             uniq_profile::json::Json::parse(&std::fs::read_to_string(&json).unwrap()).unwrap();
-        assert!(doc.get("spans").unwrap().get("personalize").is_some());
-        assert!(doc.get("overhead_ns").is_some());
+        let json_count = doc
+            .get("stages")
+            .unwrap()
+            .as_array()
+            .unwrap()
+            .iter()
+            .find(|s| s.get("name").unwrap().as_str() == Some("personalize"))
+            .and_then(|s| s.get("count").unwrap().as_u64())
+            .unwrap();
+        let text = std::fs::read_to_string(&prom).unwrap();
+        let prom_value = |series: &str| -> Option<u64> {
+            text.lines()
+                .find_map(|l| l.strip_prefix(series)?.strip_prefix(' ')?.parse().ok())
+        };
+        assert_eq!(table_count, json_count);
+        assert_eq!(prom_value("uniq_personalize_ns_count"), Some(json_count));
 
-        std::fs::remove_file(&table).ok();
-        std::fs::remove_file(&prom).ok();
-        std::fs::remove_file(&json).ok();
+        // Counter totals, likewise; the fault and alloc counters are in.
+        let json_counters: std::collections::BTreeMap<String, u64> = doc
+            .get("counters")
+            .unwrap()
+            .as_object()
+            .unwrap()
+            .iter()
+            .map(|(k, v)| (k.clone(), v.as_u64().unwrap()))
+            .collect();
+        for name in [
+            uniq_obs::names::FAULTS_INJECTED,
+            uniq_obs::names::ALLOC_TOTAL_COUNT,
+        ] {
+            assert!(json_counters.contains_key(name), "{name} missing");
+        }
+        assert_eq!(table_counters(&out), json_counters);
+        for (name, total) in &json_counters {
+            let series = format!("uniq_{}", name.replace('.', "_"));
+            assert_eq!(prom_value(&series), Some(*total), "{series}");
+        }
+        assert_eq!(prom_value("uniq_telemetry_dropped_events"), Some(0));
+        assert_eq!(doc.get("dropped").unwrap().as_u64(), Some(0));
+        assert!(doc.get("alloc").unwrap().get("stages").is_some());
+
+        // The flame (`span;child;leaf self_nanos` lines) names exactly the
+        // stages the JSON lists — every pipeline stage among them —
+        // rooted at personalize (and the memprof summary span).
+        let folded = std::fs::read_to_string(&flame).unwrap();
+        let leaves: std::collections::BTreeSet<&str> = folded
+            .lines()
+            .map(|l| {
+                let (path, value) = l.rsplit_once(' ').expect("line has no value");
+                value.parse::<u64>().expect("self time not an integer");
+                path.rsplit(';').next().unwrap()
+            })
+            .collect();
+        let stages: std::collections::BTreeSet<&str> = doc
+            .get("stages")
+            .unwrap()
+            .as_array()
+            .unwrap()
+            .iter()
+            .map(|s| s.get("name").unwrap().as_str().unwrap())
+            .collect();
+        assert_eq!(leaves, stages);
+        for required in uniq_obs::names::PIPELINE_STAGES {
+            assert!(stages.contains(required), "stage {required} missing");
+        }
+        assert!(folded.lines().any(|l| l.starts_with("personalize;")));
+
+        for f in [&prom, &json, &flame] {
+            std::fs::remove_file(f).ok();
+        }
     }
 
     fn store_argv(s: &str) -> Vec<String> {

@@ -5,18 +5,18 @@
 use uniq_cli::args::Args;
 use uniq_cli::commands;
 
-/// The counting allocator behind `uniq memprof` — installed
-/// unconditionally (recording stays off outside a measurement, costing
-/// one relaxed atomic load per allocation on every other command).
+/// The counting allocator behind `--memprof` — installed unconditionally
+/// (recording stays off outside a measurement, costing one relaxed atomic
+/// load per allocation on every other run).
 #[global_allocator]
 static ALLOC: uniq_memprof::CountingAllocator = uniq_memprof::CountingAllocator::new();
 
 fn main() {
     let raw: Vec<String> = std::env::args().skip(1).collect();
     // `trace` and `history` take positional file arguments, which
-    // Args::parse rejects by design — they are dispatched on the raw argv
-    // before any wrapper peeling. Their exit codes carry gate semantics
-    // (0 ok, 1 finding, 2 usage), so they exit directly.
+    // Args::parse rejects by design — they are dispatched on the raw argv.
+    // Their exit codes carry gate semantics (0 ok, 1 finding, 2 usage),
+    // so they exit directly.
     match raw.first().map(String::as_str) {
         Some("trace") => std::process::exit(commands::trace_cmd(&raw[1..])),
         Some("history") => std::process::exit(commands::history_cmd(&raw[1..])),
@@ -28,69 +28,22 @@ fn main() {
         Some("analyze") => std::process::exit(commands::analyze_cmd(&raw[1..])),
         _ => {}
     }
-    // `profile`, `faults` and `memprof` wrap another command (`uniq
-    // memprof profile personalize …`), so wrapper words are peeled off
-    // before Args::parse, which allows exactly one positional. Each
-    // wrapper may appear once, in any order.
-    let mut profiled = false;
-    let mut faulted = false;
-    let mut memprofed = false;
-    let mut rest: &[String] = &raw[..];
-    loop {
-        match rest.first().map(String::as_str) {
-            Some("profile") if !profiled => profiled = true,
-            Some("faults") if !faulted => faulted = true,
-            Some("memprof") if !memprofed => memprofed = true,
-            _ => break,
-        }
-        rest = &rest[1..];
-    }
-    if (profiled || faulted || memprofed) && rest.is_empty() {
-        eprintln!(
-            "error: {} needs a command to run\n\n{}",
-            if faulted {
-                "faults"
-            } else if memprofed {
-                "memprof"
-            } else {
-                "profile"
-            },
-            commands::usage()
-        );
-        std::process::exit(2);
-    }
-    let parsed = match Args::parse(
-        rest,
-        &[
-            "anechoic", "near", "trace", "no-skip", "no-cache", "shutdown",
-        ],
-    ) {
+    let parsed = match Args::parse(&raw) {
         Ok(p) => p,
         Err(e) => {
             eprintln!("error: {e}\n\n{}", commands::usage());
             std::process::exit(2);
         }
     };
-    let result = if memprofed {
-        commands::run_memprof(&parsed, profiled, faulted)
-    } else {
-        match (profiled, faulted) {
-            (true, true) => commands::run_profile_faults(&parsed),
-            (true, false) => commands::run_profile(&parsed),
-            (false, true) => commands::run_faults(&parsed),
-            (false, false) => commands::run(&parsed),
-        }
-    };
+    let result = commands::run(&parsed);
     // Buffered sinks installed process-wide must not lose their tail.
     uniq_obs::flush_global_sink();
-    // One shared mapping from outcome to exit status, so wrappers never
-    // swallow a wrapped command's failure.
-    let code = commands::exit_code(&result);
+    parsed.warn_unused();
     match result {
         Ok(report) => println!("{report}"),
-        Err(e) => eprintln!("error: {e}"),
-    }
-    if code != 0 {
-        std::process::exit(code);
+        Err(e) => {
+            eprintln!("error: {e}");
+            std::process::exit(1);
+        }
     }
 }

@@ -110,7 +110,7 @@ pub struct StopDegradation {
 }
 
 /// What a degraded session kept, dropped and saw — the record surfaced
-/// through `uniq-obs` metrics and the `uniq faults` CLI.
+/// through `uniq-obs` metrics and `uniq personalize --fault-plan`.
 #[derive(Debug, Clone, PartialEq)]
 pub struct DegradationReport {
     /// Stops the sweep scheduled.

@@ -163,7 +163,7 @@ impl std::fmt::Display for FaultParseError {
     fn fmt(&self, f: &mut std::fmt::Formatter<'_>) -> std::fmt::Result {
         match self {
             FaultParseError::UnknownClass(name) => {
-                write!(f, "unknown fault class {name:?} (see `uniq faults --help`)")
+                write!(f, "unknown fault class {name:?} (see `uniq help`)")
             }
             FaultParseError::BadParam(what) => write!(f, "bad fault parameter: {what}"),
             FaultParseError::BadStop(what) => write!(f, "bad stop target: {what}"),

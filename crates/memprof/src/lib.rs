@@ -71,7 +71,7 @@ pub const ALLOC_SCHEMA_VERSION: u64 = 1;
 pub const STAGE_SLOTS: usize = 64;
 
 /// Counter shards: shard 0 for non-pool threads, workers at
-/// `1 + index % (SHARDS - 1)` — the same mapping `uniq-telemetry` uses,
+/// `1 + index % (SHARDS - 1)` — the mapping `uniq-profile`'s registry uses,
 /// so contention behavior is familiar and merge order is fixed.
 pub const SHARDS: usize = 17;
 
@@ -454,7 +454,7 @@ pub struct AllocSnapshot {
 fn track_stats(track: usize) -> StageAlloc {
     let mut out = StageAlloc::default();
     // Merge shards in index order: fixed order keeps the (commutative)
-    // sums trivially reproducible and mirrors uniq-telemetry's snapshot.
+    // sums trivially reproducible and mirrors uniq-profile's report.
     for shard in &SHARD_COUNTERS {
         out.allocs += shard.allocs[track].load(Ordering::Relaxed);
         out.bytes += shard.bytes[track].load(Ordering::Relaxed);

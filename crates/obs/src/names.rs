@@ -72,9 +72,9 @@ pub const RENDER_CROSSFADE_SAMPLES: &str = "render.crossfade_samples";
 /// Externalization proxy score of a rendered/reference comparison, `[0, 1]`.
 pub const RENDER_EXTERNALIZATION_PROXY: &str = "render.externalization_proxy";
 
-/// Nanoseconds the telemetry registry spent recording its own events —
-/// observability cost, itself observed (emitted at snapshot time by
-/// `uniq-telemetry`).
+/// Nanoseconds the registry spent recording its own events —
+/// observability cost, itself observed (added at report time by
+/// `uniq-profile`'s `ProfileSink`).
 pub const OBS_TELEMETRY_OVERHEAD_NS: &str = "obs.telemetry_overhead_ns";
 
 // Allocation-profile names (`uniq-memprof`). The counters are sums over
@@ -82,7 +82,7 @@ pub const OBS_TELEMETRY_OVERHEAD_NS: &str = "obs.telemetry_overhead_ns";
 // workload — bit-identical across runs and thread counts — and safe to
 // fold into the telemetry determinism key. The peak/unattributed metrics
 // are scheduling-dependent (see DESIGN.md §15) and are listed in
-// `uniq-telemetry`'s `TIMING_METRICS` so only their counts are keyed.
+// `uniq-profile`'s `TIMING_METRICS` so only their counts are keyed.
 
 /// Heap allocations attributed to pipeline stages during a profiled run
 /// (counter; deterministic).
@@ -106,7 +106,7 @@ pub const ALLOC_UNATTRIBUTED_BYTES: &str = "alloc.unattributed_bytes";
 // functions of the request stream (how many arrived, hit the cache, were
 // shed, failed), so the serve baseline section and the backpressure test
 // gate on them exactly; the request-seconds metric is wall clock and
-// lives in `uniq-telemetry`'s `TIMING_METRICS` (counts keyed, values
+// lives in `uniq-profile`'s `TIMING_METRICS` (counts keyed, values
 // not).
 
 /// Personalize requests accepted off the wire (counter; excludes
@@ -220,8 +220,8 @@ pub const SPAN_STORE_PUT: &str = "store.put";
 pub const SPAN_STORE_GET: &str = "store.get";
 /// A full deep-verification sweep over the store.
 pub const SPAN_STORE_VERIFY: &str = "store.verify";
-/// Snapshot + summary emission of the allocation profiler (`uniq memprof`
-/// wrapper, after the wrapped command returns).
+/// Snapshot + summary emission of the allocation profiler (`--memprof`,
+/// after the measured command returns).
 pub const SPAN_ALLOC_SNAPSHOT: &str = "alloc.snapshot";
 /// One request processed by a personalization-server shard worker
 /// (cache lookup or full pipeline run; wraps `personalize` on a miss).

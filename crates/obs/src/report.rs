@@ -1,75 +1,5 @@
-//! End-of-run aggregation: turns a flat event stream into per-span timing
-//! totals and per-metric histograms, with a human-readable renderer used
-//! by `uniq personalize --trace`.
-
-use crate::Event;
-use std::collections::BTreeMap;
-
-/// Aggregated wall time for one span name.
-#[derive(Debug, Clone, PartialEq)]
-pub struct SpanStats {
-    /// Span name.
-    pub name: String,
-    /// Depth of the first occurrence (for indentation).
-    pub depth: usize,
-    /// Number of times the span ran.
-    pub count: u64,
-    /// Total nanoseconds across runs.
-    pub total_nanos: u128,
-}
-
-/// Order-preserving histogram of one metric's observations.
-#[derive(Debug, Clone, PartialEq)]
-pub struct Histogram {
-    /// Metric name.
-    pub name: String,
-    /// Unit label from the first observation.
-    pub unit: String,
-    /// All observed values, in arrival order.
-    pub values: Vec<f64>,
-}
-
-impl Histogram {
-    /// Number of observations.
-    pub fn count(&self) -> usize {
-        self.values.len()
-    }
-
-    /// Smallest observation (NaN-free inputs assumed; NaNs sort last).
-    pub fn min(&self) -> f64 {
-        self.values.iter().copied().fold(f64::INFINITY, f64::min)
-    }
-
-    /// Largest observation.
-    pub fn max(&self) -> f64 {
-        self.values
-            .iter()
-            .copied()
-            .fold(f64::NEG_INFINITY, f64::max)
-    }
-
-    /// Arithmetic mean.
-    pub fn mean(&self) -> f64 {
-        if self.values.is_empty() {
-            return f64::NAN;
-        }
-        self.values.iter().sum::<f64>() / self.values.len() as f64
-    }
-
-    /// Linear-interpolation percentile, `p` in `[0, 100]`.
-    pub fn percentile(&self, p: f64) -> f64 {
-        if self.values.is_empty() {
-            return f64::NAN;
-        }
-        let mut sorted = self.values.clone();
-        sorted.sort_by(|a, b| a.total_cmp(b));
-        let rank = (p / 100.0) * (sorted.len() - 1) as f64;
-        let lo = rank.floor() as usize;
-        let hi = rank.ceil() as usize;
-        let t = rank - lo as f64;
-        sorted[lo] * (1.0 - t) + sorted[hi] * t
-    }
-}
+//! Log-bucketed latency histograms: the percentile math behind the
+//! `uniq-profile` registry's per-stage statistics.
 
 /// A log-bucketed (HDR-style) histogram over non-negative integer
 /// samples — typically span durations in nanoseconds.
@@ -233,212 +163,9 @@ impl LogHistogram {
     }
 }
 
-/// The aggregated view of one run's event stream.
-#[derive(Debug, Clone, Default)]
-pub struct Report {
-    /// Spans in first-seen order.
-    pub spans: Vec<SpanStats>,
-    /// Metrics in first-seen order.
-    pub metrics: Vec<Histogram>,
-    /// Counter totals, sorted by name.
-    pub counters: BTreeMap<String, u64>,
-}
-
-impl Report {
-    /// Aggregates a flat event stream (e.g. [`crate::sink::MemorySink::events`]).
-    pub fn from_events(events: &[Event]) -> Self {
-        let mut report = Report::default();
-        for event in events {
-            match event {
-                Event::SpanStart { .. } => {}
-                Event::SpanEnd {
-                    name, depth, nanos, ..
-                } => match report.spans.iter_mut().find(|s| s.name == *name) {
-                    Some(s) => {
-                        s.count += 1;
-                        s.total_nanos += nanos;
-                    }
-                    None => report.spans.push(SpanStats {
-                        name: name.to_string(),
-                        depth: *depth,
-                        count: 1,
-                        total_nanos: *nanos,
-                    }),
-                },
-                Event::Counter { name, delta } => {
-                    *report.counters.entry(name.to_string()).or_insert(0) += delta;
-                }
-                Event::Metric { name, value, unit } => {
-                    match report.metrics.iter_mut().find(|m| m.name == *name) {
-                        Some(m) => m.values.push(*value),
-                        None => report.metrics.push(Histogram {
-                            name: name.to_string(),
-                            unit: unit.to_string(),
-                            values: vec![*value],
-                        }),
-                    }
-                }
-            }
-        }
-        report
-    }
-
-    /// Looks up a metric histogram by name.
-    pub fn metric(&self, name: &str) -> Option<&Histogram> {
-        self.metrics.iter().find(|m| m.name == name)
-    }
-}
-
-impl std::fmt::Display for Report {
-    fn fmt(&self, f: &mut std::fmt::Formatter<'_>) -> std::fmt::Result {
-        writeln!(f, "stage timings:")?;
-        for s in &self.spans {
-            let indent = "  ".repeat(s.depth);
-            let runs = if s.count > 1 {
-                format!(" ({}×)", s.count)
-            } else {
-                String::new()
-            };
-            writeln!(
-                f,
-                "  {indent}{:<28} {:>10}{runs}",
-                s.name,
-                crate::sink::human_duration(s.total_nanos)
-            )?;
-        }
-        if !self.metrics.is_empty() {
-            writeln!(f, "metrics:")?;
-            for m in &self.metrics {
-                if m.count() == 1 {
-                    writeln!(f, "  {:<30} {:.4} {}", m.name, m.values[0], m.unit)?;
-                } else {
-                    writeln!(
-                        f,
-                        "  {:<30} n={} mean {:.4} min {:.4} p90 {:.4} max {:.4} {}",
-                        m.name,
-                        m.count(),
-                        m.mean(),
-                        m.min(),
-                        m.percentile(90.0),
-                        m.max(),
-                        m.unit
-                    )?;
-                }
-            }
-        }
-        if !self.counters.is_empty() {
-            writeln!(f, "counters:")?;
-            for (name, total) in &self.counters {
-                writeln!(f, "  {name:<30} {total}")?;
-            }
-        }
-        Ok(())
-    }
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
-
-    fn sample_events() -> Vec<Event> {
-        let ids = crate::SpanIds::default();
-        vec![
-            Event::SpanStart {
-                name: "root",
-                depth: 0,
-                ids,
-            },
-            Event::SpanStart {
-                name: "stage",
-                depth: 1,
-                ids,
-            },
-            Event::SpanEnd {
-                name: "stage",
-                depth: 1,
-                nanos: 500,
-                ids,
-            },
-            Event::SpanStart {
-                name: "stage",
-                depth: 1,
-                ids,
-            },
-            Event::SpanEnd {
-                name: "stage",
-                depth: 1,
-                nanos: 700,
-                ids,
-            },
-            Event::Metric {
-                name: "residual",
-                value: 2.0,
-                unit: "deg",
-            },
-            Event::Metric {
-                name: "residual",
-                value: 4.0,
-                unit: "deg",
-            },
-            Event::Counter {
-                name: "retries",
-                delta: 1,
-            },
-            Event::SpanEnd {
-                name: "root",
-                depth: 0,
-                nanos: 2000,
-                ids,
-            },
-        ]
-    }
-
-    #[test]
-    fn aggregates_spans_metrics_counters() {
-        let r = Report::from_events(&sample_events());
-        assert_eq!(r.spans.len(), 2);
-        let stage = r.spans.iter().find(|s| s.name == "stage").unwrap();
-        assert_eq!(stage.count, 2);
-        assert_eq!(stage.total_nanos, 1200);
-        assert_eq!(stage.depth, 1);
-
-        let m = r.metric("residual").unwrap();
-        assert_eq!(m.count(), 2);
-        assert_eq!(m.mean(), 3.0);
-        assert_eq!(m.min(), 2.0);
-        assert_eq!(m.max(), 4.0);
-        assert_eq!(r.counters["retries"], 1);
-    }
-
-    #[test]
-    fn percentiles_interpolate() {
-        let h = Histogram {
-            name: "h".into(),
-            unit: String::new(),
-            values: vec![1.0, 2.0, 3.0, 4.0],
-        };
-        assert_eq!(h.percentile(0.0), 1.0);
-        assert_eq!(h.percentile(100.0), 4.0);
-        assert!((h.percentile(50.0) - 2.5).abs() < 1e-12);
-    }
-
-    #[test]
-    fn display_renders_sections() {
-        let text = Report::from_events(&sample_events()).to_string();
-        assert!(text.contains("stage timings:"));
-        assert!(text.contains("metrics:"));
-        assert!(text.contains("counters:"));
-        assert!(text.contains("residual"));
-        assert!(text.contains("(2×)"));
-    }
-
-    #[test]
-    fn empty_report_is_quiet() {
-        let r = Report::from_events(&[]);
-        let text = r.to_string();
-        assert!(text.contains("stage timings:"));
-        assert!(!text.contains("metrics:"));
-    }
 
     #[test]
     fn log_histogram_small_values_exact() {

@@ -219,7 +219,7 @@ impl Sink for JsonLinesSink {
     }
 }
 
-/// In-process collector for tests and end-of-run summaries.
+/// In-process collector of every event, for tests and assertions.
 #[derive(Debug, Default)]
 pub struct MemorySink {
     events: Mutex<Vec<Event>>,

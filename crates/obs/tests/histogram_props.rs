@@ -1,17 +1,8 @@
 //! Property tests for the percentile math in `uniq_obs::report`: the
-//! order-preserving [`Histogram`] and the log-bucketed [`LogHistogram`]
-//! behind the profiling layer.
+//! log-bucketed [`LogHistogram`] behind the profiling registry.
 
 use proptest::prelude::*;
-use uniq_obs::report::{Histogram, LogHistogram};
-
-fn exact(values: &[f64]) -> Histogram {
-    Histogram {
-        name: "h".into(),
-        unit: String::new(),
-        values: values.to_vec(),
-    }
-}
+use uniq_obs::report::LogHistogram;
 
 fn log_hist(samples: &[u64]) -> LogHistogram {
     let mut h = LogHistogram::new();
@@ -23,39 +14,6 @@ fn log_hist(samples: &[u64]) -> LogHistogram {
 
 proptest! {
     #![proptest_config(ProptestConfig::with_cases(128))]
-
-    #[test]
-    fn exact_histogram_percentiles_are_monotone(
-        values in prop::collection::vec(-1e9..1e9f64, 1..200),
-    ) {
-        let h = exact(&values);
-        let p50 = h.percentile(50.0);
-        let p90 = h.percentile(90.0);
-        let p99 = h.percentile(99.0);
-        prop_assert!(p50 <= p90, "p50 {p50} > p90 {p90}");
-        prop_assert!(p90 <= p99, "p90 {p90} > p99 {p99}");
-        prop_assert!(p99 <= h.max(), "p99 {p99} > max {}", h.max());
-        prop_assert!(h.min() <= p50, "min {} > p50 {p50}", h.min());
-        prop_assert_eq!(h.percentile(0.0), h.min());
-        prop_assert_eq!(h.percentile(100.0), h.max());
-    }
-
-    #[test]
-    fn exact_histogram_percentile_brackets_sorted_ranks(
-        values in prop::collection::vec(0.0..1e6f64, 2..150),
-        p in 0.0..100.0f64,
-    ) {
-        // Linear interpolation must land between the two bracketing order
-        // statistics.
-        let h = exact(&values);
-        let mut sorted = values.clone();
-        sorted.sort_by(|a, b| a.total_cmp(b));
-        let rank = (p / 100.0) * (sorted.len() - 1) as f64;
-        let lo = sorted[rank.floor() as usize];
-        let hi = sorted[rank.ceil() as usize];
-        let got = h.percentile(p);
-        prop_assert!(got >= lo - 1e-9 && got <= hi + 1e-9, "p{p}: {got} outside [{lo}, {hi}]");
-    }
 
     #[test]
     fn log_histogram_percentiles_are_monotone(

@@ -2,14 +2,9 @@
 //!
 //! The layer above `uniq-obs`: where `uniq-obs` defines the event stream
 //! (spans, counters, metrics, causal ids) and `uniq-profile` aggregates
-//! wall-clock latency, this crate turns the stream into *operational*
+//! it in one registry, this crate turns recorded runs into *operational*
 //! artifacts:
 //!
-//! - [`metrics::TelemetrySink`] — a sharded, registered-names-only metric
-//!   registry. Each pool worker records into its own shard (one
-//!   uncontended mutex per worker), shards merge at snapshot time, and
-//!   the registry measures its own cost and reports it as the
-//!   `obs.telemetry_overhead_ns` metric.
 //! - [`trace`] — rebuilds the causal span tree from a `--metrics-out`
 //!   JSONL file using the deterministic `(trace, span, parent)` ids, and
 //!   reports the critical path and per-stage self time. Files written
@@ -19,19 +14,11 @@
 //!   fingerprint, per-stage p50/p99), plus median/MAD trend and pairwise
 //!   comparison gates with CI-friendly exit codes (0 ok, 1 latency
 //!   warning, 2 quality regression).
-//! - [`expose`] — Prometheus-style text exposition and a machine-readable
-//!   JSON snapshot of the aggregated registry.
 //!
-//! Everything here *observes*; nothing steers. The pipeline's numeric
-//! output is bit-identical with or without a `TelemetrySink` installed
-//! (asserted by the workspace `golden_baseline` and `telemetry` tests).
+//! Everything here *observes*; nothing steers.
 
 #![forbid(unsafe_code)]
 #![warn(missing_docs)]
 
-pub mod expose;
 pub mod ledger;
-pub mod metrics;
 pub mod trace;
-
-pub use metrics::{MetricAgg, RegistrySnapshot, TelemetrySink};

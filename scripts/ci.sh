@@ -28,36 +28,58 @@ UNIQ_THREADS=4 cargo test -q --workspace
 echo "== release build (profiling + baseline gate binaries) =="
 cargo build --release -q -p uniq-cli -p uniq-bench
 
-echo "== profile smoke (uniq profile wrapper + stage coverage) =="
+echo "== profile smoke (--profile registry table + stage coverage) =="
 ci_tmp="$(mktemp -d)"
 trap 'rm -rf "$ci_tmp"' EXIT
-target/release/uniq profile personalize --seed 6 --out "$ci_tmp/hrtf" \
-  --anechoic --grid 15 \
+target/release/uniq personalize --seed 6 --out "$ci_tmp/hrtf" \
+  --anechoic --grid 15 --profile \
   --profile-out "$ci_tmp/profile.json" --flame-out "$ci_tmp/flame.txt" \
   > "$ci_tmp/profile.log"
 grep -q "per-stage wall clock:" "$ci_tmp/profile.log"
 target/release/baseline verify-profile "$ci_tmp/profile.json"
 test -s "$ci_tmp/flame.txt"
 
+echo "== composed smoke (every observability flag on one faulted run) =="
+# One run under --trace --profile --memprof and a fault plan: the table,
+# the JSON, the Prometheus text and the flame all come from the one
+# registry, so they must agree on the personalize span count.
+target/release/uniq personalize --seed 6 --anechoic --grid 15 --snr 45 \
+  --trace --profile --memprof --fault-plan drop@2 \
+  --telemetry-out "$ci_tmp/all.prom" --profile-out "$ci_tmp/all.json" \
+  --flame-out "$ci_tmp/all.folded" > "$ci_tmp/all.log" 2> "$ci_tmp/all.err"
+grep -q "degradation:" "$ci_tmp/all.log"
+grep -q "alloc-b" "$ci_tmp/all.log"
+grep -q "per-stage wall clock:" "$ci_tmp/all.err"
+if grep -q "warning: unused option" "$ci_tmp/all.err"; then
+  echo "composed run left an option unread" >&2
+  exit 1
+fi
+table_count=$(awk '$1 == "personalize" { print $2; exit }' "$ci_tmp/all.log")
+prom_count=$(awk '$1 == "uniq_personalize_ns_count" { print $2 }' "$ci_tmp/all.prom")
+[ -n "$table_count" ] && [ "$table_count" = "$prom_count" ] \
+  || { echo "table ($table_count) and Prometheus ($prom_count) disagree" >&2; exit 1; }
+target/release/baseline verify-profile "$ci_tmp/all.json"
+grep -q "^personalize " "$ci_tmp/all.folded"
+
 echo "== memprof smoke (allocation attribution, 1 and 4 threads) =="
-# The memprof wrapper must attribute allocations to pipeline stages at
-# any pool size, write the snapshot JSON, and compose with the profiler
-# (alloc columns in the latency table).
+# --memprof must attribute allocations to pipeline stages at any pool
+# size, write the snapshot JSON, and compose with --profile (alloc
+# columns in the latency table).
 for threads in 1 4; do
-  UNIQ_THREADS=$threads target/release/uniq memprof personalize --seed 6 \
-    --out "$ci_tmp/mp_hrtf" --anechoic --grid 15 \
+  UNIQ_THREADS=$threads target/release/uniq personalize --seed 6 \
+    --out "$ci_tmp/mp_hrtf" --anechoic --grid 15 --memprof \
     --alloc-out "$ci_tmp/alloc_$threads.json" > "$ci_tmp/memprof.log"
   grep -q "per-stage allocations:" "$ci_tmp/memprof.log"
   grep -q "fusion" "$ci_tmp/memprof.log"
   test -s "$ci_tmp/alloc_$threads.json"
 done
-target/release/uniq memprof profile personalize --seed 6 \
-  --out "$ci_tmp/mp_hrtf" --anechoic --grid 15 > "$ci_tmp/memprof_prof.log"
+target/release/uniq personalize --seed 6 --out "$ci_tmp/mp_hrtf" \
+  --anechoic --grid 15 --memprof --profile > "$ci_tmp/memprof_prof.log"
 grep -q "alloc-b" "$ci_tmp/memprof_prof.log"
 
-echo "== allocator overhead (memprof-wrapped vs bare personalize) =="
+echo "== allocator overhead (--memprof vs bare personalize) =="
 # The counting allocator must be effectively free: even with recording
-# on, the wrapped run stays near the bare run (which pays one relaxed
+# on, the measured run stays near the bare run (which pays one relaxed
 # atomic load per allocation). Best-of-3 to shave scheduler noise; the
 # 5% target is warn-tier, 25% is the hard CI ceiling.
 best_of_3_ns() {
@@ -74,8 +96,8 @@ best_of_3_ns() {
 }
 bare_ns=$(best_of_3_ns env UNIQ_THREADS=1 target/release/uniq personalize \
   --seed 6 --out "$ci_tmp/ov_hrtf" --anechoic --grid 15)
-prof_ns=$(best_of_3_ns env UNIQ_THREADS=1 target/release/uniq memprof personalize \
-  --seed 6 --out "$ci_tmp/ov_hrtf" --anechoic --grid 15)
+prof_ns=$(best_of_3_ns env UNIQ_THREADS=1 target/release/uniq personalize \
+  --seed 6 --out "$ci_tmp/ov_hrtf" --anechoic --grid 15 --memprof)
 overhead_pct=$(awk -v b="$bare_ns" -v p="$prof_ns" \
   'BEGIN { printf "%.1f", (p - b) * 100.0 / b }')
 echo "allocator overhead: ${overhead_pct}% (bare ${bare_ns}ns, memprof ${prof_ns}ns)"
@@ -88,22 +110,22 @@ awk -v o="$overhead_pct" 'BEGIN { exit !(o < 5.0) }' \
 
 echo "== fault-matrix smoke (every fault class, 1 and 4 threads) =="
 # Each injectable fault class at its default (preset) intensity must
-# degrade gracefully: the wrapped personalize completes with exit 0 and
+# degrade gracefully: personalize --fault-plan completes with exit 0 and
 # prints a populated degradation report, at both pool sizes.
 fault_plans="drop@2 truncate:0.5@3 clip:0.35 snr:-12@4 \
   gyro-dropout:0.45:0.05 gyro-sat:12 jitter:0.05 dup@5 reorder@6"
 for plan in $fault_plans; do
   for threads in 1 4; do
-    UNIQ_THREADS=$threads target/release/uniq faults personalize --seed 6 \
+    UNIQ_THREADS=$threads target/release/uniq personalize --seed 6 \
       --anechoic --grid 15 --snr 45 --fault-plan "$plan" \
       > "$ci_tmp/faults.log"
     grep -q "degradation:" "$ci_tmp/faults.log"
   done
 done
-# A failing wrapped command must propagate its nonzero exit status.
-if target/release/uniq faults personalize --seed 6 --anechoic \
+# A failing faulted run must propagate its nonzero exit status.
+if target/release/uniq personalize --seed 6 --anechoic \
   --fault-plan bogus-class >/dev/null 2>&1; then
-  echo "faults wrapper swallowed a failure exit status" >&2
+  echo "personalize --fault-plan swallowed a failure exit status" >&2
   exit 1
 fi
 

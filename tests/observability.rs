@@ -303,7 +303,7 @@ fn every_emitted_name_is_registered() {
     // by machinery this in-process workload cannot reach. A registered
     // name nobody emits is dead weight that silently rots.
     const EMITTED_ELSEWHERE: &[&str] = &[
-        // Aggregated by TelemetrySink at snapshot time, not via a sink event.
+        // Added by the ProfileSink registry at report time, not via a sink event.
         uniq_obs::names::OBS_TELEMETRY_OVERHEAD_NS,
     ];
     for name in uniq_obs::names::ALL_SPANS {

@@ -1,8 +1,8 @@
-//! Integration tests for the uniq-telemetry layer: sharded metric
-//! aggregation is thread-count-invariant, the self-overhead stays
-//! bounded, causal traces round-trip through the JSONL sink into a
-//! complete tree, and the run ledger's trend gate catches injected
-//! regressions.
+//! Integration tests for the telemetry plane: the registry's
+//! (`uniq_profile::ProfileSink`) sharded aggregate is
+//! thread-count-invariant, its self-overhead stays bounded, causal traces
+//! round-trip through the JSONL sink into a complete tree, and the run
+//! ledger's trend gate catches injected regressions.
 
 use std::sync::Arc;
 
@@ -10,10 +10,10 @@ use uniq_core::batch::personalize_batch;
 use uniq_core::config::UniqConfig;
 use uniq_core::pipeline::personalize;
 use uniq_obs::names::OBS_TELEMETRY_OVERHEAD_NS;
+use uniq_profile::ProfileSink;
 use uniq_subjects::Subject;
 use uniq_telemetry::ledger::{self, LedgerRecord};
 use uniq_telemetry::trace::parse_trace;
-use uniq_telemetry::TelemetrySink;
 
 fn cfg_with(threads: usize) -> UniqConfig {
     UniqConfig {
@@ -32,11 +32,11 @@ fn registry_deterministic_across_thread_counts() {
     // registry's determinism key (counter totals, span counts, metric
     // counts and extremes) must not.
     let record = |threads: usize| {
-        let sink = Arc::new(TelemetrySink::new());
+        let sink = Arc::new(ProfileSink::new());
         uniq_obs::with_sink(sink.clone(), || {
             personalize_batch(&[70u64, 71, 72, 73], &cfg_with(threads), threads, 2);
         });
-        sink.snapshot()
+        sink.report()
     };
     let snap1 = record(1);
     let snap8 = record(8);
@@ -51,31 +51,31 @@ fn registry_deterministic_across_thread_counts() {
 #[test]
 fn overhead_metric_emitted_and_bounded() {
     let subject = Subject::from_seed(6);
-    let sink = Arc::new(TelemetrySink::new());
+    let sink = Arc::new(ProfileSink::new());
     uniq_obs::with_sink(sink.clone(), || {
         personalize(&subject, &cfg_with(1), 6).expect("pipeline succeeds")
     });
-    let snapshot = sink.snapshot();
+    let report = sink.report();
 
-    let overhead = snapshot
-        .metrics
-        .get(OBS_TELEMETRY_OVERHEAD_NS)
-        .expect("overhead metric present in the snapshot");
+    let overhead = report
+        .metric(OBS_TELEMETRY_OVERHEAD_NS)
+        .expect("overhead metric present in the report");
     assert_eq!(overhead.count, 1);
-    assert_eq!(snapshot.overhead_ns as f64, overhead.sum);
+    assert_eq!(report.overhead_ns as f64, overhead.sum);
 
-    // The acceptance bound: recording overhead under 5% of the seed-6
-    // personalize wall time (the root span's recorded duration).
-    let personalize_ns = snapshot
-        .spans
-        .get("personalize")
+    // The acceptance bound: recording overhead — aggregation and call-path
+    // reconstruction together — under 5% of the seed-6 personalize wall
+    // time (the root span's recorded duration).
+    let personalize_ns = report
+        .stage("personalize")
         .expect("personalize span recorded")
-        .sum();
+        .total_nanos;
     assert!(personalize_ns > 0);
+    assert!(!report.paths.is_empty(), "no call paths reconstructed");
     assert!(
-        u128::from(snapshot.overhead_ns) < personalize_ns / 20,
-        "telemetry overhead {} ns exceeds 5% of personalize {} ns",
-        snapshot.overhead_ns,
+        u128::from(report.overhead_ns) < personalize_ns / 20,
+        "registry overhead {} ns exceeds 5% of personalize {} ns",
+        report.overhead_ns,
         personalize_ns
     );
 }
@@ -207,13 +207,17 @@ fn ledger_compare_accepts_identical_runs() {
 
 #[test]
 fn prometheus_exposition_covers_the_pipeline() {
-    let sink = Arc::new(TelemetrySink::new());
+    let sink = Arc::new(ProfileSink::new());
     uniq_obs::with_sink(sink.clone(), || {
         let subject = Subject::from_seed(6);
         personalize(&subject, &cfg_with(1), 6).expect("pipeline succeeds")
     });
-    let text = uniq_telemetry::expose::prometheus(&sink.snapshot());
+    let text = sink.report().prometheus();
     assert!(text.contains("uniq_personalize_ns_count 1"), "{text}");
+    assert!(
+        text.contains("uniq_fusion_objective{quantile=\"0\"}"),
+        "{text}"
+    );
     assert!(text.contains("uniq_fusion_ns"), "{text}");
     assert!(text.contains("uniq_obs_telemetry_overhead_ns"), "{text}");
     assert!(text.contains("uniq_telemetry_dropped_events 0"), "{text}");
