@@ -396,6 +396,14 @@ pub fn run_baseline(spec: &BaselineSpec) -> String {
     let mut first_result: Option<PersonalizationResult> = None;
     let mut stages_json = String::from("[]");
     let mut fingerprints = Vec::new();
+    // One unmeasured warm-up run. The stage timings below are single
+    // samples, and a process's first run pays one-time costs (page
+    // faults, lazy initialization) as large as its shorter stages, which
+    // the run-ledger gate would read as latency swings.
+    if let Some(&threads) = spec.thread_counts.first() {
+        personalize_with_retry(&subject, &spec.config(threads), spec.seed, 3)
+            .expect("baseline warm-up personalize failed");
+    }
     for (i, &threads) in spec.thread_counts.iter().enumerate() {
         let cfg = spec.config(threads);
         let sw = Stopwatch::start();

@@ -17,10 +17,12 @@
 //!    (Eq. 3).
 
 use crate::config::UniqConfig;
-use uniq_geometry::diffraction::path_to_ear;
+use std::cell::Cell;
+use uniq_geometry::diffraction::path_length_to_ear;
 use uniq_geometry::vec2::{angle_diff_deg, theta_from_vec, unit_from_theta};
 use uniq_geometry::{Ear, HeadBoundary, HeadParams, Vec2};
 use uniq_optim::{nelder_mead, solve_2d, NelderMeadOptions};
+use uniq_par::ThreadPool;
 
 /// One stop's fusion inputs.
 #[derive(Debug, Clone, Copy)]
@@ -76,18 +78,27 @@ pub fn localize_phone(
     d_right_m: f64,
     alpha_hint_deg: f64,
 ) -> Option<LocalizedStop> {
+    localize_counted(boundary, d_left_m, d_right_m, alpha_hint_deg).0
+}
+
+/// [`localize_phone`], plus the number of Gauss–Newton residual
+/// evaluations it spent.
+fn localize_counted(
+    boundary: &HeadBoundary,
+    d_left_m: f64,
+    d_right_m: f64,
+    alpha_hint_deg: f64,
+) -> (Option<LocalizedStop>, u64) {
+    let evals = Cell::new(0u64);
     let residual = |p: [f64; 2]| -> [f64; 2] {
+        evals.set(evals.get() + 1);
         let pos = Vec2::new(p[0], p[1]);
-        if boundary.contains(pos) {
+        // Both lengths are `None` exactly when `pos` is inside the head.
+        let Some(pl) = path_length_to_ear(boundary, pos, Ear::Left) else {
             return [1.0, 1.0]; // far off any achievable residual scale
-        }
-        let pl = match path_to_ear(boundary, pos, Ear::Left) {
-            Some(p) => p.length,
-            None => return [1.0, 1.0],
         };
-        let pr = match path_to_ear(boundary, pos, Ear::Right) {
-            Some(p) => p.length,
-            None => return [1.0, 1.0],
+        let Some(pr) = path_length_to_ear(boundary, pos, Ear::Right) else {
+            return [1.0, 1.0];
         };
         [pl - d_left_m, pr - d_right_m]
     };
@@ -124,7 +135,7 @@ pub fn localize_phone(
             }
         };
     }
-    best
+    (best, evals.get())
 }
 
 /// Eq. 2 objective: Σ angle_diff(α_i, θ_i(E))², with a fixed penalty for
@@ -132,33 +143,41 @@ pub fn localize_phone(
 /// stop's term (and its penalty) scales by its weight — downweighting
 /// degraded stops. `None` keeps the exact unweighted arithmetic (no
 /// multiplications by 1.0), so the clean path stays bit-identical.
+///
+/// Stops are localized on `pool`; their terms are then weighted and summed
+/// in index order, so the value is bit-identical at any pool size.
+/// Returns the objective and the Gauss–Newton residual evaluations spent.
 fn fusion_objective(
     e: &[f64],
     inputs: &[FusionInput],
     weights: Option<&[f64]>,
     resolution: usize,
-) -> f64 {
+    pool: &ThreadPool,
+) -> (f64, u64) {
     for (v, (lo, hi)) in e.iter().zip(BOX) {
         if !(lo..=hi).contains(v) {
-            return f64::INFINITY;
+            return (f64::INFINITY, 0);
         }
     }
     let boundary = HeadBoundary::new(HeadParams::new(e[0], e[1], e[2]), resolution);
     let penalty = 30f64.powi(2);
-    inputs
+    let stops = pool.par_map(inputs, |inp| {
+        let (loc, evals) = localize_counted(&boundary, inp.d_left_m, inp.d_right_m, inp.alpha_deg);
+        let term = match loc {
+            Some(loc) => angle_diff_deg(inp.alpha_deg, loc.theta_deg).powi(2),
+            None => penalty,
+        };
+        (term, evals)
+    });
+    let objective = stops
         .iter()
         .enumerate()
-        .map(|(k, inp)| {
-            let term = match localize_phone(&boundary, inp.d_left_m, inp.d_right_m, inp.alpha_deg) {
-                Some(loc) => angle_diff_deg(inp.alpha_deg, loc.theta_deg).powi(2),
-                None => penalty,
-            };
-            match weights {
-                None => term,
-                Some(w) => w[k] * term,
-            }
+        .map(|(k, &(term, _))| match weights {
+            None => term,
+            Some(w) => w[k] * term,
         })
-        .sum()
+        .sum();
+    (objective, stops.iter().map(|&(_, evals)| evals).sum())
 }
 
 /// Runs the full fusion: optimizes `E` (Eq. 2), localizes all stops at
@@ -190,7 +209,15 @@ pub fn fuse_weighted(
     }
     let _span = uniq_obs::span(uniq_obs::names::SPAN_FUSION);
     let resolution = cfg.inverse_resolution;
-    let objective = |e: &[f64]| fusion_objective(e, inputs, weights, resolution);
+    let pool = uniq_par::pool(cfg.threads);
+    let objective_evals = Cell::new(0u64);
+    let residual_evals = Cell::new(0u64);
+    let objective = |e: &[f64]| {
+        let (value, residuals) = fusion_objective(e, inputs, weights, resolution, &pool);
+        objective_evals.set(objective_evals.get() + 1);
+        residual_evals.set(residual_evals.get() + residuals);
+        value
+    };
 
     let seed = HeadParams::average_adult();
     let opts = NelderMeadOptions {
@@ -200,6 +227,11 @@ pub fn fuse_weighted(
         x_tol: 1e-6,
     };
     let fit = nelder_mead(objective, &[seed.a, seed.b, seed.c], &opts);
+    uniq_obs::counter(
+        uniq_obs::names::FUSION_OBJECTIVE_EVALS,
+        objective_evals.get(),
+    );
+    uniq_obs::counter(uniq_obs::names::FUSION_RESIDUAL_EVALS, residual_evals.get());
     if !fit.fx.is_finite() {
         return None;
     }
@@ -307,6 +339,7 @@ pub fn session_to_inputs(
 #[cfg(test)]
 mod tests {
     use super::*;
+    use uniq_geometry::diffraction::path_to_ear;
 
     /// Synthesizes noise-free fusion inputs directly from geometry: the
     /// fastest way to test the inverse problem in isolation.

@@ -11,8 +11,9 @@
 //! wrap directions of `|src→T| + arc(T→ear)`; non-geodesic combinations are
 //! strictly longer (taut-string argument), so the minimum is safe.
 
-use crate::head::{Ear, HeadBoundary};
+use crate::head::{Ear, HeadBoundary, HeadParams};
 use crate::vec2::Vec2;
+use std::f64::consts::PI;
 
 /// A resolved propagation path from a source point to an ear.
 #[derive(Debug, Clone, Copy)]
@@ -48,6 +49,25 @@ pub fn path_to_ear(boundary: &HeadBoundary, src: Vec2, ear: Ear) -> Option<Diffr
     path_to_vertex(boundary, src, boundary.ear_index(ear))
 }
 
+/// Length of the shortest diffraction path from `src` to the given ear —
+/// bit-identical to `path_to_ear(..).map(|p| p.length)`, without the wrap
+/// angle and arrival direction (the O(arc) part of a wrapped path).
+///
+/// ```
+/// use uniq_geometry::{HeadBoundary, HeadParams, Ear, Vec2};
+/// use uniq_geometry::diffraction::{path_length_to_ear, path_to_ear};
+/// let b = HeadBoundary::new(HeadParams::average_adult(), 1024);
+/// let phone = Vec2::new(0.3, 0.2);
+/// let full = path_to_ear(&b, phone, Ear::Left).unwrap();
+/// assert_eq!(path_length_to_ear(&b, phone, Ear::Left), Some(full.length));
+/// assert_eq!(path_length_to_ear(&b, Vec2::ZERO, Ear::Left), None);
+/// ```
+///
+/// Returns `None` when `src` lies strictly inside the head.
+pub fn path_length_to_ear(boundary: &HeadBoundary, src: Vec2, ear: Ear) -> Option<f64> {
+    shortest_wrap(boundary, src, boundary.ear_index(ear)).map(|w| w.length)
+}
+
 /// Computes the shortest diffraction path from `src` to an arbitrary
 /// boundary vertex (e.g. a test microphone taped to the cheek, Fig 5).
 ///
@@ -57,64 +77,72 @@ pub fn path_to_vertex(
     src: Vec2,
     target_idx: usize,
 ) -> Option<DiffractionPath> {
-    if boundary.contains(src) {
-        return None;
-    }
     let n = boundary.len();
     let target_idx = target_idx % n;
+    let wrap = shortest_wrap(boundary, src, target_idx)?;
     let target = boundary.vertices()[target_idx];
 
-    if boundary.segment_clear(src, target) {
-        let d = target - src;
-        let len = d.norm();
-        let arrival = if len > 0.0 {
-            d / len
+    let Some((t_idx, ccw)) = wrap.tangent else {
+        let arrival = if wrap.length > 0.0 {
+            (target - src) / wrap.length
         } else {
             // Source coincides with the target: degenerate but harmless.
             Vec2::new(1.0, 0.0)
         };
         return Some(DiffractionPath {
-            length: len,
+            length: wrap.length,
             wrap_angle: 0.0,
             direct: true,
             arrival_dir: arrival,
         });
-    }
-
-    // Tangent vertices: extremes of the signed angle of each vertex as seen
-    // from src (convex body subtends < π from outside, so the reference
-    // direction toward the head centre gives a branch-safe angle).
-    let to_center = (-src).normalized();
-    let base = to_center.angle();
-    let signed_angle = |v: Vec2| -> f64 {
-        let ang = (v - src).angle() - base;
-        // Wrap to (-π, π].
-        let mut a = ang.rem_euclid(2.0 * std::f64::consts::PI);
-        if a > std::f64::consts::PI {
-            a -= 2.0 * std::f64::consts::PI;
-        }
-        a
     };
-    let mut t_min = 0;
-    let mut t_max = 0;
-    let mut a_min = f64::INFINITY;
-    let mut a_max = f64::NEG_INFINITY;
-    for (k, &v) in boundary.vertices().iter().enumerate() {
-        let a = signed_angle(v);
-        if a < a_min {
-            a_min = a;
-            t_min = k;
-        }
-        if a > a_max {
-            a_max = a;
-            t_max = k;
-        }
+
+    // Arrival direction: boundary tangent at the target, oriented along the
+    // traversal direction of the final wrap step.
+    let prev = boundary.vertices()[(target_idx + n - 1) % n];
+    let next = boundary.vertices()[(target_idx + 1) % n];
+    let arrival_dir = if ccw {
+        (target - prev).normalized()
+    } else {
+        (target - next).normalized()
+    };
+
+    // Wrap angle: total turning of the boundary tangent along the arc.
+    let wrap_angle = turning_angle(boundary, t_idx, target_idx, ccw);
+
+    Some(DiffractionPath {
+        length: wrap.length,
+        wrap_angle,
+        direct: false,
+        arrival_dir,
+    })
+}
+
+/// The geodesic itself: its length, and for a shadowed target the source
+/// tangent vertex the path leaves from and its wrap direction (`None`
+/// when the target is in line of sight).
+struct Wrap {
+    length: f64,
+    tangent: Option<(usize, bool)>,
+}
+
+/// Shortest path from `src` to vertex `target_idx` (already reduced mod
+/// n); `None` when `src` lies strictly inside the head.
+fn shortest_wrap(boundary: &HeadBoundary, src: Vec2, target_idx: usize) -> Option<Wrap> {
+    if boundary.contains(src) {
+        return None;
+    }
+    let target = boundary.vertices()[target_idx];
+    if boundary.segment_clear(src, target) {
+        return Some(Wrap {
+            length: (target - src).norm(),
+            tangent: None,
+        });
     }
 
     let mut best: Option<(f64, usize, bool)> = None; // (length, tangent idx, ccw)
-    for &t_idx in &[t_min, t_max] {
-        let t_vert = boundary.vertices()[t_idx];
-        let seg = src.dist(t_vert);
+    for t_idx in tangent_vertices(boundary, src) {
+        let seg = src.dist(boundary.vertices()[t_idx]);
         for ccw in [true, false] {
             let arc = if ccw {
                 boundary.arc_ccw(t_idx, target_idx)
@@ -132,34 +160,109 @@ pub fn path_to_vertex(
     // if the loop were ever restructured (a panic here would kill a
     // whole personalization batch).
     let (length, t_idx, ccw) = best?;
-
-    // Arrival direction: boundary tangent at the target, oriented along the
-    // traversal direction of the final wrap step.
-    let prev = boundary.vertices()[(target_idx + n - 1) % n];
-    let next = boundary.vertices()[(target_idx + 1) % n];
-    let arrival_dir = if ccw {
-        (target - prev).normalized()
-    } else {
-        (target - next).normalized()
-    };
-
-    // Wrap angle: total turning of the boundary tangent along the arc.
-    let wrap_angle = turning_angle(boundary, t_idx, target_idx, ccw);
-
-    Some(DiffractionPath {
+    Some(Wrap {
         length,
-        wrap_angle,
-        direct: false,
-        arrival_dir,
+        tangent: Some((t_idx, ccw)),
     })
 }
 
-/// Convenience: paths to both ears as `[left, right]`.
-pub fn paths_to_ears(boundary: &HeadBoundary, src: Vec2) -> Option<[DiffractionPath; 2]> {
-    Some([
-        path_to_ear(boundary, src, Ear::Left)?,
-        path_to_ear(boundary, src, Ear::Right)?,
-    ])
+/// Signed angle of vertex `v` as seen from `src`, relative to the
+/// direction `base` toward the head centre, wrapped to (-π, π]. A convex
+/// body subtends < π from outside, so this reference is branch-safe.
+fn signed_angle(src: Vec2, base: f64, v: Vec2) -> f64 {
+    let ang = (v - src).angle() - base;
+    let mut a = ang.rem_euclid(2.0 * PI);
+    if a > PI {
+        a -= 2.0 * PI;
+    }
+    a
+}
+
+/// The source's two tangent vertices `[t_min, t_max]`: the first vertex
+/// (in index order) of smallest and of largest [`signed_angle`] — exactly
+/// what a linear scan with strict `<`/`>` returns, ties included.
+///
+/// Along the convex boundary the angle rises monotonically from `t_min`
+/// to `t_max` and falls back, so each extreme is found by descending from
+/// an analytic seed ([`tangent_seeds`], within a vertex or two of the
+/// answer) and settling ties in a small window. O(1) angle evaluations
+/// for a well-seeded source, O(n) only in the worst case.
+fn tangent_vertices(boundary: &HeadBoundary, src: Vec2) -> [usize; 2] {
+    let verts = boundary.vertices();
+    let base = (-src).normalized().angle();
+    let angle_at = |k: usize| signed_angle(src, base, verts[k]);
+    let [s0, s1] = tangent_seeds(boundary.params(), src, verts.len());
+    let (lo, hi) = if angle_at(s1) < angle_at(s0) {
+        (s1, s0)
+    } else {
+        (s0, s1)
+    };
+    [
+        first_minimum(verts.len(), lo, angle_at),
+        first_minimum(verts.len(), hi, |k| -angle_at(k)),
+    ]
+}
+
+/// Half-width of the window [`first_minimum`] rescans around the bottom
+/// it descended to: it covers equal-valued neighbours and last-ulp
+/// rounding wobble at the flat extreme of the angle curve.
+const TIE_WINDOW: usize = 3;
+
+/// Smallest index among the minima of `f` over `0..n`, for `f` unimodal
+/// around the cycle: descends from `seed` while `f` strictly falls, then
+/// picks the lowest `(f, index)` within [`TIE_WINDOW`] of the bottom.
+fn first_minimum(n: usize, seed: usize, f: impl Fn(usize) -> f64) -> usize {
+    let mut k = seed;
+    let mut fk = f(k);
+    for step in [1, n - 1] {
+        for _ in 0..n {
+            let next = (k + step) % n;
+            let fnext = f(next);
+            if fnext < fk {
+                k = next;
+                fk = fnext;
+            } else {
+                break;
+            }
+        }
+    }
+    let mut best = k;
+    let mut f_best = fk;
+    for d in 1..=TIE_WINDOW {
+        for j in [(k + d) % n, (k + n - d) % n] {
+            let fj = f(j);
+            if fj < f_best || (fj == f_best && j < best) {
+                best = j;
+                f_best = fj;
+            }
+        }
+    }
+    best
+}
+
+/// Vertex indices nearest the two tangent points of the continuous
+/// two-half-ellipse head (§4.1) seen from `src`. Scaling an ellipse
+/// `(a, s)` to the unit circle preserves tangency, and the tangents from
+/// a point at polar `(r, φ)` touch the unit circle at `φ ± acos(1/r)` —
+/// which is the boundary parameter `t` of [`HeadParams::boundary_point`],
+/// and vertex `k` sits at `t = 2πk/n`. A tangent with a front (`y ≥ 0`)
+/// touch point uses the `(a, b)` ellipse, otherwise the `(a, c)` one.
+/// The seeds only start [`first_minimum`]'s descent, so inexact seeds
+/// cost time, never correctness.
+fn tangent_seeds(head: HeadParams, src: Vec2, n: usize) -> [usize; 2] {
+    let to_index = |t: f64| (t.rem_euclid(2.0 * PI) * n as f64 / (2.0 * PI)).round() as usize % n;
+    [1.0, -1.0].map(|sign: f64| {
+        let touch = |semi: f64| {
+            let q = Vec2::new(src.x / head.a, src.y / semi);
+            let r = q.norm();
+            (r > 1.0).then(|| q.angle() + sign * (1.0 / r).acos())
+        };
+        let t = match touch(head.b) {
+            Some(t) if t.sin() >= 0.0 => t,
+            _ => touch(head.c).unwrap_or_else(|| src.angle()),
+        };
+        to_index(t)
+    })
 }
 
 /// Sum of exterior turning angles along the boundary from vertex `i` to
@@ -198,11 +301,177 @@ fn turning_angle(boundary: &HeadBoundary, i: usize, j: usize, ccw: bool) -> f64 
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::head::HeadParams;
     use crate::vec2::unit_from_theta;
 
     fn boundary() -> HeadBoundary {
         HeadBoundary::new(HeadParams::average_adult(), 1024)
+    }
+
+    /// Equivalence oracle: the linear tangent scan the sub-linear search
+    /// replaced — every vertex, strict `<`/`>`, so the first extreme in
+    /// index order wins ties.
+    fn linear_tangents(boundary: &HeadBoundary, src: Vec2) -> [usize; 2] {
+        let base = (-src).normalized().angle();
+        let (mut t_min, mut t_max) = (0, 0);
+        let (mut a_min, mut a_max) = (f64::INFINITY, f64::NEG_INFINITY);
+        for (k, &v) in boundary.vertices().iter().enumerate() {
+            let a = signed_angle(src, base, v);
+            if a < a_min {
+                a_min = a;
+                t_min = k;
+            }
+            if a > a_max {
+                a_max = a;
+                t_max = k;
+            }
+        }
+        [t_min, t_max]
+    }
+
+    /// Equivalence oracle: the geodesic length over the scanned tangents.
+    fn oracle_length(
+        boundary: &HeadBoundary,
+        src: Vec2,
+        target_idx: usize,
+        tangents: [usize; 2],
+    ) -> Option<f64> {
+        if boundary.contains(src) {
+            return None;
+        }
+        let target = boundary.vertices()[target_idx];
+        if boundary.segment_clear(src, target) {
+            return Some((target - src).norm());
+        }
+        let mut best: Option<f64> = None;
+        for t_idx in tangents {
+            let seg = src.dist(boundary.vertices()[t_idx]);
+            for arc in [
+                boundary.arc_ccw(t_idx, target_idx),
+                boundary.arc_cw(t_idx, target_idx),
+            ] {
+                let total = seg + arc;
+                if best.is_none_or(|l| total < l) {
+                    best = Some(total);
+                }
+            }
+        }
+        best
+    }
+
+    /// Asserts the tangent search and both path queries agree bit for bit
+    /// with the linear-scan oracle at `src`.
+    fn assert_matches_oracle(b: &HeadBoundary, src: Vec2) {
+        let expect = linear_tangents(b, src);
+        let got = tangent_vertices(b, src);
+        let h = b.params();
+        assert_eq!(
+            got,
+            expect,
+            "tangents at src={src:?}, head=({}, {}, {}), n={}",
+            h.a,
+            h.b,
+            h.c,
+            b.len()
+        );
+        for ear in Ear::BOTH {
+            let oracle = oracle_length(b, src, b.ear_index(ear), expect).map(f64::to_bits);
+            let full = path_to_ear(b, src, ear).map(|p| p.length.to_bits());
+            let short = path_length_to_ear(b, src, ear).map(f64::to_bits);
+            assert_eq!(
+                full,
+                oracle,
+                "path_to_ear {ear:?} at src={src:?}, n={}",
+                b.len()
+            );
+            assert_eq!(
+                short,
+                oracle,
+                "path_length_to_ear {ear:?} at src={src:?}, n={}",
+                b.len()
+            );
+        }
+    }
+
+    /// The average head, a circle head, and the corners of the fusion
+    /// solver's anthropometric box.
+    fn sweep_heads() -> Vec<HeadParams> {
+        let mut heads = vec![
+            HeadParams::average_adult(),
+            HeadParams::new(0.08, 0.08, 0.08),
+        ];
+        for a in [0.050, 0.110] {
+            for b in [0.060, 0.150] {
+                for c in [0.060, 0.140] {
+                    heads.push(HeadParams::new(a, b, c));
+                }
+            }
+        }
+        heads
+    }
+
+    #[test]
+    fn tangent_search_matches_linear_scan_dense_sweep() {
+        for head in sweep_heads() {
+            for n in [16, 256, 1024, 4096] {
+                let b = HeadBoundary::new(head, n);
+                for k in 0..240 {
+                    let theta = k as f64 * 1.5;
+                    let t = theta.to_radians();
+                    // Grazing: just outside the continuous boundary.
+                    assert_matches_oracle(&b, head.boundary_point(t) * 1.001);
+                    for r in [0.2, 0.45, 1.0, 3.0, 10.0] {
+                        assert_matches_oracle(&b, unit_from_theta(theta) * r);
+                    }
+                }
+            }
+        }
+    }
+
+    #[test]
+    fn tangent_ties_resolve_to_the_first_index() {
+        // With n = 4m + 2 the top and bottom edges are horizontal, so a
+        // source on an edge's line sees both of its vertices at exactly
+        // the same angle: a tie at a tangent extreme. The search must
+        // return the lower index, as the scan does.
+        let mut ties = 0;
+        for head in sweep_heads() {
+            for n in [18, 22, 258, 1026] {
+                let b = HeadBoundary::new(head, n);
+                for k in [(n - 2) / 4, (3 * n - 2) / 4] {
+                    let (u, v) = (b.vertices()[k], b.vertices()[k + 1]);
+                    if u.y != v.y {
+                        continue;
+                    }
+                    for x in [-10.0, -0.4, 0.3, 1.0, 10.0] {
+                        let src = Vec2::new(x, u.y);
+                        let base = (-src).normalized().angle();
+                        if signed_angle(src, base, u) == signed_angle(src, base, v) {
+                            ties += 1;
+                        }
+                        assert_matches_oracle(&b, src);
+                    }
+                }
+            }
+        }
+        assert!(ties >= 50, "only {ties} exact ties exercised");
+    }
+
+    proptest::proptest! {
+        #![proptest_config(proptest::prelude::ProptestConfig::with_cases(256))]
+
+        #[test]
+        fn tangent_search_matches_linear_scan(
+            a in 0.050..0.110f64,
+            bb in 0.060..0.150f64,
+            c in 0.060..0.140f64,
+            n_idx in 0usize..4,
+            t in 0.0..std::f64::consts::TAU,
+            scale in 1.001..100.0f64,
+        ) {
+            let head = HeadParams::new(a, bb, c);
+            let b = HeadBoundary::new(head, [16, 256, 1024, 4096][n_idx]);
+            assert_matches_oracle(&b, head.boundary_point(t) * scale);
+        }
     }
 
     #[test]
@@ -261,7 +530,8 @@ mod tests {
     fn source_inside_head_rejected() {
         let b = boundary();
         assert!(path_to_ear(&b, Vec2::ZERO, Ear::Left).is_none());
-        assert!(paths_to_ears(&b, Vec2::new(0.01, 0.01)).is_none());
+        assert!(path_to_ear(&b, Vec2::new(0.01, 0.01), Ear::Right).is_none());
+        assert!(path_length_to_ear(&b, Vec2::new(0.01, 0.01), Ear::Left).is_none());
     }
 
     #[test]
@@ -272,7 +542,8 @@ mod tests {
         let mut prev = f64::NEG_INFINITY;
         for theta in [0.0, 30.0, 60.0, 90.0] {
             let src = unit_from_theta(theta) * 0.4;
-            let [l, r] = paths_to_ears(&b, src).unwrap();
+            let l = path_to_ear(&b, src, Ear::Left).unwrap();
+            let r = path_to_ear(&b, src, Ear::Right).unwrap();
             let delta = r.length - l.length;
             assert!(
                 delta > prev - 1e-9,

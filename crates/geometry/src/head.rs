@@ -222,17 +222,6 @@ impl HeadBoundary {
         self.arc_ccw(j, i)
     }
 
-    /// Index of the boundary vertex closest to `p`.
-    pub fn nearest_vertex(&self, p: Vec2) -> usize {
-        self.verts
-            .iter()
-            .enumerate()
-            .min_by(|(_, u), (_, v)| u.dist(p).total_cmp(&v.dist(p)))
-            .map(|(k, _)| k)
-            // uniq-analyzer: allow(panic-safety) — the boundary constructor guarantees at least 3 vertices
-            .expect("non-empty boundary")
-    }
-
     /// `true` when `p` is strictly inside the head (analytic test).
     pub fn contains(&self, p: Vec2) -> bool {
         self.params.contains(p)
@@ -399,13 +388,6 @@ mod tests {
         let total = b.arc_ccw(i, j) + b.arc_cw(i, j);
         assert!((total - b.perimeter()).abs() < 1e-12);
         assert_eq!(b.arc_ccw(5, 5), 0.0);
-    }
-
-    #[test]
-    fn nearest_vertex_finds_ear() {
-        let b = HeadBoundary::new(head(), 128);
-        let idx = b.nearest_vertex(Vec2::new(0.2, 0.001));
-        assert_eq!(idx, b.ear_index(Ear::Right));
     }
 
     #[test]

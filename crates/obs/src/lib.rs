@@ -541,10 +541,7 @@ impl ObsContext {
 
     fn run_with_key<T>(&self, key: u64, f: impl FnOnce() -> T) -> T {
         let Some(sink) = self.sink.clone() else {
-            if ACTIVE_SINKS.load(Ordering::Relaxed) == 0 {
-                return f();
-            }
-            return without_sink(f);
+            return detached(f);
         };
         let depth = self.depth;
         let trace = self.trace;
@@ -595,6 +592,18 @@ impl ObsContext {
             with_alloc_stage(self.stage, f)
         })
     }
+}
+
+/// Runs `f` as a pool worker runs a job: outside this thread's sink, span
+/// depth and causal position. A thread that helps run queued pool jobs
+/// while it waits on its own scope uses this, so a job from another
+/// thread's scope never records into the helper's sink. One relaxed load
+/// when no sink exists anywhere.
+pub fn detached<T>(f: impl FnOnce() -> T) -> T {
+    if ACTIVE_SINKS.load(Ordering::Relaxed) == 0 {
+        return f();
+    }
+    without_sink(f)
 }
 
 /// Runs `f` as a thread with no sink would: this thread's scoped sink is

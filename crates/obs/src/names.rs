@@ -30,6 +30,13 @@ pub const FUSION_LOCALIZED_STOPS: &str = "fusion.localized_stops";
 pub const FUSION_MEAN_RESIDUAL_DEG: &str = "fusion.mean_residual_deg";
 /// Final fusion objective value, squared degrees.
 pub const FUSION_OBJECTIVE: &str = "fusion.objective";
+/// Eq. 2 objective evaluations the fusion's Nelder–Mead fit made
+/// (counter; deterministic at any thread count).
+pub const FUSION_OBJECTIVE_EVALS: &str = "fusion.objective_evals";
+/// Gauss–Newton residual evaluations (each two wrap-path lengths) across
+/// the fit's objective evaluations (counter; deterministic at any thread
+/// count).
+pub const FUSION_RESIDUAL_EVALS: &str = "fusion.residual_evals";
 
 /// Estimated gesture radius, metres.
 pub const PERSONALIZE_RADIUS_M: &str = "personalize.radius_m";
@@ -146,6 +153,8 @@ pub const ALL_METRICS: &[&str] = &[
     FUSION_LOCALIZED_STOPS,
     FUSION_MEAN_RESIDUAL_DEG,
     FUSION_OBJECTIVE,
+    FUSION_OBJECTIVE_EVALS,
+    FUSION_RESIDUAL_EVALS,
     PERSONALIZE_RADIUS_M,
     PERSONALIZE_ATTEMPTS,
     GESTURE_REJECTED,
@@ -257,8 +266,8 @@ pub const ALL_SPANS: &[&str] = &[
 ];
 
 /// The spans whose enclosing code is a *hot path*: per-iteration work
-/// dominating wall time (fusion is ~97% of seed-6 profile; channel
-/// estimation runs once per stop inside it). `uniq-analyzer`'s
+/// dominating wall time (fusion is the largest stage of the seed-6
+/// profile; channel estimation runs once per stop in the session). `uniq-analyzer`'s
 /// `hot-path-alloc` rule seeds on span sites naming these constants and
 /// forbids per-call allocation in everything they transitively reach —
 /// the scratch-arena discipline the upcoming SIMD/planned-FFT rewrite

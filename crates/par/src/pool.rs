@@ -233,7 +233,10 @@ impl ThreadPool {
                 return;
             }
             match self.shared.find_job(me) {
-                Some(job) => job(),
+                // The job may come from another thread's scope: run it as
+                // a worker would, outside this thread's sink. Jobs that
+                // record events carry their context in (`ObsContext`).
+                Some(job) => uniq_obs::detached(job),
                 None => state.wait_done_briefly(),
             }
         }

@@ -93,3 +93,52 @@ fn panicking_worker_propagates_and_pool_stays_usable() {
         assert_eq!(pool.par_map_chunked(&items, 3, work), expected);
     }
 }
+
+/// A caller helping to run queued jobs while it waits on its own scope
+/// may pick up a job from another thread's scope. That job must not
+/// record into the helper's sink: a single-lane pool has no workers, so
+/// the helper deterministically runs the foreign job queued ahead of its
+/// own.
+#[test]
+fn helped_foreign_job_stays_out_of_the_helpers_sink() {
+    use std::sync::mpsc;
+    use std::sync::Arc;
+    use uniq_obs::names::{SERVE_REQUESTS, SPAN_STORE_PUT};
+    use uniq_obs::sink::MemorySink;
+
+    let pool = Arc::new(uniq_par::ThreadPool::new(1));
+    let (queued_tx, queued_rx) = mpsc::channel();
+    let (done_tx, done_rx) = mpsc::channel::<()>();
+    let foreign = {
+        let pool = pool.clone();
+        std::thread::spawn(move || {
+            pool.scope(|s| {
+                s.spawn(|| {
+                    let _span = uniq_obs::span(SPAN_STORE_PUT);
+                    uniq_obs::counter(SERVE_REQUESTS, 1);
+                });
+                queued_tx.send(()).unwrap();
+                // Hold the scope open until the helper has drained it.
+                done_rx.recv().unwrap();
+            });
+        })
+    };
+    queued_rx.recv().unwrap();
+    let sink = Arc::new(MemorySink::new());
+    uniq_obs::with_sink(sink.clone(), || {
+        let _span = uniq_obs::span(uniq_obs::names::SPAN_FUSION);
+        pool.scope(|s| s.spawn(|| {}));
+    });
+    done_tx.send(()).unwrap();
+    foreign.join().unwrap();
+    assert_eq!(
+        sink.counter_total(SERVE_REQUESTS),
+        0,
+        "foreign counter leaked"
+    );
+    let leaked_span = sink
+        .events()
+        .iter()
+        .any(|e| matches!(e, uniq_obs::Event::SpanStart { name, .. } if *name == SPAN_STORE_PUT));
+    assert!(!leaked_span, "foreign span leaked into the helper's sink");
+}

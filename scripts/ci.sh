@@ -39,6 +39,22 @@ grep -q "per-stage wall clock:" "$ci_tmp/profile.log"
 target/release/baseline verify-profile "$ci_tmp/profile.json"
 test -s "$ci_tmp/flame.txt"
 
+echo "== fusion work counters (seed 6, identical at 1 and 4 threads) =="
+# Objective and residual evaluation counts are pure functions of the
+# workload, unlike wall time, so they must agree exactly across pool
+# sizes.
+for threads in 1 4; do
+  UNIQ_THREADS=$threads target/release/uniq personalize --seed 6 \
+    --anechoic --grid 15 --snr 45 --out "$ci_tmp/work_hrtf" \
+    --profile-out "$ci_tmp/work_$threads.json" > /dev/null
+  grep -o '"fusion\.[a-z_]*_evals": [0-9]*' "$ci_tmp/work_$threads.json" \
+    > "$ci_tmp/work_$threads.txt"
+done
+[ "$(wc -l < "$ci_tmp/work_1.txt")" -eq 2 ] \
+  || { echo "profile JSON lacks the fusion work counters" >&2; exit 1; }
+cmp -s "$ci_tmp/work_1.txt" "$ci_tmp/work_4.txt" \
+  || { echo "fusion work counters differ between 1 and 4 threads" >&2; exit 1; }
+
 echo "== composed smoke (every observability flag on one faulted run) =="
 # One run under --trace --profile --memprof and a fault plan: the table,
 # the JSON, the Prometheus text and the flame all come from the one

@@ -173,6 +173,91 @@ fn span_ids_bit_identical_across_thread_counts() {
     }
 }
 
+/// The degraded-session path: `fuse_weighted` with per-stop weights
+/// localizes stops on the pool and reduces the weighted terms in index
+/// order, so the fit is bit-identical at 1 and 8 threads.
+#[test]
+fn weighted_fusion_bit_identical_across_thread_counts() {
+    use uniq_core::fusion::{fuse_weighted, FusionInput};
+    use uniq_geometry::diffraction::path_length_to_ear;
+    use uniq_geometry::vec2::unit_from_theta;
+    use uniq_geometry::{Ear, HeadBoundary, HeadParams};
+
+    let boundary = HeadBoundary::new(HeadParams::new(0.079, 0.097, 0.088), 2048);
+    let inputs: Vec<FusionInput> = (0..12)
+        .map(|k| {
+            let theta = k as f64 * 180.0 / 11.0;
+            let pos = unit_from_theta(theta) * 0.42;
+            FusionInput {
+                // IMU-like error on the inertial angle.
+                alpha_deg: theta + [2.5, -1.5, 3.0, -3.5][k % 4],
+                d_left_m: path_length_to_ear(&boundary, pos, Ear::Left).unwrap(),
+                d_right_m: path_length_to_ear(&boundary, pos, Ear::Right).unwrap(),
+            }
+        })
+        .collect();
+    let weights = [1.0, 0.8, 0.05, 1.0, 0.6, 1.0, 0.3, 1.0, 0.9, 0.0, 1.0, 0.7];
+    let fit = |threads: usize| {
+        let cfg = UniqConfig {
+            inverse_resolution: 512,
+            threads,
+            ..UniqConfig::fast_test()
+        };
+        fuse_weighted(&inputs, Some(&weights), &cfg).expect("weighted fusion converges")
+    };
+    let (a, b) = (fit(1), fit(8));
+    let head_bits = |h: HeadParams| [h.a.to_bits(), h.b.to_bits(), h.c.to_bits()];
+    assert_eq!(head_bits(a.head), head_bits(b.head), "fitted head diverged");
+    assert_eq!(
+        a.objective.to_bits(),
+        b.objective.to_bits(),
+        "objective diverged"
+    );
+    let bits = |v: &[f64]| v.iter().map(|x| x.to_bits()).collect::<Vec<_>>();
+    assert_eq!(
+        bits(&a.final_thetas_deg),
+        bits(&b.final_thetas_deg),
+        "fused thetas diverged"
+    );
+    assert_eq!(a.mean_residual_deg.to_bits(), b.mean_residual_deg.to_bits());
+}
+
+/// Fusion's work counters are pure functions of the workload: identical
+/// at 1 and 8 threads, and — because the tangent search changed the cost
+/// of a wrap-path query, not the number of queries — equal to the call
+/// counts of the linear-scan implementation on the seed-6 workload.
+#[test]
+fn fusion_work_counters_identical_across_thread_counts() {
+    use uniq_bench::baseline::BaselineSpec;
+    use uniq_core::pipeline::personalize_with_retry;
+    use uniq_obs::names::{FUSION_OBJECTIVE_EVALS, FUSION_RESIDUAL_EVALS};
+
+    let spec = BaselineSpec::quick();
+    let subject = Subject::from_seed(spec.seed);
+    let counts = |threads: usize| {
+        let sink = Arc::new(MemorySink::new());
+        uniq_obs::with_sink(sink.clone(), || {
+            personalize_with_retry(&subject, &spec.config(threads), spec.seed, 3)
+                .expect("seed-6 personalization succeeds")
+        });
+        (
+            sink.counter_total(FUSION_OBJECTIVE_EVALS),
+            sink.counter_total(FUSION_RESIDUAL_EVALS),
+        )
+    };
+    let t1 = counts(1);
+    assert_eq!(
+        t1,
+        counts(8),
+        "fusion work counters vary with the thread count"
+    );
+    assert_eq!(
+        t1,
+        (108, 44_573),
+        "fusion work counts drifted from the pinned seed-6 counts"
+    );
+}
+
 #[test]
 fn faulted_pipeline_bit_identical_across_thread_counts() {
     use uniq_core::degrade::DegradationPolicy;
