@@ -5,21 +5,30 @@ use criterion::{criterion_group, criterion_main, BenchmarkId, Criterion};
 use uniq_dsp::complex::Complex;
 use uniq_dsp::conv::{convolve_direct, convolve_fft};
 use uniq_dsp::deconv::wiener_deconvolve;
-use uniq_dsp::fft::fft;
+use uniq_dsp::fft::{fft, ifft};
 use uniq_dsp::signal::linear_chirp;
 use uniq_dsp::xcorr::peak_normalized_xcorr;
 
+fn fft_input(n: usize) -> Vec<Complex> {
+    (0..n)
+        .map(|k| Complex::new((k as f64 * 0.37).sin(), (k as f64 * 0.11).cos()))
+        .collect()
+}
+
 fn bench_fft(c: &mut Criterion) {
     let mut group = c.benchmark_group("fft");
-    for &n in &[256usize, 1024, 4096, 16384] {
-        let input: Vec<Complex> = (0..n)
-            .map(|k| Complex::new((k as f64 * 0.37).sin(), (k as f64 * 0.11).cos()))
-            .collect();
+    // 8192 is the in-room render convolution size, 32768 the AoA one.
+    for &n in &[256usize, 1024, 4096, 8192, 16384, 32768] {
+        let input = fft_input(n);
         group.bench_with_input(BenchmarkId::from_parameter(n), &input, |b, input| {
             b.iter(|| fft(std::hint::black_box(input)))
         });
     }
     group.finish();
+    let input = fft_input(8192);
+    c.bench_function("ifft/8192", |b| {
+        b.iter(|| ifft(std::hint::black_box(&input)))
+    });
 }
 
 fn bench_convolution(c: &mut Criterion) {
@@ -37,6 +46,13 @@ fn bench_convolution(c: &mut Criterion) {
     });
     group.bench_function("fft_2400x512", |b| {
         b.iter(|| convolve_fft(std::hint::black_box(&signal), std::hint::black_box(&ir)))
+    });
+    // The shape `render_arrival` convolves: a 4096-sample echoic tap
+    // through the 33-tap shadow FIR.
+    let tap: Vec<f64> = (0..4096).map(|k| ((k * 7) as f64 * 0.013).sin()).collect();
+    group.bench_function("fft_4096x33", |b| {
+        let kernel = &ir[..33];
+        b.iter(|| convolve_fft(std::hint::black_box(&tap), std::hint::black_box(kernel)))
     });
     group.finish();
 }

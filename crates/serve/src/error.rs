@@ -81,6 +81,12 @@ pub enum ServeError {
         /// The pipeline's error.
         detail: String,
     },
+    /// Processing the request panicked. The shard worker caught the
+    /// unwind, answered with this error and kept serving.
+    Internal {
+        /// The panic message.
+        detail: String,
+    },
     /// Invalid server configuration (bind address, shard count, ...).
     Config {
         /// What was invalid.
@@ -112,6 +118,7 @@ impl ServeError {
             ServeError::Overloaded { .. } => "overloaded",
             ServeError::ShuttingDown => "shutting_down",
             ServeError::Pipeline { .. } => "pipeline",
+            ServeError::Internal { .. } => "internal",
             ServeError::Config { .. } => "config",
             ServeError::Io { .. } => "io",
         }
@@ -163,6 +170,7 @@ impl fmt::Display for ServeError {
             ),
             ServeError::ShuttingDown => write!(f, "server is shutting down"),
             ServeError::Pipeline { detail } => write!(f, "personalization failed: {detail}"),
+            ServeError::Internal { detail } => write!(f, "internal error: {detail}"),
             ServeError::Config { detail } => write!(f, "invalid server config: {detail}"),
             ServeError::Io { op, detail } => write!(f, "{op} failed: {detail}"),
         }

@@ -10,7 +10,9 @@
 //! result cache (`uniq-store`) keyed by `(subject seed, config content
 //! hash)` first, so a repeat personalization is a disk lookup, not a
 //! recompute. Same subject → same shard, so concurrent duplicates
-//! serialize behind each other and the second becomes a cache hit.
+//! serialize behind each other and the second becomes a cache hit. A
+//! request that panics is answered with a typed `internal` error and the
+//! shard keeps serving; the server's locks recover from poisoning.
 //!
 //! Everything is plain `std`: threads, `TcpListener`, `Mutex`/`Condvar`
 //! queues — no async runtime, following the `uniq-par` precedent.
@@ -18,10 +20,11 @@
 use std::collections::{BTreeMap, VecDeque};
 use std::io::{Read, Write};
 use std::net::{SocketAddr, TcpListener, TcpStream};
+use std::panic::{self, AssertUnwindSafe};
 use std::path::PathBuf;
 use std::sync::atomic::{AtomicBool, AtomicU64, Ordering};
 use std::sync::mpsc;
-use std::sync::{Arc, Condvar, Mutex};
+use std::sync::{Arc, Condvar, Mutex, MutexGuard, PoisonError};
 use std::thread::JoinHandle;
 use std::time::Duration;
 
@@ -147,7 +150,7 @@ impl Shard {
     }
 
     fn try_submit(&self, job: Job, depth: usize) -> Result<(), SubmitError> {
-        let mut state = self.state.lock().expect("shard queue poisoned");
+        let mut state = lock(&self.state);
         if state.closed {
             return Err(SubmitError::Closed);
         }
@@ -163,7 +166,7 @@ impl Shard {
     /// Pops the next job; once `draining` is set and the queue is empty,
     /// marks the shard closed and returns `None` (worker exit).
     fn next_job(&self, draining: &AtomicBool) -> Option<Job> {
-        let mut state = self.state.lock().expect("shard queue poisoned");
+        let mut state = lock(&self.state);
         loop {
             if let Some(job) = state.jobs.pop_front() {
                 return Some(job);
@@ -175,7 +178,7 @@ impl Shard {
             let (next, _) = self
                 .ready
                 .wait_timeout(state, POLL_INTERVAL)
-                .expect("shard queue poisoned");
+                .unwrap_or_else(PoisonError::into_inner);
             state = next;
         }
     }
@@ -320,36 +323,24 @@ impl Server {
 
     /// seed → result fingerprint of every request answered `ok` so far.
     pub fn fingerprints(&self) -> BTreeMap<u64, u64> {
-        self.inner
-            .fingerprints
-            .lock()
-            .expect("fingerprint map poisoned")
-            .clone()
+        lock(&self.inner.fingerprints).clone()
     }
 
     /// Whether a protocol-level `shutdown` request has arrived.
     pub fn shutdown_requested(&self) -> bool {
-        *self
-            .inner
-            .shutdown_requested
-            .lock()
-            .expect("shutdown flag poisoned")
+        *lock(&self.inner.shutdown_requested)
     }
 
     /// Blocks until a protocol-level `shutdown` request arrives — the
     /// serve CLI's main loop.
     pub fn wait_shutdown_requested(&self) {
-        let mut requested = self
-            .inner
-            .shutdown_requested
-            .lock()
-            .expect("shutdown flag poisoned");
+        let mut requested = lock(&self.inner.shutdown_requested);
         while !*requested {
             requested = self
                 .inner
                 .shutdown_cv
                 .wait(requested)
-                .expect("shutdown flag poisoned");
+                .unwrap_or_else(PoisonError::into_inner);
         }
     }
 
@@ -374,22 +365,14 @@ impl Server {
         if let Some(listener) = self.listener.take() {
             let _ = listener.join();
         }
-        let handles: Vec<JoinHandle<()>> = {
-            let mut conns = self.conns.lock().expect("connection registry poisoned");
-            conns.drain(..).collect()
-        };
+        let handles: Vec<JoinHandle<()>> = lock(&self.conns).drain(..).collect();
         for conn in handles {
             let _ = conn.join();
         }
         uniq_obs::flush_global_sink();
         DrainReport {
             stats: self.inner.counters.snapshot(),
-            fingerprints: self
-                .inner
-                .fingerprints
-                .lock()
-                .expect("fingerprint map poisoned")
-                .clone(),
+            fingerprints: lock(&self.inner.fingerprints).clone(),
         }
     }
 }
@@ -431,10 +414,7 @@ fn listener_loop(
                 ctx.run(|| connection_loop(&inner, stream));
             })
             .expect("spawn connection handler");
-        conns
-            .lock()
-            .expect("connection registry poisoned")
-            .push(handle);
+        lock(conns).push(handle);
     }
 }
 
@@ -507,13 +487,7 @@ fn handle_line(inner: &Arc<Inner>, stream: &mut TcpStream, line: &str) -> bool {
         Request::Ping => send_line(stream, &protocol::render_pong()),
         Request::Stats => send_line(stream, &protocol::render_stats(&inner.counters.snapshot())),
         Request::Shutdown => {
-            {
-                let mut requested = inner
-                    .shutdown_requested
-                    .lock()
-                    .expect("shutdown flag poisoned");
-                *requested = true;
-            }
+            *lock(&inner.shutdown_requested) = true;
             inner.shutdown_cv.notify_all();
             send_line(stream, &protocol::render_shutdown_ack())
         }
@@ -563,7 +537,20 @@ fn worker_loop(inner: &Arc<Inner>, shard: usize) {
     let ctx = inner.ctx.clone();
     ctx.run_indexed(shard as u64, || {
         while let Some(job) = inner.shards[shard].next_job(&inner.draining) {
-            let response = process(inner, &job.req);
+            // A panic under `process` fails this request alone: it becomes
+            // a typed `internal` reply and the shard keeps serving. Unwind
+            // safety holds because the shared state is atomics and
+            // poison-tolerant locks ([`lock`]); the request's own state is
+            // dropped with the unwind.
+            let response = panic::catch_unwind(AssertUnwindSafe(|| process(inner, &job.req)))
+                .unwrap_or_else(|payload| {
+                    let detail = payload
+                        .downcast_ref::<&str>()
+                        .map(|s| s.to_string())
+                        .or_else(|| payload.downcast_ref::<String>().cloned())
+                        .unwrap_or_else(|| "non-string panic payload".into());
+                    error_reply(inner, &ServeError::Internal { detail })
+                });
             // A gone connection is the client's problem, not the worker's.
             let _ = job.reply.send(response);
         }
@@ -593,12 +580,13 @@ fn process(inner: &Arc<Inner>, req: &PersonalizeRequest) -> String {
     // pipeline identical across deployments).
     cfg.threads = 1;
     if let Err(e) = cfg.validate() {
-        inner.counters.errors.fetch_add(1, Ordering::Relaxed);
-        uniq_obs::counter(SERVE_ERRORS, 1);
-        return protocol::render_error(&ServeError::BadField {
-            field: "config",
-            detail: e.to_string(),
-        });
+        return error_reply(
+            inner,
+            &ServeError::BadField {
+                field: "config",
+                detail: e.to_string(),
+            },
+        );
     }
     let config_hash = cfg.content_hash();
 
@@ -639,12 +627,13 @@ fn process(inner: &Arc<Inner>, req: &PersonalizeRequest) -> String {
         let plan = match FaultPlan::parse(spec, req.seed) {
             Ok(plan) => plan,
             Err(e) => {
-                inner.counters.errors.fetch_add(1, Ordering::Relaxed);
-                uniq_obs::counter(SERVE_ERRORS, 1);
-                return protocol::render_error(&ServeError::BadField {
-                    field: "fault_plan",
-                    detail: e.to_string(),
-                });
+                return error_reply(
+                    inner,
+                    &ServeError::BadField {
+                        field: "fault_plan",
+                        detail: e.to_string(),
+                    },
+                );
             }
         };
         match personalize_faulted_with_retry(
@@ -684,11 +673,12 @@ fn process(inner: &Arc<Inner>, req: &PersonalizeRequest) -> String {
         (Some(store), false) => match store.put(&artifact) {
             Ok(outcome) => outcome.key,
             Err(e) => {
-                inner.counters.errors.fetch_add(1, Ordering::Relaxed);
-                uniq_obs::counter(SERVE_ERRORS, 1);
-                return protocol::render_error(&ServeError::Pipeline {
-                    detail: format!("store put failed: {e}"),
-                });
+                return error_reply(
+                    inner,
+                    &ServeError::Pipeline {
+                        detail: format!("store put failed: {e}"),
+                    },
+                );
             }
         },
         _ => match uniq_store::encode(&artifact) {
@@ -720,18 +710,82 @@ fn process(inner: &Arc<Inner>, req: &PersonalizeRequest) -> String {
     })
 }
 
-fn pipeline_error(inner: &Arc<Inner>, e: uniq_core::pipeline::PersonalizationError) -> String {
+fn pipeline_error(inner: &Inner, e: uniq_core::pipeline::PersonalizationError) -> String {
+    error_reply(
+        inner,
+        &ServeError::Pipeline {
+            detail: e.to_string(),
+        },
+    )
+}
+
+/// Counts a failed request in `serve.errors` and renders its reply line.
+fn error_reply(inner: &Inner, e: &ServeError) -> String {
     inner.counters.errors.fetch_add(1, Ordering::Relaxed);
     uniq_obs::counter(SERVE_ERRORS, 1);
-    protocol::render_error(&ServeError::Pipeline {
-        detail: e.to_string(),
-    })
+    protocol::render_error(e)
+}
+
+/// Locks `m`, taking the guard back from a poisoned lock. Everything the
+/// server guards (shard queues, the shutdown flag, the fingerprint map,
+/// the connection registry) is whole after any single push, pop, insert
+/// or store, so one panicking request must not fail every later request
+/// that touches the same lock.
+fn lock<T>(m: &Mutex<T>) -> MutexGuard<'_, T> {
+    m.lock().unwrap_or_else(PoisonError::into_inner)
 }
 
 fn record_fingerprint(inner: &Arc<Inner>, seed: u64, fingerprint: u64) {
-    inner
-        .fingerprints
-        .lock()
-        .expect("fingerprint map poisoned")
-        .insert(seed, fingerprint);
+    lock(&inner.fingerprints).insert(seed, fingerprint);
+}
+
+#[cfg(test)]
+mod tests {
+    use super::*;
+    use crate::protocol::Response;
+    use std::io::{BufRead, BufReader};
+
+    fn poison<T>(m: &Mutex<T>) {
+        let _ = panic::catch_unwind(AssertUnwindSafe(|| {
+            let _guard = m.lock();
+            panic!("poisoning the lock");
+        }));
+        assert!(m.is_poisoned());
+    }
+
+    #[test]
+    fn poisoned_locks_do_not_fail_the_next_request() {
+        let server = Server::start(
+            "127.0.0.1:0",
+            ServeConfig {
+                shards: 1,
+                base: UniqConfig {
+                    in_room: false,
+                    snr_db: 45.0,
+                    grid_step_deg: 15.0,
+                    ..UniqConfig::fast_test()
+                },
+                ..ServeConfig::default()
+            },
+        )
+        .expect("start server");
+        poison(&server.inner.shards[0].state);
+        poison(&server.inner.fingerprints);
+
+        let mut stream = TcpStream::connect(server.local_addr()).expect("connect");
+        stream
+            .write_all(b"{\"type\":\"personalize\",\"seed\":11}\n")
+            .expect("send request");
+        let mut line = String::new();
+        BufReader::new(&stream)
+            .read_line(&mut line)
+            .expect("read reply");
+        match protocol::parse_response(line.trim_end()) {
+            Ok(Response::Personalized(reply)) => assert_eq!(reply.seed, 11),
+            other => panic!("expected a personalized reply, got {other:?}"),
+        }
+        let drain = server.shutdown();
+        assert_eq!(drain.stats.ok, 1);
+        assert!(drain.fingerprints.contains_key(&11));
+    }
 }

@@ -25,6 +25,12 @@ UNIQ_THREADS=1 cargo test -q --workspace
 echo "== cargo test (UNIQ_THREADS=4) =="
 UNIQ_THREADS=4 cargo test -q --workspace
 
+echo "== benchmark package (build + unit tests) =="
+# examples/benchmark is its own package outside the workspace, with path
+# dependencies on the layer crates: build and test it here so an API
+# change in a layer crate cannot break it unnoticed.
+cargo test --release --offline -q --manifest-path examples/benchmark/Cargo.toml
+
 echo "== release build (profiling + baseline gate binaries) =="
 cargo build --release -q -p uniq-cli -p uniq-bench
 

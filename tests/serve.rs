@@ -396,6 +396,73 @@ impl RateInjector for GateHook {
 
 impl FaultHook for GateHook {}
 
+/// A [`FaultHook`] whose first recording panics — a bug deep in the
+/// pipeline, reached by one request — and which leaves every later
+/// recording untouched.
+#[derive(Debug, Default)]
+struct PanicOnceHook {
+    fired: std::sync::atomic::AtomicBool,
+}
+
+impl RecordingInjector for PanicOnceHook {
+    fn corrupt_recording(
+        &self,
+        _site: InjectionSite,
+        _rec: &mut BinauralRecording,
+    ) -> Vec<&'static str> {
+        if !self.fired.swap(true, Ordering::SeqCst) {
+            panic!("injected pipeline panic");
+        }
+        Vec::new()
+    }
+}
+
+impl RateInjector for PanicOnceHook {
+    fn corrupt_rates(&self, _rates_dps: &mut [f64], _dt: f64) -> Vec<&'static str> {
+        Vec::new()
+    }
+}
+
+impl FaultHook for PanicOnceHook {}
+
+#[test]
+fn a_panicking_request_gets_a_typed_reply_and_the_shard_keeps_serving() {
+    let memory = Arc::new(MemorySink::new());
+    let server = uniq_obs::with_sink(memory.clone(), || {
+        Server::start(
+            "127.0.0.1:0",
+            ServeConfig {
+                shards: 1,
+                base: fast_cfg(),
+                fault_hook: Some(Arc::new(PanicOnceHook::default())),
+                ..ServeConfig::default()
+            },
+        )
+    })
+    .expect("start server");
+    let mut client = Client::connect(server.local_addr());
+
+    client.personalize(940);
+    match client.read_response() {
+        Response::Error { kind, message } => {
+            assert_eq!(kind, "internal");
+            assert!(message.contains("injected pipeline panic"), "{message}");
+        }
+        other => panic!("expected an internal error, got {other:?}"),
+    }
+    // Same connection, same (only) shard: the worker survived the unwind.
+    client.personalize(941);
+    match client.read_response() {
+        Response::Personalized(reply) => assert_eq!(reply.seed, 941),
+        other => panic!("expected a personalized reply, got {other:?}"),
+    }
+
+    let drain = server.shutdown();
+    assert_eq!(drain.stats.errors, 1);
+    assert_eq!(drain.stats.ok, 1);
+    assert_eq!(memory.counter_total(uniq_obs::names::SERVE_ERRORS), 1);
+}
+
 #[test]
 fn full_queue_sheds_deterministically() {
     let gate = GateHook::new();
