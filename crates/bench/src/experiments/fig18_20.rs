@@ -6,6 +6,7 @@
 //! * Fig 19: the same aggregated per volunteer.
 //! * Fig 20: raw best / average / worst case HRIR waveforms.
 
+use crate::cohort::VolunteerRun;
 use crate::csv::write_csv;
 use uniq_acoustics::types::HrirBank;
 use uniq_dsp::stats::mean;
@@ -68,14 +69,63 @@ fn remeasure(bank: &HrirBank, seed: u64) -> HrirBank {
     HrirBank::new(pairs, bank.sample_rate())
 }
 
-/// Runs Figs 18–20 and returns the summary.
-pub fn run() -> Summary {
-    println!("\n== Figs 18–20: personalized HRIR vs ground truth ==");
-    let cohort = super::cohort();
-    let cfg = crate::cohort::eval_config();
+/// Per-volunteer mean similarities (Fig 19).
+#[derive(Debug, Clone, Copy)]
+pub struct VolunteerMeans {
+    /// Mean UNIQ similarity, left/right ear.
+    pub uniq: (f64, f64),
+    /// Mean global-template similarity, left/right ear.
+    pub global: (f64, f64),
+}
 
-    // Evaluate on a 10° grid (the paper's measurement resolution).
-    let angles: Vec<f64> = (0..=18).map(|k| k as f64 * 10.0).collect();
+impl Summary {
+    /// Overall means of the given records.
+    pub fn from_records(records: Vec<SimRecord>) -> Self {
+        let overall =
+            |f: &dyn Fn(&SimRecord) -> f64| mean(&records.iter().map(f).collect::<Vec<f64>>());
+        Summary {
+            uniq: (overall(&|r| r.uniq.0), overall(&|r| r.uniq.1)),
+            global: (overall(&|r| r.global.0), overall(&|r| r.global.1)),
+            remeasure: (overall(&|r| r.remeasure.0), overall(&|r| r.remeasure.1)),
+            records,
+        }
+    }
+
+    /// Personalization gain, UNIQ over the global template (left, right).
+    pub fn gain(&self) -> (f64, f64) {
+        (self.uniq.0 / self.global.0, self.uniq.1 / self.global.1)
+    }
+
+    /// Mean similarities of each of `volunteers` volunteers, in order.
+    pub fn per_volunteer(&self, volunteers: usize) -> Vec<VolunteerMeans> {
+        (0..volunteers)
+            .map(|v| {
+                let of: Vec<&SimRecord> =
+                    self.records.iter().filter(|r| r.volunteer == v).collect();
+                let m = |f: &dyn Fn(&SimRecord) -> f64| {
+                    of.iter().map(|r| f(r)).sum::<f64>() / of.len() as f64
+                };
+                VolunteerMeans {
+                    uniq: (m(&|r| r.uniq.0), m(&|r| r.uniq.1)),
+                    global: (m(&|r| r.global.0), m(&|r| r.global.1)),
+                }
+            })
+            .collect()
+    }
+}
+
+/// The evaluation angles: a 10° grid (the paper's measurement
+/// resolution).
+fn eval_angles() -> Vec<f64> {
+    (0..=18).map(|k| k as f64 * 10.0).collect()
+}
+
+/// Scores every volunteer's personalized far-field HRIRs, the global
+/// template and a ground-truth remeasurement against ground truth at each
+/// evaluation angle.
+pub fn similarity_summary(cohort: &[VolunteerRun]) -> Summary {
+    let cfg = crate::cohort::eval_config();
+    let angles = eval_angles();
     let global = global_template(cfg.render, &angles);
 
     let mut records = Vec::new();
@@ -94,6 +144,18 @@ pub fn run() -> Summary {
             });
         }
     }
+    Summary::from_records(records)
+}
+
+/// Runs Figs 18–20 and returns the summary.
+pub fn run() -> Summary {
+    println!("\n== Figs 18–20: personalized HRIR vs ground truth ==");
+    let cohort = super::cohort();
+    let cfg = crate::cohort::eval_config();
+    let angles = eval_angles();
+    let global = global_template(cfg.render, &angles);
+    let summary = similarity_summary(cohort);
+    let records = &summary.records;
 
     // ---- Fig 18: per-angle means across volunteers.
     let mut fig18_rows = Vec::new();
@@ -136,16 +198,13 @@ pub fn run() -> Summary {
     // ---- Fig 19: per-volunteer means.
     let mut fig19_rows = Vec::new();
     println!("\n  volunteer   UNIQ(L)  global(L) |  UNIQ(R)  global(R)");
-    for v in 0..cohort.len() {
-        let of: Vec<&SimRecord> = records.iter().filter(|r| r.volunteer == v).collect();
-        let m =
-            |f: &dyn Fn(&SimRecord) -> f64| of.iter().map(|r| f(r)).sum::<f64>() / of.len() as f64;
+    for (v, means) in summary.per_volunteer(cohort.len()).iter().enumerate() {
         let row = [
             v as f64 + 1.0,
-            m(&|r| r.uniq.0),
-            m(&|r| r.global.0),
-            m(&|r| r.uniq.1),
-            m(&|r| r.global.1),
+            means.uniq.0,
+            means.global.0,
+            means.uniq.1,
+            means.global.1,
         ];
         println!(
             "  {:>9.0}   {:>6.3}   {:>7.3} |  {:>6.3}   {:>7.3}",
@@ -195,14 +254,6 @@ pub fn run() -> Summary {
         );
     }
 
-    let overall =
-        |f: &dyn Fn(&SimRecord) -> f64| mean(&records.iter().map(f).collect::<Vec<f64>>());
-    let summary = Summary {
-        uniq: (overall(&|r| r.uniq.0), overall(&|r| r.uniq.1)),
-        global: (overall(&|r| r.global.0), overall(&|r| r.global.1)),
-        remeasure: (overall(&|r| r.remeasure.0), overall(&|r| r.remeasure.1)),
-        records,
-    };
     println!(
         "\n  overall: UNIQ {:.3}/{:.3}  global {:.3}/{:.3}  remeasure {:.3}/{:.3}",
         summary.uniq.0,
@@ -212,10 +263,10 @@ pub fn run() -> Summary {
         summary.remeasure.0,
         summary.remeasure.1
     );
+    let gain = summary.gain();
     println!(
         "  personalization gain: {:.2}x (L), {:.2}x (R)  (paper: ~1.75x)",
-        summary.uniq.0 / summary.global.0,
-        summary.uniq.1 / summary.global.1
+        gain.0, gain.1
     );
     summary
 }

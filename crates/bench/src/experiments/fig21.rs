@@ -2,6 +2,7 @@
 //! HRTF (paper: medians 7.8° vs 45.3°; global suffers front-back
 //! confusion in 29% of trials).
 
+use crate::cohort::VolunteerRun;
 use crate::csv::write_csv;
 use uniq_acoustics::measure::{record_plane_wave, MeasurementSetup};
 use uniq_core::aoa::{estimate_known_source, is_front};
@@ -19,10 +20,10 @@ pub struct Fig21Summary {
     pub global_front_back_confusion: f64,
 }
 
-/// Runs the experiment.
-pub fn run() -> Fig21Summary {
-    println!("\n== Fig 21: known-source AoA, personalized vs global HRTF ==");
-    let cohort = super::cohort();
+/// Runs the known-source AoA trials (12 far-field angles per volunteer)
+/// with each volunteer's personalized far-field HRTF and with the global
+/// template.
+pub fn aoa_errors(cohort: &[VolunteerRun]) -> Fig21Summary {
     let cfg = crate::cohort::eval_config();
     let global = uniq_subjects::global_template(cfg.render, &cfg.output_grid());
     let setup = MeasurementSetup::anechoic(cfg.render.sample_rate, 35.0);
@@ -31,7 +32,6 @@ pub fn run() -> Fig21Summary {
     let mut personal_errors = Vec::new();
     let mut global_errors = Vec::new();
     let mut global_fb_flips = 0usize;
-    let mut trials = 0usize;
     for (v, run) in cohort.iter().enumerate() {
         let renderer = run
             .subject
@@ -52,9 +52,25 @@ pub fn run() -> Fig21Summary {
             if is_front(g) != is_front(truth) {
                 global_fb_flips += 1;
             }
-            trials += 1;
         }
     }
+    let global_front_back_confusion = global_fb_flips as f64 / global_errors.len() as f64;
+    Fig21Summary {
+        personal_errors,
+        global_errors,
+        global_front_back_confusion,
+    }
+}
+
+/// Runs the experiment.
+pub fn run() -> Fig21Summary {
+    println!("\n== Fig 21: known-source AoA, personalized vs global HRTF ==");
+    let summary = aoa_errors(super::cohort());
+    let Fig21Summary {
+        personal_errors,
+        global_errors,
+        global_front_back_confusion: confusion,
+    } = &summary;
 
     let dump = |name: &str, errs: &[f64]| {
         let rows: Vec<Vec<f64>> = Ecdf::new(errs)
@@ -64,28 +80,23 @@ pub fn run() -> Fig21Summary {
             .collect();
         write_csv(name, &["error_deg", "cdf"], &rows);
     };
-    dump("fig21_aoa_cdf_personal", &personal_errors);
-    dump("fig21_aoa_cdf_global", &global_errors);
+    dump("fig21_aoa_cdf_personal", personal_errors);
+    dump("fig21_aoa_cdf_global", global_errors);
 
-    let confusion = global_fb_flips as f64 / trials as f64;
     println!(
         "  personalized: median {:.1}°, max {:.1}°   (paper: 7.8°, max 60°)",
-        median(&personal_errors),
-        uniq_dsp::stats::max(&personal_errors)
+        median(personal_errors),
+        uniq_dsp::stats::max(personal_errors)
     );
     println!(
         "  global:       median {:.1}°, max {:.1}°   (paper: 45.3°, max >150°)",
-        median(&global_errors),
-        uniq_dsp::stats::max(&global_errors)
+        median(global_errors),
+        uniq_dsp::stats::max(global_errors)
     );
     println!(
         "  global front-back confusion: {:.0}% (paper: 29%)",
         confusion * 100.0
     );
 
-    Fig21Summary {
-        personal_errors,
-        global_errors,
-        global_front_back_confusion: confusion,
-    }
+    summary
 }
