@@ -9,8 +9,8 @@
 use crate::pinna::PinnaModel;
 use crate::shadow::{group_delay_samples, shadow_fir};
 use crate::types::{BinauralIr, HrirBank, RenderConfig};
-use uniq_dsp::conv::convolve;
-use uniq_dsp::delay::add_fractional_impulse;
+use uniq_dsp::conv::convolve_direct;
+use uniq_dsp::delay::{add_fractional_impulse, SINC_HALF_WIDTH};
 use uniq_geometry::diffraction::path_to_ear;
 use uniq_geometry::planewave::plane_path_to_ear;
 use uniq_geometry::{Ear, HeadBoundary, Vec2};
@@ -111,29 +111,34 @@ impl Renderer {
     /// (head frame, metres). Returns `None` if `src` is inside the head.
     pub fn render_point(&self, src: Vec2) -> Option<BinauralIr> {
         let mut out = BinauralIr::zeros(self.cfg.ir_len);
-        for ear in Ear::BOTH {
-            let p = path_to_ear(&self.boundary, src, ear)?;
-            let gain = 1.0 / p.length.max(0.05);
-            let ir = self.render_arrival(p.length, p.wrap_angle, p.arrival_dir, gain, ear);
-            match ear {
-                Ear::Left => out.left = ir,
-                Ear::Right => out.right = ir,
-            }
-        }
+        self.add_point(&mut out, src, 1.0)?;
         Some(out)
+    }
+
+    /// Adds `scale` times the binaural response of a point source at `src`
+    /// into `out`, which may be longer than the configured IR (room
+    /// echoes). Returns `None`, leaving `out` untouched, if `src` is
+    /// inside the head.
+    pub(crate) fn add_point(&self, out: &mut BinauralIr, src: Vec2, scale: f64) -> Option<()> {
+        let left = path_to_ear(&self.boundary, src, Ear::Left)?;
+        let right = path_to_ear(&self.boundary, src, Ear::Right)?;
+        for (ear, p, ir) in [
+            (Ear::Left, left, &mut out.left),
+            (Ear::Right, right, &mut out.right),
+        ] {
+            let gain = scale / p.length.max(0.05);
+            self.add_arrival(ir, p.length, p.wrap_angle, p.arrival_dir, gain, ear);
+        }
+        Some(())
     }
 
     /// Renders the binaural impulse response of a far-field plane wave from
     /// polar angle `theta_deg` (unit incident amplitude).
     pub fn render_plane(&self, theta_deg: f64) -> BinauralIr {
         let mut out = BinauralIr::zeros(self.cfg.ir_len);
-        for ear in Ear::BOTH {
+        for (ear, ir) in [(Ear::Left, &mut out.left), (Ear::Right, &mut out.right)] {
             let p = plane_path_to_ear(&self.boundary, theta_deg, ear);
-            let ir = self.render_arrival(p.excess, p.wrap_angle, p.arrival_dir, 1.0, ear);
-            match ear {
-                Ear::Left => out.left = ir,
-                Ear::Right => out.right = ir,
-            }
+            self.add_arrival(ir, p.excess, p.wrap_angle, p.arrival_dir, 1.0, ear);
         }
         out
     }
@@ -172,47 +177,82 @@ impl Renderer {
         Ok(HrirBank::new(pairs, self.cfg.sample_rate))
     }
 
-    /// Renders a single arrival into an ear IR: fractional-delay tap,
-    /// spreading gain, shadow FIR when wrapped, then pinna multipath.
-    ///
-    /// `path_metres` may be a point-source path length or a plane-wave
-    /// excess (negative allowed — the base delay keeps taps causal).
-    fn render_arrival(
+    /// Adds one arrival into an ear IR with the pinna response for its
+    /// local arrival angle (see [`add_arrival`]).
+    fn add_arrival(
         &self,
+        out: &mut [f64],
         path_metres: f64,
         wrap_angle: f64,
         arrival_dir: Vec2,
         gain: f64,
         ear: Ear,
-    ) -> Vec<f64> {
+    ) {
         let cfg = &self.cfg;
-        let delay = cfg.metres_to_samples(path_metres);
-        debug_assert!(
-            delay >= 0.0,
-            "negative tap position {delay}; increase base_delay"
-        );
-
-        // Raw (possibly shadow-filtered) arrival tap.
-        let mut tap = vec![0.0; cfg.ir_len];
-        match shadow_fir(wrap_angle, cfg.shadow_kappa, cfg.shadow_f0, cfg.sample_rate) {
-            None => add_fractional_impulse(&mut tap, delay, gain),
-            Some(kernel) => {
-                // Place the tap earlier by the FIR group delay so the
-                // filtered arrival lands at the true time.
-                let pos = delay - group_delay_samples() as f64;
-                let mut imp = vec![0.0; cfg.ir_len];
-                add_fractional_impulse(&mut imp, pos.max(0.0), gain);
-                let full = convolve(&imp, &kernel);
-                tap.copy_from_slice(&full[..cfg.ir_len]);
-            }
-        }
-
-        // Pinna multipath for the local arrival angle.
         let local = local_arrival_angle(arrival_dir, ear);
         let pinna = self.pinna(ear);
         let pinna_ir = pinna.response(local, cfg.sample_rate, pinna.required_len(cfg.sample_rate));
-        let full = convolve(&tap, &pinna_ir);
-        full[..cfg.ir_len].to_vec()
+        add_arrival(out, cfg, path_metres, wrap_angle, gain, &pinna_ir);
+    }
+}
+
+/// Renders one arrival and adds it into the ear IR `out`: a fractional-delay
+/// tap of amplitude `gain`, the shadow FIR when the path wraps the head,
+/// then the pinna response `pinna_ir`. Samples at or past `out.len()` are
+/// dropped.
+///
+/// The arrival is built on its support only — the tap's windowed-sinc
+/// kernel plus the two FIR tails, about a hundred samples — with direct
+/// convolutions, then added into `out` at its first sample. It agrees with
+/// convolving full-length buffers (the test oracle `oracle::arrival_fft`)
+/// to within FFT round-off.
+///
+/// `path_metres` may be a point-source path length or a plane-wave
+/// excess (negative allowed — the base delay keeps taps causal).
+pub(crate) fn add_arrival(
+    out: &mut [f64],
+    cfg: &RenderConfig,
+    path_metres: f64,
+    wrap_angle: f64,
+    gain: f64,
+    pinna_ir: &[f64],
+) {
+    let delay = cfg.metres_to_samples(path_metres);
+    debug_assert!(
+        delay >= 0.0,
+        "negative tap position {delay}; increase base_delay"
+    );
+    let shadow = shadow_fir(wrap_angle, cfg.shadow_kappa, cfg.shadow_f0, cfg.sample_rate);
+    // A shadowed tap is placed earlier by the FIR group delay so the
+    // filtered arrival lands at the true time.
+    let pos = match shadow {
+        None => delay,
+        Some(_) => (delay - group_delay_samples() as f64).max(0.0),
+    };
+    if gain == 0.0 || !pos.is_finite() {
+        return;
+    }
+
+    // The tap's kernel support, clipped to the IR. `lo` is an integer no
+    // greater than `pos`, so `pos - lo` is exact and the short tap holds
+    // the same values a full-length buffer would.
+    let center = pos.round() as isize;
+    let half = SINC_HALF_WIDTH as isize;
+    let lo = center.saturating_sub(half).max(0);
+    let hi = center.saturating_add(half).min(out.len() as isize - 1);
+    if lo > hi {
+        return;
+    }
+    let lo = lo as usize;
+    let mut tap = vec![0.0; hi as usize - lo + 1];
+    add_fractional_impulse(&mut tap, pos - lo as f64, gain);
+    if let Some(kernel) = shadow {
+        tap = convolve_direct(&tap, &kernel);
+        tap.truncate(out.len() - lo);
+    }
+    let arrival = convolve_direct(&tap, pinna_ir);
+    for (o, v) in out[lo..].iter_mut().zip(&arrival) {
+        *o += v;
     }
 }
 
@@ -269,6 +309,119 @@ pub fn render_plane_wave(
         cfg,
     )
     .render_plane(theta_deg)
+}
+
+/// Reference renderer for the tests of [`add_arrival`]: each arrival's tap
+/// is placed in a full-length buffer and both FIRs are applied with
+/// full-length [`uniq_dsp::conv::convolve`] calls (the FFT path at these
+/// sizes).
+#[cfg(test)]
+pub(crate) mod oracle {
+    use super::*;
+    use uniq_dsp::conv::convolve;
+
+    /// One arrival, rendered the long-buffer way into `ir_len` samples.
+    pub(crate) fn arrival_fft(
+        ir_len: usize,
+        cfg: &RenderConfig,
+        path_metres: f64,
+        wrap_angle: f64,
+        gain: f64,
+        pinna_ir: &[f64],
+    ) -> Vec<f64> {
+        let delay = cfg.metres_to_samples(path_metres);
+        let mut tap = vec![0.0; ir_len];
+        match shadow_fir(wrap_angle, cfg.shadow_kappa, cfg.shadow_f0, cfg.sample_rate) {
+            None => add_fractional_impulse(&mut tap, delay, gain),
+            Some(kernel) => {
+                let pos = delay - group_delay_samples() as f64;
+                let mut imp = vec![0.0; ir_len];
+                add_fractional_impulse(&mut imp, pos.max(0.0), gain);
+                let full = convolve(&imp, &kernel);
+                tap.copy_from_slice(&full[..ir_len]);
+            }
+        }
+        let full = convolve(&tap, pinna_ir);
+        full[..ir_len].to_vec()
+    }
+
+    fn ear_arrival(
+        r: &Renderer,
+        ir_len: usize,
+        path_metres: f64,
+        wrap_angle: f64,
+        arrival_dir: Vec2,
+        gain: f64,
+        ear: Ear,
+    ) -> Vec<f64> {
+        let cfg = r.config();
+        let pinna = r.pinna(ear);
+        let local = local_arrival_angle(arrival_dir, ear);
+        let pinna_ir = pinna.response(local, cfg.sample_rate, pinna.required_len(cfg.sample_rate));
+        arrival_fft(ir_len, cfg, path_metres, wrap_angle, gain, &pinna_ir)
+    }
+
+    /// [`Renderer::render_point`] at `ir_len` samples.
+    pub(crate) fn point(r: &Renderer, src: Vec2, ir_len: usize) -> Option<BinauralIr> {
+        let ear = |ear| {
+            let p = path_to_ear(r.boundary(), src, ear)?;
+            let gain = 1.0 / p.length.max(0.05);
+            Some(ear_arrival(
+                r,
+                ir_len,
+                p.length,
+                p.wrap_angle,
+                p.arrival_dir,
+                gain,
+                ear,
+            ))
+        };
+        Some(BinauralIr::new(ear(Ear::Left)?, ear(Ear::Right)?))
+    }
+
+    /// [`Renderer::render_plane`].
+    pub(crate) fn plane(r: &Renderer, theta_deg: f64) -> BinauralIr {
+        let ear = |ear| {
+            let p = plane_path_to_ear(r.boundary(), theta_deg, ear);
+            ear_arrival(
+                r,
+                r.config().ir_len,
+                p.excess,
+                p.wrap_angle,
+                p.arrival_dir,
+                1.0,
+                ear,
+            )
+        };
+        BinauralIr::new(ear(Ear::Left), ear(Ear::Right))
+    }
+
+    /// Largest absolute value.
+    pub(crate) fn peak(v: &[f64]) -> f64 {
+        v.iter().fold(0.0_f64, |m, x| m.max(x.abs()))
+    }
+
+    /// Largest `|a - b|`.
+    pub(crate) fn max_abs_diff(a: &[f64], b: &[f64]) -> f64 {
+        assert_eq!(a.len(), b.len(), "length mismatch");
+        a.iter()
+            .zip(b)
+            .fold(0.0_f64, |m, (x, y)| m.max((x - y).abs()))
+    }
+
+    /// Asserts both ears of `got` match the oracle's `want` to within
+    /// 1e-12 of the peak of each ear's response.
+    pub(crate) fn assert_close(got: &BinauralIr, want: &BinauralIr, what: &str) {
+        for (g, w) in [(&got.left, &want.left), (&got.right, &want.right)] {
+            let (err, peak) = (max_abs_diff(g, w), peak(w));
+            assert!(peak > 0.0, "{what}: silent oracle");
+            assert!(
+                err <= 1e-12 * peak,
+                "{what}: max |new - oracle| = {:e} x peak",
+                err / peak
+            );
+        }
+    }
 }
 
 #[cfg(test)]
@@ -414,5 +567,86 @@ mod tests {
             let e: f64 = ir.left.iter().map(|v| v * v).sum();
             assert!(e.is_finite() && e > 0.0, "θ={theta}: energy {e}");
         }
+    }
+
+    #[test]
+    fn arrival_matches_the_fft_oracle_across_a_dense_sweep() {
+        // Tap positions from clipped at index 0 through fully past the
+        // end, finely stepped near both edges; lit and shadowed paths;
+        // pinna responses at several local angles.
+        let pinna = PinnaModel::from_seed(100);
+        for ir_len in [512, 4096] {
+            let cfg = RenderConfig {
+                ir_len,
+                ..RenderConfig::default()
+            };
+            let need = pinna.required_len(cfg.sample_rate);
+            let pinnae: Vec<Vec<f64>> = [-1.2, 0.0, 0.7]
+                .iter()
+                .map(|&a| pinna.response(a, cfg.sample_rate, need))
+                .collect();
+            let end = ir_len as f64;
+            let delays = (0..200)
+                .map(|k| k as f64 * 0.2)
+                .chain((0..20).map(|k| 40.0 + k as f64 * (end - 110.0) / 20.0))
+                .chain((0..200).map(|k| end - 70.0 + k as f64 * 0.55));
+            for (k, delay) in delays.enumerate() {
+                let path = (delay / cfg.sample_rate - cfg.base_delay) * cfg.speed_of_sound;
+                let pinna_ir = &pinnae[k % pinnae.len()];
+                let gain = [1.0, 0.37, 2.9][k % 3];
+                for wrap in [0.0, 0.4, 2.5] {
+                    let mut got = vec![0.0; ir_len];
+                    add_arrival(&mut got, &cfg, path, wrap, gain, pinna_ir);
+                    let want = oracle::arrival_fft(ir_len, &cfg, path, wrap, gain, pinna_ir);
+                    // The scale is the peak of the whole arrival, also
+                    // where `ir_len` cuts it.
+                    let whole = oracle::arrival_fft(ir_len + 256, &cfg, path, wrap, gain, pinna_ir);
+                    let err = oracle::max_abs_diff(&got, &want) / oracle::peak(&whole);
+                    assert!(
+                        err <= 1e-12,
+                        "ir_len {ir_len} delay {delay} wrap {wrap}: {err:e} x peak"
+                    );
+                }
+            }
+        }
+    }
+
+    #[test]
+    fn renderer_matches_the_fft_oracle_for_points_and_planes() {
+        // Default base delay, and one short enough that lit-ear plane taps
+        // and shadowed taps are clipped at index 0.
+        let (mut lit, mut shadowed) = (0, 0);
+        for (ir_len, base_delay) in [(512, 0.001), (4096, 0.001), (512, 0.0003)] {
+            let cfg = RenderConfig {
+                ir_len,
+                base_delay,
+                ..RenderConfig::default()
+            };
+            let r = Renderer::new(
+                HeadBoundary::new(HeadParams::average_adult(), 1024),
+                PinnaModel::from_seed(100),
+                PinnaModel::from_seed(101),
+                cfg,
+            );
+            for k in 0..72 {
+                let theta = k as f64 * 5.0;
+                let what = format!("plane {theta} ir_len {ir_len} base {base_delay}");
+                oracle::assert_close(&r.render_plane(theta), &oracle::plane(&r, theta), &what);
+                for radius in [0.15, 0.4, 1.5] {
+                    let src = unit_from_theta(theta) * radius;
+                    let what = format!("point {theta} r {radius} ir_len {ir_len}");
+                    let got = r.render_point(src).expect("outside the head");
+                    let want = oracle::point(&r, src, ir_len).expect("outside the head");
+                    oracle::assert_close(&got, &want, &what);
+                    for ear in Ear::BOTH {
+                        match path_to_ear(r.boundary(), src, ear) {
+                            Some(p) if p.wrap_angle > 0.0 => shadowed += 1,
+                            _ => lit += 1,
+                        }
+                    }
+                }
+            }
+        }
+        assert!(lit > 100 && shadowed > 100, "lit {lit} shadowed {shadowed}");
     }
 }

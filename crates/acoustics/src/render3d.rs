@@ -6,10 +6,8 @@
 //! [`PinnaModel::response_3d`].
 
 use crate::pinna::PinnaModel;
-use crate::shadow::{group_delay_samples, shadow_fir};
+use crate::render::add_arrival;
 use crate::types::{BinauralIr, RenderConfig};
-use uniq_dsp::conv::convolve;
-use uniq_dsp::delay::add_fractional_impulse;
 use uniq_geometry::elevation::{path_to_ear_3d, Head3, Vec3};
 use uniq_geometry::Ear;
 
@@ -55,15 +53,15 @@ impl Renderer3 {
     /// Renders a point source at `src` (head frame, metres). Returns
     /// `None` when the source is inside the head.
     pub fn render_point(&self, src: Vec3) -> Option<BinauralIr> {
+        let left = path_to_ear_3d(&self.head, src, Ear::Left)?;
+        let right = path_to_ear_3d(&self.head, src, Ear::Right)?;
         let mut out = BinauralIr::zeros(self.cfg.ir_len);
-        for ear in Ear::BOTH {
-            let path = path_to_ear_3d(&self.head, src, ear)?;
+        for (ear, path, ir) in [
+            (Ear::Left, left, &mut out.left),
+            (Ear::Right, right, &mut out.right),
+        ] {
             let gain = 1.0 / path.length.max(0.05);
-            let ir = self.render_arrival(src, path.length, path.wrap_angle, gain, ear);
-            match ear {
-                Ear::Left => out.left = ir,
-                Ear::Right => out.right = ir,
-            }
+            self.add_arrival(ir, src, path.length, path.wrap_angle, gain, ear);
         }
         Some(out)
     }
@@ -73,42 +71,27 @@ impl Renderer3 {
         const FAR: f64 = 100.0;
         let src = Vec3::from_angles(theta_deg, elevation_deg).scale(FAR);
         let mut out = BinauralIr::zeros(self.cfg.ir_len);
-        for ear in Ear::BOTH {
+        for (ear, ir) in [(Ear::Left, &mut out.left), (Ear::Right, &mut out.right)] {
             // uniq-analyzer: allow(panic-safety) — the source sits 100 m out; no head model approaches that radius
             let path = path_to_ear_3d(&self.head, src, ear).expect("far source outside the head");
             let excess = path.length - FAR;
-            let ir = self.render_arrival(src, excess, path.wrap_angle, 1.0, ear);
-            match ear {
-                Ear::Left => out.left = ir,
-                Ear::Right => out.right = ir,
-            }
+            self.add_arrival(ir, src, excess, path.wrap_angle, 1.0, ear);
         }
         out
     }
 
-    fn render_arrival(
+    /// Adds one arrival into an ear IR with the pinna response for its
+    /// local azimuth and elevation (see [`add_arrival`]).
+    fn add_arrival(
         &self,
+        out: &mut [f64],
         src: Vec3,
         path_metres: f64,
         wrap_angle: f64,
         gain: f64,
         ear: Ear,
-    ) -> Vec<f64> {
+    ) {
         let cfg = &self.cfg;
-        let delay = cfg.metres_to_samples(path_metres);
-
-        let mut tap = vec![0.0; cfg.ir_len];
-        match shadow_fir(wrap_angle, cfg.shadow_kappa, cfg.shadow_f0, cfg.sample_rate) {
-            None => add_fractional_impulse(&mut tap, delay, gain),
-            Some(kernel) => {
-                let pos = delay - group_delay_samples() as f64;
-                let mut imp = vec![0.0; cfg.ir_len];
-                add_fractional_impulse(&mut imp, pos.max(0.0), gain);
-                let full = convolve(&imp, &kernel);
-                tap.copy_from_slice(&full[..cfg.ir_len]);
-            }
-        }
-
         // Local arrival angles: the horizontal component reuses the 2-D
         // convention; elevation is the ray's angle above the horizon.
         let horiz = uniq_geometry::Vec2::new(src.x, src.y);
@@ -129,14 +112,14 @@ impl Renderer3 {
             cfg.sample_rate,
             pinna.required_len(cfg.sample_rate),
         );
-        let full = convolve(&tap, &pinna_ir);
-        full[..cfg.ir_len].to_vec()
+        add_arrival(out, cfg, path_metres, wrap_angle, gain, &pinna_ir);
     }
 }
 
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::render::oracle;
     use uniq_dsp::peaks::first_tap;
 
     fn renderer() -> Renderer3 {
@@ -221,5 +204,71 @@ mod tests {
             .expect("outside the head");
         let e: f64 = ir.left.iter().map(|v| v * v).sum();
         assert!(e.is_finite() && e > 0.0);
+    }
+
+    /// The 3-D renderer with every arrival through the long-buffer FFT
+    /// oracle: `(left, right)` for a source at `src`, `excess` metres
+    /// subtracted from each path (the plane-wave reference).
+    fn oracle_render(
+        r: &Renderer3,
+        src: Vec3,
+        excess: f64,
+        gain: impl Fn(f64) -> f64,
+    ) -> BinauralIr {
+        let cfg = r.config();
+        let horiz = uniq_geometry::Vec2::new(src.x, src.y);
+        let elevation = src.z.atan2(horiz.norm());
+        let ear = |ear, pinna: &PinnaModel| {
+            let path = path_to_ear_3d(r.head(), src, ear).expect("outside the head");
+            let local_az = crate::render::local_arrival_angle(-horiz.normalized(), ear);
+            let need = pinna.required_len(cfg.sample_rate);
+            let pinna_ir = pinna.response_3d(local_az, elevation, cfg.sample_rate, need);
+            let len = path.length - excess;
+            oracle::arrival_fft(
+                cfg.ir_len,
+                cfg,
+                len,
+                path.wrap_angle,
+                gain(path.length),
+                &pinna_ir,
+            )
+        };
+        BinauralIr::new(
+            ear(Ear::Left, &r.pinna_left),
+            ear(Ear::Right, &r.pinna_right),
+        )
+    }
+
+    #[test]
+    fn renderer_matches_the_fft_oracle_for_points_and_planes() {
+        for ir_len in [512, 4096] {
+            let r = Renderer3::new(
+                Head3::average_adult(),
+                PinnaModel::from_seed(901),
+                PinnaModel::from_seed(902),
+                RenderConfig {
+                    ir_len,
+                    ..RenderConfig::default()
+                },
+            );
+            for k in 0..24 {
+                let theta = k as f64 * 15.0 + 2.5;
+                for el in [-40.0, 0.0, 35.0, 70.0] {
+                    let what = format!("plane {theta}/{el} ir_len {ir_len}");
+                    let want =
+                        oracle_render(&r, Vec3::from_angles(theta, el).scale(100.0), 100.0, |_| {
+                            1.0
+                        });
+                    oracle::assert_close(&r.render_plane(theta, el), &want, &what);
+                    for radius in [0.2, 0.6] {
+                        let src = Vec3::from_angles(theta, el).scale(radius);
+                        let what = format!("point {theta}/{el} r {radius} ir_len {ir_len}");
+                        let want = oracle_render(&r, src, 0.0, |len| 1.0 / len.max(0.05));
+                        let got = r.render_point(src).expect("outside the head");
+                        oracle::assert_close(&got, &want, &what);
+                    }
+                }
+            }
+        }
     }
 }

@@ -104,28 +104,6 @@ impl BinauralIr {
             peak_normalized_xcorr(&self.right, &other.right),
         )
     }
-
-    /// Element-wise scale of both ears (gain staging).
-    pub fn scaled(&self, gain: f64) -> BinauralIr {
-        BinauralIr {
-            left: self.left.iter().map(|v| v * gain).collect(),
-            right: self.right.iter().map(|v| v * gain).collect(),
-        }
-    }
-
-    /// Accumulates `other` into `self` (mixing renderer paths).
-    ///
-    /// # Panics
-    /// Panics on length mismatch.
-    pub fn add_assign(&mut self, other: &BinauralIr) {
-        assert_eq!(self.len(), other.len(), "cannot mix IRs of unequal length");
-        for (a, b) in self.left.iter_mut().zip(&other.left) {
-            *a += b;
-        }
-        for (a, b) in self.right.iter_mut().zip(&other.right) {
-            *a += b;
-        }
-    }
 }
 
 /// A bank of HRIRs indexed by polar angle (degrees, paper convention).
@@ -265,13 +243,6 @@ mod tests {
         let (l, r) = b.similarity(&b);
         assert!((l - 1.0).abs() < 1e-9);
         assert!((r - 1.0).abs() < 1e-9);
-    }
-
-    #[test]
-    fn add_assign_mixes() {
-        let mut a = ir(1.0, 4);
-        a.add_assign(&ir(0.5, 4));
-        assert_eq!(a.left, vec![1.5; 4]);
     }
 
     #[test]

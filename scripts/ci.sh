@@ -31,6 +31,20 @@ echo "== benchmark package (build + unit tests) =="
 # change in a layer crate cannot break it unnoticed.
 cargo test --release --offline -q --manifest-path examples/benchmark/Cargo.toml
 
+echo "== benchmark correctness smoke (personalize-paper, aoa-render) =="
+# A numerics change can break the benchmark's own quality gates
+# (personalized beats the template, localization under 8°) while every
+# unit test passes: run the two user-facing workloads briefly and require
+# the closing JSON line to report "correct":true.
+for workload in personalize-paper aoa-render; do
+  last=$(cargo run --release --offline -q --manifest-path examples/benchmark/Cargo.toml -- \
+    --workload "$workload" --seed 1 --seconds 1 --trace 0 | tail -n 1)
+  case "$last" in
+    *'"correct":true'*) echo "$workload: correct" ;;
+    *) echo "benchmark $workload failed its correctness gate: $last" >&2; exit 1 ;;
+  esac
+done
+
 echo "== release build (profiling + baseline gate binaries) =="
 cargo build --release -q -p uniq-cli -p uniq-bench
 

@@ -17,7 +17,7 @@ use uniq_subjects::Subject;
 const GOLDEN_LEN: usize = 213_628;
 
 /// Pinned content key (FNV-1a 64 of the encoded bytes, lowercase hex).
-const GOLDEN_KEY: &str = "90e85c24c918c227";
+const GOLDEN_KEY: &str = "8e9e839ee8ce9f74";
 
 fn golden_bytes() -> Vec<u8> {
     let path = Path::new(env!("CARGO_MANIFEST_DIR")).join("tests/data/seed6.uhrtf");
