@@ -11,8 +11,8 @@ use crate::lexer::TokenKind;
 use crate::source::SourceFile;
 use std::collections::BTreeMap;
 
-/// The observability plane (`obs`, its sink consumers
-/// `profile`/`telemetry`, and the allocation profiler `memprof`),
+/// The observability plane (`obs`, its registry and trace reader
+/// `profile`, and the allocation profiler `memprof`),
 /// audited by design and one-directional —
 /// events flow in, reports flow out-of-band — so two interprocedural
 /// rules treat it specially: its clock/env/hash-order reads do not seed
@@ -22,7 +22,7 @@ use std::collections::BTreeMap;
 /// installed, paid per *event*, not per sample). The line-local rules
 /// still bar result crates from touching these APIs directly, and the
 /// observability crates carry their own bit-identity tests.
-pub const OBSERVABILITY_CRATES: &[&str] = &["obs", "profile", "telemetry", "memprof"];
+pub const OBSERVABILITY_CRATES: &[&str] = &["obs", "profile", "memprof"];
 
 /// Crates whose mutexes participate in the lock-order analysis. The
 /// pool's own synchronization (`par`) is the audited domain of the one

@@ -1,22 +1,27 @@
-//! Benchmark baselines: a pinned, deterministic workload matrix whose
-//! performance *and* quality numbers are checked into the repo as
-//! `BENCH_BASELINE.json`, plus the comparator that turns a fresh run
-//! into a CI verdict.
+//! Benchmark baselines and the one regression gate: a pinned,
+//! deterministic workload matrix whose performance *and* quality numbers
+//! are checked into the repo as `BENCH_BASELINE.json`, plus the
+//! comparator that judges a fresh run against a reference set — the
+//! blessed document, the run ledger's same-label history
+//! ([`crate::ledger`]), or both.
 //!
 //! The contract (enforced by `scripts/ci.sh` via the `baseline` binary):
 //!
-//! - **Quality drift is a hard failure.** Localization medians, AoA
-//!   error, HRIR similarity, and the batch output fingerprints are pure
-//!   functions of the pinned seeds; any relative drift beyond
-//!   [`DEFAULT_QUALITY_TOL`] (fingerprints: any drift at all) exits
-//!   non-zero.
-//! - **Performance drift is a warning** unless `--strict`: wall-clock
-//!   numbers depend on the machine, so the default tolerance
-//!   ([`DEFAULT_PERF_TOL`]) is generous and advisory.
+//! - **Hard tier.** Quality numbers (localization medians, AoA error,
+//!   HRIR similarity) must sit within [`QUALITY_TOL`] of every reference;
+//!   fingerprints, flags, work counters, allocation counts and serve
+//!   counts must equal every reference exactly. All of them are pure
+//!   functions of the pinned seeds.
+//! - **Warn tier** (fatal only under `--strict`): timings must sit within
+//!   `max(PERF_TOL·median, 4·MAD)` of the references' median — for a
+//!   single reference, within [`PERF_TOL`] of it. Wall clock depends on
+//!   the machine, so latency is judged from several samples or through
+//!   the deterministic work counters behind it, never fatally from one.
 //!
 //! Refresh the checked-in file after an intentional change with
 //! `cargo run --release -p uniq-bench --bin baseline -- bless`.
 
+use std::collections::{BTreeMap, BTreeSet};
 use std::sync::Arc;
 use uniq_core::batch::{hrtf_fingerprint, personalize_batch, BatchOutcome};
 use uniq_core::config::UniqConfig;
@@ -29,19 +34,21 @@ use uniq_profile::json::Json;
 use uniq_profile::ProfileSink;
 use uniq_subjects::Subject;
 
-/// Schema stamp on `BENCH_BASELINE.json` (bump on shape changes).
-/// v2 added the `alloc` section (per-stage allocation gates); v3 the
-/// `serve` section (server response-fingerprint and admission gates).
-pub const BASELINE_SCHEMA_VERSION: u64 = 3;
+/// Schema stamp on `BENCH_BASELINE.json` and every ledger run document
+/// (bump on shape changes). v2 added the `alloc` section (per-stage
+/// allocation gates), v3 the `serve` section (server response-fingerprint
+/// and admission gates), v4 the `counters` section (work counters gated
+/// exactly and across pool sizes).
+pub const BASELINE_SCHEMA_VERSION: u64 = 4;
 
-/// Default relative tolerance for quality numbers: tight, because they
-/// are deterministic functions of the seeds — the slack only absorbs
+/// Relative tolerance for quality numbers: tight, because they are
+/// deterministic functions of the seeds — the slack only absorbs
 /// float-environment differences, not behavior changes.
-pub const DEFAULT_QUALITY_TOL: f64 = 0.02;
+pub const QUALITY_TOL: f64 = 0.02;
 
-/// Default relative tolerance for performance numbers: wall time varies
-/// with the machine and its load, so only call out large swings.
-pub const DEFAULT_PERF_TOL: f64 = 0.5;
+/// Relative tolerance for timings: wall time varies with the machine and
+/// its load, so only call out large swings.
+pub const PERF_TOL: f64 = 0.5;
 
 /// The checked-in baseline file, relative to the workspace root.
 pub const BASELINE_FILE: &str = "BENCH_BASELINE.json";
@@ -275,18 +282,93 @@ pub fn alloc_invariant(a: &uniq_memprof::AllocSnapshot, b: &uniq_memprof::AllocS
             .all(|((ka, sa), (kb, sb))| ka == kb && sa.allocs == sb.allocs && sa.bytes == sb.bytes)
 }
 
-/// Renders the baseline document's `alloc` section from the snapshots
-/// measured at each of `spec.alloc_threads` (first snapshot provides the
-/// recorded numbers; `thread_invariant` reports the in-run cross-thread
-/// hard gate).
-fn alloc_section_json(
+/// The sections of a run document, in rendering order.
+const SECTIONS: [&str; 6] = ["meta", "quality", "perf", "counters", "alloc", "serve"];
+
+/// A run document under construction: the one schema behind
+/// `BENCH_BASELINE.json`, `baseline run` output and every ledger line.
+/// Writers fill the sections they have; members keep insertion order
+/// within a section, and sections render in [`SECTIONS`] order.
+#[derive(Debug, Clone, Default)]
+pub struct RunDoc {
+    sections: Vec<(&'static str, Vec<(String, String)>)>,
+}
+
+impl RunDoc {
+    /// Adds `key` with the already-rendered JSON `value` to `section`
+    /// (one of [`SECTIONS`]).
+    pub fn raw(
+        &mut self,
+        section: &'static str,
+        key: impl Into<String>,
+        value: impl Into<String>,
+    ) -> &mut Self {
+        assert!(
+            SECTIONS.contains(&section),
+            "unknown run-document section {section:?}"
+        );
+        let i = match self.sections.iter().position(|(s, _)| *s == section) {
+            Some(i) => i,
+            None => {
+                self.sections.push((section, Vec::new()));
+                self.sections.len() - 1
+            }
+        };
+        self.sections[i].1.push((key.into(), value.into()));
+        self
+    }
+
+    /// Adds a number to `section`.
+    pub fn num(&mut self, section: &'static str, key: impl Into<String>, value: f64) -> &mut Self {
+        self.raw(section, key, json_number(value))
+    }
+
+    /// Adds a string to `section`.
+    pub fn text(
+        &mut self,
+        section: &'static str,
+        key: impl Into<String>,
+        value: &str,
+    ) -> &mut Self {
+        self.raw(section, key, format!("\"{}\"", json_escape(value)))
+    }
+
+    /// Renders the document, one member per line.
+    pub fn render(&self) -> String {
+        let mut out = format!("{{\n  \"schema_version\": {BASELINE_SCHEMA_VERSION}");
+        for name in SECTIONS {
+            let Some((_, members)) = self.sections.iter().find(|(s, _)| *s == name) else {
+                continue;
+            };
+            let body: Vec<String> = members
+                .iter()
+                .map(|(k, v)| format!("    \"{}\": {v}", json_escape(k)))
+                .collect();
+            out.push_str(&format!(",\n  \"{name}\": {{\n{}\n  }}", body.join(",\n")));
+        }
+        out.push_str("\n}\n");
+        out
+    }
+}
+
+/// `[1, 4]` for a list of pool sizes.
+fn int_list(values: &[usize]) -> String {
+    let items: Vec<String> = values.iter().map(usize::to_string).collect();
+    format!("[{}]", items.join(", "))
+}
+
+/// Adds the `alloc` section from the snapshots measured at each of
+/// `spec.alloc_threads` (the first snapshot provides the recorded
+/// numbers; `thread_invariant` reports the in-run cross-thread hard gate).
+fn add_alloc_section(
+    doc: &mut RunDoc,
     spec: &BaselineSpec,
     snaps: &[(usize, uniq_memprof::AllocSnapshot)],
     invariant: bool,
-) -> String {
+) {
     let first = &snaps[0].1;
     let total = first.total();
-    let stages = first
+    let stages: Vec<String> = first
         .stages
         .iter()
         .map(|(name, s)| {
@@ -298,32 +380,26 @@ fn alloc_section_json(
                 s.peak_live_bytes
             )
         })
-        .collect::<Vec<_>>()
-        .join(", ");
-    format!(
-        "{{\n    \"thread_counts\": [{}],\n    \"thread_invariant\": {},\n    \
-         \"total_allocs\": {},\n    \"total_bytes\": {},\n    \"peak_live_bytes\": {},\n    \
-         \"stages\": [{}]\n  }}",
-        spec.alloc_threads
-            .iter()
-            .map(usize::to_string)
-            .collect::<Vec<_>>()
-            .join(", "),
-        invariant,
-        total.allocs,
-        total.bytes,
-        first.peak_live_bytes,
-        stages,
-    )
+        .collect();
+    doc.raw("alloc", "thread_counts", int_list(&spec.alloc_threads))
+        .raw("alloc", "thread_invariant", invariant.to_string())
+        .raw("alloc", "total_allocs", total.allocs.to_string())
+        .raw("alloc", "total_bytes", total.bytes.to_string())
+        .raw(
+            "alloc",
+            "peak_live_bytes",
+            first.peak_live_bytes.to_string(),
+        )
+        .raw("alloc", "stages", format!("[{}]", stages.join(", ")));
 }
 
 /// Runs the pinned serve workload — an in-process sharded server over a
 /// scratch result store, driven by the deterministic closed-loop load
 /// generator at repeat ratio 1.0 (every subject requested twice, so the
-/// second hit of each is a store lookup) — and renders the document's
-/// `serve` section. Fingerprint, request, cache-hit, and shed counts are
-/// exact functions of the spec; throughput and latency are wall clock.
-fn serve_section_json(spec: &BaselineSpec) -> String {
+/// second hit of each is a store lookup) — and adds the `serve` section.
+/// Fingerprint, request, cache-hit, and shed counts are exact functions
+/// of the spec; throughput and latency are wall clock.
+fn add_serve_section(doc: &mut RunDoc, spec: &BaselineSpec) {
     use std::sync::atomic::{AtomicU64, Ordering};
     // Unique per call: the quick test runs two baselines in one process
     // and each must start from a cold store.
@@ -364,114 +440,112 @@ fn serve_section_json(spec: &BaselineSpec) -> String {
         uniq_serve::fold_fingerprints(&report.fingerprints),
         "server and load generator disagree on the population fingerprint"
     );
-    format!(
-        "{{\n    \"shards\": {},\n    \"subjects\": {},\n    \
-         \"fingerprint\": \"{:#018x}\",\n    \"requests\": {},\n    \
-         \"cache_hits\": {},\n    \"shed\": {},\n    \
-         \"subjects_per_second\": {},\n    \"p50_ms\": {},\n    \"p99_ms\": {}\n  }}",
-        spec.serve_shards,
-        spec.serve_subjects,
-        fingerprint,
-        drain.stats.requests,
-        drain.stats.cache_hits,
-        drain.stats.shed,
-        json_number(report.subjects_per_second),
-        json_number(report.p50_ms),
-        json_number(report.p99_ms),
-    )
+    doc.raw("serve", "shards", spec.serve_shards.to_string())
+        .raw("serve", "subjects", spec.serve_subjects.to_string())
+        .text("serve", "fingerprint", &format!("{fingerprint:#018x}"))
+        .raw("serve", "requests", drain.stats.requests.to_string())
+        .raw("serve", "cache_hits", drain.stats.cache_hits.to_string())
+        .raw("serve", "shed", drain.stats.shed.to_string())
+        .num("serve", "subjects_per_second", report.subjects_per_second)
+        .num("serve", "p50_ms", report.p50_ms)
+        .num("serve", "p99_ms", report.p99_ms);
 }
 
 /// Runs the workload matrix and renders the baseline document. Quality
-/// numbers are pure functions of the spec's seeds; perf numbers are
-/// wall-clock measurements of this machine. The `alloc` section appears
-/// only when the `uniq-memprof` counting allocator is installed (the
-/// `baseline` and `uniq` binaries install it; in-process test harnesses
-/// usually do not).
+/// numbers and work counters are pure functions of the spec's seeds;
+/// perf numbers are wall-clock measurements of this machine. The `alloc`
+/// section appears only when the `uniq-memprof` counting allocator is
+/// installed (the `baseline` and `uniq` binaries install it; in-process
+/// test harnesses usually do not).
 pub fn run_baseline(spec: &BaselineSpec) -> String {
-    let mut quality: Vec<(String, String)> = Vec::new();
-    let mut perf: Vec<(String, String)> = Vec::new();
+    let mut doc = RunDoc::default();
+    doc.raw("meta", "seed", spec.seed.to_string())
+        .raw("meta", "batch_subjects", spec.batch_subjects.to_string())
+        .raw("meta", "thread_counts", int_list(&spec.thread_counts))
+        .num("meta", "grid_step_deg", spec.grid_step_deg)
+        .num("meta", "snr_db", spec.snr_db)
+        .text("meta", "build", &crate::build_id());
 
-    // --- personalize at each pool size, the first under the profiler.
+    // --- personalize at each pool size, each under the profiler: the
+    // first run's stage timings and every run's work counters are kept.
     let subject = Subject::from_seed(spec.seed);
     let mut first_result: Option<PersonalizationResult> = None;
-    let mut stages_json = String::from("[]");
+    let mut stages_json: Option<String> = None;
     let mut fingerprints = Vec::new();
+    let mut counters: Vec<BTreeMap<String, u64>> = Vec::new();
     // One unmeasured warm-up run. The stage timings below are single
     // samples, and a process's first run pays one-time costs (page
     // faults, lazy initialization) as large as its shorter stages, which
-    // the run-ledger gate would read as latency swings.
+    // the gate's warn tier would report as latency swings.
     if let Some(&threads) = spec.thread_counts.first() {
         personalize_with_retry(&subject, &spec.config(threads), spec.seed, 3)
             .expect("baseline warm-up personalize failed");
     }
-    for (i, &threads) in spec.thread_counts.iter().enumerate() {
+    for &threads in &spec.thread_counts {
         let cfg = spec.config(threads);
+        let profile = Arc::new(ProfileSink::new());
         let sw = Stopwatch::start();
-        let result = if i == 0 {
-            let profile = Arc::new(ProfileSink::new());
-            let result = uniq_obs::with_sink(profile.clone(), || {
-                personalize_with_retry(&subject, &cfg, spec.seed, 3)
-            })
-            .expect("baseline personalize failed");
-            let report = profile.report();
-            stages_json = format!(
-                "[{}]",
-                report
-                    .stages
-                    .iter()
-                    .map(|s| format!(
+        let result = uniq_obs::with_sink(profile.clone(), || {
+            personalize_with_retry(&subject, &cfg, spec.seed, 3)
+        })
+        .expect("baseline personalize failed");
+        doc.num(
+            "perf",
+            format!("personalize_seconds_t{threads}"),
+            sw.elapsed_seconds(),
+        );
+        let report = profile.report();
+        stages_json.get_or_insert_with(|| {
+            let rows: Vec<String> = report
+                .stages
+                .iter()
+                .map(|s| {
+                    format!(
                         "{{\"name\": \"{}\", \"count\": {}, \"p50_ns\": {}, \"p99_ns\": {}}}",
                         json_escape(&s.name),
                         s.count,
                         s.p50_nanos,
                         s.p99_nanos
-                    ))
-                    .collect::<Vec<_>>()
-                    .join(", ")
-            );
-            result
-        } else {
-            personalize_with_retry(&subject, &cfg, spec.seed, 3)
-                .expect("baseline personalize failed")
-        };
-        perf.push((
-            format!("personalize_seconds_t{threads}"),
-            json_number(sw.elapsed_seconds()),
-        ));
+                    )
+                })
+                .collect();
+            format!("[{}]", rows.join(", "))
+        });
+        counters.push(report.counters);
         fingerprints.push(result_fingerprint(spec.seed, &result));
-        if first_result.is_none() {
-            first_result = Some(result);
-        }
+        first_result.get_or_insert(result);
     }
     // uniq-analyzer: allow(panic-safety) — thread_counts is never empty, so the loop above ran at least once
     let result = first_result.expect("at least one thread count");
     let deterministic = fingerprints.iter().all(|&f| f == fingerprints[0]);
-    quality.push((
-        "personalize_fingerprint".into(),
-        format!("\"{:#018x}\"", fingerprints[0]),
-    ));
-    quality.push((
-        "personalize_thread_invariant".into(),
-        deterministic.to_string(),
-    ));
-
     let (loc_median, loc_p90) = median_localization_error(&result);
-    quality.push(("localization_median_deg".into(), json_number(loc_median)));
-    quality.push(("localization_p90_deg".into(), json_number(loc_p90)));
-    quality.push((
-        "fusion_mean_residual_deg".into(),
-        json_number(result.fusion.mean_residual_deg),
-    ));
-    quality.push(("radius_m".into(), json_number(result.radius_m)));
-    quality.push(("attempts".into(), result.attempts.to_string()));
-
     let cfg_eval = spec.config(1);
     let aoa = aoa_errors(&result, spec, &cfg_eval);
-    quality.push(("aoa_known_median_deg".into(), json_number(median(&aoa))));
-    quality.push((
-        "hrir_similarity_mean".into(),
-        json_number(hrir_similarity(&subject, &result, spec, &cfg_eval)),
-    ));
+    doc.text(
+        "quality",
+        "personalize_fingerprint",
+        &format!("{:#018x}", fingerprints[0]),
+    )
+    .raw(
+        "quality",
+        "personalize_thread_invariant",
+        deterministic.to_string(),
+    )
+    .num("quality", "localization_median_deg", loc_median)
+    .num("quality", "localization_p90_deg", loc_p90)
+    .num(
+        "quality",
+        "fusion_mean_residual_deg",
+        result.fusion.mean_residual_deg,
+    )
+    .num("quality", "radius_m", result.radius_m)
+    .raw("quality", "attempts", result.attempts.to_string())
+    .num("quality", "aoa_known_median_deg", median(&aoa))
+    .num(
+        "quality",
+        "hrir_similarity_mean",
+        hrir_similarity(&subject, &result, spec, &cfg_eval),
+    );
 
     // --- batch throughput and output fingerprint per pool size.
     let seeds: Vec<u64> = (0..spec.batch_subjects)
@@ -482,71 +556,50 @@ pub fn run_baseline(spec: &BaselineSpec) -> String {
         let sw = Stopwatch::start();
         let outcomes = personalize_batch(&seeds, &batch_cfg, threads, 3);
         let secs = sw.elapsed_seconds();
-        perf.push((
+        doc.num(
+            "perf",
             format!("batch_subjects_per_second_t{threads}"),
-            json_number(outcomes.len() as f64 / secs.max(1e-12)),
-        ));
-        quality.push((
+            outcomes.len() as f64 / secs.max(1e-12),
+        )
+        .text(
+            "quality",
             format!("batch_fingerprint_t{threads}"),
-            format!("\"{:#018x}\"", hrtf_fingerprint(&outcomes)),
-        ));
+            &format!("{:#018x}", hrtf_fingerprint(&outcomes)),
+        );
+    }
+    doc.raw("perf", "stages", stages_json.unwrap_or_else(|| "[]".into()));
+
+    // --- work counters: pure functions of the workload, so every pool
+    // size must report the same totals (the latency gate that does not
+    // depend on the machine).
+    let invariant = counters.iter().all(|c| *c == counters[0]);
+    doc.raw("counters", "thread_counts", int_list(&spec.thread_counts))
+        .raw("counters", "thread_invariant", invariant.to_string());
+    for (name, total) in &counters[0] {
+        doc.raw("counters", name.clone(), total.to_string());
     }
 
     // --- allocation profile, measured at each alloc thread count. Gated
     // on the counting allocator actually being installed: without it the
     // snapshots would be all-zero and the gate meaningless.
-    let alloc_section = if uniq_memprof::installed() {
+    if uniq_memprof::installed() {
         let (snaps, invariant) = alloc_profile_matrix(spec);
-        format!(
-            ",\n  \"alloc\": {}",
-            alloc_section_json(spec, &snaps, invariant)
-        )
-    } else {
-        String::new()
-    };
+        add_alloc_section(&mut doc, spec, &snaps, invariant);
+    }
 
     // --- the serve workload: sharded server + closed-loop load over a
-    // scratch store (see serve_section_json).
-    let serve_section = serve_section_json(spec);
-
-    let fields = |pairs: &[(String, String)]| {
-        pairs
-            .iter()
-            .map(|(k, v)| format!("    \"{}\": {}", json_escape(k), v))
-            .collect::<Vec<_>>()
-            .join(",\n")
-    };
-    format!(
-        "{{\n  \"schema_version\": {BASELINE_SCHEMA_VERSION},\n  \"meta\": {{\n    \
-         \"seed\": {},\n    \"batch_subjects\": {},\n    \"thread_counts\": [{}],\n    \
-         \"grid_step_deg\": {},\n    \"snr_db\": {},\n    \"build\": \"{}\"\n  }},\n  \
-         \"quality\": {{\n{}\n  }},\n  \"perf\": {{\n{},\n    \"stages\": {}\n  }}{},\n  \
-         \"serve\": {}\n}}\n",
-        spec.seed,
-        spec.batch_subjects,
-        spec.thread_counts
-            .iter()
-            .map(usize::to_string)
-            .collect::<Vec<_>>()
-            .join(", "),
-        json_number(spec.grid_step_deg),
-        json_number(spec.snr_db),
-        json_escape(&crate::build_id()),
-        fields(&quality),
-        fields(&perf),
-        stages_json,
-        alloc_section,
-        serve_section,
-    )
+    // scratch store (see add_serve_section).
+    add_serve_section(&mut doc, spec);
+    doc.render()
 }
 
-/// The comparator's verdict: hard failures (quality) and advisory
-/// warnings (performance).
+/// The gate's verdict: hard failures and advisory warnings.
 #[derive(Debug, Default, Clone, PartialEq, Eq)]
 pub struct CompareReport {
-    /// Quality regressions — any entry fails CI.
+    /// Hard-tier findings (quality, fingerprints, counts) — any entry
+    /// fails CI.
     pub quality_failures: Vec<String>,
-    /// Performance swings — advisory unless `--strict`.
+    /// Warn-tier findings (timings) — advisory unless `--strict`.
     pub perf_warnings: Vec<String>,
 }
 
@@ -557,278 +610,195 @@ impl CompareReport {
     }
 }
 
+/// One document a fresh run is judged against, named in findings.
+#[derive(Debug, Clone, PartialEq)]
+pub struct Reference {
+    /// Where the document came from (a file name, a ledger line).
+    pub name: String,
+    /// The run document.
+    pub doc: Json,
+}
+
+/// How the gate judges one leaf of a run document.
+#[derive(Debug, Clone, Copy, PartialEq, Eq)]
+enum Band {
+    /// Hard: equal to every reference.
+    Exact,
+    /// Hard: within [`QUALITY_TOL`] of every reference.
+    Quality,
+    /// Warn: within `max(PERF_TOL·median, 4·MAD)` of the references'
+    /// median, either direction.
+    Timing,
+    /// Warn: like `Timing`, growth only (peak live heap overlap is
+    /// scheduling-dependent; shrinking is never a finding).
+    Growth,
+    /// Not judged: run metadata, stage span counts, per-stage peaks.
+    Ignored,
+}
+
+/// The band of the leaf at `path` (`section.key[.row.field]`), given a
+/// reference value for it.
+fn band(path: &str, value: &Json) -> Band {
+    let (section, key) = path.split_once('.').unwrap_or((path, ""));
+    let timing_stage_field = key.ends_with(".p50_ns") || key.ends_with(".p99_ns");
+    match section {
+        "quality" if matches!(value, Json::Num(_)) => Band::Quality,
+        "quality" | "counters" => Band::Exact,
+        "perf" if key.starts_with("stages.") && !timing_stage_field => Band::Ignored,
+        "perf" => Band::Timing,
+        "alloc" if key == "peak_live_bytes" => Band::Growth,
+        "alloc" if key.ends_with(".peak_live_bytes") => Band::Ignored,
+        "serve" if matches!(key, "subjects_per_second" | "p50_ms" | "p99_ms") => Band::Timing,
+        "alloc" | "serve" => Band::Exact,
+        _ => Band::Ignored,
+    }
+}
+
+/// A document's sections flattened to `section.key` leaves; the rows of
+/// a `stages` array are keyed by their name (`perf.stages.fusion.p50_ns`).
+fn leaves(doc: &Json) -> BTreeMap<String, &Json> {
+    let mut out = BTreeMap::new();
+    for (section, body) in doc.as_object().unwrap_or(&[]) {
+        for (key, value) in body.as_object().unwrap_or(&[]) {
+            let path = format!("{section}.{key}");
+            match value.as_array() {
+                Some(rows) if key == "stages" => {
+                    for row in rows {
+                        let Some(name) = row.get("name").and_then(Json::as_str) else {
+                            continue;
+                        };
+                        for (field, v) in row.as_object().unwrap_or(&[]) {
+                            if field != "name" {
+                                out.insert(format!("{path}.{name}.{field}"), v);
+                            }
+                        }
+                    }
+                }
+                _ => {
+                    out.insert(path, value);
+                }
+            }
+        }
+    }
+    out
+}
+
 fn rel_diff(a: f64, b: f64) -> f64 {
     (a - b).abs() / a.abs().max(b.abs()).max(1e-12)
 }
 
-/// Compares every `section` member of `fresh` against `baseline`:
-/// numbers by relative difference against `tol`, everything else
-/// (strings, booleans) exactly. Missing members are always findings.
-fn compare_section(
-    baseline: &Json,
-    fresh: &Json,
-    section: &str,
-    tol: f64,
-    findings: &mut Vec<String>,
-) {
-    let Some(members) = baseline.as_object() else {
-        findings.push(format!("baseline {section} is not an object"));
-        return;
-    };
-    for (key, expected) in members {
-        if key == "stages" {
-            continue; // handled by compare_stages
+/// Judges a fresh run document against a reference set — the blessed
+/// document, same-label ledger history, or both — under the module's
+/// two-tier contract. Every leaf a reference carries is judged; a leaf
+/// (or a whole section) the fresh run lacks is a hard failure. Returns
+/// `Err` only for structural problems (no reference, schema mismatch).
+pub fn compare(fresh: &Json, references: &[Reference]) -> Result<CompareReport, String> {
+    if references.is_empty() {
+        return Err("no reference document to judge against".into());
+    }
+    let version = |doc: &Json| doc.get("schema_version").and_then(Json::as_u64);
+    let fresh_version = version(fresh).ok_or("fresh document has no schema_version")?;
+    for r in references {
+        match version(&r.doc) {
+            Some(v) if v == fresh_version => {}
+            Some(v) => {
+                return Err(format!(
+                    "schema mismatch: {} is v{v}, the fresh run v{fresh_version}",
+                    r.name
+                ))
+            }
+            None => return Err(format!("{} has no schema_version", r.name)),
         }
-        let Some(got) = fresh.get(key) else {
-            findings.push(format!("{section}.{key}: missing from fresh run"));
+    }
+    let got = leaves(fresh);
+    let refs: Vec<(&str, BTreeMap<String, &Json>)> = references
+        .iter()
+        .map(|r| (r.name.as_str(), leaves(&r.doc)))
+        .collect();
+    let mut report = CompareReport::default();
+    // A run that reports thread variance fails whatever the references say.
+    for (path, value) in &got {
+        if path.ends_with("thread_invariant") && **value == Json::Bool(false) {
+            report.quality_failures.push(format!(
+                "{path}: the fresh run varies with the thread count"
+            ));
+        }
+    }
+    let paths: BTreeSet<&String> = refs.iter().flat_map(|(_, l)| l.keys()).collect();
+    let mut missing_sections = BTreeSet::new();
+    for path in paths {
+        let samples: Vec<(&str, &Json)> = refs
+            .iter()
+            .filter_map(|(name, l)| l.get(path).map(|v| (*name, *v)))
+            .collect();
+        let band = band(path, samples[0].1);
+        if band == Band::Ignored {
+            continue;
+        }
+        let Some(&value) = got.get(path) else {
+            let section = path.split('.').next().unwrap_or(path);
+            if fresh.get(section).is_some() {
+                report
+                    .quality_failures
+                    .push(format!("{path}: missing from fresh run"));
+            } else if missing_sections.insert(section) {
+                report
+                    .quality_failures
+                    .push(format!("{section}: section missing from fresh run"));
+            }
             continue;
         };
-        match (expected, got) {
-            (Json::Num(e), Json::Num(g)) => {
-                let d = rel_diff(*e, *g);
-                if d > tol {
-                    findings.push(format!(
-                        "{section}.{key}: baseline {e} vs fresh {g} (relative diff {d:.3} > {tol})"
+        match (band, value) {
+            (Band::Timing | Band::Growth, Json::Num(v)) => {
+                let past: Vec<f64> = samples.iter().filter_map(|(_, e)| e.as_f64()).collect();
+                let med = median(&past);
+                let deviations: Vec<f64> = past.iter().map(|x| (x - med).abs()).collect();
+                let threshold = (PERF_TOL * med.abs()).max(4.0 * median(&deviations));
+                let off = if band == Band::Growth {
+                    v - med
+                } else {
+                    (v - med).abs()
+                };
+                if off > threshold {
+                    report.perf_warnings.push(format!(
+                        "{path}: fresh {v} vs median {med} of {} reference(s) \
+                         (threshold {threshold:.6})",
+                        past.len()
                     ));
                 }
             }
-            (e, g) if e == g => {}
-            (e, g) => findings.push(format!("{section}.{key}: baseline {e:?} vs fresh {g:?}")),
-        }
-    }
-}
-
-fn compare_stages(baseline: &Json, fresh: &Json, tol: f64, report: &mut CompareReport) {
-    let base_stages = baseline
-        .get("stages")
-        .and_then(Json::as_array)
-        .unwrap_or(&[]);
-    let fresh_stages = fresh.get("stages").and_then(Json::as_array).unwrap_or(&[]);
-    for stage in base_stages {
-        let Some(name) = stage.get("name").and_then(Json::as_str) else {
-            continue;
-        };
-        let Some(other) = fresh_stages
-            .iter()
-            .find(|s| s.get("name").and_then(Json::as_str) == Some(name))
-        else {
-            // A stage that vanished is an instrumentation regression,
-            // not a timing swing.
-            report
-                .quality_failures
-                .push(format!("perf.stages.{name}: missing from fresh run"));
-            continue;
-        };
-        for field in ["p50_ns", "p99_ns"] {
-            let (Some(e), Some(g)) = (
-                stage.get(field).and_then(Json::as_f64),
-                other.get(field).and_then(Json::as_f64),
-            ) else {
-                continue;
-            };
-            let d = rel_diff(e, g);
-            if d > tol {
-                report.perf_warnings.push(format!(
-                    "perf.stages.{name}.{field}: baseline {e} vs fresh {g} \
-                     (relative diff {d:.3} > {tol})"
-                ));
+            _ => {
+                let disagrees = samples.iter().find(|(_, e)| match (band, e, value) {
+                    (Band::Quality, Json::Num(e), Json::Num(g)) => rel_diff(*e, *g) > QUALITY_TOL,
+                    _ => *e != value,
+                });
+                if let Some((name, expected)) = disagrees {
+                    report.quality_failures.push(match (expected, value) {
+                        (Json::Num(e), Json::Num(g)) => format!(
+                            "{path}: fresh {g} vs {e} in {name} (relative diff {:.3})",
+                            rel_diff(*e, *g)
+                        ),
+                        (e, g) => format!("{path}: fresh {g:?} vs {e:?} in {name}"),
+                    });
+                }
             }
         }
     }
-}
-
-/// The two-tier memory gate over the documents' `alloc` sections:
-///
-/// - **Hard** (quality failures): per-stage and total alloc count/bytes
-///   must match *bit-identically* — they are pure functions of the
-///   workload — and `thread_invariant` must hold in the fresh run. A
-///   baseline with an alloc section also demands one from the fresh run.
-/// - **Warn** (perf warnings, promoted by `--strict`): peak-live growth
-///   beyond `perf_tol` — peak overlap is scheduling-dependent, so only
-///   growth is flagged and only as advisory.
-///
-/// A baseline without an alloc section skips the gate entirely (documents
-/// produced without the counting allocator installed).
-fn compare_alloc(baseline: &Json, fresh: &Json, perf_tol: f64, report: &mut CompareReport) {
-    let Some(base) = baseline.get("alloc") else {
-        return;
-    };
-    let Some(got) = fresh.get("alloc") else {
-        report.quality_failures.push(
-            "alloc: section missing from fresh run (counting allocator not installed?)".into(),
-        );
-        return;
-    };
-    if got.get("thread_invariant") != Some(&Json::Bool(true)) {
-        report.quality_failures.push(
-            "alloc.thread_invariant: fresh run's per-stage allocations vary with the thread count"
-                .into(),
-        );
-    }
-    for key in ["total_allocs", "total_bytes"] {
-        let (e, g) = (
-            base.get(key).and_then(Json::as_u64),
-            got.get(key).and_then(Json::as_u64),
-        );
-        if e != g {
-            report
-                .quality_failures
-                .push(format!("alloc.{key}: baseline {e:?} vs fresh {g:?}"));
-        }
-    }
-    let base_stages = base.get("stages").and_then(Json::as_array).unwrap_or(&[]);
-    let fresh_stages = got.get("stages").and_then(Json::as_array).unwrap_or(&[]);
-    for stage in base_stages {
-        let Some(name) = stage.get("name").and_then(Json::as_str) else {
-            continue;
-        };
-        let Some(other) = fresh_stages
-            .iter()
-            .find(|s| s.get("name").and_then(Json::as_str) == Some(name))
-        else {
-            report
-                .quality_failures
-                .push(format!("alloc.stages.{name}: missing from fresh run"));
-            continue;
-        };
-        for field in ["allocs", "bytes"] {
-            let (e, g) = (
-                stage.get(field).and_then(Json::as_u64),
-                other.get(field).and_then(Json::as_u64),
-            );
-            if e != g {
-                report.quality_failures.push(format!(
-                    "alloc.stages.{name}.{field}: baseline {e:?} vs fresh {g:?}"
-                ));
-            }
-        }
-    }
-    if let (Some(e), Some(g)) = (
-        base.get("peak_live_bytes").and_then(Json::as_f64),
-        got.get("peak_live_bytes").and_then(Json::as_f64),
-    ) {
-        if e > 0.0 && g > e * (1.0 + perf_tol) {
-            report.perf_warnings.push(format!(
-                "alloc.peak_live_bytes: baseline {e} vs fresh {g} (growth beyond {perf_tol})"
-            ));
-        }
-    }
-}
-
-/// The serve gate over the documents' `serve` sections:
-///
-/// - **Hard** (quality failures): the population fingerprint and the
-///   request / cache-hit / shed counts must match *exactly* — they are
-///   pure functions of the pinned workload, so any drift means the
-///   server changed behavior (different results, a cache that stopped
-///   hitting, spurious shedding).
-/// - **Warn** (perf warnings, promoted by `--strict`): throughput and
-///   latency drift beyond `perf_tol` — wall clock is machine-dependent.
-///
-/// A baseline without a serve section skips the gate (pre-v3 documents).
-fn compare_serve(baseline: &Json, fresh: &Json, perf_tol: f64, report: &mut CompareReport) {
-    let Some(base) = baseline.get("serve") else {
-        return;
-    };
-    let Some(got) = fresh.get("serve") else {
-        report
-            .quality_failures
-            .push("serve: section missing from fresh run".into());
-        return;
-    };
-    for key in [
-        "fingerprint",
-        "shards",
-        "subjects",
-        "requests",
-        "cache_hits",
-        "shed",
-    ] {
-        let (e, g) = (base.get(key), got.get(key));
-        if e != g {
-            report
-                .quality_failures
-                .push(format!("serve.{key}: baseline {e:?} vs fresh {g:?}"));
-        }
-    }
-    for key in ["subjects_per_second", "p50_ms", "p99_ms"] {
-        let (Some(e), Some(g)) = (
-            base.get(key).and_then(Json::as_f64),
-            got.get(key).and_then(Json::as_f64),
-        ) else {
-            continue;
-        };
-        let d = rel_diff(e, g);
-        if d > perf_tol {
-            report.perf_warnings.push(format!(
-                "serve.{key}: baseline {e} vs fresh {g} (relative diff {d:.3} > {perf_tol})"
-            ));
-        }
-    }
-}
-
-/// Diffs a fresh baseline document against the checked-in one. Returns
-/// `Err` only for structural problems (unparseable document, schema
-/// mismatch) — those are hard failures too.
-pub fn compare(
-    baseline: &Json,
-    fresh: &Json,
-    quality_tol: f64,
-    perf_tol: f64,
-) -> Result<CompareReport, String> {
-    let version = |doc: &Json, which: &str| {
-        doc.get("schema_version")
-            .and_then(Json::as_u64)
-            .ok_or(format!("{which} document has no schema_version"))
-    };
-    let (b, f) = (version(baseline, "baseline")?, version(fresh, "fresh")?);
-    if b != f {
-        return Err(format!("schema mismatch: baseline v{b} vs fresh v{f}"));
-    }
-    let section = |doc: &Json, name: &str, which: &str| {
-        doc.get(name)
-            .cloned()
-            .ok_or(format!("{which} document has no {name:?} section"))
-    };
-    let mut report = CompareReport::default();
-    compare_section(
-        &section(baseline, "quality", "baseline")?,
-        &section(fresh, "quality", "fresh")?,
-        "quality",
-        quality_tol,
-        &mut report.quality_failures,
-    );
-    let base_perf = section(baseline, "perf", "baseline")?;
-    let fresh_perf = section(fresh, "perf", "fresh")?;
-    compare_section(
-        &base_perf,
-        &fresh_perf,
-        "perf",
-        perf_tol,
-        &mut report.perf_warnings,
-    );
-    compare_stages(&base_perf, &fresh_perf, perf_tol, &mut report);
-    compare_alloc(baseline, fresh, perf_tol, &mut report);
-    compare_serve(baseline, fresh, perf_tol, &mut report);
     Ok(report)
 }
 
-/// Whether two baseline documents carry bit-identical quality sections
-/// (the CI determinism check: two runs of the pinned workload must agree
-/// exactly). When either document has a `serve` section, its fingerprint
-/// is part of the identity too — the served population must reproduce
-/// bit-for-bit alongside the library-path numbers.
+/// Whether two run documents carry bit-identical quality and work-counter
+/// sections (the CI determinism check: two runs of the pinned workload
+/// must agree exactly). When either document has a `serve` section, its
+/// fingerprint is part of the identity too — the served population must
+/// reproduce bit-for-bit alongside the library-path numbers.
 pub fn quality_identical(a: &Json, b: &Json) -> bool {
-    let quality = match (a.get("quality"), b.get("quality")) {
-        (Some(qa), Some(qb)) => qa == qb,
-        _ => false,
-    };
-    let serve = match (a.get("serve"), b.get("serve")) {
-        (Some(sa), Some(sb)) => sa.get("fingerprint") == sb.get("fingerprint"),
-        (None, None) => true,
-        _ => false,
-    };
-    quality && serve
+    let same = |section: &str| a.get(section) == b.get(section);
+    a.get("quality").is_some()
+        && same("quality")
+        && same("counters")
+        && a.get("serve").map(|s| s.get("fingerprint"))
+            == b.get("serve").map(|s| s.get("fingerprint"))
 }
 
 /// Validates a `--profile-out` JSON document: parseable, schema-stamped,
@@ -860,297 +830,6 @@ pub fn verify_profile(text: &str) -> Result<Vec<String>, String> {
 #[cfg(test)]
 mod tests {
     use super::*;
-
-    /// A small but fully-shaped baseline document for comparator tests —
-    /// no workload run needed.
-    fn doc(loc_median: f64, fingerprint: &str, p50: u64, secs: f64) -> Json {
-        Json::parse(&format!(
-            r#"{{
-              "schema_version": {BASELINE_SCHEMA_VERSION},
-              "meta": {{"seed": 6}},
-              "quality": {{
-                "localization_median_deg": {loc_median},
-                "attempts": 1,
-                "personalize_thread_invariant": true,
-                "batch_fingerprint_t1": "{fingerprint}"
-              }},
-              "perf": {{
-                "personalize_seconds_t1": {secs},
-                "stages": [{{"name": "personalize", "count": 1, "p50_ns": {p50}, "p99_ns": {p50}}}]
-              }}
-            }}"#
-        ))
-        .unwrap()
-    }
-
-    #[test]
-    fn identical_documents_compare_clean() {
-        let a = doc(4.8, "0xdeadbeef", 1_000_000, 1.0);
-        let r = compare(&a, &a, DEFAULT_QUALITY_TOL, DEFAULT_PERF_TOL).unwrap();
-        assert_eq!(r, CompareReport::default());
-        assert!(r.passes(true));
-        assert!(quality_identical(&a, &a));
-    }
-
-    #[test]
-    fn quality_drift_is_a_hard_failure() {
-        let base = doc(4.8, "0xdeadbeef", 1_000_000, 1.0);
-        let fresh = doc(6.0, "0xdeadbeef", 1_000_000, 1.0);
-        let r = compare(&base, &fresh, DEFAULT_QUALITY_TOL, DEFAULT_PERF_TOL).unwrap();
-        assert_eq!(r.quality_failures.len(), 1, "{r:?}");
-        assert!(r.quality_failures[0].contains("localization_median_deg"));
-        assert!(!r.passes(false));
-        assert!(!quality_identical(&base, &fresh));
-    }
-
-    #[test]
-    fn doctored_fingerprint_fails_despite_tolerance() {
-        let base = doc(4.8, "0xdeadbeef", 1_000_000, 1.0);
-        let fresh = doc(4.8, "0xdeadbeee", 1_000_000, 1.0);
-        let r = compare(&base, &fresh, 1.0, 1.0).unwrap();
-        assert!(
-            r.quality_failures.iter().any(|f| f.contains("fingerprint")),
-            "{r:?}"
-        );
-    }
-
-    #[test]
-    fn perf_drift_warns_but_passes_unless_strict() {
-        let base = doc(4.8, "0xdeadbeef", 1_000_000, 1.0);
-        let fresh = doc(4.8, "0xdeadbeef", 4_000_000, 4.0);
-        let r = compare(&base, &fresh, DEFAULT_QUALITY_TOL, DEFAULT_PERF_TOL).unwrap();
-        assert!(r.quality_failures.is_empty(), "{r:?}");
-        assert_eq!(r.perf_warnings.len(), 3, "{r:?}"); // seconds + stage p50/p99
-        assert!(r.passes(false));
-        assert!(!r.passes(true));
-        // Perf drift never breaks quality identity.
-        assert!(quality_identical(&base, &fresh));
-    }
-
-    #[test]
-    fn missing_quality_key_and_stage_fail() {
-        let base = doc(4.8, "0xdeadbeef", 1_000_000, 1.0);
-        let mut fresh = doc(4.8, "0xdeadbeef", 1_000_000, 1.0);
-        // Drop a quality member and empty the stage list.
-        if let Json::Obj(members) = &mut fresh {
-            for (k, v) in members.iter_mut() {
-                if k == "quality" {
-                    if let Json::Obj(q) = v {
-                        q.retain(|(key, _)| key != "attempts");
-                    }
-                }
-                if k == "perf" {
-                    if let Json::Obj(p) = v {
-                        for (pk, pv) in p.iter_mut() {
-                            if pk == "stages" {
-                                *pv = Json::Arr(Vec::new());
-                            }
-                        }
-                    }
-                }
-            }
-        }
-        let r = compare(&base, &fresh, DEFAULT_QUALITY_TOL, DEFAULT_PERF_TOL).unwrap();
-        assert!(
-            r.quality_failures.iter().any(|f| f.contains("attempts")),
-            "{r:?}"
-        );
-        assert!(
-            r.quality_failures
-                .iter()
-                .any(|f| f.contains("stages.personalize")),
-            "vanished stage not flagged: {r:?}"
-        );
-    }
-
-    /// A baseline document with an alloc section appended.
-    fn doc_with_alloc(bytes: u64, peak: u64, invariant: bool) -> Json {
-        let base = doc(4.8, "0xdeadbeef", 1_000_000, 1.0);
-        let alloc = Json::parse(&format!(
-            r#"{{
-              "thread_counts": [1, 8],
-              "thread_invariant": {invariant},
-              "total_allocs": 10,
-              "total_bytes": {bytes},
-              "peak_live_bytes": {peak},
-              "stages": [{{"name": "personalize", "allocs": 10, "bytes": {bytes}, "peak_live_bytes": {peak}}}]
-            }}"#
-        ))
-        .unwrap();
-        let Json::Obj(mut members) = base else {
-            unreachable!()
-        };
-        members.push(("alloc".into(), alloc));
-        Json::Obj(members)
-    }
-
-    #[test]
-    fn alloc_exact_match_compares_clean() {
-        let a = doc_with_alloc(4096, 2048, true);
-        let r = compare(&a, &a, DEFAULT_QUALITY_TOL, DEFAULT_PERF_TOL).unwrap();
-        assert_eq!(r, CompareReport::default());
-        assert!(r.passes(true));
-    }
-
-    #[test]
-    fn alloc_byte_drift_is_a_hard_failure() {
-        // One byte of drift fails: the columns are bit-identical by contract.
-        let base = doc_with_alloc(4096, 2048, true);
-        let fresh = doc_with_alloc(4097, 2048, true);
-        let r = compare(&base, &fresh, DEFAULT_QUALITY_TOL, DEFAULT_PERF_TOL).unwrap();
-        assert!(
-            r.quality_failures
-                .iter()
-                .any(|f| f.contains("alloc.total_bytes")),
-            "{r:?}"
-        );
-        assert!(
-            r.quality_failures
-                .iter()
-                .any(|f| f.contains("alloc.stages.personalize.bytes")),
-            "{r:?}"
-        );
-        assert!(!r.passes(false));
-    }
-
-    #[test]
-    fn alloc_peak_growth_warns_and_strict_promotes() {
-        let base = doc_with_alloc(4096, 2048, true);
-        let fresh = doc_with_alloc(4096, 4000, true); // ~2× peak, same totals
-        let r = compare(&base, &fresh, DEFAULT_QUALITY_TOL, DEFAULT_PERF_TOL).unwrap();
-        assert!(r.quality_failures.is_empty(), "{r:?}");
-        assert!(
-            r.perf_warnings
-                .iter()
-                .any(|w| w.contains("alloc.peak_live_bytes")),
-            "{r:?}"
-        );
-        assert!(r.passes(false));
-        assert!(!r.passes(true), "--strict must promote the peak warning");
-        // Shrinking peak is never flagged.
-        let shrunk = doc_with_alloc(4096, 100, true);
-        let r = compare(&base, &shrunk, DEFAULT_QUALITY_TOL, DEFAULT_PERF_TOL).unwrap();
-        assert_eq!(r, CompareReport::default());
-    }
-
-    #[test]
-    fn alloc_thread_variance_and_missing_section_fail() {
-        let base = doc_with_alloc(4096, 2048, true);
-        let varying = doc_with_alloc(4096, 2048, false);
-        let r = compare(&base, &varying, DEFAULT_QUALITY_TOL, DEFAULT_PERF_TOL).unwrap();
-        assert!(
-            r.quality_failures
-                .iter()
-                .any(|f| f.contains("thread_invariant")),
-            "{r:?}"
-        );
-        // Baseline gated, fresh not instrumented → hard failure.
-        let bare = doc(4.8, "0xdeadbeef", 1_000_000, 1.0);
-        let r = compare(&base, &bare, DEFAULT_QUALITY_TOL, DEFAULT_PERF_TOL).unwrap();
-        assert!(
-            r.quality_failures
-                .iter()
-                .any(|f| f.contains("alloc: section missing")),
-            "{r:?}"
-        );
-        // No alloc section in the baseline → gate skipped entirely.
-        let r = compare(&bare, &base, DEFAULT_QUALITY_TOL, DEFAULT_PERF_TOL).unwrap();
-        assert_eq!(r, CompareReport::default());
-    }
-
-    /// A baseline document with a serve section appended.
-    fn doc_with_serve(fingerprint: &str, cache_hits: u64, p50_ms: f64) -> Json {
-        let base = doc(4.8, "0xdeadbeef", 1_000_000, 1.0);
-        let serve = Json::parse(&format!(
-            r#"{{
-              "shards": 2,
-              "subjects": 2,
-              "fingerprint": "{fingerprint}",
-              "requests": 4,
-              "cache_hits": {cache_hits},
-              "shed": 0,
-              "subjects_per_second": 3.0,
-              "p50_ms": {p50_ms},
-              "p99_ms": {p50_ms}
-            }}"#
-        ))
-        .unwrap();
-        let Json::Obj(mut members) = base else {
-            unreachable!()
-        };
-        members.push(("serve".into(), serve));
-        Json::Obj(members)
-    }
-
-    #[test]
-    fn serve_exact_match_compares_clean() {
-        let a = doc_with_serve("0xfeedface", 2, 100.0);
-        let r = compare(&a, &a, DEFAULT_QUALITY_TOL, DEFAULT_PERF_TOL).unwrap();
-        assert_eq!(r, CompareReport::default());
-        assert!(quality_identical(&a, &a));
-    }
-
-    #[test]
-    fn serve_fingerprint_and_admission_drift_fail_hard() {
-        let base = doc_with_serve("0xfeedface", 2, 100.0);
-        // Fingerprint drift: even with maximal tolerance, hard failure.
-        let fresh = doc_with_serve("0xfeedfacf", 2, 100.0);
-        let r = compare(&base, &fresh, 1.0, 1.0).unwrap();
-        assert!(
-            r.quality_failures
-                .iter()
-                .any(|f| f.contains("serve.fingerprint")),
-            "{r:?}"
-        );
-        assert!(!quality_identical(&base, &fresh));
-        // A cache that stopped hitting is behavior drift, not a perf swing.
-        let cold = doc_with_serve("0xfeedface", 0, 100.0);
-        let r = compare(&base, &cold, 1.0, 1.0).unwrap();
-        assert!(
-            r.quality_failures
-                .iter()
-                .any(|f| f.contains("serve.cache_hits")),
-            "{r:?}"
-        );
-        // But cache_hits drift alone leaves the fingerprint identity intact.
-        assert!(quality_identical(&base, &cold));
-    }
-
-    #[test]
-    fn serve_latency_drift_warns_and_section_gates() {
-        let base = doc_with_serve("0xfeedface", 2, 100.0);
-        let slow = doc_with_serve("0xfeedface", 2, 400.0);
-        let r = compare(&base, &slow, DEFAULT_QUALITY_TOL, DEFAULT_PERF_TOL).unwrap();
-        assert!(r.quality_failures.is_empty(), "{r:?}");
-        assert!(
-            r.perf_warnings
-                .iter()
-                .any(|w| w.contains("serve.p50_ms") || w.contains("serve.p99_ms")),
-            "{r:?}"
-        );
-        assert!(r.passes(false));
-        assert!(!r.passes(true));
-        // Baseline gated, fresh without a serve section → hard failure.
-        let bare = doc(4.8, "0xdeadbeef", 1_000_000, 1.0);
-        let r = compare(&base, &bare, DEFAULT_QUALITY_TOL, DEFAULT_PERF_TOL).unwrap();
-        assert!(
-            r.quality_failures
-                .iter()
-                .any(|f| f.contains("serve: section missing")),
-            "{r:?}"
-        );
-        assert!(!quality_identical(&base, &bare));
-        // Pre-v3 baseline without a serve section → gate skipped.
-        let r = compare(&bare, &base, DEFAULT_QUALITY_TOL, DEFAULT_PERF_TOL).unwrap();
-        assert_eq!(r, CompareReport::default());
-    }
-
-    #[test]
-    fn schema_mismatch_is_structural_error() {
-        let a = doc(4.8, "0xdeadbeef", 1_000_000, 1.0);
-        let b = Json::parse(r#"{"schema_version": 99, "quality": {}, "perf": {}}"#).unwrap();
-        assert!(compare(&a, &b, 1.0, 1.0).is_err());
-    }
 
     #[test]
     fn verify_profile_requires_stage_coverage() {
@@ -1210,8 +889,22 @@ mod tests {
         for required in uniq_obs::names::PIPELINE_STAGES {
             assert!(stages.contains(required), "stage {required} missing");
         }
-        // And compare() agrees the two runs match.
-        let r = compare(&a, &b, DEFAULT_QUALITY_TOL, DEFAULT_PERF_TOL).unwrap();
+        // Work counters are recorded and agree across the matrix.
+        let counters = a.get("counters").unwrap();
+        assert_eq!(counters.get("thread_invariant"), Some(&Json::Bool(true)));
+        assert!(
+            counters
+                .get(uniq_obs::names::FUSION_OBJECTIVE_EVALS)
+                .and_then(Json::as_u64)
+                .is_some_and(|n| n > 0),
+            "{counters:?}"
+        );
+        // And the gate agrees the two runs match.
+        let reference = Reference {
+            name: "first run".into(),
+            doc: a.clone(),
+        };
+        let r = compare(&b, &[reference]).unwrap();
         assert!(r.quality_failures.is_empty(), "{r:?}");
     }
 }

@@ -5,8 +5,8 @@
 //! ```sh
 //! baseline run --out fresh.json        # run the matrix, write the doc
 //! baseline bless                       # refresh BENCH_BASELINE.json
-//! baseline compare --baseline BENCH_BASELINE.json [--fresh F]
-//!          [--quality-tol X] [--perf-tol X] [--strict]
+//! baseline compare [--baseline BENCH_BASELINE.json] [--history LEDGER]
+//!          [--fresh F] [--strict]
 //! baseline verify-profile PROFILE.json # stage coverage of a --profile-out file
 //! baseline quality-identical A B       # bit-identical quality sections?
 //! ```
@@ -16,10 +16,10 @@
 
 use uniq_bench::baseline::{
     compare, persist_to_store, quality_identical, run_baseline, verify_profile, BaselineSpec,
-    BASELINE_FILE, DEFAULT_PERF_TOL, DEFAULT_QUALITY_TOL,
+    Reference, BASELINE_FILE,
 };
+use uniq_bench::ledger;
 use uniq_profile::json::Json;
-use uniq_telemetry::ledger::{self, LedgerRecord};
 
 /// The counting allocator: always installed in this binary (recording is
 /// off until a measurement starts, so non-alloc commands pay only a
@@ -34,17 +34,19 @@ fn usage() -> String {
      commands:\n\
      \x20 run --out FILE                 run the workload matrix, write the document\n\
      \x20 bless                          run the matrix and refresh BENCH_BASELINE.json\n\
-     \x20 compare --baseline FILE [--fresh FILE] [--quality-tol X] [--perf-tol X] [--strict]\n\
-     \x20                                diff a fresh run (or --fresh file) against the\n\
-     \x20                                baseline; quality drift fails, perf drift warns\n\
+     \x20 compare [--baseline FILE] [--history FILE] [--fresh FILE] [--strict]\n\
+     \x20                                judge a fresh run (or --fresh file) against the\n\
+     \x20                                baseline, the ledger's \"baseline\" runs, or both:\n\
+     \x20                                quality drift fails, timing drift warns\n\
      \x20 verify-profile FILE            check a uniq --profile-out file parses and covers\n\
      \x20                                every pipeline stage\n\
      \x20 quality-identical A B          exit 0 iff both documents carry bit-identical\n\
-     \x20                                quality sections\n\
+     \x20                                quality and work-counter sections\n\
      \n\
      ledger (run / bless / compare-with-fresh-run):\n\
-     \x20 --history PATH                 append a run record to PATH instead of the\n\
-     \x20                                default bench_results/history.jsonl\n\
+     \x20 --history PATH                 append the run document to PATH instead of the\n\
+     \x20                                default bench_results/history.jsonl (compare\n\
+     \x20                                reads its references from PATH first)\n\
      \x20 --no-history                   skip the ledger append\n\
      \n\
      persistence (run / bless):\n\
@@ -76,37 +78,37 @@ fn persist_if_requested(opts: &Opts) {
     }
 }
 
-/// Appends the run's ledger record to the cross-run history file
-/// (`uniq history trend` consumes it), unless `--no-history` was given.
-fn append_ledger(doc: &Json, opts: &Opts) {
+/// Appends the run document to the run ledger under the `"baseline"`
+/// label (`compare --history` judges against those lines), unless
+/// `--no-history` was given.
+fn append_ledger(doc: &str, opts: &Opts) {
     if opts.switch("no-history") {
         return;
     }
     let path = opts.get("history").unwrap_or(ledger::DEFAULT_HISTORY_FILE);
-    let record = match LedgerRecord::from_baseline_doc(doc, "baseline") {
-        Ok(r) => r,
-        Err(e) => {
-            eprintln!("warning: ledger record not appended: {e}");
-            return;
-        }
-    };
-    match ledger::append(std::path::Path::new(path), &record) {
+    match ledger::append(std::path::Path::new(path), LABEL, doc) {
         Ok(()) => println!("ledger record appended to {path}"),
         Err(e) => eprintln!("warning: cannot append to {path}: {e}"),
     }
 }
+
+/// The ledger label of this binary's run documents.
+const LABEL: &str = "baseline";
 
 fn fail_usage(msg: &str) -> ! {
     eprintln!("error: {msg}\n\n{}", usage());
     std::process::exit(2);
 }
 
-fn read_json(path: &str) -> Json {
-    let text = std::fs::read_to_string(path).unwrap_or_else(|e| {
+fn read_text(path: &str) -> String {
+    std::fs::read_to_string(path).unwrap_or_else(|e| {
         eprintln!("error: cannot read {path}: {e}");
         std::process::exit(2);
-    });
-    Json::parse(&text).unwrap_or_else(|e| {
+    })
+}
+
+fn read_json(path: &str) -> Json {
+    Json::parse(&read_text(path)).unwrap_or_else(|e| {
         eprintln!("error: {path} is not valid JSON: {e}");
         std::process::exit(1);
     })
@@ -147,13 +149,6 @@ impl Opts {
             .and_then(|(_, v)| v.as_deref())
     }
 
-    fn get_f64(&self, key: &str, default: f64) -> f64 {
-        self.get(key).map_or(default, |v| {
-            v.parse()
-                .unwrap_or_else(|_| fail_usage(&format!("--{key} {v:?} is not a number")))
-        })
-    }
-
     fn switch(&self, key: &str) -> bool {
         self.pairs.iter().any(|(k, v)| k == key && v.is_none())
     }
@@ -176,11 +171,7 @@ fn main() {
                 std::process::exit(1);
             });
             println!("baseline written to {out}");
-            append_ledger(
-                // uniq-analyzer: allow(panic-safety) — run_baseline emits its own JSON; a parse failure is a bug worth a crash
-                &Json::parse(&doc).expect("self-emitted baseline JSON"),
-                &opts,
-            );
+            append_ledger(&doc, &opts);
             persist_if_requested(&opts);
         }
         "bless" => {
@@ -191,38 +182,39 @@ fn main() {
                 std::process::exit(1);
             });
             println!("blessed {BASELINE_FILE} — review the diff before committing");
-            append_ledger(
-                // uniq-analyzer: allow(panic-safety) — run_baseline emits its own JSON; a parse failure is a bug worth a crash
-                &Json::parse(&doc).expect("self-emitted baseline JSON"),
-                &opts,
-            );
+            append_ledger(&doc, &opts);
             persist_if_requested(&opts);
         }
         "compare" => {
             let opts = Opts::parse(&args[1..], &["strict", "no-history"]);
-            let baseline_path = opts
-                .get("baseline")
-                .unwrap_or_else(|| fail_usage("compare needs --baseline FILE"));
-            let baseline = read_json(baseline_path);
+            let mut references = Vec::new();
+            if let Some(path) = opts.get("baseline") {
+                references.push(Reference {
+                    name: path.to_string(),
+                    doc: read_json(path),
+                });
+            }
+            if let Some(path) = opts.get("history") {
+                let history = ledger::references(&read_text(path), LABEL).unwrap_or_else(|e| {
+                    eprintln!("error: {path}: {e}");
+                    std::process::exit(1);
+                });
+                references.extend(history);
+            }
+            if references.is_empty() {
+                fail_usage("compare needs --baseline FILE, --history FILE or both");
+            }
             let fresh = match opts.get("fresh") {
                 Some(path) => read_json(path),
                 None => {
                     println!("running the pinned workload matrix…");
                     let doc = run_baseline(&BaselineSpec::pinned());
+                    append_ledger(&doc, &opts);
                     // uniq-analyzer: allow(panic-safety) — run_baseline emits its own JSON; a parse failure is a bug worth a crash
-                    let parsed = Json::parse(&doc).expect("self-emitted baseline JSON");
-                    append_ledger(&parsed, &opts);
-                    parsed
+                    Json::parse(&doc).expect("self-emitted baseline JSON")
                 }
             };
-            let strict = opts.switch("strict");
-            let report = compare(
-                &baseline,
-                &fresh,
-                opts.get_f64("quality-tol", DEFAULT_QUALITY_TOL),
-                opts.get_f64("perf-tol", DEFAULT_PERF_TOL),
-            )
-            .unwrap_or_else(|e| {
+            let report = compare(&fresh, &references).unwrap_or_else(|e| {
                 eprintln!("baseline compare failed: {e}");
                 std::process::exit(1);
             });
@@ -232,13 +224,14 @@ fn main() {
             for failure in &report.quality_failures {
                 println!("QUALITY REGRESSION: {failure}");
             }
-            if report.passes(strict) {
+            if report.passes(opts.switch("strict")) {
                 println!(
-                    "baseline ok ({} perf warning(s), 0 quality regressions)",
+                    "baseline ok against {} reference(s) ({} perf warning(s), 0 quality regressions)",
+                    references.len(),
                     report.perf_warnings.len()
                 );
             } else {
-                println!("baseline comparison FAILED against {baseline_path}");
+                println!("baseline comparison FAILED");
                 std::process::exit(1);
             }
         }
@@ -247,11 +240,7 @@ fn main() {
             let Some(path) = opts.positional.first() else {
                 fail_usage("verify-profile needs a profile JSON file");
             };
-            let text = std::fs::read_to_string(path).unwrap_or_else(|e| {
-                eprintln!("error: cannot read {path}: {e}");
-                std::process::exit(2);
-            });
-            match verify_profile(&text) {
+            match verify_profile(&read_text(path)) {
                 Ok(stages) => println!("profile ok: {} stage(s) covered", stages.len()),
                 Err(e) => {
                     eprintln!("profile verification failed: {e}");

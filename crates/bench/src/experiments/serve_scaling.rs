@@ -235,21 +235,29 @@ pub fn run() -> ServeScalingReport {
         &rows,
     );
 
-    let mut record = uniq_telemetry::ledger::LedgerRecord::new("serve-scaling");
-    record.seed = SEED_BASE;
-    record.wall_seconds = report.points.iter().map(|p| p.seconds).sum();
-    record.fingerprint = format!("{:#018x}", report.points[0].fingerprint);
+    let mut doc = crate::baseline::RunDoc::default();
+    doc.raw("meta", "seed", SEED_BASE.to_string())
+        .text(
+            "serve",
+            "fingerprint",
+            &format!("{:#018x}", report.points[0].fingerprint),
+        )
+        .num(
+            "perf",
+            "seconds",
+            report.points.iter().map(|p| p.seconds).sum(),
+        );
     for p in &report.points {
-        record.quality.insert(
+        doc.num(
+            "perf",
             format!("subjects_per_second_s{}", p.shards),
             p.subjects_per_second,
-        );
-        record
-            .quality
-            .insert(format!("p99_ms_s{}", p.shards), p.p99_ms);
+        )
+        .num("perf", format!("p99_ms_s{}", p.shards), p.p99_ms);
     }
     let history = Path::new(crate::RESULTS_DIR).join("history.jsonl");
-    uniq_telemetry::ledger::append(&history, &record).expect("append serve-scaling ledger record");
+    crate::ledger::append(&history, "serve-scaling", &doc.render())
+        .expect("append serve-scaling ledger record");
     println!("  → ledger record appended to {}", history.display());
 
     report

@@ -216,20 +216,26 @@ pub fn run() -> StoreScalingReport {
         &rows,
     );
 
-    let mut record = uniq_telemetry::ledger::LedgerRecord::new("store-scaling");
-    record.wall_seconds = report.points.iter().map(|p| p.seconds).sum();
-    record.fingerprint = format!("{:#018x}", report.fingerprint);
+    let mut doc = crate::baseline::RunDoc::default();
+    doc.text(
+        "quality",
+        "store_fingerprint",
+        &format!("{:#018x}", report.fingerprint),
+    )
+    .raw("quality", "store_entries", report.entries.to_string())
+    .raw("quality", "store_bytes", report.total_bytes.to_string())
+    .raw("quality", "store_dedup_hits", report.dedup_hits.to_string())
+    .num(
+        "perf",
+        "seconds",
+        report.points.iter().map(|p| p.seconds).sum(),
+    );
     for p in &report.points {
-        record
-            .quality
-            .insert(format!("{}_ops_per_second", p.op), p.ops_per_second);
+        doc.num("perf", format!("{}_ops_per_second", p.op), p.ops_per_second);
     }
-    record.store = Some(format!(
-        "{} entries, {} bytes, {} dedup hits",
-        report.entries, report.total_bytes, report.dedup_hits
-    ));
     let history = Path::new(crate::RESULTS_DIR).join("history.jsonl");
-    uniq_telemetry::ledger::append(&history, &record).expect("append store-scaling ledger record");
+    crate::ledger::append(&history, "store-scaling", &doc.render())
+        .expect("append store-scaling ledger record");
     println!("  → ledger record appended to {}", history.display());
 
     report

@@ -21,6 +21,7 @@ pub mod baseline;
 pub mod cohort;
 pub mod csv;
 pub mod experiments;
+pub mod ledger;
 pub mod timings;
 
 /// Output directory for CSV artifacts (relative to the workspace root).

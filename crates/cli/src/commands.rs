@@ -4,6 +4,8 @@ use crate::args::Args;
 use std::path::Path;
 use std::sync::Arc;
 use uniq_acoustics::signals::SignalKind;
+use uniq_bench::baseline::RunDoc;
+use uniq_bench::ledger;
 use uniq_core::config::UniqConfig;
 use uniq_core::degrade::DegradationPolicy;
 use uniq_core::pipeline::{personalize_faulted_with_retry, personalize_with_retry};
@@ -11,7 +13,6 @@ use uniq_faults::FaultPlan;
 use uniq_obs::sink::{JsonLinesSink, MultiSink, Sink, StderrSink};
 use uniq_profile::{ProfileReport, ProfileSink};
 use uniq_subjects::Subject;
-use uniq_telemetry::ledger::{self, LedgerRecord};
 
 /// Runs a parsed command under the sinks its flags ask for; returns a
 /// human-readable report or an error message.
@@ -152,7 +153,7 @@ pub fn trace_cmd(args: &[String]) -> i32 {
             return 2;
         }
     };
-    match uniq_telemetry::trace::parse_trace(&text) {
+    match uniq_profile::trace::parse_trace(&text) {
         Ok(tree) => {
             println!("{}", tree.render_report());
             if tree.orphans.is_empty() {
@@ -170,68 +171,6 @@ pub fn trace_cmd(args: &[String]) -> i32 {
             1
         }
     }
-}
-
-/// `uniq history trend|compare FILE [--quality-tol X] [--latency-tol X]`:
-/// the cross-run ledger gates. `trend` tests the newest record against
-/// the median/MAD of its label's history; `compare` diffs the last two
-/// records of that label. Exit 0 = clean, 1 = latency warning,
-/// 2 = quality regression or usage error.
-pub fn history_cmd(args: &[String]) -> i32 {
-    const USAGE: &str =
-        "usage: uniq history trend|compare FILE [--quality-tol X] [--latency-tol X]";
-    let Some(mode) = args.first().map(String::as_str) else {
-        eprintln!("error: history needs a subcommand\n{USAGE}");
-        return 2;
-    };
-    if mode != "trend" && mode != "compare" {
-        eprintln!("error: history supports `trend` and `compare`\n{USAGE}");
-        return 2;
-    }
-    let Some(path) = args.get(1) else {
-        eprintln!("error: history {mode} needs a FILE\n{USAGE}");
-        return 2;
-    };
-    let mut quality_tol = ledger::DEFAULT_QUALITY_TOL;
-    let mut latency_tol = ledger::DEFAULT_LATENCY_TOL;
-    let mut it = args[2..].iter();
-    while let Some(flag) = it.next() {
-        let target = match flag.as_str() {
-            "--quality-tol" => &mut quality_tol,
-            "--latency-tol" => &mut latency_tol,
-            other => {
-                eprintln!("error: unknown history option {other:?}\n{USAGE}");
-                return 2;
-            }
-        };
-        match it.next().and_then(|v| v.parse::<f64>().ok()) {
-            Some(v) => *target = v,
-            None => {
-                eprintln!("error: {flag} needs a numeric value\n{USAGE}");
-                return 2;
-            }
-        }
-    }
-    let text = match std::fs::read_to_string(path) {
-        Ok(text) => text,
-        Err(e) => {
-            eprintln!("error: cannot read {path}: {e}");
-            return 2;
-        }
-    };
-    let records = match ledger::read_history(&text) {
-        Ok(records) => records,
-        Err(e) => {
-            eprintln!("error: {path}: {e}");
-            return 2;
-        }
-    };
-    let report = match mode {
-        "trend" => ledger::trend(&records, quality_tol, latency_tol),
-        _ => ledger::compare_last_two(&records, quality_tol, latency_tol),
-    };
-    println!("{}", report.render());
-    report.exit_code
 }
 
 /// `uniq store <verb> …`: the content-addressed HRTF artifact store.
@@ -344,17 +283,24 @@ fn store_put(args: &Args) -> Result<(String, i32), StoreCmdError> {
             store.len()
         ),
     ];
-    let mut record = LedgerRecord::new("store-put");
-    record.seed = seed;
-    record.wall_seconds = wall_seconds;
-    record.fingerprint = format!("{:#018x}", artifact.subject_fingerprint);
-    record.store = Some(format!(
-        "key {}, {} bytes, {}",
-        outcome.key,
-        outcome.bytes,
-        if outcome.deduped { "deduped" } else { "new" }
-    ));
-    lines.extend(append_history(args, &record).map_err(StoreCmdError::Run)?);
+    let mut doc = RunDoc::default();
+    doc.raw("meta", "seed", seed.to_string())
+        .text(
+            "quality",
+            "subject_fingerprint",
+            &format!("{:#018x}", artifact.subject_fingerprint),
+        )
+        .text("quality", "store_key", &outcome.key)
+        .raw("quality", "store_bytes", outcome.bytes.to_string())
+        .num(
+            "perf",
+            format!(
+                "personalize_seconds_t{}",
+                uniq_par::pool(cfg.threads).threads()
+            ),
+            wall_seconds,
+        );
+    lines.extend(append_history(args, "store-put", &doc).map_err(StoreCmdError::Run)?);
     Ok((lines.join("\n"), 0))
 }
 
@@ -502,9 +448,10 @@ fn store_import(args: &Args) -> Result<(String, i32), StoreCmdError> {
     ))
 }
 
-/// Appends a ledger record for a finished run when `--history PATH` was
-/// given (pass `--history default` for `bench_results/history.jsonl`).
-fn append_history(args: &Args, record: &LedgerRecord) -> Result<Option<String>, String> {
+/// Appends a finished run's document to the run ledger under `label`
+/// when `--history PATH` was given (pass `--history default` for
+/// `bench_results/history.jsonl`).
+fn append_history(args: &Args, label: &str, doc: &RunDoc) -> Result<Option<String>, String> {
     let Some(path) = args.get("history") else {
         return Ok(None);
     };
@@ -513,7 +460,8 @@ fn append_history(args: &Args, record: &LedgerRecord) -> Result<Option<String>, 
     } else {
         path
     };
-    ledger::append(Path::new(path), record).map_err(|e| format!("cannot append to {path}: {e}"))?;
+    ledger::append(Path::new(path), label, &doc.render())
+        .map_err(|e| format!("cannot append to {path}: {e}"))?;
     Ok(Some(format!("ledger record appended to {path}")))
 }
 
@@ -601,20 +549,15 @@ fn serve_cmd(args: &Args) -> Result<String, String> {
         stats.errors,
         drain.fingerprints.len(),
     )];
-    let mut record = LedgerRecord::new("serve");
-    record.threads = shards as u64;
-    record.wall_seconds = wall_seconds;
-    record.fingerprint = format!("{fingerprint:#018x}");
-    record
-        .quality
-        .insert("requests".into(), stats.requests as f64);
-    record.quality.insert("ok".into(), stats.ok as f64);
-    record
-        .quality
-        .insert("cache_hits".into(), stats.cache_hits as f64);
-    record.quality.insert("shed".into(), stats.shed as f64);
-    record.quality.insert("errors".into(), stats.errors as f64);
-    lines.extend(append_history(args, &record)?);
+    let mut doc = RunDoc::default();
+    doc.raw("serve", "shards", shards.to_string())
+        .text("serve", "fingerprint", &format!("{fingerprint:#018x}"))
+        .raw("serve", "requests", stats.requests.to_string())
+        .raw("serve", "ok", stats.ok.to_string())
+        .raw("serve", "cache_hits", stats.cache_hits.to_string())
+        .raw("serve", "shed", stats.shed.to_string())
+        .raw("serve", "errors", stats.errors.to_string());
+    lines.extend(append_history(args, "serve", &doc)?);
     Ok(lines.join("\n"))
 }
 
@@ -671,23 +614,18 @@ fn loadgen_cmd(args: &Args) -> Result<String, String> {
     )];
     lines.push(String::new());
     lines.push(report.profile.render_table());
-    let mut record = LedgerRecord::new("loadgen");
-    record.seed = cfg.seed_base;
-    record.threads = cfg.clients as u64;
-    record.wall_seconds = report.wall_seconds;
-    record.fingerprint = format!("{fingerprint:#018x}");
-    record
-        .quality
-        .insert("subjects_per_second".into(), report.subjects_per_second);
-    record
-        .quality
-        .insert("cache_hits".into(), report.cache_hits as f64);
-    record
-        .quality
-        .insert("overloaded".into(), report.overloaded as f64);
-    record.quality.insert("p50_ms".into(), report.p50_ms);
-    record.quality.insert("p99_ms".into(), report.p99_ms);
-    lines.extend(append_history(args, &record)?);
+    let mut doc = RunDoc::default();
+    doc.raw("meta", "seed", cfg.seed_base.to_string())
+        .raw("meta", "clients", cfg.clients.to_string())
+        .raw("serve", "subjects", cfg.subjects.to_string())
+        .text("serve", "fingerprint", &format!("{fingerprint:#018x}"))
+        .raw("serve", "requests", report.requests.to_string())
+        .raw("serve", "cache_hits", report.cache_hits.to_string())
+        .raw("serve", "shed", report.overloaded.to_string())
+        .num("serve", "subjects_per_second", report.subjects_per_second)
+        .num("serve", "p50_ms", report.p50_ms)
+        .num("serve", "p99_ms", report.p99_ms);
+    lines.extend(append_history(args, "loadgen", &doc)?);
     Ok(lines.join("\n"))
 }
 
@@ -775,12 +713,8 @@ pub fn usage() -> String {
      \x20 trace report FILE\n\
      \x20     rebuild the causal span tree of a --metrics-out file; print the\n\
      \x20     critical path and per-stage self time (exit 1 on orphaned spans)\n\
-     \x20 history trend|compare FILE [--quality-tol X] [--latency-tol X]\n\
-     \x20     gate the newest run ledger record against its history (trend:\n\
-     \x20     median/MAD drift; compare: last two records); exit 0 ok,\n\
-     \x20     1 latency warning, 2 quality regression\n\
      \x20 --history PATH         (personalize/batch/serve/loadgen/store put)\n\
-     \x20     append a run record to the ledger (PATH `default` =\n\
+     \x20     append the run document to the run ledger (PATH `default` =\n\
      \x20     bench_results/history.jsonl)\n"
         .to_string()
 }
@@ -880,40 +814,48 @@ fn personalize_cmd(args: &Args) -> Result<String, String> {
             result.hrtf.far().len(),
         ));
     }
-    let mut record = LedgerRecord::new(if degradation.is_some() {
-        "personalize-faulted"
-    } else {
-        "personalize"
-    });
-    record.seed = seed;
-    record.threads = cfg.threads as u64;
-    record.wall_seconds = wall_seconds;
-    record.fingerprint = format!("{:#018x}", single_fingerprint(seed, &result));
-    record
-        .quality
-        .insert("localization_median_deg".into(), loc_median);
-    record.quality.insert(
-        "fusion_mean_residual_deg".into(),
-        result.fusion.mean_residual_deg,
-    );
-    record.quality.insert("radius_m".into(), result.radius_m);
-    record
-        .quality
-        .insert("attempts".into(), result.attempts as f64);
-    if let Some(deg) = &degradation {
-        record
-            .quality
-            .insert("mean_stop_quality".into(), deg.mean_quality);
-        record.degradation = Some(format!(
-            "stops {}/{} kept, {} dropped, {} retries, classes [{}]",
-            deg.stops_used,
-            deg.stops_planned,
-            deg.stops_dropped,
-            deg.retries,
-            deg.fault_classes.join(","),
-        ));
-    }
-    lines.extend(append_history(args, &record)?);
+    let threads = uniq_par::pool(cfg.threads).threads();
+    let mut doc = RunDoc::default();
+    doc.raw("meta", "seed", seed.to_string())
+        .raw("meta", "thread_counts", format!("[{threads}]"))
+        .text(
+            "quality",
+            "personalize_fingerprint",
+            &format!("{:#018x}", single_fingerprint(seed, &result)),
+        )
+        .num("quality", "localization_median_deg", loc_median)
+        .num(
+            "quality",
+            "fusion_mean_residual_deg",
+            result.fusion.mean_residual_deg,
+        )
+        .num("quality", "radius_m", result.radius_m)
+        .raw("quality", "attempts", result.attempts.to_string())
+        .num(
+            "perf",
+            format!("personalize_seconds_t{threads}"),
+            wall_seconds,
+        );
+    let label = match &degradation {
+        None => "personalize",
+        Some(deg) => {
+            doc.num("quality", "mean_stop_quality", deg.mean_quality)
+                .text(
+                    "quality",
+                    "degradation",
+                    &format!(
+                        "stops {}/{} kept, {} dropped, {} retries, classes [{}]",
+                        deg.stops_used,
+                        deg.stops_planned,
+                        deg.stops_dropped,
+                        deg.retries,
+                        deg.fault_classes.join(","),
+                    ),
+                );
+            "personalize-faulted"
+        }
+    };
+    lines.extend(append_history(args, label, &doc)?);
     Ok(lines.join("\n"))
 }
 
@@ -1047,14 +989,22 @@ fn batch_cmd(args: &Args) -> Result<String, String> {
         outcomes.len(),
         outcomes.len() as f64 / total.max(1e-12),
     ));
-    let mut record = LedgerRecord::new("batch");
-    record.seed = base;
-    record.threads = pool_size as u64;
-    record.wall_seconds = total;
-    record.fingerprint = format!("{:#018x}", uniq_core::batch::hrtf_fingerprint(&outcomes));
-    record.quality.insert("subjects".into(), subjects as f64);
-    record.quality.insert("failures".into(), failed as f64);
-    lines.extend(append_history(args, &record)?);
+    let mut doc = RunDoc::default();
+    doc.raw("meta", "seed", base.to_string())
+        .raw("meta", "batch_subjects", subjects.to_string())
+        .raw("meta", "thread_counts", format!("[{pool_size}]"))
+        .text(
+            "quality",
+            format!("batch_fingerprint_t{pool_size}"),
+            &format!("{:#018x}", uniq_core::batch::hrtf_fingerprint(&outcomes)),
+        )
+        .raw("quality", "batch_failures", failed.to_string())
+        .num(
+            "perf",
+            format!("batch_subjects_per_second_t{pool_size}"),
+            outcomes.len() as f64 / total.max(1e-12),
+        );
+    lines.extend(append_history(args, "batch", &doc)?);
     Ok(lines.join("\n"))
 }
 
@@ -1138,6 +1088,8 @@ fn aoa_cmd(args: &Args) -> Result<String, String> {
 mod tests {
     use super::*;
     use crate::args::Args;
+    use uniq_bench::baseline::compare;
+    use uniq_profile::json::Json;
 
     /// The lib-test binary installs the counting allocator itself (the
     /// `uniq` binary does this in its main.rs) so `--memprof` is testable
@@ -1624,12 +1576,16 @@ mod tests {
             0
         );
         let text = std::fs::read_to_string(&history).unwrap();
-        let records = uniq_telemetry::ledger::read_history(&text).unwrap();
-        assert_eq!(records.len(), 1);
-        assert_eq!(records[0].label, "store-put");
-        let store_section = records[0].store.as_deref().unwrap();
-        assert!(store_section.contains("key "), "{store_section}");
-        assert!(store_section.contains("new"), "{store_section}");
+        let entries = ledger::read(&text).unwrap();
+        assert_eq!(entries.len(), 1);
+        assert_eq!(entries[0].label, "store-put");
+        let quality = entries[0].run.get("quality").unwrap();
+        let key = quality.get("store_key").and_then(Json::as_str).unwrap();
+        let store = uniq_store::Store::open(&root).unwrap();
+        assert!(
+            store.get(key).is_ok(),
+            "ledger names key {key}, not in the store"
+        );
         std::fs::remove_file(&history).ok();
         std::fs::remove_dir_all(&root).ok();
     }
@@ -1649,27 +1605,34 @@ mod tests {
             assert!(out.contains("ledger record appended"), "{out}");
         }
 
-        // Two identical runs: compare and trend both pass.
-        let f = history.display().to_string();
-        assert_eq!(history_cmd(&["compare".to_string(), f.clone()]), 0);
-        assert_eq!(history_cmd(&["trend".to_string(), f.clone()]), 0);
-
-        // Inject a >2% quality drift into a third record: trend flags it.
+        // Two identical runs: the second judges clean against the first.
         let text = std::fs::read_to_string(&history).unwrap();
-        let last = uniq_profile::json::Json::parse(text.lines().last().unwrap()).unwrap();
-        let mut rec = uniq_telemetry::ledger::LedgerRecord::from_json(&last).unwrap();
-        if let Some(v) = rec.quality.get_mut("localization_median_deg") {
-            *v *= 1.10;
-        }
-        uniq_telemetry::ledger::append(&history, &rec).unwrap();
-        assert_eq!(history_cmd(&["trend".to_string(), f.clone()]), 2);
+        let mut refs = ledger::references(&text, "personalize").unwrap();
+        assert_eq!(refs.len(), 2);
+        let fresh = refs.pop().unwrap().doc;
+        let report = compare(&fresh, &refs).unwrap();
+        assert!(report.quality_failures.is_empty(), "{report:?}");
 
-        // Usage errors exit 2.
-        assert_eq!(history_cmd(&[]), 2);
-        assert_eq!(history_cmd(&["trend".to_string()]), 2);
-        assert_eq!(
-            history_cmd(&["compare".to_string(), "/nonexistent/h.jsonl".to_string()]),
-            2
+        // A 10% localization drift fails hard.
+        let mut drifted = fresh.clone();
+        if let Json::Obj(sections) = &mut drifted {
+            for (name, section) in sections.iter_mut() {
+                if let (true, Json::Obj(members)) = (name == "quality", section) {
+                    for (key, value) in members.iter_mut() {
+                        if let (true, Json::Num(v)) = (key == "localization_median_deg", value) {
+                            *v *= 1.10;
+                        }
+                    }
+                }
+            }
+        }
+        let report = compare(&drifted, &refs).unwrap();
+        assert!(
+            report
+                .quality_failures
+                .iter()
+                .any(|f| f.contains("quality.localization_median_deg")),
+            "{report:?}"
         );
 
         std::fs::remove_file(&table).ok();

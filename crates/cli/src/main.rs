@@ -13,13 +13,11 @@ static ALLOC: uniq_memprof::CountingAllocator = uniq_memprof::CountingAllocator:
 
 fn main() {
     let raw: Vec<String> = std::env::args().skip(1).collect();
-    // `trace` and `history` take positional file arguments, which
-    // Args::parse rejects by design — they are dispatched on the raw argv.
-    // Their exit codes carry gate semantics (0 ok, 1 finding, 2 usage),
-    // so they exit directly.
+    // `trace` takes positional file arguments, which Args::parse rejects
+    // by design — it is dispatched on the raw argv. Its exit code carries
+    // gate semantics (0 ok, 1 finding, 2 usage), so it exits directly.
     match raw.first().map(String::as_str) {
         Some("trace") => std::process::exit(commands::trace_cmd(&raw[1..])),
-        Some("history") => std::process::exit(commands::history_cmd(&raw[1..])),
         // `store` owns a verb sub-grammar (put/get/ls/verify/export/import)
         // with its own 0/1/2 exit contract, dispatched the same way.
         Some("store") => std::process::exit(commands::store_cmd(&raw[1..])),

@@ -151,7 +151,7 @@ impl HeadBoundary {
             .map(|k| params.boundary_point(2.0 * PI * k as f64 / n as f64))
             .collect();
         let mut cum = Vec::with_capacity(n + 1);
-        // uniq-analyzer: allow(hot-path-alloc) — cum is pre-sized with with_capacity(n + 1); the boundary is built once per fusion solve, not per sample
+        // uniq-analyzer: allow(hot-path-alloc) — cum is pre-sized with with_capacity(n + 1); the boundary is built once per fusion objective evaluation, not per sample
         cum.push(0.0);
         for k in 0..n {
             let next = verts[(k + 1) % n];

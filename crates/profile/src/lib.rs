@@ -30,6 +30,10 @@
 //! collapsed-stack view (same paths as the latency flame, weighted by
 //! allocated bytes instead of self time).
 //!
+//! [`trace`] reads the other half of a run's record: it rebuilds the
+//! causal span tree from a `--metrics-out` JSONL file and reports the
+//! critical path and per-stage self time (`uniq trace report`).
+//!
 //! Like every sink, the registry only observes: the pipeline's numeric
 //! output is bit-identical with or without a `ProfileSink` installed
 //! (asserted by the workspace `profiling` integration test).
@@ -68,6 +72,8 @@
 #![warn(missing_docs)]
 
 pub use uniq_obs::json;
+
+pub mod trace;
 
 use std::collections::{BTreeMap, HashMap};
 use std::sync::atomic::{AtomicU64, Ordering};

@@ -243,30 +243,35 @@ fp() { awk '/population fingerprint/{print $NF}' "$1" | head -1; }
 [ "$(fp "$ci_tmp/serve_1.log")" = "$(fp "$ci_tmp/loadgen_1.log")" ] \
   || { echo "server and loadgen disagree on the population fingerprint" >&2; exit 1; }
 
-echo "== baseline determinism (two runs, bit-identical quality) =="
+echo "== baseline determinism (two runs, bit-identical quality and work counters) =="
 target/release/baseline run --out "$ci_tmp/fresh_a.json" --history "$ci_tmp/history.jsonl"
 target/release/baseline run --out "$ci_tmp/fresh_b.json" --history "$ci_tmp/history.jsonl"
 target/release/baseline quality-identical "$ci_tmp/fresh_a.json" "$ci_tmp/fresh_b.json"
 
-echo "== run-ledger gate (two baseline records: compare exact, trend warn-tier) =="
-# Both baseline runs appended a ledger record; back-to-back runs on the
-# same revision must compare clean (exit 0 — fingerprints and quality
-# bit-identical).
-target/release/uniq history compare "$ci_tmp/history.jsonl"
-# The trend gate is warn-tier in CI: a latency warning (exit 1) is
-# machine noise and tolerated; a quality regression (exit 2) is fatal.
-trend_rc=0
-target/release/uniq history trend "$ci_tmp/history.jsonl" || trend_rc=$?
-if [ "$trend_rc" -ge 2 ]; then
-  echo "history trend gate: quality regression (exit $trend_rc)" >&2
-  exit 1
-elif [ "$trend_rc" -eq 1 ]; then
-  echo "history trend gate: latency warning tolerated (exit 1)"
-fi
+echo "== regression gate (fresh_b vs BENCH_BASELINE.json and the run ledger) =="
+# The one gate: fresh_b is judged against the blessed document and every
+# "baseline" line of the ledger (both runs above appended one). Quality
+# within 2%, and fingerprints, work counters, alloc and serve counts
+# exactly, against each reference: a finding exits 1. Timings are judged
+# against the references' median and only print warnings.
+target/release/baseline compare --baseline BENCH_BASELINE.json \
+  --fresh "$ci_tmp/fresh_b.json" --history "$ci_tmp/history.jsonl"
 
-echo "== baseline compare vs BENCH_BASELINE.json (UNIQ_THREADS=1) =="
-UNIQ_THREADS=1 target/release/baseline compare \
-  --baseline BENCH_BASELINE.json --fresh "$ci_tmp/fresh_a.json"
+echo "== regression gate negative control (one fingerprint digit flipped) =="
+sed -E 's/("personalize_fingerprint": "0x[0-9a-f]{15})0"/\11"/; t
+s/("personalize_fingerprint": "0x[0-9a-f]{15})[1-9a-f]"/\10"/' \
+  "$ci_tmp/fresh_b.json" > "$ci_tmp/doctored.json"
+if cmp -s "$ci_tmp/fresh_b.json" "$ci_tmp/doctored.json"; then
+  echo "negative control left the fingerprint unchanged" >&2
+  exit 1
+fi
+if target/release/baseline compare --baseline BENCH_BASELINE.json \
+  --fresh "$ci_tmp/doctored.json" --history "$ci_tmp/history.jsonl" \
+  > "$ci_tmp/doctored.log"; then
+  echo "the regression gate accepted a doctored fingerprint" >&2
+  exit 1
+fi
+grep -q "QUALITY REGRESSION: quality.personalize_fingerprint" "$ci_tmp/doctored.log"
 
 echo "== baseline compare vs BENCH_BASELINE.json (UNIQ_THREADS=4) =="
 UNIQ_THREADS=4 target/release/baseline compare --baseline BENCH_BASELINE.json

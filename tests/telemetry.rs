@@ -1,8 +1,8 @@
 //! Integration tests for the telemetry plane: the registry's
 //! (`uniq_profile::ProfileSink`) sharded aggregate is
-//! thread-count-invariant, its self-overhead stays bounded, causal traces
-//! round-trip through the JSONL sink into a complete tree, and the run
-//! ledger's trend gate catches injected regressions.
+//! thread-count-invariant, its self-overhead stays bounded, and causal
+//! traces round-trip through the JSONL sink into a complete tree. The
+//! run ledger's gate is tested in `tests/regression_gate.rs`.
 
 use std::sync::Arc;
 
@@ -10,10 +10,9 @@ use uniq_core::batch::personalize_batch;
 use uniq_core::config::UniqConfig;
 use uniq_core::pipeline::personalize;
 use uniq_obs::names::OBS_TELEMETRY_OVERHEAD_NS;
+use uniq_profile::trace::parse_trace;
 use uniq_profile::ProfileSink;
 use uniq_subjects::Subject;
-use uniq_telemetry::ledger::{self, LedgerRecord};
-use uniq_telemetry::trace::parse_trace;
 
 fn cfg_with(threads: usize) -> UniqConfig {
     UniqConfig {
@@ -129,80 +128,6 @@ fn trace_round_trips_through_jsonl_sink() {
     }
     assert!(report.contains("critical path:"), "{report}");
     assert!(!report.contains("orphaned"), "{report}");
-}
-
-/// Builds a plausible baseline ledger record with the given quality
-/// value and per-stage latency scale.
-fn synthetic_record(quality: f64, latency_scale: f64) -> LedgerRecord {
-    let mut r = LedgerRecord::new("baseline");
-    r.seed = 6;
-    r.threads = 4;
-    r.wall_seconds = 2.0 * latency_scale;
-    r.fingerprint = "0x00000000deadbeef".to_string();
-    r.quality
-        .insert("localization_median_deg".to_string(), quality);
-    r.stage_p50_ns
-        .insert("fusion".to_string(), 1_000_000.0 * latency_scale);
-    r.stage_p99_ns
-        .insert("fusion".to_string(), 2_000_000.0 * latency_scale);
-    r
-}
-
-#[test]
-fn ledger_trend_flags_injected_quality_drift() {
-    // Four stable runs, then one with >2% quality drift: exit 2.
-    let mut records: Vec<LedgerRecord> = (0..4).map(|_| synthetic_record(8.0, 1.0)).collect();
-    records.push(synthetic_record(8.0 * 1.05, 1.0));
-    let report = ledger::trend(
-        &records,
-        ledger::DEFAULT_QUALITY_TOL,
-        ledger::DEFAULT_LATENCY_TOL,
-    );
-    assert_eq!(report.exit_code, 2, "{:?}", report.findings);
-
-    // Within-tolerance drift passes.
-    let mut stable: Vec<LedgerRecord> = (0..4).map(|_| synthetic_record(8.0, 1.0)).collect();
-    stable.push(synthetic_record(8.0 * 1.01, 1.0));
-    let report = ledger::trend(
-        &stable,
-        ledger::DEFAULT_QUALITY_TOL,
-        ledger::DEFAULT_LATENCY_TOL,
-    );
-    assert_eq!(report.exit_code, 0, "{:?}", report.findings);
-}
-
-#[test]
-fn ledger_trend_flags_injected_latency_regression() {
-    let mut records: Vec<LedgerRecord> = (0..4).map(|_| synthetic_record(8.0, 1.0)).collect();
-    records.push(synthetic_record(8.0, 3.0));
-    let report = ledger::trend(
-        &records,
-        ledger::DEFAULT_QUALITY_TOL,
-        ledger::DEFAULT_LATENCY_TOL,
-    );
-    assert_eq!(report.exit_code, 1, "{:?}", report.findings);
-}
-
-#[test]
-fn ledger_compare_accepts_identical_runs() {
-    let records = vec![synthetic_record(8.0, 1.0), synthetic_record(8.0, 1.0)];
-    let report = ledger::compare_last_two(
-        &records,
-        ledger::DEFAULT_QUALITY_TOL,
-        ledger::DEFAULT_LATENCY_TOL,
-    );
-    assert_eq!(report.exit_code, 0, "{:?}", report.findings);
-
-    // A changed fingerprint is a determinism break: exit 2.
-    let mut changed = synthetic_record(8.0, 1.0);
-    changed.fingerprint = "0x0000000000000bad".to_string();
-    let records = vec![synthetic_record(8.0, 1.0), changed];
-    let report = ledger::compare_last_two(
-        &records,
-        ledger::DEFAULT_QUALITY_TOL,
-        ledger::DEFAULT_LATENCY_TOL,
-    );
-    assert_eq!(report.exit_code, 2, "{:?}", report.findings);
 }
 
 #[test]
