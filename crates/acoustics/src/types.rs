@@ -1,7 +1,9 @@
 //! Shared containers: binaural impulse responses, HRIR banks, render
 //! configuration.
 
-use uniq_dsp::xcorr::peak_normalized_xcorr;
+use std::sync::{Arc, Mutex, MutexGuard, OnceLock, PoisonError};
+
+use uniq_dsp::xcorr::{peak_normalized_xcorr, XcorrOperand};
 
 /// Render/simulation configuration shared by the forward simulator and the
 /// UNIQ pipeline.
@@ -110,11 +112,87 @@ impl BinauralIr {
 ///
 /// Both the ground-truth measurement rig and UNIQ's estimated output use
 /// this container; `angles_deg` is kept sorted ascending.
+///
+/// The bank also caches the spectra of its entries (see
+/// [`HrirBank::spectra`]). The cache is allocated on first use; clones
+/// taken after that share it, and it is dropped with the last of them. It
+/// is derived data, so it never enters an encoding.
 #[derive(Debug, Clone)]
 pub struct HrirBank {
     angles_deg: Vec<f64>,
     irs: Vec<BinauralIr>,
     sample_rate: f64,
+    spectra: SpectrumCache,
+}
+
+/// Which operand of a cross-correlation a cached spectrum table holds.
+#[derive(Debug, Clone, Copy, PartialEq, Eq)]
+pub enum SpectrumForm {
+    /// [`XcorrOperand::leading`]: the spectrum of the HRIR itself.
+    Forward,
+    /// [`XcorrOperand::trailing`]: the spectrum of the reversed HRIR.
+    Reversed,
+}
+
+/// Both ears of one bank entry, prepared at one transform size.
+#[derive(Debug, Clone)]
+pub struct BinauralSpectra {
+    /// Left-ear operand.
+    pub left: XcorrOperand,
+    /// Right-ear operand.
+    pub right: XcorrOperand,
+}
+
+/// One table per (transform size, form), index-aligned with the bank.
+type SpectrumTable = Arc<[BinauralSpectra]>;
+type SpectrumTables = Vec<((usize, SpectrumForm), SpectrumTable)>;
+
+/// Lazily allocated, so building a bank allocates nothing extra; cloning
+/// an allocated cache shares it.
+#[derive(Default, Clone)]
+struct SpectrumCache {
+    tables: OnceLock<Arc<Mutex<SpectrumTables>>>,
+}
+
+impl SpectrumCache {
+    fn tables(&self) -> MutexGuard<'_, SpectrumTables> {
+        // A table is inserted whole, so a poisoned lock still guards a
+        // consistent list.
+        self.tables
+            .get_or_init(Arc::default)
+            .lock()
+            .unwrap_or_else(PoisonError::into_inner)
+    }
+
+    fn get(&self, key: (usize, SpectrumForm)) -> Option<SpectrumTable> {
+        self.tables()
+            .iter()
+            .find(|(k, _)| *k == key)
+            .map(|(_, t)| t.clone())
+    }
+
+    /// Inserts `table` unless a racing caller got there first; either way
+    /// returns the table now cached under `key`.
+    fn insert(&self, key: (usize, SpectrumForm), table: SpectrumTable) -> SpectrumTable {
+        let mut tables = self.tables();
+        if let Some((_, t)) = tables.iter().find(|(k, _)| *k == key) {
+            return t.clone();
+        }
+        tables.push((key, table.clone()));
+        table
+    }
+}
+
+/// Prints the cached keys only: a table is megabytes of spectra.
+impl std::fmt::Debug for SpectrumCache {
+    fn fmt(&self, f: &mut std::fmt::Formatter<'_>) -> std::fmt::Result {
+        let mut list = f.debug_list();
+        if let Some(tables) = self.tables.get() {
+            let tables = tables.lock().unwrap_or_else(PoisonError::into_inner);
+            list.entries(tables.iter().map(|(k, _)| k));
+        }
+        list.finish()
+    }
 }
 
 impl HrirBank {
@@ -146,6 +224,7 @@ impl HrirBank {
             angles_deg,
             irs,
             sample_rate,
+            spectra: SpectrumCache::default(),
         }
     }
 
@@ -189,6 +268,42 @@ impl HrirBank {
             // uniq-analyzer: allow(panic-safety) — the constructor asserts the bank is non-empty
             .expect("non-empty bank");
         (&self.irs[idx], self.angles_deg[idx])
+    }
+
+    /// Every entry's two ears prepared as cross-correlation operands of
+    /// transform size `n` (see [`XcorrOperand`]), index-aligned with
+    /// [`HrirBank::irs`].
+    ///
+    /// Each (`n`, `form`) table is built on first use, one entry per task
+    /// on `pool`, and cached for the life of the bank. A table costs
+    /// `len × 2 × n × 16` bytes: about 190 MB for 181 entries at
+    /// `n = 32768`.
+    ///
+    /// # Panics
+    /// Panics if `n` is not a power of two or is shorter than the HRIRs.
+    pub fn spectra(
+        &self,
+        n: usize,
+        form: SpectrumForm,
+        pool: &uniq_par::ThreadPool,
+    ) -> Arc<[BinauralSpectra]> {
+        let key = (n, form);
+        if let Some(table) = self.spectra.get(key) {
+            return table;
+        }
+        // Built without holding the lock: the build runs on the pool,
+        // whose workers may be waiting on this cache. Racing callers may
+        // both build a table; the tables are bitwise equal and the first
+        // insert wins.
+        let prepare = match form {
+            SpectrumForm::Forward => XcorrOperand::leading,
+            SpectrumForm::Reversed => XcorrOperand::trailing,
+        };
+        let table = pool.par_map(&self.irs, |ir| BinauralSpectra {
+            left: prepare(&ir.left, n),
+            right: prepare(&ir.right, n),
+        });
+        self.spectra.insert(key, table.into())
     }
 
     /// Index of the entry at exactly `theta_deg` (±1e−6°), if present.
@@ -270,6 +385,39 @@ mod tests {
         let bank = HrirBank::new(vec![(0.0, ir(1.0, 8)), (10.0, ir(1.0, 8))], 48e3);
         assert_eq!(bank.index_of(10.0), Some(1));
         assert_eq!(bank.index_of(5.0), None);
+    }
+
+    #[test]
+    fn spectra_are_cached_per_key_and_shared_by_later_clones() {
+        let pool = uniq_par::ThreadPool::new(2);
+        let mut a = BinauralIr::zeros(8);
+        a.left[1] = 1.0;
+        a.right[2] = -0.5;
+        let bank = HrirBank::new(vec![(0.0, a.clone()), (10.0, ir(0.25, 8))], 48e3);
+        assert!(format!("{bank:?}").contains("spectra: []"));
+        let fwd = bank.spectra(16, SpectrumForm::Forward, &pool);
+        let clone = bank.clone();
+        let rev = clone.spectra(16, SpectrumForm::Reversed, &pool);
+        assert!(Arc::ptr_eq(
+            &fwd,
+            &clone.spectra(16, SpectrumForm::Forward, &pool)
+        ));
+        assert!(Arc::ptr_eq(
+            &rev,
+            &bank.spectra(16, SpectrumForm::Reversed, &pool)
+        ));
+        assert_eq!(fwd.len(), 2);
+        let want = uniq_dsp::fft::rfft_padded(&a.left, 16);
+        assert_eq!(fwd[0].left.spectrum(), want.as_slice());
+        let reversed: Vec<f64> = a.right.iter().rev().copied().collect();
+        let want = uniq_dsp::fft::rfft_padded(&reversed, 16);
+        assert_eq!(rev[0].right.spectrum(), want.as_slice());
+        // Debug output names the cached keys, not the spectra.
+        let shown = format!("{bank:?}");
+        assert!(
+            shown.contains("spectra: [(16, Forward), (16, Reversed)]"),
+            "{shown}"
+        );
     }
 
     #[test]

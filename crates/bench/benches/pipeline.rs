@@ -2,17 +2,22 @@
 //! rendering, the in-room forward model, channel estimation and AoA
 //! matching.
 
+use std::sync::Arc;
+
 use criterion::{criterion_group, criterion_main, Criterion};
 use uniq_acoustics::measure::{record_plane_wave, record_point_source, MeasurementSetup};
 use uniq_acoustics::pinna::PinnaModel;
 use uniq_acoustics::render::Renderer;
 use uniq_acoustics::room::Shoebox;
-use uniq_core::aoa::estimate_known_source;
+use uniq_acoustics::signals::{generate, SignalKind};
+use uniq_core::aoa::{estimate_known_source, estimate_unknown_source};
 use uniq_core::config::UniqConfig;
 use uniq_core::fusion::localize_phone;
 use uniq_geometry::diffraction::path_to_ear;
 use uniq_geometry::vec2::unit_from_theta;
 use uniq_geometry::{Ear, HeadBoundary, HeadParams};
+use uniq_obs::names::AOA_CANDIDATE_FALLBACKS;
+use uniq_obs::sink::MemorySink;
 
 fn bench_localize(c: &mut Criterion) {
     let boundary = HeadBoundary::new(HeadParams::average_adult(), 1024);
@@ -92,9 +97,41 @@ fn bench_aoa(c: &mut Criterion) {
     });
 }
 
+/// Both AoA estimators at the paper configuration: a 181-angle bank at
+/// `UniqConfig::default()` and 0.4 s clips. The known source is white
+/// noise; the unknown source is a speech clip whose Eq. 10 step finds no
+/// candidate, so Eq. 11 scores all 181 angles. The first (calibration)
+/// call fills the bank's spectrum cache; the samples time the per-call
+/// work.
+fn bench_aoa_paper(c: &mut Criterion) {
+    let cfg = UniqConfig::default();
+    let renderer = Renderer::new(
+        HeadBoundary::new(HeadParams::average_adult(), cfg.inverse_resolution),
+        PinnaModel::from_seed(3),
+        PinnaModel::from_seed(4),
+        cfg.render,
+    );
+    let bank = renderer.ground_truth_bank(&cfg.output_grid());
+    assert_eq!(bank.len(), 181);
+    let setup = MeasurementSetup::anechoic(cfg.render.sample_rate, 35.0);
+    let noise = generate(SignalKind::WhiteNoise, 0.4, cfg.render.sample_rate, 5);
+    let rec = record_plane_wave(&renderer, &setup, 65.0, &noise, 1);
+    c.bench_function("aoa_known_source_paper", |b| {
+        b.iter(|| estimate_known_source(std::hint::black_box(&rec), &noise, &bank, &cfg))
+    });
+    let speech = generate(SignalKind::Speech, 0.4, cfg.render.sample_rate, 1);
+    let rec = record_plane_wave(&renderer, &setup, 65.0, &speech, 2);
+    let sink = Arc::new(MemorySink::new());
+    uniq_obs::with_sink(sink.clone(), || estimate_unknown_source(&rec, &bank, &cfg));
+    assert_eq!(sink.counter_total(AOA_CANDIDATE_FALLBACKS), 1);
+    c.bench_function("aoa_unknown_source_paper", |b| {
+        b.iter(|| estimate_unknown_source(std::hint::black_box(&rec), &bank, &cfg))
+    });
+}
+
 criterion_group! {
     name = benches;
     config = Criterion::default().sample_size(10);
-    targets = bench_localize, bench_render, bench_forward_model, bench_aoa
+    targets = bench_localize, bench_render, bench_forward_model, bench_aoa, bench_aoa_paper
 }
 criterion_main!(benches);

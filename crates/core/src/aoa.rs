@@ -17,12 +17,11 @@
 
 use crate::config::UniqConfig;
 use uniq_acoustics::measure::BinauralRecording;
-use uniq_acoustics::types::HrirBank;
-use uniq_dsp::complex::Complex;
+use uniq_acoustics::types::{HrirBank, SpectrumForm};
 use uniq_dsp::deconv::wiener_deconvolve_batch;
-use uniq_dsp::fft::{fft_in_place, next_pow2};
+use uniq_dsp::fft::{next_pow2, rfft_padded};
 use uniq_dsp::peaks::{find_peaks, first_tap};
-use uniq_dsp::xcorr::{peak_normalized_xcorr, xcorr};
+use uniq_dsp::xcorr::{peak_normalized_xcorr_prepared, xcorr, XcorrOperand};
 
 /// Per-angle template features precomputed from a far-field bank.
 #[derive(Debug, Clone)]
@@ -30,22 +29,31 @@ pub struct AoaTemplates {
     angles: Vec<f64>,
     /// Relative first-tap delay `t(θ) = tap_R − tap_L`, samples.
     t_rel: Vec<f64>,
+    /// Index of each kept angle's entry in the bank.
+    bank_index: Vec<usize>,
 }
 
 impl AoaTemplates {
-    /// Extracts the TDoA feature curve from a far-field bank.
+    /// Extracts the TDoA feature curve from a far-field bank. Entries
+    /// without a first tap on both ears are skipped.
     pub fn from_bank(bank: &HrirBank, cfg: &UniqConfig) -> Self {
         let mut angles = Vec::with_capacity(bank.len());
         let mut t_rel = Vec::with_capacity(bank.len());
-        for (&a, ir) in bank.angles().iter().zip(bank.irs()) {
+        let mut bank_index = Vec::with_capacity(bank.len());
+        for (i, (&a, ir)) in bank.angles().iter().zip(bank.irs()).enumerate() {
             let tl = first_tap(&ir.left, cfg.tap_threshold);
             let tr = first_tap(&ir.right, cfg.tap_threshold);
             if let (Some(tl), Some(tr)) = (tl, tr) {
                 angles.push(a);
                 t_rel.push(tr.position - tl.position);
+                bank_index.push(i);
             }
         }
-        AoaTemplates { angles, t_rel }
+        AoaTemplates {
+            angles,
+            t_rel,
+            bank_index,
+        }
     }
 
     /// Template angles.
@@ -62,7 +70,9 @@ impl AoaTemplates {
 /// Known-source AoA (Eq. 9): returns the estimated angle in degrees.
 ///
 /// `bank` is the personalized (or global, for the baseline) far-field
-/// HRTF template.
+/// HRTF template. The templates' reversed spectra come from the bank's
+/// cache ([`HrirBank::spectra`]), so each template costs one spectrum
+/// product and one inverse FFT per ear.
 pub fn estimate_known_source(
     recording: &BinauralRecording,
     source: &[f64],
@@ -93,23 +103,24 @@ pub fn estimate_known_source(
         _ => 0.0,
     };
 
+    // The transform size `peak_normalized_xcorr(channel, template)` uses;
+    // both channels are `channel_len` long.
+    let n = next_pow2(ch_left.len() + bank.irs()[0].len() - 1);
+    let lead_left = XcorrOperand::leading(&ch_left, n);
+    let lead_right = XcorrOperand::leading(&ch_right, n);
+    let spectra = bank.spectra(n, SpectrumForm::Reversed, &pool);
     let templates = AoaTemplates::from_bank(bank, cfg);
     // Per-template costs are independent: compute them across the pool,
     // then take the argmin with the same sequential strict-< fold the
     // serial sweep used (first minimum wins), so the estimate is
     // bit-identical at any thread count.
-    let entries: Vec<(f64, f64, &uniq_acoustics::types::BinauralIr)> = templates
-        .angles
-        .iter()
-        .zip(&templates.t_rel)
-        .zip(bank.irs())
-        .map(|((&theta, &t_theta), ir)| (theta, t_theta, ir))
-        .collect();
-    let costs = pool.par_map(&entries, |&(theta, t_theta, ir)| {
-        let c_l = peak_normalized_xcorr(&ch_left, &ir.left);
-        let c_r = peak_normalized_xcorr(&ch_right, &ir.right);
-        let cost = cfg.aoa_lambda * (t0 - t_theta).abs() + (1.0 - c_l) + (1.0 - c_r);
-        (cost, theta)
+    let entries: Vec<usize> = (0..templates.angles.len()).collect();
+    let costs = pool.par_map(&entries, |&w| {
+        let s = &spectra[templates.bank_index[w]];
+        let c_l = peak_normalized_xcorr_prepared(&lead_left, &s.left);
+        let c_r = peak_normalized_xcorr_prepared(&lead_right, &s.right);
+        let cost = cfg.aoa_lambda * (t0 - templates.t_rel[w]).abs() + (1.0 - c_l) + (1.0 - c_r);
+        (cost, templates.angles[w])
     });
     let mut best = (f64::INFINITY, 0.0);
     for &(cost, theta) in &costs {
@@ -122,6 +133,9 @@ pub fn estimate_known_source(
 
 /// Unknown-source AoA (Eqs. 10–11): returns the estimated angle in
 /// degrees.
+///
+/// The templates' spectra come from the bank's cache
+/// ([`HrirBank::spectra`]); only the recording is transformed per call.
 pub fn estimate_unknown_source(
     recording: &BinauralRecording,
     bank: &HrirBank,
@@ -138,8 +152,9 @@ pub fn estimate_unknown_source(
     let zero_lag = right.len() as f64 - 1.0;
 
     let templates = AoaTemplates::from_bank(bank, cfg);
-    // Map each candidate TDoA to template angles whose t(θ) matches.
-    let mut candidates: Vec<f64> = Vec::new();
+    // Map each candidate TDoA to template angles whose t(θ) matches;
+    // candidates are `(angle, bank index)`.
+    let mut candidates: Vec<(f64, usize)> = Vec::new();
     for p in peaks.iter().take(6) {
         // lag convention: a(t) = b(t + lag) → t0 = tap_R − tap_L = +lag.
         let dt = zero_lag - p.position;
@@ -160,28 +175,40 @@ pub fn estimate_unknown_source(
                 err <= prev && err <= next
             };
             if better_than_neighbors && err < 3.0 {
-                candidates.push(templates.angles[w]);
+                candidates.push((templates.angles[w], templates.bank_index[w]));
             }
         }
     }
-    if candidates.is_empty() {
-        candidates.extend_from_slice(&templates.angles);
+    let fallback = candidates.is_empty();
+    if fallback {
+        candidates.extend(
+            templates
+                .angles
+                .iter()
+                .copied()
+                .zip(templates.bank_index.iter().copied()),
+        );
     }
+    uniq_obs::counter(uniq_obs::names::AOA_CANDIDATES, candidates.len() as u64);
+    uniq_obs::counter(
+        uniq_obs::names::AOA_CANDIDATE_FALLBACKS,
+        u64::from(fallback),
+    );
 
     // Eq. 11 disambiguation: minimize ‖L·H_R(θ) − R·H_L(θ)‖ in the
     // frequency domain.
     let n = next_pow2(window + bank.irs()[0].len());
-    let fl = spectrum_of(left, n);
-    let fr = spectrum_of(right, n);
+    let fl = rfft_padded(left, n);
+    let fr = rfft_padded(right, n);
+    let pool = uniq_par::pool(cfg.threads);
+    let spectra = bank.spectra(n, SpectrumForm::Forward, &pool);
 
     // Candidate costs are independent: compute across the pool, argmin
     // with the sequential strict-< fold (first minimum wins) for
     // bit-identical estimates at any thread count.
-    let pool = uniq_par::pool(cfg.threads);
-    let costs = pool.par_map(&candidates, |&theta| {
-        let (ir, _) = bank.nearest(theta);
-        let hl = spectrum_of(&ir.left, n);
-        let hr = spectrum_of(&ir.right, n);
+    let costs = pool.par_map(&candidates, |&(theta, idx)| {
+        let hl = spectra[idx].left.spectrum();
+        let hr = spectra[idx].right.spectrum();
         let mut num = 0.0;
         let mut den = 0.0;
         for k in 0..n {
@@ -192,7 +219,7 @@ pub fn estimate_unknown_source(
         }
         (num / den.max(1e-30), theta)
     });
-    let mut best = (f64::INFINITY, candidates[0]);
+    let mut best = (f64::INFINITY, candidates[0].0);
     for &(cost, theta) in &costs {
         if cost < best.0 {
             best = (cost, theta);
@@ -225,15 +252,6 @@ pub fn train_lambda(
     uniq_optim::golden_section(objective, 0.0, 1.0, 1e-3).0
 }
 
-fn spectrum_of(signal: &[f64], n: usize) -> Vec<Complex> {
-    let mut buf = vec![Complex::ZERO; n];
-    for (b, &s) in buf.iter_mut().zip(signal) {
-        *b = Complex::from_real(s);
-    }
-    fft_in_place(&mut buf);
-    buf
-}
-
 /// Whether an angle is in the frontal hemisphere (θ < 90°). Used by the
 /// Fig 22(d) front-back accuracy metric.
 pub fn is_front(theta_deg: f64) -> bool {
@@ -252,12 +270,127 @@ pub fn front_back_accuracy(pairs: &[(f64, f64)]) -> f64 {
     correct as f64 / pairs.len() as f64
 }
 
+/// The per-call estimators as they were before the bank's spectrum cache
+/// (known-source templates aligned by bank index): every call transforms
+/// every template it scores. Kept as the oracle the cached path must match
+/// bit for bit.
+#[cfg(test)]
+mod oracle {
+    use super::*;
+
+    /// `peak_normalized_xcorr` in its direct form.
+    fn similarity(a: &[f64], b: &[f64]) -> f64 {
+        let ea: f64 = a.iter().map(|v| v * v).sum();
+        let eb: f64 = b.iter().map(|v| v * v).sum();
+        if ea <= 0.0 || eb <= 0.0 {
+            return 0.0;
+        }
+        let r = xcorr(a, b);
+        let peak = r.iter().fold(f64::NEG_INFINITY, |m, &v| m.max(v));
+        peak / (ea * eb).sqrt()
+    }
+
+    pub fn known_source(
+        recording: &BinauralRecording,
+        source: &[f64],
+        bank: &HrirBank,
+        cfg: &UniqConfig,
+    ) -> f64 {
+        let pool = uniq_par::pool(cfg.threads);
+        let mut chans = wiener_deconvolve_batch(
+            &[recording.left.as_slice(), recording.right.as_slice()],
+            source,
+            cfg.deconv_noise_floor,
+            cfg.channel_len,
+            &pool,
+        );
+        let ch_right = chans.pop().unwrap();
+        let ch_left = chans.pop().unwrap();
+        let t0 = match (
+            first_tap(&ch_left, cfg.tap_threshold),
+            first_tap(&ch_right, cfg.tap_threshold),
+        ) {
+            (Some(l), Some(r)) => r.position - l.position,
+            _ => 0.0,
+        };
+        let templates = AoaTemplates::from_bank(bank, cfg);
+        let mut best = (f64::INFINITY, 0.0);
+        for w in 0..templates.angles.len() {
+            let ir = &bank.irs()[templates.bank_index[w]];
+            let c_l = similarity(&ch_left, &ir.left);
+            let c_r = similarity(&ch_right, &ir.right);
+            let cost = cfg.aoa_lambda * (t0 - templates.t_rel[w]).abs() + (1.0 - c_l) + (1.0 - c_r);
+            if cost < best.0 {
+                best = (cost, templates.angles[w]);
+            }
+        }
+        best.1
+    }
+
+    pub fn unknown_source(recording: &BinauralRecording, bank: &HrirBank, cfg: &UniqConfig) -> f64 {
+        let window = 16_384.min(recording.left.len());
+        let left = &recording.left[..window];
+        let right = &recording.right[..window];
+        let r = xcorr(left, right);
+        let peaks = find_peaks(&r, 0.5, 3);
+        let zero_lag = right.len() as f64 - 1.0;
+        let templates = AoaTemplates::from_bank(bank, cfg);
+        let mut candidates: Vec<f64> = Vec::new();
+        for p in peaks.iter().take(6) {
+            let dt = zero_lag - p.position;
+            for w in 0..templates.angles.len() {
+                let err = (templates.t_rel[w] - dt).abs();
+                let prev = w
+                    .checked_sub(1)
+                    .map(|i| (templates.t_rel[i] - dt).abs())
+                    .unwrap_or(f64::INFINITY);
+                let next = templates
+                    .t_rel
+                    .get(w + 1)
+                    .map(|t| (t - dt).abs())
+                    .unwrap_or(f64::INFINITY);
+                if err <= prev && err <= next && err < 3.0 {
+                    candidates.push(templates.angles[w]);
+                }
+            }
+        }
+        if candidates.is_empty() {
+            candidates.extend_from_slice(&templates.angles);
+        }
+        let n = next_pow2(window + bank.irs()[0].len());
+        let fl = rfft_padded(left, n);
+        let fr = rfft_padded(right, n);
+        let mut best = (f64::INFINITY, candidates[0]);
+        for &theta in &candidates {
+            let (ir, _) = bank.nearest(theta);
+            let hl = rfft_padded(&ir.left, n);
+            let hr = rfft_padded(&ir.right, n);
+            let mut num = 0.0;
+            let mut den = 0.0;
+            for k in 0..n {
+                let lhs = fl[k] * hr[k];
+                let rhs = fr[k] * hl[k];
+                num += (lhs - rhs).norm_sqr();
+                den += lhs.norm_sqr() + rhs.norm_sqr();
+            }
+            let cost = num / den.max(1e-30);
+            if cost < best.0 {
+                best = (cost, theta);
+            }
+        }
+        best.1
+    }
+}
+
 #[cfg(test)]
 mod tests {
     use super::*;
+    use std::sync::Arc;
     use uniq_acoustics::measure::{record_plane_wave, MeasurementSetup};
     use uniq_acoustics::signals::{generate, SignalKind};
+    use uniq_acoustics::types::BinauralIr;
     use uniq_geometry::vec2::angle_diff_deg;
+    use uniq_obs::sink::MemorySink;
     use uniq_subjects::Subject;
 
     fn cfg() -> UniqConfig {
@@ -386,5 +519,112 @@ mod tests {
             .collect();
         let lambda = train_lambda(&training, &bank, &c);
         assert!((0.0..=1.0).contains(&lambda));
+    }
+
+    /// The bank's entries, for building a variant of it (a new bank starts
+    /// with an empty spectrum cache).
+    fn entries(bank: &HrirBank) -> Vec<(f64, BinauralIr)> {
+        bank.angles()
+            .iter()
+            .copied()
+            .zip(bank.irs().iter().cloned())
+            .collect()
+    }
+
+    /// Both estimators against the per-call oracle on a personalized and a
+    /// global bank, for every signal kind, at 1 and 4 threads. Each pool
+    /// size starts from banks with empty caches, so tables built at either
+    /// size are compared, cold and warm.
+    #[test]
+    fn cached_estimators_match_the_per_call_oracle_bitwise() {
+        let base = UniqConfig {
+            in_room: false,
+            snr_db: 45.0,
+            grid_step_deg: 5.0,
+            ..cfg()
+        };
+        let s = subject();
+        let personal = crate::pipeline::personalize(&s, &base, 42)
+            .expect("personalization succeeds")
+            .hrtf
+            .far()
+            .clone();
+        let global = uniq_subjects::global_template(base.render, &base.output_grid());
+        let renderer = s.renderer(base.render, 1024);
+        let setup = MeasurementSetup::anechoic(base.render.sample_rate, 35.0);
+        let sink = Arc::new(MemorySink::new());
+        uniq_obs::with_sink(sink.clone(), || {
+            for threads in [1, 4] {
+                let c = UniqConfig {
+                    threads,
+                    ..base.clone()
+                };
+                for (bank, tag) in [(&personal, "personal"), (&global, "global")] {
+                    let bank = &HrirBank::new(entries(bank), bank.sample_rate());
+                    for (k, kind) in SignalKind::ALL.into_iter().enumerate() {
+                        for truth in [11.25, 78.75, 146.25] {
+                            let seed = 20_000 + k as u64 * 10 + truth as u64;
+                            let sig = generate(kind, 0.4, base.render.sample_rate, seed);
+                            let rec = record_plane_wave(&renderer, &setup, truth, &sig, seed + 1);
+                            let known = estimate_known_source(&rec, &sig, bank, &c);
+                            let want = oracle::known_source(&rec, &sig, bank, &c);
+                            assert_eq!(
+                                known.to_bits(),
+                                want.to_bits(),
+                                "known {tag} {kind:?} θ={truth} t={threads}: {known} vs {want}"
+                            );
+                            let unknown = estimate_unknown_source(&rec, bank, &c);
+                            let want = oracle::unknown_source(&rec, bank, &c);
+                            assert_eq!(
+                                unknown.to_bits(),
+                                want.to_bits(),
+                                "unknown {tag} {kind:?} θ={truth} t={threads}: {unknown} vs {want}"
+                            );
+                        }
+                    }
+                }
+            }
+        });
+        // The comparison covered the all-angles fallback as well as the
+        // two-stage path.
+        let calls = 2 * 2 * 3 * 3;
+        let fallbacks = sink.counter_total(uniq_obs::names::AOA_CANDIDATE_FALLBACKS);
+        assert!(
+            fallbacks > 0 && fallbacks < calls,
+            "{fallbacks} of {calls} calls fell back"
+        );
+    }
+
+    /// An entry without a first tap is skipped by the templates; every
+    /// later template must still be scored against its own HRIR.
+    #[test]
+    fn silent_bank_entry_does_not_shift_later_templates() {
+        let c = cfg();
+        let s = subject();
+        let renderer = s.renderer(c.render, 1024);
+        let angles: Vec<f64> = (0..=36).map(|k| k as f64 * 5.0).collect();
+        let bank = renderer.ground_truth_bank(&angles);
+        let mut pairs = entries(&bank);
+        pairs.push((2.5, BinauralIr::zeros(bank.irs()[0].len())));
+        let with_silent = HrirBank::new(pairs, bank.sample_rate());
+        assert_eq!(AoaTemplates::from_bank(&with_silent, &c).bank_index[1], 2);
+
+        let setup = MeasurementSetup::anechoic(c.render.sample_rate, 40.0);
+        let probe = c.probe();
+        let noise = generate(SignalKind::WhiteNoise, 0.3, c.render.sample_rate, 3);
+        for truth in [40.0, 110.0] {
+            let rec = record_plane_wave(&renderer, &setup, truth, &probe, 12);
+            assert_eq!(
+                estimate_known_source(&rec, &probe, &with_silent, &c).to_bits(),
+                estimate_known_source(&rec, &probe, &bank, &c).to_bits(),
+                "known source at θ={truth}"
+            );
+            let rec = record_plane_wave(&renderer, &setup, truth, &noise, 13);
+            assert_eq!(
+                estimate_unknown_source(&rec, &with_silent, &c).to_bits(),
+                estimate_unknown_source(&rec, &bank, &c).to_bits(),
+                "unknown source at θ={truth}"
+            );
+        }
     }
 }

@@ -4,9 +4,13 @@
 //! metric (Fig 2 pinna confusion matrices) and as its headline evaluation
 //! metric (HRIR similarity, Figs 18–20). [`peak_normalized_xcorr`]
 //! implements exactly that: `max_τ Σ a(t)·b(t+τ)` normalized by the signal
-//! energies so identical signals score 1.
+//! energies so identical signals score 1. [`XcorrOperand`] is the same
+//! metric with each side transformed once, for scoring one signal against
+//! many (the known-source AoA template sweep).
 
+use crate::complex::Complex;
 use crate::conv::convolve_fft;
+use crate::fft::{ifft_in_place, next_pow2, rfft_padded};
 
 /// Full cross-correlation `r[k] = Σ_t a(t) · b(t + (b.len()-1) - k)`.
 ///
@@ -87,14 +91,89 @@ pub fn xcorr_peak_lag_subsample(a: &[f64], b: &[f64]) -> f64 {
 /// for comparing impulse responses irrespective of alignment and gain.
 /// Returns 0 when either signal is silent or empty.
 pub fn peak_normalized_xcorr(a: &[f64], b: &[f64]) -> f64 {
-    let ea: f64 = a.iter().map(|v| v * v).sum();
-    let eb: f64 = b.iter().map(|v| v * v).sum();
-    if ea <= 0.0 || eb <= 0.0 {
+    if a.is_empty() || b.is_empty() {
         return 0.0;
     }
-    let r = xcorr(a, b);
-    let peak = r.iter().fold(f64::NEG_INFINITY, |m, &v| m.max(v));
-    peak / (ea * eb).sqrt()
+    let n = next_pow2(a.len() + b.len() - 1);
+    peak_normalized_xcorr_prepared(&XcorrOperand::leading(a, n), &XcorrOperand::trailing(b, n))
+}
+
+/// One side of [`peak_normalized_xcorr`], transformed once: its energy
+/// `Σ x²` and its spectrum zero-padded to a power of two `n`.
+///
+/// The leading operand `a` keeps the spectrum of `a`; the trailing operand
+/// `b` keeps the spectrum of `b` reversed, so one product and one inverse
+/// FFT give the full cross-correlation. Scoring prepared operands with
+/// [`peak_normalized_xcorr_prepared`] is bitwise what
+/// [`peak_normalized_xcorr`] returns for the same signals.
+#[derive(Debug, Clone)]
+pub struct XcorrOperand {
+    spectrum: Vec<Complex>,
+    energy: f64,
+    len: usize,
+}
+
+impl XcorrOperand {
+    /// Prepares `a`, the first argument of [`peak_normalized_xcorr`].
+    ///
+    /// # Panics
+    /// Panics if `n` is not a power of two or is shorter than `a`.
+    pub fn leading(a: &[f64], n: usize) -> Self {
+        XcorrOperand {
+            spectrum: rfft_padded(a, n),
+            energy: a.iter().map(|v| v * v).sum(),
+            len: a.len(),
+        }
+    }
+
+    /// Prepares `b`, the second argument of [`peak_normalized_xcorr`].
+    ///
+    /// # Panics
+    /// Panics if `n` is not a power of two or is shorter than `b`.
+    pub fn trailing(b: &[f64], n: usize) -> Self {
+        let b_rev: Vec<f64> = b.iter().rev().copied().collect();
+        XcorrOperand {
+            spectrum: rfft_padded(&b_rev, n),
+            energy: b.iter().map(|v| v * v).sum(),
+            len: b.len(),
+        }
+    }
+
+    /// The zero-padded spectrum (of the reversed signal for a trailing
+    /// operand).
+    pub fn spectrum(&self) -> &[Complex] {
+        &self.spectrum
+    }
+}
+
+/// [`peak_normalized_xcorr`] of a prepared leading operand `a` and trailing
+/// operand `b`: one spectrum product and one inverse FFT.
+///
+/// # Panics
+/// Panics if the operands were prepared at different sizes, or at a size
+/// shorter than the full correlation `a.len() + b.len() − 1`.
+pub fn peak_normalized_xcorr_prepared(a: &XcorrOperand, b: &XcorrOperand) -> f64 {
+    if a.energy <= 0.0 || b.energy <= 0.0 {
+        return 0.0;
+    }
+    let n = a.spectrum.len();
+    let out_len = a.len + b.len - 1;
+    assert!(
+        b.spectrum.len() == n && out_len <= n,
+        "peak_normalized_xcorr_prepared: operands of lengths {} and {} need one size >= {out_len}, got {n} and {}",
+        a.len,
+        b.len,
+        b.spectrum.len()
+    );
+    let mut r = a.spectrum.clone();
+    for (x, y) in r.iter_mut().zip(&b.spectrum) {
+        *x *= *y;
+    }
+    ifft_in_place(&mut r);
+    let peak = r[..out_len]
+        .iter()
+        .fold(f64::NEG_INFINITY, |m, v| m.max(v.re));
+    peak / (a.energy * b.energy).sqrt()
 }
 
 /// Pearson correlation coefficient between two equal-length slices
@@ -128,6 +207,53 @@ pub fn pearson(a: &[f64], b: &[f64]) -> f64 {
 mod tests {
     use super::*;
     use crate::signal::{impulse, linear_chirp};
+
+    /// The direct form `peak_normalized_xcorr` had before it was expressed
+    /// through prepared operands: the oracle for bit-identity.
+    fn peak_normalized_xcorr_oracle(a: &[f64], b: &[f64]) -> f64 {
+        let ea: f64 = a.iter().map(|v| v * v).sum();
+        let eb: f64 = b.iter().map(|v| v * v).sum();
+        if ea <= 0.0 || eb <= 0.0 {
+            return 0.0;
+        }
+        let r = xcorr(a, b);
+        let peak = r.iter().fold(f64::NEG_INFINITY, |m, &v| m.max(v));
+        peak / (ea * eb).sqrt()
+    }
+
+    #[test]
+    fn prepared_operands_match_the_direct_form_bitwise() {
+        let mut state = 0x9e37_79b9_7f4a_7c15_u64;
+        let mut next = || {
+            state = state
+                .wrapping_mul(6_364_136_223_846_793_005)
+                .wrapping_add(1_442_695_040_888_963_407);
+            (state >> 11) as f64 / (1u64 << 53) as f64 - 0.5
+        };
+        for (la, lb) in [(1, 1), (7, 3), (64, 64), (300, 37), (512, 512), (1000, 129)] {
+            let a: Vec<f64> = (0..la).map(|_| next()).collect();
+            let b: Vec<f64> = (0..lb).map(|_| next()).collect();
+            let want = peak_normalized_xcorr_oracle(&a, &b);
+            assert_eq!(peak_normalized_xcorr(&a, &b).to_bits(), want.to_bits());
+            // Operands prepared by the caller score the same bits.
+            let n = next_pow2(la + lb - 1);
+            let lead = XcorrOperand::leading(&a, n);
+            let trail = XcorrOperand::trailing(&b, n);
+            assert_eq!(
+                peak_normalized_xcorr_prepared(&lead, &trail).to_bits(),
+                want.to_bits()
+            );
+        }
+        assert_eq!(peak_normalized_xcorr(&[0.0; 8], &[1.0; 4]), 0.0);
+    }
+
+    #[test]
+    #[should_panic(expected = "need one size")]
+    fn prepared_operands_must_share_a_size() {
+        let a = XcorrOperand::leading(&[1.0; 8], 16);
+        let b = XcorrOperand::trailing(&[1.0; 8], 32);
+        peak_normalized_xcorr_prepared(&a, &b);
+    }
 
     #[test]
     fn self_correlation_is_one() {

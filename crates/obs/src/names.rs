@@ -79,6 +79,14 @@ pub const RENDER_CROSSFADE_SAMPLES: &str = "render.crossfade_samples";
 /// Externalization proxy score of a rendered/reference comparison, `[0, 1]`.
 pub const RENDER_EXTERNALIZATION_PROXY: &str = "render.externalization_proxy";
 
+/// Template angles the unknown-source AoA scored with the Eq. 11 check,
+/// summed over calls (counter; deterministic at any thread count).
+pub const AOA_CANDIDATES: &str = "aoa.candidates";
+/// Unknown-source AoA calls where no Eq. 10 candidate matched within 3
+/// samples, so every template angle was scored (counter; deterministic at
+/// any thread count).
+pub const AOA_CANDIDATE_FALLBACKS: &str = "aoa.candidate_fallbacks";
+
 /// Nanoseconds the registry spent recording its own events —
 /// observability cost, itself observed (added at report time by
 /// `uniq-profile`'s `ProfileSink`).
@@ -171,6 +179,8 @@ pub const ALL_METRICS: &[&str] = &[
     RENDER_BLOCKS,
     RENDER_CROSSFADE_SAMPLES,
     RENDER_EXTERNALIZATION_PROXY,
+    AOA_CANDIDATES,
+    AOA_CANDIDATE_FALLBACKS,
     OBS_TELEMETRY_OVERHEAD_NS,
     ALLOC_TOTAL_COUNT,
     ALLOC_TOTAL_BYTES,

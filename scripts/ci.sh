@@ -116,27 +116,28 @@ grep -q "alloc-b" "$ci_tmp/memprof_prof.log"
 echo "== allocator overhead (--memprof vs bare personalize) =="
 # The counting allocator must be effectively free: even with recording
 # on, the measured run stays near the bare run (which pays one relaxed
-# atomic load per allocation). Best-of-3 to shave scheduler noise; the
-# 5% target is warn-tier, 25% is the hard CI ceiling.
-best_of_3_ns() {
-  local best=""
-  for _ in 1 2 3; do
-    local t0 t1 dt
-    t0=$(date +%s%N)
-    "$@" > /dev/null
-    t1=$(date +%s%N)
-    dt=$((t1 - t0))
-    if [ -z "$best" ] || [ "$dt" -lt "$best" ]; then best=$dt; fi
-  done
-  echo "$best"
+# atomic load per allocation). Five alternating bare/--memprof pairs, so
+# a slow spell on a shared machine lands on both sides; the step judges
+# the median of the per-pair ratios. The 5% target is warn-tier, 25% is
+# the hard CI ceiling.
+run_ns() {
+  local t0 t1
+  t0=$(date +%s%N)
+  "$@" > /dev/null
+  t1=$(date +%s%N)
+  echo $((t1 - t0))
 }
-bare_ns=$(best_of_3_ns env UNIQ_THREADS=1 target/release/uniq personalize \
-  --seed 6 --out "$ci_tmp/ov_hrtf" --anechoic --grid 15)
-prof_ns=$(best_of_3_ns env UNIQ_THREADS=1 target/release/uniq personalize \
-  --seed 6 --out "$ci_tmp/ov_hrtf" --anechoic --grid 15 --memprof)
-overhead_pct=$(awk -v b="$bare_ns" -v p="$prof_ns" \
-  'BEGIN { printf "%.1f", (p - b) * 100.0 / b }')
-echo "allocator overhead: ${overhead_pct}% (bare ${bare_ns}ns, memprof ${prof_ns}ns)"
+ratios=""
+for _ in 1 2 3 4 5; do
+  bare_ns=$(run_ns env UNIQ_THREADS=1 target/release/uniq personalize \
+    --seed 6 --out "$ci_tmp/ov_hrtf" --anechoic --grid 15)
+  prof_ns=$(run_ns env UNIQ_THREADS=1 target/release/uniq personalize \
+    --seed 6 --out "$ci_tmp/ov_hrtf" --anechoic --grid 15 --memprof)
+  ratios="$ratios $(awk -v b="$bare_ns" -v p="$prof_ns" 'BEGIN { printf "%.4f", p / b }')"
+done
+overhead_pct=$(echo "$ratios" | tr ' ' '\n' | sed '/^$/d' | sort -g \
+  | awk '{ r[NR] = $1 } END { printf "%.1f", (r[3] - 1.0) * 100.0 }')
+echo "allocator overhead: ${overhead_pct}% (median of 5 pairs; memprof/bare ratios:${ratios})"
 if ! awk -v o="$overhead_pct" 'BEGIN { exit !(o < 25.0) }'; then
   echo "allocator overhead ${overhead_pct}% exceeds the 25% CI ceiling" >&2
   exit 1
