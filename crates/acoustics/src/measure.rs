@@ -90,24 +90,6 @@ pub trait RecordingInjector: std::fmt::Debug + Sync {
     ) -> Vec<&'static str>;
 }
 
-/// Like [`record_point_source`], but passes the capture through a
-/// [`RecordingInjector`] before returning it. Returns the (possibly
-/// corrupted) recording together with the fault-class labels the injector
-/// applied. Returns `None` if `src` is inside the head.
-pub fn record_point_source_injected(
-    renderer: &Renderer,
-    setup: &MeasurementSetup,
-    src: Vec2,
-    probe: &[f64],
-    noise_seed: u64,
-    site: InjectionSite,
-    injector: &dyn RecordingInjector,
-) -> Option<(BinauralRecording, Vec<&'static str>)> {
-    let mut rec = record_point_source(renderer, setup, src, probe, noise_seed)?;
-    let faults = injector.corrupt_recording(site, &mut rec);
-    Some((rec, faults))
-}
-
 /// Records `probe` played from a point source at `src` through the full
 /// measurement chain. Returns `None` if `src` is inside the head.
 pub fn record_point_source(
@@ -256,51 +238,6 @@ mod tests {
         let lag = uniq_dsp::xcorr::xcorr_peak_lag(&rec.left, &rec.right).0;
         // Source on the left → right is delayed → aligning lag positive.
         assert!(lag > 0, "lag {lag}");
-    }
-
-    #[derive(Debug)]
-    struct HalveLeft;
-    impl RecordingInjector for HalveLeft {
-        fn corrupt_recording(
-            &self,
-            site: InjectionSite,
-            rec: &mut BinauralRecording,
-        ) -> Vec<&'static str> {
-            if site.stop == 1 {
-                for v in rec.left.iter_mut() {
-                    *v *= 0.5;
-                }
-                vec!["halve-left"]
-            } else {
-                Vec::new()
-            }
-        }
-    }
-
-    #[test]
-    fn injected_recording_matches_clean_capture_plus_corruption() {
-        let r = renderer();
-        let setup = MeasurementSetup::anechoic(SR, 30.0);
-        let src = Vec2::new(-0.4, 0.1);
-        let clean = record_point_source(&r, &setup, src, &probe(), 5).unwrap();
-        let site = InjectionSite {
-            stop: 1,
-            attempt: 0,
-            sample_rate: SR,
-        };
-        let (rec, faults) =
-            record_point_source_injected(&r, &setup, src, &probe(), 5, site, &HalveLeft).unwrap();
-        assert_eq!(faults, vec!["halve-left"]);
-        let halved: Vec<f64> = clean.left.iter().map(|v| v * 0.5).collect();
-        assert_eq!(rec.left, halved, "corruption must act on the clean capture");
-        assert_eq!(rec.right, clean.right, "right ear untouched");
-
-        // A site the injector ignores must leave the capture bit-identical.
-        let miss = InjectionSite { stop: 0, ..site };
-        let (rec, faults) =
-            record_point_source_injected(&r, &setup, src, &probe(), 5, miss, &HalveLeft).unwrap();
-        assert!(faults.is_empty());
-        assert_eq!(rec.left, clean.left);
     }
 
     #[test]

@@ -3,7 +3,7 @@
 use crate::cohort::eval_config;
 use crate::csv::write_csv;
 use uniq_core::config::UniqConfig;
-use uniq_core::fusion::{fuse, localize_phone, session_to_inputs};
+use uniq_core::fusion::{fuse_weighted, localize_phone, session_to_inputs};
 use uniq_core::pipeline::personalize;
 use uniq_core::session::run_session;
 use uniq_dsp::stats::{mean, median};
@@ -46,7 +46,7 @@ pub fn fusion_ablation() -> (f64, f64, f64) {
             subject.gesture = gesture;
             let session = run_session(&subject, &cfg, 31_000 + v).expect("session");
             let inputs = session_to_inputs(&session, &cfg);
-            let fusion = fuse(&inputs, &cfg).expect("fusion");
+            let fusion = fuse_weighted(&inputs, None, &cfg).expect("fusion");
 
             // Acoustic-only: average-adult head (no per-user fit) and NO
             // orientation information. Without the IMU, the two iso-delay
@@ -110,7 +110,7 @@ pub fn head_model_ablation() -> (f64, f64) {
         let session = run_session(&subject, &cfg, 32_000 + v).expect("session");
         let inputs = session_to_inputs(&session, &cfg);
 
-        let fusion = fuse(&inputs, &cfg).expect("ellipse fusion");
+        let fusion = fuse_weighted(&inputs, None, &cfg).expect("ellipse fusion");
         for (k, stop) in session.stops.iter().enumerate() {
             ellipse_err.push(angle_diff_deg(
                 fusion.final_thetas_deg[k],
@@ -314,7 +314,7 @@ pub fn stops_sweep() -> Vec<(usize, f64, f64)> {
         let subject = Subject::from_seed(1004);
         let session = run_session(&subject, &cfg, 34_000 + n as u64).expect("session");
         let inputs = session_to_inputs(&session, &cfg);
-        let fusion = fuse(&inputs, &cfg).expect("fusion");
+        let fusion = fuse_weighted(&inputs, None, &cfg).expect("fusion");
         let head_err = ((fusion.head.a - subject.head.a).powi(2)
             + (fusion.head.b - subject.head.b).powi(2)
             + (fusion.head.c - subject.head.c).powi(2))

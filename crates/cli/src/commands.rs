@@ -7,7 +7,7 @@ use uniq_acoustics::signals::SignalKind;
 use uniq_bench::baseline::RunDoc;
 use uniq_bench::ledger;
 use uniq_core::config::UniqConfig;
-use uniq_core::degrade::DegradationPolicy;
+use uniq_core::degrade::{DegradationPolicy, FaultHook};
 use uniq_core::pipeline::{personalize_faulted_with_retry, personalize_with_retry};
 use uniq_faults::FaultPlan;
 use uniq_obs::sink::{JsonLinesSink, MultiSink, Sink, StderrSink};
@@ -752,12 +752,8 @@ fn personalize_cmd(args: &Args) -> Result<String, String> {
 
     let subject = Subject::from_seed(seed);
     let sw = uniq_obs::Stopwatch::start();
-    let (result, degradation) = match fault_plan {
-        None => {
-            let result = personalize_with_retry(&subject, &cfg, seed, 3)
-                .map_err(|e| format!("personalization failed: {e}"))?;
-            (result, None)
-        }
+    let (plan, policy) = match fault_plan {
+        None => (None, DegradationPolicy::CLEAN),
         Some(spec) => {
             let fault_seed = args
                 .get_u64("fault-seed", seed)
@@ -772,15 +768,20 @@ fn personalize_cmd(args: &Args) -> Result<String, String> {
                 skip_failed_stops: !args.switch("no-skip"),
                 ..DegradationPolicy::default()
             };
-            let faulted = personalize_faulted_with_retry(&subject, &cfg, seed, &plan, &policy, 3)
-                .map_err(|e| format!("personalization failed under faults: {e}"))?;
-            if let Some(path) = args.get("fault-report") {
-                std::fs::write(Path::new(path), faulted.degradation.to_json())
-                    .map_err(|e| format!("cannot write {path}: {e}"))?;
-            }
-            (faulted.result, Some(faulted.degradation))
+            (Some(plan), policy)
         }
     };
+    let hook = plan.as_ref().map(|p| p as &dyn FaultHook);
+    let faulted = personalize_faulted_with_retry(&subject, &cfg, seed, hook, &policy, 3)
+        .map_err(|e| format!("personalization failed: {e}"))?;
+    let result = faulted.result;
+    let degradation = hook.map(|_| faulted.degradation);
+    if let Some(deg) = &degradation {
+        if let Some(path) = args.get("fault-report") {
+            std::fs::write(Path::new(path), deg.to_json())
+                .map_err(|e| format!("cannot write {path}: {e}"))?;
+        }
+    }
     let wall_seconds = sw.elapsed_seconds();
 
     let errs: Vec<f64> = result

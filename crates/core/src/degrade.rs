@@ -5,14 +5,16 @@
 //! drops out, users duplicate or reorder stops. This module defines the
 //! contract between the session layer and a fault source — the
 //! [`FaultHook`] trait — plus the policy knobs ([`DegradationPolicy`])
-//! and the outcome record ([`DegradationReport`]) of a degraded run.
+//! and the outcome record ([`DegradationReport`]) of a session.
 //!
-//! The fault *implementations* live in the `uniq-faults` crate; `uniq-core`
-//! only knows the boundary traits, so the clean pipeline carries no
-//! dependency on fault machinery and the no-fault path stays bit-identical
-//! to a build without this module.
+//! Every session runs through this machinery: there is one per-stop
+//! capture routine and one pipeline. A run without faults uses the no-op
+//! hook [`NoFaults`] and [`DegradationPolicy::CLEAN`] (no re-capture, no
+//! stop skipping, no quality floor, no fusion re-weighting), which is the
+//! paper's plain pipeline. The fault *implementations* live in the
+//! `uniq-faults` crate; `uniq-core` only knows the boundary traits.
 
-use uniq_acoustics::measure::RecordingInjector;
+use uniq_acoustics::measure::{BinauralRecording, InjectionSite, RecordingInjector};
 use uniq_imu::gyro::RateInjector;
 
 /// How one scheduled stop is actually captured under faults: which sweep
@@ -55,6 +57,24 @@ pub trait FaultHook: RecordingInjector + RateInjector {
     }
 }
 
+/// The hook of a run without faults: corrupts nothing, remaps nothing.
+#[derive(Debug, Clone, Copy, Default)]
+pub struct NoFaults;
+
+impl RecordingInjector for NoFaults {
+    fn corrupt_recording(&self, _: InjectionSite, _: &mut BinauralRecording) -> Vec<&'static str> {
+        Vec::new()
+    }
+}
+
+impl RateInjector for NoFaults {
+    fn corrupt_rates(&self, _: &mut [f64], _: f64) -> Vec<&'static str> {
+        Vec::new()
+    }
+}
+
+impl FaultHook for NoFaults {}
+
 /// Policy for skip/retry of corrupted stops and fusion re-weighting.
 #[derive(Debug, Clone, PartialEq)]
 pub struct DegradationPolicy {
@@ -72,6 +92,19 @@ pub struct DegradationPolicy {
     pub reweight_fusion: bool,
 }
 
+impl DegradationPolicy {
+    /// The plain pipeline's policy: every stop is captured once and kept,
+    /// a stop whose channel has no first tap fails the session, and
+    /// fusion weighs all stops equally.
+    pub const CLEAN: DegradationPolicy = DegradationPolicy {
+        stop_retries: 0,
+        skip_failed_stops: false,
+        min_stops: 4,
+        quality_floor: f64::NEG_INFINITY,
+        reweight_fusion: false,
+    };
+}
+
 impl Default for DegradationPolicy {
     fn default() -> Self {
         DegradationPolicy {
@@ -86,8 +119,8 @@ impl Default for DegradationPolicy {
 
 /// Fusion weight for a surviving stop of the given quality score: full
 /// weight at or above `2 × quality_floor`-ish health (score ≥ 0.5), linear
-/// below. Healthy stops map to exactly 1.0 so a session whose stops are
-/// all clean drives the identical unweighted fusion arithmetic.
+/// below. Healthy stops map to exactly 1.0, the weight every stop gets
+/// when fusion is not re-weighted.
 pub fn fusion_weight(score: f64) -> f64 {
     (score * 2.0).clamp(0.0, 1.0)
 }

@@ -138,11 +138,10 @@ fn localize_counted(
     (best, evals.get())
 }
 
-/// Eq. 2 objective: Σ angle_diff(α_i, θ_i(E))², with a fixed penalty for
-/// stops that fail to localize under this hypothesis. With `weights`, each
-/// stop's term (and its penalty) scales by its weight — downweighting
-/// degraded stops. `None` keeps the exact unweighted arithmetic (no
-/// multiplications by 1.0), so the clean path stays bit-identical.
+/// Eq. 2 objective: Σ w_i · angle_diff(α_i, θ_i(E))², with a fixed penalty
+/// for stops that fail to localize under this hypothesis. Each stop's term
+/// (and its penalty) scales by its weight — downweighting degraded stops;
+/// `None` weighs every stop 1.0.
 ///
 /// Stops are localized on `pool`; their terms are then weighted and summed
 /// in index order, so the value is bit-identical at any pool size.
@@ -172,10 +171,7 @@ fn fusion_objective(
     let objective = stops
         .iter()
         .enumerate()
-        .map(|(k, &(term, _))| match weights {
-            None => term,
-            Some(w) => w[k] * term,
-        })
+        .map(|(k, &(term, _))| weights.map_or(1.0, |w| w[k]) * term)
         .sum();
     (objective, stops.iter().map(|&(_, evals)| evals).sum())
 }
@@ -183,17 +179,14 @@ fn fusion_objective(
 /// Runs the full fusion: optimizes `E` (Eq. 2), localizes all stops at
 /// `E_opt`, and blends angles (Eq. 3).
 ///
+/// `weights` are optional per-stop quality weights in `[0, 1]` (same
+/// order/length as `inputs`), used by degraded sessions to let surviving
+/// high-quality stops dominate Eq. 2 and the mean residual. `None` weighs
+/// every stop 1.0; since `1.0 · x == x` and a sum of `k` ones is `k`, that
+/// is bit-identical to the unweighted equations.
+///
 /// Returns `None` when no hypothesis localizes a majority of stops —
 /// a hopeless measurement set.
-pub fn fuse(inputs: &[FusionInput], cfg: &UniqConfig) -> Option<FusionResult> {
-    fuse_weighted(inputs, None, cfg)
-}
-
-/// [`fuse`] with optional per-stop quality weights in `[0, 1]` (same
-/// order/length as `inputs`), used by degraded sessions to let surviving
-/// high-quality stops dominate Eq. 2 and the mean residual. `None` — and
-/// only `None` — takes the exact unweighted code path; callers on the
-/// clean path must pass `None` rather than a slice of ones.
 ///
 /// # Panics
 /// Panics if fewer than 4 inputs are given, or if `weights` is `Some` with
@@ -252,13 +245,9 @@ pub fn fuse_weighted(
                     stop_residual,
                     "deg",
                 );
-                match weights {
-                    None => residual_sum += stop_residual,
-                    Some(w) => {
-                        residual_sum += w[k] * stop_residual;
-                        weight_sum += w[k];
-                    }
-                }
+                let w = weights.map_or(1.0, |w| w[k]);
+                residual_sum += w * stop_residual;
+                weight_sum += w;
                 // Eq. 3: average the acoustic and inertial angles — along
                 // the shorter arc, so 359° and 1° blend to 0°, not 180°.
                 // uniq-analyzer: allow(hot-path-alloc) — every push in this loop lands in a Vec pre-sized with with_capacity(inputs.len()); no reallocation inside the span
@@ -286,12 +275,12 @@ pub fn fuse_weighted(
     if localized * 2 < inputs.len() {
         return None;
     }
-    let mean_residual = match weights {
-        None => residual_sum / localized as f64,
-        // Weighted mean over localized stops; if every localized stop has
-        // zero weight nothing is trustworthy — force the §4.6 gate.
-        Some(_) if weight_sum > 0.0 => residual_sum / weight_sum,
-        Some(_) => f64::INFINITY,
+    // Weighted mean over localized stops; if every localized stop has
+    // zero weight nothing is trustworthy — force the §4.6 gate.
+    let mean_residual = if weight_sum > 0.0 {
+        residual_sum / weight_sum
+    } else {
+        f64::INFINITY
     };
     uniq_obs::metric(
         uniq_obs::names::FUSION_MEAN_RESIDUAL_DEG,
@@ -411,7 +400,7 @@ mod tests {
     fn fuse_recovers_head_parameters_noise_free() {
         let truth = HeadParams::new(0.081, 0.094, 0.097);
         let inputs = synthetic_inputs(truth, 0.42, 12);
-        let result = fuse(&inputs, &test_cfg()).expect("fusion must converge");
+        let result = fuse_weighted(&inputs, None, &test_cfg()).expect("fusion must converge");
         assert!(
             (result.head.a - truth.a).abs() < 0.006,
             "a: {} vs {}",
@@ -445,7 +434,7 @@ mod tests {
         for (inp, n) in inputs.iter_mut().zip(noise) {
             inp.alpha_deg += n;
         }
-        let result = fuse(&inputs, &test_cfg()).unwrap();
+        let result = fuse_weighted(&inputs, None, &test_cfg()).unwrap();
         let mut imu_err = 0.0;
         let mut fused_err = 0.0;
         for (k, (inp, n)) in inputs.iter().zip(noise).enumerate() {
@@ -462,7 +451,7 @@ mod tests {
     #[test]
     fn fuse_radius_estimates_reasonable() {
         let inputs = synthetic_inputs(HeadParams::average_adult(), 0.38, 10);
-        let result = fuse(&inputs, &test_cfg()).unwrap();
+        let result = fuse_weighted(&inputs, None, &test_cfg()).unwrap();
         for stop in &result.stops {
             assert!(
                 (stop.radius_m - 0.38).abs() < 0.02,
@@ -480,7 +469,7 @@ mod tests {
         let mut inputs = synthetic_inputs(truth, 0.42, 10);
         inputs[4].alpha_deg += 25.0;
         let cfg = test_cfg();
-        let unweighted = fuse(&inputs, &cfg).expect("unweighted fusion converges");
+        let unweighted = fuse_weighted(&inputs, None, &cfg).expect("unweighted fusion converges");
         let mut weights = vec![1.0; inputs.len()];
         weights[4] = 0.05;
         let weighted =
@@ -494,16 +483,20 @@ mod tests {
     }
 
     #[test]
-    fn unit_weights_not_required_for_clean_equivalence() {
-        // `None` is the contract for the clean path; all-ones weights go
-        // through the weighted arithmetic and may differ in the last ulp,
-        // but must stay numerically indistinguishable.
+    fn unit_weights_are_bit_identical_to_no_weights() {
+        // `None` weighs every stop 1.0, so passing a slice of ones must
+        // reproduce it to the bit.
         let inputs = synthetic_inputs(HeadParams::average_adult(), 0.40, 8);
         let cfg = test_cfg();
-        let none = fuse(&inputs, &cfg).unwrap();
+        let none = fuse_weighted(&inputs, None, &cfg).unwrap();
         let ones = fuse_weighted(&inputs, Some(&vec![1.0; inputs.len()]), &cfg).unwrap();
-        assert!((none.mean_residual_deg - ones.mean_residual_deg).abs() < 1e-9);
-        assert!((none.head.a - ones.head.a).abs() < 1e-9);
+        assert_eq!(
+            none.mean_residual_deg.to_bits(),
+            ones.mean_residual_deg.to_bits()
+        );
+        assert_eq!(none.objective.to_bits(), ones.objective.to_bits());
+        assert_eq!(none.head.a.to_bits(), ones.head.a.to_bits());
+        assert_eq!(none.final_thetas_deg, ones.final_thetas_deg);
     }
 
     #[test]
@@ -517,7 +510,7 @@ mod tests {
     #[should_panic(expected = "at least 4")]
     fn too_few_stops_rejected() {
         let inputs = synthetic_inputs(HeadParams::average_adult(), 0.4, 10);
-        fuse(&inputs[..2], &test_cfg());
+        fuse_weighted(&inputs[..2], None, &test_cfg());
     }
 
     #[test]
@@ -539,6 +532,6 @@ mod tests {
                 d_right_m: 0.01,
             })
             .collect();
-        assert!(fuse(&inputs, &test_cfg()).is_none());
+        assert!(fuse_weighted(&inputs, None, &test_cfg()).is_none());
     }
 }

@@ -1,18 +1,24 @@
 //! End-to-end orchestration with gesture auto-correction (§4.6).
 //!
-//! `personalize` runs: measurement session → channel estimation → fusion →
+//! One attempt runs: measurement session → channel estimation → fusion →
 //! near-field interpolation → near-far conversion → [`PersonalHrtf`]. The
 //! gesture auto-correction of §4.6 rejects sessions whose estimated phone
 //! radius collapses toward the head or whose fusion residual explodes,
-//! and `personalize_with_retry` re-runs them (the paper: "this triggers a
-//! message to the user to redo the measurement exercise").
+//! and the retry loop re-runs them (the paper: "this triggers a message
+//! to the user to redo the measurement exercise").
+//!
+//! There is one attempt function and one retry loop. A run may carry a
+//! [`FaultHook`] and a [`DegradationPolicy`]; [`personalize`] and
+//! [`personalize_with_retry`] are the same path with no hook and
+//! [`DegradationPolicy::CLEAN`] (every stop captured once and kept, no
+//! quality floor, unweighted fusion).
 
 use crate::config::{ConfigError, UniqConfig};
-use crate::degrade::{DegradationPolicy, DegradationReport, FaultHook};
+use crate::degrade::{DegradationPolicy, DegradationReport, FaultHook, NoFaults};
 use crate::fusion::{fuse_weighted, session_to_inputs, FusionResult};
 use crate::hrtf::PersonalHrtf;
 use crate::nearfield::{assemble_discrete, interpolate, mean_radius};
-use crate::session::{run_session, run_session_faulted, SessionData, SessionError};
+use crate::session::{run_session_faulted, SessionError};
 use uniq_subjects::Subject;
 
 /// Why a personalization attempt failed.
@@ -70,12 +76,106 @@ pub struct PersonalizationResult {
     pub attempts: usize,
 }
 
+/// A personalization together with the degradation record of its (last)
+/// measurement session.
+#[derive(Debug, Clone)]
+pub struct FaultedPersonalization {
+    /// The personalization output.
+    pub result: PersonalizationResult,
+    /// What the session kept, dropped and saw.
+    pub degradation: DegradationReport,
+}
+
 /// Runs one personalization attempt.
 pub fn personalize(
     subject: &Subject,
     cfg: &UniqConfig,
     seed: u64,
 ) -> Result<PersonalizationResult, PersonalizationError> {
+    attempt(subject, cfg, seed, None, &DegradationPolicy::CLEAN).map(|f| f.result)
+}
+
+/// Runs personalization with the §4.6 retry loop: gesture rejections
+/// trigger a fresh session (new seed), up to `max_attempts` times.
+pub fn personalize_with_retry(
+    subject: &Subject,
+    cfg: &UniqConfig,
+    seed: u64,
+    max_attempts: usize,
+) -> Result<PersonalizationResult, PersonalizationError> {
+    personalize_faulted_with_retry(
+        subject,
+        cfg,
+        seed,
+        None,
+        &DegradationPolicy::CLEAN,
+        max_attempts,
+    )
+    .map(|f| f.result)
+}
+
+/// Runs one personalization attempt under a [`FaultHook`], degrading the
+/// session per `policy` and re-weighting fusion by per-stop quality when
+/// `policy.reweight_fusion` is set. With a no-op hook and
+/// [`DegradationPolicy::CLEAN`] this is [`personalize`].
+pub fn personalize_faulted(
+    subject: &Subject,
+    cfg: &UniqConfig,
+    seed: u64,
+    hook: &dyn FaultHook,
+    policy: &DegradationPolicy,
+) -> Result<FaultedPersonalization, PersonalizationError> {
+    attempt(subject, cfg, seed, Some(hook), policy)
+}
+
+/// The §4.6 retry loop: gesture rejections re-run the whole session with
+/// a fresh seed (`seed + 10 000 · attempt`), up to `max_attempts` times.
+/// `hook` is the fault source, if any; `None` runs without faults.
+pub fn personalize_faulted_with_retry(
+    subject: &Subject,
+    cfg: &UniqConfig,
+    seed: u64,
+    hook: Option<&dyn FaultHook>,
+    policy: &DegradationPolicy,
+    max_attempts: usize,
+) -> Result<FaultedPersonalization, PersonalizationError> {
+    assert!(max_attempts >= 1, "need at least one attempt");
+    let mut last_err = PersonalizationError::FusionFailed;
+    for n in 0..max_attempts {
+        let attempt_seed = seed.wrapping_add(10_000 * n as u64);
+        match attempt(subject, cfg, attempt_seed, hook, policy) {
+            Ok(mut r) => {
+                r.result.attempts = n + 1;
+                uniq_obs::metric(
+                    uniq_obs::names::PERSONALIZE_ATTEMPTS,
+                    r.result.attempts as f64,
+                    "",
+                );
+                return Ok(r);
+            }
+            Err(e @ PersonalizationError::GestureRejected { .. }) => {
+                if n + 1 < max_attempts {
+                    uniq_obs::counter(uniq_obs::names::GESTURE_RETRY, 1);
+                }
+                last_err = e;
+            }
+            Err(e) => return Err(e),
+        }
+    }
+    Err(last_err)
+}
+
+/// One personalization attempt: the degraded session, (optionally
+/// quality-weighted) fusion, the §4.6 gate, near-field assembly and
+/// interpolation, near-far conversion and result packing. The `faults`
+/// span wraps the session only when a hook is given.
+fn attempt(
+    subject: &Subject,
+    cfg: &UniqConfig,
+    seed: u64,
+    hook: Option<&dyn FaultHook>,
+    policy: &DegradationPolicy,
+) -> Result<FaultedPersonalization, PersonalizationError> {
     cfg.validate()
         .map_err(PersonalizationError::InvalidConfig)?;
     // Derive the trace from the attempt seed: each retry (seed + 10 000 ·
@@ -83,20 +183,16 @@ pub fn personalize(
     // attempts. A no-op under an enclosing trace (e.g. a batch run).
     let _trace = uniq_obs::trace(seed);
     let _span = uniq_obs::span(uniq_obs::names::SPAN_PERSONALIZE);
-    let session = run_session(subject, cfg, seed).map_err(PersonalizationError::Session)?;
+    let (session, degradation) = {
+        let _faults_span = hook.map(|_| uniq_obs::span(uniq_obs::names::SPAN_FAULTS));
+        run_session_faulted(subject, cfg, seed, hook.unwrap_or(&NoFaults), policy)
+            .map_err(PersonalizationError::Session)?
+    };
     let inputs = session_to_inputs(&session, cfg);
-    let fusion = fuse_weighted(&inputs, None, cfg).ok_or(PersonalizationError::FusionFailed)?;
-    finish_pipeline(session, fusion, cfg)
-}
+    let weights = policy.reweight_fusion.then(|| degradation.fusion_weights());
+    let fusion = fuse_weighted(&inputs, weights.as_deref(), cfg)
+        .ok_or(PersonalizationError::FusionFailed)?;
 
-/// The post-fusion tail shared by the clean and faulted pipelines: the
-/// §4.6 gate, near-field assembly/interpolation, near-far conversion and
-/// result packing. Identical arithmetic for both callers.
-fn finish_pipeline(
-    session: SessionData,
-    fusion: FusionResult,
-    cfg: &UniqConfig,
-) -> Result<PersonalizationResult, PersonalizationError> {
     // §4.6 gesture auto-correction.
     let radius = mean_radius(&fusion);
     uniq_obs::metric(uniq_obs::names::PERSONALIZE_RADIUS_M, radius, "m");
@@ -107,7 +203,6 @@ fn finish_pipeline(
             residual_deg: fusion.mean_residual_deg,
         });
     }
-
     let discrete = assemble_discrete(&session, &fusion, cfg);
     let near = interpolate(&discrete, &fusion, cfg, radius);
     if uniq_obs::enabled() {
@@ -144,89 +239,13 @@ fn finish_pipeline(
         .map(|(s, &est)| (s.truth_theta_deg, est))
         .collect();
 
-    Ok(PersonalizationResult {
+    let result = PersonalizationResult {
         hrtf: PersonalHrtf::new(near, far, fusion.head),
         fusion,
         localization,
         radius_m: radius,
         attempts: 1,
-    })
-}
-
-/// Runs personalization with the §4.6 retry loop: gesture rejections
-/// trigger a fresh session (new seed), up to `max_attempts` times.
-pub fn personalize_with_retry(
-    subject: &Subject,
-    cfg: &UniqConfig,
-    seed: u64,
-    max_attempts: usize,
-) -> Result<PersonalizationResult, PersonalizationError> {
-    assert!(max_attempts >= 1, "need at least one attempt");
-    let mut last_err = PersonalizationError::FusionFailed;
-    for attempt in 0..max_attempts {
-        match personalize(subject, cfg, seed.wrapping_add(10_000 * attempt as u64)) {
-            Ok(mut r) => {
-                r.attempts = attempt + 1;
-                uniq_obs::metric(uniq_obs::names::PERSONALIZE_ATTEMPTS, r.attempts as f64, "");
-                return Ok(r);
-            }
-            Err(e @ PersonalizationError::GestureRejected { .. }) => {
-                if attempt + 1 < max_attempts {
-                    uniq_obs::counter(uniq_obs::names::GESTURE_RETRY, 1);
-                }
-                last_err = e;
-            }
-            Err(e) => return Err(e),
-        }
-    }
-    Err(last_err)
-}
-
-/// A personalization that ran under fault injection: the result plus the
-/// degradation record of its (last) measurement session.
-#[derive(Debug, Clone)]
-pub struct FaultedPersonalization {
-    /// The personalization output (same shape as the clean pipeline's).
-    pub result: PersonalizationResult,
-    /// What the degraded session kept, dropped and saw.
-    pub degradation: DegradationReport,
-}
-
-/// Runs one personalization attempt under a [`FaultHook`], degrading the
-/// session per `policy` and re-weighting fusion by per-stop quality when
-/// `policy.reweight_fusion` is set (healthy stops keep weight 1.0, so a
-/// session no fault touched drives the exact unweighted arithmetic).
-///
-/// With a no-op hook, the output is bit-identical to [`personalize`] —
-/// the conformance suite in `tests/robustness.rs` pins that contract.
-pub fn personalize_faulted(
-    subject: &Subject,
-    cfg: &UniqConfig,
-    seed: u64,
-    hook: &dyn FaultHook,
-    policy: &DegradationPolicy,
-) -> Result<FaultedPersonalization, PersonalizationError> {
-    cfg.validate()
-        .map_err(PersonalizationError::InvalidConfig)?;
-    let _trace = uniq_obs::trace(seed);
-    let _span = uniq_obs::span(uniq_obs::names::SPAN_PERSONALIZE);
-    let (session, degradation) = {
-        let _faults_span = uniq_obs::span(uniq_obs::names::SPAN_FAULTS);
-        run_session_faulted(subject, cfg, seed, hook, policy)
-            .map_err(PersonalizationError::Session)?
     };
-    let inputs = session_to_inputs(&session, cfg);
-    let weights = degradation.fusion_weights();
-    // Pass weights only when some stop is actually degraded: `None` is the
-    // contract that keeps the clean arithmetic bit-identical.
-    let weights = if policy.reweight_fusion && weights.iter().any(|&w| w < 1.0) {
-        Some(weights)
-    } else {
-        None
-    };
-    let fusion = fuse_weighted(&inputs, weights.as_deref(), cfg)
-        .ok_or(PersonalizationError::FusionFailed)?;
-    let result = finish_pipeline(session, fusion, cfg)?;
     uniq_obs::metric(
         uniq_obs::names::DEGRADATION_MEAN_QUALITY,
         degradation.mean_quality,
@@ -236,43 +255,6 @@ pub fn personalize_faulted(
         result,
         degradation,
     })
-}
-
-/// [`personalize_faulted`] with the §4.6 retry loop: gesture rejections
-/// re-run the whole faulted session with a fresh seed (same reseeding
-/// schedule as [`personalize_with_retry`]), up to `max_attempts` times.
-pub fn personalize_faulted_with_retry(
-    subject: &Subject,
-    cfg: &UniqConfig,
-    seed: u64,
-    hook: &dyn FaultHook,
-    policy: &DegradationPolicy,
-    max_attempts: usize,
-) -> Result<FaultedPersonalization, PersonalizationError> {
-    assert!(max_attempts >= 1, "need at least one attempt");
-    let mut last_err = PersonalizationError::FusionFailed;
-    for attempt in 0..max_attempts {
-        let attempt_seed = seed.wrapping_add(10_000 * attempt as u64);
-        match personalize_faulted(subject, cfg, attempt_seed, hook, policy) {
-            Ok(mut r) => {
-                r.result.attempts = attempt + 1;
-                uniq_obs::metric(
-                    uniq_obs::names::PERSONALIZE_ATTEMPTS,
-                    r.result.attempts as f64,
-                    "",
-                );
-                return Ok(r);
-            }
-            Err(e @ PersonalizationError::GestureRejected { .. }) => {
-                if attempt + 1 < max_attempts {
-                    uniq_obs::counter(uniq_obs::names::GESTURE_RETRY, 1);
-                }
-                last_err = e;
-            }
-            Err(e) => return Err(e),
-        }
-    }
-    Err(last_err)
 }
 
 #[cfg(test)]

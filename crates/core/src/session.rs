@@ -10,13 +10,10 @@
 
 use crate::channel::{estimate_channel, stop_quality, ChannelError, EstimatedChannel};
 use crate::config::UniqConfig;
-use crate::degrade::{DegradationPolicy, DegradationReport, FaultHook, StopDegradation};
-use uniq_acoustics::measure::{
-    record_point_source, record_point_source_injected, InjectionSite, MeasurementSetup,
-    RecordingInjector,
-};
+use crate::degrade::{DegradationPolicy, DegradationReport, FaultHook, NoFaults, StopDegradation};
+use uniq_acoustics::measure::{record_point_source, InjectionSite, MeasurementSetup};
 use uniq_acoustics::render::Renderer;
-use uniq_imu::gyro::{integrate_rates, RateInjector};
+use uniq_imu::gyro::integrate_rates;
 use uniq_imu::trajectory::{generate_trajectory, measurement_stops, GesturePlan, TrajectorySample};
 use uniq_subjects::{Subject, FORWARD_RESOLUTION};
 
@@ -61,8 +58,7 @@ pub enum SessionError {
         error: ChannelError,
     },
     /// A stop's estimate scored below the degradation policy's quality
-    /// floor and the policy forbids skipping stops (faulted sessions
-    /// only).
+    /// floor and the policy forbids skipping stops.
     QualityFloor {
         /// Zero-based index of the failing stop along the sweep.
         stop: usize,
@@ -72,7 +68,7 @@ pub enum SessionError {
         floor: f64,
     },
     /// The degradation policy dropped too many stops for the session to
-    /// remain usable (faulted sessions only).
+    /// remain usable.
     InsufficientStops {
         /// Stops that survived the policy.
         survived: usize,
@@ -114,10 +110,8 @@ impl std::error::Error for SessionError {
 /// seed. The seed controls gesture imperfections, IMU noise and microphone
 /// noise (all deterministic given the seed).
 ///
-/// The per-stop channel estimates are independent and run on the
-/// `cfg.threads` pool. Results are bit-identical to the sequential loop
-/// for every thread count: each stop's computation is pure given the seed,
-/// and outputs are reduced in stop order.
+/// This is [`run_session_faulted`] with no faults and
+/// [`DegradationPolicy::CLEAN`]: every stop is captured once and kept.
 ///
 /// # Errors
 /// Returns [`SessionError::Config`] if `cfg` fails validation, or
@@ -129,54 +123,12 @@ pub fn run_session(
     cfg: &UniqConfig,
     seed: u64,
 ) -> Result<SessionData, SessionError> {
-    cfg.validate().map_err(SessionError::Config)?;
-    let _span = uniq_obs::span(uniq_obs::names::SPAN_SESSION);
-    let (prep, _gyro_faults) = prepare_session(subject, cfg, seed, None);
-
-    // Each stop is an independent record → deconvolve → gate computation,
-    // so the sweep fans out across the pool. `try_par_map` evaluates every
-    // stop and reports the lowest-index failure, and `ctx.run_indexed`
-    // re-installs the caller's observability sink/depth/trace on the
-    // workers — keyed by the stop index, so each stop's spans get ids that
-    // depend on the stop, never on which worker ran it.
-    let indexed: Vec<usize> = (0..prep.stops.len()).collect();
-    let pool = uniq_par::pool(cfg.threads);
-    let ctx = uniq_obs::capture();
-    let out = pool.try_par_map(&indexed, |&i| {
-        ctx.run_indexed(i as u64, || {
-            let stop = &prep.stops[i];
-            let idx = i * (prep.traj.len() - 1) / (cfg.stops - 1);
-            let rec = record_point_source(
-                &prep.renderer,
-                &prep.setup,
-                stop.pos,
-                &prep.probe,
-                seed.wrapping_add(100 + i as u64),
-            )
-            // uniq-analyzer: allow(panic-safety) — stop positions come from the gesture sampler, which clamps every point outside the head boundary
-            .expect("gesture trajectory stays outside the head");
-            let channel = estimate_channel(&rec, &prep.probe, &prep.system_ir, cfg)
-                .map_err(|error| SessionError::Stop { stop: i, error })?;
-            Ok(StopMeasurement {
-                alpha_deg: prep.alphas[idx],
-                channel,
-                truth_theta_deg: stop.theta_deg,
-                truth_radius_m: stop.radius_m,
-            })
-        })
-    })?;
-
-    uniq_obs::metric(uniq_obs::names::SESSION_STOPS, out.len() as f64, "");
-    Ok(SessionData {
-        stops: out,
-        system_ir: prep.system_ir,
-    })
+    run_session_faulted(subject, cfg, seed, &NoFaults, &DegradationPolicy::CLEAN)
+        .map(|(session, _)| session)
 }
 
-/// Everything a session needs before the per-stop loop: the forward
-/// renderer, measurement chain, probe/calibration, and the gesture + IMU
-/// streams. Shared verbatim by the clean and faulted drivers so the two
-/// stay arithmetically identical up to the per-stop loop.
+/// Everything the per-stop routine reads: the forward renderer,
+/// measurement chain, probe/calibration, and the gesture + IMU streams.
 struct PreparedSession {
     renderer: Renderer,
     setup: MeasurementSetup,
@@ -188,68 +140,21 @@ struct PreparedSession {
     imu_rate_hz: f64,
 }
 
-fn prepare_session(
-    subject: &Subject,
-    cfg: &UniqConfig,
-    seed: u64,
-    rate_injector: Option<&dyn RateInjector>,
-) -> (PreparedSession, Vec<&'static str>) {
-    let renderer = subject.renderer(cfg.render, FORWARD_RESOLUTION);
-    let setup = if cfg.in_room {
-        MeasurementSetup::home(cfg.render.sample_rate, cfg.snr_db)
-    } else {
-        MeasurementSetup::anechoic(cfg.render.sample_rate, cfg.snr_db)
-    };
-    let probe = cfg.probe();
-    let system_ir = setup.system.calibrate(&probe, 256);
-
-    // Gesture + IMU.
-    let plan = GesturePlan::standard(subject.gesture);
-    let traj = generate_trajectory(&plan, seed);
-    let true_rates: Vec<f64> = traj.iter().map(|s| s.angular_rate_dps).collect();
-    let dt = 1.0 / plan.imu_rate_hz;
-    let gyro_seed = seed.wrapping_add(1);
-    let (measured_rates, gyro_faults) = match rate_injector {
-        None => (cfg.gyro.simulate(&true_rates, dt, gyro_seed), Vec::new()),
-        Some(injector) => cfg
-            .gyro
-            .simulate_injected(&true_rates, dt, gyro_seed, injector),
-    };
-    // The user is instructed to start facing front: initial α = 0.
-    let alphas = integrate_rates(&measured_rates, dt, 0.0);
-
-    // Index stops back into the full trajectory to read the IMU angle
-    // (same index formula as `measurement_stops`).
-    let stops = measurement_stops(&traj, cfg.stops);
-    (
-        PreparedSession {
-            renderer,
-            setup,
-            probe,
-            system_ir,
-            traj,
-            alphas,
-            stops,
-            imu_rate_hz: plan.imu_rate_hz,
-        },
-        gyro_faults,
-    )
-}
-
 /// Runs a measurement session under a [`FaultHook`], degrading gracefully
 /// per `policy`: corrupted stops are retried (`policy.stop_retries` extra
 /// captures) and then skipped when `policy.skip_failed_stops` allows it.
 /// Returns the surviving session plus a [`DegradationReport`] describing
 /// what was kept, dropped and seen.
 ///
-/// With a no-op hook and default policy, the returned [`SessionData`] is
-/// bit-identical to [`run_session`]'s — the conformance suite in
-/// `tests/robustness.rs` pins that contract.
+/// The per-stop captures are independent and run on the `cfg.threads`
+/// pool. Results are bit-identical to the sequential loop for every
+/// thread count: each stop's computation is pure given the seed and the
+/// hook, and outputs are reduced in stop order.
 ///
 /// # Errors
 /// [`SessionError::Config`] on invalid configuration;
 /// [`SessionError::Stop`]/[`SessionError::QualityFloor`] when a stop stays
-/// unusable and the policy forbids skipping;
+/// unusable and the policy forbids skipping (the lowest-index such stop);
 /// [`SessionError::InsufficientStops`] when fewer than
 /// `max(policy.min_stops, 4)` stops survive.
 pub fn run_session_faulted(
@@ -261,8 +166,45 @@ pub fn run_session_faulted(
 ) -> Result<(SessionData, DegradationReport), SessionError> {
     cfg.validate().map_err(SessionError::Config)?;
     let _span = uniq_obs::span(uniq_obs::names::SPAN_SESSION);
-    let (prep, gyro_faults) = prepare_session(subject, cfg, seed, Some(hook as &dyn RateInjector));
+    let renderer = subject.renderer(cfg.render, FORWARD_RESOLUTION);
+    let setup = if cfg.in_room {
+        MeasurementSetup::home(cfg.render.sample_rate, cfg.snr_db)
+    } else {
+        MeasurementSetup::anechoic(cfg.render.sample_rate, cfg.snr_db)
+    };
+    let probe = cfg.probe();
+    let system_ir = setup.system.calibrate(&probe, 256);
 
+    // Gesture + IMU; gyro faults corrupt the measured rate stream. The
+    // rate streams are freed before the per-stop loop.
+    let plan = GesturePlan::standard(subject.gesture);
+    let traj = generate_trajectory(&plan, seed);
+    let (alphas, gyro_faults) = {
+        let true_rates: Vec<f64> = traj.iter().map(|s| s.angular_rate_dps).collect();
+        let dt = 1.0 / plan.imu_rate_hz;
+        let mut measured_rates = cfg.gyro.simulate(&true_rates, dt, seed.wrapping_add(1));
+        let gyro_faults = hook.corrupt_rates(&mut measured_rates, dt);
+        // The user is instructed to start facing front: initial α = 0.
+        (integrate_rates(&measured_rates, dt, 0.0), gyro_faults)
+    };
+    let stops = measurement_stops(&traj, cfg.stops);
+    let prep = PreparedSession {
+        renderer,
+        setup,
+        probe,
+        system_ir,
+        traj,
+        alphas,
+        stops,
+        imu_rate_hz: plan.imu_rate_hz,
+    };
+
+    // Each stop is an independent capture → estimate → score computation,
+    // so the sweep fans out across the pool. `try_par_map` evaluates every
+    // stop and reports the lowest-index failure, and `ctx.run_indexed`
+    // re-installs the caller's observability sink/depth/trace on the
+    // workers — keyed by the stop index, so each stop's spans get ids that
+    // depend on the stop, never on which worker ran it.
     let indexed: Vec<usize> = (0..prep.stops.len()).collect();
     let pool = uniq_par::pool(cfg.threads);
     let ctx = uniq_obs::capture();
@@ -316,8 +258,8 @@ pub fn run_session_faulted(
 }
 
 /// One stop's capture → corrupt → estimate → score loop under the
-/// degradation policy. Pure given its arguments, so the faulted session
-/// stays bit-identical at any thread count.
+/// degradation policy. Pure given its arguments, so the session stays
+/// bit-identical at any thread count.
 #[allow(clippy::type_complexity)]
 fn degrade_stop(
     i: usize,
@@ -344,9 +286,9 @@ fn degrade_stop(
     let mut last_score = 0.0;
     for attempt in 0..=policy.stop_retries {
         attempts = attempt + 1;
-        // Attempt 0 reuses the clean session's per-stop noise seed (for
-        // the *source* stop, so duplicated captures really duplicate);
-        // retries draw fresh microphone noise, as a re-capture would.
+        // Attempt 0 draws the per-stop noise seed of the *source* stop, so
+        // duplicated captures really duplicate; retries draw fresh
+        // microphone noise, as a re-capture would.
         let noise_seed = seed
             .wrapping_add(100 + src as u64)
             .wrapping_add(50_000u64.wrapping_mul(attempt as u64));
@@ -355,18 +297,16 @@ fn degrade_stop(
             attempt,
             sample_rate: cfg.render.sample_rate,
         };
-        let (rec, injected) = record_point_source_injected(
+        let mut rec = record_point_source(
             &prep.renderer,
             &prep.setup,
             stop.pos,
             &prep.probe,
             noise_seed,
-            site,
-            hook as &dyn RecordingInjector,
         )
         // uniq-analyzer: allow(panic-safety) — stop positions come from the gesture sampler, which clamps every point outside the head boundary
         .expect("gesture trajectory stays outside the head");
-        faults.extend(injected);
+        faults.extend(hook.corrupt_recording(site, &mut rec));
         match estimate_channel(&rec, &prep.probe, &prep.system_ir, cfg) {
             Ok(channel) => {
                 let quality = stop_quality(&channel, cfg);
@@ -498,6 +438,89 @@ mod tests {
         for (x, y) in a.stops.iter().zip(&b.stops) {
             assert_eq!(x.alpha_deg, y.alpha_deg);
             assert_eq!(x.channel.tap_left, y.channel.tap_left);
+        }
+    }
+
+    /// Halves the left channel of stop 1's capture, or zeroes the whole
+    /// gyro stream.
+    #[derive(Debug)]
+    enum TestHook {
+        HalveLeftAtStop1,
+        ZeroRates,
+    }
+
+    impl uniq_acoustics::measure::RecordingInjector for TestHook {
+        fn corrupt_recording(
+            &self,
+            site: InjectionSite,
+            rec: &mut uniq_acoustics::measure::BinauralRecording,
+        ) -> Vec<&'static str> {
+            if !matches!(self, TestHook::HalveLeftAtStop1) || site.stop != 1 {
+                return Vec::new();
+            }
+            for v in rec.left.iter_mut() {
+                *v *= 0.5;
+            }
+            vec!["halve-left"]
+        }
+    }
+
+    impl uniq_imu::gyro::RateInjector for TestHook {
+        fn corrupt_rates(&self, rates_dps: &mut [f64], _dt: f64) -> Vec<&'static str> {
+            if !matches!(self, TestHook::ZeroRates) {
+                return Vec::new();
+            }
+            rates_dps.fill(0.0);
+            vec!["zero-rates"]
+        }
+    }
+
+    impl FaultHook for TestHook {}
+
+    #[test]
+    fn recording_corruption_touches_only_its_stop() {
+        let cfg = quiet_cfg();
+        let subject = uniq_subjects::Subject::from_seed(55);
+        let clean = run_session(&subject, &cfg, 5).unwrap();
+        let (hit, report) = run_session_faulted(
+            &subject,
+            &cfg,
+            5,
+            &TestHook::HalveLeftAtStop1,
+            &DegradationPolicy::CLEAN,
+        )
+        .unwrap();
+        assert_eq!(report.fault_classes, vec!["halve-left"]);
+        assert_eq!(report.stops[1].faults, vec!["halve-left"]);
+        for (i, (c, h)) in clean.stops.iter().zip(&hit.stops).enumerate() {
+            assert_eq!(c.alpha_deg, h.alpha_deg, "stop {i}: IMU angle moved");
+            assert_eq!(c.channel.ir.right, h.channel.ir.right, "stop {i}");
+            assert_eq!(
+                i != 1,
+                c.channel.ir.left == h.channel.ir.left,
+                "stop {i}: only stop 1's left ear is corrupted"
+            );
+        }
+    }
+
+    #[test]
+    fn rate_corruption_reaches_the_imu_angles_only() {
+        let cfg = quiet_cfg();
+        let subject = uniq_subjects::Subject::from_seed(56);
+        let clean = run_session(&subject, &cfg, 6).unwrap();
+        let (hit, report) = run_session_faulted(
+            &subject,
+            &cfg,
+            6,
+            &TestHook::ZeroRates,
+            &DegradationPolicy::CLEAN,
+        )
+        .unwrap();
+        assert_eq!(report.fault_classes, vec!["zero-rates"]);
+        for (c, h) in clean.stops.iter().zip(&hit.stops) {
+            assert_eq!(h.alpha_deg, 0.0, "a zero rate stream integrates to 0°");
+            assert_eq!(c.channel.ir.left, h.channel.ir.left);
+            assert_eq!(c.channel.tap_right, h.channel.tap_right);
         }
     }
 

@@ -285,7 +285,11 @@ impl FaultPlan {
                     None => Ok(default),
                     Some(p) => p
                         .parse::<f64>()
-                        .map_err(|_| FaultParseError::BadParam(format!("{p:?} in {raw_entry:?}"))),
+                        .ok()
+                        .filter(|v| v.is_finite())
+                        .ok_or_else(|| {
+                            FaultParseError::BadParam(format!("{p:?} in {raw_entry:?}"))
+                        }),
                 }
             };
             let kind = match name {
@@ -440,10 +444,12 @@ impl RecordingInjector for FaultPlan {
                 }
                 FaultKind::SnrCollapse { snr_db } => {
                     let level = rms(&rec.left).max(rms(&rec.right));
-                    if level > 0.0 {
-                        let noise_rms = level / 10f64.powf(snr_db / 20.0);
-                        // Uniform noise has RMS = amplitude/√3.
-                        let amp = noise_rms * 3f64.sqrt();
+                    let noise_rms = level / 10f64.powf(snr_db / 20.0);
+                    // Uniform noise has RMS = amplitude/√3.
+                    let amp = noise_rms * 3f64.sqrt();
+                    // A silent recording, or a target SNR so high the noise
+                    // underflows to zero (or overflows), gets no noise.
+                    if amp > 0.0 && amp.is_finite() {
                         let mut rng = self.site_rng(site.stop, site.attempt, k);
                         for v in rec.left.iter_mut().chain(rec.right.iter_mut()) {
                             *v += rng.gen_range(-amp..amp);
@@ -629,6 +635,21 @@ mod tests {
     }
 
     #[test]
+    fn snr_collapse_with_vanishing_noise_leaves_the_recording_alone() {
+        // 10^(7000/20) overflows, so the noise amplitude is exactly zero.
+        for spec in ["snr:7000", "snr:1e308"] {
+            let plan = FaultPlan::parse(spec, 3).unwrap();
+            let clean = recording();
+            let mut rec = recording();
+            assert_eq!(
+                plan.corrupt_recording(site(0, 0), &mut rec),
+                vec![class::SNR]
+            );
+            assert_eq!(rec.left, clean.left, "{spec}");
+        }
+    }
+
+    #[test]
     fn transient_faults_heal_on_retry() {
         let plan = FaultPlan::parse("drop@2~", 7).unwrap();
         let mut first = recording();
@@ -691,6 +712,19 @@ mod tests {
             FaultPlan::parse("dup", 0),
             Err(FaultParseError::BadStop(_))
         ));
+        for spec in [
+            "snr:nan",
+            "snr:inf",
+            "snr:-inf",
+            "gyro-sat:nan",
+            "clip:NaN",
+            "jitter:inf",
+        ] {
+            assert!(
+                matches!(FaultPlan::parse(spec, 0), Err(FaultParseError::BadParam(_))),
+                "{spec} must be rejected"
+            );
+        }
         assert!(FaultPlan::parse("none", 0).unwrap().is_empty());
         assert!(FaultPlan::parse("  ", 0).unwrap().is_empty());
     }

@@ -94,27 +94,6 @@ pub trait RateInjector: std::fmt::Debug + Sync {
     fn corrupt_rates(&self, rates_dps: &mut [f64], dt: f64) -> Vec<&'static str>;
 }
 
-impl GyroModel {
-    /// Like [`simulate`](GyroModel::simulate), but passes the measured
-    /// stream through a [`RateInjector`] before returning it. Returns the
-    /// (possibly corrupted) rates together with the fault-class labels the
-    /// injector applied.
-    ///
-    /// # Panics
-    /// Panics if `dt` is not positive.
-    pub fn simulate_injected(
-        &self,
-        true_rates_dps: &[f64],
-        dt: f64,
-        seed: u64,
-        injector: &dyn RateInjector,
-    ) -> (Vec<f64>, Vec<&'static str>) {
-        let mut rates = self.simulate(true_rates_dps, dt, seed);
-        let faults = injector.corrupt_rates(&mut rates, dt);
-        (rates, faults)
-    }
-}
-
 /// Integrates angular rates (°/s, sampled every `dt` s) into orientation
 /// (degrees), trapezoidal rule, starting at `initial_deg`.
 ///
@@ -232,28 +211,5 @@ mod tests {
     #[should_panic(expected = "dt must be positive")]
     fn zero_dt_rejected() {
         integrate_rates(&[1.0], 0.0, 0.0);
-    }
-
-    #[derive(Debug)]
-    struct ZeroTail;
-    impl RateInjector for ZeroTail {
-        fn corrupt_rates(&self, rates_dps: &mut [f64], _dt: f64) -> Vec<&'static str> {
-            let n = rates_dps.len();
-            for v in rates_dps[n / 2..].iter_mut() {
-                *v = 0.0;
-            }
-            vec!["zero-tail"]
-        }
-    }
-
-    #[test]
-    fn injected_rates_match_clean_stream_plus_corruption() {
-        let rates = vec![3.0; 200];
-        let m = GyroModel::consumer_phone();
-        let clean = m.simulate(&rates, 0.01, 9);
-        let (corrupted, faults) = m.simulate_injected(&rates, 0.01, 9, &ZeroTail);
-        assert_eq!(faults, vec!["zero-tail"]);
-        assert_eq!(&corrupted[..100], &clean[..100], "head untouched");
-        assert!(corrupted[100..].iter().all(|&v| v == 0.0), "tail zeroed");
     }
 }

@@ -23,6 +23,7 @@
 
 use std::collections::BTreeMap;
 
+use uniq_faults::FaultPlan;
 use uniq_obs::json::Json;
 use uniq_obs::sink::{json_escape, json_number};
 
@@ -79,10 +80,10 @@ pub struct PersonalizeRequest {
     pub snr_db: Option<f64>,
     /// Room-acoustics override (`anechoic`: true = free field).
     pub anechoic: Option<bool>,
-    /// Fault-plan spec to inject into this request's session
-    /// (`uniq_faults::FaultPlan` grammar). Faulted requests bypass the
-    /// result cache.
-    pub fault_plan: Option<String>,
+    /// Fault plan to inject into this request's session, parsed from the
+    /// `fault_plan` spec (`uniq_faults::FaultPlan` grammar) and seeded with
+    /// the request's seed. Faulted requests bypass the result cache.
+    pub fault_plan: Option<FaultPlan>,
     /// Skip the result cache for this request (compute even on a hit).
     pub no_cache: bool,
 }
@@ -237,7 +238,14 @@ pub fn parse_request(line: &str) -> Result<Request, ServeError> {
                         bytes: spec.len(),
                     })
                 }
-                Some(spec) => Some(spec.to_string()),
+                Some(spec) => {
+                    Some(
+                        FaultPlan::parse(spec, seed).map_err(|e| ServeError::BadField {
+                            field: "fault_plan",
+                            detail: e.to_string(),
+                        })?,
+                    )
+                }
                 None => None,
             };
             Ok(Request::Personalize(PersonalizeRequest {
@@ -598,6 +606,12 @@ mod tests {
             "d".repeat(MAX_STRING_BYTES + 1)
         );
         assert_eq!(parse_request(&big).unwrap_err().kind(), "body_too_large");
+        assert_eq!(
+            parse_request("{\"type\":\"personalize\",\"seed\":1,\"fault_plan\":\"snr:nan\"}")
+                .unwrap_err()
+                .kind(),
+            "bad_field"
+        );
     }
 
     #[test]

@@ -30,8 +30,7 @@ use std::time::Duration;
 
 use uniq_core::config::UniqConfig;
 use uniq_core::degrade::{DegradationPolicy, FaultHook};
-use uniq_core::pipeline::{personalize_faulted_with_retry, personalize_with_retry};
-use uniq_faults::FaultPlan;
+use uniq_core::pipeline::personalize_faulted_with_retry;
 use uniq_obs::names::{
     SERVE_CACHE_HITS, SERVE_ERRORS, SERVE_REQUESTS, SERVE_REQUEST_SECONDS, SERVE_SHED,
     SPAN_SERVE_REQUEST,
@@ -590,10 +589,17 @@ fn process(inner: &Arc<Inner>, req: &PersonalizeRequest) -> String {
     }
     let config_hash = cfg.content_hash();
 
-    // Faulted requests (per-request plan or server-level hook) bypass the
-    // cache in both directions: degraded results must never masquerade as
-    // clean ones under the same (seed, config) key.
-    let faulted = req.fault_plan.is_some() || inner.cfg.fault_hook.is_some();
+    // A per-request plan takes precedence over the server-level hook.
+    let (hook, policy): (Option<&dyn FaultHook>, _) = match (&req.fault_plan, &inner.cfg.fault_hook)
+    {
+        (Some(plan), _) => (Some(plan), &inner.cfg.policy),
+        (None, Some(hook)) => (Some(hook.as_ref()), &inner.cfg.policy),
+        (None, None) => (None, &DegradationPolicy::CLEAN),
+    };
+    // Faulted requests bypass the cache in both directions: degraded
+    // results must never masquerade as clean ones under the same
+    // (seed, config) key.
+    let faulted = hook.is_some();
 
     if !faulted && !req.no_cache {
         if let Some(store) = &inner.store {
@@ -623,48 +629,19 @@ fn process(inner: &Arc<Inner>, req: &PersonalizeRequest) -> String {
     }
 
     let subject = Subject::from_seed(req.seed);
-    let (result, degradation) = if let Some(spec) = &req.fault_plan {
-        let plan = match FaultPlan::parse(spec, req.seed) {
-            Ok(plan) => plan,
-            Err(e) => {
-                return error_reply(
-                    inner,
-                    &ServeError::BadField {
-                        field: "fault_plan",
-                        detail: e.to_string(),
-                    },
-                );
-            }
-        };
-        match personalize_faulted_with_retry(
-            &subject,
-            &cfg,
-            req.seed,
-            &plan,
-            &inner.cfg.policy,
-            inner.cfg.max_attempts,
-        ) {
-            Ok(f) => (f.result, Some(f.degradation)),
-            Err(e) => return pipeline_error(inner, e),
-        }
-    } else if let Some(hook) = &inner.cfg.fault_hook {
-        match personalize_faulted_with_retry(
-            &subject,
-            &cfg,
-            req.seed,
-            hook.as_ref(),
-            &inner.cfg.policy,
-            inner.cfg.max_attempts,
-        ) {
-            Ok(f) => (f.result, Some(f.degradation)),
-            Err(e) => return pipeline_error(inner, e),
-        }
-    } else {
-        match personalize_with_retry(&subject, &cfg, req.seed, inner.cfg.max_attempts) {
-            Ok(result) => (result, None),
-            Err(e) => return pipeline_error(inner, e),
-        }
+    let run = match personalize_faulted_with_retry(
+        &subject,
+        &cfg,
+        req.seed,
+        hook,
+        policy,
+        inner.cfg.max_attempts,
+    ) {
+        Ok(run) => run,
+        Err(e) => return pipeline_error(inner, e),
     };
+    let result = run.result;
+    let degradation = faulted.then_some(run.degradation);
 
     let degradation_json = degradation.as_ref().map(|d| d.to_json());
     let artifact = HrtfArtifact::from_result(req.seed, &result, config_hash, degradation_json);

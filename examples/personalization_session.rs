@@ -9,7 +9,7 @@
 //! the ground truth — the paper's Fig 9/10 pipeline made visible.
 
 use uniq_core::config::UniqConfig;
-use uniq_core::fusion::{fuse, session_to_inputs};
+use uniq_core::fusion::{fuse_weighted, session_to_inputs};
 use uniq_core::session::run_session;
 use uniq_subjects::Subject;
 
@@ -37,7 +37,7 @@ fn main() {
 
     println!("\nrunning diffraction-aware sensor fusion…");
     let inputs = session_to_inputs(&session, &cfg);
-    let fusion = fuse(&inputs, &cfg).expect("fusion converges");
+    let fusion = fuse_weighted(&inputs, None, &cfg).expect("fusion converges");
 
     println!(
         "fitted head parameters: a={:.3} b={:.3} c={:.3} (truth: a={:.3} b={:.3} c={:.3})",

@@ -165,6 +165,25 @@ if target/release/uniq personalize --seed 6 --anechoic \
   echo "personalize --fault-plan swallowed a failure exit status" >&2
   exit 1
 fi
+# The empty plan runs the one pipeline a clean run takes (under the
+# default degradation policy instead of the clean one): both ledger
+# records must carry the same personalize_fingerprint.
+target/release/uniq personalize --seed 6 --anechoic --grid 15 --snr 45 \
+  --out "$ci_tmp/clean_hrtf" --history "$ci_tmp/empty_plan.jsonl" > /dev/null
+target/release/uniq personalize --seed 6 --anechoic --grid 15 --snr 45 \
+  --fault-plan none --history "$ci_tmp/empty_plan.jsonl" > /dev/null
+fingerprints=$(grep -o '"personalize_fingerprint": *"0x[0-9a-f]*"' \
+  "$ci_tmp/empty_plan.jsonl" | sed 's/.*"\(0x[0-9a-f]*\)"/\1/')
+[ "$(echo "$fingerprints" | wc -l)" -eq 2 ] \
+  && [ "$(echo "$fingerprints" | sort -u | wc -l)" -eq 1 ] \
+  || { echo "--fault-plan none diverged from the clean run: $fingerprints" >&2; exit 1; }
+# A parseable-looking plan with a non-finite parameter is a parse error
+# (exit 1, "error: --fault-plan: ..."), never a panic (exit 101).
+status=0
+target/release/uniq personalize --seed 6 --anechoic --grid 15 \
+  --fault-plan snr:nan > /dev/null 2> "$ci_tmp/nan_plan.err" || status=$?
+[ "$status" -eq 1 ] && grep -q "^error: --fault-plan:" "$ci_tmp/nan_plan.err" \
+  || { echo "--fault-plan snr:nan: exit $status, not a parse error" >&2; exit 1; }
 
 echo "== trace-report smoke (causal tree reconstruction, 1 and 4 threads) =="
 # A personalize run's JSONL trace must rebuild into a complete causal

@@ -2,8 +2,9 @@
 //! gracefully — clean errors, never panics or silent garbage — under
 //! hostile conditions.
 
-use uniq_core::channel::ChannelError;
+use uniq_core::channel::{stop_quality, ChannelError};
 use uniq_core::config::UniqConfig;
+use uniq_core::degrade::DegradationPolicy;
 use uniq_core::pipeline::{personalize, PersonalizationError};
 use uniq_core::session::{run_session, SessionError};
 use uniq_imu::trajectory::Imperfections;
@@ -258,4 +259,27 @@ fn reverberant_room_with_low_snr_structured_outcome() {
     if let Ok(result) = personalize(&subject, &cfg, 6) {
         assert_eq!(result.hrtf.near().len(), cfg.output_grid().len());
     }
+}
+
+#[test]
+fn clean_session_keeps_every_stop_even_below_the_default_quality_floor() {
+    // At 15 dB some stops score under the default degradation policy's
+    // floor. The clean pipeline neither re-captures nor drops them: what
+    // tells "clean" apart from "default policy with no faults".
+    let cfg = UniqConfig {
+        snr_db: 15.0,
+        ..base_cfg()
+    };
+    let data = run_session(&Subject::from_seed(400), &cfg, 7).expect("session completes");
+    assert_eq!(data.stops.len(), cfg.stops, "clean session dropped a stop");
+    let floor = DegradationPolicy::default().quality_floor;
+    let scores: Vec<f64> = data
+        .stops
+        .iter()
+        .map(|s| stop_quality(&s.channel, &cfg).score)
+        .collect();
+    assert!(
+        scores.iter().any(|&q| q < floor),
+        "no stop under the floor {floor}: {scores:?}"
+    );
 }

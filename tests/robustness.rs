@@ -1,7 +1,8 @@
 //! Robustness conformance: the graceful-degradation contract.
 //!
 //! 1. The empty fault plan is a guaranteed no-op — `personalize_faulted`
-//!    must produce bit-identical output to the plain `personalize` path.
+//!    must produce bit-identical output to `personalize`, which is the
+//!    same path with no hook and the clean policy.
 //! 2. Every fault class at its default (preset) intensity must degrade
 //!    gracefully: `personalize` completes `Ok` and the degradation report
 //!    records what happened.
@@ -52,23 +53,56 @@ fn run_faulted(plan: &FaultPlan, seed: u64) -> FaultedPersonalization {
 
 #[test]
 fn empty_plan_is_bit_identical_to_the_clean_pipeline() {
-    let seed = 6u64;
-    let clean = personalize(&Subject::from_seed(seed), &cfg(), seed).expect("clean run");
-    let faulted = run_faulted(&FaultPlan::empty(), seed);
+    // The fast anechoic config and the paper's (in-room, 35 dB, 19 stops),
+    // the latter on a 2-thread pool.
+    let paper = UniqConfig {
+        threads: 2,
+        ..UniqConfig::default()
+    };
+    for (what, cfg) in [("fast config", cfg()), ("paper config", paper)] {
+        let seed = 6u64;
+        let subject = Subject::from_seed(seed);
+        let clean = personalize(&subject, &cfg, seed).expect("clean run");
+        let faulted = personalize_faulted(
+            &subject,
+            &cfg,
+            seed,
+            &FaultPlan::empty(),
+            &DegradationPolicy::default(),
+        )
+        .expect("faulted personalization completes");
 
-    assert!(faulted.degradation.is_clean(), "empty plan must read clean");
-    assert_eq!(faulted.degradation.stops_dropped, 0);
-    assert_eq!(faulted.degradation.retries, 0);
-    assert!(faulted.degradation.fault_classes.is_empty());
+        assert!(
+            faulted.degradation.is_clean(),
+            "{what}: empty plan must read clean"
+        );
+        assert_eq!(faulted.degradation.stops_dropped, 0, "{what}");
+        assert_eq!(faulted.degradation.retries, 0, "{what}");
+        assert!(faulted.degradation.fault_classes.is_empty(), "{what}");
 
-    assert_eq!(
-        clean.fusion.head.a.to_bits(),
-        faulted.result.fusion.head.a.to_bits(),
-        "fitted head diverged under an empty plan"
-    );
-    assert_eq!(clean.localization, faulted.result.localization);
-    assert_eq!(clean.radius_m.to_bits(), faulted.result.radius_m.to_bits());
-    assert_hrtfs_bit_identical(&clean.hrtf, &faulted.result.hrtf, "empty plan");
+        assert_eq!(
+            clean.fusion.head.a.to_bits(),
+            faulted.result.fusion.head.a.to_bits(),
+            "{what}: fitted head diverged under an empty plan"
+        );
+        assert_eq!(clean.localization, faulted.result.localization, "{what}");
+        assert_eq!(
+            clean.radius_m.to_bits(),
+            faulted.result.radius_m.to_bits(),
+            "{what}"
+        );
+        assert_hrtfs_bit_identical(&clean.hrtf, &faulted.result.hrtf, what);
+    }
+}
+
+#[test]
+fn vanishing_snr_collapse_completes() {
+    // 10^(7000/20) overflows: the burst's noise amplitude is zero, so the
+    // stop is untouched rather than a panic in the noise draw.
+    let plan = FaultPlan::parse("snr:7000@2", 6).expect("plan parses");
+    let report = run_faulted(&plan, 6).degradation;
+    assert_eq!(report.stops_dropped, 0);
+    assert_eq!(report.fault_classes, vec![class::SNR]);
 }
 
 #[test]

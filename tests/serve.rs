@@ -155,6 +155,11 @@ fn protocol_conformance_battery() {
     ));
     c.expect_error("body_too_large");
     expected_errors += 1;
+    // A plan that names a real fault class with a non-finite parameter is
+    // a typed field error, not a worker panic.
+    c.send("{\"type\":\"personalize\",\"seed\":7,\"fault_plan\":\"snr:nan\"}");
+    c.expect_error("bad_field");
+    expected_errors += 1;
 
     // Interleaved half-frames: requests split across writes reassemble.
     c.send_raw(b"{\"type\":\"pi");
