@@ -39,9 +39,8 @@ fn main() {
     };
 
     println!("UNIQ evaluation reproduction — results land in bench_results/");
-    let mut timings = TimingLog::new();
     // Cohort seeds start at 5000 (see cohort::run_cohort).
-    timings.set_meta(TimingMeta::current(5000));
+    let mut timings = TimingLog::new(TimingMeta::current(5000));
     for t in targets {
         match t {
             "fig2" => {

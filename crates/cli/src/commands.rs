@@ -12,6 +12,7 @@ use uniq_core::pipeline::{personalize_faulted_with_retry, personalize_with_retry
 use uniq_faults::FaultPlan;
 use uniq_obs::sink::{JsonLinesSink, MultiSink, Sink, StderrSink};
 use uniq_profile::{ProfileReport, ProfileSink};
+use uniq_store::HrtfArtifact;
 use uniq_subjects::Subject;
 
 /// Runs a parsed command under the sinks its flags ask for; returns a
@@ -177,17 +178,16 @@ pub fn trace_cmd(args: &[String]) -> i32 {
 ///
 /// Verbs: `put` (personalize a subject and persist the `.uhrtf`
 /// artifact), `get` (load by content key), `ls` (index listing),
-/// `verify` (deep integrity sweep), `export` (artifact → `.uniqhrtf`
-/// text table), `import` (text table → artifact). Exit 0 = ok,
-/// 1 = failure or verification finding, 2 = usage error.
+/// `verify` (deep integrity sweep), `import` (a `.uhrtf` file → the
+/// store). Exit 0 = ok, 1 = failure or verification finding, 2 = usage
+/// error.
 pub fn store_cmd(args: &[String]) -> i32 {
     const USAGE: &str = "usage: uniq store <verb> [options]\n\
          \x20 put    --store DIR --seed N [--anechoic] [--grid DEG] [--snr DB] [--history PATH]\n\
-         \x20 get    --store DIR --key KEY [--out FILE.uhrtf] [--table FILE.uniqhrtf]\n\
+         \x20 get    --store DIR --key KEY [--out FILE.uhrtf]\n\
          \x20 ls     --store DIR\n\
          \x20 verify --store DIR\n\
-         \x20 export --store DIR --key KEY --out FILE.uniqhrtf\n\
-         \x20 import --store DIR --table FILE.uniqhrtf [--seed N]";
+         \x20 import --store DIR --table FILE.uhrtf";
     let parsed = match Args::parse(args) {
         Ok(p) => p,
         Err(e) => {
@@ -200,7 +200,6 @@ pub fn store_cmd(args: &[String]) -> i32 {
         "get" => store_get(&parsed),
         "ls" => store_ls(&parsed),
         "verify" => store_verify(&parsed),
-        "export" => store_export(&parsed),
         "import" => store_import(&parsed),
         "help" | "--help" => {
             println!("{USAGE}");
@@ -247,20 +246,13 @@ fn store_put(args: &Args) -> Result<(String, i32), StoreCmdError> {
     let store = open_store(args)?;
     let usage = |e: crate::args::ArgError| StoreCmdError::Usage(e.to_string());
     let seed = args.get_u64("seed", 42).map_err(usage)?;
-    let grid = args.get_f64("grid", 5.0).map_err(usage)?;
-    let snr = args.get_f64("snr", 35.0).map_err(usage)?;
-    let cfg = UniqConfig {
-        in_room: !args.switch("anechoic"),
-        grid_step_deg: grid,
-        snr_db: snr,
-        ..UniqConfig::default()
-    };
+    let cfg = pipeline_config(args).map_err(usage)?;
     let subject = Subject::from_seed(seed);
     let sw = uniq_obs::Stopwatch::start();
     let result = personalize_with_retry(&subject, &cfg, seed, 3)
         .map_err(|e| StoreCmdError::Run(format!("personalization failed: {e}")))?;
     let wall_seconds = sw.elapsed_seconds();
-    let artifact = uniq_store::HrtfArtifact::from_result(seed, &result, cfg.content_hash(), None);
+    let artifact = HrtfArtifact::from_result(seed, &result, cfg.content_hash(), None);
     let outcome = store
         .put(&artifact)
         .map_err(|e| StoreCmdError::Run(e.to_string()))?;
@@ -344,14 +336,6 @@ fn store_get(args: &Args) -> Result<(String, i32), StoreCmdError> {
             .map_err(|e| StoreCmdError::Run(format!("cannot write {out}: {e}")))?;
         lines.push(format!("raw artifact written to {out}"));
     }
-    if let Some(path) = args.get("table") {
-        let table = artifact
-            .to_table()
-            .map_err(|e| StoreCmdError::Run(e.to_string()))?;
-        uniq_core::io::save(&table, Path::new(path))
-            .map_err(|e| StoreCmdError::Run(format!("cannot write {path}: {e}")))?;
-        lines.push(format!("table written to {path}"));
-    }
     let code = i32::from(recomputed != artifact.subject_fingerprint);
     Ok((lines.join("\n"), code))
 }
@@ -397,39 +381,17 @@ fn store_verify(args: &Args) -> Result<(String, i32), StoreCmdError> {
     }
 }
 
-fn store_export(args: &Args) -> Result<(String, i32), StoreCmdError> {
-    let store = open_store(args)?;
-    let usage = |e: crate::args::ArgError| StoreCmdError::Usage(e.to_string());
-    let key = args.require("key").map_err(usage)?;
-    let out = args.require("out").map_err(usage)?;
-    let artifact = store
-        .get(key)
-        .map_err(|e| StoreCmdError::Run(e.to_string()))?;
-    let table = artifact
-        .to_table()
-        .map_err(|e| StoreCmdError::Run(e.to_string()))?;
-    uniq_core::io::save(&table, Path::new(out))
-        .map_err(|e| StoreCmdError::Run(format!("cannot write {out}: {e}")))?;
-    Ok((
-        format!(
-            "exported {key} → {out} ({} near + {} far angles)",
-            table.near().len(),
-            table.far().len(),
-        ),
-        0,
-    ))
-}
-
 fn store_import(args: &Args) -> Result<(String, i32), StoreCmdError> {
     let store = open_store(args)?;
-    let usage = |e: crate::args::ArgError| StoreCmdError::Usage(e.to_string());
-    let path = args.require("table").map_err(usage)?;
-    let seed = args.get_u64("seed", 0).map_err(usage)?;
-    let table = uniq_core::io::load(Path::new(path))
-        .map_err(|e| StoreCmdError::Run(format!("cannot load {path}: {e}")))?;
-    // A text table carries no run metadata, so the artifact's provenance
-    // (radius, attempts, localization, config hash) is zeroed.
-    let artifact = uniq_store::HrtfArtifact::from_table(seed, &table, 0);
+    let path = args
+        .require("table")
+        .map_err(|e| StoreCmdError::Usage(e.to_string()))?;
+    // The file carries its own provenance; one whose stamped fingerprint
+    // disagrees with its payload is refused rather than filed.
+    let artifact = read_artifact(path).map_err(StoreCmdError::Run)?;
+    artifact
+        .check_fingerprint()
+        .map_err(|e| StoreCmdError::Run(format!("cannot import {path}: {e}")))?;
     let outcome = store
         .put(&artifact)
         .map_err(|e| StoreCmdError::Run(e.to_string()))?;
@@ -488,14 +450,7 @@ fn serve_cmd(args: &Args) -> Result<String, String> {
     let addr = args.get("addr").unwrap_or("127.0.0.1:0");
     let shards = args.get_u64("shards", 2).map_err(|e| e.to_string())? as usize;
     let queue_depth = args.get_u64("queue-depth", 32).map_err(|e| e.to_string())? as usize;
-    let grid = args.get_f64("grid", 5.0).map_err(|e| e.to_string())?;
-    let snr = args.get_f64("snr", 35.0).map_err(|e| e.to_string())?;
-    let base = UniqConfig {
-        in_room: !args.switch("anechoic"),
-        grid_step_deg: grid,
-        snr_db: snr,
-        ..UniqConfig::default()
-    };
+    let base = pipeline_config(args).map_err(|e| e.to_string())?;
     let fault_hook = match args.get("fault-plan") {
         Some(spec) => {
             let fault_seed = args.get_u64("fault-seed", 42).map_err(|e| e.to_string())?;
@@ -635,7 +590,8 @@ pub fn usage() -> String {
      \n\
      commands:\n\
      \x20 personalize --seed N --out FILE [--anechoic] [--grid DEG] [--snr DB]\n\
-     \x20     run the full pipeline for synthetic subject N, save the table\n\
+     \x20     run the full pipeline for synthetic subject N, save the table as\n\
+     \x20     a .uhrtf file (the bytes store put files for the same flags)\n\
      \x20 personalize --fault-plan SPEC [--fault-seed N] [--fault-retries R]\n\
      \x20             [--no-skip] [--fault-report FILE] [--out FILE] [usual flags]\n\
      \x20     personalize under a deterministic fault plan with graceful\n\
@@ -651,7 +607,7 @@ pub fn usage() -> String {
      \x20     from UNIQ_THREADS / available parallelism); --scaling re-runs the\n\
      \x20     batch at each pool size and writes a throughput report JSON\n\
      \x20 info --table FILE\n\
-     \x20     summarize a saved .uniqhrtf table\n\
+     \x20     summarize a saved .uhrtf table\n\
      \x20 render --table FILE --theta DEG --signal noise|music|speech --out FILE.wav\n\
      \x20         [--near] [--duration S] [--seed N]\n\
      \x20     spatialize a test signal through the table, write stereo WAV\n\
@@ -662,13 +618,13 @@ pub fn usage() -> String {
      \x20 store put --store DIR --seed N [--anechoic] [--grid DEG] [--snr DB]\n\
      \x20     personalize subject N and persist the result as a checksummed\n\
      \x20     .uhrtf artifact, content-addressed and deduplicated\n\
-     \x20 store get --store DIR --key KEY [--out F.uhrtf] [--table F.uniqhrtf]\n\
+     \x20 store get --store DIR --key KEY [--out F.uhrtf]\n\
      \x20     load an artifact by content key; print provenance + fingerprint\n\
      \x20 store ls --store DIR          list the index (+ store fingerprint)\n\
      \x20 store verify --store DIR      deep integrity sweep (exit 1 on findings)\n\
-     \x20 store export --store DIR --key KEY --out F.uniqhrtf\n\
-     \x20 store import --store DIR --table F.uniqhrtf [--seed N]\n\
-     \x20     round-trip artifacts through the .uniqhrtf text format\n\
+     \x20 store import --store DIR --table F.uhrtf\n\
+     \x20     file a .uhrtf table (e.g. personalize --out) with its own\n\
+     \x20     provenance; refused if its fingerprint disagrees with its payload\n\
      \n\
      serving:\n\
      \x20 serve [--addr HOST:PORT] [--shards N] [--queue-depth N] [--store DIR]\n\
@@ -730,20 +686,25 @@ fn signal_kind(name: &str) -> Result<SignalKind, String> {
     }
 }
 
+/// The pipeline configuration `personalize`, `store put` and `serve`
+/// build from `--grid`, `--snr` and `--anechoic`: equal flags give equal
+/// configs, so `personalize --out` and `store put` write the same bytes.
+fn pipeline_config(args: &Args) -> Result<UniqConfig, crate::args::ArgError> {
+    Ok(UniqConfig {
+        in_room: !args.switch("anechoic"),
+        grid_step_deg: args.get_f64("grid", 5.0)?,
+        snr_db: args.get_f64("snr", 35.0)?,
+        ..UniqConfig::default()
+    })
+}
+
 /// `uniq personalize`: the full pipeline for one synthetic subject. With
 /// `--fault-plan`, the plan is injected at the signal boundaries (see
 /// `uniq-faults`), the run degrades gracefully, and the degradation
 /// report joins the output; the table file is then optional.
 fn personalize_cmd(args: &Args) -> Result<String, String> {
     let seed = args.get_u64("seed", 42).map_err(|e| e.to_string())?;
-    let grid = args.get_f64("grid", 5.0).map_err(|e| e.to_string())?;
-    let snr = args.get_f64("snr", 35.0).map_err(|e| e.to_string())?;
-    let cfg = UniqConfig {
-        in_room: !args.switch("anechoic"),
-        grid_step_deg: grid,
-        snr_db: snr,
-        ..UniqConfig::default()
-    };
+    let cfg = pipeline_config(args).map_err(|e| e.to_string())?;
     let fault_plan = args.get("fault-plan");
     let out = match fault_plan {
         Some(_) => args.get("out"),
@@ -807,8 +768,12 @@ fn personalize_cmd(args: &Args) -> Result<String, String> {
         lines.push(deg.to_string());
     }
     if let Some(out) = out {
-        uniq_core::io::save(&result.hrtf, Path::new(out))
-            .map_err(|e| format!("cannot write {out}: {e}"))?;
+        let degradation_json = degradation.as_ref().map(|d| d.to_json());
+        let artifact =
+            HrtfArtifact::from_result(seed, &result, cfg.content_hash(), degradation_json);
+        let bytes =
+            uniq_store::encode(&artifact).map_err(|e| format!("cannot encode {out}: {e}"))?;
+        std::fs::write(Path::new(out), bytes).map_err(|e| format!("cannot write {out}: {e}"))?;
         lines.push(format!(
             "table written to {out} ({} near + {} far angles)",
             result.hrtf.near().len(),
@@ -1009,9 +974,19 @@ fn batch_cmd(args: &Args) -> Result<String, String> {
     Ok(lines.join("\n"))
 }
 
+/// Reads and decodes a `.uhrtf` file; every failure reads
+/// `cannot load PATH: …`.
+fn read_artifact(path: &str) -> Result<HrtfArtifact, String> {
+    let bytes = std::fs::read(Path::new(path)).map_err(|e| format!("cannot load {path}: {e}"))?;
+    uniq_store::decode(&bytes).map_err(|e| format!("cannot load {path}: {e}"))
+}
+
+/// The lookup table in the `.uhrtf` file named by `--table`.
 fn load_table(args: &Args) -> Result<uniq_core::hrtf::PersonalHrtf, String> {
     let path = args.require("table").map_err(|e| e.to_string())?;
-    uniq_core::io::load(Path::new(path)).map_err(|e| format!("cannot load {path}: {e}"))
+    read_artifact(path)?
+        .to_table()
+        .map_err(|e| format!("cannot load {path}: {e}"))
 }
 
 fn info_cmd(args: &Args) -> Result<String, String> {
@@ -1128,8 +1103,50 @@ mod tests {
 
     #[test]
     fn missing_table_reported() {
-        let err = run(&argv("info --table /nonexistent/x.uniqhrtf")).unwrap_err();
+        let err = run(&argv("info --table /nonexistent/x.uhrtf")).unwrap_err();
         assert!(err.contains("cannot load"));
+    }
+
+    #[test]
+    fn checksum_valid_file_with_bad_values_is_an_error_not_a_panic() {
+        let grid = uniq_store::Grid {
+            angles_deg: vec![0.0, 90.0],
+            ir_len: 2,
+            irs: vec![(vec![1.0, 0.0], vec![0.5, 0.0]); 2],
+        };
+        let good = HrtfArtifact {
+            seed: 1,
+            subject_fingerprint: 0,
+            config_hash: 0,
+            sample_rate: 48_000.0,
+            head: [0.075, 0.1, 0.09],
+            radius_m: 0.4,
+            attempts: 1,
+            localization: Vec::new(),
+            near: grid.clone(),
+            far: grid,
+            degradation_json: None,
+        };
+        let path = temp_path("bad_values.uhrtf");
+        let info = format!("info --table {}", path.display());
+        std::fs::write(&path, uniq_store::encode(&good).unwrap()).unwrap();
+        assert!(run(&argv(&info)).unwrap().contains("head parameters"));
+        let bad = [
+            HrtfArtifact {
+                head: [1.0, 0.1, 0.1],
+                ..good.clone()
+            },
+            HrtfArtifact {
+                sample_rate: f64::NAN,
+                ..good.clone()
+            },
+        ];
+        for artifact in bad {
+            std::fs::write(&path, uniq_store::encode(&artifact).unwrap()).unwrap();
+            let err = run(&argv(&info)).unwrap_err();
+            assert!(err.starts_with("cannot load"), "{err}");
+        }
+        std::fs::remove_file(&path).ok();
     }
 
     #[test]
@@ -1141,7 +1158,7 @@ mod tests {
     #[test]
     fn full_cli_workflow() {
         // personalize → info → render → aoa, through the public entry.
-        let table = temp_path("wf.uniqhrtf");
+        let table = temp_path("wf.uhrtf");
         let wav = temp_path("wf.wav");
         let t = table.display();
 
@@ -1202,7 +1219,7 @@ mod tests {
     #[test]
     fn memprof_flag_appends_alloc_table_and_exports() {
         let _turn = MEMPROF.lock().unwrap_or_else(|e| e.into_inner());
-        let table = temp_path("mp.uniqhrtf");
+        let table = temp_path("mp.uhrtf");
         let json = temp_path("mp_alloc.json");
         let folded = temp_path("mp_alloc.folded");
         let out = run(&argv(&format!(
@@ -1288,14 +1305,14 @@ mod tests {
 
     #[test]
     fn fault_options_without_a_plan_are_unused() {
-        let args = argv("info --table /nonexistent/x.uniqhrtf --fault-seed 3 --no-skip");
+        let args = argv("info --table /nonexistent/x.uhrtf --fault-seed 3 --no-skip");
         assert!(run(&args).is_err());
         assert_eq!(args.unused(), vec!["fault-seed", "no-skip"]);
     }
 
     #[test]
     fn metrics_out_writes_jsonl_events() {
-        let table = temp_path("obs.uniqhrtf");
+        let table = temp_path("obs.uhrtf");
         let metrics = temp_path("obs.jsonl");
         let out = run(&argv(&format!(
             "personalize --seed 6 --out {} --anechoic --grid 15 --metrics-out {}",
@@ -1323,7 +1340,7 @@ mod tests {
 
     #[test]
     fn trace_report_round_trip() {
-        let table = temp_path("trace_rt.uniqhrtf");
+        let table = temp_path("trace_rt.uhrtf");
         let metrics = temp_path("trace_rt.jsonl");
         run(&argv(&format!(
             "personalize --seed 6 --out {} --anechoic --grid 15 --metrics-out {}",
@@ -1526,29 +1543,36 @@ mod tests {
             1
         );
 
-        // export → text table → import round trip (imported provenance is
-        // zeroed, so it lands under a second key).
-        let table = temp_path("store_wf_export.uniqhrtf");
+        // personalize --out with the same flags writes the stored blob
+        // byte for byte, so importing it is a dedup hit.
+        let file = temp_path("store_wf.uhrtf");
+        run(&argv(&format!(
+            "personalize --seed 6 --anechoic --grid 15 --snr 45 --out {}",
+            file.display()
+        )))
+        .expect("personalize");
+        let out = temp_path("store_wf_get.uhrtf");
         assert_eq!(
             store_cmd(&store_argv(&format!(
-                "export --store {dir} --key {key} --out {}",
-                table.display()
+                "get --store {dir} --key {key} --out {}",
+                out.display()
             ))),
             0
         );
-        let exported = uniq_core::io::load(&table).unwrap();
-        assert_eq!(exported.near().len(), result.hrtf.near().len());
-        assert_eq!(
-            store_cmd(&store_argv(&format!(
-                "import --store {dir} --table {} --seed 6",
-                table.display()
-            ))),
-            0
-        );
+        assert_eq!(std::fs::read(&file).unwrap(), std::fs::read(&out).unwrap());
+        let import = format!("import --store {dir} --table {}", file.display());
+        assert_eq!(store_cmd(&store_argv(&import)), 0);
         let store = uniq_store::Store::open(&root).unwrap();
-        assert_eq!(store.len(), 2);
+        assert_eq!(store.len(), 1, "importing the same bytes must deduplicate");
         drop(store);
-        assert_eq!(store_cmd(&store_argv(&format!("verify --store {dir}"))), 0);
+
+        // A file whose stamped fingerprint disagrees with its payload is
+        // refused.
+        let mut stale = uniq_store::decode(&std::fs::read(&file).unwrap()).unwrap();
+        stale.subject_fingerprint ^= 1;
+        std::fs::write(&file, uniq_store::encode(&stale).unwrap()).unwrap();
+        assert_eq!(store_cmd(&store_argv(&import)), 1);
+        assert_eq!(uniq_store::Store::open(&root).unwrap().len(), 1);
 
         // Flip one payload byte in a blob: verify must find it (exit 1).
         let blob = root.join("blobs").join(format!("{key}.uhrtf"));
@@ -1558,7 +1582,8 @@ mod tests {
         std::fs::write(&blob, bytes).unwrap();
         assert_eq!(store_cmd(&store_argv(&format!("verify --store {dir}"))), 1);
 
-        std::fs::remove_file(&table).ok();
+        std::fs::remove_file(&file).ok();
+        std::fs::remove_file(&out).ok();
         std::fs::remove_dir_all(&root).ok();
     }
 
@@ -1593,7 +1618,7 @@ mod tests {
 
     #[test]
     fn history_ledger_round_trip_and_gates() {
-        let table = temp_path("hist.uniqhrtf");
+        let table = temp_path("hist.uhrtf");
         let history = temp_path("hist.jsonl");
         std::fs::remove_file(&history).ok();
         for _ in 0..2 {

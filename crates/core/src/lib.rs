@@ -40,9 +40,8 @@
 //! * [`nearfar`] — near-to-far conversion via critical-ray arc averaging
 //!   (§4.3), plus the paper's two experimental decomposition attempts.
 //! * [`hrtf`] — the personalized HRTF table and application interface
-//!   (§4.4): binaural synthesis for near/far sources.
-//! * [`io`] — the exported lookup-table format (`.uniqhrtf`) applications
-//!   consume.
+//!   (§4.4): binaural synthesis for near/far sources. Applications
+//!   receive the table as a `.uhrtf` file (`uniq-store`).
 //! * [`aoa`] — HRTF-aware binaural angle-of-arrival estimation (§4.5),
 //!   known- and unknown-source variants.
 //! * [`batch`] — concurrent multi-subject personalization on the
@@ -67,7 +66,6 @@ pub mod degrade;
 pub mod fusion;
 pub mod fusion3d;
 pub mod hrtf;
-pub mod io;
 pub mod nearfar;
 pub mod nearfield;
 pub mod pipeline;

@@ -6,21 +6,6 @@
 
 use crate::peaks::first_tap;
 
-/// Shifts a signal so its first tap (per [`first_tap`] with the given
-/// threshold) lands at sample `target`. Zero-fills; keeps length.
-///
-/// Returns the signal unchanged when no tap is found. The applied shift in
-/// samples (positive = right) is returned alongside.
-pub fn align_first_tap(ir: &[f64], threshold: f64, target: usize) -> (Vec<f64>, isize) {
-    match first_tap(ir, threshold) {
-        None => (ir.to_vec(), 0),
-        Some(tap) => {
-            let shift = target as isize - tap.index as isize;
-            (shift_signal(ir, shift), shift)
-        }
-    }
-}
-
 /// Shifts a signal by `shift` samples (positive = right / delay), zero
 /// filling and truncating to the original length.
 pub fn shift_signal(signal: &[f64], shift: isize) -> Vec<f64> {
@@ -74,22 +59,6 @@ mod tests {
         assert_eq!(shift_signal(&s, -2), vec![3.0, 4.0, 0.0, 0.0]);
         assert_eq!(shift_signal(&s, 0), s);
         assert_eq!(shift_signal(&s, 10), vec![0.0; 4]);
-    }
-
-    #[test]
-    fn align_moves_tap_to_target() {
-        let ir = delta(32, 12, 1.0);
-        let (aligned, shift) = align_first_tap(&ir, 0.3, 20);
-        assert_eq!(shift, 8);
-        assert_eq!(aligned[20], 1.0);
-    }
-
-    #[test]
-    fn align_silent_passthrough() {
-        let ir = vec![0.0; 16];
-        let (aligned, shift) = align_first_tap(&ir, 0.3, 4);
-        assert_eq!(shift, 0);
-        assert_eq!(aligned, ir);
     }
 
     #[test]

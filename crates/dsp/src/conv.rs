@@ -72,26 +72,6 @@ pub fn convolve(a: &[f64], b: &[f64]) -> Vec<f64> {
     }
 }
 
-/// Full linear convolution of every `(a, b)` pair, scheduled across `pool`.
-///
-/// Each pair runs the exact same code path as [`convolve`] (including its
-/// direct-vs-FFT selector), so results are bit-identical to a sequential
-/// `pairs.iter().map(|(a, b)| convolve(a, b))` regardless of the pool size.
-pub fn convolve_batch(pairs: &[(&[f64], &[f64])], pool: &uniq_par::ThreadPool) -> Vec<Vec<f64>> {
-    pool.par_map_chunked(pairs, 1, |&(a, b)| convolve(a, b))
-}
-
-/// "Same"-mode convolution: output has the length of `a`, centred on the
-/// kernel `b` (matching NumPy's `mode="same"`).
-pub fn convolve_same(a: &[f64], b: &[f64]) -> Vec<f64> {
-    if a.is_empty() || b.is_empty() {
-        return vec![0.0; a.len()];
-    }
-    let full = convolve(a, b);
-    let start = (b.len() - 1) / 2;
-    full[start..start + a.len()].to_vec()
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
@@ -154,20 +134,5 @@ mod tests {
         let a = vec![1.0, 0.5, -0.25, 2.0];
         let b = vec![3.0, -1.0];
         assert_eq!(convolve_direct(&a, &b), convolve_direct(&b, &a));
-    }
-
-    #[test]
-    fn same_mode_length() {
-        let a = vec![1.0; 10];
-        let b = vec![0.25; 4];
-        let s = convolve_same(&a, &b);
-        assert_eq!(s.len(), 10);
-    }
-
-    #[test]
-    fn same_mode_of_delta_kernel_identity() {
-        let a = vec![5.0, 4.0, 3.0, 2.0, 1.0];
-        let s = convolve_same(&a, &[1.0]);
-        assert_eq!(s, a);
     }
 }

@@ -2,12 +2,8 @@
 //!
 //! Given a received recording `y = h ⊛ x + n` and the known probe `x`, the
 //! UNIQ pipeline recovers the acoustic channel `h` (the raw HRIR plus room
-//! taps). Two estimators are provided:
-//!
-//! * [`wiener_deconvolve`] — regularized frequency-domain division
-//!   `H = Y·X* / (|X|² + ε)`, the workhorse used by the system.
-//! * [`matched_filter`] — cross-correlation with the probe; more robust at
-//!   very low SNR but smears the channel by the probe's autocorrelation.
+//! taps) with [`wiener_deconvolve`]: regularized frequency-domain division
+//! `H = Y·X* / (|X|² + ε)`.
 
 use crate::complex::Complex;
 use crate::fft::{fft_in_place, ifft_in_place, next_pow2};
@@ -98,35 +94,6 @@ pub fn wiener_deconvolve_batch(
     })
 }
 
-/// Matched-filter channel estimate: normalized cross-correlation of the
-/// recording with the probe.
-///
-/// Output tap `k` again corresponds to a `k`-sample delay. The estimate is
-/// the channel convolved with the probe's (normalized) autocorrelation, so
-/// peaks are correct in position but widened.
-///
-/// # Panics
-/// Panics if the probe is empty or silent, or `out_len == 0`.
-pub fn matched_filter(received: &[f64], probe: &[f64], out_len: usize) -> Vec<f64> {
-    assert!(!probe.is_empty(), "matched_filter: empty probe");
-    assert!(out_len > 0, "matched_filter: out_len must be positive");
-    let probe_energy: f64 = probe.iter().map(|v| v * v).sum();
-    assert!(probe_energy > 0.0, "matched_filter: silent probe");
-
-    // corr[k] = Σ_t received(t) probe(t - k) for k = 0..out_len.
-    let mut out = vec![0.0; out_len];
-    for (k, o) in out.iter_mut().enumerate() {
-        let mut acc = 0.0;
-        for (t, &p) in probe.iter().enumerate() {
-            if let Some(&r) = received.get(t + k) {
-                acc += r * p;
-            }
-        }
-        *o = acc / probe_energy;
-    }
-    out
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
@@ -188,21 +155,6 @@ mod tests {
     }
 
     #[test]
-    fn matched_filter_peaks_at_channel_taps() {
-        let probe = pn_probe(1024);
-        let h = test_channel();
-        let rx = convolve(&probe, &h);
-        let est = matched_filter(&rx, &probe, 64);
-        // Autocorrelation smears, but the largest magnitude should be at 5.
-        let (argmax, _) = est
-            .iter()
-            .enumerate()
-            .max_by(|a, b| a.1.abs().partial_cmp(&b.1.abs()).unwrap())
-            .unwrap();
-        assert_eq!(argmax, 5);
-    }
-
-    #[test]
     fn wiener_identity_channel() {
         let probe = pn_probe(512);
         let est = wiener_deconvolve(&probe, &probe, 1e-9, 8);
@@ -232,11 +184,5 @@ mod tests {
     #[should_panic(expected = "silent probe")]
     fn silent_probe_panics() {
         wiener_deconvolve(&[1.0; 16], &[0.0; 16], 1e-3, 4);
-    }
-
-    #[test]
-    #[should_panic(expected = "out_len")]
-    fn zero_out_len_panics() {
-        matched_filter(&[1.0; 16], &[1.0; 4], 0);
     }
 }

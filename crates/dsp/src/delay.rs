@@ -1,4 +1,4 @@
-//! Integer and fractional sample delays.
+//! Fractional sample delays.
 //!
 //! The forward acoustic simulator places propagation taps at non-integer
 //! sample positions; the windowed-sinc kernel here band-limits those taps so
@@ -19,17 +19,6 @@ pub fn sinc(x: f64) -> f64 {
     } else {
         (PI * x).sin() / (PI * x)
     }
-}
-
-/// Shifts a signal right by an integer number of samples, zero-filling.
-/// The output keeps the input length (samples shifted past the end are
-/// dropped).
-pub fn delay_integer(signal: &[f64], samples: usize) -> Vec<f64> {
-    let mut out = vec![0.0; signal.len()];
-    if samples < signal.len() {
-        out[samples..].copy_from_slice(&signal[..signal.len() - samples]);
-    }
-    out
 }
 
 /// Adds a band-limited impulse of amplitude `amp` at (possibly fractional)
@@ -112,14 +101,6 @@ mod tests {
         for k in 1..6 {
             assert!(sinc(k as f64).abs() < 1e-12);
         }
-    }
-
-    #[test]
-    fn integer_delay_shifts() {
-        let s = vec![1.0, 2.0, 3.0, 4.0];
-        assert_eq!(delay_integer(&s, 2), vec![0.0, 0.0, 1.0, 2.0]);
-        assert_eq!(delay_integer(&s, 0), s);
-        assert_eq!(delay_integer(&s, 10), vec![0.0; 4]);
     }
 
     #[test]

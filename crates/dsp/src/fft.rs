@@ -72,18 +72,6 @@ pub fn ifft(input: &[Complex]) -> Vec<Complex> {
     buf
 }
 
-/// Forward FFT of every signal in `batch`, scheduled across `pool`.
-///
-/// Each transform runs the exact same code path as [`fft`], so results are
-/// bit-identical to a sequential `batch.iter().map(|s| fft(s))` regardless
-/// of the pool size — only the scheduling differs.
-///
-/// # Panics
-/// Panics if any signal's length is not a power of two (as [`fft`] would).
-pub fn fft_batch(batch: &[Vec<Complex>], pool: &uniq_par::ThreadPool) -> Vec<Vec<Complex>> {
-    pool.par_map_chunked(batch, 1, |signal| fft(signal))
-}
-
 /// Forward FFT of a real signal, zero-padded to `len` (which must be a power
 /// of two and `>= signal.len()`).
 ///
@@ -107,14 +95,6 @@ pub fn rfft_padded(signal: &[f64], len: usize) -> Vec<Complex> {
 /// Forward FFT of a real signal, zero-padded to the next power of two.
 pub fn rfft(signal: &[f64]) -> Vec<Complex> {
     rfft_padded(signal, next_pow2(signal.len()))
-}
-
-/// Inverse FFT returning only the real parts.
-///
-/// Intended for spectra of real signals (conjugate-symmetric); the imaginary
-/// residue is discarded.
-pub fn irfft(spectrum: &[Complex]) -> Vec<f64> {
-    ifft(spectrum).into_iter().map(|z| z.re).collect()
 }
 
 /// The frequency in hertz of FFT bin `k` for a transform of size `n` at
@@ -571,15 +551,6 @@ mod tests {
         for k in 1..n / 2 {
             let a = spec[k];
             let b = spec[n - k].conj();
-            assert!((a - b).abs() < 1e-10);
-        }
-    }
-
-    #[test]
-    fn irfft_recovers_real_signal() {
-        let sig: Vec<f64> = (0..64).map(|k| (k as f64 * 0.13).cos()).collect();
-        let rec = irfft(&rfft(&sig));
-        for (a, b) in sig.iter().zip(&rec) {
             assert!((a - b).abs() < 1e-10);
         }
     }

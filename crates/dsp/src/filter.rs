@@ -1,4 +1,4 @@
-//! IIR biquad sections, cascades, and FIR filtering.
+//! IIR biquad sections and cascades.
 //!
 //! Biquads follow the Audio-EQ-Cookbook (RBJ) designs; cascading two
 //! identical sections gives the 4th-order Butterworth-style band edges used
@@ -163,45 +163,6 @@ impl BiquadCascade {
     }
 }
 
-/// FIR filtering: convolves the signal with `taps` and truncates to the
-/// input length (causal, zero-padded start).
-pub fn fir_filter(input: &[f64], taps: &[f64]) -> Vec<f64> {
-    if input.is_empty() || taps.is_empty() {
-        return vec![0.0; input.len()];
-    }
-    let full = crate::conv::convolve(input, taps);
-    full[..input.len()].to_vec()
-}
-
-/// Designs a windowed-sinc low-pass FIR with `n_taps` taps (odd preferred)
-/// and cutoff `fc` hertz, Hann-windowed and normalized to unity DC gain.
-///
-/// # Panics
-/// Panics unless `0 < fc < sample_rate/2` and `n_taps > 0`.
-pub fn design_lowpass_fir(fc: f64, n_taps: usize, sample_rate: f64) -> Vec<f64> {
-    assert!(n_taps > 0, "need at least one tap");
-    assert!(
-        fc > 0.0 && fc < sample_rate / 2.0,
-        "cutoff outside Nyquist range"
-    );
-    let fc_norm = fc / sample_rate; // cycles per sample
-    let mid = (n_taps - 1) as f64 / 2.0;
-    let win = crate::window::window(crate::window::WindowKind::Hann, n_taps);
-    let mut taps: Vec<f64> = (0..n_taps)
-        .map(|k| {
-            let x = k as f64 - mid;
-            2.0 * fc_norm * crate::delay::sinc(2.0 * fc_norm * x) * win[k]
-        })
-        .collect();
-    let dc: f64 = taps.iter().sum();
-    if dc.abs() > 1e-12 {
-        for t in taps.iter_mut() {
-            *t /= dc;
-        }
-    }
-    taps
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
@@ -275,21 +236,6 @@ mod tests {
         let s = vec![0.5, -1.0, 2.0];
         assert_eq!(c.filter(&s), s);
         assert!((c.response(1234.0, SR).abs() - 1.0).abs() < 1e-12);
-    }
-
-    #[test]
-    fn fir_lowpass_rejects_high_tone() {
-        let taps = design_lowpass_fir(2000.0, 129, SR);
-        let high = tone(15_000.0, 0.05, SR);
-        let out = fir_filter(&high, &taps);
-        assert!(rms(&out[500..]) < 0.02 * rms(&high[500..]));
-    }
-
-    #[test]
-    fn fir_lowpass_unity_dc() {
-        let taps = design_lowpass_fir(2000.0, 65, SR);
-        let dc: f64 = taps.iter().sum();
-        assert!((dc - 1.0).abs() < 1e-12);
     }
 
     #[test]

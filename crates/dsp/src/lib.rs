@@ -14,10 +14,9 @@
 //! * [`conv`] — direct and FFT-based convolution.
 //! * [`xcorr`] — cross-correlation, normalized correlation, lag search.
 //! * [`deconv`] — Wiener frequency-domain deconvolution (channel estimation).
-//! * [`delay`] — integer and fractional (windowed-sinc) delays.
-//! * [`filter`] — biquad sections, cascades and FIR filtering.
+//! * [`delay`] — fractional (windowed-sinc) delays.
+//! * [`filter`] — biquad sections and cascades.
 //! * [`peaks`] — peak picking and first-tap detection for impulse responses.
-//! * [`resample`] — linear and windowed-sinc sample-rate conversion.
 //! * [`stats`] — descriptive statistics, percentiles and empirical CDFs.
 //! * [`spectrum`] — magnitude spectra and decibel conversions.
 //! * [`stft`] — short-time Fourier analysis and frame-averaged
@@ -26,7 +25,7 @@
 //! * [`interp`] — one-dimensional and vector interpolation.
 //!
 //! The crate's only dependency is the in-workspace `uniq-par` thread pool
-//! (for the `*_batch` kernels — scheduling only, never arithmetic): anything
+//! (for `wiener_deconvolve_batch` — scheduling only, never arithmetic): anything
 //! stochastic lives upstream in `uniq-acoustics`/`uniq-imu`, keeping this
 //! layer referentially transparent and easy to property-test.
 
@@ -42,7 +41,6 @@ pub mod fft;
 pub mod filter;
 pub mod interp;
 pub mod peaks;
-pub mod resample;
 pub mod signal;
 pub mod spectrum;
 pub mod stats;

@@ -28,26 +28,6 @@ pub fn linear_chirp(f0: f64, f1: f64, duration: f64, sample_rate: f64) -> Vec<f6
     out
 }
 
-/// An exponential (logarithmic) sweep from `f0` to `f1` hertz.
-///
-/// Exponential sweeps distribute energy uniformly per octave and are the
-/// classic choice for room/HRTF impulse-response measurement (Farina sweep).
-pub fn exponential_chirp(f0: f64, f1: f64, duration: f64, sample_rate: f64) -> Vec<f64> {
-    assert!(f0 > 0.0 && f1 > f0, "exponential chirp needs 0 < f0 < f1");
-    let n = (duration * sample_rate).round() as usize;
-    let k = (f1 / f0).ln();
-    let mut out: Vec<f64> = (0..n)
-        .map(|i| {
-            let t = i as f64 / sample_rate;
-            let phase = 2.0 * PI * f0 * duration / k * ((k * t / duration).exp() - 1.0);
-            phase.sin()
-        })
-        .collect();
-    let win = window(WindowKind::Tukey(0.05), n);
-    apply_window(&mut out, &win);
-    out
-}
-
 /// A pure sine tone at `freq` hertz.
 pub fn tone(freq: f64, duration: f64, sample_rate: f64) -> Vec<f64> {
     let n = (duration * sample_rate).round() as usize;
@@ -134,20 +114,6 @@ mod tests {
             .sum();
         let total: f64 = spec[..n / 2].iter().map(|v| v.norm_sqr()).sum();
         assert!(band / total > 0.95, "band fraction {}", band / total);
-    }
-
-    #[test]
-    fn exponential_chirp_starts_slow() {
-        let sr = 48000.0;
-        let c = exponential_chirp(100.0, 10000.0, 0.1, sr);
-        assert_eq!(c.len(), 4800);
-        assert!(peak_amplitude(&c) > 0.9);
-    }
-
-    #[test]
-    #[should_panic(expected = "0 < f0 < f1")]
-    fn exponential_chirp_rejects_zero_start() {
-        exponential_chirp(0.0, 1000.0, 0.1, 48000.0);
     }
 
     #[test]

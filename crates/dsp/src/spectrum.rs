@@ -1,6 +1,5 @@
 //! Magnitude spectra and decibel helpers.
 
-use crate::complex::Complex;
 use crate::fft::rfft;
 
 /// Converts an amplitude ratio to decibels, flooring at `-200 dB` for zero.
@@ -11,12 +10,6 @@ pub fn amplitude_to_db(a: f64) -> f64 {
     } else {
         20.0 * a.log10()
     }
-}
-
-/// Converts decibels to an amplitude ratio.
-#[inline]
-pub fn db_to_amplitude(db: f64) -> f64 {
-    10f64.powf(db / 20.0)
 }
 
 /// One-sided magnitude spectrum of a real signal.
@@ -37,32 +30,6 @@ pub fn magnitude_spectrum(signal: &[f64], sample_rate: f64) -> (Vec<f64>, Vec<f6
     (freqs, mags)
 }
 
-/// One-sided magnitude spectrum in decibels, normalized so the peak is 0 dB.
-pub fn magnitude_spectrum_db(signal: &[f64], sample_rate: f64) -> (Vec<f64>, Vec<f64>) {
-    let (freqs, mags) = magnitude_spectrum(signal, sample_rate);
-    let peak = mags.iter().copied().fold(0.0_f64, f64::max);
-    let db = mags
-        .iter()
-        .map(|&m| amplitude_to_db(if peak > 0.0 { m / peak } else { 0.0 }))
-        .collect();
-    (freqs, db)
-}
-
-/// Interpolates the magnitude of a (full, two-sided) spectrum at an
-/// arbitrary frequency, linear between bins. `n` is the FFT size used to
-/// produce `spectrum`.
-pub fn spectrum_magnitude_at(spectrum: &[Complex], sample_rate: f64, freq: f64) -> f64 {
-    let n = spectrum.len();
-    if n == 0 || freq < 0.0 || freq > sample_rate / 2.0 {
-        return 0.0;
-    }
-    let pos = freq * n as f64 / sample_rate;
-    let lo = pos.floor() as usize;
-    let hi = (lo + 1).min(n - 1);
-    let f = pos - lo as f64;
-    spectrum[lo.min(n - 1)].abs() * (1.0 - f) + spectrum[hi].abs() * f
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
@@ -71,7 +38,7 @@ mod tests {
     #[test]
     fn db_roundtrip() {
         for db in [-60.0, -6.0, 0.0, 12.0] {
-            assert!((amplitude_to_db(db_to_amplitude(db)) - db).abs() < 1e-9);
+            assert!((amplitude_to_db(10f64.powf(db / 20.0)) - db).abs() < 1e-9);
         }
         assert_eq!(amplitude_to_db(0.0), -200.0);
     }
@@ -90,28 +57,8 @@ mod tests {
     }
 
     #[test]
-    fn db_spectrum_peak_is_zero() {
-        let t = tone(500.0, 0.1, 8000.0);
-        let (_, db) = magnitude_spectrum_db(&t, 8000.0);
-        let peak = db.iter().copied().fold(f64::NEG_INFINITY, f64::max);
-        assert!(peak.abs() < 1e-9);
-    }
-
-    #[test]
     fn empty_signal_empty_spectrum() {
         let (f, m) = magnitude_spectrum(&[], 48000.0);
         assert!(f.is_empty() && m.is_empty());
-    }
-
-    #[test]
-    fn magnitude_at_interpolates() {
-        let sr = 8000.0;
-        let t = tone(1000.0, 0.128, sr);
-        let spec = rfft(&t);
-        let at_peak = spectrum_magnitude_at(&spec, sr, 1000.0);
-        let off_peak = spectrum_magnitude_at(&spec, sr, 3000.0);
-        assert!(at_peak > 10.0 * off_peak);
-        assert_eq!(spectrum_magnitude_at(&spec, sr, -5.0), 0.0);
-        assert_eq!(spectrum_magnitude_at(&spec, sr, sr), 0.0);
     }
 }

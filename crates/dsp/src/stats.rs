@@ -165,12 +165,6 @@ impl Histogram {
     pub fn counts(&self) -> &[usize] {
         &self.counts
     }
-
-    /// Centre of bin `k`.
-    pub fn bin_center(&self, k: usize) -> f64 {
-        let w = (self.hi - self.lo) / self.counts.len() as f64;
-        self.lo + (k as f64 + 0.5) * w
-    }
 }
 
 #[cfg(test)]
@@ -253,6 +247,5 @@ mod tests {
         }
         assert_eq!(h.counts(), &[2, 1, 0, 0, 1]);
         assert_eq!(h.outliers, 2);
-        assert!((h.bin_center(0) - 1.0).abs() < 1e-12);
     }
 }

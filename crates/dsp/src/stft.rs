@@ -36,11 +36,6 @@ impl Spectrogram {
     pub fn is_empty(&self) -> bool {
         self.frames.is_empty()
     }
-
-    /// Start time of frame `t`, seconds.
-    pub fn frame_time(&self, t: usize) -> f64 {
-        (t * self.hop) as f64 / self.sample_rate
-    }
 }
 
 /// Computes a Hann-windowed magnitude STFT.
@@ -198,13 +193,6 @@ mod tests {
         let quieter: Vec<f64> = sig.iter().map(|v| v * 0.5).collect(); // −6 dB
         let lsd = log_spectral_distortion(&sig, &quieter, SR, 200.0, 7000.0);
         assert!((lsd - 6.0).abs() < 0.5, "lsd {lsd}");
-    }
-
-    #[test]
-    fn frame_time_progresses() {
-        let s = stft(&vec![0.0; 4096], 1024, 256, SR);
-        assert_eq!(s.frame_time(0), 0.0);
-        assert!((s.frame_time(4) - 1024.0 / SR).abs() < 1e-12);
     }
 
     #[test]

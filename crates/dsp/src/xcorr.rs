@@ -176,33 +176,6 @@ pub fn peak_normalized_xcorr_prepared(a: &XcorrOperand, b: &XcorrOperand) -> f64
     peak / (a.energy * b.energy).sqrt()
 }
 
-/// Pearson correlation coefficient between two equal-length slices
-/// (no lag search). Returns 0 for degenerate inputs.
-///
-/// # Panics
-/// Panics if lengths differ.
-pub fn pearson(a: &[f64], b: &[f64]) -> f64 {
-    assert_eq!(a.len(), b.len(), "pearson: length mismatch");
-    let n = a.len();
-    if n == 0 {
-        return 0.0;
-    }
-    let ma = a.iter().sum::<f64>() / n as f64;
-    let mb = b.iter().sum::<f64>() / n as f64;
-    let mut cov = 0.0;
-    let mut va = 0.0;
-    let mut vb = 0.0;
-    for (&x, &y) in a.iter().zip(b) {
-        cov += (x - ma) * (y - mb);
-        va += (x - ma) * (x - ma);
-        vb += (y - mb) * (y - mb);
-    }
-    if va <= 0.0 || vb <= 0.0 {
-        return 0.0;
-    }
-    cov / (va * vb).sqrt()
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
@@ -319,19 +292,5 @@ mod tests {
         let a = linear_chirp(500.0, 2000.0, 0.02, 48000.0);
         let b = linear_chirp(5000.0, 9000.0, 0.02, 48000.0);
         assert!(peak_normalized_xcorr(&a, &b) < 0.3);
-    }
-
-    #[test]
-    fn pearson_perfect_and_anti() {
-        let a = vec![1.0, 2.0, 3.0, 4.0];
-        let b = vec![2.0, 4.0, 6.0, 8.0];
-        assert!((pearson(&a, &b) - 1.0).abs() < 1e-12);
-        let c: Vec<f64> = a.iter().map(|v| -v).collect();
-        assert!((pearson(&a, &c) + 1.0).abs() < 1e-12);
-    }
-
-    #[test]
-    fn pearson_constant_input_zero() {
-        assert_eq!(pearson(&[1.0; 5], &[2.0, 3.0, 1.0, 0.0, 4.0]), 0.0);
     }
 }

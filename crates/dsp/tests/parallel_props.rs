@@ -1,13 +1,10 @@
-//! Property tests for the parallelized dsp kernels: the `*_batch`
-//! variants run the exact same arithmetic as their sequential
-//! counterparts under pool scheduling, so outputs must match to the bit
+//! Property tests for the parallelized dsp kernel: the batched Wiener
+//! deconvolution runs the exact same arithmetic as its sequential
+//! counterpart under pool scheduling, so outputs must match to the bit
 //! (0 ULP), not merely within a tolerance.
 
 use proptest::prelude::*;
-use uniq_dsp::conv::{convolve, convolve_batch};
 use uniq_dsp::deconv::{wiener_deconvolve, wiener_deconvolve_batch};
-use uniq_dsp::fft::{fft, fft_batch, next_pow2};
-use uniq_dsp::Complex;
 
 fn bits(v: &[f64]) -> Vec<u64> {
     v.iter().map(|x| x.to_bits()).collect()
@@ -19,49 +16,6 @@ fn signal_strategy(max_len: usize) -> impl Strategy<Value = Vec<f64>> {
 
 proptest! {
     #![proptest_config(ProptestConfig::with_cases(48))]
-
-    #[test]
-    fn convolve_batch_is_bit_identical_to_sequential(
-        signals in prop::collection::vec((signal_strategy(96), signal_strategy(48)), 0..12),
-        threads in 1usize..9,
-    ) {
-        let pool = uniq_par::pool(threads);
-        let pairs: Vec<(&[f64], &[f64])> = signals
-            .iter()
-            .map(|(a, b)| (a.as_slice(), b.as_slice()))
-            .collect();
-        let parallel = convolve_batch(&pairs, &pool);
-        prop_assert_eq!(parallel.len(), signals.len());
-        for ((a, b), out) in signals.iter().zip(&parallel) {
-            prop_assert_eq!(bits(out), bits(&convolve(a, b)));
-        }
-    }
-
-    #[test]
-    fn fft_batch_is_bit_identical_to_sequential(
-        signals in prop::collection::vec(signal_strategy(64), 0..10),
-        threads in 1usize..9,
-    ) {
-        let pool = uniq_par::pool(threads);
-        let batch: Vec<Vec<Complex>> = signals
-            .iter()
-            .map(|s| {
-                let mut buf: Vec<Complex> =
-                    s.iter().map(|&v| Complex::from_real(v)).collect();
-                buf.resize(next_pow2(buf.len()), Complex::ZERO);
-                buf
-            })
-            .collect();
-        let parallel = fft_batch(&batch, &pool);
-        prop_assert_eq!(parallel.len(), batch.len());
-        for (input, out) in batch.iter().zip(&parallel) {
-            let sequential = fft(input);
-            for (p, s) in out.iter().zip(&sequential) {
-                prop_assert_eq!(p.re.to_bits(), s.re.to_bits());
-                prop_assert_eq!(p.im.to_bits(), s.im.to_bits());
-            }
-        }
-    }
 
     #[test]
     fn wiener_batch_is_bit_identical_to_sequential(

@@ -73,17 +73,25 @@ impl HeadParams {
         p
     }
 
+    /// The first semi-axis outside the anatomically plausible range
+    /// (2 cm to 30 cm; NaN is outside), as `(name, metres)`.
+    pub fn implausible_axis(&self) -> Option<(&'static str, f64)> {
+        [("a", self.a), ("b", self.b), ("c", self.c)]
+            .into_iter()
+            .find(|(_, v)| !(0.02..=0.30).contains(v))
+    }
+
     /// Checks the parameters are positive and within anatomical bounds.
     ///
     /// # Panics
-    /// Panics on violation.
+    /// Panics on violation (see [`HeadParams::implausible_axis`]).
     pub fn validate(&self) {
-        for (name, v) in [("a", self.a), ("b", self.b), ("c", self.c)] {
-            assert!(
-                (0.02..=0.30).contains(&v),
-                "head axis {name} = {v} m outside plausible range [0.02, 0.30]"
-            );
-        }
+        let bad = self.implausible_axis();
+        let (name, v) = bad.unwrap_or_default();
+        assert!(
+            bad.is_none(),
+            "head axis {name} = {v} m outside plausible range [0.02, 0.30]"
+        );
     }
 
     /// Position of an ear.

@@ -58,6 +58,10 @@ pub enum StoreError {
     /// A grid that cannot back a lookup table (empty, ragged, duplicate
     /// or non-finite angles) where one is required.
     BadGrid(String),
+    /// A well-formed file whose values cannot back a lookup table: a head
+    /// axis outside the plausible range, or a sample rate that is not
+    /// finite and positive.
+    BadValue(String),
     /// A blob's content no longer hashes to its content key.
     KeyMismatch {
         /// The key the content was filed under.
@@ -122,6 +126,7 @@ impl std::fmt::Display for StoreError {
             ),
             StoreError::Malformed(what) => write!(f, "malformed payload: {what}"),
             StoreError::BadGrid(what) => write!(f, "bad grid: {what}"),
+            StoreError::BadValue(what) => write!(f, "bad value: {what}"),
             StoreError::KeyMismatch { key, actual } => {
                 write!(f, "content of blob {key} hashes to {actual}")
             }

@@ -184,13 +184,13 @@ impl Grid {
 
     /// Converts the grid into an `HrirBank`, re-validating everything the
     /// bank constructor would otherwise assert (so a hostile file can
-    /// never panic the reader): non-empty, shape-consistent, and strictly
-    /// distinct finite angles.
+    /// never panic the reader): non-empty with non-empty IRs,
+    /// shape-consistent, and strictly distinct finite angles.
     pub fn to_bank(&self, which: &str, sample_rate: f64) -> Result<HrirBank, StoreError> {
         self.validate(which)?;
-        if self.is_empty() {
+        if self.is_empty() || self.ir_len == 0 {
             return Err(StoreError::BadGrid(format!(
-                "{which} grid is empty — cannot build a lookup table"
+                "{which} grid has no entries or zero-length IRs — cannot build a lookup table"
             )));
         }
         if self.angles_deg.iter().any(|a| !a.is_finite()) {
@@ -229,7 +229,7 @@ pub struct HrtfArtifact {
     /// stamped at write time, re-checked by store verification.
     pub subject_fingerprint: u64,
     /// `UniqConfig::content_hash` of the configuration that produced the
-    /// result (zero when unknown, e.g. a table imported from text).
+    /// result.
     pub config_hash: u64,
     /// Audio sample rate shared by both grids, hertz.
     pub sample_rate: f64,
@@ -279,28 +279,6 @@ impl HrtfArtifact {
         artifact
     }
 
-    /// Packages a bare lookup table (e.g. parsed from the `.uniqhrtf`
-    /// text format, which carries no run metadata) as an artifact with
-    /// zeroed provenance.
-    pub fn from_table(seed: u64, table: &PersonalHrtf, config_hash: u64) -> HrtfArtifact {
-        let head = table.head();
-        let mut artifact = HrtfArtifact {
-            seed,
-            subject_fingerprint: 0,
-            config_hash,
-            sample_rate: table.sample_rate(),
-            head: [head.a, head.b, head.c],
-            radius_m: 0.0,
-            attempts: 0,
-            localization: Vec::new(),
-            near: Grid::from_bank(table.near()),
-            far: Grid::from_bank(table.far()),
-            degradation_json: None,
-        };
-        artifact.subject_fingerprint = artifact.fingerprint();
-        artifact
-    }
-
     /// Recomputes the subject fingerprint from the artifact's own fields,
     /// using the same FNV-1a fold as the batch fingerprint — so
     /// `put` → `get` → `fingerprint()` equals the fingerprint of the
@@ -321,15 +299,40 @@ impl HrtfArtifact {
         fp.finish()
     }
 
-    /// Converts the artifact back into a runtime lookup table.
+    /// Checks the stamped subject fingerprint against the one recomputed
+    /// from the payload.
+    pub fn check_fingerprint(&self) -> Result<(), StoreError> {
+        let computed = self.fingerprint();
+        if computed != self.subject_fingerprint {
+            return Err(StoreError::FingerprintMismatch {
+                stored: self.subject_fingerprint,
+                computed,
+            });
+        }
+        Ok(())
+    }
+
+    /// Converts the artifact back into a runtime lookup table,
+    /// re-validating every value the table's constructors would
+    /// otherwise assert on, so a checksum-valid file with bad values is a
+    /// typed error, not a panic.
     pub fn to_table(&self) -> Result<PersonalHrtf, StoreError> {
+        if !(self.sample_rate.is_finite() && self.sample_rate > 0.0) {
+            return Err(StoreError::BadValue(format!(
+                "sample rate {} Hz is not finite and positive",
+                self.sample_rate
+            )));
+        }
+        let [a, b, c] = self.head;
+        let head = HeadParams { a, b, c };
+        if let Some((name, v)) = head.implausible_axis() {
+            return Err(StoreError::BadValue(format!(
+                "head axis {name} = {v} m is outside the plausible range"
+            )));
+        }
         let near = self.near.to_bank("near", self.sample_rate)?;
         let far = self.far.to_bank("far", self.sample_rate)?;
-        Ok(PersonalHrtf::new(
-            near,
-            far,
-            HeadParams::new(self.head[0], self.head[1], self.head[2]),
-        ))
+        Ok(PersonalHrtf::new(near, far, head))
     }
 }
 

@@ -13,9 +13,11 @@
 //!   lookup / dedup / scan / verify operations safe under parallel
 //!   writers.
 //!
-//! The CLI front end is `uniq store put|get|ls|verify|export|import`;
-//! the `baseline` bench bin can persist its pinned seed-6 artifact here,
-//! and store I/O reports through the `store.*` obs names.
+//! `.uhrtf` is the repo's only HRTF file format: `uniq personalize --out`
+//! writes it and `uniq info|render|aoa --table` read it. The store's CLI
+//! front end is `uniq store put|get|ls|verify|import`; the `baseline`
+//! bench bin can persist its pinned seed-6 artifact here, and store I/O
+//! reports through the `store.*` obs names.
 
 #![forbid(unsafe_code)]
 #![warn(missing_docs)]

@@ -262,26 +262,16 @@ impl Store {
     /// that the blob's bytes still hash to its key.
     pub fn get(&self, key: &str) -> Result<HrtfArtifact, StoreError> {
         let _span = uniq_obs::span(names::SPAN_STORE_GET);
-        if !self.lock().entries.contains_key(key) {
-            return Err(StoreError::UnknownKey {
-                key: key.to_string(),
-            });
-        }
-        let path = self.blob_path(key);
-        let bytes = std::fs::read(&path).map_err(|e| StoreError::io(&path, &e))?;
-        let actual = content_key(&bytes);
-        if actual != key {
-            return Err(StoreError::KeyMismatch {
-                key: key.to_string(),
-                actual,
-            });
-        }
-        decode(&bytes)
+        decode(&self.read_blob(key)?)
     }
 
     /// The raw bytes of the blob under `key`, key-checked.
     pub fn get_bytes(&self, key: &str) -> Result<Vec<u8>, StoreError> {
         let _span = uniq_obs::span(names::SPAN_STORE_GET);
+        self.read_blob(key)
+    }
+
+    fn read_blob(&self, key: &str) -> Result<Vec<u8>, StoreError> {
         if !self.lock().entries.contains_key(key) {
             return Err(StoreError::UnknownKey {
                 key: key.to_string(),
@@ -411,14 +401,7 @@ impl Store {
                 reason: format!("index metadata disagrees with the header of {}", entry.key),
             });
         }
-        let computed = artifact.fingerprint();
-        if computed != artifact.subject_fingerprint {
-            return Err(StoreError::FingerprintMismatch {
-                stored: artifact.subject_fingerprint,
-                computed,
-            });
-        }
-        Ok(())
+        artifact.check_fingerprint()
     }
 }
 

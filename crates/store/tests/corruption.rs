@@ -170,6 +170,50 @@ fn future_versions_and_unknown_flags_are_gated() {
     );
 }
 
+#[test]
+fn checksum_valid_files_with_bad_values_are_typed_errors_not_panics() {
+    // The file decodes (both CRCs valid) but its values cannot back a
+    // lookup table: `to_table` must say so instead of tripping the
+    // asserts in `HeadParams::new` or `PersonalHrtf::new`.
+    let bytes = encode(&reference_artifact()).expect("encodes");
+    let cases = [
+        (HEADER_LEN, 1.0),           // head.a far outside [0.02, 0.30] m
+        (HEADER_LEN + 8, 0.0),       // head.b zero
+        (HEADER_LEN + 16, f64::NAN), // head.c NaN
+        (48, f64::NAN),              // sample rate NaN
+        (48, f64::INFINITY),
+        (48, 0.0),
+        (48, -48_000.0),
+    ];
+    for (offset, value) in cases {
+        let mut corrupt = bytes.clone();
+        corrupt[offset..offset + 8].copy_from_slice(&value.to_bits().to_le_bytes());
+        reseal(&mut corrupt);
+        let artifact = decode(&corrupt).expect("checksum-valid file decodes");
+        let err = artifact
+            .to_table()
+            .expect_err("a bad value must not build a table");
+        assert!(
+            matches!(err, StoreError::BadValue(_)),
+            "{value} at offset {offset}: got {err}"
+        );
+    }
+
+    // Zero-length impulse responses cannot back a table either.
+    let mut artifact = reference_artifact();
+    artifact.far.ir_len = 0;
+    artifact.far.irs = vec![(Vec::new(), Vec::new()); artifact.far.len()];
+    artifact.subject_fingerprint = artifact.fingerprint();
+    let bytes = encode(&artifact).expect("encodes");
+    let err = decode(&bytes)
+        .and_then(|a| a.to_table())
+        .expect_err("empty IRs");
+    assert!(matches!(err, StoreError::BadGrid(_)), "got {err}");
+
+    // The untouched reference builds a table.
+    assert!(reference_artifact().to_table().is_ok());
+}
+
 /// A scratch store rooted in a unique temp dir, removed on drop.
 struct ScratchStore {
     root: PathBuf,

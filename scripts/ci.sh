@@ -203,8 +203,10 @@ done
 echo "== store smoke (put/get/verify round trip, 1 and 4 threads) =="
 # The content-addressed store must round-trip the personalized HRTF
 # bit-exactly: put at both pool sizes lands on the same content key
-# (one blob + one dedup hit), get succeeds, verify walks every blob
-# clean, and export/import closes the text-format loop.
+# (one blob + one dedup hit), get succeeds and verify walks every blob
+# clean. `.uhrtf` is the only HRTF file format: personalize --out with
+# the same flags writes the stored blob byte for byte, info/render/aoa
+# read it, and importing it back is a dedup hit.
 UNIQ_THREADS=1 target/release/uniq store put --store "$ci_tmp/store" \
   --seed 6 --anechoic --grid 15 --snr 45 --history "$ci_tmp/history.jsonl" \
   > "$ci_tmp/store_put_1.log"
@@ -214,14 +216,33 @@ UNIQ_THREADS=4 target/release/uniq store put --store "$ci_tmp/store" \
   > "$ci_tmp/store_put_4.log"
 grep -q "deduplicated" "$ci_tmp/store_put_4.log"
 store_key="$(awk '/^key /{print $2}' "$ci_tmp/store_put_1.log")"
-target/release/uniq store get --store "$ci_tmp/store" --key "$store_key" \
-  --table "$ci_tmp/store_hrtf.uniqhrtf" > /dev/null
 target/release/uniq store ls --store "$ci_tmp/store" | grep -q "$store_key"
 target/release/uniq store verify --store "$ci_tmp/store"
-target/release/uniq store export --store "$ci_tmp/store" --key "$store_key" \
-  --out "$ci_tmp/store_export.uniqhrtf" > /dev/null
+target/release/uniq personalize --seed 6 --anechoic --grid 15 --snr 45 \
+  --out "$ci_tmp/x.uhrtf" > /dev/null
+target/release/uniq store get --store "$ci_tmp/store" --key "$store_key" \
+  --out "$ci_tmp/store_get.uhrtf" > /dev/null
+cmp "$ci_tmp/x.uhrtf" "$ci_tmp/store_get.uhrtf" \
+  || { echo "personalize --out and store put wrote different bytes" >&2; exit 1; }
+target/release/uniq info --table "$ci_tmp/x.uhrtf" > "$ci_tmp/x_info.log"
+grep -q "head parameters" "$ci_tmp/x_info.log"
+target/release/uniq render --table "$ci_tmp/x.uhrtf" --theta 60 --signal music \
+  --duration 0.2 --out "$ci_tmp/x.wav" > /dev/null
+test -s "$ci_tmp/x.wav"
+target/release/uniq aoa --table "$ci_tmp/x.uhrtf" --theta 60 --signal speech \
+  > "$ci_tmp/x_aoa.log"
+grep -q "estimated" "$ci_tmp/x_aoa.log"
 target/release/uniq store import --store "$ci_tmp/store" \
-  --table "$ci_tmp/store_export.uniqhrtf" --seed 6 > /dev/null
+  --table "$ci_tmp/x.uhrtf" > "$ci_tmp/import.log"
+grep -q "deduplicated" "$ci_tmp/import.log"
+# A truncated file is a load error (exit 1, "cannot load"), never a
+# panic (exit 101).
+head -c 1000 "$ci_tmp/x.uhrtf" > "$ci_tmp/truncated.uhrtf"
+status=0
+target/release/uniq info --table "$ci_tmp/truncated.uhrtf" \
+  > /dev/null 2> "$ci_tmp/truncated.err" || status=$?
+[ "$status" -eq 1 ] && grep -q "cannot load" "$ci_tmp/truncated.err" \
+  || { echo "info --table on a truncated file: exit $status, not a load error" >&2; exit 1; }
 # A missing key must be a typed failure (exit 1), not a crash.
 if target/release/uniq store get --store "$ci_tmp/store" \
   --key 0000000000000000 >/dev/null 2>&1; then

@@ -1,14 +1,15 @@
-//! Integration test: the §4.4 export path — a personalized table survives
-//! a save/load round trip and keeps working for applications (rendering,
-//! AoA) identically.
+//! Integration test: the §4.4 export path — a personalized table written
+//! to a `.uhrtf` file (as `uniq personalize --out` writes it) and read
+//! back keeps working for applications (rendering, AoA) identically.
 
 use std::path::PathBuf;
 use uniq_core::config::UniqConfig;
 use uniq_core::pipeline::personalize;
+use uniq_store::{decode, encode, HrtfArtifact};
 use uniq_subjects::Subject;
 
 fn temp_file(name: &str) -> PathBuf {
-    let dir = std::env::temp_dir().join("uniq_serialization_test");
+    let dir = std::env::temp_dir().join(format!("uniq_serialization_test_{}", std::process::id()));
     std::fs::create_dir_all(&dir).unwrap();
     dir.join(name)
 }
@@ -21,15 +22,20 @@ fn exported_table_round_trips_and_keeps_working() {
         grid_step_deg: 15.0,
         ..UniqConfig::fast_test()
     };
-    let subject = Subject::from_seed(500);
+    let seed = 500;
+    let subject = Subject::from_seed(seed);
     let result = personalize(&subject, &cfg, 3).expect("personalization");
-    let original = result.hrtf;
+    let original = &result.hrtf;
 
     // Save and reload through the application-facing format.
-    let path = temp_file("roundtrip.uniqhrtf");
-    uniq_core::io::save(&original, &path).expect("save");
-    let restored = uniq_core::io::load(&path).expect("load");
+    let path = temp_file("roundtrip.uhrtf");
+    let artifact = HrtfArtifact::from_result(seed, &result, cfg.content_hash(), None);
+    std::fs::write(&path, encode(&artifact).expect("encode")).expect("save");
+    let bytes = std::fs::read(&path).expect("load");
     std::fs::remove_file(&path).ok();
+    let reread = decode(&bytes).expect("decode");
+    assert_eq!(reread, artifact);
+    let restored = reread.to_table().expect("table");
 
     // Structure identical.
     assert_eq!(restored.sample_rate(), original.sample_rate());
@@ -50,21 +56,4 @@ fn exported_table_round_trips_and_keeps_working() {
     let est_a = uniq_core::aoa::estimate_known_source(&rec, &sig, original.far(), &cfg);
     let est_b = uniq_core::aoa::estimate_known_source(&rec, &sig, restored.far(), &cfg);
     assert_eq!(est_a, est_b);
-}
-
-#[test]
-fn parser_rejects_truncated_files() {
-    let cfg = UniqConfig {
-        in_room: false,
-        grid_step_deg: 30.0,
-        ..UniqConfig::fast_test()
-    };
-    let subject = Subject::from_seed(501);
-    let result = personalize(&subject, &cfg, 5).expect("personalization");
-    let text = uniq_core::io::to_string(&result.hrtf);
-
-    // Chop the file mid-entry: the parser must reject, not mis-load.
-    let cut = text.len() * 2 / 3;
-    let truncated = &text[..cut];
-    assert!(uniq_core::io::from_str(truncated).is_err());
 }

@@ -2,11 +2,13 @@
 //! seed-6 personalized HRTF (the `BENCH_BASELINE.json` workload) as
 //! written by `baseline run --store`. The bytes, content key, and
 //! embedded fingerprint are pinned here; regenerating the pipeline must
-//! reproduce the file verbatim. Refresh the fixture together with the
+//! reproduce the file verbatim, and the table read back from it must be
+//! the in-memory table bit for bit (the §4.4 export path). Refresh the fixture together with the
 //! baseline: `cargo run --release -p uniq-bench --bin baseline -- bless
 //! --store DIR` and copy the new blob over `tests/data/seed6.uhrtf`.
 
 use std::path::Path;
+use uniq_acoustics::types::HrirBank;
 use uniq_bench::baseline::{BaselineSpec, BASELINE_FILE};
 use uniq_core::pipeline::personalize_with_retry;
 use uniq_profile::json::Json;
@@ -22,6 +24,19 @@ const GOLDEN_KEY: &str = "8e9e839ee8ce9f74";
 fn golden_bytes() -> Vec<u8> {
     let path = Path::new(env!("CARGO_MANIFEST_DIR")).join("tests/data/seed6.uhrtf");
     std::fs::read(&path).unwrap_or_else(|e| panic!("cannot read {}: {e}", path.display()))
+}
+
+/// Every angle and HRIR sample of a bank, as raw bits.
+fn bank_bits(bank: &HrirBank) -> Vec<u64> {
+    let samples = bank
+        .irs()
+        .iter()
+        .flat_map(|ir| ir.left.iter().chain(&ir.right));
+    bank.angles()
+        .iter()
+        .chain(samples)
+        .map(|v| v.to_bits())
+        .collect()
 }
 
 fn pinned_fingerprint() -> u64 {
@@ -91,6 +106,27 @@ fn regenerating_the_pipeline_reproduces_the_fixture_verbatim() {
         golden_bytes(),
         "fresh seed-6 run diverged from the fixture"
     );
+
+    // The table read back from the bytes is the in-memory table, bit for
+    // bit, and renders identically.
+    let original = &result.hrtf;
+    let restored = decode(&bytes)
+        .and_then(|a| a.to_table())
+        .expect("fresh artifact reads back as a table");
+    assert_eq!(bank_bits(restored.near()), bank_bits(original.near()));
+    assert_eq!(bank_bits(restored.far()), bank_bits(original.far()));
+    assert_eq!(restored.head(), original.head());
+    assert_eq!(
+        restored.sample_rate().to_bits(),
+        original.sample_rate().to_bits()
+    );
+    let sig = uniq_dsp::signal::linear_chirp(300.0, 8000.0, 0.02, original.sample_rate());
+    for far in [false, true] {
+        let a = original.synthesize(&sig, 45.0, far);
+        let b = restored.synthesize(&sig, 45.0, far);
+        assert_eq!(a.left, b.left);
+        assert_eq!(a.right, b.right);
+    }
 
     // Putting the fresh artifact lands on the same key, and importing
     // the fixture on top is a pure dedup hit.
