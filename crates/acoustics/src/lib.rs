@@ -43,5 +43,5 @@ pub mod system;
 pub mod types;
 
 pub use pinna::PinnaModel;
-pub use render::{render_plane_wave, render_point_source, NearFieldError, Renderer};
+pub use render::{NearFieldError, Renderer};
 pub use types::{BinauralIr, HrirBank, RenderConfig};

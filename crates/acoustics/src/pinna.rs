@@ -77,11 +77,6 @@ mod ranges {
 }
 
 impl PinnaModel {
-    /// Builds a model from explicit taps (mainly for tests).
-    pub fn from_taps(taps: Vec<PinnaTap>) -> Self {
-        PinnaModel { taps }
-    }
-
     /// Samples a random pinna for the given seed. Different seeds give
     /// markedly different pinnae; the same seed is fully reproducible.
     pub fn from_seed(seed: u64) -> Self {
@@ -101,11 +96,6 @@ impl PinnaModel {
             })
             .collect();
         PinnaModel { taps }
-    }
-
-    /// The micro-echo taps.
-    pub fn taps(&self) -> &[PinnaTap] {
-        &self.taps
     }
 
     /// Renders the pinna impulse response for a wave arriving at
@@ -207,7 +197,7 @@ mod tests {
     #[test]
     fn direct_tap_is_unit_without_echoes() {
         // With no micro-echoes the response is exactly a unit delta.
-        let p = PinnaModel::from_taps(vec![]);
+        let p = PinnaModel { taps: vec![] };
         let r = p.response(1.0, SR, 64);
         assert!((r[0] - 1.0).abs() < 1e-12);
         assert!(r[1..].iter().all(|v| v.abs() < 1e-12));
@@ -215,17 +205,19 @@ mod tests {
 
     #[test]
     fn isolated_tap_lands_at_its_delay() {
-        let p = PinnaModel::from_taps(vec![PinnaTap {
-            base_delay_ms: 0.5,
-            delay_mod_ms: 0.0,
-            delay_phase: 0.0,
-            gain: -0.4,
-            gain_mod: 0.0,
-            gain_phase: 0.0,
-            delay_mod2_ms: 0.0,
-            elev_delay_mod_ms: 0.0,
-            elev_gain_mod: 0.0,
-        }]);
+        let p = PinnaModel {
+            taps: vec![PinnaTap {
+                base_delay_ms: 0.5,
+                delay_mod_ms: 0.0,
+                delay_phase: 0.0,
+                gain: -0.4,
+                gain_mod: 0.0,
+                gain_phase: 0.0,
+                delay_mod2_ms: 0.0,
+                elev_delay_mod_ms: 0.0,
+                elev_gain_mod: 0.0,
+            }],
+        };
         let r = p.response(0.3, SR, 128);
         assert!((r[0] - 1.0).abs() < 1e-12);
         let at = (0.5e-3 * SR) as usize; // 24 samples
@@ -264,8 +256,8 @@ mod tests {
     fn taps_within_sampling_ranges() {
         for seed in 0..20 {
             let p = PinnaModel::from_seed(seed);
-            assert!((5..9).contains(&p.taps().len()));
-            for t in p.taps() {
+            assert!((5..9).contains(&p.taps.len()));
+            for t in &p.taps {
                 assert!((0.05..0.55).contains(&t.base_delay_ms));
                 assert!(t.gain.abs() >= 0.15 && t.gain.abs() < 0.65);
             }

@@ -275,42 +275,6 @@ pub fn local_arrival_angle(arrival_dir: Vec2, ear: Ear) -> f64 {
     }
 }
 
-/// Convenience free function: render a point source with a throwaway
-/// renderer (used by tests and examples).
-pub fn render_point_source(
-    boundary: &HeadBoundary,
-    pinna_left: &PinnaModel,
-    pinna_right: &PinnaModel,
-    cfg: RenderConfig,
-    src: Vec2,
-) -> Option<BinauralIr> {
-    Renderer::new(
-        boundary.clone(),
-        pinna_left.clone(),
-        pinna_right.clone(),
-        cfg,
-    )
-    .render_point(src)
-}
-
-/// Convenience free function: render a plane wave with a throwaway
-/// renderer.
-pub fn render_plane_wave(
-    boundary: &HeadBoundary,
-    pinna_left: &PinnaModel,
-    pinna_right: &PinnaModel,
-    cfg: RenderConfig,
-    theta_deg: f64,
-) -> BinauralIr {
-    Renderer::new(
-        boundary.clone(),
-        pinna_left.clone(),
-        pinna_right.clone(),
-        cfg,
-    )
-    .render_plane(theta_deg)
-}
-
 /// Reference renderer for the tests of [`add_arrival`]: each arrival's tap
 /// is placed in a full-length buffer and both FIRs are applied with
 /// full-length [`uniq_dsp::conv::convolve`] calls (the FFT path at these

@@ -40,16 +40,6 @@ impl Renderer3 {
         }
     }
 
-    /// The head model.
-    pub fn head(&self) -> &Head3 {
-        &self.head
-    }
-
-    /// The render configuration.
-    pub fn config(&self) -> &RenderConfig {
-        &self.cfg
-    }
-
     /// Renders a point source at `src` (head frame, metres). Returns
     /// `None` when the source is inside the head.
     pub fn render_point(&self, src: Vec3) -> Option<BinauralIr> {
@@ -137,7 +127,7 @@ mod tests {
         // the 2-D renderer's (same planar head).
         let r3 = renderer();
         let r2 = crate::render::Renderer::new(
-            uniq_geometry::HeadBoundary::new(r3.head().planar, 2048),
+            uniq_geometry::HeadBoundary::new(r3.head.planar, 2048),
             PinnaModel::from_seed(901),
             PinnaModel::from_seed(902),
             RenderConfig::default(),
@@ -215,11 +205,11 @@ mod tests {
         excess: f64,
         gain: impl Fn(f64) -> f64,
     ) -> BinauralIr {
-        let cfg = r.config();
+        let cfg = &r.cfg;
         let horiz = uniq_geometry::Vec2::new(src.x, src.y);
         let elevation = src.z.atan2(horiz.norm());
         let ear = |ear, pinna: &PinnaModel| {
-            let path = path_to_ear_3d(r.head(), src, ear).expect("outside the head");
+            let path = path_to_ear_3d(&r.head, src, ear).expect("outside the head");
             let local_az = crate::render::local_arrival_angle(-horiz.normalized(), ear);
             let need = pinna.required_len(cfg.sample_rate);
             let pinna_ir = pinna.response_3d(local_az, elevation, cfg.sample_rate, need);

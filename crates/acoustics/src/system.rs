@@ -27,19 +27,6 @@ impl SystemResponse {
         }
     }
 
-    /// An idealized flat chain (for ablations isolating hardware effects).
-    pub fn flat(sample_rate: f64) -> Self {
-        SystemResponse {
-            cascade: BiquadCascade::new(vec![]),
-            sample_rate,
-        }
-    }
-
-    /// Sample rate the filters were designed for.
-    pub fn sample_rate(&self) -> f64 {
-        self.sample_rate
-    }
-
     /// Applies the hardware colouration to a signal.
     pub fn apply(&self, signal: &[f64]) -> Vec<f64> {
         self.cascade.filter(signal)
@@ -97,7 +84,10 @@ mod tests {
 
     #[test]
     fn flat_system_is_identity() {
-        let sys = SystemResponse::flat(SR);
+        let sys = SystemResponse {
+            cascade: BiquadCascade::new(vec![]),
+            sample_rate: SR,
+        };
         let sig = linear_chirp(100.0, 10_000.0, 0.01, SR);
         assert_eq!(sys.apply(&sig), sig);
         assert!((sys.magnitude(1234.0) - 1.0).abs() < 1e-12);

@@ -27,15 +27,34 @@ pub struct Hop {
 /// `hop.line` is the call-site line inside the reached (calling)
 /// function.
 pub fn reach_callers(graph: &CallGraph, seeds: &BTreeSet<usize>) -> BTreeMap<usize, Option<Hop>> {
+    reach(graph, seeds, true)
+}
+
+/// Functions reachable *downward* from `seeds`: every function a seed
+/// transitively calls. `hop.line` is the call-site line inside the
+/// function one step closer to the seed (`hop.next`).
+pub fn reach_callees(graph: &CallGraph, seeds: &BTreeSet<usize>) -> BTreeMap<usize, Option<Hop>> {
+    reach(graph, seeds, false)
+}
+
+/// Breadth-first reach from `seeds` over call edges, toward callers when
+/// `upward`, toward callees otherwise.
+fn reach(graph: &CallGraph, seeds: &BTreeSet<usize>, upward: bool) -> BTreeMap<usize, Option<Hop>> {
     let mut state: BTreeMap<usize, Option<Hop>> = seeds.iter().map(|&s| (s, None)).collect();
     let mut frontier: BTreeSet<usize> = seeds.clone();
     while !frontier.is_empty() {
         let mut nxt = BTreeSet::new();
         for &f in &frontier {
-            for &e in &graph.in_edges[f] {
+            let edges = if upward {
+                &graph.in_edges[f]
+            } else {
+                &graph.out_edges[f]
+            };
+            for &e in edges {
                 let edge = &graph.edges[e];
-                let entry = state.entry(edge.caller).or_insert_with(|| {
-                    nxt.insert(edge.caller);
+                let other = if upward { edge.caller } else { edge.callee };
+                let entry = state.entry(other).or_insert_with(|| {
+                    nxt.insert(other);
                     Some(Hop {
                         next: f,
                         line: edge.line,
@@ -44,40 +63,7 @@ pub fn reach_callers(graph: &CallGraph, seeds: &BTreeSet<usize>) -> BTreeMap<usi
                 // Within the same BFS level, prefer the smaller
                 // (next, line) witness for determinism.
                 if let Some(h) = entry {
-                    if nxt.contains(&edge.caller) && (f, edge.line) < (h.next, h.line) {
-                        *h = Hop {
-                            next: f,
-                            line: edge.line,
-                        };
-                    }
-                }
-            }
-        }
-        frontier = nxt;
-    }
-    state
-}
-
-/// Functions reachable *downward* from `seeds`: every function a seed
-/// transitively calls. `hop.line` is the call-site line inside the
-/// function one step closer to the seed (`hop.next`).
-pub fn reach_callees(graph: &CallGraph, seeds: &BTreeSet<usize>) -> BTreeMap<usize, Option<Hop>> {
-    let mut state: BTreeMap<usize, Option<Hop>> = seeds.iter().map(|&s| (s, None)).collect();
-    let mut frontier: BTreeSet<usize> = seeds.clone();
-    while !frontier.is_empty() {
-        let mut nxt = BTreeSet::new();
-        for &f in &frontier {
-            for &e in &graph.out_edges[f] {
-                let edge = &graph.edges[e];
-                let entry = state.entry(edge.callee).or_insert_with(|| {
-                    nxt.insert(edge.callee);
-                    Some(Hop {
-                        next: f,
-                        line: edge.line,
-                    })
-                });
-                if let Some(h) = entry {
-                    if nxt.contains(&edge.callee) && (f, edge.line) < (h.next, h.line) {
+                    if nxt.contains(&other) && (f, edge.line) < (h.next, h.line) {
                         *h = Hop {
                             next: f,
                             line: edge.line,

@@ -193,23 +193,9 @@ pub fn to_json_report(diags: &[Diagnostic], summary: &ReportSummary) -> String {
     out
 }
 
-/// Escapes a string for JSON.
+/// `s` as a quoted JSON string.
 fn json_str(s: &str) -> String {
-    let mut out = String::with_capacity(s.len() + 2);
-    out.push('"');
-    for c in s.chars() {
-        match c {
-            '"' => out.push_str("\\\""),
-            '\\' => out.push_str("\\\\"),
-            '\n' => out.push_str("\\n"),
-            '\r' => out.push_str("\\r"),
-            '\t' => out.push_str("\\t"),
-            c if (c as u32) < 0x20 => out.push_str(&format!("\\u{:04x}", c as u32)),
-            c => out.push(c),
-        }
-    }
-    out.push('"');
-    out
+    format!("\"{}\"", uniq_obs::sink::json_escape(s))
 }
 
 #[cfg(test)]

@@ -21,6 +21,9 @@
 //! result entry points), lock order (Mutex acquisition cycles and
 //! guards held across pool boundaries), and hot-path allocation
 //! (functions reachable from hot spans must not allocate per call).
+//! A name-based liveness pass ([`dead_pub`]) reports public items that
+//! nothing outside their own file's tests uses, reading integration
+//! tests, benches and examples as references only.
 //! A stale-suppression audit closes the loop: an `allow(...)` that
 //! silences nothing is itself a finding.
 //!
@@ -59,6 +62,7 @@
 pub mod callgraph;
 pub mod cli;
 pub mod dataflow;
+pub mod dead_pub;
 pub mod diagnostics;
 pub mod facts;
 pub mod flow_rules;

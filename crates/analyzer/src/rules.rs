@@ -29,6 +29,7 @@
 //! | `panic-reachability` | workspace | no panic site in support crates reachable from result-crate entry points |
 //! | `lock-order` | `store`/`profile`/`obs`/`serve` | Mutex acquisition graph is acyclic; no guard held across a pool boundary |
 //! | `hot-path-alloc` | workspace | fns reachable from hot spans do not allocate per call |
+//! | `dead-pub` | `crates/*/src` | every public item has a user outside its own file's tests (warning) |
 //! | `stale-suppression` | workspace | every `allow(...)` still matches a finding |
 //!
 //! "Result crates" are the crates whose output feeds the paper's
@@ -78,6 +79,7 @@ pub const RULE_NAMES: &[&str] = &[
     "panic-reachability",
     "lock-order",
     "hot-path-alloc",
+    "dead-pub",
     "stale-suppression",
 ];
 

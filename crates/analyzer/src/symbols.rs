@@ -115,29 +115,7 @@ pub fn extract_fns(file: &SourceFile, file_index: usize) -> Vec<FnDef> {
                 i += 1;
             }
             (TokenKind::Ident, "impl" | "trait") => {
-                // Find the owner name: for `impl Trait for Type {` the
-                // last path segment before `{`; for `impl Type {` and
-                // `trait Name {` likewise. Generic arguments are skipped
-                // by taking the last plain identifier at angle depth 0.
-                let mut owner = String::new();
-                let mut angle = 0i32;
-                let mut j = i + 1;
-                while let Some(tok) = file.sig_token(j) {
-                    match (tok.kind, tok.text.as_str()) {
-                        (TokenKind::Punct, "{") if angle <= 0 => break,
-                        (TokenKind::Punct, ";") => break,
-                        (TokenKind::Punct, "<") => angle += 1,
-                        (TokenKind::Punct, ">") => angle -= 1,
-                        (TokenKind::Ident, "where") if angle <= 0 => break,
-                        (TokenKind::Ident, name)
-                            if angle <= 0 && name != "for" && name != "dyn" =>
-                        {
-                            owner = name.to_string();
-                        }
-                        _ => {}
-                    }
-                    j += 1;
-                }
+                let (owner, j) = block_owner(file, i);
                 if file
                     .sig_token(j)
                     .is_some_and(|t| t.kind == TokenKind::Punct && t.text == "{")
@@ -290,6 +268,32 @@ pub fn extract_fns(file: &SourceFile, file_index: usize) -> Vec<FnDef> {
         }
     }
     out
+}
+
+/// The owner of the `impl` or `trait` header at significant index `i`
+/// and the index where the header ends (its `{`, `;` or `where`): for
+/// `impl Trait for Type {` the last path segment before `{`; for
+/// `impl Type {` and `trait Name {` likewise. Generic arguments are
+/// skipped by taking the last plain identifier at angle depth 0.
+pub(crate) fn block_owner(file: &SourceFile, i: usize) -> (String, usize) {
+    let mut owner = String::new();
+    let mut angle = 0i32;
+    let mut j = i + 1;
+    while let Some(tok) = file.sig_token(j) {
+        match (tok.kind, tok.text.as_str()) {
+            (TokenKind::Punct, "{") if angle <= 0 => break,
+            (TokenKind::Punct, ";") => break,
+            (TokenKind::Punct, "<") => angle += 1,
+            (TokenKind::Punct, ">") => angle -= 1,
+            (TokenKind::Ident, "where") if angle <= 0 => break,
+            (TokenKind::Ident, name) if angle <= 0 && name != "for" && name != "dyn" => {
+                owner = name.to_string();
+            }
+            _ => {}
+        }
+        j += 1;
+    }
+    (owner, j)
 }
 
 /// Does an unrestricted `pub` precede the `fn` at significant index

@@ -8,7 +8,8 @@
 //! members are skipped by design — offline stand-ins for third-party
 //! crates are not ours to lint. Test trees (`tests/`, `benches/`,
 //! `examples/`) and the analyzer's own `fixtures/` are outside the
-//! `src/` directories the walk visits.
+//! `src/` directories the walk visits; `dead-pub` reads the test
+//! trees and examples as references only.
 //!
 //! The driver runs in deterministic parallel phases over `uniq-par`:
 //! file parsing is a `par_map` over the sorted file list, the four
@@ -18,6 +19,7 @@
 //! determinism bar it enforces, and a test pins 1 vs 8 threads).
 
 use crate::callgraph::{self, DepClosure};
+use crate::dead_pub;
 use crate::diagnostics::{Diagnostic, Severity};
 use crate::facts;
 use crate::flow_rules::{self, FlowOutput, UsedSuppression};
@@ -272,11 +274,7 @@ pub fn analyze_workspace_with(
         files.sort();
         for path in files {
             let text = fs::read_to_string(&path)?;
-            let rel = path
-                .strip_prefix(root)
-                .unwrap_or(&path)
-                .to_string_lossy()
-                .replace('\\', "/");
+            let rel = rel_path(root, &path);
             let is_crate_root = path
                 .file_name()
                 .is_some_and(|n| n == "lib.rs" || n == "main.rs")
@@ -289,6 +287,15 @@ pub fn analyze_workspace_with(
             });
         }
     }
+    for path in reference_files(root)? {
+        let text = fs::read_to_string(&path)?;
+        specs.push(SourceSpec {
+            path: rel_path(root, &path),
+            crate_name: String::new(),
+            is_crate_root: false,
+            text,
+        });
+    }
     specs.sort_by(|a, b| a.path.cmp(&b.path));
     let deps = workspace_dep_closure(root)?;
     Ok(analyze_sources_with_deps(
@@ -299,6 +306,39 @@ pub fn analyze_workspace_with(
     ))
 }
 
+/// `path` relative to `root`, with `/` separators.
+fn rel_path(root: &Path, path: &Path) -> String {
+    path.strip_prefix(root)
+        .unwrap_or(path)
+        .to_string_lossy()
+        .replace('\\', "/")
+}
+
+/// The files `dead-pub` reads as references only: everything under
+/// `tests/`, each member's `tests/` and `benches/`, the top-level
+/// `examples/*.rs` and `examples/benchmark/src`.
+fn reference_files(root: &Path) -> io::Result<Vec<PathBuf>> {
+    let manifest = fs::read_to_string(root.join("Cargo.toml"))?;
+    let mut dirs = vec![root.join("tests"), root.join("examples/benchmark/src")];
+    for member in expand_member_dirs(root, &manifest)? {
+        dirs.push(member.join("tests"));
+        dirs.push(member.join("benches"));
+    }
+    let mut files = Vec::new();
+    for dir in dirs.iter().filter(|d| d.is_dir()) {
+        collect_rs_files(dir, &mut files)?;
+    }
+    if let Ok(entries) = fs::read_dir(root.join("examples")) {
+        for entry in entries {
+            let path = entry?.path();
+            if path.extension().is_some_and(|e| e == "rs") {
+                files.push(path);
+            }
+        }
+    }
+    Ok(files)
+}
+
 /// [`analyze_sources_with_deps`] without a dependency map: every crate
 /// pair resolves (the mode the in-memory fixture tests use — they carry
 /// no manifests).
@@ -307,9 +347,12 @@ pub fn analyze_sources(specs: &[SourceSpec], strict: bool, threads: usize) -> Wo
 }
 
 /// The whole-workspace analysis over in-memory sources: line-local
-/// rules, the call-graph dataflow families, and the stale-suppression
-/// audit. Deterministic for any `threads` value. `deps`, when given,
-/// restricts call resolution to each caller crate's dependency closure.
+/// rules, the call-graph dataflow families, `dead-pub`, and the
+/// stale-suppression audit. Specs at reference-only paths
+/// ([`dead_pub::is_reference_path`]: integration tests, benches,
+/// examples) are not linted; they only keep public items alive.
+/// Deterministic for any `threads` value. `deps`, when given, restricts
+/// call resolution to each caller crate's dependency closure.
 pub fn analyze_sources_with_deps(
     specs: &[SourceSpec],
     strict: bool,
@@ -319,9 +362,13 @@ pub fn analyze_sources_with_deps(
     let pool = uniq_par::pool(threads);
 
     // Phase 1: parse (parallel, index-ordered).
-    let files: Vec<SourceFile> = pool.par_map(specs, |s| {
-        SourceFile::parse(&s.path, &s.crate_name, s.is_crate_root, &s.text)
-    });
+    let (ref_specs, lint_specs): (Vec<&SourceSpec>, Vec<&SourceSpec>) = specs
+        .iter()
+        .partition(|s| dead_pub::is_reference_path(&s.path));
+    let parse =
+        |s: &&SourceSpec| SourceFile::parse(&s.path, &s.crate_name, s.is_crate_root, &s.text);
+    let files: Vec<SourceFile> = pool.par_map(&lint_specs, parse);
+    let refs: Vec<SourceFile> = pool.par_map(&ref_specs, parse);
 
     // Phase 2: line-local rules (parallel per file). Strict-only rules
     // are always *generated* so their suppressions register as used;
@@ -353,16 +400,19 @@ pub fn analyze_sources_with_deps(
     let hot_spans = hot_span_consts(&files);
     let fn_facts = facts::extract(&files, &graph, &hot_spans);
 
-    // Phase 4: the four dataflow families (parallel, index-ordered).
+    // Phase 4: the four dataflow families and `dead-pub` (parallel,
+    // index-ordered).
     let flow_outputs: Vec<FlowOutput> = {
         let files_ref = &files;
+        let refs_ref = &refs;
         let graph_ref = &graph;
         let facts_ref = &fn_facts;
-        pool.par_map(&[0usize, 1, 2, 3], move |&family| match family {
+        pool.par_map(&[0usize, 1, 2, 3, 4], move |&family| match family {
             0 => flow_rules::determinism_taint(files_ref, graph_ref, facts_ref),
             1 => flow_rules::panic_reachability(files_ref, graph_ref, facts_ref, strict),
             2 => flow_rules::lock_order(files_ref, graph_ref, facts_ref),
-            _ => flow_rules::hot_path_alloc(files_ref, graph_ref, facts_ref),
+            3 => flow_rules::hot_path_alloc(files_ref, graph_ref, facts_ref),
+            _ => dead_pub::dead_pub(files_ref, refs_ref),
         })
     };
 

@@ -1,10 +1,13 @@
-//! Golden fixtures for the four interprocedural rule families. Each
-//! family gets a known-bad multi-file fixture that must produce exactly
-//! the expected findings (with their call traces) and a clean or
-//! negative counterpart that must stay silent. The fixtures live under
-//! `fixtures/flow/` and are assembled into in-memory workspaces here —
-//! no manifests, so call resolution is unrestricted by dependency
-//! closure, which is what a self-contained fixture wants.
+//! Golden fixtures for the four interprocedural rule families and
+//! `dead-pub`. Each family gets a known-bad multi-file fixture that must
+//! produce exactly the expected findings (with their call traces) and a
+//! clean or negative counterpart that must stay silent. The flow
+//! fixtures live under `fixtures/flow/` and are assembled into in-memory
+//! workspaces here — no manifests, so call resolution is unrestricted by
+//! dependency closure, which is what a self-contained fixture wants.
+//! They model workspace fragments whose callers live elsewhere, so
+//! [`run`] leaves out `dead-pub`; the `dead-pub` fixtures use
+//! [`dead_pub_findings`].
 
 use uniq_analyzer::{analyze_sources, Severity, SourceSpec, WorkspaceReport};
 
@@ -17,8 +20,23 @@ fn spec(path: &str, crate_name: &str, text: &str) -> SourceSpec {
     }
 }
 
+/// Analyzes `specs`, dropping `dead-pub` findings: the flow fixtures'
+/// entry points have their callers outside the fixture.
 fn run(specs: &[SourceSpec], strict: bool) -> WorkspaceReport {
-    analyze_sources(specs, strict, 1)
+    let mut report = analyze_sources(specs, strict, 1);
+    report.diagnostics.retain(|d| d.rule != "dead-pub");
+    report
+}
+
+/// The `dead-pub` findings of `specs` as `(file, line, message)`.
+fn dead_pub_findings(specs: &[SourceSpec]) -> Vec<(String, u32, String)> {
+    analyze_sources(specs, false, 1)
+        .diagnostics
+        .into_iter()
+        .filter(|d| d.rule == "dead-pub")
+        .inspect(|d| assert_eq!(d.severity, Severity::Warning))
+        .map(|d| (d.file, d.line, d.message))
+        .collect()
 }
 
 const TAINT_ENTRY: &str = include_str!("../fixtures/flow/taint_entry.rs");
@@ -199,4 +217,218 @@ fn suppression_at_the_taint_source_clears_the_whole_path() {
     assert!(report.diagnostics.is_empty(), "{:#?}", report.diagnostics);
     assert_eq!(report.suppressions, 1);
     assert_eq!(report.stale_suppressions, 0, "the allow is consumed");
+}
+
+#[test]
+fn dead_pub_reports_a_fn_only_its_own_tests_use() {
+    let src = "\
+//! Statistics.
+
+/// Used only by this file's tests.
+pub fn std_dev(xs: &[f64]) -> f64 {
+    xs.len() as f64
+}
+
+/// Used by a private caller.
+pub fn mean(xs: &[f64]) -> f64 {
+    xs.iter().sum::<f64>()
+}
+
+fn summary(xs: &[f64]) -> f64 {
+    mean(xs)
+}
+
+#[cfg(test)]
+mod tests {
+    use super::*;
+
+    #[test]
+    fn std_dev_counts() {
+        assert_eq!(std_dev(&[1.0]), summary(&[1.0]));
+    }
+}
+";
+    let found = dead_pub_findings(&[spec("crates/dsp/src/stats.rs", "dsp", src)]);
+    assert_eq!(found.len(), 1, "{found:#?}");
+    assert_eq!(found[0].0, "crates/dsp/src/stats.rs");
+    assert_eq!(found[0].1, 4);
+    assert!(found[0].2.contains("dsp::stats::std_dev"), "{}", found[0].2);
+}
+
+#[test]
+fn dead_pub_reads_integration_tests_and_the_benchmark_without_linting_them() {
+    let lib = "\
+/// Called from tests/.
+pub fn from_tests() {}
+
+/// Called from the benchmark package.
+pub fn from_bench() {}
+
+/// Called from another file's unit tests.
+pub fn from_unit_tests() {}
+";
+    let other = "\
+fn private() {}
+
+#[cfg(test)]
+mod tests {
+    #[test]
+    fn calls() {
+        super::private();
+        uniq_core::api::from_unit_tests();
+    }
+}
+";
+    let specs = [
+        spec("crates/core/src/api.rs", "core", lib),
+        spec("crates/core/src/other.rs", "core", other),
+        spec(
+            "tests/flow.rs",
+            "",
+            "pub fn helper() {}\n#[test]\nfn t() { uniq_core::api::from_tests(); }\n",
+        ),
+        spec(
+            "examples/benchmark/src/main.rs",
+            "",
+            "fn main() { uniq_core::api::from_bench(); let x: Option<u8> = None; x.unwrap(); }\n",
+        ),
+    ];
+    let report = analyze_sources(&specs, false, 1);
+    assert!(report.diagnostics.is_empty(), "{:#?}", report.diagnostics);
+    assert_eq!(report.files_analyzed, 2, "reference files are not linted");
+}
+
+#[test]
+fn dead_pub_counts_fn_pointer_paths_and_format_captures() {
+    let report = "\
+/// A report.
+pub struct Report;
+
+impl Report {
+    /// Renders it.
+    pub fn to_json(&self) -> String {
+        String::new()
+    }
+}
+
+/// Named by an inline format capture.
+pub const SCHEMA_VERSION: u32 = 4;
+
+/// Only inside an escaped brace pair, which is not a capture.
+pub const NOT_A_CAPTURE: u32 = 5;
+";
+    let commands = "\
+fn render(r: Option<&Report>) -> Option<String> {
+    r.map(Report::to_json)
+}
+
+fn header() -> String {
+    format!(\"{{\\\"schema\\\":{SCHEMA_VERSION}}} {{NOT_A_CAPTURE}}\")
+}
+";
+    let found = dead_pub_findings(&[
+        spec("crates/cli/src/report.rs", "cli", report),
+        spec("crates/cli/src/commands.rs", "cli", commands),
+    ]);
+    assert_eq!(found.len(), 1, "{found:#?}");
+    assert_eq!(found[0].1, 15);
+    assert!(found[0].2.contains("NOT_A_CAPTURE"), "{}", found[0].2);
+}
+
+#[test]
+fn dead_pub_follows_references_from_dead_items_to_a_fixpoint() {
+    let src = "\
+/// Used only by `scaled`, which nothing uses.
+pub const SCALE: f64 = 2.0;
+
+/// Dead.
+pub fn scaled(x: f64) -> f64 {
+    x * SCALE
+}
+
+/// Used only by `shifted`, which a private fn uses.
+pub const OFFSET: f64 = 1.0;
+
+/// Live.
+pub fn shifted(x: f64) -> f64 {
+    x + OFFSET
+}
+
+fn private(x: f64) -> f64 {
+    shifted(x)
+}
+";
+    let found = dead_pub_findings(&[spec("crates/core/src/scale.rs", "core", src)]);
+    let lines: Vec<u32> = found.iter().map(|f| f.1).collect();
+    assert_eq!(lines, vec![2, 5], "{found:#?}");
+}
+
+#[test]
+fn dead_pub_ignores_own_impl_blocks_re_exports_and_mod_declarations() {
+    let lib = "\
+pub mod window;
+pub use window::{hann, Histogram};
+
+fn private() {
+    Grid::with_bins(3);
+}
+
+struct Grid;
+
+impl Grid {
+    fn with_bins(_bins: usize) {}
+}
+";
+    let window = "\
+/// Named only in a `pub use`.
+pub fn hann() {}
+
+/// Named only inside its own impl block; `with_bins` itself is live by
+/// name (the private `Grid::with_bins` call).
+pub struct Histogram {
+    bins: usize,
+}
+
+impl Histogram {
+    /// Builds one.
+    pub fn with_bins(bins: usize) -> Histogram {
+        Histogram { bins }
+    }
+}
+";
+    let found = dead_pub_findings(&[
+        spec("crates/core/src/lib.rs", "core", lib),
+        spec("crates/core/src/window.rs", "core", window),
+    ]);
+    let names: Vec<&str> = found
+        .iter()
+        .map(|f| f.2.split('`').nth(1).unwrap_or(""))
+        .collect();
+    assert_eq!(
+        names,
+        vec!["core::window::hann", "core::window::Histogram"],
+        "{found:#?}"
+    );
+}
+
+#[test]
+fn dead_pub_allow_is_honoured_and_stale_when_it_silences_nothing() {
+    let src = "\
+// uniq-analyzer: allow(dead-pub) — an external tool reads this list by name
+pub const TOOL_LIST: &[&str] = &[];
+
+// uniq-analyzer: allow(dead-pub) — left over; the const below has a user
+pub const USED: u32 = 1;
+
+fn reader() -> u32 {
+    USED
+}
+";
+    let report = analyze_sources(&[spec("crates/obs/src/names.rs", "obs", src)], false, 1);
+    assert_eq!(report.suppressions, 2);
+    assert_eq!(report.stale_suppressions, 1);
+    assert_eq!(report.diagnostics.len(), 1, "{:#?}", report.diagnostics);
+    let d = &report.diagnostics[0];
+    assert_eq!(d.rule, "stale-suppression");
+    assert_eq!(d.line, 4);
 }

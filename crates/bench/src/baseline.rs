@@ -23,7 +23,7 @@
 
 use std::collections::{BTreeMap, BTreeSet};
 use std::sync::Arc;
-use uniq_core::batch::{hrtf_fingerprint, personalize_batch, BatchOutcome};
+use uniq_core::batch::{hrtf_fingerprint, personalize_batch, result_fingerprint};
 use uniq_core::config::UniqConfig;
 use uniq_core::pipeline::{personalize_with_retry, PersonalizationResult};
 use uniq_dsp::stats::median;
@@ -150,17 +150,6 @@ pub fn persist_to_store(
     let store = uniq_store::Store::open(dir).map_err(|e| e.to_string())?;
     let outcome = store.put(&artifact).map_err(|e| e.to_string())?;
     Ok((outcome, artifact.subject_fingerprint))
-}
-
-/// Wraps a single personalization result so
-/// [`uniq_core::batch::hrtf_fingerprint`] can digest it: every HRIR bit,
-/// localization estimate, and the radius fold into one number.
-fn result_fingerprint(seed: u64, result: &PersonalizationResult) -> u64 {
-    hrtf_fingerprint(&[BatchOutcome {
-        seed,
-        result: Ok(result.clone()),
-        seconds: 0.0,
-    }])
 }
 
 fn median_localization_error(result: &PersonalizationResult) -> (f64, f64) {

@@ -12,6 +12,9 @@ use uniq_core::UniqConfig;
 /// Pool sizes measured by the sweep.
 pub const THREAD_COUNTS: [usize; 4] = [1, 2, 4, 8];
 
+/// First subject seed of the swept batch.
+const SEED_BASE: u64 = 42;
+
 /// Runs the sweep and returns the report for assertions in tests.
 pub fn run() -> ScalingReport {
     println!("\n== Batch scaling: concurrent personalization throughput ==");
@@ -22,7 +25,7 @@ pub fn run() -> ScalingReport {
         threads: 1,
         ..UniqConfig::fast_test()
     };
-    let seeds: Vec<u64> = (0..8).map(|i| 42 + i).collect();
+    let seeds: Vec<u64> = (0..8).map(|i| SEED_BASE + i).collect();
     let report = scaling_sweep(&seeds, &cfg, &THREAD_COUNTS, 3);
 
     let baseline = report.points[0].seconds;
@@ -40,25 +43,7 @@ pub fn run() -> ScalingReport {
         if report.deterministic { "yes" } else { "NO" }
     );
 
-    let json = {
-        let mut out = String::from("{\n");
-        out.push_str(&format!("  \"subjects\": {},\n", report.subjects));
-        out.push_str("  \"seed_base\": 42,\n");
-        out.push_str(&format!("  \"deterministic\": {},\n", report.deterministic));
-        out.push_str("  \"points\": [\n");
-        for (i, p) in report.points.iter().enumerate() {
-            out.push_str(&format!(
-                "    {{\"threads\": {}, \"seconds\": {:.6}, \"subjects_per_second\": {:.6}, \"fingerprint\": \"{:#018x}\"}}{}\n",
-                p.threads,
-                p.seconds,
-                p.subjects_per_second,
-                p.fingerprint,
-                if i + 1 < report.points.len() { "," } else { "" }
-            ));
-        }
-        out.push_str("  ]\n}\n");
-        out
-    };
+    let json = report.to_json(SEED_BASE);
     std::fs::create_dir_all(crate::RESULTS_DIR).expect("create bench_results");
     let json_path = Path::new(crate::RESULTS_DIR).join("batch_scaling.json");
     std::fs::write(&json_path, json).expect("write batch_scaling.json");

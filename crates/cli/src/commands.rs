@@ -787,7 +787,10 @@ fn personalize_cmd(args: &Args) -> Result<String, String> {
         .text(
             "quality",
             "personalize_fingerprint",
-            &format!("{:#018x}", single_fingerprint(seed, &result)),
+            &format!(
+                "{:#018x}",
+                uniq_core::batch::result_fingerprint(seed, &result)
+            ),
         )
         .num("quality", "localization_median_deg", loc_median)
         .num(
@@ -823,38 +826,6 @@ fn personalize_cmd(args: &Args) -> Result<String, String> {
     };
     lines.extend(append_history(args, label, &doc)?);
     Ok(lines.join("\n"))
-}
-
-/// One personalization result digested through the batch fingerprint —
-/// every HRIR bit, localization estimate, and the radius in one number.
-fn single_fingerprint(seed: u64, result: &uniq_core::pipeline::PersonalizationResult) -> u64 {
-    uniq_core::batch::hrtf_fingerprint(&[uniq_core::batch::BatchOutcome {
-        seed,
-        result: Ok(result.clone()),
-        seconds: 0.0,
-    }])
-}
-
-/// Renders a [`ScalingReport`] as a JSON document (fingerprints in hex so
-/// consumers never lose bits to double precision).
-fn scaling_json(report: &uniq_core::batch::ScalingReport, seed_base: u64) -> String {
-    let mut out = String::from("{\n");
-    out.push_str(&format!("  \"subjects\": {},\n", report.subjects));
-    out.push_str(&format!("  \"seed_base\": {seed_base},\n"));
-    out.push_str(&format!("  \"deterministic\": {},\n", report.deterministic));
-    out.push_str("  \"points\": [\n");
-    for (i, p) in report.points.iter().enumerate() {
-        out.push_str(&format!(
-            "    {{\"threads\": {}, \"seconds\": {:.6}, \"subjects_per_second\": {:.6}, \"fingerprint\": \"{:#018x}\"}}{}\n",
-            p.threads,
-            p.seconds,
-            p.subjects_per_second,
-            p.fingerprint,
-            if i + 1 < report.points.len() { "," } else { "" }
-        ));
-    }
-    out.push_str("  ]\n}\n");
-    out
 }
 
 fn batch_cmd(args: &Args) -> Result<String, String> {
@@ -896,7 +867,7 @@ fn batch_cmd(args: &Args) -> Result<String, String> {
             std::fs::create_dir_all(dir)
                 .map_err(|e| format!("cannot create {}: {e}", dir.display()))?;
         }
-        std::fs::write(path, scaling_json(&report, base))
+        std::fs::write(path, report.to_json(base))
             .map_err(|e| format!("cannot write {out}: {e}"))?;
         let mut lines = vec![format!(
             "batch scaling: {} subjects (seeds {base}..{})",
@@ -1010,15 +981,60 @@ fn info_cmd(args: &Args) -> Result<String, String> {
     ))
 }
 
+/// Most samples a `render`/`aoa` test signal may hold: ten minutes at
+/// 48 kHz.
+const MAX_SIGNAL_SAMPLES: f64 = 28_800_000.0;
+
+/// The test signal `render` and `aoa` play through a table: `duration`
+/// seconds of `kind` at `sample_rate`. Errors unless `duration` is finite
+/// and positive and the signal holds at most [`MAX_SIGNAL_SAMPLES`].
+fn test_signal(
+    kind: SignalKind,
+    duration: f64,
+    sample_rate: f64,
+    seed: u64,
+) -> Result<Vec<f64>, String> {
+    if !(duration.is_finite() && duration > 0.0) {
+        return Err(format!(
+            "duration must be a positive number of seconds, got {duration}"
+        ));
+    }
+    let samples = duration * sample_rate;
+    if samples.is_nan() || samples > MAX_SIGNAL_SAMPLES {
+        return Err(format!(
+            "a {duration} s signal at {sample_rate} Hz is {samples:.3e} samples, \
+             over the limit of {MAX_SIGNAL_SAMPLES:.0}"
+        ));
+    }
+    Ok(uniq_acoustics::signals::generate(
+        kind,
+        duration,
+        sample_rate,
+        seed,
+    ))
+}
+
+/// `--theta` in degrees (default `default`); any finite angle.
+fn theta_arg(args: &Args, default: f64) -> Result<f64, String> {
+    let theta = args.get_f64("theta", default).map_err(|e| e.to_string())?;
+    if theta.is_finite() {
+        Ok(theta)
+    } else {
+        Err(format!(
+            "--theta must be a finite angle in degrees, got {theta}"
+        ))
+    }
+}
+
 fn render_cmd(args: &Args) -> Result<String, String> {
     let t = load_table(args)?;
-    let theta = args.get_f64("theta", 45.0).map_err(|e| e.to_string())?;
+    let theta = theta_arg(args, 45.0)?;
     let duration = args.get_f64("duration", 1.0).map_err(|e| e.to_string())?;
     let seed = args.get_u64("seed", 7).map_err(|e| e.to_string())?;
     let kind = signal_kind(args.get("signal").unwrap_or("music"))?;
     let out = args.require("out").map_err(|e| e.to_string())?;
 
-    let sig = uniq_acoustics::signals::generate(kind, duration, t.sample_rate(), seed);
+    let sig = test_signal(kind, duration, t.sample_rate(), seed)?;
     let rendered = t.synthesize(&sig, theta, !args.switch("near"));
     uniq_render::wav::write_wav(&rendered, t.sample_rate(), Path::new(out))
         .map_err(|e| format!("cannot write {out}: {e}"))?;
@@ -1036,7 +1052,7 @@ fn render_cmd(args: &Args) -> Result<String, String> {
 
 fn aoa_cmd(args: &Args) -> Result<String, String> {
     let t = load_table(args)?;
-    let theta = args.get_f64("theta", 60.0).map_err(|e| e.to_string())?;
+    let theta = theta_arg(args, 60.0)?;
     let seed = args.get_u64("seed", 11).map_err(|e| e.to_string())?;
     let kind = signal_kind(args.get("signal").unwrap_or("speech"))?;
 
@@ -1047,7 +1063,7 @@ fn aoa_cmd(args: &Args) -> Result<String, String> {
         grid_step_deg: 5.0,
         ..UniqConfig::default()
     };
-    let sig = uniq_acoustics::signals::generate(kind, 0.4, t.sample_rate(), seed);
+    let sig = test_signal(kind, 0.4, t.sample_rate(), seed)?;
     let rendered = t.synthesize(&sig, theta, true);
     let rec = uniq_acoustics::measure::BinauralRecording {
         left: rendered.left,
@@ -1107,14 +1123,14 @@ mod tests {
         assert!(err.contains("cannot load"));
     }
 
-    #[test]
-    fn checksum_valid_file_with_bad_values_is_an_error_not_a_panic() {
+    /// A two-angle, two-tap artifact that loads as a table.
+    fn tiny_artifact() -> HrtfArtifact {
         let grid = uniq_store::Grid {
             angles_deg: vec![0.0, 90.0],
             ir_len: 2,
             irs: vec![(vec![1.0, 0.0], vec![0.5, 0.0]); 2],
         };
-        let good = HrtfArtifact {
+        HrtfArtifact {
             seed: 1,
             subject_fingerprint: 0,
             config_hash: 0,
@@ -1126,7 +1142,12 @@ mod tests {
             near: grid.clone(),
             far: grid,
             degradation_json: None,
-        };
+        }
+    }
+
+    #[test]
+    fn checksum_valid_file_with_bad_values_is_an_error_not_a_panic() {
+        let good = tiny_artifact();
         let path = temp_path("bad_values.uhrtf");
         let info = format!("info --table {}", path.display());
         std::fs::write(&path, uniq_store::encode(&good).unwrap()).unwrap();
@@ -1145,6 +1166,49 @@ mod tests {
             std::fs::write(&path, uniq_store::encode(&artifact).unwrap()).unwrap();
             let err = run(&argv(&info)).unwrap_err();
             assert!(err.starts_with("cannot load"), "{err}");
+        }
+        std::fs::remove_file(&path).ok();
+    }
+
+    #[test]
+    fn unusable_durations_angles_and_sample_rates_are_errors_not_panics() {
+        let path = temp_path("signal_size.uhrtf");
+        let t = path.display();
+        let wav = temp_path("signal_size.wav");
+        let w = wav.display();
+        std::fs::write(&path, uniq_store::encode(&tiny_artifact()).unwrap()).unwrap();
+        for duration in ["1e300", "inf", "-1", "nan", "0"] {
+            let cmd = format!("render --table {t} --duration {duration} --out {w}");
+            let err = run(&argv(&cmd)).unwrap_err();
+            assert!(
+                err.contains("signal") || err.contains("duration"),
+                "{duration}: {err}"
+            );
+        }
+        for theta in ["nan", "inf", "-inf"] {
+            for cmd in [
+                format!("render --table {t} --theta {theta} --duration 0.01 --out {w}"),
+                format!("aoa --table {t} --theta {theta}"),
+            ] {
+                let err = run(&argv(&cmd)).unwrap_err();
+                assert!(
+                    err.starts_with("--theta must be a finite angle"),
+                    "{cmd}: {err}"
+                );
+            }
+        }
+        assert!(!wav.exists(), "no command above may write a WAV");
+        let huge_rate = HrtfArtifact {
+            sample_rate: 1e300,
+            ..tiny_artifact()
+        };
+        std::fs::write(&path, uniq_store::encode(&huge_rate).unwrap()).unwrap();
+        for cmd in [
+            format!("aoa --table {t}"),
+            format!("render --table {t} --out {w}"),
+        ] {
+            let err = run(&argv(&cmd)).unwrap_err();
+            assert!(err.contains("over the limit"), "{cmd}: {err}");
         }
         std::fs::remove_file(&path).ok();
     }
@@ -1524,7 +1588,10 @@ mod tests {
         };
         let result = personalize_with_retry(&Subject::from_seed(6), &cfg, 6, 3).unwrap();
         let artifact = store.get(&key).unwrap();
-        assert_eq!(artifact.fingerprint(), single_fingerprint(6, &result));
+        assert_eq!(
+            artifact.fingerprint(),
+            uniq_core::batch::result_fingerprint(6, &result)
+        );
         drop(store);
 
         // get / ls / verify all succeed on the clean store.

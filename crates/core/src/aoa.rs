@@ -55,16 +55,6 @@ impl AoaTemplates {
             bank_index,
         }
     }
-
-    /// Template angles.
-    pub fn angles(&self) -> &[f64] {
-        &self.angles
-    }
-
-    /// The TDoA curve, index-aligned with [`AoaTemplates::angles`].
-    pub fn t_rel(&self) -> &[f64] {
-        &self.t_rel
-    }
 }
 
 /// Known-source AoA (Eq. 9): returns the estimated angle in degrees.
@@ -226,30 +216,6 @@ pub fn estimate_unknown_source(
         }
     }
     best.1
-}
-
-/// Trains the Eq. 9 weight λ by golden-section search over a labelled
-/// training set of `(recording, source, true_theta)` triples, minimizing
-/// the mean absolute AoA error.
-pub fn train_lambda(
-    training: &[(BinauralRecording, Vec<f64>, f64)],
-    bank: &HrirBank,
-    cfg: &UniqConfig,
-) -> f64 {
-    assert!(!training.is_empty(), "training set must not be empty");
-    let objective = |lambda: f64| -> f64 {
-        let mut c = cfg.clone();
-        c.aoa_lambda = lambda;
-        training
-            .iter()
-            .map(|(rec, src, truth)| {
-                let est = estimate_known_source(rec, src, bank, &c);
-                uniq_geometry::vec2::angle_diff_deg(est, *truth)
-            })
-            .sum::<f64>()
-            / training.len() as f64
-    };
-    uniq_optim::golden_section(objective, 0.0, 1.0, 1e-3).0
 }
 
 /// Whether an angle is in the frontal hemisphere (θ < 90°). Used by the
@@ -491,34 +457,11 @@ mod tests {
         // TDoA should rise from ~0 at the front to a maximum near 90°.
         let i0 = 0;
         let i90 = t
-            .angles()
+            .angles
             .iter()
             .position(|a| (*a - 90.0).abs() < 1e-9)
             .unwrap();
-        assert!(t.t_rel()[i90] > t.t_rel()[i0] + 5.0);
-    }
-
-    #[test]
-    fn train_lambda_returns_in_range() {
-        let c = cfg();
-        let s = subject();
-        let renderer = s.renderer(c.render, 512);
-        let angles: Vec<f64> = (0..=12).map(|k| k as f64 * 15.0).collect();
-        let bank = renderer.ground_truth_bank(&angles);
-        let setup = MeasurementSetup::anechoic(c.render.sample_rate, 40.0);
-        let probe = c.probe();
-        let training: Vec<_> = [40.0, 100.0]
-            .iter()
-            .map(|&t| {
-                (
-                    record_plane_wave(&renderer, &setup, t, &probe, 11),
-                    probe.clone(),
-                    t,
-                )
-            })
-            .collect();
-        let lambda = train_lambda(&training, &bank, &c);
-        assert!((0.0..=1.0).contains(&lambda));
+        assert!(t.t_rel[i90] > t.t_rel[i0] + 5.0);
     }
 
     /// The bank's entries, for building a variant of it (a new bank starts

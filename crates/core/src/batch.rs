@@ -144,24 +144,39 @@ pub fn fold_result_parts<'a>(
 pub fn hrtf_fingerprint(outcomes: &[BatchOutcome]) -> u64 {
     let mut fp = FingerprintBuilder::new();
     for outcome in outcomes {
-        let Ok(result) = &outcome.result else {
-            fp.eat(outcome.seed);
-            fp.eat(u64::MAX);
-            continue;
-        };
-        fold_result_parts(
-            &mut fp,
-            outcome.seed,
-            result.radius_m,
-            result.attempts as u64,
-            &result.localization,
-            [result.hrtf.near(), result.hrtf.far()]
-                .into_iter()
-                .flat_map(|bank| bank.irs().iter())
-                .map(|ir| (ir.left.as_slice(), ir.right.as_slice())),
-        );
+        match &outcome.result {
+            Ok(result) => fold_result(&mut fp, outcome.seed, result),
+            Err(_) => {
+                fp.eat(outcome.seed);
+                fp.eat(u64::MAX);
+            }
+        }
     }
     fp.finish()
+}
+
+/// [`hrtf_fingerprint`] of the one-subject batch whose only outcome is
+/// `result` — computed from the borrowed result, without building that
+/// batch.
+pub fn result_fingerprint(seed: u64, result: &PersonalizationResult) -> u64 {
+    let mut fp = FingerprintBuilder::new();
+    fold_result(&mut fp, seed, result);
+    fp.finish()
+}
+
+/// Folds one successful outcome into `fp`.
+fn fold_result(fp: &mut FingerprintBuilder, seed: u64, result: &PersonalizationResult) {
+    fold_result_parts(
+        fp,
+        seed,
+        result.radius_m,
+        result.attempts as u64,
+        &result.localization,
+        [result.hrtf.near(), result.hrtf.far()]
+            .into_iter()
+            .flat_map(|bank| bank.irs().iter())
+            .map(|ir| (ir.left.as_slice(), ir.right.as_slice())),
+    );
 }
 
 /// Throughput at one pool size, from [`scaling_sweep`].
@@ -217,6 +232,31 @@ pub fn scaling_sweep(
         subjects: seeds.len(),
         points,
         deterministic,
+    }
+}
+
+impl ScalingReport {
+    /// The report as a JSON document over seeds from `seed_base`
+    /// (fingerprints in hex so consumers never lose bits to double
+    /// precision).
+    pub fn to_json(&self, seed_base: u64) -> String {
+        let mut out = String::from("{\n");
+        out.push_str(&format!("  \"subjects\": {},\n", self.subjects));
+        out.push_str(&format!("  \"seed_base\": {seed_base},\n"));
+        out.push_str(&format!("  \"deterministic\": {},\n", self.deterministic));
+        out.push_str("  \"points\": [\n");
+        for (i, p) in self.points.iter().enumerate() {
+            out.push_str(&format!(
+                "    {{\"threads\": {}, \"seconds\": {:.6}, \"subjects_per_second\": {:.6}, \"fingerprint\": \"{:#018x}\"}}{}\n",
+                p.threads,
+                p.seconds,
+                p.subjects_per_second,
+                p.fingerprint,
+                if i + 1 < self.points.len() { "," } else { "" }
+            ));
+        }
+        out.push_str("  ]\n}\n");
+        out
     }
 }
 

@@ -39,7 +39,8 @@ pub struct UniqConfig {
     /// Gesture auto-correction: reject when the mean fusion residual
     /// `|α − θ(E)|` exceeds this many degrees (§4.6 "error too large").
     pub max_fusion_residual_deg: f64,
-    /// AoA matching weight λ (Eq. 9); trainable via `aoa::train_lambda`.
+    /// AoA matching weight λ (Eq. 9). The paper trains λ on labelled
+    /// recordings; this reproduction fixes it at 0.15.
     pub aoa_lambda: f64,
     /// Gyroscope error model used when simulating the measurement session.
     pub gyro: GyroModel,

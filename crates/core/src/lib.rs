@@ -47,19 +47,18 @@
 //! * [`batch`] — concurrent multi-subject personalization on the
 //!   `uniq-par` pool, with a determinism fingerprint and thread-scaling
 //!   sweeps.
-//! * [`beamform`] — HRTF-matched binaural beamforming (the §4.5 hearing-
-//!   aid scenario).
 //! * [`pipeline`] — end-to-end orchestration with gesture auto-correction
 //!   (§4.6).
-//! * [`sync`] — phone–earphone clock-offset estimation via a one-touch
-//!   calibration (the synchronization the paper assumes).
+//!
+//! The §4.5 hearing-aid beamformer is not implemented: nothing evaluated
+//! it. The session assumes phone and earphones share one clock, as the
+//! paper does, so there is no clock-offset calibration either.
 
 #![forbid(unsafe_code)]
 #![warn(missing_docs)]
 
 pub mod aoa;
 pub mod batch;
-pub mod beamform;
 pub mod channel;
 pub mod config;
 pub mod degrade;
@@ -70,7 +69,6 @@ pub mod nearfar;
 pub mod nearfield;
 pub mod pipeline;
 pub mod session;
-pub mod sync;
 
 pub use config::UniqConfig;
 pub use degrade::{DegradationPolicy, DegradationReport, FaultHook};

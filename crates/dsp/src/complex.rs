@@ -66,12 +66,6 @@ impl Complex {
         self.re * self.re + self.im * self.im
     }
 
-    /// Argument (phase angle) in radians, in `(-π, π]`.
-    #[inline]
-    pub fn arg(self) -> f64 {
-        self.im.atan2(self.re)
-    }
-
     /// Multiplicative inverse. Returns a non-finite value for zero input.
     #[inline]
     pub fn recip(self) -> Self {
@@ -83,18 +77,6 @@ impl Complex {
     #[inline]
     pub fn scale(self, k: f64) -> Self {
         Complex::new(self.re * k, self.im * k)
-    }
-
-    /// Complex exponential `e^{self}`.
-    #[inline]
-    pub fn exp(self) -> Self {
-        Complex::from_polar(self.re.exp(), self.im)
-    }
-
-    /// Returns `true` when both components are finite.
-    #[inline]
-    pub fn is_finite(self) -> bool {
-        self.re.is_finite() && self.im.is_finite()
     }
 }
 
@@ -230,7 +212,7 @@ mod tests {
     fn polar_roundtrip() {
         let z = Complex::from_polar(2.0, 0.7);
         assert!((z.abs() - 2.0).abs() < EPS);
-        assert!((z.arg() - 0.7).abs() < EPS);
+        assert!((z.im.atan2(z.re) - 0.7).abs() < EPS);
     }
 
     #[test]
@@ -250,8 +232,8 @@ mod tests {
     }
 
     #[test]
-    fn exp_of_i_pi_is_minus_one() {
-        let z = Complex::new(0.0, std::f64::consts::PI).exp();
+    fn cis_of_pi_is_minus_one() {
+        let z = Complex::cis(std::f64::consts::PI);
         assert!(close(z, Complex::new(-1.0, 0.0)));
     }
 

@@ -75,20 +75,6 @@ pub fn delay_fractional(signal: &[f64], delay: f64) -> Vec<f64> {
     out[lead..lead + signal.len()].to_vec()
 }
 
-/// Reads the signal value at fractional index `pos` by linear interpolation,
-/// returning 0 outside the valid range.
-pub fn sample_linear(signal: &[f64], pos: f64) -> f64 {
-    if signal.is_empty() || !pos.is_finite() || pos < 0.0 {
-        return 0.0;
-    }
-    let i = pos.floor() as usize;
-    if i + 1 >= signal.len() {
-        return if i < signal.len() { signal[i] } else { 0.0 };
-    }
-    let f = pos - i as f64;
-    signal[i] * (1.0 - f) + signal[i + 1] * f
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
@@ -153,16 +139,6 @@ mod tests {
         add_fractional_impulse(&mut buf, 7.7, 1.0);
         // Should not panic; some energy may land inside.
         assert!(buf.iter().all(|v| v.is_finite()));
-    }
-
-    #[test]
-    fn sample_linear_interpolates() {
-        let s = vec![0.0, 2.0, 4.0];
-        assert_eq!(sample_linear(&s, 0.5), 1.0);
-        assert_eq!(sample_linear(&s, 1.25), 2.5);
-        assert_eq!(sample_linear(&s, 2.0), 4.0);
-        assert_eq!(sample_linear(&s, 5.0), 0.0);
-        assert_eq!(sample_linear(&s, -1.0), 0.0);
     }
 
     #[test]

@@ -97,18 +97,6 @@ pub fn rfft(signal: &[f64]) -> Vec<Complex> {
     rfft_padded(signal, next_pow2(signal.len()))
 }
 
-/// The frequency in hertz of FFT bin `k` for a transform of size `n` at
-/// `sample_rate`. Bins above `n/2` are negative frequencies.
-#[inline]
-pub fn bin_frequency(k: usize, n: usize, sample_rate: f64) -> f64 {
-    let k = k % n;
-    if k <= n / 2 {
-        k as f64 * sample_rate / n as f64
-    } else {
-        (k as f64 - n as f64) * sample_rate / n as f64
-    }
-}
-
 /// Cached twiddle tables, one per (log2 n, direction), at index
 /// `2·log2 n + inverse`. Built on the first transform of each size and
 /// read-only after that.
@@ -248,29 +236,28 @@ fn radix2_pair(buf: &mut [Complex], len: usize, table: &[Complex]) {
     }
 }
 
-/// Naive O(N²) DFT used as a test oracle.
-///
-/// Exposed publicly so property tests in other crates can cross-check
-/// frequency-domain code against an independent implementation.
-pub fn dft_naive(input: &[Complex]) -> Vec<Complex> {
-    let n = input.len();
-    (0..n)
-        .map(|k| {
-            (0..n)
-                .map(|t| {
-                    input[t] * Complex::cis(-2.0 * std::f64::consts::PI * (k * t) as f64 / n as f64)
-                })
-                .sum()
-        })
-        .collect()
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
     use proptest::prelude::*;
     use rand::rngs::StdRng;
     use rand::{Rng, SeedableRng};
+
+    /// Naive O(N²) DFT: the independent oracle the fast transforms are
+    /// checked against.
+    fn dft_naive(input: &[Complex]) -> Vec<Complex> {
+        let n = input.len();
+        (0..n)
+            .map(|k| {
+                (0..n)
+                    .map(|t| {
+                        input[t]
+                            * Complex::cis(-2.0 * std::f64::consts::PI * (k * t) as f64 / n as f64)
+                    })
+                    .sum()
+            })
+            .collect()
+    }
 
     /// The recurrence-driven transform the twiddle tables replaced: every
     /// twiddle recomputed with `w *= wlen` in every block of every stage.
@@ -553,14 +540,6 @@ mod tests {
             let b = spec[n - k].conj();
             assert!((a - b).abs() < 1e-10);
         }
-    }
-
-    #[test]
-    fn bin_frequency_wraps_negative() {
-        assert_eq!(bin_frequency(0, 8, 8000.0), 0.0);
-        assert_eq!(bin_frequency(1, 8, 8000.0), 1000.0);
-        assert_eq!(bin_frequency(4, 8, 8000.0), 4000.0);
-        assert_eq!(bin_frequency(7, 8, 8000.0), -1000.0);
     }
 
     #[test]

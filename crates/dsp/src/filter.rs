@@ -16,14 +16,6 @@ pub struct Biquad {
 }
 
 impl Biquad {
-    /// An identity (pass-through) section.
-    pub fn identity() -> Self {
-        Biquad {
-            b: [1.0, 0.0, 0.0],
-            a: [0.0, 0.0],
-        }
-    }
-
     /// RBJ low-pass with cutoff `fc` hertz and quality `q` at `sample_rate`.
     ///
     /// # Panics
@@ -146,21 +138,6 @@ impl BiquadCascade {
             acc * s.response(freq, sample_rate)
         })
     }
-
-    /// Magnitude response in decibels.
-    pub fn response_db(&self, freq: f64, sample_rate: f64) -> f64 {
-        20.0 * self.response(freq, sample_rate).abs().log10()
-    }
-
-    /// Number of sections.
-    pub fn len(&self) -> usize {
-        self.sections.len()
-    }
-
-    /// Whether the cascade has no sections (identity).
-    pub fn is_empty(&self) -> bool {
-        self.sections.is_empty()
-    }
 }
 
 #[cfg(test)]
@@ -173,7 +150,11 @@ mod tests {
     #[test]
     fn identity_passes_signal() {
         let s = vec![1.0, -0.5, 0.25, 2.0];
-        assert_eq!(Biquad::identity().filter(&s), s);
+        let identity = Biquad {
+            b: [1.0, 0.0, 0.0],
+            a: [0.0, 0.0],
+        };
+        assert_eq!(identity.filter(&s), s);
     }
 
     #[test]
@@ -221,18 +202,18 @@ mod tests {
     #[test]
     fn butterworth_bandpass_shape() {
         let bp = BiquadCascade::butterworth_bandpass(100.0, 10_000.0, SR);
-        assert_eq!(bp.len(), 4);
+        assert_eq!(bp.sections.len(), 4);
+        let db = |f: f64| 20.0 * bp.response(f, SR).abs().log10();
         // Passband ~0 dB.
-        assert!(bp.response_db(1000.0, SR).abs() < 1.0);
+        assert!(db(1000.0).abs() < 1.0);
         // Stop bands well down.
-        assert!(bp.response_db(10.0, SR) < -30.0);
-        assert!(bp.response_db(23_000.0, SR) < -20.0);
+        assert!(db(10.0) < -30.0);
+        assert!(db(23_000.0) < -20.0);
     }
 
     #[test]
     fn empty_cascade_is_identity() {
         let c = BiquadCascade::new(vec![]);
-        assert!(c.is_empty());
         let s = vec![0.5, -1.0, 2.0];
         assert_eq!(c.filter(&s), s);
         assert!((c.response(1234.0, SR).abs() - 1.0).abs() < 1e-12);

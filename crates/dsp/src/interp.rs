@@ -19,30 +19,6 @@ pub fn lerp_vec(a: &[f64], b: &[f64], t: f64) -> Vec<f64> {
     a.iter().zip(b).map(|(&x, &y)| lerp(x, y, t)).collect()
 }
 
-/// Piecewise-linear interpolation of `(x, y)` pairs at query point `xq`.
-///
-/// `points` must be sorted by `x` (strictly increasing). Queries outside the
-/// range clamp to the end values.
-///
-/// # Panics
-/// Panics if `points` is empty or the x values are not strictly increasing.
-pub fn interp1(points: &[(f64, f64)], xq: f64) -> f64 {
-    assert!(!points.is_empty(), "interp1: no points");
-    for w in points.windows(2) {
-        assert!(w[0].0 < w[1].0, "interp1: x values must strictly increase");
-    }
-    if xq <= points[0].0 {
-        return points[0].1;
-    }
-    if xq >= points[points.len() - 1].0 {
-        return points[points.len() - 1].1;
-    }
-    let idx = points.partition_point(|&(x, _)| x <= xq);
-    let (x0, y0) = points[idx - 1];
-    let (x1, y1) = points[idx];
-    lerp(y0, y1, (xq - x0) / (x1 - x0))
-}
-
 /// Interpolates periodic angular data (period 360°): finds the bracketing
 /// measured angles around `angle_deg` (wrapping) and returns their indices
 /// plus the blend fraction.
@@ -93,21 +69,6 @@ mod tests {
         let a = vec![0.0, 10.0];
         let b = vec![10.0, 20.0];
         assert_eq!(lerp_vec(&a, &b, 0.5), vec![5.0, 15.0]);
-    }
-
-    #[test]
-    fn interp1_basic() {
-        let pts = [(0.0, 0.0), (1.0, 10.0), (3.0, 30.0)];
-        assert_eq!(interp1(&pts, 0.5), 5.0);
-        assert_eq!(interp1(&pts, 2.0), 20.0);
-        assert_eq!(interp1(&pts, -1.0), 0.0); // clamp low
-        assert_eq!(interp1(&pts, 9.0), 30.0); // clamp high
-    }
-
-    #[test]
-    #[should_panic(expected = "strictly increase")]
-    fn interp1_unsorted_panics() {
-        interp1(&[(1.0, 0.0), (1.0, 1.0)], 1.0);
     }
 
     #[test]

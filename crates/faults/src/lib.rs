@@ -219,11 +219,6 @@ impl FaultPlan {
         &self.events
     }
 
-    /// Whether the plan schedules nothing.
-    pub fn is_empty(&self) -> bool {
-        self.events.is_empty()
-    }
-
     /// Fault classes this plan schedules, sorted and deduplicated.
     pub fn classes(&self) -> Vec<&'static str> {
         let mut out: Vec<&'static str> = self.events.iter().map(|e| e.kind.class()).collect();
@@ -725,8 +720,8 @@ mod tests {
                 "{spec} must be rejected"
             );
         }
-        assert!(FaultPlan::parse("none", 0).unwrap().is_empty());
-        assert!(FaultPlan::parse("  ", 0).unwrap().is_empty());
+        assert!(FaultPlan::parse("none", 0).unwrap().events.is_empty());
+        assert!(FaultPlan::parse("  ", 0).unwrap().events.is_empty());
     }
 
     #[test]

@@ -22,14 +22,6 @@ pub enum Ear {
 impl Ear {
     /// Both ears, left first.
     pub const BOTH: [Ear; 2] = [Ear::Left, Ear::Right];
-
-    /// The opposite ear.
-    pub fn opposite(self) -> Ear {
-        match self {
-            Ear::Left => Ear::Right,
-            Ear::Right => Ear::Left,
-        }
-    }
 }
 
 /// The paper's head-shape parameter set `E = (a, b, c)`, in metres.
@@ -37,7 +29,7 @@ impl Ear {
 /// ```
 /// use uniq_geometry::{HeadParams, HeadBoundary, Ear};
 /// let head = HeadParams::average_adult();
-/// let boundary = HeadBoundary::with_default_resolution(head);
+/// let boundary = HeadBoundary::new(head, 1024);
 /// // Ears sit exactly on the discretized boundary.
 /// assert_eq!(boundary.vertices()[boundary.ear_index(Ear::Right)].x, head.a);
 /// ```
@@ -134,10 +126,7 @@ impl HeadParams {
 #[derive(Debug, Clone)]
 pub struct HeadBoundary {
     params: HeadParams,
-    verts: Vec<Vec2>,
-    /// `cum[i]` = arc length from vertex 0 to vertex `i` (so `cum[0] = 0`);
-    /// one extra entry holds the full perimeter.
-    cum: Vec<f64>,
+    poly: ArcTable,
     left_idx: usize,
     right_idx: usize,
 }
@@ -158,25 +147,12 @@ impl HeadBoundary {
         let verts: Vec<Vec2> = (0..n)
             .map(|k| params.boundary_point(2.0 * PI * k as f64 / n as f64))
             .collect();
-        let mut cum = Vec::with_capacity(n + 1);
-        // uniq-analyzer: allow(hot-path-alloc) — cum is pre-sized with with_capacity(n + 1); the boundary is built once per fusion objective evaluation, not per sample
-        cum.push(0.0);
-        for k in 0..n {
-            let next = verts[(k + 1) % n];
-            cum.push(cum[k] + verts[k].dist(next));
-        }
         HeadBoundary {
             params,
-            verts,
-            cum,
+            poly: ArcTable::new(verts),
             left_idx: n / 2,
             right_idx: 0,
         }
-    }
-
-    /// Default resolution used by the inverse solver (1024 vertices).
-    pub fn with_default_resolution(params: HeadParams) -> Self {
-        HeadBoundary::new(params, 1024)
     }
 
     /// The underlying parameters.
@@ -186,24 +162,23 @@ impl HeadBoundary {
 
     /// Boundary vertices (counter-clockwise).
     pub fn vertices(&self) -> &[Vec2] {
-        &self.verts
+        self.poly.vertices()
     }
 
     /// Number of vertices.
     pub fn len(&self) -> usize {
-        self.verts.len()
+        self.vertices().len()
     }
 
     /// Always `false` (construction guarantees ≥ 16 vertices); provided for
     /// API completeness.
     pub fn is_empty(&self) -> bool {
-        self.verts.is_empty()
+        self.vertices().is_empty()
     }
 
     /// Total boundary perimeter.
     pub fn perimeter(&self) -> f64 {
-        // uniq-analyzer: allow(panic-safety) — HeadBoundary::new always discretizes to at least 8 vertices
-        *self.cum.last().expect("non-empty cum")
+        self.poly.perimeter()
     }
 
     /// Vertex index of an ear.
@@ -216,13 +191,7 @@ impl HeadBoundary {
 
     /// Counter-clockwise arc length from vertex `i` to vertex `j`.
     pub fn arc_ccw(&self, i: usize, j: usize) -> f64 {
-        let n = self.verts.len();
-        let (i, j) = (i % n, j % n);
-        if j >= i {
-            self.cum[j] - self.cum[i]
-        } else {
-            self.perimeter() - (self.cum[i] - self.cum[j])
-        }
+        self.poly.arc_ccw(i, j)
     }
 
     /// Clockwise arc length from vertex `i` to vertex `j`.
@@ -304,6 +273,54 @@ fn clip_halfplane(lo: f64, hi: f64, y0: f64, dy: f64, front: bool) -> (f64, f64)
         (lo.max(t_zero), hi)
     } else {
         (lo, hi.min(t_zero))
+    }
+}
+
+/// A closed polygon's counter-clockwise vertices with cumulative arc
+/// lengths: the one arc table behind [`HeadBoundary`] and the elevation
+/// cross-sections of [`crate::elevation`].
+#[derive(Debug, Clone)]
+pub(crate) struct ArcTable {
+    verts: Vec<Vec2>,
+    /// `cum[i]` = arc length from vertex 0 to vertex `i` (so `cum[0] = 0`);
+    /// one extra entry holds the full perimeter.
+    cum: Vec<f64>,
+}
+
+impl ArcTable {
+    /// Measures the arcs of `verts`; allocates only the `cum` table.
+    pub(crate) fn new(verts: Vec<Vec2>) -> Self {
+        let n = verts.len();
+        let mut cum = Vec::with_capacity(n + 1);
+        // uniq-analyzer: allow(hot-path-alloc) — cum is pre-sized with with_capacity(n + 1); a head boundary is built once per fusion objective evaluation, not per sample
+        cum.push(0.0);
+        for k in 0..n {
+            let next = verts[(k + 1) % n];
+            cum.push(cum[k] + verts[k].dist(next));
+        }
+        ArcTable { verts, cum }
+    }
+
+    /// The vertices.
+    pub(crate) fn vertices(&self) -> &[Vec2] {
+        &self.verts
+    }
+
+    /// Perimeter length.
+    pub(crate) fn perimeter(&self) -> f64 {
+        // uniq-analyzer: allow(panic-safety) — `new` always pushes cum[0], so cum is never empty
+        *self.cum.last().expect("non-empty cum")
+    }
+
+    /// Counter-clockwise arc length from vertex `i` to vertex `j`.
+    pub(crate) fn arc_ccw(&self, i: usize, j: usize) -> f64 {
+        let n = self.verts.len();
+        let (i, j) = (i % n, j % n);
+        if j >= i {
+            self.cum[j] - self.cum[i]
+        } else {
+            self.perimeter() - (self.cum[i] - self.cum[j])
+        }
     }
 }
 
@@ -400,7 +417,7 @@ mod tests {
 
     #[test]
     fn segment_clear_through_head_blocked() {
-        let b = HeadBoundary::with_default_resolution(head());
+        let b = HeadBoundary::new(head(), 1024);
         // Straight through the head: blocked.
         assert!(!b.segment_clear(Vec2::new(0.3, 0.0), Vec2::new(-0.3, 0.0)));
         // Grazing far above: clear.

@@ -19,7 +19,6 @@
 //!   from a distant source (used by near-far conversion and ground truth).
 //! * [`critical`] — the critical rays `B`, `C`, `D` of §4.3 that decide
 //!   which near-field measurements contribute to a far-field HRTF.
-//! * [`convex`] — generic convex-polygon wrap paths (shared machinery).
 //! * [`elevation`] — the §7 "3D HRTF" extension prototype: ellipsoid
 //!   heads, plane-section geodesics, elevation-dependent ITDs and the
 //!   cone of confusion.
@@ -36,7 +35,6 @@
 #![forbid(unsafe_code)]
 #![warn(missing_docs)]
 
-pub mod convex;
 pub mod critical;
 pub mod diffraction;
 pub mod elevation;

@@ -81,12 +81,6 @@ impl Vec2 {
     pub fn angle(self) -> f64 {
         self.y.atan2(self.x)
     }
-
-    /// Linear interpolation toward `o`.
-    #[inline]
-    pub fn lerp(self, o: Vec2, t: f64) -> Vec2 {
-        self + (o - self) * t
-    }
 }
 
 impl Add for Vec2 {
@@ -237,12 +231,6 @@ mod tests {
         assert_eq!(angle_diff_deg(350.0, 10.0), 20.0);
         assert_eq!(angle_diff_deg(0.0, 180.0), 180.0);
         assert_eq!(angle_diff_deg(90.0, 90.0), 0.0);
-    }
-
-    #[test]
-    fn lerp_midpoint() {
-        let m = Vec2::new(0.0, 0.0).lerp(Vec2::new(2.0, 4.0), 0.5);
-        assert_eq!(m, Vec2::new(1.0, 2.0));
     }
 
     #[test]

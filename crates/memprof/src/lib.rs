@@ -149,18 +149,6 @@ thread_local! {
     static IN_HOOK: Cell<bool> = const { Cell::new(false) };
 }
 
-const FNV_OFFSET: u64 = 0xcbf2_9ce4_8422_2325;
-const FNV_PRIME: u64 = 0x0000_0100_0000_01b3;
-
-fn fnv1a(name: &str) -> u64 {
-    let mut hash = FNV_OFFSET;
-    for byte in name.bytes() {
-        hash ^= u64::from(byte);
-        hash = hash.wrapping_mul(FNV_PRIME);
-    }
-    hash
-}
-
 /// Maps the calling thread to its counter shard (uniq-par worker aware).
 #[inline]
 fn shard_index() -> usize {
@@ -175,7 +163,7 @@ fn shard_index() -> usize {
 /// statics with equal text). Returns [`OVERFLOW`] when the table is full
 /// or a racing claim does not settle within the spin budget.
 fn track_for(name: &'static str) -> usize {
-    let start = (fnv1a(name) % STAGE_SLOTS as u64) as usize;
+    let start = (uniq_obs::fnv1a(name.as_bytes()) % STAGE_SLOTS as u64) as usize;
     for probe in 0..STAGE_SLOTS {
         let idx = (start + probe) % STAGE_SLOTS;
         let slot = &NAMES[idx];
@@ -236,47 +224,39 @@ fn current_track() -> usize {
     }
 }
 
-fn record_alloc(size: usize) {
-    let done = IN_HOOK.with(|latch| {
-        if latch.get() {
-            return true;
-        }
-        latch.set(true);
-        false
-    });
-    if done {
-        return;
+/// Runs `record` unless this thread is already inside a recording hook,
+/// latching the hook while it runs.
+#[inline(always)]
+fn hooked(record: impl FnOnce()) {
+    if !IN_HOOK.with(|latch| latch.replace(true)) {
+        record();
+        IN_HOOK.with(|latch| latch.set(false));
     }
-    let track = current_track();
-    let shard = &SHARD_COUNTERS[shard_index()];
-    shard.allocs[track].fetch_add(1, Ordering::Relaxed);
-    shard.bytes[track].fetch_add(size as u64, Ordering::Relaxed);
-    LARGEST[track].fetch_max(size as u64, Ordering::Relaxed);
-    let live = LIVE[track].fetch_add(size as i64, Ordering::Relaxed) + size as i64;
-    PEAK[track].fetch_max(live, Ordering::Relaxed);
-    let global = GLOBAL_LIVE.fetch_add(size as i64, Ordering::Relaxed) + size as i64;
-    GLOBAL_PEAK.fetch_max(global, Ordering::Relaxed);
-    IN_HOOK.with(|latch| latch.set(false));
+}
+
+fn record_alloc(size: usize) {
+    hooked(|| {
+        let track = current_track();
+        let shard = &SHARD_COUNTERS[shard_index()];
+        shard.allocs[track].fetch_add(1, Ordering::Relaxed);
+        shard.bytes[track].fetch_add(size as u64, Ordering::Relaxed);
+        LARGEST[track].fetch_max(size as u64, Ordering::Relaxed);
+        let live = LIVE[track].fetch_add(size as i64, Ordering::Relaxed) + size as i64;
+        PEAK[track].fetch_max(live, Ordering::Relaxed);
+        let global = GLOBAL_LIVE.fetch_add(size as i64, Ordering::Relaxed) + size as i64;
+        GLOBAL_PEAK.fetch_max(global, Ordering::Relaxed);
+    });
 }
 
 fn record_free(size: usize) {
-    let done = IN_HOOK.with(|latch| {
-        if latch.get() {
-            return true;
-        }
-        latch.set(true);
-        false
+    hooked(|| {
+        let track = current_track();
+        let shard = &SHARD_COUNTERS[shard_index()];
+        shard.frees[track].fetch_add(1, Ordering::Relaxed);
+        shard.freed_bytes[track].fetch_add(size as u64, Ordering::Relaxed);
+        LIVE[track].fetch_sub(size as i64, Ordering::Relaxed);
+        GLOBAL_LIVE.fetch_sub(size as i64, Ordering::Relaxed);
     });
-    if done {
-        return;
-    }
-    let track = current_track();
-    let shard = &SHARD_COUNTERS[shard_index()];
-    shard.frees[track].fetch_add(1, Ordering::Relaxed);
-    shard.freed_bytes[track].fetch_add(size as u64, Ordering::Relaxed);
-    LIVE[track].fetch_sub(size as i64, Ordering::Relaxed);
-    GLOBAL_LIVE.fetch_sub(size as i64, Ordering::Relaxed);
-    IN_HOOK.with(|latch| latch.set(false));
 }
 
 /// The counting wrapper around [`std::alloc::System`]. Install it once

@@ -161,9 +161,11 @@ const FNV_PRIME: u64 = 0x0000_0100_0000_01b3;
 const TRACE_SALT: u64 = 0x7261_6365_2d69_6431; // "race-id1"
 const LANE_SALT: u64 = 0x6c61_6e65_2d69_6431; // "lane-id1"
 
-fn fnv1a(name: &str) -> u64 {
+/// FNV-1a 64-bit hash of a byte string: the workspace's one byte hash
+/// (span ids, allocation-stage slots, store content keys).
+pub fn fnv1a(bytes: &[u8]) -> u64 {
     let mut hash = FNV_OFFSET;
-    for byte in name.bytes() {
+    for &byte in bytes {
         hash ^= u64::from(byte);
         hash = hash.wrapping_mul(FNV_PRIME);
     }
@@ -201,7 +203,7 @@ fn derive_lane_key(parent_key: u64, lane: u64) -> u64 {
 fn derive_span_id(parent_key: u64, name: &str, seq: u64) -> u64 {
     nonzero(mix(
         parent_key,
-        fnv1a(name).wrapping_add(seq.wrapping_mul(0x9e37_79b9_7f4a_7c15)),
+        fnv1a(name.as_bytes()).wrapping_add(seq.wrapping_mul(0x9e37_79b9_7f4a_7c15)),
     ))
 }
 

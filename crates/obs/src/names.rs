@@ -283,6 +283,7 @@ pub const ALL_SPANS: &[&str] = &[
 /// the scratch-arena discipline the upcoming SIMD/planned-FFT rewrite
 /// will be held to. The analyzer reads this list textually from this
 /// file, so extending it retunes the gate without touching the analyzer.
+// uniq-analyzer: allow(dead-pub) — uniq-analyzer's hot-path-alloc rule reads this list by name (crates/analyzer/src/workspace.rs, hot_span_consts); no Rust code names it
 pub const HOT_PATH_SPANS: &[&str] = &[SPAN_FUSION, SPAN_CHANNEL_ESTIMATE];
 
 /// The spans every successful `personalize` run must traverse — the

@@ -103,9 +103,9 @@ impl Sink for StderrSink {
 /// ```
 ///
 /// Span ids are fixed-width lowercase hex strings (not JSON numbers: a
-/// 64-bit id does not survive an f64 round-trip). Readers — the telemetry
-/// trace reporter — accept files with and without the header line, so
-/// pre-schema trace files stay parseable.
+/// 64-bit id does not survive an f64 round-trip). The trace reporter
+/// (`uniq_profile::trace`) rebuilds the span tree from these ids; a span
+/// line without one is an error.
 ///
 /// Writes are buffered (a per-event flush would syscall on every span of
 /// a hot pipeline) and pushed to disk on [`Sink::flush`] and on drop, so

@@ -1,29 +1,27 @@
 //! Causal trace reconstruction: turns a `--metrics-out` JSONL file back
 //! into the span tree and reports where the time went.
 //!
-//! Files written by the current `JsonLinesSink` carry deterministic
-//! `(trace, span, parent)` ids on every span event, so the tree is
-//! rebuilt purely from parentage — scheduling and interleaving are
-//! irrelevant, and the same seeded run reconstructs identically at any
-//! thread count. Files from before the id scheme (no header line, no id
-//! fields) reconstruct through a depth-stack fallback that assumes
-//! single-threaded emission order, which is exactly what those files
-//! contained.
+//! `JsonLinesSink` stamps deterministic `(trace, span, parent)` ids on
+//! every span event, so the tree is rebuilt purely from parentage —
+//! scheduling and interleaving are irrelevant, and the same seeded run
+//! reconstructs identically at any thread count. A span event without a
+//! span id is an error.
 
 use std::collections::BTreeMap;
+use std::fmt;
 use uniq_obs::json::Json;
-use uniq_obs::sink::JSONL_SCHEMA_VERSION;
+use uniq_obs::sink::{human_duration, JSONL_SCHEMA_VERSION};
 
 /// One reconstructed span.
 #[derive(Debug, Clone)]
 pub struct TraceNode {
     /// Span name.
     pub name: String,
-    /// Span id (synthesized sequentially for legacy files).
+    /// Span id.
     pub span: u64,
     /// Parent span id (0 = trace root).
     pub parent: u64,
-    /// Enclosing trace id (0 for legacy files / untraced spans).
+    /// Enclosing trace id (0 for untraced spans).
     pub trace: u64,
     /// Wall-clock duration, nanoseconds (0 if the span never closed).
     pub nanos: u128,
@@ -44,76 +42,90 @@ pub struct TraceTree {
     pub trace_ids: Vec<u64>,
 }
 
+/// Why a trace file does not reconstruct.
+#[derive(Debug, Clone, PartialEq, Eq)]
+pub enum TraceError {
+    /// Line `line` (1-based) is not a well-formed trace event.
+    Garbled {
+        /// 1-based line number.
+        line: usize,
+        /// What is wrong with it.
+        reason: String,
+    },
+    /// Line `line` is a span event without a `span` id.
+    MissingSpanId {
+        /// 1-based line number.
+        line: usize,
+    },
+    /// The header declares a schema newer than this reader.
+    UnsupportedSchema(u64),
+}
+
+impl fmt::Display for TraceError {
+    fn fmt(&self, f: &mut fmt::Formatter<'_>) -> fmt::Result {
+        match self {
+            TraceError::Garbled { line, reason } => write!(f, "line {line}: {reason}"),
+            TraceError::MissingSpanId { line } => {
+                write!(f, "line {line}: span event without a span id")
+            }
+            TraceError::UnsupportedSchema(v) => write!(
+                f,
+                "unsupported trace schema v{v} (reader supports up to v{JSONL_SCHEMA_VERSION})"
+            ),
+        }
+    }
+}
+
 fn hex_id(doc: &Json, key: &str) -> Option<u64> {
     u64::from_str_radix(doc.get(key)?.as_str()?, 16).ok()
 }
 
-/// Parses a JSONL trace file. Accepts files with the schema-1 header line
-/// and pre-header legacy files; counter/metric lines are skipped. Errors
-/// on malformed JSON or an unknown schema version.
-pub fn parse_trace(text: &str) -> Result<TraceTree, String> {
+/// Parses a JSONL trace file; counter/metric lines are skipped. Errors on
+/// a malformed line, a span event without a span id, or an unknown
+/// schema version.
+pub fn parse_trace(text: &str) -> Result<TraceTree, TraceError> {
     let mut nodes: Vec<TraceNode> = Vec::new();
-    // span id → node index, for id-carrying files.
+    // span id → node index.
     let mut by_id: BTreeMap<u64, usize> = BTreeMap::new();
-    // Open-node stack for the legacy depth fallback.
-    let mut stack: Vec<usize> = Vec::new();
-    let mut legacy_next_id: u64 = 1;
 
     for (lineno, line) in text.lines().enumerate() {
         let line = line.trim();
         if line.is_empty() {
             continue;
         }
-        let doc = Json::parse(line).map_err(|e| format!("line {}: {e}", lineno + 1))?;
+        let garbled = |reason: String| TraceError::Garbled {
+            line: lineno + 1,
+            reason,
+        };
+        let doc = Json::parse(line).map_err(|e| garbled(e.to_string()))?;
         let event = doc
             .get("event")
             .and_then(Json::as_str)
-            .ok_or(format!("line {}: no \"event\" field", lineno + 1))?;
+            .ok_or_else(|| garbled("no \"event\" field".to_string()))?;
+        let span = || hex_id(&doc, "span").ok_or(TraceError::MissingSpanId { line: lineno + 1 });
         match event {
             "header" => {
                 let schema = doc.get("schema").and_then(Json::as_u64).unwrap_or(0);
                 if schema > JSONL_SCHEMA_VERSION {
-                    return Err(format!(
-                        "unsupported trace schema v{schema} (reader supports up to v{JSONL_SCHEMA_VERSION})"
-                    ));
+                    return Err(TraceError::UnsupportedSchema(schema));
                 }
             }
             "span_start" => {
                 let name = doc
                     .get("name")
                     .and_then(Json::as_str)
-                    .ok_or(format!("line {}: span_start without name", lineno + 1))?
+                    .ok_or_else(|| garbled("span_start without name".to_string()))?
                     .to_string();
-                match hex_id(&doc, "span") {
-                    Some(span) => {
-                        let node = TraceNode {
-                            name,
-                            span,
-                            parent: hex_id(&doc, "parent").unwrap_or(0),
-                            trace: hex_id(&doc, "trace").unwrap_or(0),
-                            nanos: 0,
-                            children: Vec::new(),
-                        };
-                        by_id.insert(span, nodes.len());
-                        nodes.push(node);
-                    }
-                    None => {
-                        // Legacy: parent is whatever is open on the stack.
-                        let span = legacy_next_id;
-                        legacy_next_id += 1;
-                        let parent = stack.last().map(|&i| nodes[i].span).unwrap_or(0);
-                        stack.push(nodes.len());
-                        by_id.insert(span, nodes.len());
-                        nodes.push(TraceNode {
-                            name,
-                            span,
-                            parent,
-                            trace: 0,
-                            nanos: 0,
-                            children: Vec::new(),
-                        });
-                    }
-                }
+                let span = span()?;
+                by_id.insert(span, nodes.len());
+                nodes.push(TraceNode {
+                    name,
+                    span,
+                    parent: hex_id(&doc, "parent").unwrap_or(0),
+                    trace: hex_id(&doc, "trace").unwrap_or(0),
+                    nanos: 0,
+                    children: Vec::new(),
+                });
             }
             "span_end" => {
                 let nanos = doc
@@ -121,36 +133,26 @@ pub fn parse_trace(text: &str) -> Result<TraceTree, String> {
                     .and_then(Json::as_u64)
                     .map(u128::from)
                     .unwrap_or(0);
-                match hex_id(&doc, "span") {
-                    Some(span) => {
-                        if let Some(&idx) = by_id.get(&span) {
-                            nodes[idx].nanos = nanos;
-                        }
-                        // An end without a start is tolerated: a sink may
-                        // attach mid-span. Synthesize the node so its time
-                        // still shows up.
-                        else {
-                            by_id.insert(span, nodes.len());
-                            nodes.push(TraceNode {
-                                name: doc
-                                    .get("name")
-                                    .and_then(Json::as_str)
-                                    .unwrap_or("?")
-                                    .to_string(),
-                                span,
-                                parent: hex_id(&doc, "parent").unwrap_or(0),
-                                trace: hex_id(&doc, "trace").unwrap_or(0),
-                                nanos,
-                                children: Vec::new(),
-                            });
-                        }
-                    }
-                    None => {
-                        // Legacy: close the innermost open span.
-                        if let Some(idx) = stack.pop() {
-                            nodes[idx].nanos = nanos;
-                        }
-                    }
+                let span = span()?;
+                if let Some(&idx) = by_id.get(&span) {
+                    nodes[idx].nanos = nanos;
+                }
+                // An end without a start is tolerated: a sink may attach
+                // mid-span. Synthesize the node so its time still shows up.
+                else {
+                    by_id.insert(span, nodes.len());
+                    nodes.push(TraceNode {
+                        name: doc
+                            .get("name")
+                            .and_then(Json::as_str)
+                            .unwrap_or("?")
+                            .to_string(),
+                        span,
+                        parent: hex_id(&doc, "parent").unwrap_or(0),
+                        trace: hex_id(&doc, "trace").unwrap_or(0),
+                        nanos,
+                        children: Vec::new(),
+                    });
                 }
             }
             // Counters, metrics, and any future event kinds are not part
@@ -248,7 +250,7 @@ impl TraceTree {
             out.push_str(&format!(
                 "  {:indent$}{name}  {}  ({:.0}%)\n",
                 "",
-                fmt_nanos(*nanos),
+                human_duration(*nanos),
                 100.0 * *nanos as f64 / path_total as f64,
                 indent = depth * 2,
             ));
@@ -263,8 +265,8 @@ impl TraceTree {
         for (name, (count, total, self_ns)) in rows {
             out.push_str(&format!(
                 "  {name:<24} {count:>7} {:>12} {:>12}\n",
-                fmt_nanos(total),
-                fmt_nanos(self_ns),
+                human_duration(total),
+                human_duration(self_ns),
             ));
         }
         if !self.orphans.is_empty() {
@@ -278,19 +280,6 @@ impl TraceTree {
             }
         }
         out
-    }
-}
-
-fn fmt_nanos(nanos: u128) -> String {
-    let secs = nanos as f64 / 1e9;
-    if secs >= 1.0 {
-        format!("{secs:.2}s")
-    } else if secs >= 1e-3 {
-        format!("{:.1}ms", secs * 1e3)
-    } else if secs >= 1e-6 {
-        format!("{:.1}µs", secs * 1e6)
-    } else {
-        format!("{nanos}ns")
     }
 }
 
@@ -382,32 +371,35 @@ mod tests {
     }
 
     #[test]
-    fn legacy_files_reconstruct_by_depth() {
-        // Pre-schema format: no header, no id fields.
-        let text = r#"{"event":"span_start","name":"root","depth":0}
-{"event":"span_start","name":"child","depth":1}
-{"event":"span_end","name":"child","depth":1,"nanos":40}
-{"event":"span_end","name":"root","depth":0,"nanos":100}
-{"event":"metric","name":"x.y","value":1.0,"unit":""}"#;
-        let tree = parse_trace(text).unwrap();
-        assert_eq!(tree.nodes.len(), 2);
-        assert_eq!(tree.roots.len(), 1);
-        assert_eq!(tree.orphans.len(), 0);
-        let root = &tree.nodes[tree.roots[0]];
-        assert_eq!(root.name, "root");
-        assert_eq!(root.children.len(), 1);
-        assert_eq!(tree.nodes[root.children[0]].name, "child");
+    fn span_line_without_an_id_is_an_error_naming_the_line() {
+        // The pre-id format: no header, no id fields.
+        let text = r#"{"event":"metric","name":"x.y","value":1.0,"unit":""}
+{"event":"span_start","name":"root","depth":0}"#;
+        let err = parse_trace(text).unwrap_err();
+        assert_eq!(err, TraceError::MissingSpanId { line: 2 });
+        assert!(err.to_string().starts_with("line 2:"), "{err}");
+        let end = [
+            HEADER.to_string(),
+            r#"{"event":"span_end","nanos":5}"#.to_string(),
+        ]
+        .join("\n");
         assert_eq!(
-            tree.critical_path(),
-            vec![("root".to_string(), 100), ("child".to_string(), 40)]
+            parse_trace(&end).unwrap_err(),
+            TraceError::MissingSpanId { line: 2 }
         );
     }
 
     #[test]
     fn future_schema_is_refused_and_garbage_errors() {
         let future = r#"{"event":"header","schema":99,"format":"uniq-obs-jsonl"}"#;
-        assert!(parse_trace(future).unwrap_err().contains("unsupported"));
-        assert!(parse_trace("not json at all").is_err());
+        assert_eq!(
+            parse_trace(future).unwrap_err(),
+            TraceError::UnsupportedSchema(99)
+        );
+        assert!(matches!(
+            parse_trace("not json at all"),
+            Err(TraceError::Garbled { line: 1, .. })
+        ));
     }
 
     #[test]

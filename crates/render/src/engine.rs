@@ -86,7 +86,8 @@ impl BinauralEngine {
     }
 }
 
-fn accumulate(acc: &mut Vec<f64>, add: &[f64]) {
+/// Adds `add` into `acc`, growing `acc` to fit.
+pub(crate) fn accumulate(acc: &mut Vec<f64>, add: &[f64]) {
     if acc.len() < add.len() {
         acc.resize(add.len(), 0.0);
     }

@@ -10,6 +10,7 @@
 //! distance, building the combined RIR ⊛ HRTF rendering the paper asks
 //! for.
 
+use crate::engine::accumulate;
 use crate::scene::ListenerPose;
 use uniq_acoustics::room::Shoebox;
 use uniq_core::hrtf::{BinauralSignal, PersonalHrtf};
@@ -75,15 +76,6 @@ pub fn render_in_room(
     left.resize(n, 0.0);
     right.resize(n, 0.0);
     BinauralSignal { left, right }
-}
-
-fn accumulate(acc: &mut Vec<f64>, add: &[f64]) {
-    if acc.len() < add.len() {
-        acc.resize(add.len(), 0.0);
-    }
-    for (a, b) in acc.iter_mut().zip(add) {
-        *a += b;
-    }
 }
 
 #[cfg(test)]

@@ -320,16 +320,6 @@ impl Server {
         self.inner.counters.submitted.load(Ordering::Relaxed)
     }
 
-    /// seed → result fingerprint of every request answered `ok` so far.
-    pub fn fingerprints(&self) -> BTreeMap<u64, u64> {
-        lock(&self.inner.fingerprints).clone()
-    }
-
-    /// Whether a protocol-level `shutdown` request has arrived.
-    pub fn shutdown_requested(&self) -> bool {
-        *lock(&self.inner.shutdown_requested)
-    }
-
     /// Blocks until a protocol-level `shutdown` request arrives — the
     /// serve CLI's main loop.
     pub fn wait_shutdown_requested(&self) {

@@ -19,7 +19,7 @@
 //! count.
 
 use crate::error::StoreError;
-use crate::format::{content_key, decode, encode, fnv64, HrtfArtifact};
+use crate::format::{content_key, decode, encode, HrtfArtifact};
 use std::collections::BTreeMap;
 use std::io::Write;
 use std::path::{Path, PathBuf};
@@ -295,21 +295,10 @@ impl Store {
         self.lock().entries.values().cloned().collect()
     }
 
-    /// The first entry (in key order) matching a subject fingerprint and
-    /// config hash — the result-cache query.
-    pub fn lookup(&self, subject_fingerprint: u64, config_hash: u64) -> Option<IndexEntry> {
-        self.lock()
-            .entries
-            .values()
-            .find(|e| e.subject_fingerprint == subject_fingerprint && e.config_hash == config_hash)
-            .cloned()
-    }
-
     /// The first entry (in key order) matching a subject seed and config
-    /// hash — the *pre-computation* cache query. Unlike [`Store::lookup`],
-    /// which keys on the result fingerprint (only known after a pipeline
-    /// run), the seed is the subject's identity *before* personalization,
-    /// so a server can answer "has this subject already been personalized
+    /// hash — the *pre-computation* cache query. The seed is the
+    /// subject's identity *before* personalization (the result
+    /// fingerprint is only known after a pipeline run), so a server can answer "has this subject already been personalized
     /// under this exact config?" with a disk lookup instead of a run.
     pub fn lookup_by_seed(&self, seed: u64, config_hash: u64) -> Option<IndexEntry> {
         self.lock()
@@ -341,7 +330,7 @@ impl Store {
     pub fn fingerprint(&self) -> u64 {
         let mut fp = FingerprintBuilder::new();
         for entry in self.lock().entries.values() {
-            fp.eat(fnv64(entry.key.as_bytes()));
+            fp.eat(uniq_obs::fnv1a(entry.key.as_bytes()));
             fp.eat(entry.subject_fingerprint);
             fp.eat(entry.config_hash);
             fp.eat(entry.seed);
@@ -496,9 +485,9 @@ mod tests {
         let store = Store::open(&root).unwrap();
         let a = artifact(5);
         store.put(&a).unwrap();
-        let hit = store.lookup(a.subject_fingerprint, a.config_hash).unwrap();
-        assert_eq!(hit.seed, 5);
-        assert!(store.lookup(a.subject_fingerprint, 0).is_none());
+        let hit = store.lookup_by_seed(5, a.config_hash).unwrap();
+        assert_eq!(hit.subject_fingerprint, a.subject_fingerprint);
+        assert!(store.lookup_by_seed(5, 0).is_none());
         let _ = std::fs::remove_dir_all(&root);
     }
 

@@ -94,10 +94,6 @@ impl Subject {
 /// Boundary resolution of the forward (truth) model.
 pub const FORWARD_RESOLUTION: usize = 4096;
 
-/// Boundary resolution used by the inverse solver — deliberately coarser
-/// than [`FORWARD_RESOLUTION`] to preserve realistic model mismatch.
-pub const INVERSE_RESOLUTION: usize = 1024;
-
 fn symmetric(rng: &mut StdRng) -> f64 {
     rng.gen_range(-1.0..1.0)
 }
@@ -135,14 +131,6 @@ pub fn global_template(cfg: RenderConfig, angles_deg: &[f64]) -> HrirBank {
     mannequin().ground_truth(cfg, angles_deg)
 }
 
-/// A disjoint pool of extra subjects (ids ≥ 2000) for population studies
-/// and ablations.
-pub fn population(n: usize) -> Vec<Subject> {
-    (0..n as u64)
-        .map(|k| Subject::from_seed(2000 + k))
-        .collect()
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
@@ -163,7 +151,7 @@ mod tests {
 
     #[test]
     fn heads_within_anthropometric_bounds() {
-        for s in population(50) {
+        for s in (2000..2050).map(Subject::from_seed) {
             s.head.validate();
             let base = HeadParams::average_adult();
             assert!((s.head.a - base.a).abs() <= HEAD_SPREAD.0 + 1e-12);

@@ -18,6 +18,12 @@ echo "== uniq-analyzer (line-local rules + call-graph dataflow, 10s budget) =="
 # findings report (schema 1) lands in bench_results/ for tooling.
 cargo run -q -p uniq-analyzer -- check \
   --out bench_results/analyzer_findings.json --budget-seconds 10
+# Warn tier: public items nothing outside their own file's tests uses
+# (`dead-pub`) are printed, never fatal.
+dead_pub=$(grep -o '"dead-pub":[0-9]*' bench_results/analyzer_findings.json | cut -d: -f2 || true)
+if [ "${dead_pub:-0}" -gt 0 ]; then
+  echo "warning: $dead_pub dead public item(s)"
+fi
 
 echo "== cargo test (UNIQ_THREADS=1) =="
 UNIQ_THREADS=1 cargo test -q --workspace
@@ -229,6 +235,13 @@ grep -q "head parameters" "$ci_tmp/x_info.log"
 target/release/uniq render --table "$ci_tmp/x.uhrtf" --theta 60 --signal music \
   --duration 0.2 --out "$ci_tmp/x.wav" > /dev/null
 test -s "$ci_tmp/x.wav"
+# A test signal too long to synthesize is a typed error (exit 1), never
+# a panic (exit 101).
+status=0
+target/release/uniq render --table "$ci_tmp/x.uhrtf" --duration 1e300 \
+  --out "$ci_tmp/huge.wav" > /dev/null 2> "$ci_tmp/huge.err" || status=$?
+[ "$status" -eq 1 ] && grep -q "^error:" "$ci_tmp/huge.err" \
+  || { echo "render --duration 1e300: exit $status, not an error" >&2; exit 1; }
 target/release/uniq aoa --table "$ci_tmp/x.uhrtf" --theta 60 --signal speech \
   > "$ci_tmp/x_aoa.log"
 grep -q "estimated" "$ci_tmp/x_aoa.log"

@@ -8,7 +8,7 @@
 
 use std::path::Path;
 use uniq_bench::baseline::{BaselineSpec, BASELINE_FILE};
-use uniq_core::batch::{hrtf_fingerprint, BatchOutcome};
+use uniq_core::batch::result_fingerprint;
 use uniq_core::degrade::DegradationPolicy;
 use uniq_core::pipeline::{personalize_faulted, personalize_with_retry, PersonalizationResult};
 use uniq_faults::FaultPlan;
@@ -28,14 +28,7 @@ fn pinned_fingerprint() -> String {
 }
 
 fn fingerprint_of(seed: u64, result: &PersonalizationResult) -> String {
-    format!(
-        "{:#018x}",
-        hrtf_fingerprint(&[BatchOutcome {
-            seed,
-            result: Ok(result.clone()),
-            seconds: 0.0,
-        }])
-    )
+    format!("{:#018x}", result_fingerprint(seed, result))
 }
 
 #[test]

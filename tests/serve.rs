@@ -11,7 +11,7 @@ use std::sync::{Arc, Condvar, Mutex};
 use std::time::Duration;
 
 use uniq_acoustics::measure::{BinauralRecording, InjectionSite, RecordingInjector};
-use uniq_core::batch::{hrtf_fingerprint, BatchOutcome};
+use uniq_core::batch::result_fingerprint;
 use uniq_core::config::UniqConfig;
 use uniq_core::degrade::FaultHook;
 use uniq_core::pipeline::personalize_with_retry;
@@ -104,11 +104,7 @@ fn wait_until(what: &str, mut probe: impl FnMut() -> bool) {
 fn library_fingerprint(seed: u64, cfg: &UniqConfig) -> u64 {
     let subject = Subject::from_seed(seed);
     let result = personalize_with_retry(&subject, cfg, seed, 3).expect("library personalize");
-    hrtf_fingerprint(&[BatchOutcome {
-        seed,
-        result: Ok(result),
-        seconds: 0.0,
-    }])
+    result_fingerprint(seed, &result)
 }
 
 #[test]
