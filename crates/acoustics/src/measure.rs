@@ -16,6 +16,10 @@ use uniq_dsp::conv::convolve;
 use uniq_dsp::signal::rms;
 use uniq_geometry::Vec2;
 
+/// Impulse-response length, samples, used when the room is enabled: long
+/// enough to cover the echoes of [`Shoebox::typical_living_room`].
+pub const ECHOIC_IR_LEN: usize = 4096;
+
 /// Measurement-chain configuration.
 #[derive(Debug, Clone)]
 pub struct MeasurementSetup {
@@ -26,8 +30,6 @@ pub struct MeasurementSetup {
     pub room: Option<Shoebox>,
     /// Microphone signal-to-noise ratio in dB (white noise).
     pub snr_db: f64,
-    /// IR length used when the room is enabled (must cover the echoes).
-    pub echoic_ir_len: usize,
 }
 
 impl MeasurementSetup {
@@ -37,7 +39,6 @@ impl MeasurementSetup {
             system: SystemResponse::budget_hardware(sample_rate),
             room: None,
             snr_db,
-            echoic_ir_len: 4096,
         }
     }
 
@@ -131,7 +132,7 @@ pub fn propagation_ir(
 ) -> Option<BinauralIr> {
     match &setup.room {
         None => renderer.render_point(src),
-        Some(room) => room.render_echoic(renderer, src, setup.echoic_ir_len),
+        Some(room) => room.render_echoic(renderer, src, ECHOIC_IR_LEN),
     }
 }
 
@@ -158,6 +159,11 @@ fn add_noise(rec: &mut BinauralRecording, snr_db: f64, seed: u64) {
     let noise_rms = level / 10f64.powf(snr_db / 20.0);
     // Uniform noise has RMS = amplitude/√3.
     let amp = noise_rms * 3f64.sqrt();
+    // A target SNR so high the noise underflows to zero (or so low it
+    // overflows) gets no noise.
+    if !(amp > 0.0 && amp.is_finite()) {
+        return;
+    }
     let mut rng = StdRng::seed_from_u64(seed);
     for v in rec.left.iter_mut().chain(rec.right.iter_mut()) {
         *v += rng.gen_range(-amp..amp);
@@ -216,6 +222,22 @@ mod tests {
         let clean_energy: f64 = clean.left.iter().map(|v| v * v).sum();
         let ratio = 10.0 * (clean_energy / diff_energy).log10();
         assert!((ratio - 10.0).abs() < 3.0, "effective SNR {ratio} dB");
+    }
+
+    #[test]
+    fn vanishing_noise_leaves_the_recording_alone() {
+        // 10^(snr/20) overflows: the noise amplitude is zero, so no noise
+        // is drawn and the noise seed no longer matters.
+        let r = renderer();
+        let src = Vec2::new(-0.4, 0.1);
+        let setup = MeasurementSetup::anechoic(SR, 7000.0);
+        let a = record_point_source(&r, &setup, src, &probe(), 1).unwrap();
+        let b = record_point_source(&r, &setup, src, &probe(), 2).unwrap();
+        assert_eq!(a.left, b.left);
+        assert!(a.left.iter().any(|v| *v != 0.0));
+        let setup = MeasurementSetup::anechoic(SR, 1e308);
+        let c = record_point_source(&r, &setup, src, &probe(), 3).unwrap();
+        assert_eq!(a.right, c.right);
     }
 
     #[test]

@@ -222,7 +222,7 @@ pub(crate) fn add_arrival(
         delay >= 0.0,
         "negative tap position {delay}; increase base_delay"
     );
-    let shadow = shadow_fir(wrap_angle, cfg.shadow_kappa, cfg.shadow_f0, cfg.sample_rate);
+    let shadow = shadow_fir(wrap_angle, cfg.sample_rate);
     // A shadowed tap is placed earlier by the FIR group delay so the
     // filtered arrival lands at the true time.
     let pos = match shadow {
@@ -295,7 +295,7 @@ pub(crate) mod oracle {
     ) -> Vec<f64> {
         let delay = cfg.metres_to_samples(path_metres);
         let mut tap = vec![0.0; ir_len];
-        match shadow_fir(wrap_angle, cfg.shadow_kappa, cfg.shadow_f0, cfg.sample_rate) {
+        match shadow_fir(wrap_angle, cfg.sample_rate) {
             None => add_fractional_impulse(&mut tap, delay, gain),
             Some(kernel) => {
                 let pos = delay - group_delay_samples() as f64;
@@ -424,7 +424,7 @@ mod tests {
         // TDoA should correspond to a plausible wrap difference: between
         // 0.1 m and 0.35 m of path.
         let cfg = r.config();
-        let d_m = (rt.position - lt.position) / cfg.sample_rate * cfg.speed_of_sound;
+        let d_m = (rt.position - lt.position) / cfg.sample_rate * uniq_dsp::SPEED_OF_SOUND;
         assert!(d_m > 0.10 && d_m < 0.35, "TDoA path {} m", d_m);
     }
 
@@ -555,7 +555,7 @@ mod tests {
                 .chain((0..20).map(|k| 40.0 + k as f64 * (end - 110.0) / 20.0))
                 .chain((0..200).map(|k| end - 70.0 + k as f64 * 0.55));
             for (k, delay) in delays.enumerate() {
-                let path = (delay / cfg.sample_rate - cfg.base_delay) * cfg.speed_of_sound;
+                let path = (delay / cfg.sample_rate - cfg.base_delay) * uniq_dsp::SPEED_OF_SOUND;
                 let pinna_ir = &pinnae[k % pinnae.len()];
                 let gain = [1.0, 0.37, 2.9][k % 3];
                 for wrap in [0.0, 0.4, 2.5] {

@@ -245,7 +245,7 @@ mod tests {
         // Shortest echo path: src → nearest wall → head, at least
         // 2·(wall distance) − |src| longer than direct.
         let extra_m = 2.0 * room().min_wall_distance() - 2.0 * src.norm();
-        let min_gap = extra_m / cfg.speed_of_sound * cfg.sample_rate;
+        let min_gap = extra_m / uniq_dsp::SPEED_OF_SOUND * cfg.sample_rate;
         let gate = t_direct as usize + (min_gap * 0.8) as usize;
         // Dry and wet must agree before the gate (no early echoes).
         for k in 0..gate.min(dry.left.len()) {

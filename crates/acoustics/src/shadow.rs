@@ -9,7 +9,7 @@
 //! A(f, φ) = exp(−κ · φ · sqrt(f / f₀))
 //! ```
 //!
-//! with `κ` and `f₀` from [`crate::types::RenderConfig`]. The renderer
+//! with `κ` = [`SHADOW_KAPPA`] and `f₀` = [`SHADOW_F0_HZ`]. The renderer
 //! realizes this magnitude as a **linear-phase FIR** (frequency sampling),
 //! so shadowed taps keep their arrival time while losing treble.
 
@@ -21,15 +21,21 @@ use uniq_dsp::window::{window, WindowKind};
 /// phase with integer group delay `(LEN-1)/2`).
 pub const SHADOW_FIR_LEN: usize = 33;
 
+/// Shadow-attenuation strength κ of the model above.
+pub const SHADOW_KAPPA: f64 = 0.6;
+
+/// Shadow-attenuation reference frequency f₀ of the model above, hertz.
+pub const SHADOW_F0_HZ: f64 = 4000.0;
+
 /// Frequency-sampling design size.
 const DESIGN_N: usize = 256;
 
 /// The shadow magnitude `A(f, φ)` of the model above.
-pub fn shadow_magnitude(freq_hz: f64, wrap_angle: f64, kappa: f64, f0: f64) -> f64 {
+pub fn shadow_magnitude(freq_hz: f64, wrap_angle: f64) -> f64 {
     if wrap_angle <= 0.0 {
         return 1.0;
     }
-    (-kappa * wrap_angle * (freq_hz.max(0.0) / f0).sqrt()).exp()
+    (-SHADOW_KAPPA * wrap_angle * (freq_hz.max(0.0) / SHADOW_F0_HZ).sqrt()).exp()
 }
 
 /// Designs the linear-phase shadow FIR for a given wrap angle.
@@ -38,7 +44,7 @@ pub fn shadow_magnitude(freq_hz: f64, wrap_angle: f64, kappa: f64, f0: f64) -> f
 /// the caller should place the raw tap). The kernel's group delay is
 /// [`group_delay_samples`] samples; the renderer subtracts it when placing
 /// taps so arrival times stay exact.
-pub fn shadow_fir(wrap_angle: f64, kappa: f64, f0: f64, sample_rate: f64) -> Option<Vec<f64>> {
+pub fn shadow_fir(wrap_angle: f64, sample_rate: f64) -> Option<Vec<f64>> {
     if wrap_angle <= 0.0 {
         return None;
     }
@@ -51,7 +57,7 @@ pub fn shadow_fir(wrap_angle: f64, kappa: f64, f0: f64, sample_rate: f64) -> Opt
         } else {
             (DESIGN_N - k) as f64 * sample_rate / DESIGN_N as f64
         };
-        *s = Complex::from_real(shadow_magnitude(f, wrap_angle, kappa, f0));
+        *s = Complex::from_real(shadow_magnitude(f, wrap_angle));
     }
     let impulse = ifft(&spec);
     // Zero-phase impulse is centred at 0 (wrapping negatively); rotate so
@@ -67,7 +73,7 @@ pub fn shadow_fir(wrap_angle: f64, kappa: f64, f0: f64, sample_rate: f64) -> Opt
     // Renormalize the DC response to the analytic value (windowing nudges
     // it slightly).
     let dc: f64 = taps.iter().sum();
-    let want = shadow_magnitude(0.0, wrap_angle, kappa, f0);
+    let want = shadow_magnitude(0.0, wrap_angle);
     if dc.abs() > 1e-12 {
         let g = want / dc;
         for t in taps.iter_mut() {
@@ -91,7 +97,7 @@ mod tests {
 
     #[test]
     fn magnitude_monotone_in_everything() {
-        let m = |f: f64, w: f64| shadow_magnitude(f, w, 0.6, 4000.0);
+        let m = |f: f64, w: f64| shadow_magnitude(f, w);
         // Decreases with frequency.
         assert!(m(8000.0, 1.0) < m(1000.0, 1.0));
         // Decreases with wrap angle.
@@ -104,8 +110,8 @@ mod tests {
 
     #[test]
     fn fir_none_for_direct_path() {
-        assert!(shadow_fir(0.0, 0.6, 4000.0, SR).is_none());
-        assert!(shadow_fir(-1.0, 0.6, 4000.0, SR).is_none());
+        assert!(shadow_fir(0.0, SR).is_none());
+        assert!(shadow_fir(-1.0, SR).is_none());
     }
 
     #[test]
@@ -113,7 +119,7 @@ mod tests {
         // A 33-tap windowed design smooths the analytic curve; check the
         // match where the curve is resolvable at this kernel length.
         let wrap = 1.2;
-        let taps = shadow_fir(wrap, 0.6, 4000.0, SR).unwrap();
+        let taps = shadow_fir(wrap, SR).unwrap();
         assert_eq!(taps.len(), SHADOW_FIR_LEN);
         let spec = rfft(&taps); // padded to 64 bins
         let n = spec.len();
@@ -122,7 +128,7 @@ mod tests {
         for &f in &[12_000.0, 18_000.0] {
             let bin = (f / SR * n as f64).round() as usize;
             let got = spec[bin].abs();
-            let want = shadow_magnitude(bin as f64 * SR / n as f64, wrap, 0.6, 4000.0);
+            let want = shadow_magnitude(bin as f64 * SR / n as f64, wrap);
             assert!((got - want).abs() < 0.15, "f={f}: got {got}, want {want}");
         }
         // The steep low-frequency knee is necessarily smoothed by a 33-tap
@@ -139,7 +145,7 @@ mod tests {
 
     #[test]
     fn fir_symmetric_linear_phase() {
-        let taps = shadow_fir(0.7, 0.6, 4000.0, SR).unwrap();
+        let taps = shadow_fir(0.7, SR).unwrap();
         for k in 0..taps.len() / 2 {
             assert!(
                 (taps[k] - taps[taps.len() - 1 - k]).abs() < 1e-9,
@@ -150,8 +156,8 @@ mod tests {
 
     #[test]
     fn heavier_wrap_attenuates_more_broadband() {
-        let light = shadow_fir(0.3, 0.6, 4000.0, SR).unwrap();
-        let heavy = shadow_fir(2.0, 0.6, 4000.0, SR).unwrap();
+        let light = shadow_fir(0.3, SR).unwrap();
+        let heavy = shadow_fir(2.0, SR).unwrap();
         let energy = |t: &[f64]| t.iter().map(|v| v * v).sum::<f64>();
         assert!(energy(&heavy) < energy(&light));
     }

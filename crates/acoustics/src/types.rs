@@ -6,19 +6,15 @@ use std::sync::{Arc, Mutex, MutexGuard, OnceLock, PoisonError};
 use uniq_dsp::xcorr::{peak_normalized_xcorr, XcorrOperand};
 
 /// Render/simulation configuration shared by the forward simulator and the
-/// UNIQ pipeline.
+/// UNIQ pipeline. Sound travels at [`uniq_dsp::SPEED_OF_SOUND`]; the head
+/// shadow's κ and f₀ are [`crate::shadow::SHADOW_KAPPA`] and
+/// [`crate::shadow::SHADOW_F0_HZ`].
 #[derive(Debug, Clone, Copy)]
 pub struct RenderConfig {
     /// Audio sample rate, hertz.
     pub sample_rate: f64,
     /// Length of rendered head impulse responses, samples.
     pub ir_len: usize,
-    /// Speed of sound, metres per second.
-    pub speed_of_sound: f64,
-    /// Shadow-attenuation strength κ (see [`crate::shadow`]).
-    pub shadow_kappa: f64,
-    /// Shadow-attenuation reference frequency f₀, hertz.
-    pub shadow_f0: f64,
     /// Base acoustic latency added to every rendered path, seconds. Keeps
     /// fractional-delay kernels fully causal and mimics fixed hardware
     /// buffering; identical for both ears so TDoA is unaffected.
@@ -30,9 +26,6 @@ impl Default for RenderConfig {
         RenderConfig {
             sample_rate: uniq_dsp::DEFAULT_SAMPLE_RATE,
             ir_len: 512,
-            speed_of_sound: uniq_dsp::SPEED_OF_SOUND,
-            shadow_kappa: 0.6,
-            shadow_f0: 4000.0,
             base_delay: 0.001,
         }
     }
@@ -41,7 +34,7 @@ impl Default for RenderConfig {
 impl RenderConfig {
     /// Converts a path length in metres to a delay in samples.
     pub fn metres_to_samples(&self, metres: f64) -> f64 {
-        (metres / self.speed_of_sound + self.base_delay) * self.sample_rate
+        (metres / uniq_dsp::SPEED_OF_SOUND + self.base_delay) * self.sample_rate
     }
 
     /// Validates the configuration.
@@ -51,7 +44,6 @@ impl RenderConfig {
     pub fn validate(&self) {
         assert!(self.sample_rate > 0.0, "sample_rate must be positive");
         assert!(self.ir_len >= 64, "ir_len too short for head acoustics");
-        assert!(self.speed_of_sound > 0.0, "speed of sound must be positive");
         assert!(self.base_delay >= 0.0, "base delay cannot be negative");
     }
 }

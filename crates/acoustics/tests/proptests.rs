@@ -64,13 +64,13 @@ proptest! {
 
     #[test]
     fn shadow_magnitude_in_unit_interval(f in 0.0..24_000.0f64, wrap in 0.0..3.0f64) {
-        let m = shadow_magnitude(f, wrap, 0.6, 4000.0);
+        let m = shadow_magnitude(f, wrap);
         prop_assert!((0.0..=1.0).contains(&m));
     }
 
     #[test]
     fn shadow_fir_dc_is_unity(wrap in 0.01..3.0f64) {
-        let taps = shadow_fir(wrap, 0.6, 4000.0, 48_000.0).unwrap();
+        let taps = shadow_fir(wrap, 48_000.0).unwrap();
         let dc: f64 = taps.iter().sum();
         prop_assert!((dc - 1.0).abs() < 1e-9, "dc = {dc}");
     }

@@ -13,9 +13,10 @@
 //!   `crates/*/tests`, `crates/*/benches` and `examples/`.
 //!
 //! An item's own body and its own `impl Name` blocks never keep it
-//! alive, nor does its own file's test region, a `mod` declaration or a
-//! `pub use` re-export. Fn-pointer paths (`Report::to_json`) are plain
-//! identifiers and count; so do inline format captures (`"{VERSION}"`).
+//! alive, nor does its own file's test region, its own crate's
+//! `crates/<c>/tests`, a `mod` declaration or a `pub use` re-export.
+//! Fn-pointer paths (`Report::to_json`) are plain identifiers and count;
+//! so do inline format captures (`"{VERSION}"`).
 
 use crate::diagnostics::{Diagnostic, Severity};
 use crate::flow_rules::FlowOutput;
@@ -35,6 +36,16 @@ pub fn is_reference_path(path: &str) -> bool {
         Some("tests" | "examples") => true,
         Some("crates") => matches!(parts.nth(1), Some("tests" | "benches")),
         _ => false,
+    }
+}
+
+/// The crate name `c` of a path `crates/<c>/<dir>/…`; `None` for a path
+/// anywhere else.
+fn crate_dir<'a>(path: &'a str, dir: &str) -> Option<&'a str> {
+    let mut parts = path.split('/');
+    match (parts.next(), parts.next(), parts.next()) {
+        (Some("crates"), Some(c), Some(d)) if d == dir => Some(c),
+        _ => None,
     }
 }
 
@@ -96,9 +107,21 @@ pub fn dead_pub(files: &[SourceFile], refs: &[SourceFile]) -> FlowOutput {
             }
         }
     }
+    // name → crates whose own integration tests mention it: those keep
+    // every crate's items live but their own.
+    let mut crate_tests: BTreeMap<String, BTreeSet<&str>> = BTreeMap::new();
     for file in refs {
+        let own = crate_dir(&file.path, "tests");
         for &ti in &file.sig {
-            root.extend(idents(&file.tokens[ti]));
+            let names = idents(&file.tokens[ti]);
+            match own {
+                None => root.extend(names),
+                Some(c) => {
+                    for name in names {
+                        crate_tests.entry(name).or_default().insert(c);
+                    }
+                }
+            }
         }
     }
 
@@ -111,10 +134,14 @@ pub fn dead_pub(files: &[SourceFile], refs: &[SourceFile]) -> FlowOutput {
     let mut live: Vec<bool> = items
         .iter()
         .map(|it| {
+            let own = crate_dir(&files[it.file].path, "src");
             root.contains(&it.name)
                 || tests
                     .get(&it.name)
                     .is_some_and(|fs| fs.iter().any(|&f| f != it.file))
+                || crate_tests
+                    .get(&it.name)
+                    .is_some_and(|cs| cs.iter().any(|&c| Some(c) != own))
         })
         .collect();
     let mut work: Vec<usize> = (0..items.len()).filter(|&k| live[k]).collect();

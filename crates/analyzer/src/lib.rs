@@ -75,19 +75,5 @@ pub mod workspace;
 pub use diagnostics::{to_json_report, Diagnostic, ReportSummary, Severity, TraceStep};
 pub use source::SourceFile;
 pub use workspace::{
-    analyze_sources, analyze_workspace, analyze_workspace_with, find_root, SourceSpec,
-    WorkspaceReport,
+    analyze_sources_with_deps, analyze_workspace_with, find_root, SourceSpec, WorkspaceReport,
 };
-
-/// Analyzes a single source text as if it were at `path` in crate
-/// `crate_name`. The entry point the golden-fixture tests use.
-pub fn analyze_str(
-    path: &str,
-    crate_name: &str,
-    is_crate_root: bool,
-    text: &str,
-    strict: bool,
-) -> Vec<Diagnostic> {
-    let file = SourceFile::parse(path, crate_name, is_crate_root, text);
-    rules::analyze_file(&file, strict)
-}

@@ -83,24 +83,11 @@ pub const RULE_NAMES: &[&str] = &[
     "stale-suppression",
 ];
 
-/// Runs every rule over `file`, applies suppressions, and validates the
-/// suppressions themselves. `strict` enables the warning-level audit
-/// rules (currently `slice-index`).
-pub fn analyze_file(file: &SourceFile, strict: bool) -> Vec<Diagnostic> {
-    let raw = raw_findings(file, strict);
-    let mut out: Vec<Diagnostic> = raw
-        .into_iter()
-        .filter(|d| !file.is_suppressed(d.rule, d.line))
-        .collect();
-    check_suppressions(file, &mut out);
-    out.sort_by(|a, b| (a.line, a.rule).cmp(&(b.line, b.rule)));
-    out
-}
-
 /// Runs every line-local rule over `file` WITHOUT applying suppressions
-/// or validating them. The workspace driver uses this so it can track
-/// which suppressions actually silence something (the stale-suppression
-/// audit); [`analyze_file`] keeps the filtered per-file behavior.
+/// or validating them, so the workspace driver can track which
+/// suppressions actually silence something (the stale-suppression
+/// audit). `strict` enables the warning-level audit rules (currently
+/// `slice-index`).
 pub(crate) fn raw_findings(file: &SourceFile, strict: bool) -> Vec<Diagnostic> {
     let mut raw = Vec::new();
     hash_iteration(file, &mut raw);
@@ -585,5 +572,322 @@ pub(crate) fn check_suppressions(file: &SourceFile, out: &mut Vec<Diagnostic>) {
                 ));
             }
         }
+    }
+}
+
+/// Golden-fixture tests: every rule has at least one known-bad fixture
+/// that must produce exactly the expected findings, and a clean
+/// counterpart that must produce none. The fixtures live outside `src/`
+/// so the workspace walk (and rustc) never touch them.
+#[cfg(test)]
+mod fixture_tests {
+    use super::*;
+    use crate::diagnostics::Severity;
+
+    /// Every line-local rule over one fixture, suppressions applied and
+    /// audited, sorted by line.
+    fn check(
+        fixture: &str,
+        crate_name: &str,
+        is_crate_root: bool,
+        strict: bool,
+    ) -> Vec<Diagnostic> {
+        let file = SourceFile::parse("fixture.rs", crate_name, is_crate_root, fixture);
+        let mut out: Vec<Diagnostic> = raw_findings(&file, strict)
+            .into_iter()
+            .filter(|d| !file.is_suppressed(d.rule, d.line))
+            .collect();
+        check_suppressions(&file, &mut out);
+        out.sort_by(|a, b| (a.line, a.rule).cmp(&(b.line, b.rule)));
+        out
+    }
+
+    #[test]
+    fn hash_iteration_bad() {
+        let diags = check(
+            include_str!("../fixtures/bad_hash_iteration.rs"),
+            "dsp",
+            false,
+            false,
+        );
+        assert_eq!(diags.len(), 6, "{diags:#?}");
+        assert!(diags.iter().all(|d| d.rule == "hash-iteration"));
+        assert!(diags.iter().all(|d| d.severity == Severity::Error));
+        // The `#[cfg(test)]` module's HashMap uses are exempt.
+        assert!(diags.iter().all(|d| d.line < 15), "{diags:#?}");
+    }
+
+    #[test]
+    fn hash_iteration_clean() {
+        let diags = check(
+            include_str!("../fixtures/clean_hash_iteration.rs"),
+            "dsp",
+            false,
+            false,
+        );
+        assert!(diags.is_empty(), "{diags:#?}");
+    }
+
+    #[test]
+    fn hash_iteration_ignored_outside_result_crates() {
+        let diags = check(
+            include_str!("../fixtures/bad_hash_iteration.rs"),
+            "cli",
+            false,
+            false,
+        );
+        assert!(diags.is_empty(), "{diags:#?}");
+    }
+
+    #[test]
+    fn wall_clock_bad() {
+        let diags = check(
+            include_str!("../fixtures/bad_wall_clock.rs"),
+            "core",
+            false,
+            false,
+        );
+        assert_eq!(diags.len(), 4, "{diags:#?}");
+        assert!(diags.iter().all(|d| d.rule == "wall-clock"));
+        let lines: Vec<u32> = diags.iter().map(|d| d.line).collect();
+        assert_eq!(lines, vec![2, 2, 5, 6]);
+    }
+
+    #[test]
+    fn env_read_bad() {
+        let diags = check(
+            include_str!("../fixtures/bad_env_read.rs"),
+            "optim",
+            false,
+            false,
+        );
+        assert_eq!(diags.len(), 1, "{diags:#?}");
+        assert_eq!(diags[0].rule, "env-read");
+        assert_eq!(diags[0].line, 5);
+    }
+
+    #[test]
+    fn forbid_unsafe_bad() {
+        let diags = check(
+            include_str!("../fixtures/bad_forbid_unsafe.rs"),
+            "geometry",
+            true,
+            false,
+        );
+        assert_eq!(diags.len(), 1, "{diags:#?}");
+        assert_eq!(diags[0].rule, "forbid-unsafe");
+        assert_eq!(diags[0].line, 1);
+    }
+
+    #[test]
+    fn forbid_unsafe_clean() {
+        let diags = check(
+            include_str!("../fixtures/clean_forbid_unsafe.rs"),
+            "geometry",
+            true,
+            false,
+        );
+        assert!(diags.is_empty(), "{diags:#?}");
+    }
+
+    #[test]
+    fn forbid_unsafe_only_applies_to_crate_roots() {
+        let diags = check(
+            include_str!("../fixtures/bad_forbid_unsafe.rs"),
+            "geometry",
+            false,
+            false,
+        );
+        assert!(diags.is_empty(), "{diags:#?}");
+    }
+
+    #[test]
+    fn forbid_unsafe_exempts_par() {
+        let diags = check(
+            include_str!("../fixtures/bad_forbid_unsafe.rs"),
+            "par",
+            true,
+            false,
+        );
+        assert!(diags.is_empty(), "{diags:#?}");
+    }
+
+    #[test]
+    fn safety_comment_bad() {
+        let diags = check(
+            include_str!("../fixtures/bad_safety_comment.rs"),
+            "par",
+            false,
+            false,
+        );
+        assert_eq!(diags.len(), 1, "{diags:#?}");
+        assert_eq!(diags[0].rule, "safety-comment");
+        assert_eq!(diags[0].line, 5);
+    }
+
+    #[test]
+    fn safety_comment_clean() {
+        let diags = check(
+            include_str!("../fixtures/clean_safety_comment.rs"),
+            "par",
+            false,
+            false,
+        );
+        assert!(diags.is_empty(), "{diags:#?}");
+    }
+
+    #[test]
+    fn panic_safety_bad() {
+        let diags = check(
+            include_str!("../fixtures/bad_panic_safety.rs"),
+            "acoustics",
+            false,
+            false,
+        );
+        assert_eq!(diags.len(), 4, "{diags:#?}");
+        assert!(diags.iter().all(|d| d.rule == "panic-safety"));
+        let lines: Vec<u32> = diags.iter().map(|d| d.line).collect();
+        assert_eq!(lines, vec![5, 7, 13, 17]);
+    }
+
+    #[test]
+    fn panic_safety_clean() {
+        let diags = check(
+            include_str!("../fixtures/clean_panic_safety.rs"),
+            "acoustics",
+            false,
+            false,
+        );
+        assert!(diags.is_empty(), "{diags:#?}");
+    }
+
+    #[test]
+    fn slice_index_requires_strict() {
+        let fixture = include_str!("../fixtures/bad_slice_index.rs");
+        let relaxed = check(fixture, "dsp", false, false);
+        assert!(relaxed.is_empty(), "{relaxed:#?}");
+        let strict = check(fixture, "dsp", false, true);
+        assert_eq!(strict.len(), 1, "{strict:#?}");
+        assert_eq!(strict[0].rule, "slice-index");
+        assert_eq!(strict[0].severity, Severity::Warning);
+        assert_eq!(strict[0].line, 4);
+    }
+
+    #[test]
+    fn span_guard_bad() {
+        let diags = check(
+            include_str!("../fixtures/bad_span_guard.rs"),
+            "core",
+            false,
+            false,
+        );
+        assert_eq!(diags.len(), 2, "{diags:#?}");
+        assert!(diags.iter().all(|d| d.rule == "obs-span-guard"));
+        let lines: Vec<u32> = diags.iter().map(|d| d.line).collect();
+        assert_eq!(lines, vec![4, 6]);
+    }
+
+    #[test]
+    fn span_guard_clean() {
+        let diags = check(
+            include_str!("../fixtures/clean_span_guard.rs"),
+            "core",
+            false,
+            false,
+        );
+        assert!(diags.is_empty(), "{diags:#?}");
+    }
+
+    #[test]
+    fn metric_name_bad() {
+        let diags = check(
+            include_str!("../fixtures/bad_metric_name.rs"),
+            "render",
+            false,
+            false,
+        );
+        assert_eq!(diags.len(), 2, "{diags:#?}");
+        assert!(diags.iter().all(|d| d.rule == "obs-metric-name"));
+    }
+
+    #[test]
+    fn metric_name_clean() {
+        let diags = check(
+            include_str!("../fixtures/clean_metric_name.rs"),
+            "render",
+            false,
+            false,
+        );
+        assert!(diags.is_empty(), "{diags:#?}");
+    }
+
+    #[test]
+    fn metric_name_exempts_obs_itself() {
+        let diags = check(
+            include_str!("../fixtures/bad_metric_name.rs"),
+            "obs",
+            false,
+            false,
+        );
+        assert!(diags.is_empty(), "{diags:#?}");
+    }
+
+    #[test]
+    fn obs_context_bad() {
+        let diags = check(
+            include_str!("../fixtures/bad_obs_context.rs"),
+            "cli",
+            false,
+            false,
+        );
+        assert_eq!(diags.len(), 4, "{diags:#?}");
+        assert!(diags.iter().all(|d| d.rule == "obs-context"));
+        assert!(diags.iter().all(|d| d.severity == Severity::Error));
+        // The `#[cfg(test)]` module's uncontexted emission is exempt.
+        assert!(diags.iter().all(|d| d.line < 28), "{diags:#?}");
+    }
+
+    #[test]
+    fn obs_context_clean() {
+        let diags = check(
+            include_str!("../fixtures/clean_obs_context.rs"),
+            "cli",
+            false,
+            false,
+        );
+        assert!(diags.is_empty(), "{diags:#?}");
+    }
+
+    #[test]
+    fn bad_suppressions_are_themselves_findings() {
+        let diags = check(
+            include_str!("../fixtures/bad_suppression.rs"),
+            "imu",
+            false,
+            false,
+        );
+        assert_eq!(diags.len(), 3, "{diags:#?}");
+        // Line 4: allow(panic-safety) with no justification. It still
+        // suppresses the unwrap on line 5, but is itself flagged.
+        assert_eq!((diags[0].rule, diags[0].line), ("bad-suppression", 4));
+        // Line 6: names a rule that does not exist …
+        assert_eq!((diags[1].rule, diags[1].line), ("bad-suppression", 6));
+        // … and therefore does not cover the unwrap on line 7.
+        assert_eq!((diags[2].rule, diags[2].line), ("panic-safety", 7));
+    }
+
+    #[test]
+    fn json_output_shape() {
+        let diags = check(
+            include_str!("../fixtures/bad_env_read.rs"),
+            "optim",
+            false,
+            false,
+        );
+        let json = crate::diagnostics::to_json(&diags);
+        assert!(json.starts_with('['), "{json}");
+        assert!(json.contains("\"rule\":\"env-read\""), "{json}");
+        assert!(json.contains("\"line\":5"), "{json}");
+        assert!(json.contains("\"severity\":\"error\""), "{json}");
     }
 }

@@ -254,14 +254,9 @@ fn manifest_package_name(manifest: &str) -> Option<String> {
     None
 }
 
-/// Analyzes every lintable file under `root` with the default thread
-/// count (`UNIQ_THREADS` / machine default).
-pub fn analyze_workspace(root: &Path, strict: bool) -> io::Result<WorkspaceReport> {
-    analyze_workspace_with(root, strict, 0)
-}
-
-/// [`analyze_workspace`] with an explicit pool size (`0` = default).
-/// The report is bit-identical for any `threads` value.
+/// Analyzes every lintable file under `root` on a pool of `threads`
+/// workers (`0` = `UNIQ_THREADS` / machine default). The report is
+/// bit-identical for any `threads` value.
 pub fn analyze_workspace_with(
     root: &Path,
     strict: bool,
@@ -339,20 +334,15 @@ fn reference_files(root: &Path) -> io::Result<Vec<PathBuf>> {
     Ok(files)
 }
 
-/// [`analyze_sources_with_deps`] without a dependency map: every crate
-/// pair resolves (the mode the in-memory fixture tests use — they carry
-/// no manifests).
-pub fn analyze_sources(specs: &[SourceSpec], strict: bool, threads: usize) -> WorkspaceReport {
-    analyze_sources_with_deps(specs, strict, threads, None)
-}
-
 /// The whole-workspace analysis over in-memory sources: line-local
 /// rules, the call-graph dataflow families, `dead-pub`, and the
 /// stale-suppression audit. Specs at reference-only paths
 /// ([`dead_pub::is_reference_path`]: integration tests, benches,
 /// examples) are not linted; they only keep public items alive.
 /// Deterministic for any `threads` value. `deps`, when given, restricts
-/// call resolution to each caller crate's dependency closure.
+/// call resolution to each caller crate's dependency closure; `None`
+/// lets every crate pair resolve (the mode the in-memory fixture tests
+/// use — they carry no manifests).
 pub fn analyze_sources_with_deps(
     specs: &[SourceSpec],
     strict: bool,

@@ -9,7 +9,7 @@
 //! [`run`] leaves out `dead-pub`; the `dead-pub` fixtures use
 //! [`dead_pub_findings`].
 
-use uniq_analyzer::{analyze_sources, Severity, SourceSpec, WorkspaceReport};
+use uniq_analyzer::{analyze_sources_with_deps, Severity, SourceSpec, WorkspaceReport};
 
 fn spec(path: &str, crate_name: &str, text: &str) -> SourceSpec {
     SourceSpec {
@@ -23,14 +23,14 @@ fn spec(path: &str, crate_name: &str, text: &str) -> SourceSpec {
 /// Analyzes `specs`, dropping `dead-pub` findings: the flow fixtures'
 /// entry points have their callers outside the fixture.
 fn run(specs: &[SourceSpec], strict: bool) -> WorkspaceReport {
-    let mut report = analyze_sources(specs, strict, 1);
+    let mut report = analyze_sources_with_deps(specs, strict, 1, None);
     report.diagnostics.retain(|d| d.rule != "dead-pub");
     report
 }
 
 /// The `dead-pub` findings of `specs` as `(file, line, message)`.
 fn dead_pub_findings(specs: &[SourceSpec]) -> Vec<(String, u32, String)> {
-    analyze_sources(specs, false, 1)
+    analyze_sources_with_deps(specs, false, 1, None)
         .diagnostics
         .into_iter()
         .filter(|d| d.rule == "dead-pub")
@@ -293,9 +293,38 @@ mod tests {
             "fn main() { uniq_core::api::from_bench(); let x: Option<u8> = None; x.unwrap(); }\n",
         ),
     ];
-    let report = analyze_sources(&specs, false, 1);
+    let report = analyze_sources_with_deps(&specs, false, 1, None);
     assert!(report.diagnostics.is_empty(), "{:#?}", report.diagnostics);
     assert_eq!(report.files_analyzed, 2, "reference files are not linted");
+}
+
+#[test]
+fn dead_pub_does_not_count_a_crates_own_integration_tests() {
+    let lib = "\
+/// Used only by this crate's integration tests.
+pub fn grid_search() {}
+
+/// Used by another crate's integration tests.
+pub fn nelder_mead() {}
+";
+    let specs = [
+        spec("crates/optim/src/lib.rs", "optim", lib),
+        spec(
+            "crates/optim/tests/proptests.rs",
+            "",
+            "#[test]\nfn t() { uniq_optim::grid_search(); }\n",
+        ),
+        spec(
+            "crates/core/tests/fit.rs",
+            "",
+            "#[test]\nfn t() { uniq_optim::nelder_mead(); }\n",
+        ),
+    ];
+    let found = dead_pub_findings(&specs);
+    assert_eq!(found.len(), 1, "{found:#?}");
+    assert_eq!(found[0].0, "crates/optim/src/lib.rs");
+    assert_eq!(found[0].1, 2);
+    assert!(found[0].2.contains("optim::grid_search"), "{}", found[0].2);
 }
 
 #[test]
@@ -424,7 +453,12 @@ fn reader() -> u32 {
     USED
 }
 ";
-    let report = analyze_sources(&[spec("crates/obs/src/names.rs", "obs", src)], false, 1);
+    let report = analyze_sources_with_deps(
+        &[spec("crates/obs/src/names.rs", "obs", src)],
+        false,
+        1,
+        None,
+    );
     assert_eq!(report.suppressions, 2);
     assert_eq!(report.stale_suppressions, 1);
     assert_eq!(report.diagnostics.len(), 1, "{:#?}", report.diagnostics);

@@ -4,9 +4,7 @@
 //! a regression (a new unwrap, a missing forbid attribute, a drive-by
 //! inline metric name) without needing the CI script.
 
-use uniq_analyzer::{
-    analyze_workspace, analyze_workspace_with, to_json_report, ReportSummary, Severity,
-};
+use uniq_analyzer::{analyze_workspace_with, to_json_report, ReportSummary, Severity};
 
 #[test]
 fn workspace_has_zero_unsuppressed_findings() {
@@ -14,7 +12,7 @@ fn workspace_has_zero_unsuppressed_findings() {
         .join("../..")
         .canonicalize()
         .expect("workspace root resolves");
-    let report = analyze_workspace(&root, false).expect("analysis runs");
+    let report = analyze_workspace_with(&root, false, 0).expect("analysis runs");
     assert!(
         report.files_analyzed > 50,
         "walk found too few files — did the layout change?"

@@ -35,7 +35,7 @@ pub fn run() -> Vec<Fig5Row> {
     println!("\n== Fig 5: diffraction on the curvature of the face ==");
     let cfg = crate::cohort::eval_config();
     let sr = cfg.render.sample_rate;
-    let c = cfg.render.speed_of_sound;
+    let c = uniq_dsp::SPEED_OF_SOUND;
     let head = HeadParams::average_adult();
     let boundary = HeadBoundary::new(head, 4096);
     let n = boundary.len();

@@ -27,7 +27,7 @@ pub fn run() -> (f64, f64) {
         est.tap_left,
         est.tap_right,
         est.relative_delay(),
-        est.relative_delay() / cfg.render.sample_rate * cfg.render.speed_of_sound * 100.0
+        est.relative_delay() / cfg.render.sample_rate * uniq_dsp::SPEED_OF_SOUND * 100.0
     );
 
     let window = 160;

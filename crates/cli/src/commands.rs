@@ -466,7 +466,6 @@ fn serve_cmd(args: &Args) -> Result<String, String> {
         base,
         store_dir: args.get("store").map(std::path::PathBuf::from),
         fault_hook,
-        ..uniq_serve::ServeConfig::default()
     };
     let cached = cfg.store_dir.is_some();
 
@@ -1150,8 +1149,14 @@ mod tests {
         let good = tiny_artifact();
         let path = temp_path("bad_values.uhrtf");
         let info = format!("info --table {}", path.display());
+        let aoa = format!("aoa --table {}", path.display());
         std::fs::write(&path, uniq_store::encode(&good).unwrap()).unwrap();
         assert!(run(&argv(&info)).unwrap().contains("head parameters"));
+        // No far entry heard in both ears leaves AoA no template.
+        let mut silent_far = good.clone();
+        for (_, right) in &mut silent_far.far.irs {
+            right.fill(0.0);
+        }
         let bad = [
             HrtfArtifact {
                 head: [1.0, 0.1, 0.1],
@@ -1161,13 +1166,38 @@ mod tests {
                 sample_rate: f64::NAN,
                 ..good.clone()
             },
+            silent_far,
         ];
         for artifact in bad {
             std::fs::write(&path, uniq_store::encode(&artifact).unwrap()).unwrap();
-            let err = run(&argv(&info)).unwrap_err();
-            assert!(err.starts_with("cannot load"), "{err}");
+            for cmd in [&info, &aoa] {
+                let err = run(&argv(cmd)).unwrap_err();
+                assert!(err.starts_with("cannot load"), "{cmd}: {err}");
+            }
         }
         std::fs::remove_file(&path).ok();
+    }
+
+    #[test]
+    fn extreme_snr_is_noise_free_and_a_non_finite_one_is_an_error() {
+        // 10^(7000/20) overflows, so the microphone adds no noise.
+        let table = temp_path("snr7000.uhrtf");
+        let out = run(&argv(&format!(
+            "personalize --seed 5 --out {} --anechoic --grid 15 --snr 7000",
+            table.display()
+        )))
+        .expect("a noise-free measurement personalizes");
+        assert!(out.contains("table written"));
+        std::fs::remove_file(&table).ok();
+        for snr in ["nan", "inf"] {
+            let err = run(&argv(&format!(
+                "personalize --seed 5 --out {} --anechoic --grid 15 --snr {snr}",
+                table.display()
+            )))
+            .unwrap_err();
+            assert!(err.contains("snr must be finite"), "{snr}: {err}");
+            assert!(!table.exists(), "{snr}: no table may be written");
+        }
     }
 
     #[test]

@@ -15,7 +15,7 @@
 //!   multiplicative identity `L·HRTF_R(θ) = R·HRTF_L(θ)` picks the true
 //!   one.
 
-use crate::config::UniqConfig;
+use crate::config::{UniqConfig, AOA_LAMBDA, DECONV_NOISE_FLOOR, TAP_THRESHOLD};
 use uniq_acoustics::measure::BinauralRecording;
 use uniq_acoustics::types::{HrirBank, SpectrumForm};
 use uniq_dsp::deconv::wiener_deconvolve_batch;
@@ -35,14 +35,16 @@ pub struct AoaTemplates {
 
 impl AoaTemplates {
     /// Extracts the TDoA feature curve from a far-field bank. Entries
-    /// without a first tap on both ears are skipped.
-    pub fn from_bank(bank: &HrirBank, cfg: &UniqConfig) -> Self {
+    /// without a first tap on both ears are skipped. First taps use
+    /// [`TAP_THRESHOLD`]: the configuration is not read, and the parameter
+    /// stays so existing callers keep compiling.
+    pub fn from_bank(bank: &HrirBank, _cfg: &UniqConfig) -> Self {
         let mut angles = Vec::with_capacity(bank.len());
         let mut t_rel = Vec::with_capacity(bank.len());
         let mut bank_index = Vec::with_capacity(bank.len());
         for (i, (&a, ir)) in bank.angles().iter().zip(bank.irs()).enumerate() {
-            let tl = first_tap(&ir.left, cfg.tap_threshold);
-            let tr = first_tap(&ir.right, cfg.tap_threshold);
+            let tl = first_tap(&ir.left, TAP_THRESHOLD);
+            let tr = first_tap(&ir.right, TAP_THRESHOLD);
             if let (Some(tl), Some(tr)) = (tl, tr) {
                 angles.push(a);
                 t_rel.push(tr.position - tl.position);
@@ -76,7 +78,7 @@ pub fn estimate_known_source(
     let mut chans = wiener_deconvolve_batch(
         &[recording.left.as_slice(), recording.right.as_slice()],
         source,
-        cfg.deconv_noise_floor,
+        DECONV_NOISE_FLOOR,
         cfg.channel_len,
         &pool,
     );
@@ -86,8 +88,8 @@ pub fn estimate_known_source(
     let ch_left = chans.pop().expect("batch of two");
 
     let t0 = match (
-        first_tap(&ch_left, cfg.tap_threshold),
-        first_tap(&ch_right, cfg.tap_threshold),
+        first_tap(&ch_left, TAP_THRESHOLD),
+        first_tap(&ch_right, TAP_THRESHOLD),
     ) {
         (Some(l), Some(r)) => r.position - l.position,
         _ => 0.0,
@@ -109,7 +111,7 @@ pub fn estimate_known_source(
         let s = &spectra[templates.bank_index[w]];
         let c_l = peak_normalized_xcorr_prepared(&lead_left, &s.left);
         let c_r = peak_normalized_xcorr_prepared(&lead_right, &s.right);
-        let cost = cfg.aoa_lambda * (t0 - templates.t_rel[w]).abs() + (1.0 - c_l) + (1.0 - c_r);
+        let cost = AOA_LAMBDA * (t0 - templates.t_rel[w]).abs() + (1.0 - c_l) + (1.0 - c_r);
         (cost, templates.angles[w])
     });
     let mut best = (f64::INFINITY, 0.0);
@@ -126,6 +128,10 @@ pub fn estimate_known_source(
 ///
 /// The templates' spectra come from the bank's cache
 /// ([`HrirBank::spectra`]); only the recording is transformed per call.
+///
+/// # Panics
+/// Panics if no entry of `bank` has a first tap on both ears (an all-silent
+/// far grid, which `uniq_store::HrtfArtifact::to_table` refuses to load).
 pub fn estimate_unknown_source(
     recording: &BinauralRecording,
     bank: &HrirBank,
@@ -266,15 +272,15 @@ mod oracle {
         let mut chans = wiener_deconvolve_batch(
             &[recording.left.as_slice(), recording.right.as_slice()],
             source,
-            cfg.deconv_noise_floor,
+            DECONV_NOISE_FLOOR,
             cfg.channel_len,
             &pool,
         );
         let ch_right = chans.pop().unwrap();
         let ch_left = chans.pop().unwrap();
         let t0 = match (
-            first_tap(&ch_left, cfg.tap_threshold),
-            first_tap(&ch_right, cfg.tap_threshold),
+            first_tap(&ch_left, TAP_THRESHOLD),
+            first_tap(&ch_right, TAP_THRESHOLD),
         ) {
             (Some(l), Some(r)) => r.position - l.position,
             _ => 0.0,
@@ -285,7 +291,7 @@ mod oracle {
             let ir = &bank.irs()[templates.bank_index[w]];
             let c_l = similarity(&ch_left, &ir.left);
             let c_r = similarity(&ch_right, &ir.right);
-            let cost = cfg.aoa_lambda * (t0 - templates.t_rel[w]).abs() + (1.0 - c_l) + (1.0 - c_r);
+            let cost = AOA_LAMBDA * (t0 - templates.t_rel[w]).abs() + (1.0 - c_l) + (1.0 - c_r);
             if cost < best.0 {
                 best = (cost, templates.angles[w]);
             }

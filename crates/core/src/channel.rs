@@ -7,7 +7,7 @@
 //! sensor-fusion geometry (Fig 9: "we are interested only in the first
 //! peaks at the two ears").
 
-use crate::config::UniqConfig;
+use crate::config::{UniqConfig, DECONV_NOISE_FLOOR, TAP_THRESHOLD};
 use uniq_acoustics::measure::BinauralRecording;
 use uniq_acoustics::types::BinauralIr;
 use uniq_dsp::deconv::wiener_deconvolve_batch;
@@ -34,7 +34,7 @@ impl EstimatedChannel {
     /// Converts a first-tap position to a propagation path length in
     /// metres, removing the known synchronization base delay.
     pub fn tap_to_metres(tap_samples: f64, cfg: &UniqConfig) -> f64 {
-        (tap_samples / cfg.render.sample_rate - cfg.render.base_delay) * cfg.render.speed_of_sound
+        (tap_samples / cfg.render.sample_rate - cfg.render.base_delay) * uniq_dsp::SPEED_OF_SOUND
     }
 }
 
@@ -114,7 +114,7 @@ pub fn stop_quality(channel: &EstimatedChannel, cfg: &UniqConfig) -> StopQuality
             .clamp(0.0, 1.0),
     };
     let itd_path_m =
-        (channel.relative_delay() / cfg.render.sample_rate * cfg.render.speed_of_sound).abs();
+        (channel.relative_delay() / cfg.render.sample_rate * uniq_dsp::SPEED_OF_SOUND).abs();
     let itd_ok = itd_path_m <= QUALITY_MAX_ITD_PATH_M;
     StopQuality {
         snr_db,
@@ -159,7 +159,7 @@ pub fn estimate_channel(
     let mut raw = wiener_deconvolve_batch(
         &[recording.left.as_slice(), recording.right.as_slice()],
         probe,
-        cfg.deconv_noise_floor,
+        DECONV_NOISE_FLOOR,
         cfg.channel_len,
         &pool,
     );
@@ -169,12 +169,12 @@ pub fn estimate_channel(
     let raw_left = raw.pop().expect("batch of two");
 
     let comp_left =
-        uniq_acoustics::system::compensate_response(&raw_left, system_ir, cfg.deconv_noise_floor);
+        uniq_acoustics::system::compensate_response(&raw_left, system_ir, DECONV_NOISE_FLOOR);
     let comp_right =
-        uniq_acoustics::system::compensate_response(&raw_right, system_ir, cfg.deconv_noise_floor);
+        uniq_acoustics::system::compensate_response(&raw_right, system_ir, DECONV_NOISE_FLOOR);
 
-    let tl = first_tap(&comp_left, cfg.tap_threshold).ok_or(ChannelError::NoFirstTap)?;
-    let tr = first_tap(&comp_right, cfg.tap_threshold).ok_or(ChannelError::NoFirstTap)?;
+    let tl = first_tap(&comp_left, TAP_THRESHOLD).ok_or(ChannelError::NoFirstTap)?;
+    let tr = first_tap(&comp_right, TAP_THRESHOLD).ok_or(ChannelError::NoFirstTap)?;
 
     if uniq_obs::enabled() {
         // First-tap SNR: tap amplitude against the RMS of the pre-tap

@@ -1,18 +1,39 @@
 //! Pipeline configuration.
 
+use uniq_acoustics::shadow::{SHADOW_F0_HZ, SHADOW_KAPPA};
 use uniq_acoustics::types::RenderConfig;
+use uniq_dsp::SPEED_OF_SOUND;
 use uniq_imu::GyroModel;
 
-/// Every knob of the UNIQ pipeline, with the defaults used by the paper's
-/// evaluation reproduction.
+/// Probe chirp start frequency, hertz (the paper's 100 Hz–20 kHz sweep).
+pub const PROBE_F0_HZ: f64 = 100.0;
+
+/// Probe chirp end frequency, hertz. Must stay below the Nyquist frequency
+/// of `render.sample_rate` ([`ConfigError::ProbeBeyondNyquist`]).
+pub const PROBE_F1_HZ: f64 = 20_000.0;
+
+/// Wiener regularization of channel deconvolution, as a fraction of the
+/// peak probe spectral power.
+pub const DECONV_NOISE_FLOOR: f64 = 1e-3;
+
+/// First-tap detection threshold, as a fraction of the channel peak.
+pub const TAP_THRESHOLD: f64 = 0.35;
+
+/// AoA matching weight λ (Eq. 9). The paper trains λ on labelled
+/// recordings; this reproduction fixes it at 0.15.
+pub const AOA_LAMBDA: f64 = 0.15;
+
+/// Finest accepted output grid step, degrees (1,801 grid angles).
+const MIN_GRID_STEP_DEG: f64 = 0.1;
+
+/// The settable parameters of the UNIQ pipeline, with the defaults used by
+/// the paper's evaluation reproduction. Values the paper fixes are
+/// constants: [`PROBE_F0_HZ`], [`PROBE_F1_HZ`], [`DECONV_NOISE_FLOOR`],
+/// [`TAP_THRESHOLD`] and [`AOA_LAMBDA`].
 #[derive(Debug, Clone)]
 pub struct UniqConfig {
     /// Shared audio/render configuration (sample rate, base delay, …).
     pub render: RenderConfig,
-    /// Probe chirp start frequency, hertz.
-    pub probe_f0: f64,
-    /// Probe chirp end frequency, hertz.
-    pub probe_f1: f64,
     /// Probe chirp duration, seconds.
     pub probe_duration: f64,
     /// Number of discrete measurement stops along the gesture.
@@ -21,12 +42,8 @@ pub struct UniqConfig {
     pub snr_db: f64,
     /// Whether measurements happen in a reverberant room (vs anechoic).
     pub in_room: bool,
-    /// Wiener regularization (fraction of peak probe spectral power).
-    pub deconv_noise_floor: f64,
     /// Length of estimated channel impulse responses, samples.
     pub channel_len: usize,
-    /// First-tap detection threshold (fraction of the channel peak).
-    pub tap_threshold: f64,
     /// Room-echo gate: keep this many seconds after the first tap (§4.6).
     pub room_gate_s: f64,
     /// Boundary discretization used by the inverse solver.
@@ -39,9 +56,6 @@ pub struct UniqConfig {
     /// Gesture auto-correction: reject when the mean fusion residual
     /// `|α − θ(E)|` exceeds this many degrees (§4.6 "error too large").
     pub max_fusion_residual_deg: f64,
-    /// AoA matching weight λ (Eq. 9). The paper trains λ on labelled
-    /// recordings; this reproduction fixes it at 0.15.
-    pub aoa_lambda: f64,
     /// Gyroscope error model used when simulating the measurement session.
     pub gyro: GyroModel,
     /// Worker threads for the parallel hot paths (per-stop channel
@@ -56,21 +70,16 @@ impl Default for UniqConfig {
     fn default() -> Self {
         UniqConfig {
             render: RenderConfig::default(),
-            probe_f0: 100.0,
-            probe_f1: 20_000.0,
             probe_duration: 0.05,
             stops: 19, // every ~10° over the 0–180° sweep
             snr_db: 35.0,
             in_room: true,
-            deconv_noise_floor: 1e-3,
             channel_len: 512,
-            tap_threshold: 0.35,
             room_gate_s: 0.003,
             inverse_resolution: 1024,
             grid_step_deg: 1.0,
             min_radius_m: 0.18,
             max_fusion_residual_deg: 12.0,
-            aoa_lambda: 0.15,
             gyro: GyroModel::consumer_phone(),
             threads: 0,
         }
@@ -92,8 +101,8 @@ impl UniqConfig {
     /// The probe chirp this configuration plays at each stop.
     pub fn probe(&self) -> Vec<f64> {
         uniq_dsp::signal::linear_chirp(
-            self.probe_f0,
-            self.probe_f1,
+            PROBE_F0_HZ,
+            PROBE_F1_HZ,
             self.probe_duration,
             self.render.sample_rate,
         )
@@ -114,30 +123,35 @@ impl UniqConfig {
     /// by the artifact store to attribute a stored HRTF to the exact
     /// configuration that produced it. `threads` is deliberately
     /// excluded: results are bit-identical across thread counts, so two
-    /// runs differing only in pool size share a hash.
+    /// runs differing only in pool size share a hash. The constants the
+    /// pipeline fixes ([`SPEED_OF_SOUND`], [`SHADOW_KAPPA`],
+    /// [`SHADOW_F0_HZ`], [`PROBE_F0_HZ`], [`PROBE_F1_HZ`],
+    /// [`DECONV_NOISE_FLOOR`], [`TAP_THRESHOLD`], [`AOA_LAMBDA`]) are
+    /// folded where they sat when they were fields, so every stored key
+    /// predating them is unchanged.
     pub fn content_hash(&self) -> u64 {
         let mut fp = crate::batch::FingerprintBuilder::new();
         fp.eat(self.render.sample_rate.to_bits());
         fp.eat(self.render.ir_len as u64);
-        fp.eat(self.render.speed_of_sound.to_bits());
-        fp.eat(self.render.shadow_kappa.to_bits());
-        fp.eat(self.render.shadow_f0.to_bits());
+        fp.eat(SPEED_OF_SOUND.to_bits());
+        fp.eat(SHADOW_KAPPA.to_bits());
+        fp.eat(SHADOW_F0_HZ.to_bits());
         fp.eat(self.render.base_delay.to_bits());
-        fp.eat(self.probe_f0.to_bits());
-        fp.eat(self.probe_f1.to_bits());
+        fp.eat(PROBE_F0_HZ.to_bits());
+        fp.eat(PROBE_F1_HZ.to_bits());
         fp.eat(self.probe_duration.to_bits());
         fp.eat(self.stops as u64);
         fp.eat(self.snr_db.to_bits());
         fp.eat(u64::from(self.in_room));
-        fp.eat(self.deconv_noise_floor.to_bits());
+        fp.eat(DECONV_NOISE_FLOOR.to_bits());
         fp.eat(self.channel_len as u64);
-        fp.eat(self.tap_threshold.to_bits());
+        fp.eat(TAP_THRESHOLD.to_bits());
         fp.eat(self.room_gate_s.to_bits());
         fp.eat(self.inverse_resolution as u64);
         fp.eat(self.grid_step_deg.to_bits());
         fp.eat(self.min_radius_m.to_bits());
         fp.eat(self.max_fusion_residual_deg.to_bits());
-        fp.eat(self.aoa_lambda.to_bits());
+        fp.eat(AOA_LAMBDA.to_bits());
         fp.eat(self.gyro.bias_dps.to_bits());
         fp.eat(self.gyro.noise_std_dps.to_bits());
         fp.eat(self.gyro.bias_walk_dps.to_bits());
@@ -159,29 +173,18 @@ impl UniqConfig {
                 ir_len: self.render.ir_len,
             });
         }
-        if self.render.speed_of_sound <= 0.0 {
-            return Err(ConfigError::NonPositiveSpeedOfSound {
-                speed_of_sound: self.render.speed_of_sound,
-            });
-        }
         if self.render.base_delay < 0.0 {
             return Err(ConfigError::NegativeBaseDelay {
                 base_delay: self.render.base_delay,
             });
         }
-        if !(self.probe_f0 > 0.0 && self.probe_f1 > self.probe_f0) {
-            return Err(ConfigError::BadProbeBand {
-                f0: self.probe_f0,
-                f1: self.probe_f1,
-            });
-        }
-        if self.probe_f1 > self.render.sample_rate / 2.0 {
+        if PROBE_F1_HZ > self.render.sample_rate / 2.0 {
             return Err(ConfigError::ProbeBeyondNyquist {
-                f1: self.probe_f1,
+                f1: PROBE_F1_HZ,
                 nyquist: self.render.sample_rate / 2.0,
             });
         }
-        if self.stops < 4 {
+        if self.stops < crate::fusion::MIN_STOPS {
             return Err(ConfigError::TooFewStops { stops: self.stops });
         }
         if self.channel_len < 128 {
@@ -189,12 +192,12 @@ impl UniqConfig {
                 channel_len: self.channel_len,
             });
         }
-        if !(0.0..1.0).contains(&self.tap_threshold) {
-            return Err(ConfigError::BadTapThreshold {
-                tap_threshold: self.tap_threshold,
+        if !self.snr_db.is_finite() {
+            return Err(ConfigError::NonFiniteSnr {
+                snr_db: self.snr_db,
             });
         }
-        if !(self.grid_step_deg > 0.0 && self.grid_step_deg <= 30.0) {
+        if !(MIN_GRID_STEP_DEG..=30.0).contains(&self.grid_step_deg) {
             return Err(ConfigError::BadGridStep {
                 grid_step_deg: self.grid_step_deg,
             });
@@ -222,22 +225,10 @@ pub enum ConfigError {
         /// The offending value.
         ir_len: usize,
     },
-    /// `render.speed_of_sound` must be positive.
-    NonPositiveSpeedOfSound {
-        /// The offending value.
-        speed_of_sound: f64,
-    },
     /// `render.base_delay` cannot be negative.
     NegativeBaseDelay {
         /// The offending value.
         base_delay: f64,
-    },
-    /// Probe band must satisfy `0 < f0 < f1`.
-    BadProbeBand {
-        /// Chirp start frequency, Hz.
-        f0: f64,
-        /// Chirp end frequency, Hz.
-        f1: f64,
     },
     /// Probe end frequency exceeds the Nyquist frequency.
     ProbeBeyondNyquist {
@@ -256,12 +247,12 @@ pub enum ConfigError {
         /// The offending value.
         channel_len: usize,
     },
-    /// Tap threshold must be a fraction in `[0, 1)`.
-    BadTapThreshold {
+    /// `snr_db` must be finite.
+    NonFiniteSnr {
         /// The offending value.
-        tap_threshold: f64,
+        snr_db: f64,
     },
-    /// Grid step must be in `(0, 30]` degrees.
+    /// Grid step must be in `[0.1, 30]` degrees.
     BadGridStep {
         /// The offending value.
         grid_step_deg: f64,
@@ -282,14 +273,8 @@ impl std::fmt::Display for ConfigError {
             ConfigError::IrTooShort { ir_len } => {
                 write!(f, "ir_len {ir_len} too short for head acoustics (min 64)")
             }
-            ConfigError::NonPositiveSpeedOfSound { speed_of_sound } => {
-                write!(f, "speed of sound must be positive (got {speed_of_sound})")
-            }
             ConfigError::NegativeBaseDelay { base_delay } => {
                 write!(f, "base delay cannot be negative (got {base_delay})")
-            }
-            ConfigError::BadProbeBand { f0, f1 } => {
-                write!(f, "probe band must satisfy 0 < f0 < f1 (got {f0}..{f1})")
             }
             ConfigError::ProbeBeyondNyquist { f1, nyquist } => {
                 write!(f, "probe exceeds Nyquist: f1 {f1} Hz > {nyquist} Hz")
@@ -300,13 +285,13 @@ impl std::fmt::Display for ConfigError {
             ConfigError::ChannelTooShort { channel_len } => {
                 write!(f, "channel_len {channel_len} too short (min 128)")
             }
-            ConfigError::BadTapThreshold { tap_threshold } => {
-                write!(f, "tap threshold must be a fraction (got {tap_threshold})")
+            ConfigError::NonFiniteSnr { snr_db } => {
+                write!(f, "snr must be finite (got {snr_db} dB)")
             }
             ConfigError::BadGridStep { grid_step_deg } => {
                 write!(
                     f,
-                    "grid step must be in (0, 30] degrees (got {grid_step_deg})"
+                    "grid step must be in [{MIN_GRID_STEP_DEG}, 30] degrees (got {grid_step_deg:?})"
                 )
             }
             ConfigError::BadRoomGate { room_gate_s } => {
@@ -376,11 +361,20 @@ mod tests {
     }
 
     #[test]
+    fn content_hash_is_pinned() {
+        // Captured before the fixed parameters became constants; the
+        // constants fold where their fields did, so the digests hold.
+        assert_eq!(UniqConfig::default().content_hash(), 0x784b_e109_ea39_10c9);
+        assert_eq!(
+            UniqConfig::fast_test().content_hash(),
+            0x16f2_2dbf_0a27_29c2
+        );
+    }
+
+    #[test]
     fn probe_beyond_nyquist_rejected() {
-        let cfg = UniqConfig {
-            probe_f1: 30_000.0,
-            ..Default::default()
-        };
+        let mut cfg = UniqConfig::default();
+        cfg.render.sample_rate = 32_000.0;
         let err = cfg.validate().unwrap_err();
         assert!(matches!(err, ConfigError::ProbeBeyondNyquist { .. }));
         assert!(err.to_string().contains("Nyquist"));
@@ -389,16 +383,6 @@ mod tests {
     #[test]
     fn each_bad_parameter_gets_its_own_error() {
         let cases: Vec<(UniqConfig, ConfigError)> = vec![
-            (
-                UniqConfig {
-                    probe_f0: -5.0,
-                    ..Default::default()
-                },
-                ConfigError::BadProbeBand {
-                    f0: -5.0,
-                    f1: 20_000.0,
-                },
-            ),
             (
                 UniqConfig {
                     stops: 3,
@@ -415,10 +399,12 @@ mod tests {
             ),
             (
                 UniqConfig {
-                    tap_threshold: 1.5,
+                    snr_db: f64::INFINITY,
                     ..Default::default()
                 },
-                ConfigError::BadTapThreshold { tap_threshold: 1.5 },
+                ConfigError::NonFiniteSnr {
+                    snr_db: f64::INFINITY,
+                },
             ),
             (
                 UniqConfig {
@@ -426,6 +412,15 @@ mod tests {
                     ..Default::default()
                 },
                 ConfigError::BadGridStep { grid_step_deg: 0.0 },
+            ),
+            (
+                UniqConfig {
+                    grid_step_deg: 1e-300,
+                    ..Default::default()
+                },
+                ConfigError::BadGridStep {
+                    grid_step_deg: 1e-300,
+                },
             ),
             (
                 UniqConfig {

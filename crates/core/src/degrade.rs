@@ -83,9 +83,6 @@ pub struct DegradationPolicy {
     /// Drop stops that stay unusable after retries (instead of failing the
     /// whole session).
     pub skip_failed_stops: bool,
-    /// Minimum surviving stops for the session to count as usable (fusion
-    /// itself needs at least 4; the effective floor is the larger).
-    pub min_stops: usize,
     /// Quality score below which a stop is treated as corrupted.
     pub quality_floor: f64,
     /// Weight fusion by per-stop quality (healthy stops keep weight 1.0).
@@ -99,7 +96,6 @@ impl DegradationPolicy {
     pub const CLEAN: DegradationPolicy = DegradationPolicy {
         stop_retries: 0,
         skip_failed_stops: false,
-        min_stops: 4,
         quality_floor: f64::NEG_INFINITY,
         reweight_fusion: false,
     };
@@ -110,7 +106,6 @@ impl Default for DegradationPolicy {
         DegradationPolicy {
             stop_retries: 1,
             skip_failed_stops: true,
-            min_stops: 4,
             quality_floor: 0.25,
             reweight_fusion: true,
         }

@@ -69,6 +69,10 @@ const BOX: [(f64, f64); 3] = [(0.050, 0.110), (0.060, 0.150), (0.060, 0.140)];
 /// distance error is below this (metres). One 48 kHz sample ≈ 7 mm.
 const LOC_TOL_M: f64 = 0.01;
 
+/// Fewest measurement stops fusion accepts: the configuration needs at
+/// least this many scheduled, and a session at least this many surviving.
+pub const MIN_STOPS: usize = 4;
+
 /// Localizes the phone from the two path lengths under head hypothesis
 /// `boundary`, using `alpha_hint_deg` to pick between the front/back
 /// intersections. Returns `None` when neither Gauss–Newton seed converges.
@@ -189,14 +193,14 @@ fn fusion_objective(
 /// a hopeless measurement set.
 ///
 /// # Panics
-/// Panics if fewer than 4 inputs are given, or if `weights` is `Some` with
-/// a length different from `inputs`.
+/// Panics if fewer than [`MIN_STOPS`] inputs are given, or if `weights`
+/// is `Some` with a length different from `inputs`.
 pub fn fuse_weighted(
     inputs: &[FusionInput],
     weights: Option<&[f64]>,
     cfg: &UniqConfig,
 ) -> Option<FusionResult> {
-    assert!(inputs.len() >= 4, "fusion needs at least 4 stops");
+    assert!(inputs.len() >= MIN_STOPS, "fusion needs at least 4 stops");
     if let Some(w) = weights {
         assert_eq!(w.len(), inputs.len(), "one weight per fusion input");
     }

@@ -13,7 +13,7 @@
 //! [`attempts`] — including their *negative* results (the ill-conditioned
 //! beamforming system and the ambiguous blind decoupling).
 
-use crate::config::UniqConfig;
+use crate::config::{UniqConfig, TAP_THRESHOLD};
 use crate::fusion::FusionResult;
 use uniq_acoustics::types::{BinauralIr, HrirBank};
 use uniq_dsp::align::co_align;
@@ -40,8 +40,8 @@ pub fn convert(near: &HrirBank, fusion: &FusionResult, cfg: &UniqConfig, radius:
     let pool = uniq_par::pool(cfg.threads);
     let pairs: Vec<(f64, BinauralIr)> = pool.par_map(&grid, |&theta| {
         let ca = critical_angles(&boundary, theta, radius);
-        let left = arc_average(near, |phi| ca.feeds_left(phi), ca.theta_c, Ear::Left, cfg);
-        let right = arc_average(near, |phi| ca.feeds_right(phi), ca.theta_c, Ear::Right, cfg);
+        let left = arc_average(near, |phi| ca.feeds_left(phi), ca.theta_c, Ear::Left);
+        let right = arc_average(near, |phi| ca.feeds_right(phi), ca.theta_c, Ear::Right);
         let ir = BinauralIr::new(left, right);
         let ir = tune_to_plane_model(ir, &boundary, theta, radius, cfg);
         (theta, ir)
@@ -58,7 +58,6 @@ fn arc_average(
     on_arc: impl Fn(f64) -> bool,
     fallback_angle: f64,
     ear: Ear,
-    cfg: &UniqConfig,
 ) -> Vec<f64> {
     let select_ear = |ir: &BinauralIr| -> Vec<f64> {
         match ear {
@@ -78,7 +77,7 @@ fn arc_average(
     } else {
         members
     };
-    let (aligned, _) = co_align(&members, cfg.tap_threshold);
+    let (aligned, _) = co_align(&members, TAP_THRESHOLD);
     let n = aligned.len() as f64;
     let len = aligned[0].len();
     let mut avg = vec![0.0; len];
@@ -104,7 +103,7 @@ fn tune_to_plane_model(
     let tune_ear = |sig: &[f64], ear: Ear| -> Vec<f64> {
         let plane = plane_path_to_ear(boundary, theta_deg, ear);
         let expect = cfg.render.metres_to_samples(plane.excess);
-        let shifted = match first_tap(sig, cfg.tap_threshold) {
+        let shifted = match first_tap(sig, TAP_THRESHOLD) {
             Some(tap) => shift_signal(sig, (expect - tap.position).round() as isize),
             None => sig.to_vec(),
         };

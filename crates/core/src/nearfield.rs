@@ -11,7 +11,7 @@
 //!    the delays predicted by the fused head parameters at that angle, and
 //!    rescale amplitude by the spreading-loss ratio.
 
-use crate::config::UniqConfig;
+use crate::config::{UniqConfig, TAP_THRESHOLD};
 use crate::fusion::FusionResult;
 use crate::session::SessionData;
 use uniq_acoustics::types::{BinauralIr, HrirBank};
@@ -83,7 +83,7 @@ pub fn interpolate(
     let pool = uniq_par::pool(cfg.threads);
     let pairs: Vec<(f64, BinauralIr)> = pool.par_map(&grid, |&theta| {
         let (i0, i1, t) = bracket_angle(angles, theta);
-        let ir = blend_aligned(&discrete.irs()[i0], &discrete.irs()[i1], t, cfg);
+        let ir = blend_aligned(&discrete.irs()[i0], &discrete.irs()[i1], t);
         let ir = model_correct(ir, &boundary, theta, radius, cfg);
         (theta, ir)
     });
@@ -92,10 +92,10 @@ pub fn interpolate(
 
 /// First-tap-aligns two HRIRs (per ear) and blends them; the blended first
 /// tap is then placed at the linear interpolation of the two tap times.
-fn blend_aligned(a: &BinauralIr, b: &BinauralIr, t: f64, cfg: &UniqConfig) -> BinauralIr {
+fn blend_aligned(a: &BinauralIr, b: &BinauralIr, t: f64) -> BinauralIr {
     let blend_ear = |ea: &[f64], eb: &[f64]| -> Vec<f64> {
-        let ta = first_tap(ea, cfg.tap_threshold).map(|p| p.position);
-        let tb = first_tap(eb, cfg.tap_threshold).map(|p| p.position);
+        let ta = first_tap(ea, TAP_THRESHOLD).map(|p| p.position);
+        let tb = first_tap(eb, TAP_THRESHOLD).map(|p| p.position);
         match (ta, tb) {
             (Some(ta), Some(tb)) => {
                 // Align b's tap onto a's, blend, then shift the result to
@@ -129,7 +129,7 @@ fn model_correct(
             return sig.to_vec();
         };
         let expect = cfg.render.metres_to_samples(path.length);
-        match first_tap(sig, cfg.tap_threshold) {
+        match first_tap(sig, TAP_THRESHOLD) {
             Some(tap) => {
                 let shift = (expect - tap.position).round() as isize;
                 // Only correct confident, small deviations; large ones mean
@@ -262,7 +262,7 @@ mod tests {
             let expect = c
                 .render
                 .metres_to_samples(path_to_ear(&boundary, pos, Ear::Left).unwrap().length);
-            let tap = first_tap(&interp.irs()[idx].left, c.tap_threshold).unwrap();
+            let tap = first_tap(&interp.irs()[idx].left, TAP_THRESHOLD).unwrap();
             assert!(
                 (tap.position - expect).abs() < 2.0,
                 "θ={theta}: tap {} vs model {expect}",
@@ -337,7 +337,7 @@ pub fn interpolation_quality(
                     return f64::NAN;
                 };
                 let expect = cfg.render.metres_to_samples(path.length);
-                match first_tap(sig, cfg.tap_threshold) {
+                match first_tap(sig, TAP_THRESHOLD) {
                     Some(tap) => (tap.position - expect).abs(),
                     None => f64::NAN,
                 }

@@ -11,6 +11,7 @@
 use crate::channel::{estimate_channel, stop_quality, ChannelError, EstimatedChannel};
 use crate::config::UniqConfig;
 use crate::degrade::{DegradationPolicy, DegradationReport, FaultHook, NoFaults, StopDegradation};
+use crate::fusion::MIN_STOPS;
 use uniq_acoustics::measure::{record_point_source, InjectionSite, MeasurementSetup};
 use uniq_acoustics::render::Renderer;
 use uniq_imu::gyro::integrate_rates;
@@ -156,7 +157,7 @@ struct PreparedSession {
 /// [`SessionError::Stop`]/[`SessionError::QualityFloor`] when a stop stays
 /// unusable and the policy forbids skipping (the lowest-index such stop);
 /// [`SessionError::InsufficientStops`] when fewer than
-/// `max(policy.min_stops, 4)` stops survive.
+/// [`MIN_STOPS`] stops survive.
 pub fn run_session_faulted(
     subject: &Subject,
     cfg: &UniqConfig,
@@ -241,11 +242,10 @@ pub fn run_session_faulted(
         );
     }
 
-    let needed = policy.min_stops.max(4);
-    if report.stops_used < needed {
+    if report.stops_used < MIN_STOPS {
         return Err(SessionError::InsufficientStops {
             survived: report.stops_used,
-            needed,
+            needed: MIN_STOPS,
         });
     }
     Ok((

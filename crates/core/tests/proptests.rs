@@ -72,7 +72,7 @@ proptest! {
         let cfg = UniqConfig::default();
         let a = EstimatedChannel::tap_to_metres(t1, &cfg);
         let b = EstimatedChannel::tap_to_metres(t1 + dt, &cfg);
-        let expect = dt / cfg.render.sample_rate * cfg.render.speed_of_sound;
+        let expect = dt / cfg.render.sample_rate * uniq_dsp::SPEED_OF_SOUND;
         prop_assert!((b - a - expect).abs() < 1e-9);
     }
 

@@ -8,7 +8,7 @@
 /// value); above that, each power-of-two octave is split into
 /// `2^PRECISION_BITS` linear sub-buckets, so the value a bucket reports
 /// back differs from any sample it absorbed by at most
-/// [`LogHistogram::REL_ERROR_BOUND`] relatively. Memory grows with the
+/// `1 / 2^(PRECISION_BITS + 1)` (1/256) relatively. Memory grows with the
 /// *magnitude* of the largest sample (≈ 60 buckets per octave decade),
 /// never with the sample count, so recording is O(1) and a histogram can
 /// absorb millions of span events.
@@ -34,7 +34,8 @@ impl LogHistogram {
     /// Worst-case relative error between a recorded sample and the value
     /// its bucket reports: half a sub-bucket width over the bucket's
     /// lower bound, `1 / 2^(PRECISION_BITS + 1)`.
-    pub const REL_ERROR_BOUND: f64 = 1.0 / (1u64 << (PRECISION_BITS + 1)) as f64;
+    #[cfg(test)]
+    const REL_ERROR_BOUND: f64 = 1.0 / (1u64 << (PRECISION_BITS + 1)) as f64;
 
     /// An empty histogram.
     pub fn new() -> Self {
@@ -55,7 +56,8 @@ impl LogHistogram {
     /// The value reported for any sample that lands in `v`'s bucket: the
     /// bucket midpoint (exact for small values). Guaranteed within
     /// [`Self::REL_ERROR_BOUND`] of `v`, relatively.
-    pub fn quantize(v: u64) -> u64 {
+    #[cfg(test)]
+    fn quantize(v: u64) -> u64 {
         Self::bucket_value(Self::bucket_index(v))
     }
 
@@ -197,6 +199,21 @@ mod tests {
             assert!(
                 err <= LogHistogram::REL_ERROR_BOUND,
                 "v={v} q={q} err={err}"
+            );
+        }
+    }
+
+    proptest::proptest! {
+        #![proptest_config(proptest::prelude::ProptestConfig::with_cases(128))]
+
+        #[test]
+        fn log_histogram_bucket_relative_error_bounded(v in 1u64..u64::MAX / 2) {
+            let q = LogHistogram::quantize(v);
+            let err = (q as f64 - v as f64).abs() / v as f64;
+            proptest::prop_assert!(
+                err <= LogHistogram::REL_ERROR_BOUND,
+                "quantize({v}) = {q}: relative error {err} exceeds bound {}",
+                LogHistogram::REL_ERROR_BOUND
             );
         }
     }

@@ -4,6 +4,9 @@
 use proptest::prelude::*;
 use uniq_obs::report::LogHistogram;
 
+/// The histogram's documented bucket error bound, `1 / 2^(7 + 1)`.
+const REL_ERROR_BOUND: f64 = 1.0 / 256.0;
+
 fn log_hist(samples: &[u64]) -> LogHistogram {
     let mut h = LogHistogram::new();
     for &s in samples {
@@ -31,19 +34,6 @@ proptest! {
     }
 
     #[test]
-    fn log_histogram_bucket_relative_error_bounded(
-        v in 1u64..u64::MAX / 2,
-    ) {
-        let q = LogHistogram::quantize(v);
-        let err = (q as f64 - v as f64).abs() / v as f64;
-        prop_assert!(
-            err <= LogHistogram::REL_ERROR_BOUND,
-            "quantize({v}) = {q}: relative error {err} exceeds bound {}",
-            LogHistogram::REL_ERROR_BOUND
-        );
-    }
-
-    #[test]
     fn log_histogram_percentile_within_bound_of_true_rank(
         samples in prop::collection::vec(1u64..10_000_000_000, 1..200),
         p in 0.0..100.0f64,
@@ -57,7 +47,7 @@ proptest! {
         let truth = sorted[rank] as f64;
         let got = h.percentile(p) as f64;
         prop_assert!(
-            (got - truth).abs() / truth <= LogHistogram::REL_ERROR_BOUND,
+            (got - truth).abs() / truth <= REL_ERROR_BOUND,
             "p{p}: bucketed {got} vs exact {truth}"
         );
     }

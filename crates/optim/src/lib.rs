@@ -9,8 +9,7 @@
 //!
 //! * [`nelder_mead`] — the simplex method, used to minimize the head-
 //!   parameter mismatch `Σ (α_i − θ_i(E))²` over `E = (a, b, c)`.
-//! * [`golden_section`] — 1-D bracketing line search (λ training, Eq. 9).
-//! * [`grid_search`] — coarse global sweeps that seed the simplex.
+//! * [`golden_section`] — 1-D bracketing line search (the radius ablation).
 //! * [`solve_2d`] — damped Gauss–Newton for 2-D root finding (iso-delay
 //!   curve intersection, Fig 10(b)).
 
@@ -220,47 +219,6 @@ pub fn golden_section(f: impl Fn(f64) -> f64, lo: f64, hi: f64, tol: f64) -> (f6
     (x, f(x))
 }
 
-/// Evaluates `f` on a regular grid over the axis-aligned box and returns
-/// the best point — a cheap global seed for [`nelder_mead`].
-///
-/// `bounds` gives `(lo, hi)` per dimension; `steps` the number of grid
-/// points per dimension (≥ 2).
-///
-/// # Panics
-/// Panics on empty bounds, `steps < 2`, or inverted bounds.
-pub fn grid_search(f: impl Fn(&[f64]) -> f64, bounds: &[(f64, f64)], steps: usize) -> OptimResult {
-    assert!(!bounds.is_empty(), "grid_search: no bounds");
-    assert!(steps >= 2, "grid_search: need at least 2 steps");
-    for &(lo, hi) in bounds {
-        assert!(lo < hi, "grid_search: inverted bounds ({lo}, {hi})");
-    }
-    let dims = bounds.len();
-    let total = steps.pow(dims as u32);
-    let mut best_x = vec![0.0; dims];
-    let mut best_f = f64::INFINITY;
-    let mut x = vec![0.0; dims];
-    for flat in 0..total {
-        let mut rem = flat;
-        for (d, &(lo, hi)) in bounds.iter().enumerate() {
-            let idx = rem % steps;
-            rem /= steps;
-            x[d] = lo + (hi - lo) * idx as f64 / (steps - 1) as f64;
-        }
-        let fx = f(&x);
-        assert!(!fx.is_nan(), "grid_search: objective returned NaN at {x:?}");
-        if fx < best_f {
-            best_f = fx;
-            best_x.copy_from_slice(&x);
-        }
-    }
-    OptimResult {
-        x: best_x,
-        fx: best_f,
-        iterations: total,
-        converged: best_f.is_finite(),
-    }
-}
-
 /// Solves the 2-D system `r(x) = 0` by damped Gauss–Newton with
 /// finite-difference Jacobians, starting from `x0`.
 ///
@@ -382,27 +340,6 @@ mod tests {
     fn golden_section_asymmetric() {
         let (x, _) = golden_section(|x| (x - 0.1).abs() + 0.5 * x, 0.0, 1.0, 1e-9);
         assert!((x - 0.1).abs() < 1e-6);
-    }
-
-    #[test]
-    fn grid_search_finds_best_cell() {
-        let f = |x: &[f64]| (x[0] - 0.3).powi(2) + (x[1] - 0.7).powi(2);
-        let r = grid_search(f, &[(0.0, 1.0), (0.0, 1.0)], 11);
-        assert!((r.x[0] - 0.3).abs() < 0.05);
-        assert!((r.x[1] - 0.7).abs() < 0.05);
-        assert_eq!(r.iterations, 121);
-    }
-
-    #[test]
-    fn grid_then_simplex_pipeline() {
-        // Multi-modal objective: grid finds the right basin, simplex refines.
-        let f = |x: &[f64]| {
-            let base = (x[0] - 2.0).powi(2);
-            base + 0.5 * (5.0 * x[0]).sin().powi(2)
-        };
-        let seed = grid_search(f, &[(-5.0, 5.0)], 41);
-        let r = nelder_mead(f, &seed.x, &NelderMeadOptions::default());
-        assert!(r.fx <= seed.fx + 1e-12);
     }
 
     #[test]

@@ -1,7 +1,7 @@
 //! Property-based tests for the optimization routines.
 
 use proptest::prelude::*;
-use uniq_optim::{golden_section, grid_search, nelder_mead, solve_2d, NelderMeadOptions};
+use uniq_optim::{golden_section, nelder_mead, solve_2d, NelderMeadOptions};
 
 proptest! {
     #![proptest_config(ProptestConfig::with_cases(48))]
@@ -39,18 +39,6 @@ proptest! {
         let (x, fx) = golden_section(|x| scale * (x - c).powi(2), -10.0, 10.0, 1e-7);
         prop_assert!((x - c).abs() < 1e-4);
         prop_assert!(fx >= 0.0);
-    }
-
-    #[test]
-    fn grid_search_result_is_grid_optimal(
-        cx in 0.1..0.9f64, steps in 3usize..20,
-    ) {
-        let f = |x: &[f64]| (x[0] - cx).powi(2);
-        let r = grid_search(f, &[(0.0, 1.0)], steps);
-        // The returned point must be within one grid cell of the optimum.
-        let cell = 1.0 / (steps - 1) as f64;
-        prop_assert!((r.x[0] - cx).abs() <= cell / 2.0 + 1e-12);
-        prop_assert!(r.converged);
     }
 
     #[test]

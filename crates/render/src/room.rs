@@ -35,7 +35,6 @@ pub fn render_in_room(
     source_head_frame: Vec2,
     pose: &ListenerPose,
     signal: &[f64],
-    speed_of_sound: f64,
 ) -> BinauralSignal {
     assert!(
         pose.position.norm() < 1e-9,
@@ -57,7 +56,7 @@ pub fn render_in_room(
         let dist = pos.norm();
         // Spreading relative to the direct path; extra flight time too.
         let gain = wall_gain * direct_dist / dist;
-        let extra_delay = (dist - direct_dist).max(0.0) / speed_of_sound * sr;
+        let extra_delay = (dist - direct_dist).max(0.0) / uniq_dsp::SPEED_OF_SOUND * sr;
         // Rotate into the current heading before looking up the HRIR.
         let rel = pos.rotated(-pose.heading_deg.to_radians());
         // Pad so the fractional delay does not truncate the echo's tail
@@ -117,7 +116,7 @@ mod tests {
         let room = Shoebox::typical_living_room();
         let src = Vec2::new(-1.2, 0.8);
         let sig = uniq_dsp::signal::linear_chirp(300.0, 6000.0, 0.05, 48_000.0);
-        let wet = render_in_room(&h, &room, src, &ListenerPose::default(), &sig, 343.0);
+        let wet = render_in_room(&h, &room, src, &ListenerPose::default(), &sig);
         let dry = h.synthesize_at(&sig, src);
         assert!(wet.left.len() > dry.left.len());
         assert!(energy(&wet.left) > energy(&dry.left));
@@ -131,12 +130,12 @@ mod tests {
         let room = Shoebox::typical_living_room();
         let src = Vec2::new(-1.0, 0.5);
         let sig = uniq_dsp::signal::impulse(64, 0);
-        let wet = render_in_room(&h, &room, src, &ListenerPose::default(), &sig, 343.0);
+        let wet = render_in_room(&h, &room, src, &ListenerPose::default(), &sig);
         let dry = h.synthesize_at(&sig, src);
         // First echo detour: nearest image at ≥ 2·min_wall − |src| →
         // extra ≥ 2·(min_wall − |src|).
         let extra_m = 2.0 * (room.min_wall_distance() - src.norm());
-        let guard = (extra_m / 343.0 * 48_000.0 * 0.8) as usize;
+        let guard = (extra_m / uniq_dsp::SPEED_OF_SOUND * 48_000.0 * 0.8) as usize;
         for k in 0..guard.min(dry.left.len()) {
             assert!(
                 (wet.left[k] - dry.left[k]).abs() < 1e-6,
@@ -151,7 +150,7 @@ mod tests {
         let room = Shoebox::typical_living_room();
         let src = Vec2::new(-1.5, 0.0); // hard left
         let sig = uniq_dsp::signal::linear_chirp(300.0, 8000.0, 0.03, 48_000.0);
-        let facing_front = render_in_room(&h, &room, src, &ListenerPose::default(), &sig, 343.0);
+        let facing_front = render_in_room(&h, &room, src, &ListenerPose::default(), &sig);
         let facing_source = render_in_room(
             &h,
             &room,
@@ -161,7 +160,6 @@ mod tests {
                 heading_deg: 90.0,
             },
             &sig,
-            343.0,
         );
         // Facing front: source is lateral → strong imbalance; facing the
         // source: balanced-ish.
@@ -182,7 +180,6 @@ mod tests {
                 heading_deg: 0.0,
             },
             &[1.0],
-            343.0,
         );
     }
 }

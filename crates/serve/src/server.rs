@@ -47,6 +47,9 @@ use crate::protocol::{
 /// How often blocked connection reads wake up to check the drain flag.
 const POLL_INTERVAL: Duration = Duration::from_millis(50);
 
+/// Pipeline attempts per request (the first plus two §4.6 retries).
+const MAX_ATTEMPTS: usize = 3;
+
 /// Server configuration. `Default` gives 2 shards, a queue depth of 32,
 /// and no store (every request computes).
 #[derive(Debug, Clone)]
@@ -64,16 +67,11 @@ pub struct ServeConfig {
     /// Result-cache directory (a `uniq-store` root). `None` disables
     /// caching and persistence.
     pub store_dir: Option<PathBuf>,
-    /// Frame (line) limit, bytes.
-    pub max_line_bytes: usize,
-    /// Pipeline retry budget per request.
-    pub max_attempts: usize,
     /// Server-level fault hook injected into *every* request's session
     /// (requests may also carry their own `fault_plan`). Faulted requests
-    /// bypass the result cache.
+    /// bypass the result cache and run under
+    /// `DegradationPolicy::default()`.
     pub fault_hook: Option<Arc<dyn FaultHook + Send + Sync>>,
-    /// Degradation policy for faulted requests.
-    pub policy: DegradationPolicy,
 }
 
 impl Default for ServeConfig {
@@ -83,10 +81,7 @@ impl Default for ServeConfig {
             queue_depth: 32,
             base: UniqConfig::default(),
             store_dir: None,
-            max_line_bytes: protocol::MAX_LINE_BYTES,
-            max_attempts: 3,
             fault_hook: None,
-            policy: DegradationPolicy::default(),
         }
     }
 }
@@ -238,11 +233,6 @@ impl Server {
         if cfg.shards == 0 {
             return Err(ServeError::Config {
                 detail: "shards must be >= 1".into(),
-            });
-        }
-        if cfg.max_attempts == 0 {
-            return Err(ServeError::Config {
-                detail: "max_attempts must be >= 1".into(),
             });
         }
         let store = match &cfg.store_dir {
@@ -416,7 +406,7 @@ fn connection_loop(inner: &Arc<Inner>, mut stream: TcpStream) {
     // Short read timeouts turn the blocking read into a poll so the
     // handler notices a drain even on an idle connection.
     let _ = stream.set_read_timeout(Some(POLL_INTERVAL));
-    let mut frames = protocol::FrameBuffer::new(inner.cfg.max_line_bytes);
+    let mut frames = protocol::FrameBuffer::new(protocol::MAX_LINE_BYTES);
     let mut chunk = [0u8; 4096];
     loop {
         // Drain complete frames first, then read more bytes.
@@ -580,16 +570,20 @@ fn process(inner: &Arc<Inner>, req: &PersonalizeRequest) -> String {
     let config_hash = cfg.content_hash();
 
     // A per-request plan takes precedence over the server-level hook.
-    let (hook, policy): (Option<&dyn FaultHook>, _) = match (&req.fault_plan, &inner.cfg.fault_hook)
-    {
-        (Some(plan), _) => (Some(plan), &inner.cfg.policy),
-        (None, Some(hook)) => (Some(hook.as_ref()), &inner.cfg.policy),
-        (None, None) => (None, &DegradationPolicy::CLEAN),
+    let hook: Option<&dyn FaultHook> = match (&req.fault_plan, &inner.cfg.fault_hook) {
+        (Some(plan), _) => Some(plan),
+        (None, Some(hook)) => Some(hook.as_ref()),
+        (None, None) => None,
     };
     // Faulted requests bypass the cache in both directions: degraded
     // results must never masquerade as clean ones under the same
     // (seed, config) key.
     let faulted = hook.is_some();
+    let policy = if faulted {
+        DegradationPolicy::default()
+    } else {
+        DegradationPolicy::CLEAN
+    };
 
     if !faulted && !req.no_cache {
         if let Some(store) = &inner.store {
@@ -619,17 +613,12 @@ fn process(inner: &Arc<Inner>, req: &PersonalizeRequest) -> String {
     }
 
     let subject = Subject::from_seed(req.seed);
-    let run = match personalize_faulted_with_retry(
-        &subject,
-        &cfg,
-        req.seed,
-        hook,
-        policy,
-        inner.cfg.max_attempts,
-    ) {
-        Ok(run) => run,
-        Err(e) => return pipeline_error(inner, e),
-    };
+    let run =
+        match personalize_faulted_with_retry(&subject, &cfg, req.seed, hook, &policy, MAX_ATTEMPTS)
+        {
+            Ok(run) => run,
+            Err(e) => return pipeline_error(inner, e),
+        };
     let result = run.result;
     let degradation = faulted.then_some(run.degradation);
 

@@ -322,6 +322,18 @@ impl HrtfArtifact {
         }
         let near = self.near.to_bank("near", self.sample_rate)?;
         let far = self.far.to_bank("far", self.sample_rate)?;
+        // AoA matches against the far entries with a first tap on both
+        // ears, and a first tap exists wherever a sample is non-zero.
+        let heard = |ir: &[f64]| ir.iter().any(|v| v.abs() > 0.0);
+        if !far
+            .irs()
+            .iter()
+            .any(|ir| heard(&ir.left) && heard(&ir.right))
+        {
+            return Err(StoreError::BadValue(
+                "far grid has no entry with signal in both ears".into(),
+            ));
+        }
         Ok(PersonalHrtf::new(near, far, head))
     }
 }

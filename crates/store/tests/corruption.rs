@@ -210,6 +210,39 @@ fn checksum_valid_files_with_bad_values_are_typed_errors_not_panics() {
         .expect_err("empty IRs");
     assert!(matches!(err, StoreError::BadGrid(_)), "got {err}");
 
+    // A far grid with no entry heard in both ears leaves AoA no template
+    // to match against. Payload layout: head, radius, attempts and the
+    // two localization pairs (72 bytes), the near grid (224), the far
+    // grid's counts and angles (32), then its IRs: per entry 4 left and 4
+    // right samples.
+    let bytes = encode(&reference_artifact()).expect("encodes");
+    let far_irs = HEADER_LEN + 72 + 224 + 32;
+    let entry = 8 * 8;
+    for (what, ranges) in [
+        ("all far IRs silent", vec![(far_irs, 3 * entry)]),
+        (
+            "every far right ear silent",
+            (0..3).map(|k| (far_irs + k * entry + 32, 32)).collect(),
+        ),
+    ] {
+        let mut corrupt = bytes.clone();
+        for (start, len) in ranges {
+            corrupt[start..start + len].fill(0);
+        }
+        reseal(&mut corrupt);
+        let artifact = decode(&corrupt).expect("checksum-valid file decodes");
+        assert!(
+            artifact
+                .far
+                .irs
+                .iter()
+                .all(|(_, r)| r.iter().all(|v| *v == 0.0)),
+            "{what}: the patch must land on the far IRs"
+        );
+        let err = artifact.to_table().expect_err(what);
+        assert!(matches!(err, StoreError::BadValue(_)), "{what}: got {err}");
+    }
+
     // The untouched reference builds a table.
     assert!(reference_artifact().to_table().is_ok());
 }

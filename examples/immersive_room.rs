@@ -40,14 +40,7 @@ fn main() {
 
     println!("rendering direct sound + wall echoes through the personal HRTF…");
     let dry = hrtf.synthesize_at(&music, source);
-    let wet = render_in_room(
-        &hrtf,
-        &room,
-        source,
-        &ListenerPose::default(),
-        &music,
-        cfg.render.speed_of_sound,
-    );
+    let wet = render_in_room(&hrtf, &room, source, &ListenerPose::default(), &music);
     let energy = |v: &[f64]| v.iter().map(|x| x * x).sum::<f64>();
     println!(
         "  dry:  {} samples, energy L {:.1} / R {:.1}",
@@ -81,7 +74,7 @@ fn main() {
     let block = music.len() / poses.len();
     for (k, pose) in poses.iter().enumerate() {
         let chunk = &music[k * block..((k + 1) * block).min(music.len())];
-        let out = render_in_room(&hrtf, &room, source, pose, chunk, cfg.render.speed_of_sound);
+        let out = render_in_room(&hrtf, &room, source, pose, chunk);
         turn.left
             .extend_from_slice(&out.left[..block.min(out.left.len())]);
         turn.right

@@ -209,6 +209,39 @@ fn protocol_conformance_battery() {
 }
 
 #[test]
+fn extreme_grid_and_snr_get_typed_replies() {
+    // Well-formed requests whose values the pipeline cannot run as given:
+    // a grid step too fine to enumerate is a config error before any work,
+    // and an SNR whose noise amplitude underflows runs noise-free.
+    let server = Server::start(
+        "127.0.0.1:0",
+        ServeConfig {
+            shards: 1,
+            base: fast_cfg(),
+            ..ServeConfig::default()
+        },
+    )
+    .expect("start server");
+    let mut c = Client::connect(server.local_addr());
+    c.send("{\"type\":\"personalize\",\"seed\":7,\"grid\":1e-300}");
+    match c.read_response() {
+        Response::Error { kind, message } => {
+            assert_eq!(kind, "bad_field", "{message}");
+            assert!(message.contains("grid step"), "{message}");
+        }
+        other => panic!("expected a bad_field error, got {other:?}"),
+    }
+    c.send("{\"type\":\"personalize\",\"seed\":7,\"snr\":7000}");
+    match c.read_response() {
+        Response::Personalized(reply) => assert_eq!(reply.seed, 7),
+        other => panic!("expected a personalized reply, got {other:?}"),
+    }
+    let report = server.shutdown();
+    assert_eq!(report.stats.errors, 1);
+    assert_eq!(report.stats.ok, 1);
+}
+
+#[test]
 fn random_garbage_never_kills_the_server() {
     let server = Server::start(
         "127.0.0.1:0",
@@ -562,7 +595,6 @@ fn graceful_shutdown_drains_flushes_and_leaves_no_torn_blobs() {
             base: fast_cfg(),
             store_dir: Some(root.clone()),
             fault_hook: Some(gate.clone()),
-            ..ServeConfig::default()
         },
     )
     .expect("start server");
