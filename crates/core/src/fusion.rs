@@ -17,8 +17,9 @@
 //!    (Eq. 3).
 
 use crate::config::UniqConfig;
-use std::cell::Cell;
+use std::cell::{Cell, RefCell};
 use uniq_geometry::diffraction::path_length_to_ear;
+use uniq_geometry::head::BoundaryTable;
 use uniq_geometry::vec2::{angle_diff_deg, theta_from_vec, unit_from_theta};
 use uniq_geometry::{Ear, HeadBoundary, HeadParams, Vec2};
 use uniq_optim::{nelder_mead, solve_2d, NelderMeadOptions};
@@ -147,6 +148,7 @@ fn localize_counted(
 /// (and its penalty) scales by its weight — downweighting degraded stops;
 /// `None` weighs every stop 1.0.
 ///
+/// The hypothesis is discretized by reshaping `boundary` from `table`.
 /// Stops are localized on `pool`; their terms are then weighted and summed
 /// in index order, so the value is bit-identical at any pool size.
 /// Returns the objective and the Gauss–Newton residual evaluations spent.
@@ -154,7 +156,8 @@ fn fusion_objective(
     e: &[f64],
     inputs: &[FusionInput],
     weights: Option<&[f64]>,
-    resolution: usize,
+    boundary: &mut HeadBoundary,
+    table: &BoundaryTable,
     pool: &ThreadPool,
 ) -> (f64, u64) {
     for (v, (lo, hi)) in e.iter().zip(BOX) {
@@ -162,10 +165,11 @@ fn fusion_objective(
             return (f64::INFINITY, 0);
         }
     }
-    let boundary = HeadBoundary::new(HeadParams::new(e[0], e[1], e[2]), resolution);
+    boundary.reshape(HeadParams::new(e[0], e[1], e[2]), table);
+    let boundary = &*boundary;
     let penalty = 30f64.powi(2);
     let stops = pool.par_map(inputs, |inp| {
-        let (loc, evals) = localize_counted(&boundary, inp.d_left_m, inp.d_right_m, inp.alpha_deg);
+        let (loc, evals) = localize_counted(boundary, inp.d_left_m, inp.d_right_m, inp.alpha_deg);
         let term = match loc {
             Some(loc) => angle_diff_deg(inp.alpha_deg, loc.theta_deg).powi(2),
             None => penalty,
@@ -205,18 +209,28 @@ pub fn fuse_weighted(
         assert_eq!(w.len(), inputs.len(), "one weight per fusion input");
     }
     let _span = uniq_obs::span(uniq_obs::names::SPAN_FUSION);
-    let resolution = cfg.inverse_resolution;
     let pool = uniq_par::pool(cfg.threads);
+    // Every hypothesis is discretized at one resolution, so the cosines
+    // and sines are computed once and one boundary is reshaped in place.
+    let table = BoundaryTable::new(cfg.inverse_resolution);
+    let seed = HeadParams::average_adult();
+    let boundary = RefCell::new(HeadBoundary::new(seed, cfg.inverse_resolution));
     let objective_evals = Cell::new(0u64);
     let residual_evals = Cell::new(0u64);
     let objective = |e: &[f64]| {
-        let (value, residuals) = fusion_objective(e, inputs, weights, resolution, &pool);
+        let (value, residuals) = fusion_objective(
+            e,
+            inputs,
+            weights,
+            &mut boundary.borrow_mut(),
+            &table,
+            &pool,
+        );
         objective_evals.set(objective_evals.get() + 1);
         residual_evals.set(residual_evals.get() + residuals);
         value
     };
 
-    let seed = HeadParams::average_adult();
     let opts = NelderMeadOptions {
         max_iter: 200,
         initial_step: 0.08,
@@ -233,7 +247,8 @@ pub fn fuse_weighted(
         return None;
     }
     let head = HeadParams::new(fit.x[0], fit.x[1], fit.x[2]);
-    let boundary = HeadBoundary::new(head, resolution);
+    let mut boundary = boundary.into_inner();
+    boundary.reshape(head, &table);
 
     let mut stops = Vec::with_capacity(inputs.len());
     let mut final_thetas = Vec::with_capacity(inputs.len());

@@ -97,14 +97,18 @@ impl HeadParams {
     /// Boundary point at parameter `t ∈ [0, 2π)`; `t = 0` is the right ear,
     /// increasing counter-clockwise (through the front of the face first).
     pub fn boundary_point(&self, t: f64) -> Vec2 {
-        let t = t.rem_euclid(2.0 * PI);
-        let x = self.a * t.cos();
-        let y = if t <= PI {
-            self.b * t.sin()
+        self.scale(UnitPoint::at(t))
+    }
+
+    /// The boundary point whose parameter has the cosine, sine and half
+    /// recorded in `u`.
+    fn scale(&self, u: UnitPoint) -> Vec2 {
+        let y = if u.front {
+            self.b * u.sin
         } else {
-            self.c * t.sin()
+            self.c * u.sin
         };
-        Vec2::new(x, y)
+        Vec2::new(self.a * u.cos, y)
     }
 
     /// `true` when `p` is strictly inside the head.
@@ -117,6 +121,64 @@ impl HeadParams {
     /// Largest of the three semi-axes — a bound on the head radius.
     pub fn max_radius(&self) -> f64 {
         self.a.max(self.b).max(self.c)
+    }
+}
+
+/// The part of a boundary point that does not depend on `E`: the cosine
+/// and sine of its parameter `t`, and whether `t` lies on the front half.
+#[derive(Debug, Clone, Copy)]
+struct UnitPoint {
+    cos: f64,
+    sin: f64,
+    front: bool,
+}
+
+impl UnitPoint {
+    /// At parameter `t`, reduced to `[0, 2π)`.
+    fn at(t: f64) -> Self {
+        let t = t.rem_euclid(2.0 * PI);
+        UnitPoint {
+            cos: t.cos(),
+            sin: t.sin(),
+            front: t <= PI,
+        }
+    }
+
+    /// Vertex `k` of an `n`-vertex boundary.
+    fn vertex(k: usize, n: usize) -> Self {
+        Self::at(2.0 * PI * k as f64 / n as f64)
+    }
+}
+
+/// # Panics
+/// Panics if `n < 16` or `n` is odd.
+fn check_resolution(n: usize) {
+    assert!(
+        n >= 16 && n.is_multiple_of(2),
+        "boundary needs an even n >= 16, got {n}"
+    );
+}
+
+/// The `E`-independent half of an `n`-vertex boundary: the cosine, sine
+/// and front/back half of every vertex parameter. A fit that tries many
+/// head hypotheses at one resolution computes the `n` cosines and sines
+/// once, here, and moves one boundary between hypotheses with
+/// [`HeadBoundary::reshape`].
+#[derive(Debug, Clone)]
+pub struct BoundaryTable {
+    units: Vec<UnitPoint>,
+}
+
+impl BoundaryTable {
+    /// Tabulates the `n` vertex parameters of [`HeadBoundary::new`].
+    ///
+    /// # Panics
+    /// Panics if `n < 16` or `n` is odd.
+    pub fn new(n: usize) -> Self {
+        check_resolution(n);
+        BoundaryTable {
+            units: (0..n).map(|k| UnitPoint::vertex(k, n)).collect(),
+        }
     }
 }
 
@@ -140,12 +202,9 @@ impl HeadBoundary {
     /// Panics if `n < 16` or `n` is odd, or the parameters are implausible.
     pub fn new(params: HeadParams, n: usize) -> Self {
         params.validate();
-        assert!(
-            n >= 16 && n.is_multiple_of(2),
-            "boundary needs an even n >= 16, got {n}"
-        );
+        check_resolution(n);
         let verts: Vec<Vec2> = (0..n)
-            .map(|k| params.boundary_point(2.0 * PI * k as f64 / n as f64))
+            .map(|k| params.scale(UnitPoint::vertex(k, n)))
             .collect();
         HeadBoundary {
             params,
@@ -153,6 +212,24 @@ impl HeadBoundary {
             left_idx: n / 2,
             right_idx: 0,
         }
+    }
+
+    /// Moves this boundary to the head `params`: bit-identical to
+    /// `HeadBoundary::new(params, n)`, but its vertices come from `table`
+    /// instead of `n` fresh cosines and sines, and it allocates nothing.
+    ///
+    /// # Panics
+    /// Panics if the parameters are implausible or `table` has another
+    /// resolution than this boundary.
+    pub fn reshape(&mut self, params: HeadParams, table: &BoundaryTable) {
+        params.validate();
+        assert_eq!(
+            table.units.len(),
+            self.len(),
+            "boundary table resolution differs from the boundary's"
+        );
+        self.params = params;
+        self.poly.reshape(|k| params.scale(table.units[k]));
     }
 
     /// The underlying parameters.
@@ -291,14 +368,30 @@ impl ArcTable {
     /// Measures the arcs of `verts`; allocates only the `cum` table.
     pub(crate) fn new(verts: Vec<Vec2>) -> Self {
         let n = verts.len();
-        let mut cum = Vec::with_capacity(n + 1);
-        // uniq-analyzer: allow(hot-path-alloc) — cum is pre-sized with with_capacity(n + 1); a head boundary is built once per fusion objective evaluation, not per sample
-        cum.push(0.0);
-        for k in 0..n {
-            let next = verts[(k + 1) % n];
-            cum.push(cum[k] + verts[k].dist(next));
+        let mut table = ArcTable {
+            verts,
+            cum: vec![0.0; n + 1],
+        };
+        table.measure();
+        table
+    }
+
+    /// Sets vertex `k` to `vertex(k)` for every `k` and re-measures the
+    /// arcs, in place.
+    fn reshape(&mut self, vertex: impl Fn(usize) -> Vec2) {
+        for (k, v) in self.verts.iter_mut().enumerate() {
+            *v = vertex(k);
         }
-        ArcTable { verts, cum }
+        self.measure();
+    }
+
+    /// Fills `cum[1..]` from the vertices (`cum[0]` stays 0).
+    fn measure(&mut self) {
+        let n = self.verts.len();
+        for k in 0..n {
+            let next = self.verts[(k + 1) % n];
+            self.cum[k + 1] = self.cum[k] + self.verts[k].dist(next);
+        }
     }
 
     /// The vertices.
@@ -424,6 +517,37 @@ mod tests {
         assert!(b.segment_clear(Vec2::new(0.3, 0.3), Vec2::new(-0.3, 0.3)));
         // From a point to the near ear: clear.
         assert!(b.segment_clear(Vec2::new(0.3, 0.0), Vec2::new(0.075, 0.0)));
+    }
+
+    #[test]
+    fn reshape_is_bit_identical_to_new() {
+        let bits = |b: &HeadBoundary| -> Vec<u64> {
+            let verts = b.vertices().iter().flat_map(|v| [v.x, v.y]);
+            let arcs = (0..b.len()).map(|k| b.arc_ccw(0, k));
+            verts.chain(arcs).map(f64::to_bits).collect()
+        };
+        let heads = [
+            HeadParams::new(0.05, 0.15, 0.06),
+            HeadParams::new(0.11, 0.06, 0.14),
+            head(),
+        ];
+        for n in [16, 256, 1024, 1026, 4096] {
+            let table = BoundaryTable::new(n);
+            let mut b = HeadBoundary::new(head(), n);
+            for params in heads {
+                b.reshape(params, &table);
+                let fresh = HeadBoundary::new(params, n);
+                assert_eq!(b.params(), params);
+                assert_eq!(bits(&b), bits(&fresh), "n = {n}, head {params:?}");
+                assert_eq!(b.perimeter().to_bits(), fresh.perimeter().to_bits());
+            }
+        }
+    }
+
+    #[test]
+    #[should_panic(expected = "resolution differs")]
+    fn reshape_rejects_a_table_of_another_resolution() {
+        HeadBoundary::new(head(), 256).reshape(head(), &BoundaryTable::new(512));
     }
 
     #[test]

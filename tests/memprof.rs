@@ -68,7 +68,7 @@ fn per_stage_allocs_bit_identical_across_runs() {
 /// above), so the ceilings sit directly on today's measured values.
 const HOT_PATH_ALLOWANCE: &[(&str, u64, u64)] = &[
     // (stage, max allocs per call, max bytes per call)
-    (uniq_obs::names::SPAN_FUSION, 447, 2_685_816),
+    (uniq_obs::names::SPAN_FUSION, 232, 55_320),
     (uniq_obs::names::SPAN_CHANNEL_ESTIMATE, 8, 327_680),
 ];
 
