@@ -38,8 +38,8 @@ use uniq_subjects::Subject;
 /// (bump on shape changes). v2 added the `alloc` section (per-stage
 /// allocation gates), v3 the `serve` section (server response-fingerprint
 /// and admission gates), v4 the `counters` section (work counters gated
-/// exactly and across pool sizes).
-pub const BASELINE_SCHEMA_VERSION: u64 = 4;
+/// exactly and across pool sizes), v5 the `fusion.gn_iterations` counter.
+pub const BASELINE_SCHEMA_VERSION: u64 = 5;
 
 /// Relative tolerance for quality numbers: tight, because they are
 /// deterministic functions of the seeds — the slack only absorbs
@@ -881,13 +881,19 @@ mod tests {
         // Work counters are recorded and agree across the matrix.
         let counters = a.get("counters").unwrap();
         assert_eq!(counters.get("thread_invariant"), Some(&Json::Bool(true)));
-        assert!(
-            counters
-                .get(uniq_obs::names::FUSION_OBJECTIVE_EVALS)
-                .and_then(Json::as_u64)
-                .is_some_and(|n| n > 0),
-            "{counters:?}"
-        );
+        for name in [
+            uniq_obs::names::FUSION_OBJECTIVE_EVALS,
+            uniq_obs::names::FUSION_RESIDUAL_EVALS,
+            uniq_obs::names::FUSION_GN_ITERATIONS,
+        ] {
+            assert!(
+                counters
+                    .get(name)
+                    .and_then(Json::as_u64)
+                    .is_some_and(|n| n > 0),
+                "{name}: {counters:?}"
+            );
+        }
         // And the gate agrees the two runs match.
         let reference = Reference {
             name: "first run".into(),

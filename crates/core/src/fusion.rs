@@ -10,7 +10,8 @@
 //! 1. For a candidate `E`, each stop's phone position is the intersection
 //!    of two iso-delay trajectories (Fig 10b) — found here by damped
 //!    Gauss–Newton from two seeds (front/back mirror), keeping the
-//!    solution whose polar angle is closer to the IMU angle.
+//!    solution whose polar angle is closer to the IMU angle. The
+//!    Jacobian is exact: each wrap-path length comes with its gradient.
 //! 2. `E_opt = argmin_E Σ (α_i − θ_i(E))²` (Eq. 2) — minimized with
 //!    Nelder–Mead over the anthropometric box.
 //! 3. Final phone angles blend both sensors: `θ = (θ_i(E_opt) + α_i)/2`
@@ -18,7 +19,7 @@
 
 use crate::config::UniqConfig;
 use std::cell::{Cell, RefCell};
-use uniq_geometry::diffraction::path_length_to_ear;
+use uniq_geometry::diffraction::path_length_and_gradient;
 use uniq_geometry::head::BoundaryTable;
 use uniq_geometry::vec2::{angle_diff_deg, theta_from_vec, unit_from_theta};
 use uniq_geometry::{Ear, HeadBoundary, HeadParams, Vec2};
@@ -86,26 +87,50 @@ pub fn localize_phone(
     localize_counted(boundary, d_left_m, d_right_m, alpha_hint_deg).0
 }
 
-/// [`localize_phone`], plus the number of Gauss–Newton residual
-/// evaluations it spent.
+/// Gauss–Newton work behind one or more localizations.
+#[derive(Debug, Clone, Copy, Default)]
+struct GnWork {
+    /// Residual evaluations (each two wrap-path lengths with gradients).
+    residual_evals: u64,
+    /// Gauss–Newton steps solved.
+    iterations: u64,
+}
+
+impl std::ops::Add for GnWork {
+    type Output = GnWork;
+    fn add(self, other: GnWork) -> GnWork {
+        GnWork {
+            residual_evals: self.residual_evals + other.residual_evals,
+            iterations: self.iterations + other.iterations,
+        }
+    }
+}
+
+/// [`localize_phone`], plus the Gauss–Newton work it spent.
 fn localize_counted(
     boundary: &HeadBoundary,
     d_left_m: f64,
     d_right_m: f64,
     alpha_hint_deg: f64,
-) -> (Option<LocalizedStop>, u64) {
+) -> (Option<LocalizedStop>, GnWork) {
     let evals = Cell::new(0u64);
-    let residual = |p: [f64; 2]| -> [f64; 2] {
+    // Inside the head: a residual far off any achievable scale, and a
+    // zero (singular) Jacobian, so no step is taken from there.
+    const INSIDE: ([f64; 2], [[f64; 2]; 2]) = ([1.0, 1.0], [[0.0; 2]; 2]);
+    let residual = |p: [f64; 2]| -> ([f64; 2], [[f64; 2]; 2]) {
         evals.set(evals.get() + 1);
         let pos = Vec2::new(p[0], p[1]);
         // Both lengths are `None` exactly when `pos` is inside the head.
-        let Some(pl) = path_length_to_ear(boundary, pos, Ear::Left) else {
-            return [1.0, 1.0]; // far off any achievable residual scale
+        let Some((pl, gl)) = path_length_and_gradient(boundary, pos, Ear::Left) else {
+            return INSIDE;
         };
-        let Some(pr) = path_length_to_ear(boundary, pos, Ear::Right) else {
-            return [1.0, 1.0];
+        let Some((pr, gr)) = path_length_and_gradient(boundary, pos, Ear::Right) else {
+            return INSIDE;
         };
-        [pl - d_left_m, pr - d_right_m]
+        (
+            [pl - d_left_m, pr - d_right_m],
+            [[gl.x, gl.y], [gr.x, gr.y]],
+        )
     };
 
     let r0 = 0.5 * (d_left_m + d_right_m).max(0.25);
@@ -116,12 +141,15 @@ fn localize_counted(
     ];
 
     let mut best: Option<LocalizedStop> = None;
+    let mut iterations = 0;
     for seed in seeds {
-        let (sol, res) = solve_2d(residual, [seed.x, seed.y], 60);
+        let root = solve_2d(residual, [seed.x, seed.y], 60);
+        iterations += root.iterations as u64;
+        let res = root.residual;
         if res > LOC_TOL_M {
             continue;
         }
-        let pos = Vec2::new(sol[0], sol[1]);
+        let pos = Vec2::new(root.x[0], root.x[1]);
         if pos.norm() < 1e-6 {
             continue;
         }
@@ -140,7 +168,13 @@ fn localize_counted(
             }
         };
     }
-    (best, evals.get())
+    (
+        best,
+        GnWork {
+            residual_evals: evals.get(),
+            iterations,
+        },
+    )
 }
 
 /// Eq. 2 objective: Σ w_i · angle_diff(α_i, θ_i(E))², with a fixed penalty
@@ -151,7 +185,7 @@ fn localize_counted(
 /// The hypothesis is discretized by reshaping `boundary` from `table`.
 /// Stops are localized on `pool`; their terms are then weighted and summed
 /// in index order, so the value is bit-identical at any pool size.
-/// Returns the objective and the Gauss–Newton residual evaluations spent.
+/// Returns the objective and the Gauss–Newton work spent.
 fn fusion_objective(
     e: &[f64],
     inputs: &[FusionInput],
@@ -159,29 +193,32 @@ fn fusion_objective(
     boundary: &mut HeadBoundary,
     table: &BoundaryTable,
     pool: &ThreadPool,
-) -> (f64, u64) {
+) -> (f64, GnWork) {
     for (v, (lo, hi)) in e.iter().zip(BOX) {
         if !(lo..=hi).contains(v) {
-            return (f64::INFINITY, 0);
+            return (f64::INFINITY, GnWork::default());
         }
     }
     boundary.reshape(HeadParams::new(e[0], e[1], e[2]), table);
     let boundary = &*boundary;
     let penalty = 30f64.powi(2);
     let stops = pool.par_map(inputs, |inp| {
-        let (loc, evals) = localize_counted(boundary, inp.d_left_m, inp.d_right_m, inp.alpha_deg);
+        let (loc, work) = localize_counted(boundary, inp.d_left_m, inp.d_right_m, inp.alpha_deg);
         let term = match loc {
             Some(loc) => angle_diff_deg(inp.alpha_deg, loc.theta_deg).powi(2),
             None => penalty,
         };
-        (term, evals)
+        (term, work)
     });
     let objective = stops
         .iter()
         .enumerate()
         .map(|(k, &(term, _))| weights.map_or(1.0, |w| w[k]) * term)
         .sum();
-    (objective, stops.iter().map(|&(_, evals)| evals).sum())
+    let work = stops
+        .iter()
+        .fold(GnWork::default(), |total, &(_, work)| total + work);
+    (objective, work)
 }
 
 /// Runs the full fusion: optimizes `E` (Eq. 2), localizes all stops at
@@ -216,9 +253,9 @@ pub fn fuse_weighted(
     let seed = HeadParams::average_adult();
     let boundary = RefCell::new(HeadBoundary::new(seed, cfg.inverse_resolution));
     let objective_evals = Cell::new(0u64);
-    let residual_evals = Cell::new(0u64);
+    let gn_work = Cell::new(GnWork::default());
     let objective = |e: &[f64]| {
-        let (value, residuals) = fusion_objective(
+        let (value, work) = fusion_objective(
             e,
             inputs,
             weights,
@@ -227,7 +264,7 @@ pub fn fuse_weighted(
             &pool,
         );
         objective_evals.set(objective_evals.get() + 1);
-        residual_evals.set(residual_evals.get() + residuals);
+        gn_work.set(gn_work.get() + work);
         value
     };
 
@@ -242,7 +279,12 @@ pub fn fuse_weighted(
         uniq_obs::names::FUSION_OBJECTIVE_EVALS,
         objective_evals.get(),
     );
-    uniq_obs::counter(uniq_obs::names::FUSION_RESIDUAL_EVALS, residual_evals.get());
+    let gn_work = gn_work.get();
+    uniq_obs::counter(
+        uniq_obs::names::FUSION_RESIDUAL_EVALS,
+        gn_work.residual_evals,
+    );
+    uniq_obs::counter(uniq_obs::names::FUSION_GN_ITERATIONS, gn_work.iterations);
     if !fit.fx.is_finite() {
         return None;
     }

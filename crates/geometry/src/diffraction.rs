@@ -68,6 +68,41 @@ pub fn path_length_to_ear(boundary: &HeadBoundary, src: Vec2, ear: Ear) -> Optio
     shortest_wrap(boundary, src, boundary.ear_index(ear)).map(|w| w.length)
 }
 
+/// Length of the shortest diffraction path from `src` to the given ear,
+/// bit-identical to [`path_length_to_ear`], and its gradient with respect
+/// to `src`.
+///
+/// The path leaves `src` along a straight segment to its first anchor:
+/// the source tangent vertex of a wrapped path, or the ear itself when
+/// the ear is lit. Moving the source moves neither the anchor nor the arc
+/// behind it until the tangent vertex switches, so the gradient is the
+/// unit vector from the anchor to `src` (zero when they coincide).
+///
+/// ```
+/// use uniq_geometry::{HeadBoundary, HeadParams, Ear, Vec2};
+/// use uniq_geometry::diffraction::{path_length_and_gradient, path_length_to_ear};
+/// let b = HeadBoundary::new(HeadParams::average_adult(), 1024);
+/// let phone = Vec2::new(-0.4, 0.0);                  // left ear is lit
+/// let (len, grad) = path_length_and_gradient(&b, phone, Ear::Left).unwrap();
+/// assert_eq!(Some(len), path_length_to_ear(&b, phone, Ear::Left));
+/// assert!((grad - Vec2::new(-1.0, 0.0)).norm() < 1e-12); // away from the ear
+/// ```
+///
+/// Returns `None` when `src` lies strictly inside the head.
+pub fn path_length_and_gradient(
+    boundary: &HeadBoundary,
+    src: Vec2,
+    ear: Ear,
+) -> Option<(f64, Vec2)> {
+    let target_idx = boundary.ear_index(ear);
+    let wrap = shortest_wrap(boundary, src, target_idx)?;
+    let anchor_idx = wrap.tangent.map_or(target_idx, |(t_idx, _)| t_idx);
+    let to_src = src - boundary.vertices()[anchor_idx];
+    let seg = to_src.norm();
+    let gradient = if seg > 0.0 { to_src / seg } else { Vec2::ZERO };
+    Some((wrap.length, gradient))
+}
+
 /// Computes the shortest diffraction path from `src` to an arbitrary
 /// boundary vertex (e.g. a test microphone taped to the cheek, Fig 5).
 ///
@@ -377,6 +412,7 @@ mod tests {
             let oracle = oracle_length(b, src, b.ear_index(ear), expect).map(f64::to_bits);
             let full = path_to_ear(b, src, ear).map(|p| p.length.to_bits());
             let short = path_length_to_ear(b, src, ear).map(f64::to_bits);
+            let with_gradient = path_length_and_gradient(b, src, ear).map(|(l, _)| l.to_bits());
             assert_eq!(
                 full,
                 oracle,
@@ -387,6 +423,12 @@ mod tests {
                 short,
                 oracle,
                 "path_length_to_ear {ear:?} at src={src:?}, n={}",
+                b.len()
+            );
+            assert_eq!(
+                with_gradient,
+                oracle,
+                "path_length_and_gradient {ear:?} at src={src:?}, n={}",
                 b.len()
             );
         }
@@ -472,6 +514,75 @@ mod tests {
             let b = HeadBoundary::new(head, [16, 256, 1024, 4096][n_idx]);
             assert_matches_oracle(&b, head.boundary_point(t) * scale);
         }
+    }
+
+    #[test]
+    fn gradient_matches_central_differences() {
+        // Which anchor the path leaves from: `None` for a lit ear, else
+        // the tangent vertex and wrap direction.
+        let anchor = |b: &HeadBoundary, p: Vec2, ear: Ear| {
+            shortest_wrap(b, p, b.ear_index(ear)).map(|w| w.tangent)
+        };
+        let length = |b: &HeadBoundary, p: Vec2, ear: Ear| path_length_to_ear(b, p, ear).unwrap();
+        let h = 1e-7;
+        let (mut lit, mut shadowed, mut skipped) = (0, 0, 0);
+        for head in [
+            HeadParams::average_adult(),
+            HeadParams::new(0.06, 0.14, 0.07),
+        ] {
+            for n in [256, 1024, 4096] {
+                let b = HeadBoundary::new(head, n);
+                for k in 0..72 {
+                    let theta = k as f64 * 5.0 + 0.7;
+                    for r in [0.2, 0.45, 1.0] {
+                        let src = unit_from_theta(theta) * r;
+                        for ear in Ear::BOTH {
+                            let (len, grad) = path_length_and_gradient(&b, src, ear).unwrap();
+                            assert_eq!(len.to_bits(), length(&b, src, ear).to_bits());
+                            let stencil = [
+                                Vec2::new(h, 0.0),
+                                Vec2::new(-h, 0.0),
+                                Vec2::new(0.0, h),
+                                Vec2::new(0.0, -h),
+                            ]
+                            .map(|d| src + d);
+                            // A tangent-vertex switch inside the stencil
+                            // mixes two anchors' lengths: skip that point.
+                            let here = anchor(&b, src, ear);
+                            if stencil.iter().any(|&p| anchor(&b, p, ear) != here) {
+                                skipped += 1;
+                                continue;
+                            }
+                            let [xp, xm, yp, ym] = stencil.map(|p| length(&b, p, ear));
+                            let fd = Vec2::new((xp - xm) / (2.0 * h), (yp - ym) / (2.0 * h));
+                            assert!(
+                                (fd - grad).norm() < 1e-6,
+                                "{ear:?} at {src:?}, n={n}: gradient {grad:?}, differences {fd:?}"
+                            );
+                            assert!((grad.norm() - 1.0).abs() < 1e-12);
+                            match here {
+                                Some(None) => lit += 1,
+                                _ => shadowed += 1,
+                            }
+                        }
+                    }
+                }
+            }
+        }
+        assert!(
+            lit > 1000 && shadowed > 1000,
+            "lit {lit}, shadowed {shadowed}"
+        );
+        assert!(skipped < 10, "{skipped} points skipped");
+    }
+
+    #[test]
+    fn gradient_is_zero_at_the_anchor_and_none_inside() {
+        let b = boundary();
+        let right_ear = b.vertices()[b.ear_index(Ear::Right)];
+        let at_ear = path_length_and_gradient(&b, right_ear, Ear::Right);
+        assert_eq!(at_ear, Some((0.0, Vec2::ZERO)));
+        assert!(path_length_and_gradient(&b, Vec2::new(0.01, 0.0), Ear::Left).is_none());
     }
 
     #[test]

@@ -33,10 +33,13 @@ pub const FUSION_OBJECTIVE: &str = "fusion.objective";
 /// Eq. 2 objective evaluations the fusion's Nelder–Mead fit made
 /// (counter; deterministic at any thread count).
 pub const FUSION_OBJECTIVE_EVALS: &str = "fusion.objective_evals";
-/// Gauss–Newton residual evaluations (each two wrap-path lengths) across
+/// Gauss–Newton residual evaluations (each two wrap-path lengths with their gradients) across
 /// the fit's objective evaluations (counter; deterministic at any thread
 /// count).
 pub const FUSION_RESIDUAL_EVALS: &str = "fusion.residual_evals";
+/// Gauss–Newton steps solved across the fit's objective evaluations
+/// (counter; deterministic at any thread count).
+pub const FUSION_GN_ITERATIONS: &str = "fusion.gn_iterations";
 
 /// Estimated gesture radius, metres.
 pub const PERSONALIZE_RADIUS_M: &str = "personalize.radius_m";
@@ -163,6 +166,7 @@ pub const ALL_METRICS: &[&str] = &[
     FUSION_OBJECTIVE,
     FUSION_OBJECTIVE_EVALS,
     FUSION_RESIDUAL_EVALS,
+    FUSION_GN_ITERATIONS,
     PERSONALIZE_RADIUS_M,
     PERSONALIZE_ATTEMPTS,
     GESTURE_REJECTED,

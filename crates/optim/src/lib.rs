@@ -1,17 +1,18 @@
 //! # uniq-optim
 //!
-//! Derivative-free optimization routines used by UNIQ's diffraction-aware
-//! sensor fusion (Eq. 2 of the paper) and its calibration steps.
-//!
-//! The objective functions in this system are built from discretized
-//! geometry (polygonal wrap paths, sampled channels), so they are cheap but
-//! non-smooth — gradient-free methods are the right tool:
+//! Optimization routines used by UNIQ's diffraction-aware sensor fusion
+//! (Eq. 2 of the paper) and its calibration steps.
 //!
 //! * [`nelder_mead`] — the simplex method, used to minimize the head-
-//!   parameter mismatch `Σ (α_i − θ_i(E))²` over `E = (a, b, c)`.
-//! * [`golden_section`] — 1-D bracketing line search (the radius ablation).
+//!   parameter mismatch `Σ (α_i − θ_i(E))²` over `E = (a, b, c)`. That
+//!   objective steps whenever a stop's localization changes branch or
+//!   fails, so it is minimized without derivatives.
+//! * [`golden_section`] — derivative-free 1-D bracketing line search (the
+//!   radius ablation).
 //! * [`solve_2d`] — damped Gauss–Newton for 2-D root finding (iso-delay
-//!   curve intersection, Fig 10(b)).
+//!   curve intersection, Fig 10(b)). The caller supplies the Jacobian:
+//!   a wrap-path length's gradient is a unit vector the path query
+//!   already has, so a step costs one residual call.
 
 #![forbid(unsafe_code)]
 #![warn(missing_docs)]
@@ -219,37 +220,53 @@ pub fn golden_section(f: impl Fn(f64) -> f64, lo: f64, hi: f64, tol: f64) -> (f6
     (x, f(x))
 }
 
-/// Solves the 2-D system `r(x) = 0` by damped Gauss–Newton with
-/// finite-difference Jacobians, starting from `x0`.
+/// Result of [`solve_2d`].
+#[derive(Debug, Clone, Copy)]
+pub struct Root2d {
+    /// Best point found.
+    pub x: [f64; 2],
+    /// Residual norm at `x`; callers check it against their own tolerance.
+    pub residual: f64,
+    /// Gauss–Newton steps solved (each one 2×2 solve and its line search).
+    pub iterations: usize,
+}
+
+/// Solves the 2-D system `r(x) = 0` by damped Gauss–Newton, starting from
+/// `x0`. `r` returns the residual and its Jacobian, `j[i][k] = ∂r_i/∂x_k`.
 ///
-/// Returns the solution and the final residual norm; callers should check
-/// the norm against their own tolerance. Used to intersect the two
-/// iso-delay trajectories of Fig 10(b).
+/// Each step solves `J·dx = −r` and halves it until the residual norm
+/// falls; the accepted point's Jacobian feeds the next step, so a step
+/// taken at full length costs one call of `r`. The solve stops at a
+/// residual norm below 1e-12, a singular Jacobian, a step no halving
+/// improves, or `max_iter` steps. Used to intersect the two iso-delay
+/// trajectories of Fig 10(b).
+///
+/// ```
+/// use uniq_optim::solve_2d;
+/// // x + y = 3, x − y = 1.
+/// let root = solve_2d(|x| ([x[0] + x[1] - 3.0, x[0] - x[1] - 1.0],
+///                          [[1.0, 1.0], [1.0, -1.0]]), [0.0, 0.0], 10);
+/// assert_eq!((root.x, root.iterations), ([2.0, 1.0], 1));
+/// ```
 pub fn solve_2d(
-    r: impl Fn([f64; 2]) -> [f64; 2],
+    r: impl Fn([f64; 2]) -> ([f64; 2], [[f64; 2]; 2]),
     x0: [f64; 2],
     max_iter: usize,
-) -> ([f64; 2], f64) {
+) -> Root2d {
     let norm = |v: [f64; 2]| (v[0] * v[0] + v[1] * v[1]).sqrt();
     let mut x = x0;
-    let mut fx = r(x);
+    let (mut fx, mut j) = r(x);
+    let mut iterations = 0;
     for _ in 0..max_iter {
         let res = norm(fx);
         if res < 1e-12 {
             break;
         }
-        // Finite-difference Jacobian.
-        let h = 1e-7 * (1.0 + x[0].abs().max(x[1].abs()));
-        let fx_dx = r([x[0] + h, x[1]]);
-        let fx_dy = r([x[0], x[1] + h]);
-        let j = [
-            [(fx_dx[0] - fx[0]) / h, (fx_dy[0] - fx[0]) / h],
-            [(fx_dx[1] - fx[1]) / h, (fx_dy[1] - fx[1]) / h],
-        ];
         let det = j[0][0] * j[1][1] - j[0][1] * j[1][0];
         if det.abs() < 1e-18 {
             break; // singular; give up at current point
         }
+        iterations += 1;
         // Newton step: solve J·dx = -f.
         let dx = [
             (-fx[0] * j[1][1] + fx[1] * j[0][1]) / det,
@@ -260,10 +277,11 @@ pub fn solve_2d(
         let mut accepted = false;
         for _ in 0..20 {
             let cand = [x[0] + t * dx[0], x[1] + t * dx[1]];
-            let fc = r(cand);
+            let (fc, jc) = r(cand);
             if norm(fc) < res {
                 x = cand;
                 fx = fc;
+                j = jc;
                 accepted = true;
                 break;
             }
@@ -273,8 +291,11 @@ pub fn solve_2d(
             break; // stuck — return best so far
         }
     }
-    let res = norm(fx);
-    (x, res)
+    Root2d {
+        x,
+        residual: norm(fx),
+        iterations,
+    }
 }
 
 #[cfg(test)]
@@ -344,11 +365,20 @@ mod tests {
 
     #[test]
     fn solve_2d_linear_system() {
-        // x + y = 3, x - y = 1 → (2, 1).
-        let r = solve_2d(|x| [x[0] + x[1] - 3.0, x[0] - x[1] - 1.0], [0.0, 0.0], 50);
-        assert!(r.1 < 1e-9);
-        assert!((r.0[0] - 2.0).abs() < 1e-6);
-        assert!((r.0[1] - 1.0).abs() < 1e-6);
+        // x + y = 3, x - y = 1 → (2, 1): one exact Newton step.
+        let r = solve_2d(
+            |x| {
+                (
+                    [x[0] + x[1] - 3.0, x[0] - x[1] - 1.0],
+                    [[1.0, 1.0], [1.0, -1.0]],
+                )
+            },
+            [0.0, 0.0],
+            50,
+        );
+        assert!(r.residual < 1e-12);
+        assert_eq!(r.x, [2.0, 1.0]);
+        assert_eq!(r.iterations, 1);
     }
 
     #[test]
@@ -356,16 +386,61 @@ mod tests {
         // Two circles: centred (0,0) r=5 and (6,0) r=5 → intersection (3, ±4).
         let r = solve_2d(
             |x| {
-                [
-                    x[0] * x[0] + x[1] * x[1] - 25.0,
-                    (x[0] - 6.0).powi(2) + x[1] * x[1] - 25.0,
-                ]
+                (
+                    [
+                        x[0] * x[0] + x[1] * x[1] - 25.0,
+                        (x[0] - 6.0).powi(2) + x[1] * x[1] - 25.0,
+                    ],
+                    [[2.0 * x[0], 2.0 * x[1]], [2.0 * (x[0] - 6.0), 2.0 * x[1]]],
+                )
             },
             [2.0, 2.0],
             100,
         );
-        assert!(r.1 < 1e-8, "residual {}", r.1);
-        assert!((r.0[0] - 3.0).abs() < 1e-5);
-        assert!((r.0[1].abs() - 4.0).abs() < 1e-5);
+        assert!(r.residual < 1e-8, "residual {}", r.residual);
+        assert!((r.x[0] - 3.0).abs() < 1e-9);
+        assert!((r.x[1].abs() - 4.0).abs() < 1e-9);
+        // Newton converges quadratically from this start.
+        assert!(r.iterations <= 8, "{} iterations", r.iterations);
+    }
+
+    #[test]
+    fn solve_2d_stops_at_a_singular_jacobian() {
+        // Parallel lines: J is singular everywhere, so no step is taken.
+        let calls = std::cell::Cell::new(0);
+        let r = solve_2d(
+            |x| {
+                calls.set(calls.get() + 1);
+                (
+                    [x[0] + x[1] - 1.0, x[0] + x[1] - 2.0],
+                    [[1.0, 1.0], [1.0, 1.0]],
+                )
+            },
+            [0.0, 0.0],
+            50,
+        );
+        assert_eq!((r.x, r.iterations, calls.get()), ([0.0, 0.0], 0, 1));
+        assert!((r.residual - 5f64.sqrt()).abs() < 1e-12);
+    }
+
+    #[test]
+    fn solve_2d_accepted_full_steps_cost_one_call_each() {
+        // A smooth system whose full Newton steps all reduce the residual:
+        // one call for x0 plus one per iteration.
+        let calls = std::cell::Cell::new(0);
+        let r = solve_2d(
+            |x| {
+                calls.set(calls.get() + 1);
+                (
+                    [x[0].exp() - 2.0, x[1] + 0.1 * x[1].powi(3) - 1.0],
+                    [[x[0].exp(), 0.0], [0.0, 1.0 + 0.3 * x[1] * x[1]]],
+                )
+            },
+            [0.5, 0.5],
+            50,
+        );
+        assert!(r.residual < 1e-12, "residual {}", r.residual);
+        assert!((r.x[0] - 2f64.ln()).abs() < 1e-12);
+        assert_eq!(calls.get(), r.iterations + 1);
     }
 }

@@ -48,17 +48,26 @@ proptest! {
         r1 in -5.0..5.0f64, r2 in -5.0..5.0f64,
     ) {
         // Diagonally dominant → invertible.
-        let (sol, res) = solve_2d(
-            move |x| [a * x[0] + 0.3 * b * x[1] - r1, 0.3 * c * x[0] + d * x[1] - r2],
+        let jacobian = [[a, 0.3 * b], [0.3 * c, d]];
+        let root = solve_2d(
+            move |x| {
+                (
+                    [a * x[0] + 0.3 * b * x[1] - r1, 0.3 * c * x[0] + d * x[1] - r2],
+                    jacobian,
+                )
+            },
             [0.0, 0.0],
             80,
         );
-        prop_assert!(res < 1e-8, "residual {res}");
+        prop_assert!(root.residual < 1e-8, "residual {}", root.residual);
+        // With the exact Jacobian a linear system is one Newton step, up
+        // to round-off.
+        prop_assert!(root.iterations <= 3, "{} iterations", root.iterations);
         // Verify against the analytic solution.
         let det = a * d - 0.09 * b * c;
         let x = (r1 * d - 0.3 * b * r2) / det;
         let y = (a * r2 - 0.3 * c * r1) / det;
-        prop_assert!((sol[0] - x).abs() < 1e-5);
-        prop_assert!((sol[1] - y).abs() < 1e-5);
+        prop_assert!((root.x[0] - x).abs() < 1e-9);
+        prop_assert!((root.x[1] - y).abs() < 1e-9);
     }
 }
