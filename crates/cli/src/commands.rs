@@ -133,6 +133,22 @@ pub fn analyze_cmd(args: &[String]) -> i32 {
     uniq_analyzer::cli::run_check(args, &usage)
 }
 
+/// Writes `text` and a newline to standard output through one lock and
+/// flushes it. A reader that closed the pipe early (`uniq info … | head
+/// -1`) no longer wants the rest, so a broken pipe counts as success;
+/// `println!` would panic there instead.
+///
+/// # Errors
+/// Any other write failure.
+pub fn print_out(text: &str) -> std::io::Result<()> {
+    use std::io::Write as _;
+    let mut out = std::io::stdout().lock();
+    match writeln!(out, "{text}").and_then(|()| out.flush()) {
+        Err(e) if e.kind() == std::io::ErrorKind::BrokenPipe => Ok(()),
+        written => written,
+    }
+}
+
 /// `uniq trace report FILE`: rebuilds the causal span tree of a
 /// `--metrics-out` JSONL file and prints the critical path and per-stage
 /// self-time table. Exit 0 = complete tree, 1 = orphaned spans or an
@@ -156,7 +172,10 @@ pub fn trace_cmd(args: &[String]) -> i32 {
     };
     match uniq_profile::trace::parse_trace(&text) {
         Ok(tree) => {
-            println!("{}", tree.render_report());
+            if let Err(e) = print_out(&tree.render_report()) {
+                eprintln!("error: cannot write the report: {e}");
+                return 1;
+            }
             if tree.orphans.is_empty() {
                 0
             } else {
@@ -202,8 +221,13 @@ pub fn store_cmd(args: &[String]) -> i32 {
         "verify" => store_verify(&parsed),
         "import" => store_import(&parsed),
         "help" | "--help" => {
-            println!("{USAGE}");
-            return 0;
+            return match print_out(USAGE) {
+                Ok(()) => 0,
+                Err(e) => {
+                    eprintln!("error: cannot write the usage: {e}");
+                    1
+                }
+            };
         }
         other => {
             eprintln!("error: unknown store verb {other:?}\n{USAGE}");
@@ -213,10 +237,13 @@ pub fn store_cmd(args: &[String]) -> i32 {
     uniq_obs::flush_global_sink();
     parsed.warn_unused();
     match result {
-        Ok((report, code)) => {
-            println!("{report}");
-            code
-        }
+        Ok((report, code)) => match print_out(&report) {
+            Ok(()) => code,
+            Err(e) => {
+                eprintln!("error: cannot write the report: {e}");
+                1
+            }
+        },
         Err(StoreCmdError::Usage(e)) => {
             eprintln!("error: {e}\n{USAGE}");
             2
@@ -474,12 +501,11 @@ fn serve_cmd(args: &Args) -> Result<String, String> {
     let bound = server.local_addr();
     // The address goes out *before* the blocking wait — it is how
     // clients (and the CI smoke) find a port-0 server.
-    println!(
+    print_out(&format!(
         "serving on {bound} ({shards} shard(s), queue depth {queue_depth}, cache {})",
         if cached { "on" } else { "off" }
-    );
-    use std::io::Write as _;
-    let _ = std::io::stdout().flush();
+    ))
+    .map_err(|e| format!("cannot write the address: {e}"))?;
     if let Some(path) = args.get("addr-file") {
         std::fs::write(Path::new(path), format!("{bound}\n"))
             .map_err(|e| format!("cannot write {path}: {e}"))?;

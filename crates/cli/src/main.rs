@@ -38,7 +38,12 @@ fn main() {
     uniq_obs::flush_global_sink();
     parsed.warn_unused();
     match result {
-        Ok(report) => println!("{report}"),
+        Ok(report) => {
+            if let Err(e) = commands::print_out(&report) {
+                eprintln!("error: cannot write the report: {e}");
+                std::process::exit(1);
+            }
+        }
         Err(e) => {
             eprintln!("error: {e}");
             std::process::exit(1);
