@@ -3,7 +3,8 @@
 
 use criterion::{criterion_group, criterion_main, BenchmarkId, Criterion};
 use uniq_geometry::critical::critical_angles;
-use uniq_geometry::diffraction::{path_length_to_ear, path_to_ear};
+use uniq_geometry::diffraction::{path_length_and_gradient, path_length_to_ear, path_to_ear};
+use uniq_geometry::head::BoundaryTable;
 use uniq_geometry::planewave::plane_path_to_ear;
 use uniq_geometry::vec2::unit_from_theta;
 use uniq_geometry::{Ear, HeadBoundary, HeadParams};
@@ -15,6 +16,23 @@ fn bench_boundary_construction(c: &mut Criterion) {
             b.iter(|| HeadBoundary::new(std::hint::black_box(HeadParams::average_adult()), n))
         });
     }
+    group.finish();
+}
+
+/// What fusion pays to discretize one head hypothesis at the paper's
+/// resolution: `new` computes 1024 cosines and sines, `reshape` reads
+/// them from a table built once per fit.
+fn bench_boundary_new_1024(c: &mut Criterion) {
+    let mut group = c.benchmark_group("boundary_new_1024");
+    let head = HeadParams::average_adult();
+    group.bench_function("new", |b| {
+        b.iter(|| HeadBoundary::new(std::hint::black_box(head), 1024))
+    });
+    let table = BoundaryTable::new(1024);
+    let mut boundary = HeadBoundary::new(head, 1024);
+    group.bench_function("reshape", |b| {
+        b.iter(|| boundary.reshape(std::hint::black_box(head), &table))
+    });
     group.finish();
 }
 
@@ -48,6 +66,20 @@ fn bench_wrap_length(c: &mut Criterion) {
     group.finish();
 }
 
+/// The query behind each Gauss–Newton residual: the length plus its
+/// gradient, which should cost about as much as the length alone.
+fn bench_wrap_length_and_gradient(c: &mut Criterion) {
+    let mut group = c.benchmark_group("path_length_and_gradient_1024");
+    let boundary = HeadBoundary::new(HeadParams::average_adult(), 1024);
+    let src = unit_from_theta(40.0) * 0.45;
+    for (name, ear) in [("shadowed", Ear::Right), ("lit", Ear::Left)] {
+        group.bench_function(name, |b| {
+            b.iter(|| path_length_and_gradient(std::hint::black_box(&boundary), src, ear))
+        });
+    }
+    group.finish();
+}
+
 fn bench_plane_wave(c: &mut Criterion) {
     let boundary = HeadBoundary::new(HeadParams::average_adult(), 1024);
     c.bench_function("plane_path_to_ear_1024", |b| {
@@ -65,7 +97,7 @@ fn bench_critical_angles(c: &mut Criterion) {
 criterion_group! {
     name = benches;
     config = Criterion::default().sample_size(30);
-    targets = bench_boundary_construction, bench_wrap_path, bench_wrap_length, bench_plane_wave,
-        bench_critical_angles
+    targets = bench_boundary_construction, bench_boundary_new_1024, bench_wrap_path,
+        bench_wrap_length, bench_wrap_length_and_gradient, bench_plane_wave, bench_critical_angles
 }
 criterion_main!(benches);

@@ -150,6 +150,8 @@ impl UnitPoint {
     }
 }
 
+/// Checks that `n` vertices make a boundary with both ears on vertices.
+///
 /// # Panics
 /// Panics if `n < 16` or `n` is odd.
 fn check_resolution(n: usize) {
