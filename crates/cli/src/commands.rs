@@ -140,12 +140,24 @@ pub fn analyze_cmd(args: &[String]) -> i32 {
 ///
 /// # Errors
 /// Any other write failure.
-pub fn print_out(text: &str) -> std::io::Result<()> {
+fn print_out(text: &str) -> std::io::Result<()> {
     use std::io::Write as _;
     let mut out = std::io::stdout().lock();
     match writeln!(out, "{text}").and_then(|()| out.flush()) {
         Err(e) if e.kind() == std::io::ErrorKind::BrokenPipe => Ok(()),
         written => written,
+    }
+}
+
+/// Prints `text` with [`print_out`] and returns the exit code `code`; a
+/// failed write is named on stderr and returns 1.
+pub fn print_then(text: &str, code: i32) -> i32 {
+    match print_out(text) {
+        Ok(()) => code,
+        Err(e) => {
+            eprintln!("error: cannot write to stdout: {e}");
+            1
+        }
     }
 }
 
@@ -172,8 +184,7 @@ pub fn trace_cmd(args: &[String]) -> i32 {
     };
     match uniq_profile::trace::parse_trace(&text) {
         Ok(tree) => {
-            if let Err(e) = print_out(&tree.render_report()) {
-                eprintln!("error: cannot write the report: {e}");
+            if print_then(&tree.render_report(), 0) != 0 {
                 return 1;
             }
             if tree.orphans.is_empty() {
@@ -221,13 +232,7 @@ pub fn store_cmd(args: &[String]) -> i32 {
         "verify" => store_verify(&parsed),
         "import" => store_import(&parsed),
         "help" | "--help" => {
-            return match print_out(USAGE) {
-                Ok(()) => 0,
-                Err(e) => {
-                    eprintln!("error: cannot write the usage: {e}");
-                    1
-                }
-            };
+            return print_then(USAGE, 0);
         }
         other => {
             eprintln!("error: unknown store verb {other:?}\n{USAGE}");
@@ -237,13 +242,7 @@ pub fn store_cmd(args: &[String]) -> i32 {
     uniq_obs::flush_global_sink();
     parsed.warn_unused();
     match result {
-        Ok((report, code)) => match print_out(&report) {
-            Ok(()) => code,
-            Err(e) => {
-                eprintln!("error: cannot write the report: {e}");
-                1
-            }
-        },
+        Ok((report, code)) => print_then(&report, code),
         Err(StoreCmdError::Usage(e)) => {
             eprintln!("error: {e}\n{USAGE}");
             2
@@ -505,7 +504,7 @@ fn serve_cmd(args: &Args) -> Result<String, String> {
         "serving on {bound} ({shards} shard(s), queue depth {queue_depth}, cache {})",
         if cached { "on" } else { "off" }
     ))
-    .map_err(|e| format!("cannot write the address: {e}"))?;
+    .map_err(|e| format!("cannot write to stdout: {e}"))?;
     if let Some(path) = args.get("addr-file") {
         std::fs::write(Path::new(path), format!("{bound}\n"))
             .map_err(|e| format!("cannot write {path}: {e}"))?;

@@ -38,12 +38,7 @@ fn main() {
     uniq_obs::flush_global_sink();
     parsed.warn_unused();
     match result {
-        Ok(report) => {
-            if let Err(e) = commands::print_out(&report) {
-                eprintln!("error: cannot write the report: {e}");
-                std::process::exit(1);
-            }
-        }
+        Ok(report) => std::process::exit(commands::print_then(&report, 0)),
         Err(e) => {
             eprintln!("error: {e}");
             std::process::exit(1);
