@@ -7,9 +7,9 @@
 //! to the boundary followed by an arc along the boundary to the ear.
 //!
 //! On the discretized boundary this is computed exactly for the polygon:
-//! the geodesic is `min` over the two source tangent vertices and the two
-//! wrap directions of `|src→T| + arc(T→ear)`; non-geodesic combinations are
-//! strictly longer (taut-string argument), so the minimum is safe.
+//! this module finds the source's two tangent vertices, and the boundary's
+//! arc table takes the geodesic as the `min` over those tangents and the
+//! two wrap directions of `|src→T| + arc(T→ear)`.
 
 use crate::head::{Ear, HeadBoundary, HeadParams};
 use crate::vec2::Vec2;
@@ -143,7 +143,7 @@ pub fn path_to_vertex(
     };
 
     // Wrap angle: total turning of the boundary tangent along the arc.
-    let wrap_angle = turning_angle(boundary, t_idx, target_idx, ccw);
+    let wrap_angle = boundary.arcs().turning(t_idx, target_idx, ccw);
 
     Some(DiffractionPath {
         length: wrap.length,
@@ -175,26 +175,8 @@ fn shortest_wrap(boundary: &HeadBoundary, src: Vec2, target_idx: usize) -> Optio
         });
     }
 
-    let mut best: Option<(f64, usize, bool)> = None; // (length, tangent idx, ccw)
-    for t_idx in tangent_vertices(boundary, src) {
-        let seg = src.dist(boundary.vertices()[t_idx]);
-        for ccw in [true, false] {
-            let arc = if ccw {
-                boundary.arc_ccw(t_idx, target_idx)
-            } else {
-                boundary.arc_cw(t_idx, target_idx)
-            };
-            let total = seg + arc;
-            if best.is_none_or(|(l, _, _)| total < l) {
-                best = Some((total, t_idx, ccw));
-            }
-        }
-    }
-    // Both tangent candidates are evaluated unconditionally above, so
-    // `best` is necessarily `Some`; `?` keeps this path panic-free even
-    // if the loop were ever restructured (a panic here would kill a
-    // whole personalization batch).
-    let (length, t_idx, ccw) = best?;
+    let tangents = tangent_vertices(boundary, src);
+    let (length, t_idx, ccw) = boundary.arcs().wrap(src, tangents, target_idx);
     Some(Wrap {
         length,
         tangent: Some((t_idx, ccw)),
@@ -298,39 +280,6 @@ fn tangent_seeds(head: HeadParams, src: Vec2, n: usize) -> [usize; 2] {
         };
         to_index(t)
     })
-}
-
-/// Sum of exterior turning angles along the boundary from vertex `i` to
-/// vertex `j` in the given direction (radians, non-negative for the convex
-/// boundary).
-fn turning_angle(boundary: &HeadBoundary, i: usize, j: usize, ccw: bool) -> f64 {
-    let n = boundary.len();
-    let verts = boundary.vertices();
-    let step = |k: usize| -> usize {
-        if ccw {
-            (k + 1) % n
-        } else {
-            (k + n - 1) % n
-        }
-    };
-    let mut total = 0.0;
-    let mut k = i;
-    let mut prev_dir: Option<Vec2> = None;
-    // Bounded walk (at most n steps) from i to j.
-    for _ in 0..n {
-        if k == j {
-            break;
-        }
-        let nk = step(k);
-        let dir = (verts[nk] - verts[k]).normalized();
-        if let Some(p) = prev_dir {
-            let cross = p.cross(dir).clamp(-1.0, 1.0);
-            total += cross.asin().abs();
-        }
-        prev_dir = Some(dir);
-        k = nk;
-    }
-    total
 }
 
 #[cfg(test)]

@@ -278,6 +278,11 @@ impl HeadBoundary {
         self.arc_ccw(j, i)
     }
 
+    /// The arc table behind the boundary, for the wrap-path queries.
+    pub(crate) fn arcs(&self) -> &ArcTable {
+        &self.poly
+    }
+
     /// `true` when `p` is strictly inside the head (analytic test).
     pub fn contains(&self, p: Vec2) -> bool {
         self.params.contains(p)
@@ -355,9 +360,11 @@ fn clip_halfplane(lo: f64, hi: f64, y0: f64, dy: f64, front: bool) -> (f64, f64)
     }
 }
 
-/// A closed polygon's counter-clockwise vertices with cumulative arc
-/// lengths: the one arc table behind [`HeadBoundary`] and the elevation
-/// cross-sections of [`crate::elevation`].
+/// A closed convex polygon's counter-clockwise vertices with cumulative
+/// arc lengths, and the taut-string wrap around it: the one arc table
+/// behind [`HeadBoundary`] and the elevation cross-sections of
+/// [`crate::elevation`]. Each of those finds its own tangent vertices;
+/// the wrap over them is computed here.
 #[derive(Debug, Clone)]
 pub(crate) struct ArcTable {
     verts: Vec<Vec2>,
@@ -416,6 +423,60 @@ impl ArcTable {
         } else {
             self.perimeter() - (self.cum[i] - self.cum[j])
         }
+    }
+
+    /// The taut-string geodesic from the external point `src` to vertex
+    /// `target`, given the source's two tangent vertices: the shortest
+    /// `|src→T| + arc(T→target)` over both tangents `T` and both wrap
+    /// directions, as `(length, T, ccw)`. Non-geodesic combinations are
+    /// strictly longer (taut-string argument), so the minimum is the
+    /// geodesic; a tie keeps the earlier candidate (first tangent before
+    /// second, counter-clockwise before clockwise).
+    pub(crate) fn wrap(
+        &self,
+        src: Vec2,
+        tangents: [usize; 2],
+        target: usize,
+    ) -> (f64, usize, bool) {
+        let [first, second] = tangents.map(|t| {
+            let seg = src.dist(self.verts[t]);
+            [
+                (seg + self.arc_ccw(t, target), t, true),
+                (seg + self.arc_ccw(target, t), t, false),
+            ]
+        });
+        let mut best = first[0];
+        for candidate in [first[1], second[0], second[1]] {
+            if candidate.0 < best.0 {
+                best = candidate;
+            }
+        }
+        best
+    }
+
+    /// Sum of exterior turning angles along the polygon from vertex `i` to
+    /// vertex `j` in the given direction (radians, non-negative for a
+    /// convex polygon): the wrap angle of a path whose arc runs `i → j`.
+    pub(crate) fn turning(&self, i: usize, j: usize, ccw: bool) -> f64 {
+        let n = self.verts.len();
+        let step = |k: usize| if ccw { (k + 1) % n } else { (k + n - 1) % n };
+        let mut total = 0.0;
+        let mut k = i;
+        let mut prev_dir: Option<Vec2> = None;
+        // Bounded walk (at most n steps) from i to j.
+        for _ in 0..n {
+            if k == j {
+                break;
+            }
+            let nk = step(k);
+            let dir = (self.verts[nk] - self.verts[k]).normalized();
+            if let Some(p) = prev_dir {
+                total += p.cross(dir).clamp(-1.0, 1.0).asin().abs();
+            }
+            prev_dir = Some(dir);
+            k = nk;
+        }
+        total
     }
 }
 
