@@ -136,7 +136,11 @@ pub fn propagation_ir(
     }
 }
 
-fn record_through(
+/// Records `probe` arriving through the propagation response `ir`: the
+/// probe leaves the speaker coloured by `setup.system`, is convolved with
+/// each ear's response, and picks up microphone noise at `setup.snr_db`
+/// drawn from `noise_seed`.
+pub fn record_through(
     ir: &BinauralIr,
     setup: &MeasurementSetup,
     probe: &[f64],

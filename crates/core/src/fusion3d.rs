@@ -14,9 +14,8 @@
 
 use crate::channel::{estimate_channel, ChannelError, EstimatedChannel};
 use crate::config::UniqConfig;
-use uniq_acoustics::measure::{BinauralRecording, MeasurementSetup};
+use uniq_acoustics::measure::{record_through, MeasurementSetup};
 use uniq_acoustics::render3d::Renderer3;
-use uniq_dsp::conv::convolve;
 use uniq_geometry::elevation::{path_to_ear_3d_res, Head3, Vec3};
 use uniq_geometry::vec2::angle_diff_deg;
 use uniq_geometry::{Ear, HeadParams};
@@ -258,12 +257,7 @@ pub fn run_session_3d(
             .render_point(stop.pos)
             // uniq-analyzer: allow(panic-safety) — ring stops are generated on a sphere strictly outside the head radius
             .expect("gesture stays outside the head");
-        let emitted = setup.system.apply(&probe);
-        let mut rec = BinauralRecording {
-            left: convolve(&emitted, &ir.left),
-            right: convolve(&emitted, &ir.right),
-        };
-        add_mic_noise(&mut rec, cfg.snr_db, seed.wrapping_add(100 + i as u64));
+        let rec = record_through(&ir, &setup, &probe, seed.wrapping_add(100 + i as u64));
         let channel = estimate_channel(&rec, &probe, &system_ir, cfg)?;
         out.push(StopMeasurement3 {
             input: FusionInput3 {
@@ -278,21 +272,6 @@ pub fn run_session_3d(
         });
     }
     Ok(out)
-}
-
-fn add_mic_noise(rec: &mut BinauralRecording, snr_db: f64, seed: u64) {
-    use rand::rngs::StdRng;
-    use rand::{Rng, SeedableRng};
-    let rms = |v: &[f64]| (v.iter().map(|x| x * x).sum::<f64>() / v.len().max(1) as f64).sqrt();
-    let level = rms(&rec.left).max(rms(&rec.right));
-    if level <= 0.0 {
-        return;
-    }
-    let amp = level / 10f64.powf(snr_db / 20.0) * 3f64.sqrt();
-    let mut rng = StdRng::seed_from_u64(seed);
-    for v in rec.left.iter_mut().chain(rec.right.iter_mut()) {
-        *v += rng.gen_range(-amp..amp);
-    }
 }
 
 #[cfg(test)]
@@ -350,6 +329,24 @@ mod tests {
         assert_eq!(stops.len(), 15); // 3 rings × 5
         for s in &stops {
             assert!(s.input.d_left_m > 0.1 && s.input.d_left_m < 1.5);
+        }
+    }
+
+    #[test]
+    fn session_3d_records_noise_free_when_the_noise_amplitude_underflows() {
+        // 10^(7000/20) overflows, so the noise amplitude is 0: no stop may
+        // panic, and two such SNRs must record the same (noise-free) bits.
+        let subject = Subject::from_seed(120);
+        let session = |snr_db: f64| {
+            let c = UniqConfig { snr_db, ..cfg() };
+            run_session_3d(&subject, &c, 5, 9).expect("every stop estimates")
+        };
+        let (a, b) = (session(7000.0), session(9000.0));
+        assert_eq!(a.len(), 15);
+        for (x, y) in a.iter().zip(&b) {
+            assert_eq!(x.channel.ir, y.channel.ir);
+            assert_eq!(x.channel.tap_left.to_bits(), y.channel.tap_left.to_bits());
+            assert_eq!(x.channel.tap_right.to_bits(), y.channel.tap_right.to_bits());
         }
     }
 
