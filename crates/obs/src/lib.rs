@@ -162,9 +162,17 @@ const TRACE_SALT: u64 = 0x7261_6365_2d69_6431; // "race-id1"
 const LANE_SALT: u64 = 0x6c61_6e65_2d69_6431; // "lane-id1"
 
 /// FNV-1a 64-bit hash of a byte string: the workspace's one byte hash
-/// (span ids, allocation-stage slots, store content keys).
+/// (span ids, allocation-stage slots, store content keys, serve shard
+/// keys, and through [`fnv1a_extend`] every determinism fingerprint).
+/// The hash of no bytes is the FNV offset basis.
 pub fn fnv1a(bytes: &[u8]) -> u64 {
-    let mut hash = FNV_OFFSET;
+    fnv1a_extend(FNV_OFFSET, bytes)
+}
+
+/// Continues an FNV-1a 64 hash: `fnv1a_extend(fnv1a(a), b)` equals
+/// `fnv1a` of `a` followed by `b`, so a digest can be fed in pieces.
+#[inline]
+pub fn fnv1a_extend(mut hash: u64, bytes: &[u8]) -> u64 {
     for &byte in bytes {
         hash ^= u64::from(byte);
         hash = hash.wrapping_mul(FNV_PRIME);
