@@ -4,6 +4,7 @@
 use std::sync::{Arc, Mutex, MutexGuard, OnceLock, PoisonError};
 
 use uniq_dsp::xcorr::{peak_normalized_xcorr, XcorrOperand};
+use uniq_geometry::vec2::angle_diff_deg;
 
 /// Render/simulation configuration shared by the forward simulator and the
 /// UNIQ pipeline. Sound travels at [`uniq_dsp::SPEED_OF_SOUND`]; the head
@@ -253,8 +254,8 @@ impl HrirBank {
             .iter()
             .enumerate()
             .min_by(|(_, a), (_, b)| {
-                let da = wrap_diff(**a, t);
-                let db = wrap_diff(**b, t);
+                let da = angle_diff_deg(**a, t);
+                let db = angle_diff_deg(**b, t);
                 da.total_cmp(&db)
             })
             // uniq-analyzer: allow(panic-safety) — the constructor asserts the bank is non-empty
@@ -304,11 +305,6 @@ impl HrirBank {
             .iter()
             .position(|a| (a - theta_deg).abs() < 1e-6)
     }
-}
-
-fn wrap_diff(a: f64, b: f64) -> f64 {
-    let d = (a - b).rem_euclid(360.0);
-    d.min(360.0 - d)
 }
 
 #[cfg(test)]

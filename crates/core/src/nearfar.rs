@@ -15,10 +15,9 @@
 
 use crate::config::{UniqConfig, TAP_THRESHOLD};
 use crate::fusion::FusionResult;
+use crate::nearfield::shift_first_tap_to;
 use uniq_acoustics::types::{BinauralIr, HrirBank};
 use uniq_dsp::align::co_align;
-use uniq_dsp::align::shift_signal;
-use uniq_dsp::peaks::first_tap;
 use uniq_geometry::critical::critical_angles;
 use uniq_geometry::planewave::plane_path_to_ear;
 use uniq_geometry::{Ear, HeadBoundary};
@@ -103,11 +102,10 @@ fn tune_to_plane_model(
     let tune_ear = |sig: &[f64], ear: Ear| -> Vec<f64> {
         let plane = plane_path_to_ear(boundary, theta_deg, ear);
         let expect = cfg.render.metres_to_samples(plane.excess);
-        let shifted = match first_tap(sig, TAP_THRESHOLD) {
-            Some(tap) => shift_signal(sig, (expect - tap.position).round() as isize),
-            None => sig.to_vec(),
-        };
-        shifted.iter().map(|v| v * radius).collect()
+        shift_first_tap_to(sig, expect)
+            .iter()
+            .map(|v| v * radius)
+            .collect()
     };
     BinauralIr::new(
         tune_ear(&ir.left, Ear::Left),

@@ -125,18 +125,8 @@ fn model_correct(
 ) -> BinauralIr {
     let pos = unit_from_theta(theta_deg) * radius;
     let correct_ear = |sig: &[f64], ear: Ear| -> Vec<f64> {
-        let Some(path) = path_to_ear(boundary, pos, ear) else {
-            return sig.to_vec();
-        };
-        let expect = cfg.render.metres_to_samples(path.length);
-        match first_tap(sig, TAP_THRESHOLD) {
-            Some(tap) => {
-                let shift = (expect - tap.position).round() as isize;
-                // Only correct confident, small deviations; large ones mean
-                // the interpolation straddles a poorly measured arc and the
-                // model is the better guess of *timing* only.
-                shift_signal(sig, shift)
-            }
+        match path_to_ear(boundary, pos, ear) {
+            Some(path) => shift_first_tap_to(sig, cfg.render.metres_to_samples(path.length)),
             None => sig.to_vec(),
         }
     };
@@ -144,6 +134,16 @@ fn model_correct(
         correct_ear(&ir.left, Ear::Left),
         correct_ear(&ir.right, Ear::Right),
     )
+}
+
+/// `sig` shifted by whole samples so its [`TAP_THRESHOLD`] first tap lands
+/// at sample `expect` (rounded to the nearest shift); a copy of `sig` when
+/// it has no tap.
+pub(crate) fn shift_first_tap_to(sig: &[f64], expect: f64) -> Vec<f64> {
+    match first_tap(sig, TAP_THRESHOLD) {
+        Some(tap) => shift_signal(sig, (expect - tap.position).round() as isize),
+        None => sig.to_vec(),
+    }
 }
 
 #[cfg(test)]
