@@ -10,6 +10,21 @@ cargo fmt --all -- --check
 echo "== cargo clippy (deny warnings) =="
 cargo clippy --workspace --all-targets -- -D warnings
 
+echo "== unused uniq-* dependencies =="
+# Every uniq-* crate a manifest depends on must be named as uniq_* in that
+# package's src/, tests/ or benches/ (the root package: src/, tests/ and
+# examples/*.rs); a dependency nothing names only slows the build.
+unused_deps=0
+for manifest in Cargo.toml crates/*/Cargo.toml; do
+  dir=$(dirname "$manifest")
+  if [ "$dir" = . ]; then srcs="src tests examples/*.rs"; else srcs="$dir/src $dir/tests $dir/benches"; fi
+  for dep in $(awk '/^\[/ { on = /^\[(dev-|build-)?dependencies\]$/ } on && /^uniq-/ { sub(/[ .=].*/, ""); print }' "$manifest"); do
+    grep -rqw "${dep//-/_}" $srcs 2>/dev/null \
+      || { echo "$manifest lists $dep, which no source names" >&2; unused_deps=1; }
+  done
+done
+[ "$unused_deps" -eq 0 ]
+
 echo "== uniq-analyzer (line-local rules + call-graph dataflow, 10s budget) =="
 # Hard gate: exits nonzero on any unsuppressed error-severity finding,
 # line-local or interprocedural (determinism taint, panic reachability,
