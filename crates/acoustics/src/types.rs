@@ -248,6 +248,13 @@ impl HrirBank {
 
     /// The HRIR measured at the angle nearest to `theta_deg` (wrapping).
     pub fn nearest(&self, theta_deg: f64) -> (&BinauralIr, f64) {
+        let idx = self.nearest_index(theta_deg);
+        (&self.irs[idx], self.angles_deg[idx])
+    }
+
+    /// Index of the entry measured at the angle nearest to `theta_deg`
+    /// (wrapping; the first of equally near entries).
+    pub fn nearest_index(&self, theta_deg: f64) -> usize {
         let t = theta_deg.rem_euclid(360.0);
         let (idx, _) = self
             .angles_deg
@@ -260,7 +267,7 @@ impl HrirBank {
             })
             // uniq-analyzer: allow(panic-safety) — the constructor asserts the bank is non-empty
             .expect("non-empty bank");
-        (&self.irs[idx], self.angles_deg[idx])
+        idx
     }
 
     /// Every entry's two ears prepared as cross-correlation operands of

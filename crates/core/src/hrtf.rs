@@ -6,8 +6,10 @@
 //! by distance, looks up the HRIR pair at `L`'s angle, and filters the
 //! sound through it — the brain perceives the result as arriving from θ.
 
-use uniq_acoustics::types::{BinauralIr, HrirBank};
+use std::sync::Arc;
+use uniq_acoustics::types::{BinauralIr, BinauralSpectra, HrirBank, SpectrumForm};
 use uniq_dsp::conv::convolve;
+use uniq_dsp::Complex;
 use uniq_geometry::vec2::theta_from_vec;
 use uniq_geometry::{HeadParams, Vec2};
 
@@ -90,13 +92,45 @@ impl PersonalHrtf {
     /// standard lateral-symmetry assumption — the mirrored angle's HRIR
     /// with the ears swapped.
     pub fn lookup(&self, theta_deg: f64, far_field: bool) -> BinauralIr {
+        let (bank, index, swapped) = self.entry(theta_deg, far_field);
+        let ir = &bank.irs()[index];
+        if swapped {
+            BinauralIr::new(ir.right.clone(), ir.left.clone())
+        } else {
+            ir.clone()
+        }
+    }
+
+    /// The bank, entry index and ear swap that serve `theta_deg`: the
+    /// nearest measured angle in the left hemisphere, or for a
+    /// right-hemisphere angle the mirrored angle's entry with the ears
+    /// swapped.
+    fn entry(&self, theta_deg: f64, far_field: bool) -> (&HrirBank, usize, bool) {
         let bank = if far_field { &self.far } else { &self.near };
         let t = theta_deg.rem_euclid(360.0);
         if t <= 180.0 {
-            bank.nearest(t).0.clone()
+            (bank, bank.nearest_index(t), false)
         } else {
-            let mirrored = bank.nearest(360.0 - t).0;
-            BinauralIr::new(mirrored.right.clone(), mirrored.left.clone())
+            (bank, bank.nearest_index(360.0 - t), true)
+        }
+    }
+
+    /// The forward spectra, at transform size `n`, of the HRIR pair that
+    /// [`PersonalHrtf::synthesize_at`] filters through for `location`.
+    /// They come from the bank's spectrum cache (see [`HrirBank::spectra`]),
+    /// which builds each size once on the shared default pool; a mirrored
+    /// angle swaps which cached ear serves which output.
+    ///
+    /// # Panics
+    /// Panics for a location at the head centre, or if `n` is not a power
+    /// of two or is shorter than the HRIRs.
+    pub fn ear_spectra(&self, location: Vec2, n: usize) -> EarSpectra {
+        let (theta, far_field) = placement(location);
+        let (bank, index, swapped) = self.entry(theta, far_field);
+        EarSpectra {
+            table: bank.spectra(n, SpectrumForm::Forward, &uniq_par::pool(0)),
+            index,
+            swapped,
         }
     }
 
@@ -117,9 +151,38 @@ impl PersonalHrtf {
     /// # Panics
     /// Panics for a location at the head centre.
     pub fn synthesize_at(&self, signal: &[f64], location: Vec2) -> BinauralSignal {
-        let theta = theta_from_vec(location);
-        let far_field = location.norm() >= NEAR_FIELD_LIMIT_M;
+        let (theta, far_field) = placement(location);
         self.synthesize(signal, theta, far_field)
+    }
+}
+
+/// A location's bearing (degrees) and whether it is far-field.
+fn placement(location: Vec2) -> (f64, bool) {
+    (
+        theta_from_vec(location),
+        location.norm() >= NEAR_FIELD_LIMIT_M,
+    )
+}
+
+/// One table entry's two ear spectra as served for a location (see
+/// [`PersonalHrtf::ear_spectra`]); holds the cached table, copies nothing.
+#[derive(Debug, Clone)]
+pub struct EarSpectra {
+    table: Arc<[BinauralSpectra]>,
+    index: usize,
+    swapped: bool,
+}
+
+impl EarSpectra {
+    /// The `(left, right)` ear spectra.
+    pub fn ears(&self) -> (&[Complex], &[Complex]) {
+        let entry = &self.table[self.index];
+        let (left, right) = (entry.left.spectrum(), entry.right.spectrum());
+        if self.swapped {
+            (right, left)
+        } else {
+            (left, right)
+        }
     }
 }
 
@@ -173,6 +236,20 @@ mod tests {
         let right_side = t.lookup(300.0, true);
         assert_eq!(left_side.left, right_side.right);
         assert_eq!(left_side.right, right_side.left);
+    }
+
+    #[test]
+    fn ear_spectra_are_the_synthesize_at_pair_transformed() {
+        let t = table();
+        let n = 1024;
+        for (theta, dist) in [(60.0, 3.0), (300.0, 3.0), (120.0, 0.4), (250.0, 0.4)] {
+            let at = uniq_geometry::vec2::unit_from_theta(theta) * dist;
+            let ir = t.lookup(theta, dist >= NEAR_FIELD_LIMIT_M);
+            let spectra = t.ear_spectra(at, n);
+            let (left, right) = spectra.ears();
+            assert_eq!(left, uniq_dsp::fft::rfft_padded(&ir.left, n), "θ {theta}");
+            assert_eq!(right, uniq_dsp::fft::rfft_padded(&ir.right, n), "θ {theta}");
+        }
     }
 
     #[test]
