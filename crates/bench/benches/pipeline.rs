@@ -1,6 +1,6 @@
 //! Criterion benchmarks for the UNIQ pipeline stages: localization, HRIR
-//! rendering, the in-room forward model, channel estimation and AoA
-//! matching.
+//! rendering, the in-room forward model, channel estimation, AoA
+//! matching and head-tracked binaural rendering.
 
 use std::sync::Arc;
 
@@ -13,11 +13,14 @@ use uniq_acoustics::signals::{generate, SignalKind};
 use uniq_core::aoa::{estimate_known_source, estimate_unknown_source};
 use uniq_core::config::UniqConfig;
 use uniq_core::fusion::localize_phone;
+use uniq_core::hrtf::PersonalHrtf;
 use uniq_geometry::diffraction::path_to_ear;
 use uniq_geometry::vec2::unit_from_theta;
 use uniq_geometry::{Ear, HeadBoundary, HeadParams};
 use uniq_obs::names::AOA_CANDIDATE_FALLBACKS;
 use uniq_obs::sink::MemorySink;
+use uniq_render::motion::{render_with_motion, turning_head};
+use uniq_render::{BinauralEngine, Scene};
 
 fn bench_localize(c: &mut Criterion) {
     let boundary = HeadBoundary::new(HeadParams::average_adult(), 1024);
@@ -129,9 +132,48 @@ fn bench_aoa_paper(c: &mut Criterion) {
     });
 }
 
+/// Head-tracked rendering as the `aoa-render` workload runs it: 2 s of
+/// music from three far-field sources through a 181-angle table, in
+/// 1024-sample blocks with 128-sample crossfades while the head turns
+/// 60°. The first (calibration) call fills the bank's spectrum cache.
+fn bench_render_motion(c: &mut Criterion) {
+    let cfg = UniqConfig::default();
+    let renderer = Renderer::new(
+        HeadBoundary::new(HeadParams::average_adult(), cfg.inverse_resolution),
+        PinnaModel::from_seed(5),
+        PinnaModel::from_seed(6),
+        cfg.render,
+    );
+    let bank = renderer.ground_truth_bank(&cfg.output_grid());
+    let engine = BinauralEngine::new(PersonalHrtf::new(
+        bank.clone(),
+        bank,
+        HeadParams::average_adult(),
+    ));
+    let mut scene = Scene::new();
+    scene.add("a", unit_from_theta(40.0) * 2.0, 0.9);
+    scene.add("b", unit_from_theta(170.0) * 2.5, 0.6);
+    scene.add("c", unit_from_theta(290.0) * 1.5, 0.8);
+    let music = generate(SignalKind::Music, 2.0, cfg.render.sample_rate, 7);
+    let poses = turning_head(0.0, 60.0, music.len().div_ceil(1024));
+    c.bench_function("render_with_motion_3src_2s", |b| {
+        b.iter(|| {
+            render_with_motion(
+                &engine,
+                &scene,
+                &poses,
+                std::hint::black_box(&music),
+                1024,
+                128,
+            )
+        })
+    });
+}
+
 criterion_group! {
     name = benches;
     config = Criterion::default().sample_size(10);
-    targets = bench_localize, bench_render, bench_forward_model, bench_aoa, bench_aoa_paper
+    targets = bench_localize, bench_render, bench_forward_model, bench_aoa, bench_aoa_paper,
+        bench_render_motion
 }
 criterion_main!(benches);

@@ -127,3 +127,57 @@ fn per_stage_allocs_thread_invariant_1_vs_8() {
         diff_table(&a, &b)
     );
 }
+
+/// Head-tracked rendering allocates per call, never per block: once a
+/// warm-up call has filled the banks' spectrum caches, rendering the same
+/// scene over 8 blocks and over 64 blocks makes the same allocations.
+#[test]
+fn motion_render_allocations_do_not_grow_with_block_count() {
+    use uniq_acoustics::{pinna::PinnaModel, render::Renderer, types::RenderConfig};
+    use uniq_geometry::{HeadBoundary, HeadParams, Vec2};
+    use uniq_render::motion::{render_with_motion, turning_head};
+
+    let _gate = GATE.lock().unwrap();
+    let head = HeadParams::average_adult();
+    let renderer = Renderer::new(
+        HeadBoundary::new(head, 512),
+        PinnaModel::from_seed(211),
+        PinnaModel::from_seed(212),
+        RenderConfig::default(),
+    );
+    let angles: Vec<f64> = (0..=18).map(|k| k as f64 * 10.0).collect();
+    let engine = uniq_render::BinauralEngine::new(uniq_core::hrtf::PersonalHrtf::new(
+        renderer
+            .near_field_bank(&angles, 0.4)
+            .expect("0.4 m clears the head"),
+        renderer.ground_truth_bank(&angles),
+        head,
+    ));
+    let mut scene = uniq_render::Scene::new();
+    scene.add("far left", Vec2::new(-2.0, 1.0), 1.0);
+    scene.add("far right", Vec2::new(2.0, 1.5), 0.7);
+    scene.add("near", Vec2::new(0.3, -0.2), 0.5);
+    let (block, fade) = (1024, 128);
+    let sig = uniq_dsp::signal::linear_chirp(200.0, 12_000.0, 1.5, 48_000.0);
+    let render = |blocks: usize| {
+        let sig = &sig[..blocks * block];
+        let poses = turning_head(0.0, 90.0, blocks);
+        let (_, snap) = uniq_obs::with_sink(Arc::new(uniq_memprof::StageTrackingSink), || {
+            uniq_memprof::measure(|| render_with_motion(&engine, &scene, &poses, sig, block, fade))
+        });
+        snap
+    };
+    render(8);
+    let (short, long) = (render(8), render(64));
+    assert!(
+        short.stage(uniq_obs::names::SPAN_RENDER_MOTION).is_some(),
+        "the render allocated nothing under its span:\n{}",
+        diff_table(&short, &long)
+    );
+    assert_eq!(
+        short.total().allocs,
+        long.total().allocs,
+        "allocations grow with the block count (8 vs 64 blocks):\n{}",
+        diff_table(&short, &long)
+    );
+}
