@@ -2,11 +2,14 @@
 //! gracefully — clean errors, never panics or silent garbage — under
 //! hostile conditions.
 
+use uniq_acoustics::measure::{BinauralRecording, InjectionSite, RecordingInjector};
 use uniq_core::channel::{stop_quality, ChannelError};
 use uniq_core::config::UniqConfig;
-use uniq_core::degrade::DegradationPolicy;
+use uniq_core::degrade::{DegradationPolicy, FaultHook};
 use uniq_core::pipeline::{personalize, PersonalizationError};
 use uniq_core::session::{run_session, SessionError};
+use uniq_faults::{class, FaultPlan};
+use uniq_imu::gyro::RateInjector;
 use uniq_imu::trajectory::Imperfections;
 use uniq_imu::GyroModel;
 use uniq_subjects::Subject;
@@ -282,4 +285,77 @@ fn clean_session_keeps_every_stop_even_below_the_default_quality_floor() {
         scores.iter().any(|&q| q < floor),
         "no stop under the floor {floor}: {scores:?}"
     );
+}
+
+/// Digest of everything one fixed nine-class plan does to fixed inputs:
+/// the corrupted recording bits at every (stop, attempt) site of a
+/// 19-stop sweep, the corrupted gyro-rate bits, the 19-stop schedule and
+/// every applied class label. A change to how a fault corrupts a session
+/// moves it.
+const FAULT_DIGEST: u64 = 0x9f39_01eb_c330_5289;
+
+#[test]
+fn nine_class_plan_corrupts_bit_identically() {
+    const STOPS: usize = 19;
+    let plan = FaultPlan::parse(
+        "drop@2~, truncate:0.4@3, clip:0.5, snr:-6@5~, gyro-dropout:0.3:0.1, \
+         gyro-sat:20, jitter:0.04, dup@7, reorder@11",
+        2024,
+    )
+    .expect("plan parses");
+    let mut bytes = Vec::new();
+    let mut applied = std::collections::BTreeSet::new();
+    let mut eat_labels = |bytes: &mut Vec<u8>, labels: &[&'static str]| {
+        for label in labels {
+            bytes.extend_from_slice(label.as_bytes());
+            bytes.push(0);
+            applied.insert(*label);
+        }
+        bytes.push(0xff);
+    };
+    let eat_samples = |bytes: &mut Vec<u8>, samples: &[f64]| {
+        for v in samples {
+            bytes.extend_from_slice(&v.to_bits().to_le_bytes());
+        }
+    };
+
+    for stop in 0..STOPS {
+        for attempt in 0..2 {
+            let mut rec = BinauralRecording {
+                left: (0..600).map(|k| (k as f64 * 0.07).sin()).collect(),
+                right: (0..600).map(|k| 0.8 * (k as f64 * 0.11).cos()).collect(),
+            };
+            let site = InjectionSite {
+                stop,
+                attempt,
+                sample_rate: 48_000.0,
+            };
+            let labels = plan.corrupt_recording(site, &mut rec);
+            eat_labels(&mut bytes, &labels);
+            eat_samples(&mut bytes, &rec.left);
+            eat_samples(&mut bytes, &rec.right);
+        }
+    }
+
+    let mut rates: Vec<f64> = (0..400).map(|k| 30.0 * (k as f64 * 0.05).sin()).collect();
+    let labels = plan.corrupt_rates(&mut rates, 0.01);
+    eat_labels(&mut bytes, &labels);
+    eat_samples(&mut bytes, &rates);
+
+    for stop in 0..STOPS {
+        let sched = plan.stop_schedule(stop, STOPS);
+        bytes.extend_from_slice(&(sched.source as u64).to_le_bytes());
+        eat_samples(&mut bytes, &[sched.jitter_s]);
+        eat_labels(&mut bytes, &sched.faults);
+    }
+
+    let mut every_class: Vec<&str> = class::ALL.to_vec();
+    every_class.sort_unstable();
+    assert_eq!(
+        applied.into_iter().collect::<Vec<_>>(),
+        every_class,
+        "the plan must apply all nine fault classes"
+    );
+    let digest = uniq_obs::fnv1a(&bytes);
+    assert_eq!(digest, FAULT_DIGEST, "fault digest moved: {digest:#018x}");
 }
