@@ -60,37 +60,6 @@ pub struct BinauralRecording {
     pub right: Vec<f64>,
 }
 
-/// Identifies one recording capture for fault injection: which stop of
-/// the sweep is being recorded, which retry attempt this is, and the
-/// sample rate of the stream (so injectors can convert seconds to
-/// samples).
-#[derive(Debug, Clone, Copy, PartialEq)]
-pub struct InjectionSite {
-    /// Scheduled stop index within the sweep.
-    pub stop: usize,
-    /// Retry attempt for this stop (0 = first capture).
-    pub attempt: usize,
-    /// Sample rate of the recorded streams, Hz.
-    pub sample_rate: f64,
-}
-
-/// A fault injector operating at the recording boundary — the last point
-/// where the real system would see corruption (a dropped chirp, clipped
-/// samples, a noise burst) before channel estimation.
-///
-/// Implementations must be deterministic: the same site and the same
-/// injector state must corrupt a given recording identically, because the
-/// session layer replays captures across retries and thread counts.
-pub trait RecordingInjector: std::fmt::Debug + Sync {
-    /// Corrupts `rec` in place and returns the labels of the fault
-    /// classes actually applied at this site (empty = untouched).
-    fn corrupt_recording(
-        &self,
-        site: InjectionSite,
-        rec: &mut BinauralRecording,
-    ) -> Vec<&'static str>;
-}
-
 /// Records `probe` played from a point source at `src` through the full
 /// measurement chain. Returns `None` if `src` is inside the head.
 pub fn record_point_source(

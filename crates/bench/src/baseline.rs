@@ -28,9 +28,9 @@ use uniq_core::config::UniqConfig;
 use uniq_core::pipeline::{personalize_with_retry, PersonalizationResult};
 use uniq_dsp::stats::median;
 use uniq_geometry::vec2::angle_diff_deg;
-use uniq_obs::sink::{json_escape, json_number};
+use uniq_obs::json::Json;
+use uniq_obs::sink::{json_escape, json_number, NoopSink};
 use uniq_obs::Stopwatch;
-use uniq_profile::json::Json;
 use uniq_profile::ProfileSink;
 use uniq_subjects::Subject;
 
@@ -206,7 +206,7 @@ fn hrir_similarity(
 /// Measures the allocation profile of the spec's personalize workload at
 /// `threads`: one unmeasured run first (prewarming the pool, lazy tables,
 /// and span-name slots), then the measured run under a
-/// [`uniq_memprof::StageTrackingSink`] so spans stay enabled for stage
+/// [`NoopSink`] so spans stay enabled for stage
 /// attribution even without another sink. Meaningful only when the
 /// `uniq-memprof` counting allocator is installed in the running binary
 /// (the snapshot is empty otherwise). Counters are process-global — the
@@ -214,7 +214,7 @@ fn hrir_similarity(
 pub fn alloc_profile(spec: &BaselineSpec, threads: usize) -> uniq_memprof::AllocSnapshot {
     let cfg = spec.config(threads);
     let subject = Subject::from_seed(spec.seed);
-    let sink = Arc::new(uniq_memprof::StageTrackingSink);
+    let sink = Arc::new(NoopSink);
     uniq_obs::with_sink(sink, || {
         personalize_with_retry(&subject, &cfg, spec.seed, 3).expect("baseline personalize failed");
         let (_, snap) = uniq_memprof::measure(|| {
@@ -277,7 +277,8 @@ const SECTIONS: [&str; 6] = ["meta", "quality", "perf", "counters", "alloc", "se
 /// A run document under construction: the one schema behind
 /// `BENCH_BASELINE.json`, `baseline run` output and every ledger line.
 /// Writers fill the sections they have; members keep insertion order
-/// within a section, and sections render in [`SECTIONS`] order.
+/// within a section, and sections render in the fixed order meta,
+/// quality, perf, counters, alloc, serve.
 #[derive(Debug, Clone, Default)]
 pub struct RunDoc {
     sections: Vec<(&'static str, Vec<(String, String)>)>,
@@ -285,7 +286,7 @@ pub struct RunDoc {
 
 impl RunDoc {
     /// Adds `key` with the already-rendered JSON `value` to `section`
-    /// (one of [`SECTIONS`]).
+    /// (one of the sections listed on [`RunDoc`]).
     pub fn raw(
         &mut self,
         section: &'static str,

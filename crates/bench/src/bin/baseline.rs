@@ -19,7 +19,7 @@ use uniq_bench::baseline::{
     Reference, BASELINE_FILE,
 };
 use uniq_bench::ledger;
-use uniq_profile::json::Json;
+use uniq_obs::json::Json;
 
 /// The counting allocator: always installed in this binary (recording is
 /// off until a measurement starts, so non-alloc commands pay only a

@@ -5,11 +5,10 @@
 //! cargo run -p uniq-bench --release --bin experiments -- fig17 fig18
 //! ```
 //!
-//! Each run also writes `bench_results/timings.json` with the wall time of
-//! every executed target.
+//! Each run ends by printing the wall time of every executed target.
 
+use std::time::Instant;
 use uniq_bench::experiments::*;
-use uniq_bench::timings::{TimingLog, TimingMeta};
 
 /// Installed so the `alloc-profile` experiment can attribute allocations;
 /// recording stays off for every other target.
@@ -39,82 +38,75 @@ fn main() {
     };
 
     println!("UNIQ evaluation reproduction — results land in bench_results/");
-    // Cohort seeds start at 5000 (see cohort::run_cohort).
-    let mut timings = TimingLog::new(TimingMeta::current(5000));
+    let mut timings: Vec<(&str, f64)> = Vec::new();
     for t in targets {
+        let start = Instant::now();
         match t {
             "fig2" => {
-                timings.time("fig2", fig2::run);
+                fig2::run();
             }
             "fig5" => {
-                timings.time("fig5", fig5::run);
+                fig5::run();
             }
             "fig9" => {
-                timings.time("fig9", fig9::run);
+                fig9::run();
             }
             "fig16" => {
-                timings.time("fig16", fig16::run);
+                fig16::run();
             }
             "fig17" => {
-                timings.time("fig17", fig17::run);
+                fig17::run();
             }
             // Figs 18, 19 and 20 share one computation.
             "fig18" | "fig19" | "fig20" => {
-                timings.time(t, fig18_20::run);
+                fig18_20::run();
             }
             "fig21" => {
-                timings.time("fig21", fig21::run);
+                fig21::run();
             }
             "fig22" => {
-                timings.time("fig22", fig22::run);
+                fig22::run();
             }
             "batch" => {
-                timings.time("batch", batch_scaling::run);
+                batch_scaling::run();
             }
             "alloc-profile" => {
-                timings.time("alloc-profile", || {
-                    alloc_profile::run();
-                });
+                alloc_profile::run();
             }
             "store" => {
-                timings.time("store", store_scaling::run);
+                store_scaling::run();
             }
             "serve" => {
-                timings.time("serve", || {
-                    serve_scaling::run();
-                });
+                serve_scaling::run();
             }
             "robustness" => {
-                timings.time("robustness", || {
-                    robustness::run();
-                });
+                robustness::run();
             }
             "extensions" => {
-                timings.time("extensions", || {
-                    extensions::elevation_itd();
-                    extensions::spherical_localization();
-                    extensions::externalization_proxy();
-                });
+                extensions::elevation_itd();
+                extensions::spherical_localization();
+                extensions::externalization_proxy();
             }
             "ablations" => {
-                timings.time("ablations", || {
-                    ablations::fusion_ablation();
-                    ablations::head_model_ablation();
-                    ablations::room_gating_ablation();
-                    ablations::interpolation_ablation();
-                    ablations::nearfar_ablation();
-                    ablations::stops_sweep();
-                    ablations::robustness_sweep();
-                    ablations::beamforming_analysis();
-                });
+                ablations::fusion_ablation();
+                ablations::head_model_ablation();
+                ablations::room_gating_ablation();
+                ablations::interpolation_ablation();
+                ablations::nearfar_ablation();
+                ablations::stops_sweep();
+                ablations::robustness_sweep();
+                ablations::beamforming_analysis();
             }
-            other => eprintln!("unknown experiment '{other}' — see DESIGN.md for the list"),
+            other => {
+                eprintln!("unknown experiment '{other}' — see DESIGN.md for the list");
+                continue;
+            }
         }
+        timings.push((t, start.elapsed().as_secs_f64()));
     }
-    timings.write();
 
     println!("\ntimings:");
-    for (name, secs) in timings.entries() {
+    for (name, secs) in timings {
         println!("  {name:<12} {secs:.2}s");
     }
     println!("\ndone.");

@@ -15,8 +15,8 @@ use crate::baseline::Reference;
 use std::fmt;
 use std::io::Write;
 use std::path::Path;
+use uniq_obs::json::Json;
 use uniq_obs::sink::json_escape;
-use uniq_profile::json::Json;
 
 /// Schema stamp carried by every ledger line. v1 lines (a flat record
 /// with its own field names) are not read.

@@ -22,7 +22,6 @@ pub mod cohort;
 pub mod csv;
 pub mod experiments;
 pub mod ledger;
-pub mod timings;
 
 /// Output directory for CSV artifacts (relative to the workspace root).
 pub const RESULTS_DIR: &str = "bench_results";

@@ -149,7 +149,7 @@ fn print_out(text: &str) -> std::io::Result<()> {
     }
 }
 
-/// Prints `text` with [`print_out`] and returns the exit code `code`; a
+/// Prints `text` with `print_out` and returns the exit code `code`; a
 /// failed write is named on stderr and returns 1.
 pub fn print_then(text: &str, code: i32) -> i32 {
     match print_out(text) {
@@ -1105,7 +1105,7 @@ mod tests {
     use super::*;
     use crate::args::Args;
     use uniq_bench::baseline::compare;
-    use uniq_profile::json::Json;
+    use uniq_obs::json::Json;
 
     /// The lib-test binary installs the counting allocator itself (the
     /// `uniq` binary does this in its main.rs) so `--memprof` is testable
@@ -1354,8 +1354,7 @@ mod tests {
         assert!(out.contains("fusion"), "hot stage missing: {out}");
         assert!(!out.contains("per-stage wall clock:"), "{out}");
 
-        let doc =
-            uniq_profile::json::Json::parse(&std::fs::read_to_string(&json).unwrap()).unwrap();
+        let doc = uniq_obs::json::Json::parse(&std::fs::read_to_string(&json).unwrap()).unwrap();
         assert!(doc.get("stages").is_some(), "alloc JSON has no stages");
         assert_eq!(
             doc.get("schema_version").and_then(|v| v.as_u64()),
@@ -1389,8 +1388,7 @@ mod tests {
         )))
         .unwrap_err();
         assert!(err.contains("out"), "unexpected error: {err}");
-        let doc =
-            uniq_profile::json::Json::parse(&std::fs::read_to_string(&json).unwrap()).unwrap();
+        let doc = uniq_obs::json::Json::parse(&std::fs::read_to_string(&json).unwrap()).unwrap();
         assert!(doc.get("schema_version").is_some());
         std::fs::remove_file(&json).ok();
     }
@@ -1533,8 +1531,7 @@ mod tests {
                 (cols.next() == Some("personalize")).then(|| cols.next().unwrap().parse().unwrap())
             })
             .expect("personalize row in the table");
-        let doc =
-            uniq_profile::json::Json::parse(&std::fs::read_to_string(&json).unwrap()).unwrap();
+        let doc = uniq_obs::json::Json::parse(&std::fs::read_to_string(&json).unwrap()).unwrap();
         let json_count = doc
             .get("stages")
             .unwrap()

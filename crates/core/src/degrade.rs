@@ -12,10 +12,9 @@
 //! hook [`NoFaults`] and [`DegradationPolicy::CLEAN`] (no re-capture, no
 //! stop skipping, no quality floor, no fusion re-weighting), which is the
 //! paper's plain pipeline. The fault *implementations* live in the
-//! `uniq-faults` crate; `uniq-core` only knows the boundary traits.
+//! `uniq-faults` crate; `uniq-core` only knows the boundary trait.
 
-use uniq_acoustics::measure::{BinauralRecording, InjectionSite, RecordingInjector};
-use uniq_imu::gyro::RateInjector;
+use uniq_acoustics::measure::BinauralRecording;
 
 /// How one scheduled stop is actually captured under faults: which sweep
 /// position the recording really comes from (duplicated/reordered stops),
@@ -42,14 +41,47 @@ impl StopSchedule {
     }
 }
 
-/// A fault source the session layer can drive: signal-level corruption at
-/// the recording and gyro-rate boundaries (the supertraits) plus
-/// session-level structure (stop remapping and timestamp jitter).
+/// Identifies one recording capture for fault injection: which stop of
+/// the sweep is being recorded and which retry attempt this is.
+#[derive(Debug, Clone, Copy, PartialEq)]
+pub struct InjectionSite {
+    /// Scheduled stop index within the sweep.
+    pub stop: usize,
+    /// Retry attempt for this stop (0 = first capture).
+    pub attempt: usize,
+}
+
+/// A fault source the session layer can drive: corruption of each
+/// recorded chirp (the last point where the real system would see a
+/// dropped chirp, clipped samples or a noise burst before channel
+/// estimation), of the measured gyro-rate stream (after the sensor error
+/// model, the way a dropout or range saturation presents to the
+/// pipeline), and of the session's structure (stop remapping and
+/// timestamp jitter). Every method defaults to leaving the session
+/// untouched.
 ///
 /// Implementations must be deterministic functions of their own state and
 /// the method arguments — the session replays them across retries and
 /// thread counts and requires bit-identical behavior.
-pub trait FaultHook: RecordingInjector + RateInjector {
+pub trait FaultHook: std::fmt::Debug + Sync {
+    /// Corrupts the recording captured at `site` in place and returns the
+    /// labels of the fault classes applied (empty = untouched).
+    fn corrupt_recording(
+        &self,
+        site: InjectionSite,
+        rec: &mut BinauralRecording,
+    ) -> Vec<&'static str> {
+        let _ = (site, rec);
+        Vec::new()
+    }
+
+    /// Corrupts the measured gyro rates in place and returns the labels
+    /// of the fault classes applied (empty = untouched).
+    fn corrupt_rates(&self, rates_dps: &mut [f64]) -> Vec<&'static str> {
+        let _ = rates_dps;
+        Vec::new()
+    }
+
     /// Schedule for `stop` out of `stops` scheduled sweep stops.
     fn stop_schedule(&self, stop: usize, stops: usize) -> StopSchedule {
         let _ = stops;
@@ -60,18 +92,6 @@ pub trait FaultHook: RecordingInjector + RateInjector {
 /// The hook of a run without faults: corrupts nothing, remaps nothing.
 #[derive(Debug, Clone, Copy, Default)]
 pub struct NoFaults;
-
-impl RecordingInjector for NoFaults {
-    fn corrupt_recording(&self, _: InjectionSite, _: &mut BinauralRecording) -> Vec<&'static str> {
-        Vec::new()
-    }
-}
-
-impl RateInjector for NoFaults {
-    fn corrupt_rates(&self, _: &mut [f64], _: f64) -> Vec<&'static str> {
-        Vec::new()
-    }
-}
 
 impl FaultHook for NoFaults {}
 

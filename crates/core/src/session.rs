@@ -10,9 +10,11 @@
 
 use crate::channel::{estimate_channel, stop_quality, ChannelError, EstimatedChannel};
 use crate::config::UniqConfig;
-use crate::degrade::{DegradationPolicy, DegradationReport, FaultHook, NoFaults, StopDegradation};
+use crate::degrade::{
+    DegradationPolicy, DegradationReport, FaultHook, InjectionSite, NoFaults, StopDegradation,
+};
 use crate::fusion::MIN_STOPS;
-use uniq_acoustics::measure::{record_point_source, InjectionSite, MeasurementSetup};
+use uniq_acoustics::measure::{record_point_source, MeasurementSetup};
 use uniq_acoustics::render::Renderer;
 use uniq_imu::gyro::integrate_rates;
 use uniq_imu::trajectory::{generate_trajectory, measurement_stops, GesturePlan, TrajectorySample};
@@ -184,7 +186,7 @@ pub fn run_session_faulted(
         let true_rates: Vec<f64> = traj.iter().map(|s| s.angular_rate_dps).collect();
         let dt = 1.0 / plan.imu_rate_hz;
         let mut measured_rates = cfg.gyro.simulate(&true_rates, dt, seed.wrapping_add(1));
-        let gyro_faults = hook.corrupt_rates(&mut measured_rates, dt);
+        let gyro_faults = hook.corrupt_rates(&mut measured_rates);
         // The user is instructed to start facing front: initial α = 0.
         (integrate_rates(&measured_rates, dt, 0.0), gyro_faults)
     };
@@ -292,11 +294,7 @@ fn degrade_stop(
         let noise_seed = seed
             .wrapping_add(100 + src as u64)
             .wrapping_add(50_000u64.wrapping_mul(attempt as u64));
-        let site = InjectionSite {
-            stop: i,
-            attempt,
-            sample_rate: cfg.render.sample_rate,
-        };
+        let site = InjectionSite { stop: i, attempt };
         let mut rec = record_point_source(
             &prep.renderer,
             &prep.setup,
@@ -449,7 +447,7 @@ mod tests {
         ZeroRates,
     }
 
-    impl uniq_acoustics::measure::RecordingInjector for TestHook {
+    impl FaultHook for TestHook {
         fn corrupt_recording(
             &self,
             site: InjectionSite,
@@ -463,10 +461,8 @@ mod tests {
             }
             vec!["halve-left"]
         }
-    }
 
-    impl uniq_imu::gyro::RateInjector for TestHook {
-        fn corrupt_rates(&self, rates_dps: &mut [f64], _dt: f64) -> Vec<&'static str> {
+        fn corrupt_rates(&self, rates_dps: &mut [f64]) -> Vec<&'static str> {
             if !matches!(self, TestHook::ZeroRates) {
                 return Vec::new();
             }
@@ -474,8 +470,6 @@ mod tests {
             vec!["zero-rates"]
         }
     }
-
-    impl FaultHook for TestHook {}
 
     #[test]
     fn recording_corruption_touches_only_its_stop() {

@@ -8,12 +8,13 @@
 //! duplicate or reorder sweep stops. This crate turns that failure
 //! envelope into a typed, seeded [`FaultPlan`] — a schedule of
 //! [`FaultEvent`]s — that plugs into the pipeline at the exact signal
-//! boundaries the real system would see:
+//! boundaries the real system would see, all through the one
+//! `uniq_core::degrade::FaultHook` trait:
 //!
-//! * recordings, via `uniq_acoustics::measure::RecordingInjector`;
-//! * gyro rate streams, via `uniq_imu::gyro::RateInjector`;
-//! * session structure (stop remapping, clock jitter), via
-//!   `uniq_core::degrade::FaultHook`.
+//! * recordings (`corrupt_recording`);
+//! * gyro rate streams (`corrupt_rates`);
+//! * session structure: stop remapping and clock jitter
+//!   (`stop_schedule`).
 //!
 //! Everything is a pure function of the plan (its seed and events) and
 //! the injection site, so a faulted session is bit-identical across runs
@@ -25,10 +26,9 @@
 
 use rand::rngs::StdRng;
 use rand::{Rng, SeedableRng};
-use uniq_acoustics::measure::{BinauralRecording, InjectionSite, RecordingInjector};
-use uniq_core::degrade::{FaultHook, StopSchedule};
+use uniq_acoustics::measure::BinauralRecording;
+use uniq_core::degrade::{FaultHook, InjectionSite, StopSchedule};
 use uniq_dsp::signal::rms;
-use uniq_imu::gyro::RateInjector;
 
 /// Canonical fault-class labels, as they appear in `DegradationReport`s,
 /// CLI plan specs and the robustness experiment.
@@ -398,7 +398,7 @@ fn mix(seed: u64, words: &[u64]) -> u64 {
     h ^ (h >> 30)
 }
 
-impl RecordingInjector for FaultPlan {
+impl FaultHook for FaultPlan {
     fn corrupt_recording(
         &self,
         site: InjectionSite,
@@ -462,10 +462,8 @@ impl RecordingInjector for FaultPlan {
         }
         applied
     }
-}
 
-impl RateInjector for FaultPlan {
-    fn corrupt_rates(&self, rates_dps: &mut [f64], _dt: f64) -> Vec<&'static str> {
+    fn corrupt_rates(&self, rates_dps: &mut [f64]) -> Vec<&'static str> {
         let n = rates_dps.len();
         if n == 0 {
             return Vec::new();
@@ -491,9 +489,7 @@ impl RateInjector for FaultPlan {
         }
         applied
     }
-}
 
-impl FaultHook for FaultPlan {
     fn stop_schedule(&self, stop: usize, stops: usize) -> StopSchedule {
         let mut sched = StopSchedule::identity(stop);
         for (k, event) in self.events.iter().enumerate() {
@@ -542,11 +538,7 @@ mod tests {
     }
 
     fn site(stop: usize, attempt: usize) -> InjectionSite {
-        InjectionSite {
-            stop,
-            attempt,
-            sample_rate: 48_000.0,
-        }
+        InjectionSite { stop, attempt }
     }
 
     #[test]
@@ -558,7 +550,7 @@ mod tests {
         assert_eq!(rec.left, clean.left);
         assert_eq!(rec.right, clean.right);
         let mut rates = vec![1.0, 2.0, 3.0];
-        assert!(plan.corrupt_rates(&mut rates, 0.01).is_empty());
+        assert!(plan.corrupt_rates(&mut rates).is_empty());
         assert_eq!(rates, vec![1.0, 2.0, 3.0]);
         let sched = plan.stop_schedule(5, 10);
         assert_eq!(sched.source, 5);
@@ -659,7 +651,7 @@ mod tests {
     fn gyro_dropout_and_saturation_reshape_rates() {
         let plan = FaultPlan::parse("gyro-dropout:0.5:0.25,gyro-sat:2", 7).unwrap();
         let mut rates = vec![3.0; 100];
-        let applied = plan.corrupt_rates(&mut rates, 0.01);
+        let applied = plan.corrupt_rates(&mut rates);
         assert_eq!(applied, vec![class::GYRO_DROPOUT, class::GYRO_SATURATION]);
         assert!(rates[50..75].iter().all(|&v| v == 0.0), "window zeroed");
         assert!(rates[..50].iter().all(|&v| v == 2.0), "head clamped");

@@ -6,10 +6,9 @@
 //! order, or on which thread the corruption runs.
 
 use proptest::prelude::*;
-use uniq_acoustics::measure::{BinauralRecording, InjectionSite, RecordingInjector};
-use uniq_core::degrade::FaultHook;
+use uniq_acoustics::measure::BinauralRecording;
+use uniq_core::degrade::{FaultHook, InjectionSite};
 use uniq_faults::{class, FaultEvent, FaultKind, FaultPlan};
-use uniq_imu::gyro::RateInjector;
 
 fn recording(len: usize, scale: f64) -> BinauralRecording {
     let left: Vec<f64> = (0..len)
@@ -22,11 +21,7 @@ fn recording(len: usize, scale: f64) -> BinauralRecording {
 }
 
 fn site(stop: usize, attempt: usize) -> InjectionSite {
-    InjectionSite {
-        stop,
-        attempt,
-        sample_rate: 48_000.0,
-    }
+    InjectionSite { stop, attempt }
 }
 
 /// Decodes one sampled `(kind, stop, transient, param)` tuple into an
@@ -85,8 +80,8 @@ proptest! {
         let mut ra = vec![4.0; 200];
         let mut rb = vec![4.0; 200];
         prop_assert_eq!(
-            plan.corrupt_rates(&mut ra, 0.01),
-            plan.corrupt_rates(&mut rb, 0.01)
+            plan.corrupt_rates(&mut ra),
+            plan.corrupt_rates(&mut rb)
         );
         prop_assert_eq!(ra, rb);
 

@@ -49,28 +49,10 @@ pub fn path_to_ear(boundary: &HeadBoundary, src: Vec2, ear: Ear) -> Option<Diffr
     path_to_vertex(boundary, src, boundary.ear_index(ear))
 }
 
-/// Length of the shortest diffraction path from `src` to the given ear —
-/// bit-identical to `path_to_ear(..).map(|p| p.length)`, without the wrap
-/// angle and arrival direction (the O(arc) part of a wrapped path).
-///
-/// ```
-/// use uniq_geometry::{HeadBoundary, HeadParams, Ear, Vec2};
-/// use uniq_geometry::diffraction::{path_length_to_ear, path_to_ear};
-/// let b = HeadBoundary::new(HeadParams::average_adult(), 1024);
-/// let phone = Vec2::new(0.3, 0.2);
-/// let full = path_to_ear(&b, phone, Ear::Left).unwrap();
-/// assert_eq!(path_length_to_ear(&b, phone, Ear::Left), Some(full.length));
-/// assert_eq!(path_length_to_ear(&b, Vec2::ZERO, Ear::Left), None);
-/// ```
-///
-/// Returns `None` when `src` lies strictly inside the head.
-pub fn path_length_to_ear(boundary: &HeadBoundary, src: Vec2, ear: Ear) -> Option<f64> {
-    shortest_wrap(boundary, src, boundary.ear_index(ear)).map(|w| w.length)
-}
-
 /// Length of the shortest diffraction path from `src` to the given ear,
-/// bit-identical to [`path_length_to_ear`], and its gradient with respect
-/// to `src`.
+/// bit-identical to `path_to_ear(..).map(|p| p.length)` but without the
+/// wrap angle and arrival direction (the O(arc) part of a wrapped path),
+/// and its gradient with respect to `src`.
 ///
 /// The path leaves `src` along a straight segment to its first anchor:
 /// the source tangent vertex of a wrapped path, or the ear itself when
@@ -80,11 +62,11 @@ pub fn path_length_to_ear(boundary: &HeadBoundary, src: Vec2, ear: Ear) -> Optio
 ///
 /// ```
 /// use uniq_geometry::{HeadBoundary, HeadParams, Ear, Vec2};
-/// use uniq_geometry::diffraction::{path_length_and_gradient, path_length_to_ear};
+/// use uniq_geometry::diffraction::{path_length_and_gradient, path_to_ear};
 /// let b = HeadBoundary::new(HeadParams::average_adult(), 1024);
 /// let phone = Vec2::new(-0.4, 0.0);                  // left ear is lit
 /// let (len, grad) = path_length_and_gradient(&b, phone, Ear::Left).unwrap();
-/// assert_eq!(Some(len), path_length_to_ear(&b, phone, Ear::Left));
+/// assert_eq!(len, path_to_ear(&b, phone, Ear::Left).unwrap().length);
 /// assert!((grad - Vec2::new(-1.0, 0.0)).norm() < 1e-12); // away from the ear
 /// ```
 ///
@@ -360,18 +342,11 @@ mod tests {
         for ear in Ear::BOTH {
             let oracle = oracle_length(b, src, b.ear_index(ear), expect).map(f64::to_bits);
             let full = path_to_ear(b, src, ear).map(|p| p.length.to_bits());
-            let short = path_length_to_ear(b, src, ear).map(f64::to_bits);
             let with_gradient = path_length_and_gradient(b, src, ear).map(|(l, _)| l.to_bits());
             assert_eq!(
                 full,
                 oracle,
                 "path_to_ear {ear:?} at src={src:?}, n={}",
-                b.len()
-            );
-            assert_eq!(
-                short,
-                oracle,
-                "path_length_to_ear {ear:?} at src={src:?}, n={}",
                 b.len()
             );
             assert_eq!(
@@ -472,7 +447,7 @@ mod tests {
         let anchor = |b: &HeadBoundary, p: Vec2, ear: Ear| {
             shortest_wrap(b, p, b.ear_index(ear)).map(|w| w.tangent)
         };
-        let length = |b: &HeadBoundary, p: Vec2, ear: Ear| path_length_to_ear(b, p, ear).unwrap();
+        let length = |b: &HeadBoundary, p: Vec2, ear: Ear| path_to_ear(b, p, ear).unwrap().length;
         let h = 1e-7;
         let (mut lit, mut shadowed, mut skipped) = (0, 0, 0);
         for head in [
@@ -591,7 +566,7 @@ mod tests {
         let b = boundary();
         assert!(path_to_ear(&b, Vec2::ZERO, Ear::Left).is_none());
         assert!(path_to_ear(&b, Vec2::new(0.01, 0.01), Ear::Right).is_none());
-        assert!(path_length_to_ear(&b, Vec2::new(0.01, 0.01), Ear::Left).is_none());
+        assert!(path_length_and_gradient(&b, Vec2::new(0.01, 0.01), Ear::Left).is_none());
     }
 
     #[test]

@@ -80,20 +80,6 @@ impl GyroModel {
     }
 }
 
-/// A fault injector operating at the rate-stream boundary — corruption is
-/// applied to the *measured* gyro rates, after the sensor error model, the
-/// way a real dropout or range saturation would present to the pipeline.
-///
-/// Implementations must be deterministic for a given stream: the session
-/// layer integrates the corrupted stream once per run and expects
-/// bit-identical angles across thread counts.
-pub trait RateInjector: std::fmt::Debug + Sync {
-    /// Corrupts `rates_dps` (sampled every `dt` seconds) in place and
-    /// returns the labels of the fault classes actually applied (empty =
-    /// untouched).
-    fn corrupt_rates(&self, rates_dps: &mut [f64], dt: f64) -> Vec<&'static str>;
-}
-
 /// Integrates angular rates (°/s, sampled every `dt` s) into orientation
 /// (degrees), trapezoidal rule, starting at `initial_deg`.
 ///

@@ -59,7 +59,7 @@ use std::cell::Cell;
 use std::collections::BTreeMap;
 use std::sync::atomic::{AtomicBool, AtomicI64, AtomicPtr, AtomicU64, AtomicUsize, Ordering};
 
-use uniq_obs::sink::{json_escape, Sink};
+use uniq_obs::sink::json_escape;
 
 /// Schema stamp on [`AllocSnapshot::to_json`] output; bump on any
 /// incompatible shape change so downstream readers can refuse early.
@@ -637,18 +637,6 @@ impl AllocSnapshot {
         row("(overflow)", &self.overflow);
         out
     }
-}
-
-/// A [`Sink`] adapter so a memory profile can ride along any sink stack:
-/// it ignores every event (attribution happens in the allocator hook, not
-/// the event stream) but keeps spans enabled, which is what drives the
-/// `uniq-obs` stage tracking the hook reads. Install it when no other
-/// sink is active and a memory profile is wanted.
-#[derive(Debug, Default, Clone, Copy)]
-pub struct StageTrackingSink;
-
-impl Sink for StageTrackingSink {
-    fn on_event(&self, _event: &uniq_obs::Event) {}
 }
 
 #[cfg(test)]

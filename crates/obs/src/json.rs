@@ -6,8 +6,8 @@
 //! `--profile-out` files, and the telemetry layer's trace-tree and
 //! run-ledger readers. It lives in `uniq-obs` — the root of the
 //! observability dependency chain — so those consumers share one parser
-//! instead of growing parallel ad-hoc ones (`uniq-profile` re-exports it
-//! as `uniq_profile::json` for compatibility). This is a small
+//! instead of growing parallel ad-hoc ones; each imports it as
+//! `uniq_obs::json`. This is a small
 //! recursive-descent parser covering the full JSON grammar — objects,
 //! arrays, strings with escapes (including `\uXXXX` surrogate pairs),
 //! numbers, literals — with positions in error messages. It does not aim

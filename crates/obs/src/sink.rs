@@ -23,9 +23,11 @@ pub trait Sink: Send + Sync {
     fn flush(&self) {}
 }
 
-/// Discards everything. Installing it is equivalent to (and no cheaper
-/// than) installing nothing; it exists so call sites can be explicit and
-/// so overhead benches have a named baseline.
+/// Discards every event. Installing it is not the same as installing
+/// nothing: any installed sink turns span dispatch on, so spans still
+/// open and close and `uniq-memprof` can attribute allocations to the
+/// enclosing stage. Use it for a memory profile with no other sink, and
+/// as the named baseline of the overhead benches.
 #[derive(Debug, Default, Clone, Copy)]
 pub struct NoopSink;
 

@@ -16,7 +16,7 @@
 //!   `--trace` end-of-run summary;
 //! - [`ProfileReport::to_json`] — machine-readable, consumed by the
 //!   benchmark baseline comparator and the CI `verify-profile` smoke
-//!   (parse it back with [`json::Json`]);
+//!   (parse it back with [`uniq_obs::json::Json`]);
 //! - [`ProfileReport::collapsed_stacks`] — Brendan-Gregg collapsed-stack
 //!   lines (`path;to;frame self_nanos`), ready for `flamegraph.pl` or any
 //!   compatible renderer;
@@ -70,8 +70,6 @@
 
 #![forbid(unsafe_code)]
 #![warn(missing_docs)]
-
-pub use uniq_obs::json;
 
 pub mod trace;
 
@@ -758,7 +756,7 @@ impl ProfileReport {
     }
 
     /// Machine-readable JSON (schema [`PROFILE_SCHEMA_VERSION`]); parse
-    /// it back with [`json::Json::parse`]. All durations are integer
+    /// it back with [`uniq_obs::json::Json::parse`]. All durations are integer
     /// nanoseconds.
     pub fn to_json(&self) -> String {
         let mut out = String::new();
@@ -1186,7 +1184,7 @@ mod tests {
             value: 2.5,
             unit: "deg2",
         });
-        let doc = json::Json::parse(&sink.report().to_json()).expect("self-emitted JSON");
+        let doc = uniq_obs::json::Json::parse(&sink.report().to_json()).expect("self-emitted JSON");
         assert_eq!(
             doc.get("schema_version").unwrap().as_u64(),
             Some(PROFILE_SCHEMA_VERSION)
@@ -1297,7 +1295,7 @@ mod tests {
             assert!(table.contains(needle), "missing {needle:?} in:\n{table}");
         }
 
-        let doc = json::Json::parse(&report.to_json()).expect("self-emitted JSON");
+        let doc = uniq_obs::json::Json::parse(&report.to_json()).expect("self-emitted JSON");
         let alloc = doc.get("alloc").expect("alloc section present");
         assert_eq!(
             alloc.get("schema_version").unwrap().as_u64(),

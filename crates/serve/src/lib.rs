@@ -11,7 +11,7 @@
 //! instead of blocking the connection.
 //!
 //! Workers run the exact library pipeline
-//! ([`uniq_core::personalize_with_retry`]) and consult a
+//! ([`uniq_core::pipeline::personalize_with_retry`]) and consult a
 //! content-addressed result cache backed by [`uniq_store`], keyed by
 //! `(subject seed, UniqConfig::content_hash)`. Responses carry the same
 //! FNV-1a result fingerprint the library path computes, so a serve

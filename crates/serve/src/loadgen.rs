@@ -12,7 +12,7 @@
 //! offer byte-identical request streams per client.
 //!
 //! Latency is measured by wrapping every request in a
-//! [`SPAN_LOADGEN_REQUEST`](uniq_obs::names::SPAN_LOADGEN_REQUEST) span
+//! [`SPAN_LOADGEN_REQUEST`] span
 //! under a [`uniq_profile::ProfileSink`]; throughput and p50/p99 come
 //! from its report. The profiler *composes* with the ambient sink
 //! ([`uniq_obs::ambient_sink`]) instead of shadowing it, so `--trace`

@@ -3,7 +3,7 @@
 //! The UNIQ pipeline's output — a subject's near/far-field HRTF grids —
 //! previously died with the process. This crate gives it a life on disk:
 //!
-//! * [`format`] — the `.uhrtf` binary interchange format, v1: a
+//! * [`format`](mod@format) — the `.uhrtf` binary interchange format, v1: a
 //!   SOFA-inspired container with a versioned, CRC-checksummed header
 //!   carrying both grids plus provenance (seed, subject fingerprint,
 //!   config hash, degradation report). Hand-rolled reader/writer, no

@@ -10,6 +10,10 @@ cargo fmt --all -- --check
 echo "== cargo clippy (deny warnings) =="
 cargo clippy --workspace --all-targets -- -D warnings
 
+echo "== rustdoc (deny warnings) =="
+# A deleted or renamed item must not leave a dangling doc link behind.
+RUSTDOCFLAGS="-D warnings" cargo doc --workspace --no-deps -q
+
 echo "== unused uniq-* dependencies =="
 # Every uniq-* crate a manifest depends on must be named as uniq_* in that
 # package's src/, tests/ or benches/ (the root package: src/, tests/ and

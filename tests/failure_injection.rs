@@ -2,14 +2,13 @@
 //! gracefully — clean errors, never panics or silent garbage — under
 //! hostile conditions.
 
-use uniq_acoustics::measure::{BinauralRecording, InjectionSite, RecordingInjector};
+use uniq_acoustics::measure::BinauralRecording;
 use uniq_core::channel::{stop_quality, ChannelError};
 use uniq_core::config::UniqConfig;
-use uniq_core::degrade::{DegradationPolicy, FaultHook};
+use uniq_core::degrade::{DegradationPolicy, FaultHook, InjectionSite};
 use uniq_core::pipeline::{personalize, PersonalizationError};
 use uniq_core::session::{run_session, SessionError};
 use uniq_faults::{class, FaultPlan};
-use uniq_imu::gyro::RateInjector;
 use uniq_imu::trajectory::Imperfections;
 use uniq_imu::GyroModel;
 use uniq_subjects::Subject;
@@ -325,12 +324,7 @@ fn nine_class_plan_corrupts_bit_identically() {
                 left: (0..600).map(|k| (k as f64 * 0.07).sin()).collect(),
                 right: (0..600).map(|k| 0.8 * (k as f64 * 0.11).cos()).collect(),
             };
-            let site = InjectionSite {
-                stop,
-                attempt,
-                sample_rate: 48_000.0,
-            };
-            let labels = plan.corrupt_recording(site, &mut rec);
+            let labels = plan.corrupt_recording(InjectionSite { stop, attempt }, &mut rec);
             eat_labels(&mut bytes, &labels);
             eat_samples(&mut bytes, &rec.left);
             eat_samples(&mut bytes, &rec.right);
@@ -338,7 +332,7 @@ fn nine_class_plan_corrupts_bit_identically() {
     }
 
     let mut rates: Vec<f64> = (0..400).map(|k| 30.0 * (k as f64 * 0.05).sin()).collect();
-    let labels = plan.corrupt_rates(&mut rates, 0.01);
+    let labels = plan.corrupt_rates(&mut rates);
     eat_labels(&mut bytes, &labels);
     eat_samples(&mut bytes, &rates);
 

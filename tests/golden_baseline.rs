@@ -12,7 +12,7 @@ use uniq_core::batch::result_fingerprint;
 use uniq_core::degrade::DegradationPolicy;
 use uniq_core::pipeline::{personalize_faulted, personalize_with_retry, PersonalizationResult};
 use uniq_faults::FaultPlan;
-use uniq_profile::json::Json;
+use uniq_obs::json::Json;
 use uniq_subjects::Subject;
 
 fn pinned_fingerprint() -> String {

@@ -80,7 +80,7 @@ fn hot_path_stages_stay_within_pinned_alloc_allowance() {
     let subject = Subject::from_seed(spec.seed);
     // Prewarm outside the profiled sink so lazy one-time setup does not
     // count against the allowance.
-    uniq_obs::with_sink(Arc::new(uniq_memprof::StageTrackingSink), || {
+    uniq_obs::with_sink(Arc::new(uniq_obs::sink::NoopSink), || {
         personalize_with_retry(&subject, &cfg, spec.seed, 3).expect("personalize failed");
     });
     let profile = Arc::new(ProfileSink::new());
@@ -162,7 +162,7 @@ fn motion_render_allocations_do_not_grow_with_block_count() {
     let render = |blocks: usize| {
         let sig = &sig[..blocks * block];
         let poses = turning_head(0.0, 90.0, blocks);
-        let (_, snap) = uniq_obs::with_sink(Arc::new(uniq_memprof::StageTrackingSink), || {
+        let (_, snap) = uniq_obs::with_sink(Arc::new(uniq_obs::sink::NoopSink), || {
             uniq_memprof::measure(|| render_with_motion(&engine, &scene, &poses, sig, block, fade))
         });
         snap

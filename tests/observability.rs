@@ -376,10 +376,10 @@ impl ObsGateHook {
     }
 }
 
-impl uniq_acoustics::measure::RecordingInjector for ObsGateHook {
+impl uniq_core::FaultHook for ObsGateHook {
     fn corrupt_recording(
         &self,
-        _site: uniq_acoustics::measure::InjectionSite,
+        _site: uniq_core::degrade::InjectionSite,
         _rec: &mut uniq_acoustics::measure::BinauralRecording,
     ) -> Vec<&'static str> {
         self.arrivals
@@ -391,11 +391,3 @@ impl uniq_acoustics::measure::RecordingInjector for ObsGateHook {
         Vec::new()
     }
 }
-
-impl uniq_imu::gyro::RateInjector for ObsGateHook {
-    fn corrupt_rates(&self, _rates_dps: &mut [f64], _dt: f64) -> Vec<&'static str> {
-        Vec::new()
-    }
-}
-
-impl uniq_core::FaultHook for ObsGateHook {}

@@ -179,7 +179,7 @@ fn span_ids_bit_identical_across_thread_counts() {
 #[test]
 fn weighted_fusion_bit_identical_across_thread_counts() {
     use uniq_core::fusion::{fuse_weighted, FusionInput};
-    use uniq_geometry::diffraction::path_length_to_ear;
+    use uniq_geometry::diffraction::path_to_ear;
     use uniq_geometry::vec2::unit_from_theta;
     use uniq_geometry::{Ear, HeadBoundary, HeadParams};
 
@@ -191,8 +191,8 @@ fn weighted_fusion_bit_identical_across_thread_counts() {
             FusionInput {
                 // IMU-like error on the inertial angle.
                 alpha_deg: theta + [2.5, -1.5, 3.0, -3.5][k % 4],
-                d_left_m: path_length_to_ear(&boundary, pos, Ear::Left).unwrap(),
-                d_right_m: path_length_to_ear(&boundary, pos, Ear::Right).unwrap(),
+                d_left_m: path_to_ear(&boundary, pos, Ear::Left).unwrap().length,
+                d_right_m: path_to_ear(&boundary, pos, Ear::Right).unwrap().length,
             }
         })
         .collect();

@@ -106,7 +106,7 @@ fn profile_report_covers_the_pipeline() {
     // The exporters agree with the report.
     let table = report.render_table();
     assert!(table.contains("personalize") && table.contains("p99"));
-    let json = uniq_profile::json::Json::parse(&report.to_json()).expect("profile JSON parses");
+    let json = uniq_obs::json::Json::parse(&report.to_json()).expect("profile JSON parses");
     assert_eq!(
         json.get("stages").unwrap().as_array().unwrap().len(),
         report.stages.len()

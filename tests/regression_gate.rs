@@ -5,7 +5,7 @@
 
 use uniq_bench::baseline::{compare, quality_identical, CompareReport, Reference, RunDoc};
 use uniq_bench::ledger::{self, LedgerError};
-use uniq_profile::json::Json;
+use uniq_obs::json::Json;
 
 /// The values a test varies; everything else in [`run_doc`] is fixed.
 #[derive(Clone, Copy)]

@@ -10,12 +10,11 @@ use std::sync::atomic::{AtomicU64, Ordering};
 use std::sync::{Arc, Condvar, Mutex};
 use std::time::Duration;
 
-use uniq_acoustics::measure::{BinauralRecording, InjectionSite, RecordingInjector};
+use uniq_acoustics::measure::BinauralRecording;
 use uniq_core::batch::result_fingerprint;
 use uniq_core::config::UniqConfig;
-use uniq_core::degrade::FaultHook;
+use uniq_core::degrade::{FaultHook, InjectionSite};
 use uniq_core::pipeline::personalize_with_retry;
-use uniq_imu::gyro::RateInjector;
 use uniq_obs::sink::MemorySink;
 use uniq_obs::Event;
 use uniq_serve::{loadgen, protocol, LoadgenConfig, Response, ServeConfig, Server};
@@ -407,7 +406,7 @@ impl GateHook {
     }
 }
 
-impl RecordingInjector for GateHook {
+impl FaultHook for GateHook {
     fn corrupt_recording(
         &self,
         _site: InjectionSite,
@@ -422,14 +421,6 @@ impl RecordingInjector for GateHook {
     }
 }
 
-impl RateInjector for GateHook {
-    fn corrupt_rates(&self, _rates_dps: &mut [f64], _dt: f64) -> Vec<&'static str> {
-        Vec::new()
-    }
-}
-
-impl FaultHook for GateHook {}
-
 /// A [`FaultHook`] whose first recording panics — a bug deep in the
 /// pipeline, reached by one request — and which leaves every later
 /// recording untouched.
@@ -438,7 +429,7 @@ struct PanicOnceHook {
     fired: std::sync::atomic::AtomicBool,
 }
 
-impl RecordingInjector for PanicOnceHook {
+impl FaultHook for PanicOnceHook {
     fn corrupt_recording(
         &self,
         _site: InjectionSite,
@@ -450,14 +441,6 @@ impl RecordingInjector for PanicOnceHook {
         Vec::new()
     }
 }
-
-impl RateInjector for PanicOnceHook {
-    fn corrupt_rates(&self, _rates_dps: &mut [f64], _dt: f64) -> Vec<&'static str> {
-        Vec::new()
-    }
-}
-
-impl FaultHook for PanicOnceHook {}
 
 #[test]
 fn a_panicking_request_gets_a_typed_reply_and_the_shard_keeps_serving() {

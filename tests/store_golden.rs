@@ -11,7 +11,7 @@ use std::path::Path;
 use uniq_acoustics::types::HrirBank;
 use uniq_bench::baseline::{BaselineSpec, BASELINE_FILE};
 use uniq_core::pipeline::personalize_with_retry;
-use uniq_profile::json::Json;
+use uniq_obs::json::Json;
 use uniq_store::{content_key, decode, encode, HrtfArtifact, Store};
 use uniq_subjects::Subject;
 
