@@ -38,8 +38,10 @@ use uniq_subjects::Subject;
 /// (bump on shape changes). v2 added the `alloc` section (per-stage
 /// allocation gates), v3 the `serve` section (server response-fingerprint
 /// and admission gates), v4 the `counters` section (work counters gated
-/// exactly and across pool sizes), v5 the `fusion.gn_iterations` counter.
-pub const BASELINE_SCHEMA_VERSION: u64 = 5;
+/// exactly and across pool sizes), v5 the `fusion.gn_iterations` counter,
+/// v6 the AoA work counters (`aoa.templates_scored`, `aoa.candidates`,
+/// `aoa.candidate_fallbacks`) and `quality.aoa_unknown_median_deg`.
+pub const BASELINE_SCHEMA_VERSION: u64 = 6;
 
 /// Relative tolerance for quality numbers: tight, because they are
 /// deterministic functions of the seeds — the slack only absorbs
@@ -161,8 +163,14 @@ fn median_localization_error(result: &PersonalizationResult) -> (f64, f64) {
     (median(&errs), uniq_dsp::stats::percentile(&errs, 90.0))
 }
 
-/// Known-source AoA error sweep over the personalized table.
-fn aoa_errors(result: &PersonalizationResult, spec: &BaselineSpec, cfg: &UniqConfig) -> Vec<f64> {
+/// AoA error sweep over the personalized table: `(known-source errors,
+/// unknown-source errors)`, both estimators on the same white-noise
+/// recording at each of the spec's angles.
+fn aoa_errors(
+    result: &PersonalizationResult,
+    spec: &BaselineSpec,
+    cfg: &UniqConfig,
+) -> (Vec<f64>, Vec<f64>) {
     let table = &result.hrtf;
     spec.aoa_angles
         .iter()
@@ -178,10 +186,11 @@ fn aoa_errors(result: &PersonalizationResult, spec: &BaselineSpec, cfg: &UniqCon
                 left: rendered.left,
                 right: rendered.right,
             };
-            let est = uniq_core::aoa::estimate_known_source(&rec, &sig, table.far(), cfg);
-            angle_diff_deg(est, theta)
+            let known = uniq_core::aoa::estimate_known_source(&rec, &sig, table.far(), cfg);
+            let unknown = uniq_core::aoa::estimate_unknown_source(&rec, table.far(), cfg);
+            (angle_diff_deg(known, theta), angle_diff_deg(unknown, theta))
         })
-        .collect()
+        .unzip()
 }
 
 /// Mean peak-normalized correlation between the personalized far-field
@@ -456,10 +465,13 @@ pub fn run_baseline(spec: &BaselineSpec) -> String {
         .num("meta", "snr_db", spec.snr_db)
         .text("meta", "build", &crate::build_id());
 
-    // --- personalize at each pool size, each under the profiler: the
-    // first run's stage timings and every run's work counters are kept.
+    // --- personalize at each pool size, each under the profiler, then
+    // the AoA sweep on its table under the same profiler: the first run's
+    // stage timings and AoA errors and every run's work counters (fusion
+    // and AoA) are kept.
     let subject = Subject::from_seed(spec.seed);
     let mut first_result: Option<PersonalizationResult> = None;
+    let mut first_aoa: Option<(Vec<f64>, Vec<f64>)> = None;
     let mut stages_json: Option<String> = None;
     let mut fingerprints = Vec::new();
     let mut counters: Vec<BTreeMap<String, u64>> = Vec::new();
@@ -501,16 +513,19 @@ pub fn run_baseline(spec: &BaselineSpec) -> String {
                 .collect();
             format!("[{}]", rows.join(", "))
         });
-        counters.push(report.counters);
+        let aoa = uniq_obs::with_sink(profile.clone(), || aoa_errors(&result, spec, &cfg));
+        counters.push(profile.report().counters);
         fingerprints.push(result_fingerprint(spec.seed, &result));
         first_result.get_or_insert(result);
+        first_aoa.get_or_insert(aoa);
     }
     // uniq-analyzer: allow(panic-safety) — thread_counts is never empty, so the loop above ran at least once
     let result = first_result.expect("at least one thread count");
+    // uniq-analyzer: allow(panic-safety) — set in the same loop iteration as first_result
+    let (aoa_known, aoa_unknown) = first_aoa.expect("at least one thread count");
     let deterministic = fingerprints.iter().all(|&f| f == fingerprints[0]);
     let (loc_median, loc_p90) = median_localization_error(&result);
     let cfg_eval = spec.config(1);
-    let aoa = aoa_errors(&result, spec, &cfg_eval);
     doc.text(
         "quality",
         "personalize_fingerprint",
@@ -530,7 +545,8 @@ pub fn run_baseline(spec: &BaselineSpec) -> String {
     )
     .num("quality", "radius_m", result.radius_m)
     .raw("quality", "attempts", result.attempts.to_string())
-    .num("quality", "aoa_known_median_deg", median(&aoa))
+    .num("quality", "aoa_known_median_deg", median(&aoa_known))
+    .num("quality", "aoa_unknown_median_deg", median(&aoa_unknown))
     .num(
         "quality",
         "hrir_similarity_mean",

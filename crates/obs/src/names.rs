@@ -82,6 +82,9 @@ pub const RENDER_CROSSFADE_SAMPLES: &str = "render.crossfade_samples";
 /// Externalization proxy score of a rendered/reference comparison, `[0, 1]`.
 pub const RENDER_EXTERNALIZATION_PROXY: &str = "render.externalization_proxy";
 
+/// Templates the known-source AoA scored with the Eq. 9 cost, summed over
+/// calls (counter; deterministic at any thread count).
+pub const AOA_TEMPLATES_SCORED: &str = "aoa.templates_scored";
 /// Template angles the unknown-source AoA scored with the Eq. 11 check,
 /// summed over calls (counter; deterministic at any thread count).
 pub const AOA_CANDIDATES: &str = "aoa.candidates";
@@ -183,6 +186,7 @@ pub const ALL_METRICS: &[&str] = &[
     RENDER_BLOCKS,
     RENDER_CROSSFADE_SAMPLES,
     RENDER_EXTERNALIZATION_PROXY,
+    AOA_TEMPLATES_SCORED,
     AOA_CANDIDATES,
     AOA_CANDIDATE_FALLBACKS,
     OBS_TELEMETRY_OVERHEAD_NS,
