@@ -1,6 +1,7 @@
 //! Shared containers: binaural impulse responses, HRIR banks, render
 //! configuration.
 
+use std::any::{Any, TypeId};
 use std::sync::{Arc, Mutex, MutexGuard, OnceLock, PoisonError};
 
 use uniq_dsp::xcorr::{peak_normalized_xcorr, XcorrOperand};
@@ -106,16 +107,18 @@ impl BinauralIr {
 /// Both the ground-truth measurement rig and UNIQ's estimated output use
 /// this container; `angles_deg` is kept sorted ascending.
 ///
-/// The bank also caches the spectra of its entries (see
-/// [`HrirBank::spectra`]). The cache is allocated on first use; clones
-/// taken after that share it, and it is dropped with the last of them. It
-/// is derived data, so it never enters an encoding.
+/// The bank also caches data derived from its entries: their spectra
+/// (see [`HrirBank::spectra`]) and one value per type for its consumers
+/// (see [`HrirBank::derived`]). The caches are allocated on first use;
+/// clones taken after that share them, and they are dropped with the last
+/// of them. They are derived data, so they never enter an encoding.
 #[derive(Debug, Clone)]
 pub struct HrirBank {
     angles_deg: Vec<f64>,
     irs: Vec<BinauralIr>,
     sample_rate: f64,
-    spectra: SpectrumCache,
+    spectra: LazyCache<(usize, SpectrumForm), SpectrumTable>,
+    derived: LazyCache<DerivedKey, Arc<dyn Any + Send + Sync>>,
 }
 
 /// Which operand of a cross-correlation a cached spectrum table holds.
@@ -138,51 +141,81 @@ pub struct BinauralSpectra {
 
 /// One table per (transform size, form), index-aligned with the bank.
 type SpectrumTable = Arc<[BinauralSpectra]>;
-type SpectrumTables = Vec<((usize, SpectrumForm), SpectrumTable)>;
 
-/// Lazily allocated, so building a bank allocates nothing extra; cloning
-/// an allocated cache shares it.
-#[derive(Default, Clone)]
-struct SpectrumCache {
-    tables: OnceLock<Arc<Mutex<SpectrumTables>>>,
+/// The type a [`HrirBank::derived`] value is cached under; prints as the
+/// type's name.
+#[derive(Clone, Copy, PartialEq, Eq)]
+struct DerivedKey {
+    id: TypeId,
+    name: &'static str,
 }
 
-impl SpectrumCache {
-    fn tables(&self) -> MutexGuard<'_, SpectrumTables> {
-        // A table is inserted whole, so a poisoned lock still guards a
+impl std::fmt::Debug for DerivedKey {
+    fn fmt(&self, f: &mut std::fmt::Formatter<'_>) -> std::fmt::Result {
+        f.write_str(self.name)
+    }
+}
+
+/// A list of derived values keyed by `K`. Lazily allocated, so building a
+/// bank allocates nothing extra; cloning an allocated cache shares it.
+struct LazyCache<K, V> {
+    entries: OnceLock<SharedEntries<K, V>>,
+}
+
+type SharedEntries<K, V> = Arc<Mutex<Vec<(K, V)>>>;
+
+impl<K, V> Default for LazyCache<K, V> {
+    fn default() -> Self {
+        LazyCache {
+            entries: OnceLock::new(),
+        }
+    }
+}
+
+impl<K, V> Clone for LazyCache<K, V> {
+    fn clone(&self) -> Self {
+        LazyCache {
+            entries: self.entries.clone(),
+        }
+    }
+}
+
+impl<K: PartialEq, V: Clone> LazyCache<K, V> {
+    fn entries(&self) -> MutexGuard<'_, Vec<(K, V)>> {
+        // A value is inserted whole, so a poisoned lock still guards a
         // consistent list.
-        self.tables
+        self.entries
             .get_or_init(Arc::default)
             .lock()
             .unwrap_or_else(PoisonError::into_inner)
     }
 
-    fn get(&self, key: (usize, SpectrumForm)) -> Option<SpectrumTable> {
-        self.tables()
+    fn get(&self, key: &K) -> Option<V> {
+        self.entries()
             .iter()
-            .find(|(k, _)| *k == key)
-            .map(|(_, t)| t.clone())
+            .find(|(k, _)| k == key)
+            .map(|(_, v)| v.clone())
     }
 
-    /// Inserts `table` unless a racing caller got there first; either way
-    /// returns the table now cached under `key`.
-    fn insert(&self, key: (usize, SpectrumForm), table: SpectrumTable) -> SpectrumTable {
-        let mut tables = self.tables();
-        if let Some((_, t)) = tables.iter().find(|(k, _)| *k == key) {
-            return t.clone();
+    /// Inserts `value` unless a racing caller got there first; either way
+    /// returns the value now cached under `key`.
+    fn insert(&self, key: K, value: V) -> V {
+        let mut entries = self.entries();
+        if let Some((_, v)) = entries.iter().find(|(k, _)| *k == key) {
+            return v.clone();
         }
-        tables.push((key, table.clone()));
-        table
+        entries.push((key, value.clone()));
+        value
     }
 }
 
-/// Prints the cached keys only: a table is megabytes of spectra.
-impl std::fmt::Debug for SpectrumCache {
+/// Prints the cached keys only: a value is megabytes of derived data.
+impl<K: std::fmt::Debug, V> std::fmt::Debug for LazyCache<K, V> {
     fn fmt(&self, f: &mut std::fmt::Formatter<'_>) -> std::fmt::Result {
         let mut list = f.debug_list();
-        if let Some(tables) = self.tables.get() {
-            let tables = tables.lock().unwrap_or_else(PoisonError::into_inner);
-            list.entries(tables.iter().map(|(k, _)| k));
+        if let Some(entries) = self.entries.get() {
+            let entries = entries.lock().unwrap_or_else(PoisonError::into_inner);
+            list.entries(entries.iter().map(|(k, _)| k));
         }
         list.finish()
     }
@@ -217,7 +250,8 @@ impl HrirBank {
             angles_deg,
             irs,
             sample_rate,
-            spectra: SpectrumCache::default(),
+            spectra: LazyCache::default(),
+            derived: LazyCache::default(),
         }
     }
 
@@ -276,8 +310,8 @@ impl HrirBank {
     ///
     /// Each (`n`, `form`) table is built on first use, one entry per task
     /// on `pool`, and cached for the life of the bank. A table costs
-    /// `len × 2 × n × 16` bytes: about 190 MB for 181 entries at
-    /// `n = 32768`.
+    /// `len × 2 × n × 16` bytes: about 6 MB for 181 entries at `n = 1024`,
+    /// the size known-source AoA reads at the paper configuration.
     ///
     /// # Panics
     /// Panics if `n` is not a power of two or is shorter than the HRIRs.
@@ -288,7 +322,7 @@ impl HrirBank {
         pool: &uniq_par::ThreadPool,
     ) -> Arc<[BinauralSpectra]> {
         let key = (n, form);
-        if let Some(table) = self.spectra.get(key) {
+        if let Some(table) = self.spectra.get(&key) {
             return table;
         }
         // Built without holding the lock: the build runs on the pool,
@@ -304,6 +338,28 @@ impl HrirBank {
             right: prepare(&ir.right, n),
         });
         self.spectra.insert(key, table.into())
+    }
+
+    /// The bank's value of type `T`: built by `build` on first use and
+    /// cached for the life of the bank, one value per type.
+    ///
+    /// `build` must depend on the bank alone, so that whichever caller
+    /// builds the value first, every caller gets an equal one. It runs
+    /// without the cache lock held (it may run on a pool whose workers
+    /// read this cache); racing callers may both build, and the first
+    /// insert wins.
+    pub fn derived<T: Any + Send + Sync>(&self, build: impl FnOnce(&HrirBank) -> T) -> Arc<T> {
+        let key = DerivedKey {
+            id: TypeId::of::<T>(),
+            name: std::any::type_name::<T>(),
+        };
+        let value = match self.derived.get(&key) {
+            Some(value) => value,
+            None => self.derived.insert(key, Arc::new(build(self))),
+        };
+        let value = value.downcast();
+        // uniq-analyzer: allow(panic-safety) — values are cached under their own TypeId
+        value.expect("derived value cached under its type")
     }
 
     /// Index of the entry at exactly `theta_deg` (±1e−6°), if present.
@@ -389,7 +445,7 @@ mod tests {
         a.left[1] = 1.0;
         a.right[2] = -0.5;
         let bank = HrirBank::new(vec![(0.0, a.clone()), (10.0, ir(0.25, 8))], 48e3);
-        assert!(format!("{bank:?}").contains("spectra: []"));
+        assert!(format!("{bank:?}").contains("spectra: [], derived: []"));
         let fwd = bank.spectra(16, SpectrumForm::Forward, &pool);
         let clone = bank.clone();
         let rev = clone.spectra(16, SpectrumForm::Reversed, &pool);
@@ -413,6 +469,21 @@ mod tests {
             shown.contains("spectra: [(16, Forward), (16, Reversed)]"),
             "{shown}"
         );
+    }
+
+    #[test]
+    fn derived_values_are_built_once_per_type_and_shared_by_later_clones() {
+        let bank = HrirBank::new(vec![(0.0, ir(1.0, 8)), (10.0, ir(0.5, 8))], 48e3);
+        let first = bank.derived(|b| b.irs()[1].left[0]);
+        let clone = bank.clone();
+        let again = clone.derived(|_| -> f64 { unreachable!("cached") });
+        assert!(Arc::ptr_eq(&first, &again));
+        assert_eq!(*first, 0.5);
+        let len = clone.derived(|b| b.len());
+        assert_eq!(*bank.derived(|_| 0usize), 2);
+        assert_eq!(*len, 2);
+        let shown = format!("{bank:?}");
+        assert!(shown.contains("derived: [f64, usize]"), "{shown}");
     }
 
     #[test]
