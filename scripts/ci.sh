@@ -73,6 +73,15 @@ done
 echo "== release build (profiling + baseline gate binaries) =="
 cargo build --release -q -p uniq-cli -p uniq-bench
 
+echo "== AoA figures are bit-stable (fig21, fig22 CSVs match the committed ones) =="
+# Eq. 9's bound pruning skips only templates that cannot win, and Eq. 11's
+# lag-domain cost equals its spectrum form to round-off, so no estimate
+# moves: regenerating the two AoA figures must reproduce the committed
+# CSVs byte for byte.
+target/release/experiments fig21 fig22 > /dev/null
+git diff --exit-code -- 'bench_results/fig21_*.csv' 'bench_results/fig22*.csv' \
+  || { echo "fig21/fig22 CSVs changed: an AoA estimate moved" >&2; exit 1; }
+
 echo "== profile smoke (--profile registry table + stage coverage) =="
 ci_tmp="$(mktemp -d)"
 trap 'rm -rf "$ci_tmp"' EXIT
