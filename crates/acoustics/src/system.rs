@@ -51,13 +51,6 @@ impl SystemResponse {
     }
 }
 
-/// Compensates a channel estimate for the calibrated system response:
-/// divides the channel spectrum by the system spectrum (Wiener-regularized
-/// so the unstable sub-50 Hz region cannot explode).
-pub fn compensate_response(channel: &[f64], system_ir: &[f64], noise_floor: f64) -> Vec<f64> {
-    uniq_dsp::deconv::wiener_deconvolve(channel, system_ir, noise_floor, channel.len())
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
@@ -111,22 +104,5 @@ mod tests {
                 "calibration off at {f} Hz: {got} vs {want}"
             );
         }
-    }
-
-    #[test]
-    fn compensation_flattens_channel() {
-        // A channel measured through the system, then compensated, should
-        // recover the in-band structure of the raw channel.
-        let sys = SystemResponse::budget_hardware(SR);
-        let mut channel = vec![0.0; 128];
-        channel[10] = 1.0;
-        channel[30] = -0.4;
-        let coloured = sys.apply(&channel);
-        let probe = linear_chirp(50.0, 20_000.0, 0.1, SR);
-        let sys_ir = sys.calibrate(&probe, 128);
-        let restored = compensate_response(&coloured, &sys_ir, 1e-3);
-        // Peaks should be back near their raw amplitudes/locations.
-        assert!(restored[10] > 0.7, "main tap lost: {}", restored[10]);
-        assert!(restored[30] < -0.25, "echo tap lost: {}", restored[30]);
     }
 }

@@ -4,7 +4,7 @@
 use std::any::{Any, TypeId};
 use std::sync::{Arc, Mutex, MutexGuard, OnceLock, PoisonError};
 
-use uniq_dsp::xcorr::{peak_normalized_xcorr, XcorrOperand};
+use uniq_dsp::xcorr::peak_normalized_xcorr;
 use uniq_geometry::vec2::angle_diff_deg;
 
 /// Render/simulation configuration shared by the forward simulator and the
@@ -107,81 +107,46 @@ impl BinauralIr {
 /// Both the ground-truth measurement rig and UNIQ's estimated output use
 /// this container; `angles_deg` is kept sorted ascending.
 ///
-/// The bank also caches data derived from its entries: their spectra
-/// (see [`HrirBank::spectra`]) and one value per type for its consumers
-/// (see [`HrirBank::derived`]). The caches are allocated on first use;
-/// clones taken after that share them, and they are dropped with the last
-/// of them. They are derived data, so they never enter an encoding.
+/// The bank also caches data its consumers derive from its entries, one
+/// value per (type, transform size) (see [`HrirBank::derived`]). The cache
+/// is allocated on first use; clones taken after that share it, and it is
+/// dropped with the last of them. It is derived data, so it never enters
+/// an encoding.
 #[derive(Debug, Clone)]
 pub struct HrirBank {
     angles_deg: Vec<f64>,
     irs: Vec<BinauralIr>,
     sample_rate: f64,
-    spectra: LazyCache<(usize, SpectrumForm), SpectrumTable>,
-    derived: LazyCache<DerivedKey, Arc<dyn Any + Send + Sync>>,
+    derived: DerivedCache,
 }
 
-/// Which operand of a cross-correlation a cached spectrum table holds.
-#[derive(Debug, Clone, Copy, PartialEq, Eq)]
-pub enum SpectrumForm {
-    /// [`XcorrOperand::leading`]: the spectrum of the HRIR itself.
-    Forward,
-    /// [`XcorrOperand::trailing`]: the spectrum of the reversed HRIR.
-    Reversed,
-}
-
-/// Both ears of one bank entry, prepared at one transform size.
-#[derive(Debug, Clone)]
-pub struct BinauralSpectra {
-    /// Left-ear operand.
-    pub left: XcorrOperand,
-    /// Right-ear operand.
-    pub right: XcorrOperand,
-}
-
-/// One table per (transform size, form), index-aligned with the bank.
-type SpectrumTable = Arc<[BinauralSpectra]>;
-
-/// The type a [`HrirBank::derived`] value is cached under; prints as the
-/// type's name.
+/// What a [`HrirBank::derived`] value is cached under: its type and the
+/// transform size it was prepared at. Prints as `(type name, size)`.
 #[derive(Clone, Copy, PartialEq, Eq)]
 struct DerivedKey {
     id: TypeId,
     name: &'static str,
+    n: usize,
 }
 
 impl std::fmt::Debug for DerivedKey {
     fn fmt(&self, f: &mut std::fmt::Formatter<'_>) -> std::fmt::Result {
-        f.write_str(self.name)
+        write!(f, "({}, {})", self.name, self.n)
     }
 }
 
-/// A list of derived values keyed by `K`. Lazily allocated, so building a
-/// bank allocates nothing extra; cloning an allocated cache shares it.
-struct LazyCache<K, V> {
-    entries: OnceLock<SharedEntries<K, V>>,
+type DerivedValue = Arc<dyn Any + Send + Sync>;
+type Entries = Vec<(DerivedKey, DerivedValue)>;
+
+/// The bank's derived values. Lazily allocated, so building a bank
+/// allocates nothing extra; cloning an allocated cache shares it.
+#[derive(Clone, Default)]
+struct DerivedCache {
+    entries: OnceLock<Arc<Mutex<Entries>>>,
 }
 
-type SharedEntries<K, V> = Arc<Mutex<Vec<(K, V)>>>;
-
-impl<K, V> Default for LazyCache<K, V> {
-    fn default() -> Self {
-        LazyCache {
-            entries: OnceLock::new(),
-        }
-    }
-}
-
-impl<K, V> Clone for LazyCache<K, V> {
-    fn clone(&self) -> Self {
-        LazyCache {
-            entries: self.entries.clone(),
-        }
-    }
-}
-
-impl<K: PartialEq, V: Clone> LazyCache<K, V> {
-    fn entries(&self) -> MutexGuard<'_, Vec<(K, V)>> {
+impl DerivedCache {
+    fn entries(&self) -> MutexGuard<'_, Entries> {
         // A value is inserted whole, so a poisoned lock still guards a
         // consistent list.
         self.entries
@@ -189,28 +154,10 @@ impl<K: PartialEq, V: Clone> LazyCache<K, V> {
             .lock()
             .unwrap_or_else(PoisonError::into_inner)
     }
-
-    fn get(&self, key: &K) -> Option<V> {
-        self.entries()
-            .iter()
-            .find(|(k, _)| k == key)
-            .map(|(_, v)| v.clone())
-    }
-
-    /// Inserts `value` unless a racing caller got there first; either way
-    /// returns the value now cached under `key`.
-    fn insert(&self, key: K, value: V) -> V {
-        let mut entries = self.entries();
-        if let Some((_, v)) = entries.iter().find(|(k, _)| *k == key) {
-            return v.clone();
-        }
-        entries.push((key, value.clone()));
-        value
-    }
 }
 
 /// Prints the cached keys only: a value is megabytes of derived data.
-impl<K: std::fmt::Debug, V> std::fmt::Debug for LazyCache<K, V> {
+impl std::fmt::Debug for DerivedCache {
     fn fmt(&self, f: &mut std::fmt::Formatter<'_>) -> std::fmt::Result {
         let mut list = f.debug_list();
         if let Some(entries) = self.entries.get() {
@@ -250,8 +197,7 @@ impl HrirBank {
             angles_deg,
             irs,
             sample_rate,
-            spectra: LazyCache::default(),
-            derived: LazyCache::default(),
+            derived: DerivedCache::default(),
         }
     }
 
@@ -304,59 +250,41 @@ impl HrirBank {
         idx
     }
 
-    /// Every entry's two ears prepared as cross-correlation operands of
-    /// transform size `n` (see [`XcorrOperand`]), index-aligned with
-    /// [`HrirBank::irs`].
+    /// The bank's value of type `T` at transform size `n` (0 for a value
+    /// that has none): built by `build` on first use and cached for the
+    /// life of the bank, one value per (type, size).
     ///
-    /// Each (`n`, `form`) table is built on first use, one entry per task
-    /// on `pool`, and cached for the life of the bank. A table costs
-    /// `len × 2 × n × 16` bytes: about 6 MB for 181 entries at `n = 1024`,
-    /// the size known-source AoA reads at the paper configuration.
-    ///
-    /// # Panics
-    /// Panics if `n` is not a power of two or is shorter than the HRIRs.
-    pub fn spectra(
-        &self,
-        n: usize,
-        form: SpectrumForm,
-        pool: &uniq_par::ThreadPool,
-    ) -> Arc<[BinauralSpectra]> {
-        let key = (n, form);
-        if let Some(table) = self.spectra.get(&key) {
-            return table;
-        }
-        // Built without holding the lock: the build runs on the pool,
-        // whose workers may be waiting on this cache. Racing callers may
-        // both build a table; the tables are bitwise equal and the first
-        // insert wins.
-        let prepare = match form {
-            SpectrumForm::Forward => XcorrOperand::leading,
-            SpectrumForm::Reversed => XcorrOperand::trailing,
-        };
-        let table = pool.par_map(&self.irs, |ir| BinauralSpectra {
-            left: prepare(&ir.left, n),
-            right: prepare(&ir.right, n),
-        });
-        self.spectra.insert(key, table.into())
-    }
-
-    /// The bank's value of type `T`: built by `build` on first use and
-    /// cached for the life of the bank, one value per type.
-    ///
-    /// `build` must depend on the bank alone, so that whichever caller
-    /// builds the value first, every caller gets an equal one. It runs
-    /// without the cache lock held (it may run on a pool whose workers
+    /// `build` must depend on the bank and `n` alone, so that whichever
+    /// caller builds the value first, every caller gets an equal one. It
+    /// runs without the cache lock held (it may run on a pool whose workers
     /// read this cache); racing callers may both build, and the first
     /// insert wins.
-    pub fn derived<T: Any + Send + Sync>(&self, build: impl FnOnce(&HrirBank) -> T) -> Arc<T> {
+    pub fn derived<T: Any + Send + Sync>(
+        &self,
+        n: usize,
+        build: impl FnOnce(&HrirBank) -> T,
+    ) -> Arc<T> {
         let key = DerivedKey {
             id: TypeId::of::<T>(),
             name: std::any::type_name::<T>(),
+            n,
         };
-        let value = match self.derived.get(&key) {
-            Some(value) => value,
-            None => self.derived.insert(key, Arc::new(build(self))),
+        let find = |entries: &Entries| {
+            entries
+                .iter()
+                .find(|(k, _)| *k == key)
+                .map(|(_, v)| v.clone())
         };
+        let cached = find(&self.derived.entries());
+        let value = cached.unwrap_or_else(|| {
+            let value: DerivedValue = Arc::new(build(self));
+            let mut entries = self.derived.entries();
+            // A racing caller that inserted first wins.
+            find(&entries).unwrap_or_else(|| {
+                entries.push((key, value.clone()));
+                value
+            })
+        });
         let value = value.downcast();
         // uniq-analyzer: allow(panic-safety) — values are cached under their own TypeId
         value.expect("derived value cached under its type")
@@ -439,51 +367,28 @@ mod tests {
     }
 
     #[test]
-    fn spectra_are_cached_per_key_and_shared_by_later_clones() {
-        let pool = uniq_par::ThreadPool::new(2);
-        let mut a = BinauralIr::zeros(8);
-        a.left[1] = 1.0;
-        a.right[2] = -0.5;
-        let bank = HrirBank::new(vec![(0.0, a.clone()), (10.0, ir(0.25, 8))], 48e3);
-        assert!(format!("{bank:?}").contains("spectra: [], derived: []"));
-        let fwd = bank.spectra(16, SpectrumForm::Forward, &pool);
+    fn derived_values_are_cached_per_type_and_size_and_shared_by_later_clones() {
+        let bank = HrirBank::new(vec![(0.0, ir(1.0, 8)), (10.0, ir(0.5, 8))], 48e3);
+        assert!(format!("{bank:?}").contains("derived: []"));
+        let first = bank.derived(16, |b| b.irs()[1].left[0]);
+        let wider = bank.derived(32, |b| 2.0 * b.irs()[1].left[0]);
         let clone = bank.clone();
-        let rev = clone.spectra(16, SpectrumForm::Reversed, &pool);
+        let again = clone.derived(16, |_| -> f64 { unreachable!("cached") });
+        assert!(Arc::ptr_eq(&first, &again));
         assert!(Arc::ptr_eq(
-            &fwd,
-            &clone.spectra(16, SpectrumForm::Forward, &pool)
+            &wider,
+            &clone.derived(32, |_| -> f64 { unreachable!("cached") })
         ));
-        assert!(Arc::ptr_eq(
-            &rev,
-            &bank.spectra(16, SpectrumForm::Reversed, &pool)
-        ));
-        assert_eq!(fwd.len(), 2);
-        let want = uniq_dsp::fft::rfft_padded(&a.left, 16);
-        assert_eq!(fwd[0].left.spectrum(), want.as_slice());
-        let reversed: Vec<f64> = a.right.iter().rev().copied().collect();
-        let want = uniq_dsp::fft::rfft_padded(&reversed, 16);
-        assert_eq!(rev[0].right.spectrum(), want.as_slice());
-        // Debug output names the cached keys, not the spectra.
+        assert_eq!((*first, *wider), (0.5, 1.0));
+        let len = clone.derived(16, |b| b.len());
+        assert_eq!(*bank.derived(16, |_| 0usize), 2);
+        assert_eq!(*len, 2);
+        // Debug output names the cached keys, not the values.
         let shown = format!("{bank:?}");
         assert!(
-            shown.contains("spectra: [(16, Forward), (16, Reversed)]"),
+            shown.contains("derived: [(f64, 16), (f64, 32), (usize, 16)]"),
             "{shown}"
         );
-    }
-
-    #[test]
-    fn derived_values_are_built_once_per_type_and_shared_by_later_clones() {
-        let bank = HrirBank::new(vec![(0.0, ir(1.0, 8)), (10.0, ir(0.5, 8))], 48e3);
-        let first = bank.derived(|b| b.irs()[1].left[0]);
-        let clone = bank.clone();
-        let again = clone.derived(|_| -> f64 { unreachable!("cached") });
-        assert!(Arc::ptr_eq(&first, &again));
-        assert_eq!(*first, 0.5);
-        let len = clone.derived(|b| b.len());
-        assert_eq!(*bank.derived(|_| 0usize), 2);
-        assert_eq!(*len, 2);
-        let shown = format!("{bank:?}");
-        assert!(shown.contains("derived: [f64, usize]"), "{shown}");
     }
 
     #[test]

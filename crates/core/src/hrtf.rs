@@ -7,8 +7,9 @@
 //! sound through it — the brain perceives the result as arriving from θ.
 
 use std::sync::Arc;
-use uniq_acoustics::types::{BinauralIr, BinauralSpectra, HrirBank, SpectrumForm};
+use uniq_acoustics::types::{BinauralIr, HrirBank};
 use uniq_dsp::conv::convolve;
+use uniq_dsp::fft::rfft_padded;
 use uniq_dsp::Complex;
 use uniq_geometry::vec2::theta_from_vec;
 use uniq_geometry::{HeadParams, Vec2};
@@ -117,9 +118,9 @@ impl PersonalHrtf {
 
     /// The forward spectra, at transform size `n`, of the HRIR pair that
     /// [`PersonalHrtf::synthesize_at`] filters through for `location`.
-    /// They come from the bank's spectrum cache (see [`HrirBank::spectra`]),
-    /// which builds each size once on the shared default pool; a mirrored
-    /// angle swaps which cached ear serves which output.
+    /// Each bank's spectra at each size are built once, on the shared
+    /// default pool, and cached on the bank (see [`HrirBank::derived`]); a
+    /// mirrored angle swaps which cached ear serves which output.
     ///
     /// # Panics
     /// Panics for a location at the head centre, or if `n` is not a power
@@ -127,8 +128,12 @@ impl PersonalHrtf {
     pub fn ear_spectra(&self, location: Vec2, n: usize) -> EarSpectra {
         let (theta, far_field) = placement(location);
         let (bank, index, swapped) = self.entry(theta, far_field);
+        let table = bank.derived(n, |bank| {
+            let ears = |ir: &BinauralIr| [&ir.left, &ir.right].map(|ear| rfft_padded(ear, n));
+            ForwardSpectra(uniq_par::pool(0).par_map(bank.irs(), ears))
+        });
         EarSpectra {
-            table: bank.spectra(n, SpectrumForm::Forward, &uniq_par::pool(0)),
+            table,
             index,
             swapped,
         }
@@ -164,11 +169,16 @@ fn placement(location: Vec2) -> (f64, bool) {
     )
 }
 
+/// Every bank entry's `[left, right]` HRIR spectra at one transform size,
+/// index-aligned with the bank.
+#[derive(Debug)]
+struct ForwardSpectra(Vec<[Vec<Complex>; 2]>);
+
 /// One table entry's two ear spectra as served for a location (see
 /// [`PersonalHrtf::ear_spectra`]); holds the cached table, copies nothing.
 #[derive(Debug, Clone)]
 pub struct EarSpectra {
-    table: Arc<[BinauralSpectra]>,
+    table: Arc<ForwardSpectra>,
     index: usize,
     swapped: bool,
 }
@@ -176,8 +186,7 @@ pub struct EarSpectra {
 impl EarSpectra {
     /// The `(left, right)` ear spectra.
     pub fn ears(&self) -> (&[Complex], &[Complex]) {
-        let entry = &self.table[self.index];
-        let (left, right) = (entry.left.spectrum(), entry.right.spectrum());
+        let [left, right] = &self.table.0[self.index];
         if self.swapped {
             (right, left)
         } else {

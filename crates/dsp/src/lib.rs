@@ -13,7 +13,8 @@
 //! * [`signal`] — deterministic test signals (chirps, tones, impulses).
 //! * [`conv`] — direct and FFT-based convolution.
 //! * [`xcorr`] — cross-correlation, normalized correlation, lag search.
-//! * [`deconv`] — Wiener frequency-domain deconvolution (channel estimation).
+//! * [`deconv`] — Wiener frequency-domain deconvolution (channel estimation),
+//!   one-shot or against a prepared probe spectrum.
 //! * [`delay`] — fractional (windowed-sinc) delays.
 //! * [`filter`] — biquad sections and cascades.
 //! * [`peaks`] — peak picking and first-tap detection for impulse responses.
@@ -24,10 +25,10 @@
 //! * [`align`] — impulse-response alignment utilities.
 //! * [`interp`] — one-dimensional and vector interpolation.
 //!
-//! The crate's only dependency is the in-workspace `uniq-par` thread pool
-//! (for `wiener_deconvolve_batch` — scheduling only, never arithmetic): anything
-//! stochastic lives upstream in `uniq-acoustics`/`uniq-imu`, keeping this
-//! layer referentially transparent and easy to property-test.
+//! The crate has no dependencies and no thread pool: scheduling belongs to
+//! its callers (`uniq-core` fans a stop's two ears out over its pool), and
+//! anything stochastic lives upstream in `uniq-acoustics`/`uniq-imu`,
+//! keeping this layer referentially transparent and easy to property-test.
 
 #![forbid(unsafe_code)]
 #![warn(missing_docs)]

@@ -138,12 +138,6 @@ impl XcorrOperand {
             len: b.len(),
         }
     }
-
-    /// The zero-padded spectrum (of the reversed signal for a trailing
-    /// operand).
-    pub fn spectrum(&self) -> &[Complex] {
-        &self.spectrum
-    }
 }
 
 /// [`peak_normalized_xcorr`] of a prepared leading operand `a` and trailing

@@ -69,7 +69,7 @@ fn per_stage_allocs_bit_identical_across_runs() {
 const HOT_PATH_ALLOWANCE: &[(&str, u64, u64)] = &[
     // (stage, max allocs per call, max bytes per call)
     (uniq_obs::names::SPAN_FUSION, 232, 55_320),
-    (uniq_obs::names::SPAN_CHANNEL_ESTIMATE, 8, 262_304),
+    (uniq_obs::names::SPAN_CHANNEL_ESTIMATE, 6, 245_760),
 ];
 
 #[test]
