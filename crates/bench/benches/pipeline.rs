@@ -104,9 +104,10 @@ fn bench_aoa(c: &mut Criterion) {
 /// `UniqConfig::default()` and 0.4 s clips. The known source is white
 /// noise; the unknown source is a speech clip whose Eq. 10 step finds no
 /// candidate, so Eq. 11 scores all 181 angles. The first (calibration)
-/// call fills the bank's caches (template spectra and features for Eq. 9,
-/// lag-domain HRIR terms for Eq. 11); the samples time the per-call
-/// work.
+/// call fills what `uniq_core::aoa` caches on the bank (the TDoA features
+/// and, at the call's transform size, the reversed template spectra for
+/// Eq. 9; the lag-domain HRIR terms for Eq. 11); the samples time the
+/// per-call work.
 fn bench_aoa_paper(c: &mut Criterion) {
     let cfg = UniqConfig::default();
     let renderer = Renderer::new(

@@ -29,6 +29,17 @@ for manifest in Cargo.toml crates/*/Cargo.toml; do
 done
 [ "$unused_deps" -eq 0 ]
 
+echo "== pool-free substrate crates =="
+# The numeric and simulation crates take no thread pool: fan-out and the
+# tables built on it belong to uniq-core and the crates above it.
+for crate in dsp geometry optim imu acoustics subjects; do
+  if awk '/^\[/ { on = /^\[(dev-)?dependencies\]$/ } on && /^uniq-par[ .=]/' \
+    "crates/$crate/Cargo.toml" | grep -q .; then
+    echo "crates/$crate/Cargo.toml lists uniq-par" >&2
+    exit 1
+  fi
+done
+
 echo "== uniq-analyzer (line-local rules + call-graph dataflow, 10s budget) =="
 # Hard gate: exits nonzero on any unsuppressed error-severity finding,
 # line-local or interprocedural (determinism taint, panic reachability,
