@@ -31,20 +31,14 @@ fn bench_par_map(c: &mut Criterion) {
     group.finish();
 }
 
-fn bench_scope_spawn(c: &mut Criterion) {
+/// Per-job cost: 64 trivial items at chunk 1 queue one job each.
+fn bench_per_job(c: &mut Criterion) {
     let pool = uniq_par::pool(4);
-    c.bench_function("scope_64_spawns", |b| {
-        b.iter(|| {
-            pool.scope(|scope| {
-                for _ in 0..64 {
-                    scope.spawn(|| {
-                        std::hint::black_box(3.0f64.sqrt());
-                    });
-                }
-            })
-        })
+    let items = [3.0f64; 64];
+    c.bench_function("par_map_chunked_64_jobs", |b| {
+        b.iter(|| pool.par_map_chunked(std::hint::black_box(&items), 1, |x| x.sqrt()))
     });
 }
 
-criterion_group!(benches, bench_par_map, bench_scope_spawn);
+criterion_group!(benches, bench_par_map, bench_per_job);
 criterion_main!(benches);

@@ -1,12 +1,19 @@
 //! # uniq-par
 //!
-//! A scoped work-stealing thread pool for the UNIQ personalization
-//! pipeline, built on `std` alone (plus `uniq-obs` for allocation
-//! attribution — see below). The build environment has no crates.io
-//! access, so this crate implements the small subset of rayon's surface
-//! the workspace needs — [`ThreadPool::scope`]/[`Scope::spawn`], a chunked
-//! [`ThreadPool::par_map`], and panic propagation — from scratch on
+//! A small thread pool for the UNIQ personalization pipeline, built on
+//! `std` alone (plus `uniq-obs` for allocation attribution — see below).
+//! The build environment has no crates.io access, so this crate
+//! implements the part of rayon's surface the workspace needs — the
+//! index-ordered [`ThreadPool::par_map`], [`ThreadPool::par_map_chunked`]
+//! and [`ThreadPool::try_par_map`], with panic propagation — on
 //! `std::thread` + `Mutex`/`Condvar`.
+//!
+//! Scheduling is one FIFO job queue and one condvar per pool. Workers and
+//! a caller waiting on its map both take the oldest queued job; the
+//! waiting caller sleeps only while the queue is empty and wakes when a
+//! job is queued or its map's last job finishes. Because a waiting caller
+//! runs whatever is queued, a map nested inside another map's item cannot
+//! deadlock at any pool size.
 //!
 //! Design contract, in order:
 //!
@@ -16,9 +23,9 @@
 //!    order; [`ThreadPool::try_par_map`] evaluates every item and returns
 //!    the lowest-index error, exactly what a sequential in-order scan
 //!    reports. No atomics-ordered accumulation anywhere.
-//! 2. **Panic propagation.** A panicking task is caught on the worker,
-//!    carried to the owning [`ThreadPool::scope`] call, and re-raised
-//!    there. The pool survives and stays usable.
+//! 2. **Panic propagation.** A panicking item is caught on the thread
+//!    that ran it, carried to the map's caller, and re-raised there once
+//!    every other chunk has finished. The pool survives and stays usable.
 //! 3. **One thread means zero overhead.** A pool of size 1 spawns no
 //!    workers and `par_map` degenerates to a plain sequential `map` on the
 //!    caller's thread, preserving the pre-parallel code path exactly.
@@ -33,10 +40,11 @@
 //! thread counts — the memory-determinism hard gate — this pool does two
 //! things:
 //!
-//! 1. [`Scope::spawn`] captures the submitting thread's stage
+//! 1. Queuing a chunk captures the submitting thread's stage
 //!    ([`uniq_obs::alloc_stage_handoff`]) into the job and reinstalls it
-//!    on the worker, so a parallel closure's allocations land on the same
-//!    stage they land on when the closure runs inline on the caller.
+//!    on the thread that runs it, so a parallel closure's allocations land
+//!    on the same stage they land on when the closure runs inline on the
+//!    caller.
 //! 2. Pool-owned allocations whose shape varies with thread count — job
 //!    boxes, queue growth, chunk buckets, result concatenation — sit
 //!    inside [`uniq_obs::suspend_alloc_stage`] regions and stay out of
@@ -48,7 +56,6 @@ mod pool;
 mod scope;
 
 pub use pool::ThreadPool;
-pub use scope::Scope;
 
 use std::sync::{Arc, Mutex, OnceLock};
 

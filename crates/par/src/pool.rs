@@ -1,8 +1,8 @@
-//! The worker pool: threads, queues, and the stealing scheduler.
+//! The worker pool: threads, one job queue, and the helping wait.
 
 use std::collections::VecDeque;
 use std::sync::atomic::{AtomicUsize, Ordering};
-use std::sync::{Arc, Condvar, Mutex};
+use std::sync::{Arc, Condvar, Mutex, MutexGuard};
 use std::thread::JoinHandle;
 
 use crate::scope::{Scope, ScopeState};
@@ -28,87 +28,38 @@ pub(crate) fn current_worker_identity() -> Option<(usize, usize)> {
     WORKER.with(|w| w.get())
 }
 
-/// Wakes sleeping workers; the generation counter prevents lost wakeups
-/// (a worker only sleeps if the generation is unchanged since it last
-/// searched every queue and found nothing).
-struct SleepState {
-    generation: u64,
+/// The jobs waiting to run, oldest first, and whether the pool is
+/// shutting down.
+struct Queue {
+    jobs: VecDeque<Job>,
     shutdown: bool,
 }
 
+/// The one queue every thread of a pool takes work from, and the one
+/// wakeup every sleeper waits on. `wake` is signalled when a job is
+/// queued, when a scope's last task finishes, and at shutdown; a sleeper
+/// re-checks its own condition under `queue`'s lock, so no signal is lost.
 pub(crate) struct Shared {
-    /// External submissions (from threads that are not workers of this
-    /// pool) land here, FIFO.
-    injector: Mutex<VecDeque<Job>>,
-    /// One deque per worker: the owner pushes and pops at the back
-    /// (LIFO, cache-friendly for nested spawns); thieves steal from the
-    /// front (FIFO, oldest-first).
-    locals: Vec<Mutex<VecDeque<Job>>>,
-    sleep: Mutex<SleepState>,
+    queue: Mutex<Queue>,
     wake: Condvar,
 }
 
 impl Shared {
-    /// Pushes a job from the current thread, preferring the thread's own
-    /// local queue when it is a worker of this pool.
-    fn push(&self, pool_id: usize, job: Job) {
-        match WORKER.with(|w| w.get()) {
-            Some((id, idx)) if id == pool_id => {
-                self.locals[idx]
-                    .lock()
-                    .expect("local queue poisoned")
-                    .push_back(job);
-            }
-            _ => {
-                self.injector
-                    .lock()
-                    .expect("injector poisoned")
-                    .push_back(job);
-            }
-        }
-        let mut sleep = self.sleep.lock().expect("sleep state poisoned");
-        sleep.generation = sleep.generation.wrapping_add(1);
-        drop(sleep);
-        self.wake.notify_all();
+    fn lock(&self) -> MutexGuard<'_, Queue> {
+        self.queue.lock().expect("job queue poisoned")
     }
 
-    /// Finds the next runnable job: own local queue (LIFO), then the
-    /// injector, then stealing from the other workers (FIFO).
-    pub(crate) fn find_job(&self, me: Option<usize>) -> Option<Job> {
-        if let Some(idx) = me {
-            if let Some(job) = self.locals[idx]
-                .lock()
-                .expect("local queue poisoned")
-                .pop_back()
-            {
-                return Some(job);
-            }
-        }
-        if let Some(job) = self.injector.lock().expect("injector poisoned").pop_front() {
-            return Some(job);
-        }
-        let n = self.locals.len();
-        let start = me.map(|i| i + 1).unwrap_or(0);
-        for k in 0..n {
-            let victim = (start + k) % n;
-            if Some(victim) == me {
-                continue;
-            }
-            if let Some(job) = self.locals[victim]
-                .lock()
-                .expect("local queue poisoned")
-                .pop_front()
-            {
-                return Some(job);
-            }
-        }
-        None
+    /// Wakes every sleeper after a scope's last task finished. Taking the
+    /// lock first orders the signal after a waiter's check of its pending
+    /// count: the waiter either saw zero or is already asleep.
+    pub(crate) fn scope_done(&self) {
+        drop(self.lock());
+        self.wake.notify_all();
     }
 }
 
-/// A fixed-size pool of worker threads supporting scoped tasks and
-/// deterministic parallel maps. See the crate docs for the determinism
-/// and panic contracts.
+/// A fixed-size pool of worker threads running deterministic parallel
+/// maps. See the crate docs for the determinism and panic contracts.
 pub struct ThreadPool {
     id: usize,
     threads: usize,
@@ -127,26 +78,20 @@ impl std::fmt::Debug for ThreadPool {
 
 impl ThreadPool {
     /// Creates a pool with `threads` total parallelism (clamped to at
-    /// least 1). `threads - 1` worker threads are spawned; the caller of
-    /// [`ThreadPool::scope`] contributes the final lane by helping to run
-    /// queued jobs while it waits, so a pool of size 1 spawns no threads
-    /// at all.
+    /// least 1). `threads - 1` worker threads are spawned; the caller of a
+    /// parallel map contributes the final lane by running queued jobs
+    /// while it waits, so a pool of size 1 spawns no threads at all.
     pub fn new(threads: usize) -> ThreadPool {
         let threads = threads.max(1);
         let id = NEXT_POOL_ID.fetch_add(1, Ordering::Relaxed);
-        let worker_count = threads - 1;
         let shared = Arc::new(Shared {
-            injector: Mutex::new(VecDeque::new()),
-            locals: (0..worker_count)
-                .map(|_| Mutex::new(VecDeque::new()))
-                .collect(),
-            sleep: Mutex::new(SleepState {
-                generation: 0,
+            queue: Mutex::new(Queue {
+                jobs: VecDeque::new(),
                 shutdown: false,
             }),
             wake: Condvar::new(),
         });
-        let workers = (0..worker_count)
+        let workers = (0..threads - 1)
             .map(|idx| {
                 let shared = shared.clone();
                 std::thread::Builder::new()
@@ -166,28 +111,21 @@ impl ThreadPool {
     }
 
     /// The pool's total parallelism (worker threads plus the helping
-    /// scope owner).
+    /// caller).
     pub fn threads(&self) -> usize {
         self.threads
     }
 
     pub(crate) fn inject(&self, job: Job) {
-        // uniq-analyzer: allow(hot-path-alloc) — queue submission, one per spawned job; the deque's capacity is amortized across the batch
-        self.shared.push(self.id, job);
-    }
-
-    /// The current thread's worker index in *this* pool, if any.
-    fn current_worker(&self) -> Option<usize> {
-        WORKER
-            .with(|w| w.get())
-            .and_then(|(id, idx)| if id == self.id { Some(idx) } else { None })
+        self.shared.lock().jobs.push_back(job);
+        self.shared.wake.notify_all();
     }
 
     /// Creates a task scope: `f` may spawn borrowing tasks via
     /// [`Scope::spawn`]; `scope` returns only after every spawned task has
     /// finished. If any task panicked, the first captured panic is
     /// re-raised here (after all tasks completed, so borrows stay sound).
-    pub fn scope<'env, T>(&'env self, f: impl FnOnce(&Scope<'env>) -> T) -> T {
+    pub(crate) fn scope<'env, T>(&'env self, f: impl FnOnce(&Scope<'env>) -> T) -> T {
         // Scope bookkeeping is pool infrastructure: unsuspended, its Arc
         // allocation would be charged to the caller's open stage in the
         // parallel path only (the sequential fast path never builds a
@@ -195,7 +133,7 @@ impl ThreadPool {
         // allocation totals.
         let state = {
             let _quiet = uniq_obs::suspend_alloc_stage();
-            Arc::new(ScopeState::new())
+            Arc::new(ScopeState::new(self.shared.clone()))
         };
         let scope = Scope::new(self, state.clone());
         let result = {
@@ -222,22 +160,25 @@ impl ThreadPool {
         result
     }
 
-    /// Runs queued jobs on the calling thread until `state` has no
-    /// pending tasks. Helping (rather than blocking) keeps nested scopes
-    /// deadlock-free: a worker waiting on an inner scope executes other
-    /// runnable tasks, including the inner scope's own.
+    /// Runs queued jobs, oldest first, on the calling thread until
+    /// `state` has no pending tasks, and sleeps only while the queue is
+    /// empty. Helping (rather than blocking) keeps nested scopes
+    /// deadlock-free at any pool size: a thread waiting on an inner scope
+    /// runs whatever is queued, the inner scope's own tasks included.
     fn wait_scope(&self, state: &ScopeState) {
-        let me = self.current_worker();
-        loop {
-            if state.is_done() {
-                return;
-            }
-            match self.shared.find_job(me) {
-                // The job may come from another thread's scope: run it as
-                // a worker would, outside this thread's sink. Jobs that
-                // record events carry their context in (`ObsContext`).
-                Some(job) => uniq_obs::detached(job),
-                None => state.wait_done_briefly(),
+        let mut queue = self.shared.lock();
+        while !state.is_done() {
+            match queue.jobs.pop_front() {
+                Some(job) => {
+                    drop(queue);
+                    // The job may come from another thread's scope: run it
+                    // as a worker would, outside this thread's sink. Jobs
+                    // that record events carry their context in
+                    // (`ObsContext`).
+                    uniq_obs::detached(job);
+                    queue = self.shared.lock();
+                }
+                None => queue = self.shared.wake.wait(queue).expect("job queue poisoned"),
             }
         }
     }
@@ -252,7 +193,7 @@ impl ThreadPool {
         U: Send,
         F: Fn(&T) -> U + Sync,
     {
-        // Aim for a few chunks per lane so stealing can balance load, but
+        // Aim for a few chunks per lane so the queue can balance load, but
         // never chunks so small the queue overhead dominates.
         let chunk = (items.len() / (4 * self.threads)).max(1);
         self.par_map_chunked(items, chunk, f)
@@ -347,11 +288,7 @@ impl ThreadPool {
 
 impl Drop for ThreadPool {
     fn drop(&mut self) {
-        {
-            let mut sleep = self.shared.sleep.lock().expect("sleep state poisoned");
-            sleep.shutdown = true;
-            sleep.generation = sleep.generation.wrapping_add(1);
-        }
+        self.shared.lock().shutdown = true;
         self.shared.wake.notify_all();
         for handle in self.workers.drain(..) {
             let _ = handle.join();
@@ -362,31 +299,25 @@ impl Drop for ThreadPool {
 fn worker_loop(shared: Arc<Shared>, pool_id: usize, index: usize) {
     WORKER.with(|w| w.set(Some((pool_id, index))));
     loop {
-        // Snapshot the wakeup generation *before* searching, so a push
-        // that races with the search bumps the generation and the sleep
-        // below returns immediately.
-        let seen = {
-            let sleep = shared.sleep.lock().expect("sleep state poisoned");
-            if sleep.shutdown {
-                return;
+        let job = {
+            let mut queue = shared.lock();
+            loop {
+                if queue.shutdown {
+                    return;
+                }
+                if let Some(job) = queue.jobs.pop_front() {
+                    break job;
+                }
+                queue = shared.wake.wait(queue).expect("job queue poisoned");
             }
-            sleep.generation
         };
-        if let Some(job) = shared.find_job(Some(index)) {
-            job();
-            continue;
-        }
-        let mut sleep = shared.sleep.lock().expect("sleep state poisoned");
-        while sleep.generation == seen && !sleep.shutdown {
-            sleep = shared.wake.wait(sleep).expect("sleep state poisoned");
-        }
+        job();
     }
 }
 
 #[cfg(test)]
 mod tests {
     use super::*;
-    use std::sync::atomic::AtomicU64;
 
     #[test]
     fn single_thread_pool_runs_on_caller() {
@@ -403,22 +334,6 @@ mod tests {
         let out = pool.par_map_chunked(&items, 7, |&x| x * x);
         let expect: Vec<u64> = items.iter().map(|&x| x * x).collect();
         assert_eq!(out, expect);
-    }
-
-    #[test]
-    fn scope_runs_borrowing_tasks() {
-        let pool = ThreadPool::new(3);
-        let total = AtomicU64::new(0);
-        let data = [5u64, 6, 7];
-        pool.scope(|s| {
-            for &v in &data {
-                let total = &total;
-                s.spawn(move || {
-                    total.fetch_add(v, Ordering::Relaxed);
-                });
-            }
-        });
-        assert_eq!(total.load(Ordering::Relaxed), 18);
     }
 
     #[test]

@@ -1,7 +1,7 @@
 //! Property tests for the uniq-par pool: parallel map must be
 //! indistinguishable from sequential map for any input length, chunk
-//! size, and thread count, and a panicking worker must not poison the
-//! pool.
+//! size, and thread count — also when maps nest on one pool — and a
+//! panicking worker must not poison the pool.
 
 use proptest::prelude::*;
 
@@ -49,6 +49,21 @@ proptest! {
         let sequential: Result<Vec<i64>, i64> = items.iter().map(fallible).collect();
         prop_assert_eq!(parallel, sequential);
     }
+
+    /// A map whose items each run a map on the same pool — a session's
+    /// stops each deconvolving two ears — equals the sequential nested map.
+    #[test]
+    fn nested_par_map_matches_sequential_nested_map(
+        rows in prop::collection::vec(prop::collection::vec(-1_000_000i64..1_000_000, 0..24), 0..24),
+        threads in 1usize..9,
+        chunk in 1usize..5,
+    ) {
+        let pool = uniq_par::pool(threads);
+        let parallel = pool.par_map_chunked(&rows, chunk, |row| pool.par_map_chunked(row, 1, work));
+        let sequential: Vec<Vec<i64>> =
+            rows.iter().map(|row| row.iter().map(work).collect()).collect();
+        prop_assert_eq!(parallel, sequential);
+    }
 }
 
 #[test]
@@ -94,51 +109,33 @@ fn panicking_worker_propagates_and_pool_stays_usable() {
     }
 }
 
-/// A caller helping to run queued jobs while it waits on its own scope
-/// may pick up a job from another thread's scope. That job must not
-/// record into the helper's sink: a single-lane pool has no workers, so
-/// the helper deterministically runs the foreign job queued ahead of its
-/// own.
 #[test]
-fn helped_foreign_job_stays_out_of_the_helpers_sink() {
-    use std::sync::mpsc;
-    use std::sync::Arc;
-    use uniq_obs::names::{SERVE_REQUESTS, SPAN_STORE_PUT};
-    use uniq_obs::sink::MemorySink;
-
-    let pool = Arc::new(uniq_par::ThreadPool::new(1));
-    let (queued_tx, queued_rx) = mpsc::channel();
-    let (done_tx, done_rx) = mpsc::channel::<()>();
-    let foreign = {
-        let pool = pool.clone();
-        std::thread::spawn(move || {
-            pool.scope(|s| {
-                s.spawn(|| {
-                    let _span = uniq_obs::span(SPAN_STORE_PUT);
-                    uniq_obs::counter(SERVE_REQUESTS, 1);
-                });
-                queued_tx.send(()).unwrap();
-                // Hold the scope open until the helper has drained it.
-                done_rx.recv().unwrap();
-            });
-        })
-    };
-    queued_rx.recv().unwrap();
-    let sink = Arc::new(MemorySink::new());
-    uniq_obs::with_sink(sink.clone(), || {
-        let _span = uniq_obs::span(uniq_obs::names::SPAN_FUSION);
-        pool.scope(|s| s.spawn(|| {}));
-    });
-    done_tx.send(()).unwrap();
-    foreign.join().unwrap();
-    assert_eq!(
-        sink.counter_total(SERVE_REQUESTS),
-        0,
-        "foreign counter leaked"
-    );
-    let leaked_span = sink
-        .events()
+fn panic_in_a_nested_map_propagates_and_pool_stays_usable() {
+    let rows: Vec<Vec<i64>> = (0..8)
+        .map(|r| (0..6).map(|c| r * 6 + c).collect())
+        .collect();
+    let expected: Vec<Vec<i64>> = rows
         .iter()
-        .any(|e| matches!(e, uniq_obs::Event::SpanStart { name, .. } if *name == SPAN_STORE_PUT));
-    assert!(!leaked_span, "foreign span leaked into the helper's sink");
+        .map(|row| row.iter().map(work).collect())
+        .collect();
+    for threads in 1..9 {
+        let pool = uniq_par::pool(threads);
+        let caught = std::panic::catch_unwind(std::panic::AssertUnwindSafe(|| {
+            pool.par_map_chunked(&rows, 1, |row| {
+                pool.par_map_chunked(row, 1, |&x| {
+                    if x == 29 {
+                        panic!("inner failure on {threads} threads");
+                    }
+                    work(&x)
+                })
+            })
+        }));
+        let payload = caught.expect_err("the inner panic must reach the outer caller");
+        let msg = payload
+            .downcast_ref::<String>()
+            .expect("panic payload should be the formatted message");
+        assert!(msg.contains("inner failure"), "payload: {msg}");
+        let nested = pool.par_map_chunked(&rows, 1, |row| pool.par_map_chunked(row, 1, work));
+        assert_eq!(nested, expected);
+    }
 }
