@@ -187,15 +187,19 @@ pub fn extract_fns(file: &SourceFile, file_index: usize) -> Vec<FnDef> {
                     }
                     j = k;
                 }
-                // Body: next `{` before a `;` at this nesting level.
+                // Body: next `{` before a `;` at this nesting level. A
+                // `;` inside brackets or parens (`-> [T; N]`) is not one.
                 let mut body = 0..0;
                 let mut k = j;
                 let mut angle2 = 0i32;
+                let mut bracket = 0i32;
                 while let Some(tok) = file.sig_token(k) {
                     match (tok.kind, tok.text.as_str()) {
                         (TokenKind::Punct, "<") => angle2 += 1,
                         (TokenKind::Punct, ">") => angle2 -= 1,
-                        (TokenKind::Punct, ";") if angle2 <= 0 => break,
+                        (TokenKind::Punct, "[" | "(") => bracket += 1,
+                        (TokenKind::Punct, "]" | ")") => bracket -= 1,
+                        (TokenKind::Punct, ";") if angle2 <= 0 && bracket <= 0 => break,
                         (TokenKind::Punct, "{") => {
                             let mut bd = 1usize;
                             let mut e = k + 1;
@@ -410,6 +414,19 @@ mod tests {
         let f = parse("pub fn fuse_weighted(\n    inputs: &[f64],\n    weights: Option<&[f64]>,\n    cfg: &str,\n) -> f64 {\n    0.0\n}\n");
         let fns = extract_fns(&f, 0);
         assert_eq!(fns[0].params, 3);
+    }
+
+    #[test]
+    fn array_return_type_keeps_the_body() {
+        let f = parse("fn pair() -> [Vec<f64>; 2] {\n    [one(), one()]\n}\nfn f(x: [u8; 4]) -> (u8, [u8; 1]) { x[0] }\n");
+        let fns = extract_fns(&f, 0);
+        assert_eq!(fns.len(), 2);
+        assert!(
+            !fns[0].body.is_empty(),
+            "`;` inside `[T; N]` ended the signature"
+        );
+        assert_eq!(fns[1].params, 1);
+        assert!(!fns[1].body.is_empty());
     }
 
     #[test]

@@ -114,6 +114,29 @@ fn panic_site_reachable_from_result_entry_is_flagged_at_the_site() {
     assert!(d.trace.iter().any(|s| s.symbol.contains("summarize")));
 }
 
+/// A `;` inside an array return type is not the end of a signature: the
+/// entry's body, and the call edge in it, are still seen.
+#[test]
+fn entry_returning_an_array_still_reaches_its_callee() {
+    let entry = "/// Two ears.\npub fn both_ears(xs: &[f64]) -> [Vec<f64>; 2] {\n    [vec![first_or_die(xs)], Vec::new()]\n}\n";
+    let report = run(
+        &[
+            spec("crates/core/src/ears.rs", "core", entry),
+            spec("crates/par/src/qhelper.rs", "par", PANIC_HELPER),
+        ],
+        false,
+    );
+    let diags = &report.diagnostics;
+    assert_eq!(diags.len(), 1, "{diags:#?}");
+    assert_eq!(diags[0].rule, "panic-reachability");
+    assert_eq!(diags[0].line, 8);
+    assert!(
+        diags[0].message.contains("both_ears"),
+        "{}",
+        diags[0].message
+    );
+}
+
 #[test]
 fn lock_cycle_and_pool_boundary_are_flagged() {
     let report = run(
