@@ -4,7 +4,7 @@
 //! traces round-trip through the JSONL sink into a complete tree. The
 //! run ledger's gate is tested in `tests/regression_gate.rs`.
 
-use std::sync::Arc;
+use std::sync::{Arc, Mutex, MutexGuard};
 
 use uniq_core::batch::personalize_batch;
 use uniq_core::config::UniqConfig;
@@ -13,6 +13,18 @@ use uniq_obs::names::OBS_TELEMETRY_OVERHEAD_NS;
 use uniq_profile::trace::parse_trace;
 use uniq_profile::ProfileSink;
 use uniq_subjects::Subject;
+
+/// Runs this file's tests one at a time: `cargo test` runs them
+/// concurrently, and the overhead bound compares wall-clock spans that
+/// siblings running at 4 and 8 threads would slow unevenly.
+static SERIAL: Mutex<()> = Mutex::new(());
+
+/// Takes [`SERIAL`]; a failed sibling's poison does not fail the rest.
+fn serial() -> MutexGuard<'static, ()> {
+    SERIAL
+        .lock()
+        .unwrap_or_else(|poisoned| poisoned.into_inner())
+}
 
 fn cfg_with(threads: usize) -> UniqConfig {
     UniqConfig {
@@ -26,6 +38,7 @@ fn cfg_with(threads: usize) -> UniqConfig {
 
 #[test]
 fn registry_deterministic_across_thread_counts() {
+    let _serial = serial();
     // The sharded sink assigns events to per-worker shards, so shard
     // contents differ between thread counts — but the aggregated
     // registry's determinism key (counter totals, span counts, metric
@@ -49,6 +62,7 @@ fn registry_deterministic_across_thread_counts() {
 
 #[test]
 fn overhead_metric_emitted_and_bounded() {
+    let _serial = serial();
     let subject = Subject::from_seed(6);
     let sink = Arc::new(ProfileSink::new());
     uniq_obs::with_sink(sink.clone(), || {
@@ -81,6 +95,7 @@ fn overhead_metric_emitted_and_bounded() {
 
 #[test]
 fn trace_round_trips_through_jsonl_sink() {
+    let _serial = serial();
     let path =
         std::env::temp_dir().join(format!("uniq_telemetry_trace_{}.jsonl", std::process::id()));
     {
@@ -132,6 +147,7 @@ fn trace_round_trips_through_jsonl_sink() {
 
 #[test]
 fn prometheus_exposition_covers_the_pipeline() {
+    let _serial = serial();
     let sink = Arc::new(ProfileSink::new());
     uniq_obs::with_sink(sink.clone(), || {
         let subject = Subject::from_seed(6);
