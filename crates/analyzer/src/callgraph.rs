@@ -40,8 +40,8 @@ use std::collections::{BTreeMap, BTreeSet};
 /// (`.expect(…)` resolving into a JSON parser three crates away).
 pub type DepClosure = BTreeMap<String, BTreeSet<String>>;
 
-/// The names `uniq-par` exposes for handing work to the pool; calls to
-/// these mark a parallel boundary at the call site.
+/// Calls that hand work to other threads (`uniq-par`'s maps, and any
+/// `scope(…)`, `std::thread::scope` too) mark a parallel boundary.
 pub const POOL_ENTRY_POINTS: &[&str] = &["par_map", "par_map_chunked", "try_par_map", "scope"];
 
 /// One resolved call edge.
