@@ -17,7 +17,6 @@
 //! | `slice-index` | result crates, `--strict` | direct indexing audited (warning) |
 //! | `obs-span-guard` | everywhere | span guards bound, not dropped on the spot |
 //! | `obs-metric-name` | everywhere but `obs` | metric/counter names are shared constants |
-//! | `obs-context` | everywhere | emission in pool closures runs under a captured `ObsContext` |
 //! | `bad-suppression` | everywhere | suppressions carry a justification and name real rules |
 //!
 //! The interprocedural rule families live in [`crate::flow_rules`] and
@@ -73,7 +72,6 @@ pub const RULE_NAMES: &[&str] = &[
     "slice-index",
     "obs-span-guard",
     "obs-metric-name",
-    "obs-context",
     "bad-suppression",
     "determinism-taint",
     "panic-reachability",
@@ -101,7 +99,6 @@ pub(crate) fn raw_findings(file: &SourceFile, strict: bool) -> Vec<Diagnostic> {
     }
     obs_span_guard(file, &mut raw);
     obs_metric_name(file, &mut raw);
-    obs_context(file, &mut raw);
     raw
 }
 
@@ -480,70 +477,6 @@ fn obs_metric_name(file: &SourceFile, out: &mut Vec<Diagnostic>) {
     }
 }
 
-/// `obs-context`: span/metric/counter emission inside a pool closure
-/// (`par_map`, `par_map_chunked`, `try_par_map`) must run under a
-/// captured `ObsContext` (`uniq_obs::capture()`) — `ctx.run(…)` or
-/// `ctx.run_indexed(…)`. Workers carry no ambient span stack: an
-/// uncontexted emission still reaches the sink, but with no trace/span
-/// ids linking it to the submitting span, so the causal tree that
-/// `uniq trace report` rebuilds grows orphans and the per-worker
-/// registry shards cannot attribute the event to a lane.
-fn obs_context(file: &SourceFile, out: &mut Vec<Diagnostic>) {
-    const ENTRY_POINTS: &[&str] = &["par_map", "par_map_chunked", "try_par_map"];
-    const EMITTERS: &[&str] = &["span", "metric", "counter"];
-    for i in 0..file.sig.len() {
-        let Some(t) = file.sig_token(i) else { continue };
-        if t.kind != TokenKind::Ident
-            || !ENTRY_POINTS.contains(&t.text.as_str())
-            || file.in_test_code(t.line)
-        {
-            continue;
-        }
-        // Only the call form `par_map…(`, not definitions or doc paths.
-        if !file
-            .sig_token(i + 1)
-            .is_some_and(|n| n.kind == TokenKind::Punct && n.text == "(")
-        {
-            continue;
-        }
-        // Walk the call's argument region (paren depth), flagging any
-        // emission ident that appears before a `run`/`run_indexed`.
-        let mut depth = 1usize;
-        let mut j = i + 2;
-        let mut has_context = false;
-        while depth > 0 {
-            let Some(tok) = file.sig_token(j) else { break };
-            if tok.kind == TokenKind::Punct {
-                match tok.text.as_str() {
-                    "(" => depth += 1,
-                    ")" => depth -= 1,
-                    _ => {}
-                }
-            } else if tok.kind == TokenKind::Ident {
-                if tok.text == "run" || tok.text == "run_indexed" {
-                    has_context = true;
-                } else if !has_context && EMITTERS.contains(&tok.text.as_str()) {
-                    out.push(diag(
-                        file,
-                        tok.line,
-                        "obs-context",
-                        Severity::Error,
-                        format!(
-                            "`{}` emitted inside a `{}` closure without a \
-                             captured context: wrap the closure body in \
-                             `ctx.run(…)`/`ctx.run_indexed(…)` (from \
-                             `uniq_obs::capture()`) so the event keeps its \
-                             causal trace ids",
-                            tok.text, t.text
-                        ),
-                    ));
-                }
-            }
-            j += 1;
-        }
-    }
-}
-
 /// `bad-suppression`: validates the suppressions themselves — a
 /// suppression must name known rules and carry a non-empty one-line
 /// justification, otherwise the audit trail the suppressions exist to
@@ -826,32 +759,6 @@ mod fixture_tests {
         let diags = check(
             include_str!("../fixtures/bad_metric_name.rs"),
             "obs",
-            false,
-            false,
-        );
-        assert!(diags.is_empty(), "{diags:#?}");
-    }
-
-    #[test]
-    fn obs_context_bad() {
-        let diags = check(
-            include_str!("../fixtures/bad_obs_context.rs"),
-            "cli",
-            false,
-            false,
-        );
-        assert_eq!(diags.len(), 4, "{diags:#?}");
-        assert!(diags.iter().all(|d| d.rule == "obs-context"));
-        assert!(diags.iter().all(|d| d.severity == Severity::Error));
-        // The `#[cfg(test)]` module's uncontexted emission is exempt.
-        assert!(diags.iter().all(|d| d.line < 28), "{diags:#?}");
-    }
-
-    #[test]
-    fn obs_context_clean() {
-        let diags = check(
-            include_str!("../fixtures/clean_obs_context.rs"),
-            "cli",
             false,
             false,
         );

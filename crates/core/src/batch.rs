@@ -47,23 +47,20 @@ pub fn personalize_batch(
     );
     let _span = uniq_obs::span(uniq_obs::names::SPAN_BATCH);
     let pool = uniq_par::pool(threads);
-    let ctx = uniq_obs::capture();
     let outcomes = pool.par_map_chunked(seeds, 1, |&seed| {
-        ctx.run_indexed(seed, || {
-            let sw = Stopwatch::start();
-            let subject = Subject::from_seed(seed);
-            let result = personalize_with_retry(&subject, cfg, seed, max_attempts);
-            let seconds = sw.elapsed_seconds();
-            uniq_obs::metric(names::BATCH_SUBJECT_SECONDS, seconds, "s");
-            if result.is_err() {
-                uniq_obs::counter(names::BATCH_FAILURES, 1);
-            }
-            BatchOutcome {
-                seed,
-                result,
-                seconds,
-            }
-        })
+        let sw = Stopwatch::start();
+        let subject = Subject::from_seed(seed);
+        let result = personalize_with_retry(&subject, cfg, seed, max_attempts);
+        let seconds = sw.elapsed_seconds();
+        uniq_obs::metric(names::BATCH_SUBJECT_SECONDS, seconds, "s");
+        if result.is_err() {
+            uniq_obs::counter(names::BATCH_FAILURES, 1);
+        }
+        BatchOutcome {
+            seed,
+            result,
+            seconds,
+        }
     });
     uniq_obs::counter(names::BATCH_SUBJECTS, outcomes.len() as u64);
     outcomes

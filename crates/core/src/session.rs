@@ -204,15 +204,13 @@ pub fn run_session_faulted(
 
     // Each stop is an independent capture → estimate → score computation,
     // so the sweep fans out across the pool. `try_par_map` evaluates every
-    // stop and reports the lowest-index failure, and `ctx.run_indexed`
-    // re-installs the caller's observability sink/depth/trace on the
-    // workers — keyed by the stop index, so each stop's spans get ids that
-    // depend on the stop, never on which worker ran it.
+    // stop and reports the lowest-index failure; the pool runs stop `i`
+    // under the caller's observability context at lane `i`, so each stop's
+    // spans get ids that depend on the stop, never on which worker ran it.
     let indexed: Vec<usize> = (0..prep.stops.len()).collect();
     let pool = uniq_par::pool(cfg.threads);
-    let ctx = uniq_obs::capture();
     let outcomes = pool.try_par_map(&indexed, |&i| {
-        ctx.run_indexed(i as u64, || degrade_stop(i, &prep, cfg, seed, hook, policy))
+        degrade_stop(i, &prep, cfg, seed, hook, policy)
     })?;
 
     let mut stops = Vec::with_capacity(outcomes.len());

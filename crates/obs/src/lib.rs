@@ -334,17 +334,6 @@ pub fn alloc_stage() -> Option<&'static str> {
     STAGE.with(|s| s.get())
 }
 
-/// The innermost open span name regardless of suspension — the value a
-/// work-submission point (e.g. `uniq-par`'s `Scope::spawn`) captures and
-/// hands to the worker thread via [`with_alloc_stage`], so allocations a
-/// parallel closure makes are attributed to the same stage they would be
-/// attributed to when the closure runs inline. This is what makes
-/// per-stage allocation totals bit-identical across thread counts.
-#[inline]
-pub fn alloc_stage_handoff() -> Option<&'static str> {
-    STAGE.with(|s| s.get())
-}
-
 /// Suspends allocation attribution on this thread until the guard drops:
 /// [`alloc_stage`] returns `None` inside. Used around allocations that
 /// belong to *observability or scheduling infrastructure* — sink dispatch,
@@ -375,10 +364,11 @@ impl Drop for AllocStageSuspendGuard {
 }
 
 /// Runs `f` with `stage` installed as this thread's allocation-attribution
-/// stage, restoring the previous value afterwards (exception safe). Worker
-/// pools call this with the value captured by [`alloc_stage_handoff`] at
-/// submission time; spans `f` opens override it as usual.
-pub fn with_alloc_stage<T>(stage: Option<&'static str>, f: impl FnOnce() -> T) -> T {
+/// stage, restoring the previous value afterwards (exception safe).
+/// [`ObsContext`] runs carry the captured stage in this way, so
+/// allocations made on another thread land on the stage they would land
+/// on inline; spans `f` opens override it as usual.
+fn with_alloc_stage<T>(stage: Option<&'static str>, f: impl FnOnce() -> T) -> T {
     struct Restore(Option<&'static str>);
     impl Drop for Restore {
         fn drop(&mut self) {
@@ -454,13 +444,15 @@ pub fn with_sink<T>(sink: Arc<dyn Sink>, f: impl FnOnce() -> T) -> T {
 }
 
 /// A snapshot of this thread's observability state — the active sink (if
-/// any) and the current span depth — that can be carried to another
-/// thread and reinstalled there with [`ObsContext::run`].
+/// any), span depth, causal position and allocation stage — that can be
+/// carried to another thread and reinstalled there with
+/// [`ObsContext::run`].
 ///
-/// Worker-pool code uses this so events emitted on pool threads land in
-/// the *caller's* sink at the caller's nesting depth, exactly as if the
-/// work had run inline. Without it, scoped sinks (which are thread-local)
-/// would silently drop everything produced on workers.
+/// `uniq-par` captures one per parallel map and runs item `i` under
+/// `run_indexed(i)` on whichever thread takes it, so pool items need no
+/// context of their own. Use this type directly for threads the program
+/// spawns itself: without it, scoped sinks (which are thread-local) would
+/// silently drop everything such a thread emits.
 ///
 /// ```
 /// use std::sync::Arc;
@@ -497,9 +489,10 @@ impl std::fmt::Debug for ObsContext {
     }
 }
 
-/// Captures the calling thread's current sink, span depth, and causal
-/// position (trace id + innermost open span). Cheap when no sink is
-/// installed.
+/// Captures the calling thread's current sink, span depth, causal
+/// position (trace id + innermost open span) and allocation stage (the
+/// innermost open span name, read even while attribution is suspended).
+/// Cheap when no sink is installed.
 pub fn capture() -> ObsContext {
     let active = ACTIVE_SINKS.load(Ordering::Relaxed) != 0;
     let trace = if active { TRACE.with(|t| t.get()) } else { 0 };
@@ -519,17 +512,17 @@ pub fn capture() -> ObsContext {
         trace,
         parent_span,
         parent_key,
-        stage: alloc_stage_handoff(),
+        stage: STAGE.with(|s| s.get()),
     }
 }
 
 impl ObsContext {
-    /// Runs `f` with this context's sink, span depth and causal position
-    /// installed on the current thread, restoring the previous state
-    /// afterwards (exception safe). With no captured sink, `f` runs with
-    /// no sink either: the current thread's own sink is masked, so a pool
-    /// caller helping run another scope's job never records that job's
-    /// events.
+    /// Runs `f` with this context's sink, span depth, causal position and
+    /// allocation stage installed on the current thread, restoring the
+    /// previous state afterwards (exception safe). With no captured sink,
+    /// `f` runs with no sink either: the current thread's own sink is
+    /// masked, so a pool caller helping run another map's item never
+    /// records that item's events.
     ///
     /// Spans `f` opens derive their ids from the captured position
     /// directly; in a parallel fan-out where several items run under one
@@ -551,7 +544,10 @@ impl ObsContext {
 
     fn run_with_key<T>(&self, key: u64, f: impl FnOnce() -> T) -> T {
         let Some(sink) = self.sink.clone() else {
-            return detached(f);
+            if ACTIVE_SINKS.load(Ordering::Relaxed) == 0 {
+                return with_alloc_stage(self.stage, f);
+            }
+            return without_sink(|| with_alloc_stage(self.stage, f));
         };
         let depth = self.depth;
         let trace = self.trace;
@@ -602,18 +598,6 @@ impl ObsContext {
             with_alloc_stage(self.stage, f)
         })
     }
-}
-
-/// Runs `f` as a pool worker runs a job: outside this thread's sink, span
-/// depth and causal position. A thread that helps run queued pool jobs
-/// while it waits on its own scope uses this, so a job from another
-/// thread's scope never records into the helper's sink. One relaxed load
-/// when no sink exists anywhere.
-pub fn detached<T>(f: impl FnOnce() -> T) -> T {
-    if ACTIVE_SINKS.load(Ordering::Relaxed) == 0 {
-        return f();
-    }
-    without_sink(f)
 }
 
 /// Runs `f` as a thread with no sink would: this thread's scoped sink is
@@ -1062,8 +1046,8 @@ mod tests {
             {
                 let _quiet = suspend_alloc_stage();
                 assert_eq!(alloc_stage(), None);
-                // The raw handoff value still sees the span.
-                assert_eq!(alloc_stage_handoff(), Some("stage"));
+                // A capture still reads the span as its stage.
+                assert_eq!(capture().stage, Some("stage"));
                 {
                     let _deeper = suspend_alloc_stage();
                     assert_eq!(alloc_stage(), None);
@@ -1095,6 +1079,18 @@ mod tests {
                     ctx.run(|| assert_eq!(alloc_stage(), Some("outer")));
                     assert_eq!(alloc_stage(), None);
                 });
+            });
+        });
+    }
+
+    #[test]
+    fn sinkless_context_carries_stage() {
+        let ctx = with_alloc_stage(Some("carried"), capture);
+        assert!(ctx.sink.is_none());
+        std::thread::scope(|s| {
+            s.spawn(|| {
+                ctx.run(|| assert_eq!(alloc_stage(), Some("carried")));
+                assert_eq!(alloc_stage(), None);
             });
         });
     }

@@ -1,7 +1,8 @@
 //! # uniq-par
 //!
 //! A small thread pool for the UNIQ personalization pipeline, built on
-//! `std` alone (plus `uniq-obs` for allocation attribution — see below).
+//! `std` alone (plus `uniq-obs`, whose context every item runs under — see
+//! below).
 //! The build environment has no crates.io access, so this crate
 //! implements the part of rayon's surface the workspace needs — the
 //! index-ordered [`ThreadPool::par_map`], [`ThreadPool::par_map_chunked`]
@@ -33,22 +34,22 @@
 //! Pools are deduplicated by size through [`pool`], and the default size
 //! comes from `UNIQ_THREADS` or the machine's available parallelism.
 //!
-//! ## Allocation attribution
+//! ## Observability
 //!
-//! `uniq-memprof` attributes every heap allocation to the active
-//! `uniq-obs` span. For per-stage totals to be bit-identical across
-//! thread counts — the memory-determinism hard gate — this pool does two
-//! things:
+//! Each map captures the caller's `uniq-obs` context once
+//! ([`uniq_obs::capture`]) and runs item `i` under lane `i` of it
+//! (`run_indexed(i)`) on whichever thread takes the item: inline, on a
+//! worker, or on a caller helping while it waits. An item therefore sees
+//! the caller's sink, span depth, span ids and allocation stage at every
+//! pool size, as in a sequential loop, and needs no context of its own.
+//! That makes traces, registry totals and `uniq-memprof`'s per-stage
+//! allocation totals (the memory-determinism hard gate) identical at any
+//! thread count.
 //!
-//! 1. Queuing a chunk captures the submitting thread's stage
-//!    ([`uniq_obs::alloc_stage_handoff`]) into the job and reinstalls it
-//!    on the thread that runs it, so a parallel closure's allocations land
-//!    on the same stage they land on when the closure runs inline on the
-//!    caller.
-//! 2. Pool-owned allocations whose shape varies with thread count — job
-//!    boxes, queue growth, chunk buckets, result concatenation — sit
-//!    inside [`uniq_obs::suspend_alloc_stage`] regions and stay out of
-//!    the per-stage profile entirely.
+//! Pool-owned allocations whose shape varies with thread count — job
+//! boxes, queue growth, chunk buckets, result concatenation — sit inside
+//! [`uniq_obs::suspend_alloc_stage`] regions and stay out of the
+//! per-stage profile entirely.
 
 #![warn(missing_docs)]
 

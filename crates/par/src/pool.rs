@@ -171,11 +171,10 @@ impl ThreadPool {
             match queue.jobs.pop_front() {
                 Some(job) => {
                     drop(queue);
-                    // The job may come from another thread's scope: run it
-                    // as a worker would, outside this thread's sink. Jobs
-                    // that record events carry their context in
-                    // (`ObsContext`).
-                    uniq_obs::detached(job);
+                    // The job may come from another thread's map; its items
+                    // run under that map's captured context, not this
+                    // thread's.
+                    job();
                     queue = self.shared.lock();
                 }
                 None => queue = self.shared.wake.wait(queue).expect("job queue poisoned"),
@@ -203,6 +202,11 @@ impl ThreadPool {
     /// items are processed in `chunk`-sized runs, each run's outputs kept
     /// together and concatenated in index order.
     ///
+    /// The caller's observability context is captured once and item `i`
+    /// runs under its lane `i` on whichever thread takes it, so an item
+    /// sees the same sink, span depth, span ids and allocation stage at
+    /// any pool size, as in a sequential loop.
+    ///
     /// # Panics
     /// Panics if `chunk == 0`, or re-raises the first panic from `f`.
     pub fn par_map_chunked<T, U, F>(&self, items: &[T], chunk: usize, f: F) -> Vec<U>
@@ -212,6 +216,7 @@ impl ThreadPool {
         F: Fn(&T) -> U + Sync,
     {
         assert!(chunk >= 1, "chunk size must be at least 1");
+        let ctx = uniq_obs::capture();
         // Output-collection Vecs are pool infrastructure: their count and
         // sizes depend on the chunking, not the workload, so they are
         // allocated under suspended attribution on *both* paths — per-item
@@ -222,9 +227,9 @@ impl ThreadPool {
                 let _quiet = uniq_obs::suspend_alloc_stage();
                 Vec::with_capacity(items.len())
             };
-            for item in items {
+            for (i, item) in items.iter().enumerate() {
                 // uniq-analyzer: allow(hot-path-alloc) — pushes into Vecs pre-sized with with_capacity (here and per chunk below); never reallocates mid-batch
-                out.push(f(item));
+                out.push(ctx.run_indexed(i as u64, || f(item)));
             }
             return out;
         }
@@ -236,13 +241,15 @@ impl ThreadPool {
             for (index, run) in items.chunks(chunk).enumerate() {
                 let buckets = &buckets;
                 let f = &f;
+                let ctx = &ctx;
                 s.spawn(move || {
                     let mut values = {
                         let _quiet = uniq_obs::suspend_alloc_stage();
                         Vec::with_capacity(run.len())
                     };
-                    for item in run {
-                        values.push(f(item));
+                    for (offset, item) in run.iter().enumerate() {
+                        let lane = (index * chunk + offset) as u64;
+                        values.push(ctx.run_indexed(lane, || f(item)));
                     }
                     let _quiet = uniq_obs::suspend_alloc_stage();
                     buckets
@@ -317,7 +324,142 @@ fn worker_loop(shared: Arc<Shared>, pool_id: usize, index: usize) {
 
 #[cfg(test)]
 mod tests {
+    use std::panic::{catch_unwind, AssertUnwindSafe};
+    use std::sync::Barrier;
+
+    use uniq_obs::names::{
+        BATCH_SUBJECT_SECONDS, SERVE_REQUESTS, SPAN_BATCH, SPAN_FUSION, SPAN_STORE_PUT,
+    };
+    use uniq_obs::sink::MemorySink;
+    use uniq_obs::Event;
+
     use super::*;
+
+    /// Sorted `(name, depth, span, parent)` of every span start.
+    fn span_tuples(sink: &MemorySink) -> Vec<(&'static str, usize, u64, u64)> {
+        let mut spans: Vec<_> = sink
+            .events()
+            .iter()
+            .filter_map(|e| match e {
+                Event::SpanStart { name, depth, ids } => {
+                    Some((*name, *depth, ids.span, ids.parent))
+                }
+                _ => None,
+            })
+            .collect();
+        spans.sort_unstable();
+        spans
+    }
+
+    /// Items that emit with no context of their own record the same span
+    /// tree, counters and metrics at every pool size.
+    #[test]
+    fn items_emit_under_the_callers_context_at_any_pool_size() {
+        let record = |threads: usize| {
+            let pool = ThreadPool::new(threads);
+            let sink = Arc::new(MemorySink::new());
+            uniq_obs::with_sink(sink.clone(), || {
+                let _trace = uniq_obs::trace(5);
+                let _root = uniq_obs::span(SPAN_BATCH);
+                let items: Vec<u64> = (0..32).collect();
+                pool.par_map_chunked(&items, 1, |&i| {
+                    let _span = uniq_obs::span(SPAN_FUSION);
+                    uniq_obs::counter(SERVE_REQUESTS, 1);
+                    uniq_obs::metric(BATCH_SUBJECT_SECONDS, i as f64, "s");
+                });
+            });
+            let mut metrics = sink.metric_values(BATCH_SUBJECT_SECONDS);
+            metrics.sort_by(f64::total_cmp);
+            (
+                span_tuples(&sink),
+                sink.counter_total(SERVE_REQUESTS),
+                metrics,
+            )
+        };
+        let one = record(1);
+        assert_eq!(one.0.len(), 33);
+        assert_eq!(one.1, 32);
+        assert_eq!(one.2.len(), 32);
+        for threads in [2, 4, 8] {
+            assert_eq!(record(threads), one, "pool size {threads} diverged");
+        }
+    }
+
+    /// A caller helping to run queued jobs while it waits on its own map
+    /// may take an item of another thread's map. That item runs under its
+    /// own map's context (here: none), never the helper's sink. The
+    /// foreign map's first two items hold the pool's one worker and the
+    /// foreign caller, so its third item is still queued, ahead of the
+    /// helper's own, when the helper starts waiting.
+    #[test]
+    fn helped_foreign_job_stays_out_of_the_helpers_sink() {
+        let pool = Arc::new(ThreadPool::new(2));
+        let started = Arc::new(Barrier::new(3));
+        let release = Arc::new(Barrier::new(3));
+        let foreign = {
+            let (pool, started, release) = (pool.clone(), started.clone(), release.clone());
+            std::thread::spawn(move || {
+                pool.par_map_chunked(&[0, 1, 2], 1, |&i| {
+                    if i < 2 {
+                        started.wait();
+                        release.wait();
+                    } else {
+                        let _span = uniq_obs::span(SPAN_STORE_PUT);
+                        uniq_obs::counter(SERVE_REQUESTS, 1);
+                    }
+                    std::thread::current().id()
+                })
+            })
+        };
+        started.wait();
+        let sink = Arc::new(MemorySink::new());
+        uniq_obs::with_sink(sink.clone(), || {
+            let _span = uniq_obs::span(SPAN_FUSION);
+            pool.par_map_chunked(&[0, 1], 1, |_| ());
+        });
+        release.wait();
+        let ran_on = foreign.join().unwrap();
+        assert_eq!(ran_on[2], std::thread::current().id(), "not helped");
+        assert_eq!(
+            sink.counter_total(SERVE_REQUESTS),
+            0,
+            "foreign counter leaked"
+        );
+        let leaked_span = sink
+            .events()
+            .iter()
+            .any(|e| matches!(e, Event::SpanStart { name, .. } if *name == SPAN_STORE_PUT));
+        assert!(!leaked_span, "foreign span leaked into the helper's sink");
+    }
+
+    /// An item panicking under an installed sink unwinds through its
+    /// context guards: a later sinkless map on the same pool records
+    /// nothing into that sink, at any pool size.
+    #[test]
+    fn panicking_item_leaves_no_sink_behind() {
+        let items: Vec<u64> = (0..16).collect();
+        for threads in 1..=8 {
+            let pool = ThreadPool::new(threads);
+            let sink = Arc::new(MemorySink::new());
+            let outcome = catch_unwind(AssertUnwindSafe(|| {
+                uniq_obs::with_sink(sink.clone(), || {
+                    let _root = uniq_obs::span(SPAN_BATCH);
+                    pool.par_map_chunked(&items, 1, |&i| {
+                        let _span = uniq_obs::span(SPAN_FUSION);
+                        assert_ne!(i, 5, "item panics");
+                    })
+                })
+            }));
+            assert!(outcome.is_err(), "the item's panic must propagate");
+            let recorded = sink.events().len();
+            pool.par_map_chunked(&items, 1, |_| {
+                let _span = uniq_obs::span(SPAN_STORE_PUT);
+                uniq_obs::counter(SERVE_REQUESTS, 1);
+            });
+            assert_eq!(sink.events().len(), recorded, "pool size {threads} leaked");
+            assert_eq!(uniq_obs::current_depth(), 0);
+        }
+    }
 
     #[test]
     fn single_thread_pool_runs_on_caller() {

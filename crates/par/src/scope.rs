@@ -82,21 +82,14 @@ impl<'env> Scope<'env> {
     {
         self.state.pending.fetch_add(1, Ordering::Relaxed);
         let state = self.state.clone();
-        // Carry the submitting thread's allocation-attribution stage into
-        // the job, so the closure's allocations are attributed exactly as
-        // they would be running inline on the caller — the property that
-        // makes per-stage allocation totals thread-count-invariant. The
-        // job box and queue push themselves are pool infrastructure and
-        // stay unattributed.
-        let stage = uniq_obs::alloc_stage_handoff();
+        // The job box and queue push are pool infrastructure and stay
+        // unattributed.
         let _quiet = uniq_obs::suspend_alloc_stage();
         let wrapped: Box<dyn FnOnce() + Send + 'env> = Box::new(move || {
-            uniq_obs::with_alloc_stage(stage, || {
-                if let Err(payload) = catch_unwind(AssertUnwindSafe(f)) {
-                    state.store_panic(payload);
-                }
-                state.task_finished();
-            });
+            if let Err(payload) = catch_unwind(AssertUnwindSafe(f)) {
+                state.store_panic(payload);
+            }
+            state.task_finished();
         });
         // SAFETY: the job is erased to 'static so it can sit in the
         // pool's 'static queue, but it never outlives 'env in practice:
@@ -118,10 +111,6 @@ impl<'env> Scope<'env> {
 #[cfg(test)]
 mod tests {
     use std::sync::atomic::{AtomicU64, Ordering};
-    use std::sync::{mpsc, Arc};
-
-    use uniq_obs::names::{SERVE_REQUESTS, SPAN_STORE_PUT};
-    use uniq_obs::sink::MemorySink;
 
     use crate::ThreadPool;
 
@@ -139,48 +128,5 @@ mod tests {
             }
         });
         assert_eq!(total.load(Ordering::Relaxed), 18);
-    }
-
-    /// A caller helping to run queued jobs while it waits on its own scope
-    /// may pick up a job from another thread's scope. That job must not
-    /// record into the helper's sink: a single-lane pool has no workers,
-    /// so the helper deterministically runs the foreign job queued ahead
-    /// of its own.
-    #[test]
-    fn helped_foreign_job_stays_out_of_the_helpers_sink() {
-        let pool = Arc::new(ThreadPool::new(1));
-        let (queued_tx, queued_rx) = mpsc::channel();
-        let (done_tx, done_rx) = mpsc::channel::<()>();
-        let foreign = {
-            let pool = pool.clone();
-            std::thread::spawn(move || {
-                pool.scope(|s| {
-                    s.spawn(|| {
-                        let _span = uniq_obs::span(SPAN_STORE_PUT);
-                        uniq_obs::counter(SERVE_REQUESTS, 1);
-                    });
-                    queued_tx.send(()).unwrap();
-                    // Hold the scope open until the helper has drained it.
-                    done_rx.recv().unwrap();
-                });
-            })
-        };
-        queued_rx.recv().unwrap();
-        let sink = Arc::new(MemorySink::new());
-        uniq_obs::with_sink(sink.clone(), || {
-            let _span = uniq_obs::span(uniq_obs::names::SPAN_FUSION);
-            pool.scope(|s| s.spawn(|| {}));
-        });
-        done_tx.send(()).unwrap();
-        foreign.join().unwrap();
-        assert_eq!(
-            sink.counter_total(SERVE_REQUESTS),
-            0,
-            "foreign counter leaked"
-        );
-        let leaked_span = sink.events().iter().any(
-            |e| matches!(e, uniq_obs::Event::SpanStart { name, .. } if *name == SPAN_STORE_PUT),
-        );
-        assert!(!leaked_span, "foreign span leaked into the helper's sink");
     }
 }

@@ -1344,14 +1344,11 @@ mod tests {
     fn pool_worker_samples_get_worker_labels() {
         let profile = Arc::new(ProfileSink::new());
         uniq_obs::with_sink(profile.clone(), || {
-            let ctx = uniq_obs::capture();
             let pool = uniq_par::pool(3);
             let items: Vec<u64> = (0..32).collect();
             let _: Vec<u64> = pool.par_map_chunked(&items, 1, |&i| {
-                ctx.run(|| {
-                    let _span = uniq_obs::span(CHILD);
-                    i
-                })
+                let _span = uniq_obs::span(CHILD);
+                i
             });
         });
         let r = profile.report();

@@ -140,12 +140,9 @@ fn observability_aggregates_identical_across_thread_counts() {
 /// `UNIQ_THREADS`).
 #[test]
 fn span_ids_bit_identical_across_thread_counts() {
-    let subject = Subject::from_seed(73);
-    let record = |threads: usize| {
+    fn record(run: impl FnOnce()) -> Vec<(&'static str, u64, u64, u64)> {
         let sink = Arc::new(MemorySink::new());
-        uniq_obs::with_sink(sink.clone(), || {
-            personalize(&subject, &cfg_with(threads), 45).expect("pipeline succeeds")
-        });
+        uniq_obs::with_sink(sink.clone(), run);
         let mut ids: Vec<(&'static str, u64, u64, u64)> = sink
             .events()
             .iter()
@@ -158,19 +155,46 @@ fn span_ids_bit_identical_across_thread_counts() {
             .collect();
         ids.sort_unstable();
         ids
-    };
-    let ids1 = record(1);
-    let ids8 = record(8);
-    assert!(!ids1.is_empty(), "no spans recorded");
-    assert_eq!(ids1, ids8, "span id triples diverged between thread counts");
-    // Non-root spans must link to a parent that exists in the same run.
-    let spans: std::collections::BTreeSet<u64> = ids1.iter().map(|t| t.2).collect();
-    for (name, _, _, parent) in &ids1 {
-        assert!(
-            *parent == 0 || spans.contains(parent),
-            "span {name} has a dangling parent id"
-        );
     }
+    fn assert_linked(ids: &[(&'static str, u64, u64, u64)]) {
+        assert!(!ids.is_empty(), "no spans recorded");
+        // Non-root spans must link to a parent that exists in the same run.
+        let spans: std::collections::BTreeSet<u64> = ids.iter().map(|t| t.2).collect();
+        for (name, _, _, parent) in ids {
+            assert!(
+                *parent == 0 || spans.contains(parent),
+                "span {name} has a dangling parent id"
+            );
+        }
+    }
+    let subject = Subject::from_seed(73);
+    let single = |threads: usize| {
+        record(|| {
+            personalize(&subject, &cfg_with(threads), 45).expect("pipeline succeeds");
+        })
+    };
+    let ids1 = single(1);
+    assert_eq!(
+        ids1,
+        single(8),
+        "span id triples diverged between thread counts"
+    );
+    assert_linked(&ids1);
+
+    // A batch runs subject `i` at pool lane `i`: its ids too are the same at
+    // any pool size.
+    let batch = |threads: usize| {
+        record(|| {
+            personalize_batch(&[70, 71, 72, 73], &cfg_with(1), threads, 2);
+        })
+    };
+    let batch1 = batch(1);
+    assert_eq!(
+        batch1,
+        batch(4),
+        "batch span ids diverged between pool sizes"
+    );
+    assert_linked(&batch1);
 }
 
 /// The degraded-session path: `fuse_weighted` with per-stop weights
