@@ -169,11 +169,10 @@ impl Shard {
                 state.closed = true;
                 return None;
             }
-            let (next, _) = self
+            state = self
                 .ready
-                .wait_timeout(state, POLL_INTERVAL)
+                .wait(state)
                 .unwrap_or_else(PoisonError::into_inner);
-            state = next;
         }
     }
 }
@@ -331,7 +330,11 @@ impl Server {
     /// exiting.
     pub fn shutdown(mut self) -> DrainReport {
         self.inner.draining.store(true, Ordering::SeqCst);
+        // Signal under each shard's lock: a worker checks `draining` and
+        // starts waiting under that lock, so the wakeup cannot fall
+        // between its check and its wait.
         for shard in &self.inner.shards {
+            let _state = lock(&shard.state);
             shard.ready.notify_one();
         }
         for worker in self.workers.drain(..) {
