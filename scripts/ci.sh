@@ -243,7 +243,16 @@ for threads in 1 4; do
     > "$ci_tmp/trace_report.log"
   grep -q "critical path:" "$ci_tmp/trace_report.log"
   grep -q "uniq_personalize_ns_count" "$ci_tmp/telemetry_$threads.prom"
+  # Every line but span_end (which carries wall time) — ids, depths,
+  # counters, metrics — must be the same at both pool sizes.
+  grep -v '"event":"span_end"' "$ci_tmp/trace_$threads.jsonl" | sort \
+    > "$ci_tmp/trace_$threads.sorted"
 done
+cmp -s "$ci_tmp/trace_1.sorted" "$ci_tmp/trace_4.sorted" || {
+  echo "trace lines differ between 1 and 4 threads:" >&2
+  diff "$ci_tmp/trace_1.sorted" "$ci_tmp/trace_4.sorted" | head -n 20 >&2
+  exit 1
+}
 
 echo "== store smoke (put/get/verify round trip, 1 and 4 threads) =="
 # The content-addressed store must round-trip the personalized HRTF
