@@ -94,6 +94,11 @@ pub enum Event {
         depth: usize,
         /// Wall-clock duration, nanoseconds.
         nanos: u128,
+        /// Self time, nanoseconds: `nanos` minus the wall time of the spans
+        /// that closed *on this thread* while this one was open, so a pool
+        /// item a waiting caller helps run is debited from the caller's
+        /// open span (its parent is still its id parent).
+        self_nanos: u128,
         /// Causal identity of this span (matches the start event).
         ids: SpanIds,
     },
@@ -133,6 +138,10 @@ thread_local! {
     /// Open id-derivation frames on this thread (trace root, open spans,
     /// and lane forks installed by [`ObsContext::run`]/`run_indexed`).
     static ID_STACK: RefCell<Vec<IdFrame>> = const { RefCell::new(Vec::new()) };
+    /// One slot per span open on this thread, innermost last: the wall
+    /// time of spans that closed on this thread while it was open, which
+    /// its [`Event::SpanEnd`] subtracts to get `self_nanos`.
+    static CHILD_NANOS: RefCell<Vec<u128>> = const { RefCell::new(Vec::new()) };
     /// Innermost open span name on this thread — the *stage* a memory
     /// profiler attributes allocations to. A plain `Cell` of a `'static`
     /// pointer so reading it from inside a global allocator hook is
@@ -261,7 +270,9 @@ fn pop_span_frame(ids: SpanIds) {
 
 /// Begins a deterministic trace on this thread: all spans opened until the
 /// returned guard drops share one `trace_id` derived from `key` (a seed,
-/// typically), and root spans get `parent_id = 0`. Nested calls are no-ops
+/// typically). Its root spans name the span open where the trace began as
+/// their parent (a server's request span, say), or `parent_id = 0` when
+/// none is. Nested calls are no-ops
 /// — the outermost trace wins — so a pipeline entry point can install its
 /// per-attempt trace unconditionally even when a batch driver already did.
 /// Inert (and free) when no sink is installed.
@@ -274,8 +285,10 @@ pub fn trace(key: u64) -> TraceGuard {
     TRACE.with(|t| t.set(id));
     let _quiet = suspend_alloc_stage();
     ID_STACK.with(|s| {
-        s.borrow_mut().push(IdFrame {
-            span: 0,
+        let mut stack = s.borrow_mut();
+        let parent = stack.last().map_or(0, |f| f.span);
+        stack.push(IdFrame {
+            span: parent,
             key: id,
             next_child: 0,
         })
@@ -294,10 +307,8 @@ impl Drop for TraceGuard {
         if let Some(id) = self.owned.take() {
             ID_STACK.with(|s| {
                 let mut stack = s.borrow_mut();
-                if let Some(top) = stack.last() {
-                    if top.span == 0 && top.key == id {
-                        stack.pop();
-                    }
+                if stack.last().map(|f| f.key) == Some(id) {
+                    stack.pop();
                 }
             });
             TRACE.with(|t| t.set(0));
@@ -642,8 +653,8 @@ fn dispatch(event: &Event) {
 }
 
 /// Opens a span: emits [`Event::SpanStart`] now and [`Event::SpanEnd`] with
-/// the elapsed wall time when the returned guard drops. When no sink is
-/// installed the guard is inert and nothing is measured.
+/// the elapsed wall time and self time when the returned guard drops. When
+/// no sink is installed the guard is inert and nothing is measured.
 #[must_use = "the span closes when the guard drops — bind it with `let _span = ...`"]
 pub fn span(name: &'static str) -> SpanGuard {
     if !enabled() {
@@ -655,6 +666,11 @@ pub fn span(name: &'static str) -> SpanGuard {
         v
     });
     let ids = push_span_frame(name);
+    {
+        // Grows lazily per thread, like the id stack: infrastructure.
+        let _quiet = suspend_alloc_stage();
+        CHILD_NANOS.with(|c| c.borrow_mut().push(0));
+    }
     let prev_stage = STAGE.with(|s| s.replace(Some(name)));
     dispatch(&Event::SpanStart { name, depth, ids });
     SpanGuard {
@@ -695,10 +711,22 @@ impl Drop for SpanGuard {
             DEPTH.with(|d| d.set(d.get().saturating_sub(1)));
             STAGE.with(|s| s.set(live.prev_stage));
             pop_span_frame(live.ids);
+            let nanos = live.start.elapsed().as_nanos();
+            // Pop this span's slot and debit its wall time to the enclosing
+            // span open on this thread.
+            let child_nanos = CHILD_NANOS.with(|c| {
+                let mut open = c.borrow_mut();
+                let child_nanos = open.pop().unwrap_or(0);
+                if let Some(enclosing) = open.last_mut() {
+                    *enclosing += nanos;
+                }
+                child_nanos
+            });
             dispatch(&Event::SpanEnd {
                 name: live.name,
                 depth: live.depth,
-                nanos: live.start.elapsed().as_nanos(),
+                nanos,
+                self_nanos: nanos.saturating_sub(child_nanos),
                 ids: live.ids,
             });
         }
@@ -796,6 +824,68 @@ mod tests {
             .filter(|e| matches!(e, Event::SpanEnd { .. }))
             .collect();
         assert_eq!(ends.len(), 3);
+    }
+
+    /// `(name, nanos, self_nanos, ids)` of every span end, in order.
+    fn ends(sink: &MemorySink) -> Vec<(&'static str, u128, u128, SpanIds)> {
+        sink.events()
+            .into_iter()
+            .filter_map(|e| match e {
+                Event::SpanEnd {
+                    name,
+                    nanos,
+                    self_nanos,
+                    ids,
+                    ..
+                } => Some((name, nanos, self_nanos, ids)),
+                _ => None,
+            })
+            .collect()
+    }
+
+    #[test]
+    fn self_times_on_one_thread_sum_to_the_root() {
+        let sink = Arc::new(MemorySink::new());
+        with_sink(sink.clone(), || {
+            let _root = span("root");
+            {
+                let _a = span("a");
+                let _leaf = span("leaf");
+            }
+            let _b = span("b");
+        });
+        let ends = ends(&sink);
+        let names: Vec<&str> = ends.iter().map(|e| e.0).collect();
+        assert_eq!(names, ["leaf", "a", "b", "root"]);
+        let [leaf, a, b, root] = [ends[0], ends[1], ends[2], ends[3]];
+        assert_eq!(leaf.2, leaf.1);
+        assert_eq!(a.2, a.1 - leaf.1);
+        assert_eq!(root.2, root.1 - a.1 - b.1);
+        let self_sum: u128 = ends.iter().map(|e| e.2).sum();
+        assert_eq!(self_sum, root.1);
+    }
+
+    #[test]
+    fn spans_closed_on_another_thread_are_not_debited() {
+        // A worker's span has the caller's span as its id parent, but the
+        // caller's wall clock was not spent on it.
+        let sink = Arc::new(MemorySink::new());
+        with_sink(sink.clone(), || {
+            let _root = span("root");
+            let ctx = capture();
+            std::thread::scope(|s| {
+                s.spawn(|| {
+                    ctx.run(|| {
+                        let _w = span("worker");
+                    })
+                });
+            });
+        });
+        let ends = ends(&sink);
+        let (worker, root) = (ends[0], ends[1]);
+        assert_eq!((worker.0, root.0), ("worker", "root"));
+        assert_eq!(worker.3.parent, root.3.span);
+        assert_eq!(root.2, root.1);
     }
 
     #[test]
@@ -978,6 +1068,21 @@ mod tests {
         assert_eq!(TRACE.with(|t| t.get()), 0, "trace leaked past its guard");
         let ids = start_ids(&sink.events());
         assert_eq!(ids[0].1.trace, derive_trace_id(1));
+    }
+
+    #[test]
+    fn a_trace_begun_inside_a_span_hangs_its_roots_off_it() {
+        let sink = Arc::new(MemorySink::new());
+        with_sink(sink.clone(), || {
+            let _request = span("request");
+            let _trace = trace(4);
+            let _root = span("root");
+        });
+        let ids = start_ids(&sink.events());
+        let (request, root) = (ids[0].1, ids[1].1);
+        assert_eq!((request.trace, request.parent), (0, 0));
+        assert_eq!(root.trace, derive_trace_id(4));
+        assert_eq!(root.parent, request.span);
     }
 
     #[test]

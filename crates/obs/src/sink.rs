@@ -99,15 +99,17 @@ impl Sink for StderrSink {
 /// one-line schema header:
 ///
 /// ```json
-/// {"event":"header","schema":1,"format":"uniq-obs-jsonl"}
-/// {"event":"span_end","name":"fusion","depth":1,"nanos":41233000,"trace":"4be9…","span":"91c2…","parent":"07aa…"}
+/// {"event":"header","schema":2,"format":"uniq-obs-jsonl"}
+/// {"event":"span_end","name":"fusion","depth":1,"nanos":41233000,"self_ns":40118000,"trace":"4be9…","span":"91c2…","parent":"07aa…"}
 /// {"event":"metric","name":"fusion.residual_deg","value":3.42,"unit":"deg"}
 /// ```
 ///
 /// Span ids are fixed-width lowercase hex strings (not JSON numbers: a
-/// 64-bit id does not survive an f64 round-trip). The trace reporter
-/// (`uniq_profile::trace`) rebuilds the span tree from these ids; a span
-/// line without one is an error.
+/// 64-bit id does not survive an f64 round-trip). `self_ns` is the
+/// event's [`Event::SpanEnd`] `self_nanos`. The trace reporter
+/// (`uniq_profile::trace`) rebuilds the span tree from these ids and reads
+/// self time from `self_ns`; a span line without an id, or a `span_end`
+/// without `self_ns`, is an error.
 ///
 /// Writes are buffered (a per-event flush would syscall on every span of
 /// a hot pipeline) and pushed to disk on [`Sink::flush`] and on drop, so
@@ -120,7 +122,8 @@ pub struct JsonLinesSink {
 
 /// Schema stamp on the [`JsonLinesSink`] header line; bump on any
 /// incompatible line-shape change so readers can refuse early.
-pub const JSONL_SCHEMA_VERSION: u64 = 1;
+/// Schema 2 added `self_ns` to `span_end` lines.
+pub const JSONL_SCHEMA_VERSION: u64 = 2;
 
 impl JsonLinesSink {
     /// Creates (truncating) the output file and buffers the schema header
@@ -190,10 +193,11 @@ impl Sink for JsonLinesSink {
                 name,
                 depth,
                 nanos,
+                self_nanos,
                 ids,
             } => format!(
                 "{{\"event\":\"span_end\",\"name\":\"{}\",\"depth\":{depth},\"nanos\":{nanos},\
-                 \"trace\":\"{:016x}\",\"span\":\"{:016x}\",\"parent\":\"{:016x}\"}}",
+                 \"self_ns\":{self_nanos},\"trace\":\"{:016x}\",\"span\":\"{:016x}\",\"parent\":\"{:016x}\"}}",
                 json_escape(name),
                 ids.trace,
                 ids.span,
@@ -375,6 +379,7 @@ mod tests {
                 name: "s",
                 depth: 0,
                 nanos: 1000,
+                self_nanos: 1000,
                 ids: SpanIds {
                     trace: 0xabc,
                     span: 0x1,
@@ -387,7 +392,7 @@ mod tests {
         assert_eq!(lines.len(), 4);
         assert_eq!(
             lines[0],
-            "{\"event\":\"header\",\"schema\":1,\"format\":\"uniq-obs-jsonl\"}"
+            "{\"event\":\"header\",\"schema\":2,\"format\":\"uniq-obs-jsonl\"}"
         );
         assert_eq!(
             lines[1],
@@ -396,7 +401,7 @@ mod tests {
              \"parent\":\"0000000000000000\"}"
         );
         assert!(lines[2].contains("\"value\":2.5"));
-        assert!(lines[3].contains("\"nanos\":1000"));
+        assert!(lines[3].contains("\"nanos\":1000,\"self_ns\":1000,"));
         // Every line parses back through the shared JSON reader.
         for line in lines {
             crate::json::Json::parse(line).expect("self-emitted JSONL line parses");
@@ -447,12 +452,14 @@ mod tests {
             name: "s",
             depth: 0,
             nanos: 10,
+            self_nanos: 10,
             ids: SpanIds::default(),
         });
         m.on_event(&Event::SpanEnd {
             name: "s",
             depth: 0,
             nanos: 32,
+            self_nanos: 32,
             ids: SpanIds::default(),
         });
         assert_eq!(m.span_nanos("s"), 42);

@@ -42,9 +42,10 @@
 //!
 //! 1. **Per-worker shards.** Shard 0 takes events delivered on threads
 //!    outside any pool (label `main`), shard `1 + i` those of pool worker
-//!    `i` (label `worker-<i>`). Recording takes only the emitting
-//!    thread's shard mutex, which is uncontended in steady state, and the
-//!    shard index *is* the attribution label — no label is built per
+//!    `i` (label `worker-<i>`). Recording takes the emitting thread's
+//!    shard mutex, which is uncontended in steady state (span events also
+//!    take the path table's, item 5), and the shard index *is* the
+//!    attribution label — no label is built per
 //!    event. A pool caller helping run jobs while it waits is `main`, as
 //!    in uniq-par's design. Worker indices are per-pool, so two pools'
 //!    workers share labels, and workers past the last shard share by
@@ -54,19 +55,22 @@
 //!    [`uniq_obs::names::ALL_METRICS`] are not aggregated; they are counted
 //!    in [`ProfileReport::dropped`] so a typo is visible rather than
 //!    silently creating a new series.
-//! 3. **Deterministic aggregate.** Counter totals, span counts and metric
-//!    min/max do not depend on the shard a sample landed in, so
+//! 3. **Deterministic aggregate.** Counter totals, span counts, call-path
+//!    counts and metric min/max do not depend on the shard a sample
+//!    landed in, so
 //!    [`ProfileReport::determinism_key`] is bit-identical across thread
 //!    counts for a deterministic workload.
-//! 4. **Self-accounting.** The sink times its own event handling, path
-//!    reconstruction included, and reports the total as
+//! 4. **Self-accounting.** The sink times its own event handling, call
+//!    paths included, and reports the total as
 //!    [`ProfileReport::overhead_ns`] and the `obs.telemetry_overhead_ns`
 //!    metric.
-//!
-//! Span *paths* (for flamegraphs) are reconstructed per thread from
-//! start/end nesting. Spans emitted on a pool worker root their own
-//! stack there; cross-thread parentage is not stitched. Chunks the
-//! caller runs itself nest under the caller's open spans as usual.
+//! 5. **Call paths from span ids.** One sink-wide path trie and a table
+//!    of open spans keyed by span id: a span's path is its parent span's
+//!    path plus its own name, on whatever thread either ran, so a seeded
+//!    run writes the same paths and counts at every pool size. A parent
+//!    the sink never saw (it was installed mid-span) roots the span. Self
+//!    time is not recomputed here: it is the event's `self_nanos`, which
+//!    `uniq-obs` measures once per span.
 
 #![forbid(unsafe_code)]
 #![warn(missing_docs)]
@@ -75,8 +79,7 @@ pub mod trace;
 
 use std::collections::{BTreeMap, HashMap};
 use std::sync::atomic::{AtomicU64, Ordering};
-use std::sync::Mutex;
-use std::thread::ThreadId;
+use std::sync::{Mutex, MutexGuard};
 use uniq_obs::names::{
     ALLOC_LARGEST_SINGLE_BYTES, ALLOC_PEAK_LIVE_BYTES, ALLOC_UNATTRIBUTED_BYTES, ALL_METRICS,
     ALL_SPANS, BATCH_SUBJECT_SECONDS, OBS_TELEMETRY_OVERHEAD_NS, SERVE_REQUEST_SECONDS,
@@ -124,25 +127,72 @@ fn shard_label(index: usize) -> String {
     }
 }
 
-/// One open span on one thread's reconstruction stack.
-#[derive(Debug)]
-struct Frame {
-    /// Index of the span's node in the shard's path trie.
-    path: usize,
-    /// Nanoseconds consumed by already-closed direct children; subtracted
-    /// from the span's own duration at close to get self time.
-    child_nanos: u128,
+/// The sink-wide call-path trie, plus the node of every open span keyed
+/// by span id: a span's path is its parent span's path plus its own name,
+/// whichever threads the two ran on.
+#[derive(Debug, Default)]
+struct Paths {
+    /// One node per path, its joined name built once, when first seen.
+    nodes: Vec<PathProfile>,
+    node_ids: HashMap<(Option<usize>, &'static str), usize>,
+    /// Open span id → node.
+    open: HashMap<u64, usize>,
 }
 
-/// One call path: a node of a shard's trie, so a closing span finds its
-/// path by index instead of joining a string per event.
-#[derive(Debug)]
-struct PathNode {
-    name: &'static str,
-    parent: Option<usize>,
-    self_nanos: u128,
-    total_nanos: u128,
-    count: u64,
+impl Paths {
+    /// The node of `name` under the open span `parent`. A parent not open
+    /// here (a root's parent 0, or one opened before the sink was
+    /// installed) roots it.
+    fn child_of(&mut self, parent: u64, name: &'static str) -> usize {
+        let parent = self.open.get(&parent).copied();
+        let nodes = &mut self.nodes;
+        *self.node_ids.entry((parent, name)).or_insert_with(|| {
+            let path = match parent {
+                Some(p) => format!("{};{name}", nodes[p].path),
+                None => name.to_string(),
+            };
+            nodes.push(PathProfile {
+                path,
+                self_nanos: 0,
+                total_nanos: 0,
+                count: 0,
+            });
+            nodes.len() - 1
+        })
+    }
+
+    fn record(&mut self, event: &Event) {
+        match *event {
+            Event::SpanStart { name, ids, .. } => {
+                let node = self.child_of(ids.parent, name);
+                self.open.insert(ids.span, node);
+            }
+            Event::SpanEnd {
+                name,
+                nanos,
+                self_nanos,
+                ids,
+                ..
+            } => {
+                // An end without its start: the sink was installed mid-span.
+                let node = (self.open.remove(&ids.span))
+                    .unwrap_or_else(|| self.child_of(ids.parent, name));
+                let node = &mut self.nodes[node];
+                node.self_nanos += self_nanos;
+                node.total_nanos += nanos;
+                node.count += 1;
+            }
+            Event::Counter { .. } | Event::Metric { .. } => {}
+        }
+    }
+
+    /// Every path some span closed on, sorted by path.
+    fn profiles(&self) -> Vec<PathProfile> {
+        let mut paths: Vec<PathProfile> =
+            self.nodes.iter().filter(|p| p.count > 0).cloned().collect();
+        paths.sort_by(|a, b| a.path.cmp(&b.path));
+        paths
+    }
 }
 
 /// Count/total/histogram for one stage, on one shard or merged.
@@ -181,9 +231,6 @@ impl StageAgg {
 
 #[derive(Debug, Default)]
 struct Shard {
-    stacks: HashMap<ThreadId, Vec<Frame>>,
-    paths: Vec<PathNode>,
-    path_ids: HashMap<(Option<usize>, &'static str), usize>,
     stages: BTreeMap<&'static str, StageAgg>,
     /// Sum of span *self* times recorded here — each nanosecond of busy
     /// work counted exactly once, so thread rows are comparable even
@@ -195,83 +242,23 @@ struct Shard {
 }
 
 impl Shard {
-    fn path_id(&mut self, parent: Option<usize>, name: &'static str) -> usize {
-        let paths = &mut self.paths;
-        *self.path_ids.entry((parent, name)).or_insert_with(|| {
-            paths.push(PathNode {
-                name,
-                parent,
-                self_nanos: 0,
-                total_nanos: 0,
-                count: 0,
-            });
-            paths.len() - 1
-        })
-    }
-
-    /// Root-to-leaf names of path `id`, joined with `;`.
-    fn path_string(&self, id: usize) -> String {
-        let mut names = Vec::new();
-        let mut at = Some(id);
-        while let Some(i) = at {
-            names.push(self.paths[i].name);
-            at = self.paths[i].parent;
-        }
-        names.reverse();
-        names.join(";")
-    }
-
-    fn span_start(&mut self, name: &'static str) {
-        let tid = std::thread::current().id();
-        let parent = self
-            .stacks
-            .get(&tid)
-            .and_then(|stack| stack.last())
-            .map(|f| f.path);
-        let path = self.path_id(parent, name);
-        self.stacks.entry(tid).or_default().push(Frame {
-            path,
-            child_nanos: 0,
-        });
-    }
-
-    fn span_end(&mut self, name: &'static str, depth: usize, nanos: u128) {
-        let stack = self.stacks.entry(std::thread::current().id()).or_default();
-        // Pop the matching frame. A mismatch means the sink was installed
-        // mid-span (it saw an end without the start); account the sample
-        // under the open path with zero known child time and leave the
-        // stack alone.
-        let (path, child_nanos) = match stack.last() {
-            Some(frame) if self.paths[frame.path].name == name => {
-                let frame = stack.pop().expect("checked non-empty");
-                (Some(frame.path), frame.child_nanos)
-            }
-            _ => (None, 0),
-        };
-        let parent = stack.last_mut().map(|parent| {
-            parent.child_nanos += nanos;
-            parent.path
-        });
-        let path = path.unwrap_or_else(|| self.path_id(parent, name));
-        let self_nanos = nanos.saturating_sub(child_nanos);
-        let node = &mut self.paths[path];
-        node.self_nanos += self_nanos;
-        node.total_nanos += nanos;
-        node.count += 1;
-        self.stages
-            .entry(name)
-            .or_insert_with(|| StageAgg::new(depth))
-            .record(depth, nanos);
-        self.busy_nanos += self_nanos;
-        self.spans += 1;
-    }
-
     fn record(&mut self, event: &Event) {
         match *event {
-            Event::SpanStart { name, .. } => self.span_start(name),
+            Event::SpanStart { .. } => {}
             Event::SpanEnd {
-                name, depth, nanos, ..
-            } => self.span_end(name, depth, nanos),
+                name,
+                depth,
+                nanos,
+                self_nanos,
+                ..
+            } => {
+                self.stages
+                    .entry(name)
+                    .or_insert_with(|| StageAgg::new(depth))
+                    .record(depth, nanos);
+                self.busy_nanos += self_nanos;
+                self.spans += 1;
+            }
             Event::Counter { name, delta } => *self.counters.entry(name).or_insert(0) += delta,
             Event::Metric { name, value, unit } => {
                 self.metrics
@@ -306,6 +293,7 @@ impl Shard {
 #[derive(Debug)]
 pub struct ProfileSink {
     shards: Vec<Mutex<Shard>>,
+    paths: Mutex<Paths>,
     overhead_ns: AtomicU64,
     dropped: AtomicU64,
 }
@@ -314,6 +302,7 @@ impl Default for ProfileSink {
     fn default() -> Self {
         ProfileSink {
             shards: (0..SHARDS).map(|_| Mutex::new(Shard::default())).collect(),
+            paths: Mutex::new(Paths::default()),
             overhead_ns: AtomicU64::new(0),
             dropped: AtomicU64::new(0),
         }
@@ -326,6 +315,17 @@ impl ProfileSink {
         ProfileSink::default()
     }
 
+    fn paths(&self) -> MutexGuard<'_, Paths> {
+        self.paths.lock().expect("profile paths poisoned")
+    }
+
+    /// The shard events delivered on the current thread record into.
+    fn shard(&self) -> MutexGuard<'_, Shard> {
+        self.shards[shard_index()]
+            .lock()
+            .expect("profile shard poisoned")
+    }
+
     /// Merges every shard into an exportable report, appending the
     /// sink's own accumulated cost as the `obs.telemetry_overhead_ns`
     /// metric. Stages are sorted by (depth, name), per-thread rows in
@@ -333,7 +333,6 @@ impl ProfileSink {
     /// name — deterministic regardless of event arrival order.
     pub fn report(&self) -> ProfileReport {
         let mut stages: BTreeMap<&str, (StageAgg, Vec<StageThreadRow>)> = BTreeMap::new();
-        let mut paths: BTreeMap<String, PathProfile> = BTreeMap::new();
         let mut threads = Vec::new();
         let mut counters: BTreeMap<String, u64> = BTreeMap::new();
         let mut metrics: BTreeMap<&str, MetricProfile> = BTreeMap::new();
@@ -351,21 +350,6 @@ impl ProfileSink {
                     total_nanos: agg.total_nanos,
                     p50_nanos: agg.hist.percentile(50.0),
                 });
-            }
-            for (id, node) in shard.paths.iter().enumerate() {
-                if node.count == 0 {
-                    continue;
-                }
-                let path = shard.path_string(id);
-                let agg = paths.entry(path.clone()).or_insert(PathProfile {
-                    path,
-                    self_nanos: 0,
-                    total_nanos: 0,
-                    count: 0,
-                });
-                agg.self_nanos += node.self_nanos;
-                agg.total_nanos += node.total_nanos;
-                agg.count += node.count;
             }
             if shard.spans > 0 {
                 threads.push(ThreadProfile {
@@ -408,7 +392,7 @@ impl ProfileSink {
         ProfileReport {
             stages,
             threads,
-            paths: paths.into_values().collect(),
+            paths: self.paths().profiles(),
             counters,
             metrics: metrics.into_values().collect(),
             overhead_ns,
@@ -426,10 +410,14 @@ impl Sink for ProfileSink {
             Event::Counter { name, .. } | Event::Metric { name, .. } => ALL_METRICS.contains(name),
         };
         if registered {
-            self.shards[shard_index()]
-                .lock()
-                .expect("profile shard poisoned")
-                .record(event);
+            match event {
+                Event::SpanStart { .. } => self.paths().record(event),
+                Event::SpanEnd { .. } => {
+                    self.paths().record(event);
+                    self.shard().record(event);
+                }
+                Event::Counter { .. } | Event::Metric { .. } => self.shard().record(event),
+            }
         } else if !matches!(event, Event::SpanStart { .. }) {
             // One drop per unregistered span (at its end), counter bump
             // or metric sample.
@@ -602,9 +590,10 @@ impl ProfileReport {
     }
 
     /// A canonical string covering every scheduling-independent aggregate:
-    /// counter totals, span counts, and metric counts plus min/max bits
-    /// (sums are excluded because shard merge order varies with the
-    /// thread count, and wall-clock-valued series contribute counts only).
+    /// counter totals, span counts, call-path counts, and metric counts
+    /// plus min/max bits (sums are excluded because shard merge order
+    /// varies with the thread count, and wall-clock-valued series
+    /// contribute counts only).
     /// Two runs of the same seeded workload produce equal keys at any
     /// thread count.
     pub fn determinism_key(&self) -> String {
@@ -620,6 +609,9 @@ impl ProfileReport {
         spans.sort_unstable();
         for (name, count) in spans {
             lines.push(format!("span {name} count={count}"));
+        }
+        for p in &self.paths {
+            lines.push(format!("path {} count={}", p.path, p.count));
         }
         for m in &self.metrics {
             if TIMING_METRICS.contains(&m.name.as_str()) {
@@ -974,37 +966,58 @@ mod tests {
         FUSION_OBJECTIVE, GESTURE_RETRY, SESSION_STOPS, SPAN_CHANNEL_ESTIMATE, SPAN_FUSION,
         SPAN_PERSONALIZE, SPAN_SESSION, SPAN_STORE_VERIFY,
     };
+    use uniq_obs::SpanIds;
 
     /// Registered names standing in for a root span and its child.
     const ROOT: &str = SPAN_PERSONALIZE;
     const CHILD: &str = SPAN_FUSION;
 
-    fn end(name: &'static str, depth: usize, nanos: u128) -> Event {
+    /// Span `span` under span `parent` (0: a trace root).
+    fn ids(span: u64, parent: u64) -> SpanIds {
+        SpanIds {
+            trace: 9,
+            span,
+            parent,
+        }
+    }
+
+    fn start(name: &'static str, depth: usize, span: u64, parent: u64) -> Event {
+        Event::SpanStart {
+            name,
+            depth,
+            ids: ids(span, parent),
+        }
+    }
+
+    fn end(name: &'static str, depth: usize, (span, parent): (u64, u64), nanos: u128) -> Event {
+        end_with_self(name, depth, (span, parent), nanos, nanos)
+    }
+
+    fn end_with_self(
+        name: &'static str,
+        depth: usize,
+        (span, parent): (u64, u64),
+        nanos: u128,
+        self_nanos: u128,
+    ) -> Event {
         Event::SpanEnd {
             name,
             depth,
             nanos,
-            ids: uniq_obs::SpanIds::default(),
-        }
-    }
-
-    fn start(name: &'static str, depth: usize) -> Event {
-        Event::SpanStart {
-            name,
-            depth,
-            ids: uniq_obs::SpanIds::default(),
+            self_nanos,
+            ids: ids(span, parent),
         }
     }
 
     /// root(1000) { child(300), child(100) } — classic self-time split.
     fn feed_nested(sink: &ProfileSink) {
         for e in [
-            start(ROOT, 0),
-            start(CHILD, 1),
-            end(CHILD, 1, 300),
-            start(CHILD, 1),
-            end(CHILD, 1, 100),
-            end(ROOT, 0, 1000),
+            start(ROOT, 0, 1, 0),
+            start(CHILD, 1, 2, 1),
+            end(CHILD, 1, (2, 1), 300),
+            start(CHILD, 1, 3, 1),
+            end(CHILD, 1, (3, 1), 100),
+            end_with_self(ROOT, 0, (1, 0), 1000, 600),
         ] {
             sink.on_event(&e);
         }
@@ -1029,7 +1042,7 @@ mod tests {
             (2, 400, 100, 300)
         );
 
-        // Paths: the root has 600ns self (1000 - two children), the child
+        // Paths: the root has the 600ns self its event carries, the child
         // keeps all 400 of its own.
         let by_path: BTreeMap<&str, &PathProfile> =
             r.paths.iter().map(|p| (p.path.as_str(), p)).collect();
@@ -1050,12 +1063,12 @@ mod tests {
     fn stages_sorted_by_depth_then_name() {
         let sink = ProfileSink::new();
         for e in [
-            start(SPAN_STORE_VERIFY, 0),
-            start(SPAN_SESSION, 1),
-            end(SPAN_SESSION, 1, 10),
-            start(SPAN_FUSION, 1),
-            end(SPAN_FUSION, 1, 10),
-            end(SPAN_STORE_VERIFY, 0, 100),
+            start(SPAN_STORE_VERIFY, 0, 1, 0),
+            start(SPAN_SESSION, 1, 2, 1),
+            end(SPAN_SESSION, 1, (2, 1), 10),
+            start(SPAN_FUSION, 1, 3, 1),
+            end(SPAN_FUSION, 1, (3, 1), 10),
+            end_with_self(SPAN_STORE_VERIFY, 0, (1, 0), 100, 80),
         ] {
             sink.on_event(&e);
         }
@@ -1067,12 +1080,12 @@ mod tests {
     #[test]
     fn percentiles_from_many_samples() {
         let sink = ProfileSink::new();
-        sink.on_event(&start(ROOT, 0));
-        for i in 1..=100u128 {
-            sink.on_event(&start(CHILD, 1));
-            sink.on_event(&end(CHILD, 1, i * 1_000_000));
+        sink.on_event(&start(ROOT, 0, 1, 0));
+        for i in 1..=100u64 {
+            sink.on_event(&start(CHILD, 1, 1 + i, 1));
+            sink.on_event(&end(CHILD, 1, (1 + i, 1), u128::from(i) * 1_000_000));
         }
-        sink.on_event(&end(ROOT, 0, 200_000_000));
+        sink.on_event(&end(ROOT, 0, (1, 0), 200_000_000));
         let s = sink.report().stage(CHILD).unwrap().clone();
         assert_eq!(s.count, 100);
         let tol = 1.0 / 200.0; // generous vs LogHistogram's 1/256 bound
@@ -1130,14 +1143,59 @@ mod tests {
 
     #[test]
     fn end_without_start_is_tolerated() {
-        // Sink installed mid-span: the end arrives with no frame. The
-        // sample still counts; the stack stays sane for what follows.
+        // Sink installed mid-span: the end arrives without its start, and
+        // its parent was never seen either, so it roots its own path. The
+        // sample still counts, and what follows is unaffected.
         let sink = ProfileSink::new();
-        sink.on_event(&end(SPAN_STORE_VERIFY, 3, 500));
+        sink.on_event(&end(SPAN_STORE_VERIFY, 3, (50, 40), 500));
         feed_nested(&sink);
         let r = sink.report();
         assert_eq!(r.stage(SPAN_STORE_VERIFY).unwrap().count, 1);
         assert_eq!(r.stage(ROOT).unwrap().total_nanos, 1000);
+        let paths: Vec<(&str, u64)> = r.paths.iter().map(|p| (p.path.as_str(), p.count)).collect();
+        assert_eq!(
+            paths,
+            [
+                ("personalize", 1),
+                ("personalize;fusion", 2),
+                ("store.verify", 1)
+            ]
+        );
+    }
+
+    #[test]
+    fn paths_follow_span_ids_not_event_order() {
+        // Two items of one map, run by two threads: their events arrive
+        // interleaved, and each child's path is still its id parent's.
+        let sink = ProfileSink::new();
+        for e in [
+            start(ROOT, 0, 1, 0),
+            start(SPAN_SESSION, 1, 2, 1),
+            start(SPAN_SESSION, 1, 3, 1),
+            start(SPAN_CHANNEL_ESTIMATE, 2, 4, 3),
+            start(SPAN_CHANNEL_ESTIMATE, 2, 5, 2),
+            end(SPAN_CHANNEL_ESTIMATE, 2, (4, 3), 10),
+            end(SPAN_SESSION, 1, (3, 1), 20),
+            end(SPAN_CHANNEL_ESTIMATE, 2, (5, 2), 10),
+            end(SPAN_SESSION, 1, (2, 1), 20),
+            end(ROOT, 0, (1, 0), 50),
+        ] {
+            sink.on_event(&e);
+        }
+        let paths: Vec<(String, u64)> = sink
+            .report()
+            .paths
+            .into_iter()
+            .map(|p| (p.path, p.count))
+            .collect();
+        assert_eq!(
+            paths,
+            [
+                ("personalize".to_string(), 1),
+                ("personalize;session".to_string(), 2),
+                ("personalize;session;channel.estimate".to_string(), 2),
+            ]
+        );
     }
 
     #[test]
@@ -1338,6 +1396,34 @@ mod tests {
                 "(unattributed) 128"
             ]
         );
+    }
+
+    #[test]
+    fn pool_items_nest_under_the_callers_span_at_any_pool_size() {
+        for threads in [1, 2, 4] {
+            let profile = Arc::new(ProfileSink::new());
+            uniq_obs::with_sink(profile.clone(), || {
+                let _trace = uniq_obs::trace(5);
+                let _root = uniq_obs::span(ROOT);
+                let items: Vec<u64> = (0..32).collect();
+                let _: Vec<u64> = uniq_par::pool(threads).par_map_chunked(&items, 1, |&i| {
+                    let _span = uniq_obs::span(CHILD);
+                    i
+                });
+            });
+            let r = profile.report();
+            let paths: Vec<(&str, u64)> =
+                r.paths.iter().map(|p| (p.path.as_str(), p.count)).collect();
+            assert_eq!(
+                paths,
+                [("personalize", 1), ("personalize;fusion", 32)],
+                "pool size {threads}"
+            );
+            if threads == 1 {
+                let self_sum: u128 = r.paths.iter().map(|p| p.self_nanos).sum();
+                assert_eq!(self_sum, r.stage(ROOT).unwrap().total_nanos);
+            }
+        }
     }
 
     #[test]

@@ -4,8 +4,10 @@
 //! `JsonLinesSink` stamps deterministic `(trace, span, parent)` ids on
 //! every span event, so the tree is rebuilt purely from parentage —
 //! scheduling and interleaving are irrelevant, and the same seeded run
-//! reconstructs identically at any thread count. A span event without a
-//! span id is an error.
+//! reconstructs identically at any thread count. Self time is not derived
+//! from the tree: each `span_end` line carries the `self_ns` that
+//! `uniq-obs` measured. A span event without a span id, or a `span_end`
+//! without `self_ns`, is an error.
 
 use std::collections::BTreeMap;
 use std::fmt;
@@ -25,6 +27,9 @@ pub struct TraceNode {
     pub trace: u64,
     /// Wall-clock duration, nanoseconds (0 if the span never closed).
     pub nanos: u128,
+    /// Self time from the `span_end` line's `self_ns` (0 if the span
+    /// never closed).
+    pub self_nanos: u128,
     /// Indices of child nodes, sorted by span id.
     pub children: Vec<usize>,
 }
@@ -81,8 +86,8 @@ fn hex_id(doc: &Json, key: &str) -> Option<u64> {
 }
 
 /// Parses a JSONL trace file; counter/metric lines are skipped. Errors on
-/// a malformed line, a span event without a span id, or an unknown
-/// schema version.
+/// a malformed line, a span event without a span id, a `span_end` without
+/// `self_ns`, or an unknown schema version.
 pub fn parse_trace(text: &str) -> Result<TraceTree, TraceError> {
     let mut nodes: Vec<TraceNode> = Vec::new();
     // span id → node index.
@@ -110,49 +115,37 @@ pub fn parse_trace(text: &str) -> Result<TraceTree, TraceError> {
                     return Err(TraceError::UnsupportedSchema(schema));
                 }
             }
-            "span_start" => {
-                let name = doc
-                    .get("name")
-                    .and_then(Json::as_str)
-                    .ok_or_else(|| garbled("span_start without name".to_string()))?
-                    .to_string();
-                let span = span()?;
-                by_id.insert(span, nodes.len());
-                nodes.push(TraceNode {
-                    name,
-                    span,
-                    parent: hex_id(&doc, "parent").unwrap_or(0),
-                    trace: hex_id(&doc, "trace").unwrap_or(0),
-                    nanos: 0,
-                    children: Vec::new(),
-                });
-            }
-            "span_end" => {
-                let nanos = doc
-                    .get("nanos")
-                    .and_then(Json::as_u64)
-                    .map(u128::from)
-                    .unwrap_or(0);
-                let span = span()?;
-                if let Some(&idx) = by_id.get(&span) {
-                    nodes[idx].nanos = nanos;
+            "span_start" | "span_end" => {
+                let name = doc.get("name").and_then(Json::as_str);
+                if event == "span_start" && name.is_none() {
+                    return Err(garbled("span_start without name".to_string()));
                 }
-                // An end without a start is tolerated: a sink may attach
-                // mid-span. Synthesize the node so its time still shows up.
-                else {
-                    by_id.insert(span, nodes.len());
-                    nodes.push(TraceNode {
-                        name: doc
-                            .get("name")
-                            .and_then(Json::as_str)
-                            .unwrap_or("?")
-                            .to_string(),
-                        span,
-                        parent: hex_id(&doc, "parent").unwrap_or(0),
-                        trace: hex_id(&doc, "trace").unwrap_or(0),
-                        nanos,
-                        children: Vec::new(),
-                    });
+                let span = span()?;
+                // A start opens a node, and an end closes the latest one
+                // with its id. An end without a start is tolerated: a sink
+                // may attach mid-span. Synthesize the node so its time
+                // still shows up.
+                let idx = match by_id.get(&span) {
+                    Some(&idx) if event == "span_end" => idx,
+                    _ => {
+                        by_id.insert(span, nodes.len());
+                        nodes.push(TraceNode {
+                            name: name.unwrap_or("?").to_string(),
+                            span,
+                            parent: hex_id(&doc, "parent").unwrap_or(0),
+                            trace: hex_id(&doc, "trace").unwrap_or(0),
+                            nanos: 0,
+                            self_nanos: 0,
+                            children: Vec::new(),
+                        });
+                        nodes.len() - 1
+                    }
+                };
+                if event == "span_end" {
+                    let field = |key| doc.get(key).and_then(Json::as_u64).map(u128::from);
+                    nodes[idx].nanos = field("nanos").unwrap_or(0);
+                    nodes[idx].self_nanos = field("self_ns")
+                        .ok_or_else(|| garbled("span_end without self_ns".to_string()))?;
                 }
             }
             // Counters, metrics, and any future event kinds are not part
@@ -218,17 +211,14 @@ impl TraceTree {
     }
 
     /// Per-stage aggregate: `name → (count, total nanos, self nanos)`,
-    /// where self time is the span's duration minus its children's
-    /// (clamped at zero — parallel children can sum past the parent).
+    /// summing each span's recorded duration and self time.
     pub fn self_times(&self) -> BTreeMap<String, (u64, u128, u128)> {
         let mut out: BTreeMap<String, (u64, u128, u128)> = BTreeMap::new();
         for node in &self.nodes {
-            let child_total: u128 = node.children.iter().map(|&c| self.nodes[c].nanos).sum();
-            let self_ns = node.nanos.saturating_sub(child_total);
             let entry = out.entry(node.name.clone()).or_insert((0, 0, 0));
             entry.0 += 1;
             entry.1 += node.nanos;
-            entry.2 += self_ns;
+            entry.2 += node.self_nanos;
         }
         out
     }
@@ -287,7 +277,7 @@ impl TraceTree {
 mod tests {
     use super::*;
 
-    const HEADER: &str = r#"{"event":"header","schema":1,"format":"uniq-obs-jsonl"}"#;
+    const HEADER: &str = r#"{"event":"header","schema":2,"format":"uniq-obs-jsonl"}"#;
 
     fn start(name: &str, trace: u64, span: u64, parent: u64) -> String {
         format!(
@@ -296,8 +286,19 @@ mod tests {
     }
 
     fn end(name: &str, nanos: u64, trace: u64, span: u64, parent: u64) -> String {
+        end_with_self(name, nanos, nanos, trace, span, parent)
+    }
+
+    fn end_with_self(
+        name: &str,
+        nanos: u64,
+        self_ns: u64,
+        trace: u64,
+        span: u64,
+        parent: u64,
+    ) -> String {
         format!(
-            r#"{{"event":"span_end","name":"{name}","depth":0,"nanos":{nanos},"trace":"{trace:016x}","span":"{span:016x}","parent":"{parent:016x}"}}"#
+            r#"{{"event":"span_end","name":"{name}","depth":0,"nanos":{nanos},"self_ns":{self_ns},"trace":"{trace:016x}","span":"{span:016x}","parent":"{parent:016x}"}}"#
         )
     }
 
@@ -312,7 +313,7 @@ mod tests {
             end("a", 100, 9, 2, 1),
             start("b", 9, 3, 1),
             end("b", 300, 9, 3, 1),
-            end("root", 500, 9, 1, 0),
+            end_with_self("root", 500, 100, 9, 1, 0),
         ]
         .join("\n");
         let shuffled = [
@@ -321,7 +322,7 @@ mod tests {
             start("root", 9, 1, 0),
             end("b", 300, 9, 3, 1),
             start("a", 9, 2, 1),
-            end("root", 500, 9, 1, 0),
+            end_with_self("root", 500, 100, 9, 1, 0),
             end("a", 100, 9, 2, 1),
         ]
         .join("\n");
@@ -331,10 +332,10 @@ mod tests {
         assert_eq!(a.orphans.len(), 0);
         assert_eq!(a.trace_ids, vec![9]);
         let shape = |t: &TraceTree| {
-            let mut v: Vec<(String, u64, u64, u128)> = t
+            let mut v: Vec<(String, u64, u64, u128, u128)> = t
                 .nodes
                 .iter()
-                .map(|n| (n.name.clone(), n.span, n.parent, n.nanos))
+                .map(|n| (n.name.clone(), n.span, n.parent, n.nanos, n.self_nanos))
                 .collect();
             v.sort();
             v
@@ -347,19 +348,42 @@ mod tests {
     }
 
     #[test]
-    fn self_time_subtracts_children() {
+    fn self_time_is_read_from_the_file() {
+        // The children ran on other threads: the root's recorded self
+        // time is its whole duration, and no child is subtracted again.
         let text = [
             HEADER.to_string(),
             start("root", 9, 1, 0),
             end("a", 100, 9, 2, 1),
             end("b", 300, 9, 3, 1),
-            end("root", 500, 9, 1, 0),
+            end("a", 200, 9, 4, 1),
+            end_with_self("root", 350, 350, 9, 1, 0),
         ]
         .join("\n");
         let tree = parse_trace(&text).unwrap();
         let times = tree.self_times();
-        assert_eq!(times["root"], (1, 500, 100));
-        assert_eq!(times["a"], (1, 100, 100));
+        assert_eq!(times["root"], (1, 350, 350));
+        assert_eq!(times["a"], (2, 300, 300));
+    }
+
+    #[test]
+    fn span_end_without_self_time_is_an_error_naming_the_line() {
+        let schema_1_end = r#"{"event":"span_end","name":"root","depth":0,"nanos":5,"trace":"0000000000000009","span":"0000000000000001","parent":"0000000000000000"}"#;
+        let text = [
+            HEADER.to_string(),
+            start("root", 9, 1, 0),
+            schema_1_end.to_string(),
+        ]
+        .join("\n");
+        let err = parse_trace(&text).unwrap_err();
+        assert_eq!(
+            err,
+            TraceError::Garbled {
+                line: 3,
+                reason: "span_end without self_ns".to_string()
+            }
+        );
+        assert!(err.to_string().starts_with("line 3:"), "{err}");
     }
 
     #[test]

@@ -9,17 +9,12 @@ use uniq_core::pipeline::{personalize, PersonalizationResult};
 use uniq_profile::ProfileSink;
 use uniq_subjects::Subject;
 
-// threads is pinned to 1: the path/self-time assertions below rely on
-// every span sharing one stack. On pool workers spans root at the
-// worker's own (empty) stack — cross-thread parentage is intentionally
-// not stitched (see uniq-profile docs); worker attribution has its own
-// coverage in the uniq-profile unit tests.
-fn profile_cfg() -> UniqConfig {
+fn profile_cfg(threads: usize) -> UniqConfig {
     UniqConfig {
         in_room: false,
         snr_db: 45.0,
         grid_step_deg: 10.0,
-        threads: 1,
+        threads,
         ..UniqConfig::fast_test()
     }
 }
@@ -41,7 +36,7 @@ fn assert_results_identical(a: &PersonalizationResult, b: &PersonalizationResult
 
 #[test]
 fn profiling_never_changes_the_output() {
-    let cfg = profile_cfg();
+    let cfg = profile_cfg(1);
     let subject = Subject::from_seed(90);
 
     let bare = personalize(&subject, &cfg, 46).expect("bare run succeeds");
@@ -55,62 +50,82 @@ fn profiling_never_changes_the_output() {
 
 #[test]
 fn profile_report_covers_the_pipeline() {
-    let cfg = profile_cfg();
     let subject = Subject::from_seed(91);
-    let profile = Arc::new(ProfileSink::new());
-    uniq_obs::with_sink(profile.clone(), || {
-        personalize(&subject, &cfg, 47).expect("pipeline succeeds")
-    });
-    let report = profile.report();
+    let mut path_counts = Vec::new();
+    for threads in [1, 2, 4] {
+        let cfg = profile_cfg(threads);
+        let profile = Arc::new(ProfileSink::new());
+        uniq_obs::with_sink(profile.clone(), || {
+            personalize(&subject, &cfg, 47).expect("pipeline succeeds")
+        });
+        let report = profile.report();
 
-    // Every documented pipeline stage shows up with coherent statistics.
-    for stage in uniq_obs::names::PIPELINE_STAGES {
-        let s = report
-            .stage(stage)
-            .unwrap_or_else(|| panic!("stage {stage} missing"));
-        assert!(s.count >= 1);
-        assert!(s.total_nanos > 0, "{stage} total is zero");
-        assert!(
-            u128::from(s.min_nanos) <= s.total_nanos
-                && s.p50_nanos <= s.p90_nanos
-                && s.p90_nanos <= s.p99_nanos
-                && s.p99_nanos <= s.max_nanos,
-            "{stage} percentiles disordered: {s:?}"
+        // Every documented pipeline stage shows up with coherent statistics.
+        for stage in uniq_obs::names::PIPELINE_STAGES {
+            let s = report
+                .stage(stage)
+                .unwrap_or_else(|| panic!("stage {stage} missing"));
+            assert!(s.count >= 1);
+            assert!(s.total_nanos > 0, "{stage} total is zero");
+            assert!(
+                u128::from(s.min_nanos) <= s.total_nanos
+                    && s.p50_nanos <= s.p90_nanos
+                    && s.p90_nanos <= s.p99_nanos
+                    && s.p99_nanos <= s.max_nanos,
+                "{stage} percentiles disordered: {s:?}"
+            );
+        }
+        let root = report.stage("personalize").unwrap();
+        assert_eq!(root.count, 1);
+        assert_eq!(root.depth, 0);
+        // One channel estimation per stop.
+        assert_eq!(
+            report.stage("channel.estimate").unwrap().count,
+            cfg.stops as u64
         );
-    }
-    let root = report.stage("personalize").unwrap();
-    assert_eq!(root.count, 1);
-    assert_eq!(root.depth, 0);
-    // One channel estimation per stop.
-    assert_eq!(
-        report.stage("channel.estimate").unwrap().count,
-        cfg.stops as u64
-    );
 
-    // Call paths root at the personalize span, and its self time plus
-    // every descendant's adds back up to its total.
-    assert!(!report.paths.is_empty());
-    for p in &report.paths {
-        assert!(
-            p.path == "personalize" || p.path.starts_with("personalize;"),
-            "path {} escaped the root span",
-            p.path
+        // Call paths root at the personalize span, whichever thread ran
+        // each span.
+        assert!(!report.paths.is_empty());
+        for p in &report.paths {
+            assert!(
+                p.path == "personalize" || p.path.starts_with("personalize;"),
+                "path {} escaped the root span at pool size {threads}",
+                p.path
+            );
+        }
+        // On one thread every span closes on the root's thread, so its
+        // self time plus every descendant's adds back up to its total.
+        if threads == 1 {
+            let self_sum: u128 = report.paths.iter().map(|p| p.self_nanos).sum();
+            assert_eq!(
+                self_sum, root.total_nanos,
+                "self times must sum to the root total"
+            );
+        }
+
+        // The exporters agree with the report.
+        let table = report.render_table();
+        assert!(table.contains("personalize") && table.contains("p99"));
+        let json = uniq_obs::json::Json::parse(&report.to_json()).expect("profile JSON parses");
+        assert_eq!(
+            json.get("stages").unwrap().as_array().unwrap().len(),
+            report.stages.len()
         );
-    }
-    let self_sum: u128 = report.paths.iter().map(|p| p.self_nanos).sum();
-    assert_eq!(
-        self_sum, root.total_nanos,
-        "self times must sum to the root total"
-    );
+        let collapsed = report.collapsed_stacks();
+        assert_eq!(collapsed.lines().count(), report.paths.len());
 
-    // The exporters agree with the report.
-    let table = report.render_table();
-    assert!(table.contains("personalize") && table.contains("p99"));
-    let json = uniq_obs::json::Json::parse(&report.to_json()).expect("profile JSON parses");
-    assert_eq!(
-        json.get("stages").unwrap().as_array().unwrap().len(),
-        report.stages.len()
-    );
-    let collapsed = report.collapsed_stacks();
-    assert_eq!(collapsed.lines().count(), report.paths.len());
+        let mut counts: Vec<(String, u64)> = report
+            .paths
+            .iter()
+            .map(|p| (p.path.clone(), p.count))
+            .collect();
+        counts.sort();
+        path_counts.push((threads, counts));
+    }
+    // The same call paths, each closed as often, at every pool size.
+    let (_, one) = &path_counts[0];
+    for (threads, counts) in &path_counts[1..] {
+        assert_eq!(counts, one, "call paths at pool size {threads} vs 1");
+    }
 }

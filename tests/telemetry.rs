@@ -10,6 +10,7 @@ use uniq_core::batch::personalize_batch;
 use uniq_core::config::UniqConfig;
 use uniq_core::pipeline::personalize;
 use uniq_obs::names::OBS_TELEMETRY_OVERHEAD_NS;
+use uniq_obs::sink::MultiSink;
 use uniq_profile::trace::parse_trace;
 use uniq_profile::ProfileSink;
 use uniq_subjects::Subject;
@@ -98,10 +99,12 @@ fn trace_round_trips_through_jsonl_sink() {
     let _serial = serial();
     let path =
         std::env::temp_dir().join(format!("uniq_telemetry_trace_{}.jsonl", std::process::id()));
+    let profile = Arc::new(ProfileSink::new());
     {
-        let sink =
+        let trace_file =
             Arc::new(uniq_obs::sink::JsonLinesSink::create(&path).expect("create trace file"));
-        uniq_obs::with_sink(sink, || {
+        let both = Arc::new(MultiSink::new(vec![trace_file, profile.clone()]));
+        uniq_obs::with_sink(both, || {
             let subject = Subject::from_seed(6);
             personalize(&subject, &cfg_with(4), 6).expect("pipeline succeeds")
         });
@@ -143,6 +146,34 @@ fn trace_round_trips_through_jsonl_sink() {
     }
     assert!(report.contains("critical path:"), "{report}");
     assert!(!report.contains("orphaned"), "{report}");
+
+    // Self time comes from the file, measured once per span: a stop's
+    // spans that a waiting caller helps run count under their own names,
+    // not again inside the caller's span. So the file's self times are
+    // exactly the registry's per-thread busy times, and each thread's sum
+    // to at most the root total: exactly to it on the root's thread.
+    let root_total = self_times["personalize"].1;
+    let file_self: u128 = self_times.values().map(|&(_, _, self_ns)| self_ns).sum();
+    let registry = profile.report();
+    assert_eq!(registry.dropped, 0);
+    let busy: u128 = registry.threads.iter().map(|t| t.busy_nanos).sum();
+    assert_eq!(
+        file_self, busy,
+        "trace self times {self_times:?} vs registry threads {:?}",
+        registry.threads
+    );
+    for t in &registry.threads {
+        if t.thread == "main" {
+            assert_eq!(t.busy_nanos, root_total, "main busy vs the root total");
+        } else {
+            assert!(
+                t.busy_nanos <= root_total,
+                "{} busy {} ns exceeds the root total {root_total} ns",
+                t.thread,
+                t.busy_nanos
+            );
+        }
+    }
 }
 
 #[test]
