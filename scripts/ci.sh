@@ -145,15 +145,25 @@ grep -q "^personalize " "$ci_tmp/all.folded"
 echo "== memprof smoke (allocation attribution, 1 and 4 threads) =="
 # --memprof must attribute allocations to pipeline stages at any pool
 # size, write the snapshot JSON, and compose with --profile (alloc
-# columns in the latency table).
+# columns in the latency table). The bytes-weighted flame must be the
+# same at both pool sizes, but for the pool's own (unattributed) bytes.
 for threads in 1 4; do
   UNIQ_THREADS=$threads target/release/uniq personalize --seed 6 \
     --out "$ci_tmp/mp_hrtf" --anechoic --grid 15 --memprof \
-    --alloc-out "$ci_tmp/alloc_$threads.json" > "$ci_tmp/memprof.log"
+    --alloc-out "$ci_tmp/alloc_$threads.json" \
+    --alloc-flame-out "$ci_tmp/alloc_flame_$threads.txt" > "$ci_tmp/memprof.log"
   grep -q "per-stage allocations:" "$ci_tmp/memprof.log"
   grep -q "fusion" "$ci_tmp/memprof.log"
   test -s "$ci_tmp/alloc_$threads.json"
+  grep -v '^(unattributed) ' "$ci_tmp/alloc_flame_$threads.txt" | sort \
+    > "$ci_tmp/alloc_flame_$threads.sorted"
 done
+test -s "$ci_tmp/alloc_flame_1.sorted"
+cmp -s "$ci_tmp/alloc_flame_1.sorted" "$ci_tmp/alloc_flame_4.sorted" || {
+  echo "allocation flame differs between 1 and 4 threads:" >&2
+  diff "$ci_tmp/alloc_flame_1.sorted" "$ci_tmp/alloc_flame_4.sorted" | head -n 20 >&2
+  exit 1
+}
 target/release/uniq personalize --seed 6 --out "$ci_tmp/mp_hrtf" \
   --anechoic --grid 15 --memprof --profile > "$ci_tmp/memprof_prof.log"
 grep -q "alloc-b" "$ci_tmp/memprof_prof.log"
@@ -161,10 +171,10 @@ grep -q "alloc-b" "$ci_tmp/memprof_prof.log"
 echo "== allocator overhead (--memprof vs bare personalize) =="
 # The counting allocator must be effectively free: even with recording
 # on, the measured run stays near the bare run (which pays one relaxed
-# atomic load per allocation). Five alternating bare/--memprof pairs, so
-# a slow spell on a shared machine lands on both sides; the step judges
-# the median of the per-pair ratios. The 5% target is warn-tier, 25% is
-# the hard CI ceiling.
+# atomic load per allocation). Eleven bare/--memprof pairs, alternating
+# which side runs first, so a slow spell on a shared machine lands on
+# both sides; the step judges the median of the per-pair ratios. The 5%
+# target is warn-tier, 25% is the hard CI ceiling.
 run_ns() {
   local t0 t1
   t0=$(date +%s%N)
@@ -172,17 +182,22 @@ run_ns() {
   t1=$(date +%s%N)
   echo $((t1 - t0))
 }
+bare=(env UNIQ_THREADS=1 target/release/uniq personalize \
+  --seed 6 --out "$ci_tmp/ov_hrtf" --anechoic --grid 15)
 ratios=""
-for _ in 1 2 3 4 5; do
-  bare_ns=$(run_ns env UNIQ_THREADS=1 target/release/uniq personalize \
-    --seed 6 --out "$ci_tmp/ov_hrtf" --anechoic --grid 15)
-  prof_ns=$(run_ns env UNIQ_THREADS=1 target/release/uniq personalize \
-    --seed 6 --out "$ci_tmp/ov_hrtf" --anechoic --grid 15 --memprof)
+for pair in $(seq 1 11); do
+  if [ $((pair % 2)) -eq 1 ]; then
+    bare_ns=$(run_ns "${bare[@]}")
+    prof_ns=$(run_ns "${bare[@]}" --memprof)
+  else
+    prof_ns=$(run_ns "${bare[@]}" --memprof)
+    bare_ns=$(run_ns "${bare[@]}")
+  fi
   ratios="$ratios $(awk -v b="$bare_ns" -v p="$prof_ns" 'BEGIN { printf "%.4f", p / b }')"
 done
 overhead_pct=$(echo "$ratios" | tr ' ' '\n' | sed '/^$/d' | sort -g \
-  | awk '{ r[NR] = $1 } END { printf "%.1f", (r[3] - 1.0) * 100.0 }')
-echo "allocator overhead: ${overhead_pct}% (median of 5 pairs; memprof/bare ratios:${ratios})"
+  | awk '{ r[NR] = $1 } END { printf "%.1f", (r[6] - 1.0) * 100.0 }')
+echo "allocator overhead: ${overhead_pct}% (median of 11 pairs; memprof/bare ratios:${ratios})"
 if ! awk -v o="$overhead_pct" 'BEGIN { exit !(o < 25.0) }'; then
   echo "allocator overhead ${overhead_pct}% exceeds the 25% CI ceiling" >&2
   exit 1
@@ -233,12 +248,15 @@ target/release/uniq personalize --seed 6 --anechoic --grid 15 \
 echo "== trace-report smoke (causal tree reconstruction, 1 and 4 threads) =="
 # A personalize run's JSONL trace must rebuild into a complete causal
 # tree (exit 0 = no orphans) whose report names the critical path,
-# regardless of pool size.
+# regardless of pool size, and the registry's flame must hold the same
+# call paths at both pool sizes.
 for threads in 1 4; do
   UNIQ_THREADS=$threads target/release/uniq personalize --seed 6 \
     --out "$ci_tmp/trace_hrtf" --anechoic --grid 15 \
     --metrics-out "$ci_tmp/trace_$threads.jsonl" \
+    --flame-out "$ci_tmp/flame_$threads.txt" \
     --telemetry-out "$ci_tmp/telemetry_$threads.prom" > /dev/null
+  cut -d' ' -f1 "$ci_tmp/flame_$threads.txt" | sort > "$ci_tmp/flame_$threads.paths"
   target/release/uniq trace report "$ci_tmp/trace_$threads.jsonl" \
     > "$ci_tmp/trace_report.log"
   grep -q "critical path:" "$ci_tmp/trace_report.log"
@@ -251,6 +269,12 @@ done
 cmp -s "$ci_tmp/trace_1.sorted" "$ci_tmp/trace_4.sorted" || {
   echo "trace lines differ between 1 and 4 threads:" >&2
   diff "$ci_tmp/trace_1.sorted" "$ci_tmp/trace_4.sorted" | head -n 20 >&2
+  exit 1
+}
+test -s "$ci_tmp/flame_1.paths"
+cmp -s "$ci_tmp/flame_1.paths" "$ci_tmp/flame_4.paths" || {
+  echo "flame call paths differ between 1 and 4 threads:" >&2
+  diff "$ci_tmp/flame_1.paths" "$ci_tmp/flame_4.paths" | head -n 20 >&2
   exit 1
 }
 
