@@ -177,14 +177,18 @@ fn client_loop(cfg: &LoadgenConfig, client: usize) -> Result<ClientTally, ServeE
         op: "connect",
         detail: format!("{}: {e}", cfg.addr),
     })?;
+    stream.set_nodelay(true).map_err(|e| ServeError::Io {
+        op: "nodelay",
+        detail: e.to_string(),
+    })?;
     let mut frames = protocol::FrameBuffer::new(protocol::MAX_LINE_BYTES);
     let mut tally = ClientTally::default();
     for seed in client_schedule(cfg, client) {
         let _span = uniq_obs::span(SPAN_LOADGEN_REQUEST);
-        let line = request_line(cfg, seed);
+        let mut line = request_line(cfg, seed);
+        line.push('\n');
         stream
             .write_all(line.as_bytes())
-            .and_then(|()| stream.write_all(b"\n"))
             .map_err(|e| ServeError::Io {
                 op: "write",
                 detail: e.to_string(),

@@ -381,10 +381,9 @@ fn listener_loop(
             // Refuse, typed: the client learns why instead of seeing a
             // silent RST.
             let mut stream = stream;
-            let _ = writeln!(
-                stream,
-                "{}",
-                protocol::render_error(&ServeError::ShuttingDown)
+            send_line(
+                &mut stream,
+                &protocol::render_error(&ServeError::ShuttingDown),
             );
             continue;
         }
@@ -400,12 +399,20 @@ fn listener_loop(
     }
 }
 
-/// Writes one response line; returns false when the peer is gone.
+/// Writes one response line, framed with its `\n`, in a single write;
+/// returns false when the peer is gone. Two writes would let Nagle hold
+/// the second segment until the peer's delayed ACK of the first (~40 ms).
 fn send_line(stream: &mut TcpStream, line: &str) -> bool {
-    stream.write_all(line.as_bytes()).is_ok() && stream.write_all(b"\n").is_ok()
+    let mut frame = Vec::with_capacity(line.len() + 1);
+    frame.extend_from_slice(line.as_bytes());
+    frame.push(b'\n');
+    stream.write_all(&frame).is_ok()
 }
 
 fn connection_loop(inner: &Arc<Inner>, mut stream: TcpStream) {
+    // Replies go out as they are ready: in an open loop a second reply
+    // must not queue behind the peer's ACK of the first.
+    let _ = stream.set_nodelay(true);
     // Short read timeouts turn the blocking read into a poll so the
     // handler notices a drain even on an idle connection.
     let _ = stream.set_read_timeout(Some(POLL_INTERVAL));

@@ -8,7 +8,7 @@ use std::net::TcpStream;
 use std::path::PathBuf;
 use std::sync::atomic::{AtomicU64, Ordering};
 use std::sync::{Arc, Condvar, Mutex};
-use std::time::Duration;
+use std::time::{Duration, Instant};
 
 use uniq_acoustics::measure::BinauralRecording;
 use uniq_core::batch::result_fingerprint;
@@ -47,13 +47,16 @@ struct Client {
 impl Client {
     fn connect(addr: std::net::SocketAddr) -> Client {
         let stream = TcpStream::connect(addr).expect("connect to test server");
+        stream.set_nodelay(true).expect("set nodelay");
         let reader = BufReader::new(stream.try_clone().expect("clone stream"));
         Client { stream, reader }
     }
 
+    /// Sends one request line, framed with its `\n`, in one write.
     fn send(&mut self, line: &str) {
-        self.stream.write_all(line.as_bytes()).expect("write line");
-        self.stream.write_all(b"\n").expect("write newline");
+        self.stream
+            .write_all(format!("{line}\n").as_bytes())
+            .expect("write line");
     }
 
     fn send_raw(&mut self, bytes: &[u8]) {
@@ -289,6 +292,34 @@ fn random_garbage_never_kills_the_server() {
     c.send("{\"type\":\"ping\"}");
     assert_eq!(c.read_response(), Response::Pong);
     server.shutdown();
+}
+
+#[test]
+fn sequential_pings_do_not_stall_on_delayed_acks() {
+    // A reply that leaves in two segments waits for the client's delayed
+    // ACK of the first (~40 ms on Linux) before its `\n` is sent, so 30
+    // round trips on one connection would take over a second.
+    let server = Server::start(
+        "127.0.0.1:0",
+        ServeConfig {
+            shards: 1,
+            base: fast_cfg(),
+            ..ServeConfig::default()
+        },
+    )
+    .expect("start server");
+    let mut c = Client::connect(server.local_addr());
+    let started = Instant::now();
+    for _ in 0..30 {
+        c.send("{\"type\":\"ping\"}");
+        assert_eq!(c.read_response(), Response::Pong);
+    }
+    let elapsed = started.elapsed();
+    server.shutdown();
+    assert!(
+        elapsed < Duration::from_millis(300),
+        "30 sequential pings took {elapsed:?}"
+    );
 }
 
 #[test]
