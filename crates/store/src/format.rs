@@ -62,10 +62,13 @@ pub const FLAG_DEGRADATION: u16 = 0x0001;
 /// All flag bits a v1 reader understands.
 const KNOWN_FLAGS: u16 = FLAG_DEGRADATION;
 
-const CRC32_TABLE: [u32; 256] = build_crc32_table();
+/// Slicing-by-8 tables for the IEEE polynomial: `CRC32_TABLES[0]` is the
+/// classic byte-at-a-time table, and `CRC32_TABLES[k][i]` is that entry
+/// carried through `k` more zero bytes, so one step folds in 8 bytes.
+static CRC32_TABLES: [[u32; 256]; 8] = build_crc32_tables();
 
-const fn build_crc32_table() -> [u32; 256] {
-    let mut table = [0u32; 256];
+const fn build_crc32_tables() -> [[u32; 256]; 8] {
+    let mut tables = [[0u32; 256]; 8];
     let mut i = 0;
     while i < 256 {
         let mut crc = i as u32;
@@ -78,18 +81,54 @@ const fn build_crc32_table() -> [u32; 256] {
             };
             bit += 1;
         }
-        table[i] = crc;
+        tables[0][i] = crc;
         i += 1;
     }
-    table
+    let mut k = 1;
+    while k < 8 {
+        let mut i = 0;
+        while i < 256 {
+            let prev = tables[k - 1][i];
+            tables[k][i] = (prev >> 8) ^ tables[0][(prev & 0xFF) as usize];
+            i += 1;
+        }
+        k += 1;
+    }
+    tables
 }
 
-/// CRC-32 (IEEE 802.3 polynomial) of `bytes`.
+/// CRC-32 (IEEE 802.3 polynomial) of `bytes`, 8 bytes per step
+/// (slicing-by-8), then the remainder one byte at a time.
 pub fn crc32(bytes: &[u8]) -> u32 {
+    let t = &CRC32_TABLES;
+    let mut crc = 0xFFFF_FFFFu32;
+    let mut chunks = bytes.chunks_exact(8);
+    for chunk in &mut chunks {
+        let mut word = [0u8; 8];
+        word.copy_from_slice(chunk);
+        let v = u64::from_le_bytes(word) ^ u64::from(crc);
+        let byte = |n: u32| ((v >> (8 * n)) & 0xFF) as usize;
+        crc = t[7][byte(0)]
+            ^ t[6][byte(1)]
+            ^ t[5][byte(2)]
+            ^ t[4][byte(3)]
+            ^ t[3][byte(4)]
+            ^ t[2][byte(5)]
+            ^ t[1][byte(6)]
+            ^ t[0][byte(7)];
+    }
+    for &b in chunks.remainder() {
+        crc = (crc >> 8) ^ t[0][((crc ^ u32::from(b)) & 0xFF) as usize];
+    }
+    !crc
+}
+
+/// The byte-at-a-time CRC-32 that [`crc32`] must reproduce bit for bit.
+#[cfg(test)]
+fn crc32_bytewise(bytes: &[u8]) -> u32 {
     let mut crc = 0xFFFF_FFFFu32;
     for &b in bytes {
-        let idx = ((crc ^ u32::from(b)) & 0xFF) as usize;
-        crc = (crc >> 8) ^ CRC32_TABLE[idx];
+        crc = (crc >> 8) ^ CRC32_TABLES[0][((crc ^ u32::from(b)) & 0xFF) as usize];
     }
     !crc
 }
@@ -365,53 +404,68 @@ fn encode_grid(out: &mut Vec<u8>, grid: &Grid, which: &str) -> Result<(), StoreE
     Ok(())
 }
 
+/// Encoded size of one grid: two counts, the angles, then every sample.
+fn grid_len(grid: &Grid) -> usize {
+    let samples: usize = grid.irs.iter().map(|(l, r)| l.len() + r.len()).sum();
+    8 + 8 * (grid.angles_deg.len() + samples)
+}
+
 /// Serializes an artifact to `.uhrtf` bytes. The encoding is canonical:
 /// equal artifacts always produce identical bytes (and therefore the
 /// same content key).
 pub fn encode(artifact: &HrtfArtifact) -> Result<Vec<u8>, StoreError> {
-    let mut payload = Vec::new();
+    let degradation = artifact.degradation_json.as_deref().unwrap_or("");
+    // Head axes and radius, attempts, the localization count and pairs,
+    // both grids, then the report's length and bytes.
+    let payload_len = 8 * 4
+        + 4
+        + 4
+        + 16 * artifact.localization.len()
+        + grid_len(&artifact.near)
+        + grid_len(&artifact.far)
+        + 4
+        + degradation.len();
+    // One buffer: the header is written in place once the payload behind
+    // it is final.
+    let mut out = Vec::with_capacity(HEADER_LEN + payload_len);
+    out.resize(HEADER_LEN, 0);
     for v in artifact.head {
-        push_f64(&mut payload, v);
+        push_f64(&mut out, v);
     }
-    push_f64(&mut payload, artifact.radius_m);
-    push_u32(&mut payload, artifact.attempts);
+    push_f64(&mut out, artifact.radius_m);
+    push_u32(&mut out, artifact.attempts);
     push_u32(
-        &mut payload,
+        &mut out,
         count_u32(artifact.localization.len(), "localization")?,
     );
     for &(truth, est) in &artifact.localization {
-        push_f64(&mut payload, truth);
-        push_f64(&mut payload, est);
+        push_f64(&mut out, truth);
+        push_f64(&mut out, est);
     }
-    encode_grid(&mut payload, &artifact.near, "near")?;
-    encode_grid(&mut payload, &artifact.far, "far")?;
-    let degradation = artifact.degradation_json.as_deref().unwrap_or("");
-    push_u32(&mut payload, count_u32(degradation.len(), "degradation")?);
-    payload.extend_from_slice(degradation.as_bytes());
+    encode_grid(&mut out, &artifact.near, "near")?;
+    encode_grid(&mut out, &artifact.far, "far")?;
+    push_u32(&mut out, count_u32(degradation.len(), "degradation")?);
+    out.extend_from_slice(degradation.as_bytes());
 
     let flags = if artifact.degradation_json.is_some() {
         FLAG_DEGRADATION
     } else {
         0
     };
-    let mut header = [0u8; HEADER_LEN];
+    let (header, payload) = out.split_at_mut(HEADER_LEN);
     header[0..8].copy_from_slice(&MAGIC);
     header[8..10].copy_from_slice(&FORMAT_VERSION.to_le_bytes());
     header[10..12].copy_from_slice(&flags.to_le_bytes());
     // 12..16: header CRC, patched below once the rest is final.
     header[16..24].copy_from_slice(&(payload.len() as u64).to_le_bytes());
-    header[24..28].copy_from_slice(&crc32(&payload).to_le_bytes());
+    header[24..28].copy_from_slice(&crc32(payload).to_le_bytes());
     // 28..32 reserved, zero.
     header[32..40].copy_from_slice(&artifact.subject_fingerprint.to_le_bytes());
     header[40..48].copy_from_slice(&artifact.config_hash.to_le_bytes());
     header[48..56].copy_from_slice(&artifact.sample_rate.to_bits().to_le_bytes());
     header[56..64].copy_from_slice(&artifact.seed.to_le_bytes());
-    let header_crc = crc32(&header);
+    let header_crc = crc32(header);
     header[12..16].copy_from_slice(&header_crc.to_le_bytes());
-
-    let mut out = Vec::with_capacity(HEADER_LEN + payload.len());
-    out.extend_from_slice(&header);
-    out.extend_from_slice(&payload);
     Ok(out)
 }
 
@@ -468,11 +522,15 @@ impl<'a> Cursor<'a> {
                 self.remaining()
             )));
         }
-        let mut out = Vec::with_capacity(n);
-        for _ in 0..n {
-            out.push(self.f64(what)?);
-        }
-        Ok(out)
+        Ok(self
+            .take(bytes, what)?
+            .chunks_exact(8)
+            .map(|chunk| {
+                let mut b = [0u8; 8];
+                b.copy_from_slice(chunk);
+                f64::from_bits(u64::from_le_bytes(b))
+            })
+            .collect())
     }
 }
 
@@ -706,6 +764,23 @@ mod tests {
         let key = content_key(&bytes);
         assert_eq!(key.len(), 16);
         assert_eq!(key, format!("{:016x}", uniq_obs::fnv1a(&bytes)));
+    }
+
+    #[test]
+    fn encode_fills_one_exactly_sized_buffer() {
+        let bytes = encode(&tiny_artifact()).unwrap();
+        assert_eq!(bytes.len(), bytes.capacity());
+    }
+
+    #[test]
+    fn crc32_slicing_matches_bytewise_oracle() {
+        let data: Vec<u8> = (0u32..300).map(|i| (i * 167 + 13) as u8).collect();
+        for start in 0..8 {
+            for end in start..data.len() {
+                let slice = &data[start..end];
+                assert_eq!(crc32(slice), crc32_bytewise(slice), "{start}..{end}");
+            }
+        }
     }
 
     #[test]

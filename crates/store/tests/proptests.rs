@@ -1,9 +1,11 @@
 //! Property tests for the `.uhrtf` codec: encode→decode round-trips
 //! bit-exactly for arbitrary grid shapes, IR lengths, and metadata —
 //! including empty and degenerate grids — and the encoding is canonical
-//! (decode→re-encode reproduces the input bytes verbatim).
+//! (decode→re-encode reproduces the input bytes verbatim). The
+//! slicing-by-8 CRC-32 returns the bits of the byte-at-a-time definition.
 
 use proptest::prelude::*;
+use uniq_store::format::crc32;
 use uniq_store::{content_key, decode, encode, Grid, HrtfArtifact};
 
 /// Deterministic integer mixer so every float in a generated artifact is
@@ -16,6 +18,28 @@ fn mix(seed: u64, j: u64) -> u64 {
     x ^= x >> 27;
     x = x.wrapping_mul(0x94D0_49BB_1331_11EB);
     x ^ (x >> 31)
+}
+
+/// `len` bytes, each a function of `seed` and its index.
+fn mixed_bytes(seed: u64, len: usize) -> Vec<u8> {
+    (0..len as u64).map(|j| mix(seed, j) as u8).collect()
+}
+
+/// The CRC-32 definition one byte and one bit at a time, with no table:
+/// the oracle the slicing-by-8 `crc32` must match bit for bit.
+fn crc32_bytewise(bytes: &[u8]) -> u32 {
+    let mut crc = 0xFFFF_FFFFu32;
+    for &b in bytes {
+        crc ^= u32::from(b);
+        for _ in 0..8 {
+            crc = if crc & 1 == 1 {
+                (crc >> 1) ^ 0xEDB8_8320
+            } else {
+                crc >> 1
+            };
+        }
+    }
+    !crc
 }
 
 /// A value in roughly `[-1, 1)` derived from the mixer.
@@ -180,5 +204,27 @@ proptest! {
             decode(&bytes_empty).expect("decode").degradation_json,
             Some(String::new())
         );
+    }
+
+    #[test]
+    fn crc32_matches_the_bytewise_oracle_at_every_short_length(seed in 0u64..u64::MAX) {
+        // 0..=64 covers an empty input, a remainder alone, and every
+        // remainder behind one to eight 8-byte steps.
+        let bytes = mixed_bytes(seed, 64);
+        for len in 0..=bytes.len() {
+            prop_assert_eq!(crc32(&bytes[..len]), crc32_bytewise(&bytes[..len]));
+        }
+    }
+
+    #[test]
+    fn crc32_matches_the_bytewise_oracle_at_every_offset(
+        seed in 0u64..u64::MAX,
+        len in 0usize..4097,
+    ) {
+        let bytes = mixed_bytes(seed, len + 8);
+        for start in 0..8 {
+            let slice = &bytes[start..start + len];
+            prop_assert_eq!(crc32(slice), crc32_bytewise(slice));
+        }
     }
 }
