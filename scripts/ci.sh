@@ -67,12 +67,14 @@ echo "== benchmark package (build + unit tests) =="
 # change in a layer crate cannot break it unnoticed.
 cargo test --release --offline -q --manifest-path examples/benchmark/Cargo.toml
 
-echo "== benchmark correctness smoke (personalize-paper, aoa-render) =="
+echo "== benchmark correctness smoke (every workload) =="
 # A numerics change can break the benchmark's own quality gates
 # (personalized beats the template, localization under 8°) while every
-# unit test passes: run the two user-facing workloads briefly and require
-# the closing JSON line to report "correct":true.
-for workload in personalize-paper aoa-render; do
+# unit test passes, and a serve or store change can break the serve
+# workloads' checks (served fingerprints recomputed by the library, the
+# cohort read back through the store): run every workload briefly and
+# require the closing JSON line to report "correct":true.
+for workload in personalize-paper aoa-render serve-saturate serve-open; do
   last=$(cargo run --release --offline -q --manifest-path examples/benchmark/Cargo.toml -- \
     --workload "$workload" --seed 1 --seconds 1 --trace 0 | tail -n 1)
   case "$last" in
