@@ -9,12 +9,12 @@
 //! and [`ThreadPool::try_par_map`], with panic propagation — on
 //! `std::thread` + `Mutex`/`Condvar`.
 //!
-//! Scheduling is one FIFO job queue and one condvar per pool. Workers and
-//! a caller waiting on its map both take the oldest queued job; the
-//! waiting caller sleeps only while the queue is empty and wakes when a
-//! job is queued or its map's last job finishes. Because a waiting caller
-//! runs whatever is queued, a map nested inside another map's item cannot
-//! deadlock at any pool size.
+//! Scheduling is one FIFO job queue and one condvar per pool. Workers take
+//! the oldest queued job of any map; a caller waiting on its map takes the
+//! oldest queued job of that map only, sleeps while none is queued, and
+//! wakes when a job is queued or its map's last job finishes. Because a
+//! waiting caller can always run its own map's jobs, a map nested inside
+//! another map's item cannot deadlock at any pool size.
 //!
 //! Design contract, in order:
 //!
@@ -39,9 +39,10 @@
 //! Each map captures the caller's `uniq-obs` context once
 //! ([`uniq_obs::capture`]) and runs item `i` under lane `i` of it
 //! (`run_indexed(i)`) on whichever thread takes the item: inline, on a
-//! worker, or on a caller helping while it waits. An item therefore sees
-//! the caller's sink, span depth, span ids and allocation stage at every
-//! pool size, as in a sequential loop, and needs no context of its own.
+//! worker, or on the caller while it waits on the map. An item therefore
+//! sees the caller's sink, span depth, span ids and allocation stage at
+//! every pool size, as in a sequential loop, and needs no context of its
+//! own.
 //! That makes traces, registry totals and `uniq-memprof`'s per-stage
 //! allocation totals (the memory-determinism hard gate) identical at any
 //! thread count.
@@ -91,8 +92,8 @@ pub fn default_threads() -> usize {
 
 /// Identity of the calling thread within uniq-par: `Some((pool_id,
 /// worker_index))` when called from a pool worker thread, `None` for any
-/// other thread (including a caller that is *helping* run jobs while it
-/// waits on a scope — helping happens on the caller's own thread).
+/// other thread (including a caller running its map's jobs while it
+/// waits on them — that happens on the caller's own thread).
 ///
 /// This is the thread-attribution hook for observability: a profiling
 /// sink calls it while handling a span event (sinks run on the emitting
@@ -167,7 +168,7 @@ mod tests {
         assert_eq!(current_worker(), None);
         // In a pool of 4 over enough slow-ish items, at least one chunk
         // runs on a spawned worker (index < threads - 1); chunks that the
-        // helping caller ran report None.
+        // waiting caller ran report None.
         let p = pool(4);
         let items: Vec<u64> = (0..64).collect();
         let ids = p.par_map_chunked(&items, 1, |_| current_worker());

@@ -1,4 +1,5 @@
-//! The worker pool: threads, one job queue, and the helping wait.
+//! The worker pool: threads, one job queue, and a wait that runs the
+//! waiter's own jobs.
 
 use std::collections::VecDeque;
 use std::sync::atomic::{AtomicUsize, Ordering};
@@ -28,10 +29,16 @@ pub(crate) fn current_worker_identity() -> Option<(usize, usize)> {
     WORKER.with(|w| w.get())
 }
 
-/// The jobs waiting to run, oldest first, and whether the pool is
-/// shutting down.
+/// Identity of a scope: the address of its [`ScopeState`], which its
+/// queued jobs keep alive, so no other scope can reuse it meanwhile.
+fn scope_id(state: &ScopeState) -> usize {
+    std::ptr::from_ref(state) as usize
+}
+
+/// The jobs waiting to run, oldest first, each with the id of the scope
+/// that spawned it, and whether the pool is shutting down.
 struct Queue {
-    jobs: VecDeque<Job>,
+    jobs: VecDeque<(usize, Job)>,
     shutdown: bool,
 }
 
@@ -79,8 +86,8 @@ impl std::fmt::Debug for ThreadPool {
 impl ThreadPool {
     /// Creates a pool with `threads` total parallelism (clamped to at
     /// least 1). `threads - 1` worker threads are spawned; the caller of a
-    /// parallel map contributes the final lane by running queued jobs
-    /// while it waits, so a pool of size 1 spawns no threads at all.
+    /// parallel map contributes the final lane by running its map's queued
+    /// jobs while it waits, so a pool of size 1 spawns no threads at all.
     pub fn new(threads: usize) -> ThreadPool {
         let threads = threads.max(1);
         let id = NEXT_POOL_ID.fetch_add(1, Ordering::Relaxed);
@@ -110,14 +117,14 @@ impl ThreadPool {
         }
     }
 
-    /// The pool's total parallelism (worker threads plus the helping
+    /// The pool's total parallelism (worker threads plus the waiting
     /// caller).
     pub fn threads(&self) -> usize {
         self.threads
     }
 
-    pub(crate) fn inject(&self, job: Job) {
-        self.shared.lock().jobs.push_back(job);
+    pub(crate) fn inject(&self, scope: &ScopeState, job: Job) {
+        self.shared.lock().jobs.push_back((scope_id(scope), job));
         self.shared.wake.notify_all();
     }
 
@@ -160,20 +167,21 @@ impl ThreadPool {
         result
     }
 
-    /// Runs queued jobs, oldest first, on the calling thread until
-    /// `state` has no pending tasks, and sleeps only while the queue is
-    /// empty. Helping (rather than blocking) keeps nested scopes
-    /// deadlock-free at any pool size: a thread waiting on an inner scope
-    /// runs whatever is queued, the inner scope's own tasks included.
+    /// Runs `state`'s own queued jobs, oldest first, on the calling thread
+    /// until `state` has no pending tasks, and sleeps while none of them is
+    /// queued. Jobs of other scopes are left to the workers, so an item the
+    /// caller runs here is always a descendant of its own map. Nested
+    /// scopes cannot deadlock at any pool size: a queued job is taken only
+    /// by its own scope's waiter or a free worker, the waiter can always
+    /// run its own jobs itself, and nesting depth is finite.
     fn wait_scope(&self, state: &ScopeState) {
+        let id = scope_id(state);
         let mut queue = self.shared.lock();
         while !state.is_done() {
-            match queue.jobs.pop_front() {
-                Some(job) => {
+            let own = queue.jobs.iter().position(|(scope, _)| *scope == id);
+            match own.and_then(|at| queue.jobs.remove(at)) {
+                Some((_, job)) => {
                     drop(queue);
-                    // The job may come from another thread's map; its items
-                    // run under that map's captured context, not this
-                    // thread's.
                     job();
                     queue = self.shared.lock();
                 }
@@ -312,7 +320,7 @@ fn worker_loop(shared: Arc<Shared>, pool_id: usize, index: usize) {
                 if queue.shutdown {
                     return;
                 }
-                if let Some(job) = queue.jobs.pop_front() {
+                if let Some((_, job)) = queue.jobs.pop_front() {
                     break job;
                 }
                 queue = shared.wake.wait(queue).expect("job queue poisoned");
@@ -385,14 +393,14 @@ mod tests {
         }
     }
 
-    /// A caller helping to run queued jobs while it waits on its own map
-    /// may take an item of another thread's map. That item runs under its
-    /// own map's context (here: none), never the helper's sink. The
-    /// foreign map's first two items hold the pool's one worker and the
-    /// foreign caller, so its third item is still queued, ahead of the
-    /// helper's own, when the helper starts waiting.
+    /// A caller waiting on its map runs only that map's jobs. The foreign
+    /// map's first two items hold the pool's one worker and the foreign
+    /// caller, so its third item is still queued, ahead of the waiting
+    /// caller's own, when that caller starts waiting: it runs its own two
+    /// items past it, and the foreign item runs elsewhere, outside the
+    /// caller's sink.
     #[test]
-    fn helped_foreign_job_stays_out_of_the_helpers_sink() {
+    fn waiting_caller_runs_only_its_own_maps_jobs() {
         let pool = Arc::new(ThreadPool::new(2));
         let started = Arc::new(Barrier::new(3));
         let release = Arc::new(Barrier::new(3));
@@ -413,13 +421,15 @@ mod tests {
         };
         started.wait();
         let sink = Arc::new(MemorySink::new());
-        uniq_obs::with_sink(sink.clone(), || {
+        let caller = std::thread::current().id();
+        let own = uniq_obs::with_sink(sink.clone(), || {
             let _span = uniq_obs::span(SPAN_FUSION);
-            pool.par_map_chunked(&[0, 1], 1, |_| ());
+            pool.par_map_chunked(&[0, 1], 1, |_| std::thread::current().id())
         });
         release.wait();
         let ran_on = foreign.join().unwrap();
-        assert_eq!(ran_on[2], std::thread::current().id(), "not helped");
+        assert_eq!(own, vec![caller, caller], "the worker was held");
+        assert_ne!(ran_on[2], caller, "the waiting caller ran a foreign job");
         assert_eq!(
             sink.counter_total(SERVE_REQUESTS),
             0,
@@ -429,7 +439,7 @@ mod tests {
             .events()
             .iter()
             .any(|e| matches!(e, Event::SpanStart { name, .. } if *name == SPAN_STORE_PUT));
-        assert!(!leaked_span, "foreign span leaked into the helper's sink");
+        assert!(!leaked_span, "foreign span leaked into the caller's sink");
     }
 
     /// An item panicking under an installed sink unwinds through its

@@ -104,7 +104,7 @@ impl<'env> Scope<'env> {
                 wrapped,
             )
         };
-        self.pool.inject(job);
+        self.pool.inject(&self.state, job);
     }
 }
 

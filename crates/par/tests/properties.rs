@@ -52,16 +52,27 @@ proptest! {
 
     /// A map whose items each run a map on the same pool — a session's
     /// stops each deconvolving two ears — equals the sequential nested map.
+    /// With `depth` 3 every inner item runs a third map of its own.
     #[test]
     fn nested_par_map_matches_sequential_nested_map(
         rows in prop::collection::vec(prop::collection::vec(-1_000_000i64..1_000_000, 0..24), 0..24),
         threads in 1usize..9,
         chunk in 1usize..5,
+        depth in 2usize..4,
     ) {
         let pool = uniq_par::pool(threads);
-        let parallel = pool.par_map_chunked(&rows, chunk, |row| pool.par_map_chunked(row, 1, work));
+        let pair = |x: &i64| [*x, x.wrapping_add(1)];
+        let leaf = |x: &i64| match depth {
+            3 => pool.par_map_chunked(&pair(x), 1, work).iter().fold(0, |a, b| a ^ b),
+            _ => work(x),
+        };
+        let sequential_leaf = |x: &i64| match depth {
+            3 => pair(x).iter().map(work).fold(0, |a, b| a ^ b),
+            _ => work(x),
+        };
+        let parallel = pool.par_map_chunked(&rows, chunk, |row| pool.par_map_chunked(row, 1, leaf));
         let sequential: Vec<Vec<i64>> =
-            rows.iter().map(|row| row.iter().map(work).collect()).collect();
+            rows.iter().map(|row| row.iter().map(sequential_leaf).collect()).collect();
         prop_assert_eq!(parallel, sequential);
     }
 }
