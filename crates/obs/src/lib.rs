@@ -95,9 +95,9 @@ pub enum Event {
         /// Wall-clock duration, nanoseconds.
         nanos: u128,
         /// Self time, nanoseconds: `nanos` minus the wall time of the spans
-        /// that closed *on this thread* while this one was open, so a pool
-        /// item a waiting caller helps run is debited from the caller's
-        /// open span (its parent is still its id parent).
+        /// that closed *on this thread* while this one was open. A pool item
+        /// a waiting caller runs itself belongs to the caller's own map, so
+        /// it is debited from its own parent span, as in a sequential loop.
         self_nanos: u128,
         /// Causal identity of this span (matches the start event).
         ids: SpanIds,
@@ -128,9 +128,8 @@ static ACTIVE_SINKS: AtomicUsize = AtomicUsize::new(0);
 static GLOBAL_SINK: OnceLock<Arc<dyn Sink>> = OnceLock::new();
 
 thread_local! {
-    /// Stack of scoped sinks on this thread; the innermost wins. A `None`
-    /// entry masks every sink, global included (see [`without_sink`]).
-    static SCOPED: RefCell<Vec<Option<Arc<dyn Sink>>>> = const { RefCell::new(Vec::new()) };
+    /// Stack of scoped sinks on this thread; the innermost wins.
+    static SCOPED: RefCell<Vec<Arc<dyn Sink>>> = const { RefCell::new(Vec::new()) };
     /// Current span nesting depth on this thread.
     static DEPTH: Cell<usize> = const { Cell::new(0) };
     /// Active trace id on this thread (0 = none).
@@ -392,10 +391,9 @@ fn with_alloc_stage<T>(stage: Option<&'static str>, f: impl FnOnce() -> T) -> T 
 }
 
 fn current_sink() -> Option<Arc<dyn Sink>> {
-    match SCOPED.with(|s| s.borrow().last().cloned()) {
-        Some(scoped) => scoped,
-        None => GLOBAL_SINK.get().cloned(),
-    }
+    SCOPED
+        .with(|s| s.borrow().last().cloned())
+        .or_else(|| GLOBAL_SINK.get().cloned())
 }
 
 /// The sink events on this thread currently land in — the innermost
@@ -447,7 +445,7 @@ pub fn with_sink<T>(sink: Arc<dyn Sink>, f: impl FnOnce() -> T) -> T {
         // first nests deep enough to trigger a growth is scheduling
         // noise, so keep it out of the per-stage memory profile.
         let _quiet = suspend_alloc_stage();
-        SCOPED.with(|s| s.borrow_mut().push(Some(sink)));
+        SCOPED.with(|s| s.borrow_mut().push(sink));
     }
     ACTIVE_SINKS.fetch_add(1, Ordering::Relaxed);
     let _guard = Guard;
@@ -531,9 +529,9 @@ impl ObsContext {
     /// Runs `f` with this context's sink, span depth, causal position and
     /// allocation stage installed on the current thread, restoring the
     /// previous state afterwards (exception safe). With no captured sink,
-    /// `f` runs with no sink either: the current thread's own sink is
-    /// masked, so a pool caller helping run another map's item never
-    /// records that item's events.
+    /// only the allocation stage is installed: run `f` on a thread that has
+    /// no sink of its own (a pool worker, a fresh thread) or on the thread
+    /// that captured the context.
     ///
     /// Spans `f` opens derive their ids from the captured position
     /// directly; in a parallel fan-out where several items run under one
@@ -555,10 +553,7 @@ impl ObsContext {
 
     fn run_with_key<T>(&self, key: u64, f: impl FnOnce() -> T) -> T {
         let Some(sink) = self.sink.clone() else {
-            if ACTIVE_SINKS.load(Ordering::Relaxed) == 0 {
-                return with_alloc_stage(self.stage, f);
-            }
-            return without_sink(|| with_alloc_stage(self.stage, f));
+            return with_alloc_stage(self.stage, f);
         };
         let depth = self.depth;
         let trace = self.trace;
@@ -609,37 +604,6 @@ impl ObsContext {
             with_alloc_stage(self.stage, f)
         })
     }
-}
-
-/// Runs `f` as a thread with no sink would: this thread's scoped sink is
-/// masked, and its span depth, trace and id stack are set aside until `f`
-/// returns, so nothing `f` does reaches that sink or advances its span-id
-/// counters.
-fn without_sink<T>(f: impl FnOnce() -> T) -> T {
-    struct Restore {
-        depth: usize,
-        trace: u64,
-        ids: Vec<IdFrame>,
-    }
-    impl Drop for Restore {
-        fn drop(&mut self) {
-            let _quiet = suspend_alloc_stage();
-            SCOPED.with(|s| s.borrow_mut().pop());
-            DEPTH.with(|d| d.set(self.depth));
-            TRACE.with(|t| t.set(self.trace));
-            ID_STACK.with(|s| *s.borrow_mut() = std::mem::take(&mut self.ids));
-        }
-    }
-    {
-        let _quiet = suspend_alloc_stage();
-        SCOPED.with(|s| s.borrow_mut().push(None));
-    }
-    let _restore = Restore {
-        depth: DEPTH.with(|d| d.replace(0)),
-        trace: TRACE.with(|t| t.replace(0)),
-        ids: ID_STACK.with(|s| std::mem::take(&mut *s.borrow_mut())),
-    };
-    f()
 }
 
 fn dispatch(event: &Event) {
@@ -939,36 +903,6 @@ mod tests {
     fn context_without_sink_is_transparent() {
         let ctx = capture();
         assert_eq!(ctx.run(|| 41 + 1), 42);
-    }
-
-    #[test]
-    fn sinkless_context_leaves_the_running_threads_sink_alone() {
-        // A pool caller that helps run a job captured where no sink was
-        // installed: the job's events must not reach the caller's sink,
-        // and the caller's next span id must not shift.
-        let sinkless = capture();
-        let record = |foreign: bool| {
-            let sink = Arc::new(MemorySink::new());
-            with_sink(sink.clone(), || {
-                let _trace = trace(3);
-                let _root = span("root");
-                if foreign {
-                    sinkless.run(|| {
-                        let _job = span("foreign");
-                        counter("foreign.events", 1);
-                        assert_eq!(current_depth(), 0);
-                    });
-                }
-                let _sibling = span("sibling");
-            });
-            (sink.span_tree(), start_ids(&sink.events()))
-        };
-        let (tree, ids) = record(true);
-        assert_eq!(
-            tree,
-            vec![("root".to_string(), 0), ("sibling".to_string(), 1)]
-        );
-        assert_eq!(ids, record(false).1, "the foreign job advanced span ids");
     }
 
     #[test]

@@ -45,11 +45,11 @@
 //!    `i` (label `worker-<i>`). Recording takes the emitting thread's
 //!    shard mutex, which is uncontended in steady state (span events also
 //!    take the path table's, item 5), and the shard index *is* the
-//!    attribution label — no label is built per
-//!    event. A pool caller helping run jobs while it waits is `main`, as
-//!    in uniq-par's design. Worker indices are per-pool, so two pools'
-//!    workers share labels, and workers past the last shard share by
-//!    index modulo; both are acceptable for an imbalance overview.
+//!    attribution label — no label is built per event. A pool caller
+//!    running its map's jobs while it waits is `main`, as in uniq-par's
+//!    design. Worker indices are per-pool, so two pools' workers share
+//!    labels, and workers past the last shard share by index modulo; both
+//!    are acceptable for an imbalance overview.
 //! 2. **Registered names only.** Spans outside
 //!    [`uniq_obs::names::ALL_SPANS`] and counters/metrics outside
 //!    [`uniq_obs::names::ALL_METRICS`] are not aggregated; they are counted

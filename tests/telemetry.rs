@@ -147,9 +147,9 @@ fn trace_round_trips_through_jsonl_sink() {
     assert!(report.contains("critical path:"), "{report}");
     assert!(!report.contains("orphaned"), "{report}");
 
-    // Self time comes from the file, measured once per span: a stop's
-    // spans that a waiting caller helps run count under their own names,
-    // not again inside the caller's span. So the file's self times are
+    // Self time comes from the file, measured once per span: a span's
+    // time counts under its own name, not again inside its parent's,
+    // whichever thread ran either. So the file's self times are
     // exactly the registry's per-thread busy times, and each thread's sum
     // to at most the root total: exactly to it on the root's thread.
     let root_total = self_times["personalize"].1;
