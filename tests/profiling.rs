@@ -2,10 +2,11 @@
 //! real pipeline without changing a single output bit, and its report
 //! covers every documented stage.
 
+use std::collections::HashMap;
 use std::sync::Arc;
 
 use uniq_core::config::UniqConfig;
-use uniq_core::pipeline::{personalize, PersonalizationResult};
+use uniq_core::pipeline::{personalize, personalize_with_retry, PersonalizationResult};
 use uniq_profile::ProfileSink;
 use uniq_subjects::Subject;
 
@@ -127,5 +128,43 @@ fn profile_report_covers_the_pipeline() {
     let (_, one) = &path_counts[0];
     for (threads, counts) in &path_counts[1..] {
         assert_eq!(counts, one, "call paths at pool size {threads} vs 1");
+    }
+}
+
+/// At pool size 2 a parent span's children run on at most two threads at
+/// once (the waiting caller and the one worker), one at a time on each,
+/// and each inside the parent's lifetime; so every call path's summed
+/// wall time is at most twice its parent path's. This is structural, not
+/// a timing bound: it breaks only when a thread nests spans of one stage
+/// inside each other, as a waiting caller running another map's jobs
+/// does. The paper's configuration has one such map per stop.
+#[test]
+fn call_paths_fit_inside_their_parents_at_pool_size_two() {
+    let cfg = UniqConfig {
+        threads: 2,
+        ..UniqConfig::default()
+    };
+    let profile = Arc::new(ProfileSink::new());
+    uniq_obs::with_sink(profile.clone(), || {
+        personalize_with_retry(&Subject::from_seed(801), &cfg, 801, 3).expect("pipeline succeeds")
+    });
+    let report = profile.report();
+    let totals: HashMap<&str, u128> = report
+        .paths
+        .iter()
+        .map(|p| (p.path.as_str(), p.total_nanos))
+        .collect();
+    for p in &report.paths {
+        let Some((parent, _)) = p.path.rsplit_once(';') else {
+            continue;
+        };
+        let parent_total = totals[parent];
+        assert!(
+            p.total_nanos <= 2 * parent_total,
+            "{} totals {} ns, over twice its parent's {parent_total} ns ({:.2}x)",
+            p.path,
+            p.total_nanos,
+            p.total_nanos as f64 / parent_total as f64
+        );
     }
 }
