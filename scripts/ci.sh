@@ -247,12 +247,13 @@ target/release/uniq personalize --seed 6 --anechoic --grid 15 \
 [ "$status" -eq 1 ] && grep -q "^error: --fault-plan:" "$ci_tmp/nan_plan.err" \
   || { echo "--fault-plan snr:nan: exit $status, not a parse error" >&2; exit 1; }
 
-echo "== trace-report smoke (causal tree reconstruction, 1 and 4 threads) =="
+echo "== trace-report smoke (causal tree reconstruction, 1, 2 and 4 threads) =="
 # A personalize run's JSONL trace must rebuild into a complete causal
 # tree (exit 0 = no orphans) whose report names the critical path,
 # regardless of pool size, and the registry's flame must hold the same
-# call paths at both pool sizes.
-for threads in 1 4; do
+# call paths at every pool size. Pool size 2 (one worker plus the caller)
+# is where a waiting caller runs the largest share of its map's jobs.
+for threads in 1 2 4; do
   UNIQ_THREADS=$threads target/release/uniq personalize --seed 6 \
     --out "$ci_tmp/trace_hrtf" --anechoic --grid 15 \
     --metrics-out "$ci_tmp/trace_$threads.jsonl" \
@@ -264,21 +265,23 @@ for threads in 1 4; do
   grep -q "critical path:" "$ci_tmp/trace_report.log"
   grep -q "uniq_personalize_ns_count" "$ci_tmp/telemetry_$threads.prom"
   # Every line but span_end (which carries wall time) — ids, depths,
-  # counters, metrics — must be the same at both pool sizes.
+  # counters, metrics — must be the same at every pool size.
   grep -v '"event":"span_end"' "$ci_tmp/trace_$threads.jsonl" | sort \
     > "$ci_tmp/trace_$threads.sorted"
 done
-cmp -s "$ci_tmp/trace_1.sorted" "$ci_tmp/trace_4.sorted" || {
-  echo "trace lines differ between 1 and 4 threads:" >&2
-  diff "$ci_tmp/trace_1.sorted" "$ci_tmp/trace_4.sorted" | head -n 20 >&2
-  exit 1
-}
 test -s "$ci_tmp/flame_1.paths"
-cmp -s "$ci_tmp/flame_1.paths" "$ci_tmp/flame_4.paths" || {
-  echo "flame call paths differ between 1 and 4 threads:" >&2
-  diff "$ci_tmp/flame_1.paths" "$ci_tmp/flame_4.paths" | head -n 20 >&2
-  exit 1
-}
+for threads in 2 4; do
+  cmp -s "$ci_tmp/trace_1.sorted" "$ci_tmp/trace_$threads.sorted" || {
+    echo "trace lines differ between 1 and $threads threads:" >&2
+    diff "$ci_tmp/trace_1.sorted" "$ci_tmp/trace_$threads.sorted" | head -n 20 >&2
+    exit 1
+  }
+  cmp -s "$ci_tmp/flame_1.paths" "$ci_tmp/flame_$threads.paths" || {
+    echo "flame call paths differ between 1 and $threads threads:" >&2
+    diff "$ci_tmp/flame_1.paths" "$ci_tmp/flame_$threads.paths" | head -n 20 >&2
+    exit 1
+  }
+done
 
 echo "== store smoke (put/get/verify round trip, 1 and 4 threads) =="
 # The content-addressed store must round-trip the personalized HRTF
