@@ -62,3 +62,26 @@ fn seed6_personalize_matches_checked_in_fingerprint() {
         "empty-plan fault path drifted from BENCH_BASELINE.json"
     );
 }
+
+/// The paper configuration (`UniqConfig::default()`: 1° output grid, in
+/// room) at seed 801, where a critical-ray arc holds ~25 near-field
+/// entries rather than the 2–3 of the 15° grid above. The bits must not
+/// depend on the pool size.
+#[test]
+fn paper_config_personalize_matches_pinned_fingerprint() {
+    const PINNED: &str = "0x83b1238465f9391c";
+    const SEED: u64 = 801;
+    let subject = Subject::from_seed(SEED);
+    for threads in [1, 4] {
+        let cfg = uniq_core::config::UniqConfig {
+            threads,
+            ..Default::default()
+        };
+        let result = personalize_with_retry(&subject, &cfg, SEED, 3).expect("paper config");
+        assert_eq!(
+            fingerprint_of(SEED, &result),
+            PINNED,
+            "paper-config pipeline drifted at {threads} thread(s)"
+        );
+    }
+}
