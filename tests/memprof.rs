@@ -70,6 +70,10 @@ const HOT_PATH_ALLOWANCE: &[(&str, u64, u64)] = &[
     // (stage, max allocs per call, max bytes per call)
     (uniq_obs::names::SPAN_FUSION, 232, 55_320),
     (uniq_obs::names::SPAN_CHANNEL_ESTIMATE, 6, 245_760),
+    // The output-grid stages also build one buffer per output ear (and
+    // nearfar one arc member list per ear) at each grid angle.
+    (uniq_obs::names::SPAN_NEARFAR_CONVERT, 60, 133_280),
+    (uniq_obs::names::SPAN_NEARFIELD_INTERPOLATE, 34, 132_640),
 ];
 
 #[test]
