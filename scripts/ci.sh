@@ -122,6 +122,16 @@ done
 cmp -s "$ci_tmp/work_1.txt" "$ci_tmp/work_4.txt" \
   || { echo "fusion work counters differ between 1 and 4 threads" >&2; exit 1; }
 
+echo "== paper-config determinism (seed 801, 1 deg grid, identical at 1 and 4 threads) =="
+# The paper configuration, where each critical-ray arc holds ~25
+# near-field entries: the .uhrtf bytes must not depend on the pool size.
+for threads in 1 4; do
+  UNIQ_THREADS=$threads target/release/uniq personalize --seed 801 --grid 1 \
+    --out "$ci_tmp/paper_$threads.uhrtf" > /dev/null
+done
+cmp "$ci_tmp/paper_1.uhrtf" "$ci_tmp/paper_4.uhrtf" \
+  || { echo "paper-config .uhrtf differs between 1 and 4 threads" >&2; exit 1; }
+
 echo "== composed smoke (every observability flag on one faulted run) =="
 # One run under --trace --profile --memprof and a fault plan: the table,
 # the JSON, the Prometheus text and the flame all come from the one
