@@ -15,20 +15,17 @@ pub const OPTIONS_HELP: &str = "\
 \x20   --strict               also run audit-level warning rules\n\
 \x20   --root <path>          workspace root (default: auto-detect\n\
 \x20                          from the current directory)\n\
-\x20   --threads <n>          analysis pool size (0 = default);\n\
-\x20                          diagnostics are identical for any n\n\
 \x20   --out <file>           also write the JSON findings report\n\
-\x20                          (schema 1: summary + findings) there\n\
-\x20   --budget-seconds <s>   warn on stderr if the run exceeds the\n\
-\x20                          wall-time budget (default: 10)";
+\x20                          (schema 1: summary + findings) there";
+
+/// Wall-time budget of one run, seconds: a run over it warns on stderr.
+const BUDGET_SECONDS: f64 = 10.0;
 
 struct Options {
     json: bool,
     strict: bool,
     root: Option<PathBuf>,
-    threads: usize,
     out: Option<PathBuf>,
-    budget_seconds: f64,
 }
 
 fn parse_opts(args: &[String]) -> Result<Options, String> {
@@ -36,9 +33,7 @@ fn parse_opts(args: &[String]) -> Result<Options, String> {
         json: false,
         strict: false,
         root: None,
-        threads: 0,
         out: None,
-        budget_seconds: 10.0,
     };
     let mut it = args.iter();
     while let Some(arg) = it.next() {
@@ -53,17 +48,9 @@ fn parse_opts(args: &[String]) -> Result<Options, String> {
                 Some(p) => opts.root = Some(PathBuf::from(p)),
                 None => return Err("--root expects a path".to_string()),
             },
-            "--threads" => match it.next().and_then(|s| s.parse::<usize>().ok()) {
-                Some(n) => opts.threads = n,
-                None => return Err("--threads expects a number".to_string()),
-            },
             "--out" => match it.next() {
                 Some(p) => opts.out = Some(PathBuf::from(p)),
                 None => return Err("--out expects a path".to_string()),
-            },
-            "--budget-seconds" => match it.next().and_then(|s| s.parse::<f64>().ok()) {
-                Some(s) if s > 0.0 => opts.budget_seconds = s,
-                _ => return Err("--budget-seconds expects a positive number".to_string()),
             },
             other => return Err(format!("unknown option `{other}`")),
         }
@@ -99,7 +86,7 @@ pub fn run_check(args: &[String], usage: &str) -> i32 {
     // wall-time budget, and it confines its clock reads to obs like
     // everyone else.
     let watch = uniq_obs::Stopwatch::start();
-    let report = match analyze_workspace_with(&root, opts.strict, opts.threads) {
+    let report = match analyze_workspace_with(&root, opts.strict) {
         Ok(r) => r,
         Err(e) => {
             eprintln!("error: analysis failed: {e}");
@@ -151,10 +138,9 @@ pub fn run_check(args: &[String], usage: &str) -> i32 {
         );
     }
 
-    if elapsed > opts.budget_seconds {
+    if elapsed > BUDGET_SECONDS {
         eprintln!(
-            "uniq-analyzer: warning: run took {elapsed:.2}s, over the {:.0}s budget",
-            opts.budget_seconds
+            "uniq-analyzer: warning: run took {elapsed:.2}s, over the {BUDGET_SECONDS:.0}s budget"
         );
     }
 

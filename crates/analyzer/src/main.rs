@@ -1,7 +1,6 @@
 //! The `uniq-analyzer` binary: `uniq-analyzer check [--format json]
-//! [--strict] [--root <path>] [--threads <n>] [--out <file>]
-//! [--budget-seconds <s>]`. See the library docs for the rule set. The
-//! same driver backs the `uniq analyze` verb.
+//! [--strict] [--root <path>] [--out <file>]`. See the library docs for
+//! the rule set. The same driver backs the `uniq analyze` verb.
 
 #![forbid(unsafe_code)]
 

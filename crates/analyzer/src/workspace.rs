@@ -11,12 +11,11 @@
 //! `src/` directories the walk visits; `dead-pub` reads the test
 //! trees and examples as references only.
 //!
-//! The driver runs in deterministic parallel phases over `uniq-par`:
-//! file parsing is a `par_map` over the sorted file list, the four
-//! interprocedural rule families fan out as another `par_map`, and all
-//! outputs are index-ordered and then globally sorted — diagnostics are
-//! bit-identical at any thread count (the analyzer holds itself to the
-//! determinism bar it enforces, and a test pins 1 vs 8 threads).
+//! The driver is one sequential pass in phases: parse the sorted file
+//! list, run the line-local rules, build the call graph, run the four
+//! interprocedural rule families and `dead-pub`, then sort every finding
+//! globally — so the report is the same on every run (the analyzer holds
+//! itself to the determinism bar it enforces, and a test pins two runs).
 
 use crate::callgraph::{self, DepClosure};
 use crate::dead_pub;
@@ -254,14 +253,8 @@ fn manifest_package_name(manifest: &str) -> Option<String> {
     None
 }
 
-/// Analyzes every lintable file under `root` on a pool of `threads`
-/// workers (`0` = `UNIQ_THREADS` / machine default). The report is
-/// bit-identical for any `threads` value.
-pub fn analyze_workspace_with(
-    root: &Path,
-    strict: bool,
-    threads: usize,
-) -> io::Result<WorkspaceReport> {
+/// Analyzes every lintable file under `root`.
+pub fn analyze_workspace_with(root: &Path, strict: bool) -> io::Result<WorkspaceReport> {
     let mut specs: Vec<SourceSpec> = Vec::new();
     for (crate_name, src_dir) in discover_units(root)? {
         let mut files = Vec::new();
@@ -293,12 +286,7 @@ pub fn analyze_workspace_with(
     }
     specs.sort_by(|a, b| a.path.cmp(&b.path));
     let deps = workspace_dep_closure(root)?;
-    Ok(analyze_sources_with_deps(
-        &specs,
-        strict,
-        threads,
-        Some(&deps),
-    ))
+    Ok(analyze_sources_with_deps(&specs, strict, Some(&deps)))
 }
 
 /// `path` relative to `root`, with `/` separators.
@@ -338,50 +326,43 @@ fn reference_files(root: &Path) -> io::Result<Vec<PathBuf>> {
 /// rules, the call-graph dataflow families, `dead-pub`, and the
 /// stale-suppression audit. Specs at reference-only paths
 /// ([`dead_pub::is_reference_path`]: integration tests, benches,
-/// examples) are not linted; they only keep public items alive.
-/// Deterministic for any `threads` value. `deps`, when given, restricts
-/// call resolution to each caller crate's dependency closure; `None`
-/// lets every crate pair resolve (the mode the in-memory fixture tests
-/// use — they carry no manifests).
+/// examples) are not linted; they only keep public items alive. `deps`,
+/// when given, restricts call resolution to each caller crate's
+/// dependency closure; `None` lets every crate pair resolve (the mode
+/// the in-memory fixture tests use — they carry no manifests).
 pub fn analyze_sources_with_deps(
     specs: &[SourceSpec],
     strict: bool,
-    threads: usize,
     deps: Option<&DepClosure>,
 ) -> WorkspaceReport {
-    let pool = uniq_par::pool(threads);
-
-    // Phase 1: parse (parallel, index-ordered).
+    // Phase 1: parse.
     let (ref_specs, lint_specs): (Vec<&SourceSpec>, Vec<&SourceSpec>) = specs
         .iter()
         .partition(|s| dead_pub::is_reference_path(&s.path));
     let parse =
         |s: &&SourceSpec| SourceFile::parse(&s.path, &s.crate_name, s.is_crate_root, &s.text);
-    let files: Vec<SourceFile> = pool.par_map(&lint_specs, parse);
-    let refs: Vec<SourceFile> = pool.par_map(&ref_specs, parse);
+    let files: Vec<SourceFile> = lint_specs.iter().map(parse).collect();
+    let refs: Vec<SourceFile> = ref_specs.iter().map(parse).collect();
 
-    // Phase 2: line-local rules (parallel per file). Strict-only rules
-    // are always *generated* so their suppressions register as used;
-    // emission is filtered afterwards.
-    let per_file: Vec<(Vec<Diagnostic>, Vec<UsedSuppression>)> = {
-        let files_ref = &files;
-        pool.par_map(&(0..files.len()).collect::<Vec<_>>(), move |&i| {
-            let file = &files_ref[i];
-            let mut kept = Vec::new();
-            let mut used = Vec::new();
-            for d in rules::raw_findings(file, true) {
-                if file.is_suppressed(d.rule, d.line) {
-                    used.push((i, d.line, d.rule));
-                } else if strict || d.rule != "slice-index" {
-                    kept.push(d);
-                }
+    // Phase 2: line-local rules. Strict-only rules are always
+    // *generated* so their suppressions register as used; emission is
+    // filtered afterwards.
+    let mut diagnostics: Vec<Diagnostic> = Vec::new();
+    let mut used: Vec<UsedSuppression> = Vec::new();
+    for (i, file) in files.iter().enumerate() {
+        let mut kept = Vec::new();
+        for d in rules::raw_findings(file, true) {
+            if file.is_suppressed(d.rule, d.line) {
+                used.push((i, d.line, d.rule));
+            } else if strict || d.rule != "slice-index" {
+                kept.push(d);
             }
-            rules::check_suppressions(file, &mut kept);
-            (kept, used)
-        })
-    };
+        }
+        rules::check_suppressions(file, &mut kept);
+        diagnostics.extend(kept);
+    }
 
-    // Phase 3: symbols → call graph → facts (cheap, serial).
+    // Phase 3: symbols → call graph → facts.
     let mut fns = Vec::new();
     for (i, f) in files.iter().enumerate() {
         fns.extend(symbols::extract_fns(f, i));
@@ -390,29 +371,16 @@ pub fn analyze_sources_with_deps(
     let hot_spans = hot_span_consts(&files);
     let fn_facts = facts::extract(&files, &graph, &hot_spans);
 
-    // Phase 4: the four dataflow families and `dead-pub` (parallel,
-    // index-ordered).
-    let flow_outputs: Vec<FlowOutput> = {
-        let files_ref = &files;
-        let refs_ref = &refs;
-        let graph_ref = &graph;
-        let facts_ref = &fn_facts;
-        pool.par_map(&[0usize, 1, 2, 3, 4], move |&family| match family {
-            0 => flow_rules::determinism_taint(files_ref, graph_ref, facts_ref),
-            1 => flow_rules::panic_reachability(files_ref, graph_ref, facts_ref, strict),
-            2 => flow_rules::lock_order(files_ref, graph_ref, facts_ref),
-            3 => flow_rules::hot_path_alloc(files_ref, graph_ref, facts_ref),
-            _ => dead_pub::dead_pub(files_ref, refs_ref),
-        })
-    };
+    // Phase 4: the four dataflow families and `dead-pub`.
+    let flow_outputs: [FlowOutput; 5] = [
+        flow_rules::determinism_taint(&files, &graph, &fn_facts),
+        flow_rules::panic_reachability(&files, &graph, &fn_facts, strict),
+        flow_rules::lock_order(&files, &graph, &fn_facts),
+        flow_rules::hot_path_alloc(&files, &graph, &fn_facts),
+        dead_pub::dead_pub(&files, &refs),
+    ];
 
     // Phase 5: merge, then the stale-suppression audit.
-    let mut diagnostics: Vec<Diagnostic> = Vec::new();
-    let mut used: Vec<UsedSuppression> = Vec::new();
-    for (kept, u) in per_file {
-        diagnostics.extend(kept);
-        used.extend(u);
-    }
     for out in flow_outputs {
         diagnostics.extend(out.diags);
         used.extend(out.used);

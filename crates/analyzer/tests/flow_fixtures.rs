@@ -23,14 +23,14 @@ fn spec(path: &str, crate_name: &str, text: &str) -> SourceSpec {
 /// Analyzes `specs`, dropping `dead-pub` findings: the flow fixtures'
 /// entry points have their callers outside the fixture.
 fn run(specs: &[SourceSpec], strict: bool) -> WorkspaceReport {
-    let mut report = analyze_sources_with_deps(specs, strict, 1, None);
+    let mut report = analyze_sources_with_deps(specs, strict, None);
     report.diagnostics.retain(|d| d.rule != "dead-pub");
     report
 }
 
 /// The `dead-pub` findings of `specs` as `(file, line, message)`.
 fn dead_pub_findings(specs: &[SourceSpec]) -> Vec<(String, u32, String)> {
-    analyze_sources_with_deps(specs, false, 1, None)
+    analyze_sources_with_deps(specs, false, None)
         .diagnostics
         .into_iter()
         .filter(|d| d.rule == "dead-pub")
@@ -316,7 +316,7 @@ mod tests {
             "fn main() { uniq_core::api::from_bench(); let x: Option<u8> = None; x.unwrap(); }\n",
         ),
     ];
-    let report = analyze_sources_with_deps(&specs, false, 1, None);
+    let report = analyze_sources_with_deps(&specs, false, None);
     assert!(report.diagnostics.is_empty(), "{:#?}", report.diagnostics);
     assert_eq!(report.files_analyzed, 2, "reference files are not linted");
 }
@@ -476,12 +476,8 @@ fn reader() -> u32 {
     USED
 }
 ";
-    let report = analyze_sources_with_deps(
-        &[spec("crates/obs/src/names.rs", "obs", src)],
-        false,
-        1,
-        None,
-    );
+    let report =
+        analyze_sources_with_deps(&[spec("crates/obs/src/names.rs", "obs", src)], false, None);
     assert_eq!(report.suppressions, 2);
     assert_eq!(report.stale_suppressions, 1);
     assert_eq!(report.diagnostics.len(), 1, "{:#?}", report.diagnostics);

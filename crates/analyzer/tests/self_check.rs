@@ -12,7 +12,7 @@ fn workspace_has_zero_unsuppressed_findings() {
         .join("../..")
         .canonicalize()
         .expect("workspace root resolves");
-    let report = analyze_workspace_with(&root, false, 0).expect("analysis runs");
+    let report = analyze_workspace_with(&root, false).expect("analysis runs");
     assert!(
         report.files_analyzed > 50,
         "walk found too few files — did the layout change?"
@@ -34,16 +34,16 @@ fn workspace_has_zero_unsuppressed_findings() {
 }
 
 #[test]
-fn diagnostics_are_bit_identical_at_one_and_eight_threads() {
+fn diagnostics_are_identical_across_runs() {
     // The analyzer holds itself to the determinism bar it enforces: the
     // whole report — findings, traces, counts — must not depend on the
-    // pool width used to produce it.
+    // run that produced it.
     let root = std::path::Path::new(env!("CARGO_MANIFEST_DIR"))
         .join("../..")
         .canonicalize()
         .expect("workspace root resolves");
-    let json_of = |threads: usize| {
-        let report = analyze_workspace_with(&root, true, threads).expect("analysis runs");
+    let json_of = || {
+        let report = analyze_workspace_with(&root, true).expect("analysis runs");
         to_json_report(
             &report.diagnostics,
             &ReportSummary {
@@ -54,7 +54,7 @@ fn diagnostics_are_bit_identical_at_one_and_eight_threads() {
             },
         )
     };
-    assert_eq!(json_of(1), json_of(8));
+    assert_eq!(json_of(), json_of());
 }
 
 #[test]

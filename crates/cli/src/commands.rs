@@ -667,7 +667,7 @@ pub fn usage() -> String {
      \x20     the run\n\
      \n\
      quality gates:\n\
-     \x20 analyze [--strict] [--format text|json] [--out FILE] [--threads N]\n\
+     \x20 analyze [--strict] [--format text|json] [--out FILE]\n\
      \x20     whole-workspace static analysis: line-local rules plus the\n\
      \x20     call-graph determinism / panic-reachability / lock-order /\n\
      \x20     hot-path-allocation lints (exit 1 on findings)\n\

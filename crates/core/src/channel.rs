@@ -99,10 +99,14 @@ pub struct StopQuality {
 
 /// Scores an estimated channel: first-tap SNR (worst ear) mapped onto
 /// `[0, 1]`, zeroed outright when the inter-ear delay is physically
-/// impossible for any head in the anthropometric box.
+/// impossible for any head in the anthropometric box. Each ear's SNR is
+/// emitted as `channel.first_tap_snr_db`.
 pub fn stop_quality(channel: &EstimatedChannel, cfg: &UniqConfig) -> StopQuality {
     let left = first_tap_snr_db(&channel.ir.left, channel.tap_left);
     let right = first_tap_snr_db(&channel.ir.right, channel.tap_right);
+    for snr in [left, right].into_iter().flatten() {
+        uniq_obs::metric(uniq_obs::names::CHANNEL_FIRST_TAP_SNR_DB, snr, "dB");
+    }
     let snr_db = match (left, right) {
         (Some(l), Some(r)) => Some(l.min(r)),
         (Some(v), None) | (None, Some(v)) => Some(v),
@@ -173,17 +177,6 @@ pub fn estimate_channel(
 
     let tl = first_tap(&left, TAP_THRESHOLD).ok_or(ChannelError::NoFirstTap)?;
     let tr = first_tap(&right, TAP_THRESHOLD).ok_or(ChannelError::NoFirstTap)?;
-
-    if uniq_obs::enabled() {
-        // First-tap SNR: tap amplitude against the RMS of the pre-tap
-        // noise floor. Diagnostic only — gated so the disabled path does
-        // no extra passes over the channel.
-        for (sig, tap) in [(&left, &tl), (&right, &tr)] {
-            if let Some(snr) = first_tap_snr_db(sig, tap.position) {
-                uniq_obs::metric(uniq_obs::names::CHANNEL_FIRST_TAP_SNR_DB, snr, "dB");
-            }
-        }
-    }
 
     // Gate room reflections: keep `room_gate_s` after the earlier tap.
     let gate =

@@ -12,8 +12,9 @@
 //! distance residuals with a weak angular prior toward the IMU hints, and
 //! the head fit extends to four parameters `(a, b, c, h)`.
 
-use crate::channel::{estimate_channel, ChannelError, EstimatedChannel};
+use crate::channel::{estimate_channel, EstimatedChannel};
 use crate::config::UniqConfig;
+use crate::session::SessionError;
 use uniq_acoustics::measure::{record_through, MeasurementSetup};
 use uniq_acoustics::render3d::Renderer3;
 use uniq_geometry::elevation::{path_to_ear_3d_res, Head3, Vec3};
@@ -216,15 +217,15 @@ pub struct StopMeasurement3 {
 /// forward model.
 ///
 /// # Errors
-/// Returns [`ChannelError`] when a stop's channel has no detectable taps.
+/// Returns [`SessionError::Config`] if `cfg` fails validation, or
+/// [`SessionError::Stop`] when a stop's channel has no detectable taps.
 pub fn run_session_3d(
     subject: &Subject,
     cfg: &UniqConfig,
     per_ring: usize,
     seed: u64,
-) -> Result<Vec<StopMeasurement3>, ChannelError> {
-    // uniq-analyzer: allow(panic-safety) — defensive re-check: public entry points (run_session, personalize) validate first and return ConfigError
-    cfg.validate().expect("invalid UniqConfig");
+) -> Result<Vec<StopMeasurement3>, SessionError> {
+    cfg.validate().map_err(SessionError::Config)?;
     let head3 = Head3::new(subject.head, 0.105 + (subject.id % 7) as f64 * 0.002);
     let renderer = Renderer3::new(
         head3,
@@ -258,7 +259,8 @@ pub fn run_session_3d(
             // uniq-analyzer: allow(panic-safety) — ring stops are generated on a sphere strictly outside the head radius
             .expect("gesture stays outside the head");
         let rec = record_through(&ir, &setup, &probe, seed.wrapping_add(100 + i as u64));
-        let channel = estimate_channel(&rec, &probe, &system_ir, cfg)?;
+        let channel = estimate_channel(&rec, &probe, &system_ir, cfg)
+            .map_err(|error| SessionError::Stop { stop: i, error })?;
         out.push(StopMeasurement3 {
             input: FusionInput3 {
                 alpha_az_deg: az_int[idx],
@@ -330,6 +332,19 @@ mod tests {
         for s in &stops {
             assert!(s.input.d_left_m > 0.1 && s.input.d_left_m < 1.5);
         }
+    }
+
+    #[test]
+    fn session_3d_rejects_an_invalid_config() {
+        let subject = Subject::from_seed(120);
+        let c = UniqConfig {
+            grid_step_deg: 0.0,
+            ..cfg()
+        };
+        assert!(matches!(
+            run_session_3d(&subject, &c, 5, 9),
+            Err(SessionError::Config(_))
+        ));
     }
 
     #[test]

@@ -125,6 +125,12 @@ fn blend_aligned(ea: &[f64], eb: &[f64], taps: (Option<f64>, Option<f64>), t: f6
 /// from the diffraction model's prediction for (E_opt, θ, r), shift the
 /// channel taps to the expected time and rescale to the expected
 /// spreading amplitude.
+///
+/// The deviation it corrects is the paper's interpolation-quality check
+/// ("modeling the diffraction from the known head parameters E and the
+/// location L"): each ear's `|offset|` is emitted as
+/// `nearfield.interp_tap_dev`, so large values flag angles whose
+/// bracketing measurements disagree with the fused geometry.
 fn model_correct(
     ir: &mut BinauralIr,
     boundary: &HeadBoundary,
@@ -134,19 +140,26 @@ fn model_correct(
 ) {
     let pos = unit_from_theta(theta_deg) * radius;
     for (sig, ear) in [(&mut ir.left, Ear::Left), (&mut ir.right, Ear::Right)] {
-        if let Some(path) = path_to_ear(boundary, pos, ear) {
-            shift_first_tap_to(sig, cfg.render.metres_to_samples(path.length));
+        let offset = path_to_ear(boundary, pos, ear)
+            .and_then(|path| shift_first_tap_to(sig, cfg.render.metres_to_samples(path.length)));
+        if let Some(offset) = offset {
+            uniq_obs::metric(
+                uniq_obs::names::NEARFIELD_INTERP_TAP_DEV,
+                offset.abs(),
+                "samples",
+            );
         }
     }
 }
 
 /// Shifts `sig` in place by whole samples so its [`TAP_THRESHOLD`] first
-/// tap lands at sample `expect` (rounded to the nearest shift); leaves it
-/// as it is when it has no tap.
-pub(crate) fn shift_first_tap_to(sig: &mut [f64], expect: f64) {
-    if let Some(tap) = first_tap(sig, TAP_THRESHOLD) {
-        shift_signal_in_place(sig, (expect - tap.position).round() as isize);
-    }
+/// tap lands at sample `expect` (rounded to the nearest shift), and
+/// returns the offset `expect − tap` it found before the shift; leaves
+/// `sig` as it is and returns `None` when it has no tap.
+pub(crate) fn shift_first_tap_to(sig: &mut [f64], expect: f64) -> Option<f64> {
+    let offset = expect - first_tap(sig, TAP_THRESHOLD)?.position;
+    shift_signal_in_place(sig, offset.round() as isize);
+    Some(offset)
 }
 
 #[cfg(test)]
@@ -336,6 +349,62 @@ mod tests {
         }
     }
 
+    /// The `nearfield.interp_tap_dev` series `interpolate` emits for
+    /// `bank` at a 1-thread pool, so the series is in grid order: left
+    /// then right ear at each grid angle.
+    fn tap_devs(bank: &HrirBank, head: HeadParams, grid_step_deg: f64) -> (Vec<f64>, usize) {
+        let c = UniqConfig {
+            grid_step_deg,
+            threads: 1,
+            ..UniqConfig::fast_test()
+        };
+        let fusion = perfect_fusion(head, &[], 0.4);
+        let sink = std::sync::Arc::new(uniq_obs::sink::MemorySink::new());
+        uniq_obs::with_sink(sink.clone(), || interpolate(bank, &fusion, &c, 0.4));
+        (
+            sink.metric_values(uniq_obs::names::NEARFIELD_INTERP_TAP_DEV),
+            c.output_grid().len(),
+        )
+    }
+
+    #[test]
+    fn interpolated_bank_scores_tight_deviations() {
+        let c = cfg();
+        let head = HeadParams::average_adult();
+        let angles: Vec<f64> = (0..=12).map(|k| k as f64 * 15.0).collect();
+        let bank = measured_bank(head, &angles, 0.4, &c);
+        let (devs, grid_len) = tap_devs(&bank, head, 15.0);
+        assert_eq!(devs.len(), 2 * grid_len, "one deviation per ear per angle");
+        for (k, d) in devs.iter().enumerate() {
+            assert!(*d < 2.5, "θ={}: deviation {d}", 15 * (k / 2));
+        }
+    }
+
+    #[test]
+    fn corrupted_bank_flagged() {
+        let c = cfg();
+        let head = HeadParams::average_adult();
+        let angles: Vec<f64> = (0..=6).map(|k| k as f64 * 30.0).collect();
+        let bank = measured_bank(head, &angles, 0.4, &c);
+        // Misalign the 90° HRIR by 20 samples: the check must notice.
+        let mut pairs: Vec<(f64, BinauralIr)> = bank
+            .angles()
+            .iter()
+            .zip(bank.irs())
+            .map(|(&a, ir)| (a, ir.clone()))
+            .collect();
+        pairs[3].1 = BinauralIr::new(
+            shift_signal(&pairs[3].1.left, 20),
+            shift_signal(&pairs[3].1.right, 20),
+        );
+        let corrupted = HrirBank::new(pairs, c.render.sample_rate);
+        let (devs, grid_len) = tap_devs(&corrupted, head, 30.0);
+        assert_eq!(devs.len(), 2 * grid_len);
+        // Grid index 3 is 90°: its left ear is series entry 6.
+        assert!(devs[6] > 15.0, "misalignment not flagged: {devs:?}");
+        assert!(devs[0] < 3.0, "clean 0° flagged: {devs:?}");
+    }
+
     #[test]
     fn assemble_skips_failed_stops() {
         let c = cfg();
@@ -374,127 +443,5 @@ mod tests {
         let mut fusion = perfect_fusion(head, &[0.0, 90.0, 180.0], 0.4);
         fusion.stops[2].radius_m = f64::NAN;
         assert!((mean_radius(&fusion) - 0.4).abs() < 1e-12);
-    }
-}
-
-/// §4.2 interpolation quality assessment: per-angle deviation between the
-/// interpolated HRIRs' first taps and the diffraction model's prediction.
-///
-/// "For a given interpolated location L and HRTF H_L, we can partly assess
-/// the quality of interpolation (by modeling the diffraction from the
-/// known head parameters E and the location L)." Returned deviations are
-/// in samples (per ear, absolute); large values flag angles whose
-/// bracketing measurements disagree with the fused geometry.
-pub fn interpolation_quality(
-    bank: &HrirBank,
-    fusion: &FusionResult,
-    cfg: &UniqConfig,
-    radius: f64,
-) -> Vec<(f64, f64, f64)> {
-    let boundary = HeadBoundary::new(fusion.head, cfg.inverse_resolution);
-    bank.angles()
-        .iter()
-        .zip(bank.irs())
-        .map(|(&theta, ir)| {
-            let pos = unit_from_theta(theta) * radius;
-            let dev = |sig: &[f64], ear: Ear| -> f64 {
-                let Some(path) = path_to_ear(&boundary, pos, ear) else {
-                    return f64::NAN;
-                };
-                let expect = cfg.render.metres_to_samples(path.length);
-                match first_tap(sig, TAP_THRESHOLD) {
-                    Some(tap) => (tap.position - expect).abs(),
-                    None => f64::NAN,
-                }
-            };
-            (theta, dev(&ir.left, Ear::Left), dev(&ir.right, Ear::Right))
-        })
-        .collect()
-}
-
-#[cfg(test)]
-mod quality_tests {
-    use super::*;
-    use uniq_acoustics::pinna::PinnaModel;
-    use uniq_acoustics::render::Renderer;
-    use uniq_dsp::align::shift_signal;
-    use uniq_geometry::HeadParams;
-
-    #[test]
-    fn interpolated_bank_scores_tight_deviations() {
-        let cfg = UniqConfig {
-            grid_step_deg: 15.0,
-            ..UniqConfig::fast_test()
-        };
-        let head = HeadParams::average_adult();
-        let r = Renderer::new(
-            HeadBoundary::new(head, 2048),
-            PinnaModel::from_seed(991),
-            PinnaModel::from_seed(992),
-            cfg.render,
-        );
-        let angles: Vec<f64> = (0..=12).map(|k| k as f64 * 15.0).collect();
-        let bank = r
-            .near_field_bank(&angles, 0.4)
-            .expect("test radius clears the head");
-        let fusion = FusionResult {
-            head,
-            stops: vec![],
-            final_thetas_deg: vec![],
-            mean_residual_deg: 0.0,
-            objective: 0.0,
-        };
-        let interp = interpolate(&bank, &fusion, &cfg, 0.4);
-        let quality = interpolation_quality(&interp, &fusion, &cfg, 0.4);
-        assert_eq!(quality.len(), interp.len());
-        for (theta, dl, dr) in quality {
-            assert!(dl.is_finite() && dr.is_finite(), "no tap at {theta}");
-            assert!(dl < 2.5 && dr < 2.5, "θ={theta}: deviation {dl}/{dr}");
-        }
-    }
-
-    #[test]
-    fn corrupted_bank_flagged() {
-        let cfg = UniqConfig {
-            grid_step_deg: 30.0,
-            ..UniqConfig::fast_test()
-        };
-        let head = HeadParams::average_adult();
-        let r = Renderer::new(
-            HeadBoundary::new(head, 1024),
-            PinnaModel::from_seed(993),
-            PinnaModel::from_seed(994),
-            cfg.render,
-        );
-        let angles: Vec<f64> = (0..=6).map(|k| k as f64 * 30.0).collect();
-        let bank = r
-            .near_field_bank(&angles, 0.4)
-            .expect("test radius clears the head");
-        // Misalign one HRIR by 20 samples: the diagnostic must notice.
-        let mut pairs: Vec<(f64, BinauralIr)> = bank
-            .angles()
-            .iter()
-            .zip(bank.irs())
-            .map(|(&a, ir)| (a, ir.clone()))
-            .collect();
-        pairs[3].1 = BinauralIr::new(
-            shift_signal(&pairs[3].1.left, 20),
-            shift_signal(&pairs[3].1.right, 20),
-        );
-        let corrupted = HrirBank::new(pairs, cfg.render.sample_rate);
-        let fusion = FusionResult {
-            head,
-            stops: vec![],
-            final_thetas_deg: vec![],
-            mean_residual_deg: 0.0,
-            objective: 0.0,
-        };
-        let quality = interpolation_quality(&corrupted, &fusion, &cfg, 0.4);
-        assert!(
-            quality[3].1 > 15.0,
-            "misalignment not flagged: {:?}",
-            quality[3]
-        );
-        assert!(quality[0].1 < 3.0);
     }
 }

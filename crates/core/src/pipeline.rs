@@ -205,31 +205,6 @@ fn attempt(
     }
     let discrete = assemble_discrete(&session, &fusion, cfg);
     let near = interpolate(&discrete, &fusion, cfg, radius);
-    if uniq_obs::enabled() {
-        // §4.2 interpolation-quality diagnostics: per-ear first-tap
-        // deviation from the diffraction model, aggregated over the grid.
-        // Gated because it re-walks the whole interpolated bank.
-        let quality = crate::nearfield::interpolation_quality(&near, &fusion, cfg, radius);
-        let devs: Vec<f64> = quality
-            .iter()
-            .flat_map(|&(_, dl, dr)| [dl, dr])
-            .filter(|d| d.is_finite())
-            .collect();
-        if !devs.is_empty() {
-            let mean = devs.iter().sum::<f64>() / devs.len() as f64;
-            let max = devs.iter().copied().fold(f64::NEG_INFINITY, f64::max);
-            uniq_obs::metric(
-                uniq_obs::names::NEARFIELD_INTERP_TAP_DEV_MEAN,
-                mean,
-                "samples",
-            );
-            uniq_obs::metric(
-                uniq_obs::names::NEARFIELD_INTERP_TAP_DEV_MAX,
-                max,
-                "samples",
-            );
-        }
-    }
     let far = crate::nearfar::convert(&near, &fusion, cfg, radius);
 
     let localization = session

@@ -9,7 +9,9 @@
 //! 1. **Disabled is free.** With no sink installed, every instrumentation
 //!    point is one relaxed atomic load and a branch. The pipeline's numeric
 //!    output is identical with or without a sink — instrumentation only
-//!    observes, never steers.
+//!    observes, never steers — and so is its work: callers cannot ask
+//!    whether a sink is installed, so a diagnostic is emitted by the pass
+//!    that already computes it, never by an extra pass.
 //! 2. **Scoped, not global-only.** Tests and concurrent callers install a
 //!    sink for one closure on one thread ([`with_sink`]); long-lived
 //!    processes (the CLI) may install a process-wide default
@@ -316,10 +318,11 @@ impl Drop for TraceGuard {
 }
 
 /// Whether any sink could currently receive events. This is the cheap
-/// enabled-check instrumentation sites use before doing *any* other work;
-/// when it returns `false` the cost is one relaxed atomic load.
+/// check every instrumentation point makes before doing *any* other work;
+/// when it returns `false` the cost is one relaxed atomic load. Private:
+/// a sink only reads events, so no caller may gate work on it.
 #[inline]
-pub fn enabled() -> bool {
+fn enabled() -> bool {
     ACTIVE_SINKS.load(Ordering::Relaxed) != 0 && current_sink().is_some()
 }
 

@@ -19,7 +19,8 @@ pub const BATCH_SUBJECTS: &str = "batch.subjects";
 /// Subjects whose personalization failed after retries (counter).
 pub const BATCH_FAILURES: &str = "batch.failures";
 
-/// SNR of the detected first tap during channel estimation, dB.
+/// SNR of one ear's first tap in a session's channel estimate, dB: the
+/// value the stop's quality score reads. One per ear per estimate.
 pub const CHANNEL_FIRST_TAP_SNR_DB: &str = "channel.first_tap_snr_db";
 
 /// Per-stop localization residual against ground truth, degrees.
@@ -51,10 +52,10 @@ pub const GESTURE_REJECTED: &str = "gesture.rejected";
 /// Gesture retries after a rejected attempt (counter).
 pub const GESTURE_RETRY: &str = "gesture.retry";
 
-/// Mean absolute first-tap deviation of interpolated HRIRs, samples.
-pub const NEARFIELD_INTERP_TAP_DEV_MEAN: &str = "nearfield.interp_tap_dev_mean";
-/// Max absolute first-tap deviation of interpolated HRIRs, samples.
-pub const NEARFIELD_INTERP_TAP_DEV_MAX: &str = "nearfield.interp_tap_dev_max";
+/// §4.2 interpolation check: absolute deviation of an interpolated HRIR's
+/// first tap from the diffraction model's delay, *before* the model
+/// correction moves it there, samples. One per ear per grid angle.
+pub const NEARFIELD_INTERP_TAP_DEV: &str = "nearfield.interp_tap_dev";
 
 /// Measurement stops accepted into a session.
 pub const SESSION_STOPS: &str = "session.stops";
@@ -174,8 +175,7 @@ pub const ALL_METRICS: &[&str] = &[
     PERSONALIZE_ATTEMPTS,
     GESTURE_REJECTED,
     GESTURE_RETRY,
-    NEARFIELD_INTERP_TAP_DEV_MEAN,
-    NEARFIELD_INTERP_TAP_DEV_MAX,
+    NEARFIELD_INTERP_TAP_DEV,
     SESSION_STOPS,
     SESSION_STOP_QUALITY,
     SESSION_STOPS_DROPPED,

@@ -395,7 +395,13 @@ fn listener_loop(
                 ctx.run(|| connection_loop(&inner, stream));
             })
             .expect("spawn connection handler");
-        lock(conns).push(handle);
+        // Join the handlers of closed connections as new ones arrive, so
+        // a long-running server holds only the live threads.
+        let mut conns = lock(conns);
+        for done in conns.extract_if(.., |conn| conn.is_finished()) {
+            let _ = done.join();
+        }
+        conns.push(handle);
     }
 }
 
@@ -753,5 +759,44 @@ mod tests {
         let drain = server.shutdown();
         assert_eq!(drain.stats.ok, 1);
         assert!(drain.fingerprints.contains_key(&11));
+    }
+
+    #[test]
+    fn closed_connections_release_their_threads() {
+        let server = Server::start(
+            "127.0.0.1:0",
+            ServeConfig {
+                shards: 1,
+                ..ServeConfig::default()
+            },
+        )
+        .expect("start server");
+        const K: usize = 6;
+        for _ in 0..K {
+            let mut stream = TcpStream::connect(server.local_addr()).expect("connect");
+            stream
+                .write_all(b"{\"type\":\"ping\"}\n")
+                .expect("send ping");
+            let mut line = String::new();
+            BufReader::new(&stream)
+                .read_line(&mut line)
+                .expect("read reply");
+            assert!(line.contains("pong"), "reply: {line}");
+            drop(stream);
+            // Wait for the handler to see the close, so the next accept
+            // finds it finished.
+            let deadline = std::time::Instant::now() + Duration::from_secs(5);
+            while !lock(&server.conns).iter().all(|conn| conn.is_finished()) {
+                assert!(std::time::Instant::now() < deadline, "handler never exited");
+                std::thread::sleep(Duration::from_millis(2));
+            }
+        }
+        // No connection is open, so only the last one's handle may be left.
+        assert!(
+            lock(&server.conns).len() <= 1,
+            "{} handles kept",
+            lock(&server.conns).len()
+        );
+        server.shutdown();
     }
 }

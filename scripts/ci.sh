@@ -46,8 +46,7 @@ echo "== uniq-analyzer (line-local rules + call-graph dataflow, 10s budget) =="
 # lock order, hot-path allocation). The run self-times via the obs
 # stopwatch and warns on stderr past the wall-time budget; the JSON
 # findings report (schema 1) lands in bench_results/ for tooling.
-cargo run -q -p uniq-analyzer -- check \
-  --out bench_results/analyzer_findings.json --budget-seconds 10
+cargo run -q -p uniq-analyzer -- check --out bench_results/analyzer_findings.json
 # Warn tier: public items nothing outside their own file's tests uses
 # (`dead-pub`) are printed, never fatal.
 dead_pub=$(grep -o '"dead-pub":[0-9]*' bench_results/analyzer_findings.json | cut -d: -f2 || true)
@@ -274,6 +273,13 @@ for threads in 1 2 4; do
     > "$ci_tmp/trace_report.log"
   grep -q "critical path:" "$ci_tmp/trace_report.log"
   grep -q "uniq_personalize_ns_count" "$ci_tmp/telemetry_$threads.prom"
+  # The §4.2 interpolation check: one deviation per ear per grid angle
+  # (13 angles at 15 degrees).
+  devs=$(grep -c '"name":"nearfield.interp_tap_dev"' "$ci_tmp/trace_$threads.jsonl" || true)
+  [ "$devs" -eq 26 ] || {
+    echo "$threads threads: $devs nearfield.interp_tap_dev lines, expected 26" >&2
+    exit 1
+  }
   # Every line but span_end (which carries wall time) — ids, depths,
   # counters, metrics — must be the same at every pool size.
   grep -v '"event":"span_end"' "$ci_tmp/trace_$threads.jsonl" | sort \

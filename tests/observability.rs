@@ -97,10 +97,8 @@ fn pipeline_records_quality_metrics() {
     let attempts = memory.metric_values("personalize.attempts");
     assert_eq!(attempts.last().copied(), Some(result.attempts as f64));
 
-    // Interpolation-quality diagnostics are emitted when a sink is active.
-    assert!(!memory
-        .metric_values("nearfield.interp_tap_dev_mean")
-        .is_empty());
+    // The §4.2 interpolation check is emitted by the model correction.
+    assert!(!memory.metric_values("nearfield.interp_tap_dev").is_empty());
 }
 
 fn assert_results_identical(a: &PersonalizationResult, b: &PersonalizationResult) {
