@@ -1,6 +1,6 @@
 //! The `uniq-analyzer` binary: `uniq-analyzer check [--format json]
 //! [--strict] [--root <path>] [--out <file>]`. See the library docs for
-//! the rule set. The same driver backs the `uniq analyze` verb.
+//! the rule set. The same `cli::run_check` backs the `uniq analyze` verb.
 
 #![forbid(unsafe_code)]
 

@@ -11,7 +11,7 @@
 //! `src/` directories the walk visits; `dead-pub` reads the test
 //! trees and examples as references only.
 //!
-//! The driver is one sequential pass in phases: parse the sorted file
+//! The analysis is one sequential pass in phases: parse the sorted file
 //! list, run the line-local rules, build the call graph, run the four
 //! interprocedural rule families and `dead-pub`, then sort every finding
 //! globally — so the report is the same on every run (the analyzer holds
