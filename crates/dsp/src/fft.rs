@@ -10,6 +10,11 @@
 //! output is bitwise what the plain recurrence-per-block loop produces,
 //! which the unit tests keep as their oracle.
 //!
+//! Every transform emits [`DSP_TRANSFORMS`](uniq_obs::names::DSP_TRANSFORMS)
+//! and its `n·log₂n` as
+//! [`DSP_TRANSFORM_POINTS`](uniq_obs::names::DSP_TRANSFORM_POINTS), once per
+//! call: an exact, thread-count-free measure of the FFT work a stage does.
+//!
 //! Conventions: forward transform is un-normalized
 //! (`X[k] = Σ x[n]·e^{-2πikn/N}`), the inverse divides by `N`, so
 //! `ifft(fft(x)) == x`.
@@ -134,10 +139,15 @@ fn build_twiddles(n: usize, inverse: bool) -> Box<[Complex]> {
 fn transform(buf: &mut [Complex], inverse: bool) {
     let n = buf.len();
     assert!(is_pow2(n), "FFT size {n} is not a power of two");
+    let bits = n.trailing_zeros();
+    uniq_obs::counter(uniq_obs::names::DSP_TRANSFORMS, 1);
+    uniq_obs::counter(
+        uniq_obs::names::DSP_TRANSFORM_POINTS,
+        (n as u64) * u64::from(bits),
+    );
     if n <= 1 {
         return;
     }
-    let bits = n.trailing_zeros();
     bit_reverse(buf, bits);
     let table = twiddles(bits, inverse);
 

@@ -23,6 +23,13 @@ pub const BATCH_FAILURES: &str = "batch.failures";
 /// value the stop's quality score reads. One per ear per estimate.
 pub const CHANNEL_FIRST_TAP_SNR_DB: &str = "channel.first_tap_snr_db";
 
+/// FFTs run, forward and inverse, one per transform call (counter;
+/// deterministic at any thread count).
+pub const DSP_TRANSFORMS: &str = "dsp.transforms";
+/// Transform points `Σ n·log₂n` over the FFTs run: the butterfly work
+/// behind [`DSP_TRANSFORMS`] (counter; deterministic at any thread count).
+pub const DSP_TRANSFORM_POINTS: &str = "dsp.transform_points";
+
 /// Per-stop localization residual against ground truth, degrees.
 pub const FUSION_STOP_RESIDUAL_DEG: &str = "fusion.stop_residual_deg";
 /// Number of stops the fusion localized (out of the sweep).
@@ -164,6 +171,8 @@ pub const ALL_METRICS: &[&str] = &[
     BATCH_SUBJECTS,
     BATCH_FAILURES,
     CHANNEL_FIRST_TAP_SNR_DB,
+    DSP_TRANSFORMS,
+    DSP_TRANSFORM_POINTS,
     FUSION_STOP_RESIDUAL_DEG,
     FUSION_LOCALIZED_STOPS,
     FUSION_MEAN_RESIDUAL_DEG,
