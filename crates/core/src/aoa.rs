@@ -43,7 +43,7 @@
 
 use std::sync::Arc;
 
-use crate::channel::deconvolve_ears;
+use crate::channel::wiener_operator;
 use crate::config::{UniqConfig, AOA_LAMBDA, TAP_THRESHOLD};
 use uniq_acoustics::measure::BinauralRecording;
 use uniq_acoustics::types::{BinauralIr, HrirBank};
@@ -114,14 +114,12 @@ pub fn estimate_known_source(
     cfg: &UniqConfig,
 ) -> f64 {
     let _span = uniq_obs::span(uniq_obs::names::SPAN_AOA_KNOWN);
-    // Ear channels by deconvolution with the known source.
+    // Ear channels by deconvolution with the known source, both ears in
+    // one complex transform.
+    let (left, right) = (&recording.left, &recording.right);
+    let (ch_left, ch_right) = wiener_operator(source, left.len().max(right.len()), cfg.channel_len)
+        .deconvolve_pair(left, right, cfg.channel_len);
     let pool = uniq_par::pool(cfg.threads);
-    let (ch_left, ch_right) = deconvolve_ears(
-        [&recording.left, &recording.right],
-        source,
-        cfg.channel_len,
-        &pool,
-    );
 
     let t0 = match (
         first_tap(&ch_left, TAP_THRESHOLD),

@@ -12,7 +12,6 @@ use uniq_acoustics::measure::BinauralRecording;
 use uniq_acoustics::types::BinauralIr;
 use uniq_dsp::deconv::{transform_size, ProbeSpectrum};
 use uniq_dsp::peaks::{first_tap, truncate_after};
-use uniq_par::ThreadPool;
 
 /// An estimated, cleaned binaural channel.
 #[derive(Debug, Clone)]
@@ -147,33 +146,63 @@ impl std::error::Error for ChannelError {}
 
 /// Estimates the binaural channel from a recording of `probe`.
 ///
-/// Steps: Wiener deconvolution per ear → system-response compensation
-/// (using `system_ir` from calibration) → first-tap detection → room-echo
-/// gating `room_gate_s` after the earlier first tap.
+/// Steps: Wiener deconvolution of both ears → system-response
+/// compensation (using `system_ir` from calibration) → first-tap
+/// detection → room-echo gating `room_gate_s` after the earlier first
+/// tap. This is [`estimate_channel_with`] on operators prepared for this
+/// one recording.
 pub fn estimate_channel(
     recording: &BinauralRecording,
     probe: &[f64],
     system_ir: &[f64],
     cfg: &UniqConfig,
 ) -> Result<EstimatedChannel, ChannelError> {
+    let recording_len = recording.left.len().max(recording.right.len());
+    let ops = ChannelOperators::new(probe, system_ir, recording_len, cfg);
+    estimate_channel_with(recording, &ops, cfg)
+}
+
+/// The probe side of [`estimate_channel`]: the Wiener operators of the
+/// probe and of the calibrated system IR, each at the transform size its
+/// deconvolution runs at. A session prepares them once for all its stops.
+#[derive(Debug, Clone)]
+pub struct ChannelOperators {
+    probe: ProbeSpectrum,
+    system: ProbeSpectrum,
+}
+
+impl ChannelOperators {
+    /// Operators for recordings of `recording_len` samples per ear.
+    pub fn new(probe: &[f64], system_ir: &[f64], recording_len: usize, cfg: &UniqConfig) -> Self {
+        ChannelOperators {
+            probe: wiener_operator(probe, recording_len, cfg.channel_len),
+            system: wiener_operator(system_ir, cfg.channel_len, cfg.channel_len),
+        }
+    }
+}
+
+/// [`estimate_channel`] on prepared operators: each ear pair is filtered
+/// in one complex transform, for the deconvolution and again for the
+/// compensation.
+///
+/// # Panics
+/// Panics if the recording is longer than the operators were prepared
+/// for.
+pub fn estimate_channel_with(
+    recording: &BinauralRecording,
+    ops: &ChannelOperators,
+    cfg: &UniqConfig,
+) -> Result<EstimatedChannel, ChannelError> {
     let _span = uniq_obs::span(uniq_obs::names::SPAN_CHANNEL_ESTIMATE);
-    let pool = uniq_par::pool(cfg.threads);
-    let (raw_left, raw_right) = deconvolve_ears(
-        [&recording.left, &recording.right],
-        probe,
-        cfg.channel_len,
-        &pool,
-    );
+    let (raw_left, raw_right) =
+        ops.probe
+            .deconvolve_pair(&recording.left, &recording.right, cfg.channel_len);
     // System-response compensation (§4.6): the calibrated system IR is
     // divided out of both ears, Wiener-regularized so the unstable
-    // sub-50 Hz region cannot explode. The transforms are short, so the
-    // ears run in turn.
-    let (mut left, mut right) = deconvolve_ears(
-        [&raw_left, &raw_right],
-        system_ir,
-        cfg.channel_len,
-        &uniq_par::pool(1),
-    );
+    // sub-50 Hz region cannot explode.
+    let (mut left, mut right) = ops
+        .system
+        .deconvolve_pair(&raw_left, &raw_right, cfg.channel_len);
 
     let tl = first_tap(&left, TAP_THRESHOLD).ok_or(ChannelError::NoFirstTap)?;
     let tr = first_tap(&right, TAP_THRESHOLD).ok_or(ChannelError::NoFirstTap)?;
@@ -193,29 +222,15 @@ pub fn estimate_channel(
     })
 }
 
-/// Both ears Wiener-deconvolved against `probe` at [`DECONV_NOISE_FLOOR`],
-/// `out_len` taps each, the two ears run as two tasks on `pool`. Each ear
-/// gets the bits `uniq_dsp::deconv::wiener_deconvolve` returns for it;
-/// ears of one transform size (ears of equal length always are) share one
-/// prepared probe spectrum.
-pub(crate) fn deconvolve_ears(
-    ears: [&[f64]; 2],
+/// `probe`'s Wiener operator at [`DECONV_NOISE_FLOOR`], sized for
+/// recordings of `recording_len` samples and `out_len` taps.
+pub(crate) fn wiener_operator(
     probe: &[f64],
+    recording_len: usize,
     out_len: usize,
-    pool: &ThreadPool,
-) -> (Vec<f64>, Vec<f64>) {
-    let [left, right] = ears.map(|ear| transform_size(ear.len(), probe.len(), out_len));
-    let shared = ProbeSpectrum::new(probe, DECONV_NOISE_FLOOR, left);
-    let own = (right != left).then(|| ProbeSpectrum::new(probe, DECONV_NOISE_FLOOR, right));
-    let ops = [&shared, own.as_ref().unwrap_or(&shared)];
-    let mut out = pool
-        .par_map(&[0, 1], |&e| ops[e].deconvolve(ears[e], out_len))
-        .into_iter();
-    // par_map returns one output per input, in input order.
-    (
-        out.next().unwrap_or_default(),
-        out.next().unwrap_or_default(),
-    )
+) -> ProbeSpectrum {
+    let n = transform_size(recording_len, probe.len(), out_len);
+    ProbeSpectrum::new(probe, DECONV_NOISE_FLOOR, n)
 }
 
 #[cfg(test)]
@@ -388,42 +403,40 @@ mod tests {
         assert_eq!(err, ChannelError::NoFirstTap);
     }
 
-    /// The two-ear helper returns per-ear `wiener_deconvolve` bits at any
-    /// pool size, for ears of equal length, of unequal length in one
-    /// transform size, and of unequal transform sizes.
+    /// The prepared operators return the bits of the one-shot
+    /// [`estimate_channel`] for every recording of their length, and the
+    /// two ears agree with per-ear `wiener_deconvolve` to round-off.
     #[test]
-    fn deconvolve_ears_matches_per_ear_wiener_bits() {
+    fn prepared_operators_match_the_one_shot_estimate() {
         use uniq_dsp::deconv::wiener_deconvolve;
         let c = cfg();
         let r = renderer(&c);
-        let (setup, _) = calibrated_system(&c);
+        let (setup, sys_ir) = calibrated_system(&c);
         let probe = c.probe();
-        let rec = record_point_source(&r, &setup, Vec2::new(-0.4, 0.15), &probe, 5).unwrap();
         let bits = |v: &[f64]| v.iter().map(|x| x.to_bits()).collect::<Vec<_>>();
-        let full = rec.right.len();
-        for right_len in [full, full - 100, full / 3] {
-            let right = &rec.right[..right_len];
-            let want_left = wiener_deconvolve(&rec.left, &probe, DECONV_NOISE_FLOOR, c.channel_len);
-            let want_right = wiener_deconvolve(right, &probe, DECONV_NOISE_FLOOR, c.channel_len);
-            for threads in [1, 4] {
-                let pool = uniq_par::ThreadPool::new(threads);
-                let (left, got_right) =
-                    deconvolve_ears([&rec.left, right], &probe, c.channel_len, &pool);
-                assert_eq!(
-                    bits(&left),
-                    bits(&want_left),
-                    "{right_len}, {threads} threads"
-                );
-                assert_eq!(
-                    bits(&got_right),
-                    bits(&want_right),
-                    "{right_len}, {threads} threads"
-                );
+        let rec = record_point_source(&r, &setup, Vec2::new(-0.4, 0.15), &probe, 5).unwrap();
+        let ops = ChannelOperators::new(&probe, &sys_ir, rec.left.len(), &c);
+        let prepared = estimate_channel_with(&rec, &ops, &c).unwrap();
+        let one_shot = estimate_channel(&rec, &probe, &sys_ir, &c).unwrap();
+        assert_eq!(bits(&prepared.ir.left), bits(&one_shot.ir.left));
+        assert_eq!(bits(&prepared.ir.right), bits(&one_shot.ir.right));
+
+        let (left, right) = wiener_operator(&probe, rec.left.len(), c.channel_len).deconvolve_pair(
+            &rec.left,
+            &rec.right,
+            c.channel_len,
+        );
+        let want_left = wiener_deconvolve(&rec.left, &probe, DECONV_NOISE_FLOOR, c.channel_len);
+        let want_right = wiener_deconvolve(&rec.right, &probe, DECONV_NOISE_FLOOR, c.channel_len);
+        let peak = want_left
+            .iter()
+            .chain(&want_right)
+            .fold(0.0f64, |m, v| m.max(v.abs()));
+        for (got, want) in [(&left, &want_left), (&right, &want_right)] {
+            for (g, w) in got.iter().zip(want) {
+                assert!((g - w).abs() <= 1e-12 * peak, "{g} vs {w}");
             }
         }
-        let size = |len: usize| transform_size(len, probe.len(), c.channel_len);
-        assert_eq!(size(full - 100), size(full));
-        assert_ne!(size(full / 3), size(full));
     }
 
     #[test]
@@ -438,8 +451,8 @@ mod tests {
         let coloured = sys.apply(&channel);
         let probe = uniq_dsp::signal::linear_chirp(50.0, 20_000.0, 0.1, sr);
         let sys_ir = sys.calibrate(&probe, 128);
-        let (restored, _) =
-            deconvolve_ears([&coloured, &coloured], &sys_ir, 128, &uniq_par::pool(1));
+        let (restored, _) = wiener_operator(&sys_ir, coloured.len(), 128)
+            .deconvolve_pair(&coloured, &coloured, 128);
         // Peaks should be back near their raw amplitudes/locations.
         assert!(restored[10] > 0.7, "main tap lost: {}", restored[10]);
         assert!(restored[30] < -0.25, "echo tap lost: {}", restored[30]);

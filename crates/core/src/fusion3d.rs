@@ -12,10 +12,10 @@
 //! distance residuals with a weak angular prior toward the IMU hints, and
 //! the head fit extends to four parameters `(a, b, c, h)`.
 
-use crate::channel::{estimate_channel, EstimatedChannel};
+use crate::channel::{estimate_channel_with, ChannelOperators, EstimatedChannel};
 use crate::config::UniqConfig;
 use crate::session::SessionError;
-use uniq_acoustics::measure::{record_through, MeasurementSetup};
+use uniq_acoustics::measure::{EmittedProbe, MeasurementSetup};
 use uniq_acoustics::render3d::Renderer3;
 use uniq_geometry::elevation::{path_to_ear_3d_res, Head3, Vec3};
 use uniq_geometry::vec2::angle_diff_deg;
@@ -236,6 +236,8 @@ pub fn run_session_3d(
     let setup = MeasurementSetup::anechoic(cfg.render.sample_rate, cfg.snr_db);
     let probe = cfg.probe();
     let system_ir = setup.system.calibrate(&probe, 256);
+    let emitted = EmittedProbe::new(&setup, &probe, cfg.render.ir_len);
+    let operators = ChannelOperators::new(&probe, &system_ir, emitted.recording_len(), cfg);
 
     let plan = SphericalPlan::standard(subject.gesture);
     let traj = generate_spherical(&plan, seed);
@@ -258,8 +260,8 @@ pub fn run_session_3d(
             .render_point(stop.pos)
             // uniq-analyzer: allow(panic-safety) — ring stops are generated on a sphere strictly outside the head radius
             .expect("gesture stays outside the head");
-        let rec = record_through(&ir, &setup, &probe, seed.wrapping_add(100 + i as u64));
-        let channel = estimate_channel(&rec, &probe, &system_ir, cfg)
+        let rec = emitted.record(&ir, setup.snr_db, seed.wrapping_add(100 + i as u64));
+        let channel = estimate_channel_with(&rec, &operators, cfg)
             .map_err(|error| SessionError::Stop { stop: i, error })?;
         out.push(StopMeasurement3 {
             input: FusionInput3 {

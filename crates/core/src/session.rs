@@ -8,13 +8,15 @@
 //! orientation, and the known probe — plus ground truth kept *only* for
 //! evaluation.
 
-use crate::channel::{estimate_channel, stop_quality, ChannelError, EstimatedChannel};
+use crate::channel::{
+    estimate_channel_with, stop_quality, ChannelError, ChannelOperators, EstimatedChannel,
+};
 use crate::config::UniqConfig;
 use crate::degrade::{
     DegradationPolicy, DegradationReport, FaultHook, InjectionSite, NoFaults, StopDegradation,
 };
 use crate::fusion::MIN_STOPS;
-use uniq_acoustics::measure::{record_point_source, MeasurementSetup};
+use uniq_acoustics::measure::{propagation_ir, EmittedProbe, MeasurementSetup};
 use uniq_acoustics::render::Renderer;
 use uniq_imu::gyro::integrate_rates;
 use uniq_imu::trajectory::{generate_trajectory, measurement_stops, GesturePlan, TrajectorySample};
@@ -131,11 +133,14 @@ pub fn run_session(
 }
 
 /// Everything the per-stop routine reads: the forward renderer,
-/// measurement chain, probe/calibration, and the gesture + IMU streams.
+/// measurement chain, the probe side of capture and estimation (built
+/// once, the same at every stop), the calibration, and the gesture + IMU
+/// streams.
 struct PreparedSession {
     renderer: Renderer,
     setup: MeasurementSetup,
-    probe: Vec<f64>,
+    emitted: EmittedProbe,
+    operators: ChannelOperators,
     system_ir: Vec<f64>,
     traj: Vec<TrajectorySample>,
     alphas: Vec<f64>,
@@ -191,10 +196,13 @@ pub fn run_session_faulted(
         (integrate_rates(&measured_rates, dt, 0.0), gyro_faults)
     };
     let stops = measurement_stops(&traj, cfg.stops);
+    let emitted = EmittedProbe::new(&setup, &probe, setup.ir_len(&renderer));
+    let operators = ChannelOperators::new(&probe, &system_ir, emitted.recording_len(), cfg);
     let prep = PreparedSession {
         renderer,
         setup,
-        probe,
+        emitted,
+        operators,
         system_ir,
         traj,
         alphas,
@@ -279,6 +287,10 @@ fn degrade_stop(
     let shift = (sched.jitter_s * prep.imu_rate_hz).round() as i64;
     let idx = (base_idx as i64 + shift).clamp(0, prep.alphas.len() as i64 - 1) as usize;
 
+    // Every attempt re-captures through the same propagation response.
+    let ir = propagation_ir(&prep.renderer, &prep.setup, stop.pos)
+        // uniq-analyzer: allow(panic-safety) — stop positions come from the gesture sampler, which clamps every point outside the head boundary
+        .expect("gesture trajectory stays outside the head");
     let mut faults: Vec<&'static str> = sched.faults.clone();
     let mut attempts = 0usize;
     let mut kept: Option<(StopMeasurement, f64)> = None;
@@ -293,17 +305,9 @@ fn degrade_stop(
             .wrapping_add(100 + src as u64)
             .wrapping_add(50_000u64.wrapping_mul(attempt as u64));
         let site = InjectionSite { stop: i, attempt };
-        let mut rec = record_point_source(
-            &prep.renderer,
-            &prep.setup,
-            stop.pos,
-            &prep.probe,
-            noise_seed,
-        )
-        // uniq-analyzer: allow(panic-safety) — stop positions come from the gesture sampler, which clamps every point outside the head boundary
-        .expect("gesture trajectory stays outside the head");
+        let mut rec = prep.emitted.record(&ir, prep.setup.snr_db, noise_seed);
         faults.extend(hook.corrupt_recording(site, &mut rec));
-        match estimate_channel(&rec, &prep.probe, &prep.system_ir, cfg) {
+        match estimate_channel_with(&rec, &prep.operators, cfg) {
             Ok(channel) => {
                 let quality = stop_quality(&channel, cfg);
                 last_score = quality.score;
@@ -486,12 +490,25 @@ mod tests {
         assert_eq!(report.stops[1].faults, vec!["halve-left"]);
         for (i, (c, h)) in clean.stops.iter().zip(&hit.stops).enumerate() {
             assert_eq!(c.alpha_deg, h.alpha_deg, "stop {i}: IMU angle moved");
-            assert_eq!(c.channel.ir.right, h.channel.ir.right, "stop {i}");
             assert_eq!(
                 i != 1,
                 c.channel.ir.left == h.channel.ir.left,
                 "stop {i}: only stop 1's left ear is corrupted"
             );
+            if i != 1 {
+                assert_eq!(c.channel.ir.right, h.channel.ir.right, "stop {i}");
+                continue;
+            }
+            // Both ears share one complex transform, so the corrupted
+            // left ear reaches the right one as round-off only.
+            let right = (&c.channel.ir.right, &h.channel.ir.right);
+            let peak = right.0.iter().fold(0.0f64, |m, v| m.max(v.abs()));
+            for (a, b) in right.0.iter().zip(right.1) {
+                assert!(
+                    (a - b).abs() <= 1e-12 * peak,
+                    "stop 1's right ear: {a} vs {b}"
+                );
+            }
         }
     }
 

@@ -19,7 +19,7 @@ use uniq_subjects::Subject;
 const GOLDEN_LEN: usize = 213_628;
 
 /// Pinned content key (FNV-1a 64 of the encoded bytes, lowercase hex).
-const GOLDEN_KEY: &str = "0efe5f2dc7fe6582";
+const GOLDEN_KEY: &str = "74a8afb92ead832f";
 
 fn golden_bytes() -> Vec<u8> {
     let path = Path::new(env!("CARGO_MANIFEST_DIR")).join("tests/data/seed6.uhrtf");
