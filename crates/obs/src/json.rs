@@ -11,7 +11,14 @@
 //! recursive-descent parser covering the full JSON grammar — objects,
 //! arrays, strings with escapes (including `\uXXXX` surrogate pairs),
 //! numbers, literals — with positions in error messages. It does not aim
-//! to be fast; the documents involved are kilobytes.
+//! to be fast; the documents involved are kilobytes. Nesting is bounded
+//! by [`MAX_DEPTH`], so no input can exhaust the stack: the server parses
+//! every request line with it.
+
+/// Deepest nesting of arrays and objects [`Json::parse`] accepts. The
+/// deepest document the workspace writes (`bench_results/alloc_profile.json`)
+/// nests 6 levels and a serve request 1, so the cap leaves a wide margin.
+pub const MAX_DEPTH: usize = 64;
 
 /// A parsed JSON value.
 #[derive(Debug, Clone, PartialEq)]
@@ -32,10 +39,12 @@ pub enum Json {
 
 impl Json {
     /// Parses a complete JSON document (trailing garbage is an error).
+    /// Arrays and objects nested deeper than [`MAX_DEPTH`] are an error.
     pub fn parse(text: &str) -> Result<Json, String> {
         let mut p = Parser {
             bytes: text.as_bytes(),
             pos: 0,
+            depth: 0,
         };
         p.skip_ws();
         let value = p.value()?;
@@ -108,6 +117,8 @@ impl Json {
 struct Parser<'a> {
     bytes: &'a [u8],
     pos: usize,
+    /// Arrays and objects open at `pos`.
+    depth: usize,
 }
 
 impl Parser<'_> {
@@ -154,8 +165,8 @@ impl Parser<'_> {
             Some(b't') => self.literal("true", Json::Bool(true)),
             Some(b'f') => self.literal("false", Json::Bool(false)),
             Some(b'"') => self.string().map(Json::Str),
-            Some(b'[') => self.array(),
-            Some(b'{') => self.object(),
+            Some(b'[') => self.nested(Self::array),
+            Some(b'{') => self.nested(Self::object),
             Some(b'-') | Some(b'0'..=b'9') => self.number(),
             other => Err(format!(
                 "unexpected {:?} at byte {}",
@@ -262,6 +273,21 @@ impl Parser<'_> {
                 _ => return Err(format!("unterminated string at byte {}", self.pos)),
             }
         }
+    }
+
+    /// Parses one array or object one level deeper, refusing to go past
+    /// [`MAX_DEPTH`].
+    fn nested(&mut self, parse: fn(&mut Self) -> Result<Json, String>) -> Result<Json, String> {
+        if self.depth == MAX_DEPTH {
+            return Err(format!(
+                "nesting deeper than {MAX_DEPTH} levels at byte {}",
+                self.pos
+            ));
+        }
+        self.depth += 1;
+        let value = parse(self);
+        self.depth -= 1;
+        value
     }
 
     fn array(&mut self) -> Result<Json, String> {
@@ -392,5 +418,27 @@ mod tests {
         assert_eq!(Json::parse("[]").unwrap(), Json::Arr(vec![]));
         assert_eq!(Json::parse("{}").unwrap(), Json::Obj(vec![]));
         assert_eq!(Json::parse("[ ]").unwrap(), Json::Arr(vec![]));
+    }
+
+    #[test]
+    fn nesting_is_capped_at_max_depth() {
+        let nest =
+            |open: &str, close: &str, depth: usize| open.repeat(depth) + &close.repeat(depth);
+        let deepest = Json::parse(&nest("[", "]", MAX_DEPTH)).unwrap();
+        let mut level = &deepest;
+        for _ in 1..MAX_DEPTH {
+            level = &level.as_array().unwrap()[0];
+        }
+        assert_eq!(level, &Json::Arr(vec![]));
+        let objects = |depth| "{\"k\":".repeat(depth) + "1" + &"}".repeat(depth);
+        assert!(Json::parse(&objects(MAX_DEPTH)).is_ok());
+        for text in [nest("[", "]", MAX_DEPTH + 1), objects(MAX_DEPTH + 1)] {
+            let err = Json::parse(&text).unwrap_err();
+            assert!(err.contains("nesting deeper than 64"), "{err}");
+        }
+        // An unterminated run of brackets far past the cap is refused at
+        // the cap, not recursed into.
+        let err = Json::parse(&"[".repeat(60_000)).unwrap_err();
+        assert!(err.contains("at byte 64"), "{err}");
     }
 }

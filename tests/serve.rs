@@ -295,6 +295,29 @@ fn random_garbage_never_kills_the_server() {
 }
 
 #[test]
+fn deeply_nested_line_gets_a_typed_reply_and_the_server_keeps_serving() {
+    let server = Server::start(
+        "127.0.0.1:0",
+        ServeConfig {
+            shards: 1,
+            base: fast_cfg(),
+            ..ServeConfig::default()
+        },
+    )
+    .expect("start server");
+    let addr = server.local_addr();
+    // One line of 60,000 `[`: under the frame cap, and far deeper than
+    // a recursive parser without a depth bound survives.
+    let mut c = Client::connect(addr);
+    c.send(&"[".repeat(60_000));
+    c.expect_error("bad_json");
+    let mut fresh = Client::connect(addr);
+    fresh.send("{\"type\":\"ping\"}");
+    assert_eq!(fresh.read_response(), Response::Pong);
+    server.shutdown();
+}
+
+#[test]
 fn sequential_pings_do_not_stall_on_delayed_acks() {
     // A reply that leaves in two segments waits for the client's delayed
     // ACK of the first (~40 ms on Linux) before its `\n` is sent, so 30
