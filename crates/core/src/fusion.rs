@@ -230,20 +230,16 @@ fn fusion_objective(
 /// every stop 1.0; since `1.0 · x == x` and a sum of `k` ones is `k`, that
 /// is bit-identical to the unweighted equations.
 ///
-/// Returns `None` when no hypothesis localizes a majority of stops —
-/// a hopeless measurement set.
-///
-/// # Panics
-/// Panics if fewer than [`MIN_STOPS`] inputs are given, or if `weights`
-/// is `Some` with a length different from `inputs`.
+/// Returns `None` when fewer than [`MIN_STOPS`] inputs are given, when
+/// `weights` is `Some` with a length different from `inputs`, or when no
+/// hypothesis localizes a majority of stops — a hopeless measurement set.
 pub fn fuse_weighted(
     inputs: &[FusionInput],
     weights: Option<&[f64]>,
     cfg: &UniqConfig,
 ) -> Option<FusionResult> {
-    assert!(inputs.len() >= MIN_STOPS, "fusion needs at least 4 stops");
-    if let Some(w) = weights {
-        assert_eq!(w.len(), inputs.len(), "one weight per fusion input");
+    if inputs.len() < MIN_STOPS || weights.is_some_and(|w| w.len() != inputs.len()) {
+        return None;
     }
     let _span = uniq_obs::span(uniq_obs::names::SPAN_FUSION);
     let pool = uniq_par::pool(cfg.threads);
@@ -561,17 +557,19 @@ mod tests {
     }
 
     #[test]
-    #[should_panic(expected = "one weight per fusion input")]
     fn mismatched_weights_rejected() {
         let inputs = synthetic_inputs(HeadParams::average_adult(), 0.4, 8);
-        fuse_weighted(&inputs, Some(&[1.0; 3]), &test_cfg());
+        assert!(fuse_weighted(&inputs, Some(&[1.0; 3]), &test_cfg()).is_none());
+        assert!(fuse_weighted(&inputs, Some(&[1.0; 9]), &test_cfg()).is_none());
     }
 
     #[test]
-    #[should_panic(expected = "at least 4")]
     fn too_few_stops_rejected() {
         let inputs = synthetic_inputs(HeadParams::average_adult(), 0.4, 10);
-        fuse_weighted(&inputs[..2], None, &test_cfg());
+        for n in 0..MIN_STOPS {
+            assert!(fuse_weighted(&inputs[..n], None, &test_cfg()).is_none());
+        }
+        assert!(fuse_weighted(&inputs[..MIN_STOPS], None, &test_cfg()).is_some());
     }
 
     #[test]

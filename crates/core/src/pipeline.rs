@@ -39,6 +39,8 @@ pub enum PersonalizationError {
         /// Mean fusion residual, degrees.
         residual_deg: f64,
     },
+    /// The retry loop was given no attempt to make (`max_attempts == 0`).
+    NoAttempts,
 }
 
 impl std::fmt::Display for PersonalizationError {
@@ -54,6 +56,7 @@ impl std::fmt::Display for PersonalizationError {
                 f,
                 "gesture rejected (radius {radius_m:.2} m, residual {residual_deg:.1}°) — redo the measurement"
             ),
+            PersonalizationError::NoAttempts => write!(f, "no personalization attempt allowed"),
         }
     }
 }
@@ -97,6 +100,9 @@ pub fn personalize(
 
 /// Runs personalization with the §4.6 retry loop: gesture rejections
 /// trigger a fresh session (new seed), up to `max_attempts` times.
+///
+/// # Errors
+/// As [`personalize_faulted_with_retry`].
 pub fn personalize_with_retry(
     subject: &Subject,
     cfg: &UniqConfig,
@@ -131,6 +137,11 @@ pub fn personalize_faulted(
 /// The §4.6 retry loop: gesture rejections re-run the whole session with
 /// a fresh seed (`seed + 10 000 · attempt`), up to `max_attempts` times.
 /// `hook` is the fault source, if any; `None` runs without faults.
+///
+/// # Errors
+/// The last attempt's error once every attempt failed (a non-rejection
+/// error ends the loop at once), or [`PersonalizationError::NoAttempts`]
+/// when `max_attempts` is 0.
 pub fn personalize_faulted_with_retry(
     subject: &Subject,
     cfg: &UniqConfig,
@@ -139,8 +150,7 @@ pub fn personalize_faulted_with_retry(
     policy: &DegradationPolicy,
     max_attempts: usize,
 ) -> Result<FaultedPersonalization, PersonalizationError> {
-    assert!(max_attempts >= 1, "need at least one attempt");
-    let mut last_err = PersonalizationError::FusionFailed;
+    let mut last_err = PersonalizationError::NoAttempts;
     for n in 0..max_attempts {
         let attempt_seed = seed.wrapping_add(10_000 * n as u64);
         match attempt(subject, cfg, attempt_seed, hook, policy) {
@@ -339,5 +349,24 @@ mod tests {
         let subject = Subject::from_seed(74);
         let err = personalize_with_retry(&subject, &c, 46, 2).unwrap_err();
         assert!(matches!(err, PersonalizationError::GestureRejected { .. }));
+    }
+
+    #[test]
+    fn zero_attempts_is_a_typed_error() {
+        let subject = Subject::from_seed(75);
+        let err = personalize_faulted_with_retry(
+            &subject,
+            &cfg(),
+            47,
+            None,
+            &DegradationPolicy::CLEAN,
+            0,
+        )
+        .unwrap_err();
+        assert_eq!(err, PersonalizationError::NoAttempts);
+        assert_eq!(
+            personalize_with_retry(&subject, &cfg(), 47, 0).unwrap_err(),
+            PersonalizationError::NoAttempts
+        );
     }
 }
