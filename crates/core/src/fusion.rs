@@ -19,7 +19,7 @@
 
 use crate::config::UniqConfig;
 use std::cell::{Cell, RefCell};
-use uniq_geometry::diffraction::path_length_and_gradient;
+use uniq_geometry::diffraction::{path_length_and_gradient, WrapWork};
 use uniq_geometry::head::BoundaryTable;
 use uniq_geometry::vec2::{angle_diff_deg, theta_from_vec, unit_from_theta};
 use uniq_geometry::{Ear, HeadBoundary, HeadParams, Vec2};
@@ -94,6 +94,9 @@ struct GnWork {
     residual_evals: u64,
     /// Gauss–Newton steps solved.
     iterations: u64,
+    /// The residuals' wrap-path work: tangent searches and the vertex
+    /// angles they evaluated.
+    wrap: WrapWork,
 }
 
 impl std::ops::Add for GnWork {
@@ -102,6 +105,7 @@ impl std::ops::Add for GnWork {
         GnWork {
             residual_evals: self.residual_evals + other.residual_evals,
             iterations: self.iterations + other.iterations,
+            wrap: self.wrap + other.wrap,
         }
     }
 }
@@ -114,17 +118,20 @@ fn localize_counted(
     alpha_hint_deg: f64,
 ) -> (Option<LocalizedStop>, GnWork) {
     let evals = Cell::new(0u64);
+    let wrap = Cell::new(WrapWork::default());
     // Inside the head: a residual far off any achievable scale, and a
     // zero (singular) Jacobian, so no step is taken from there.
     const INSIDE: ([f64; 2], [[f64; 2]; 2]) = ([1.0, 1.0], [[0.0; 2]; 2]);
     let residual = |p: [f64; 2]| -> ([f64; 2], [[f64; 2]; 2]) {
         evals.set(evals.get() + 1);
         let pos = Vec2::new(p[0], p[1]);
+        let mut work = wrap.get();
         // Both lengths are `None` exactly when `pos` is inside the head.
-        let Some((pl, gl)) = path_length_and_gradient(boundary, pos, Ear::Left) else {
-            return INSIDE;
-        };
-        let Some((pr, gr)) = path_length_and_gradient(boundary, pos, Ear::Right) else {
+        let paths = path_length_and_gradient(boundary, pos, Ear::Left, &mut work).and_then(|l| {
+            path_length_and_gradient(boundary, pos, Ear::Right, &mut work).map(|r| (l, r))
+        });
+        wrap.set(work);
+        let Some(((pl, gl), (pr, gr))) = paths else {
             return INSIDE;
         };
         (
@@ -173,6 +180,7 @@ fn localize_counted(
         GnWork {
             residual_evals: evals.get(),
             iterations,
+            wrap: wrap.get(),
         },
     )
 }
@@ -281,6 +289,14 @@ pub fn fuse_weighted(
         gn_work.residual_evals,
     );
     uniq_obs::counter(uniq_obs::names::FUSION_GN_ITERATIONS, gn_work.iterations);
+    uniq_obs::counter(
+        uniq_obs::names::FUSION_TANGENT_SEARCHES,
+        gn_work.wrap.tangent_searches,
+    );
+    uniq_obs::counter(
+        uniq_obs::names::FUSION_ANGLE_EVALS,
+        gn_work.wrap.angle_evals,
+    );
     if !fit.fx.is_finite() {
         return None;
     }

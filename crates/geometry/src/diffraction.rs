@@ -30,6 +30,28 @@ pub struct DiffractionPath {
     pub arrival_dir: Vec2,
 }
 
+/// Work the wrap-path queries spent: tangent searches run (one per
+/// shadowed query that needed the source's tangent vertices) and the
+/// vertex angles those searches evaluated. A caller that sums it over a
+/// fit gets a deterministic work ledger beside its wall time.
+#[derive(Debug, Clone, Copy, Default, PartialEq, Eq)]
+pub struct WrapWork {
+    /// Tangent-vertex searches run.
+    pub tangent_searches: u64,
+    /// Vertex angles (one `atan2` each) evaluated by those searches.
+    pub angle_evals: u64,
+}
+
+impl std::ops::Add for WrapWork {
+    type Output = WrapWork;
+    fn add(self, other: WrapWork) -> WrapWork {
+        WrapWork {
+            tangent_searches: self.tangent_searches + other.tangent_searches,
+            angle_evals: self.angle_evals + other.angle_evals,
+        }
+    }
+}
+
 /// Computes the shortest diffraction path from `src` to the given ear.
 ///
 /// ```
@@ -52,7 +74,8 @@ pub fn path_to_ear(boundary: &HeadBoundary, src: Vec2, ear: Ear) -> Option<Diffr
 /// Length of the shortest diffraction path from `src` to the given ear,
 /// bit-identical to `path_to_ear(..).map(|p| p.length)` but without the
 /// wrap angle and arrival direction (the O(arc) part of a wrapped path),
-/// and its gradient with respect to `src`.
+/// and its gradient with respect to `src`. The tangent search it runs, if
+/// any, is added to `work`.
 ///
 /// The path leaves `src` along a straight segment to its first anchor:
 /// the source tangent vertex of a wrapped path, or the ear itself when
@@ -62,12 +85,14 @@ pub fn path_to_ear(boundary: &HeadBoundary, src: Vec2, ear: Ear) -> Option<Diffr
 ///
 /// ```
 /// use uniq_geometry::{HeadBoundary, HeadParams, Ear, Vec2};
-/// use uniq_geometry::diffraction::{path_length_and_gradient, path_to_ear};
+/// use uniq_geometry::diffraction::{path_length_and_gradient, path_to_ear, WrapWork};
 /// let b = HeadBoundary::new(HeadParams::average_adult(), 1024);
 /// let phone = Vec2::new(-0.4, 0.0);                  // left ear is lit
-/// let (len, grad) = path_length_and_gradient(&b, phone, Ear::Left).unwrap();
+/// let mut work = WrapWork::default();
+/// let (len, grad) = path_length_and_gradient(&b, phone, Ear::Left, &mut work).unwrap();
 /// assert_eq!(len, path_to_ear(&b, phone, Ear::Left).unwrap().length);
 /// assert!((grad - Vec2::new(-1.0, 0.0)).norm() < 1e-12); // away from the ear
+/// assert_eq!(work.tangent_searches, 0);              // a lit ear needs no tangents
 /// ```
 ///
 /// Returns `None` when `src` lies strictly inside the head.
@@ -75,9 +100,10 @@ pub fn path_length_and_gradient(
     boundary: &HeadBoundary,
     src: Vec2,
     ear: Ear,
+    work: &mut WrapWork,
 ) -> Option<(f64, Vec2)> {
     let target_idx = boundary.ear_index(ear);
-    let wrap = shortest_wrap(boundary, src, target_idx)?;
+    let wrap = shortest_wrap(boundary, src, target_idx, work)?;
     let anchor_idx = wrap.tangent.map_or(target_idx, |(t_idx, _)| t_idx);
     let to_src = src - boundary.vertices()[anchor_idx];
     let seg = to_src.norm();
@@ -96,7 +122,7 @@ pub fn path_to_vertex(
 ) -> Option<DiffractionPath> {
     let n = boundary.len();
     let target_idx = target_idx % n;
-    let wrap = shortest_wrap(boundary, src, target_idx)?;
+    let wrap = shortest_wrap(boundary, src, target_idx, &mut WrapWork::default())?;
     let target = boundary.vertices()[target_idx];
 
     let Some((t_idx, ccw)) = wrap.tangent else {
@@ -144,8 +170,14 @@ struct Wrap {
 }
 
 /// Shortest path from `src` to vertex `target_idx` (already reduced mod
-/// n); `None` when `src` lies strictly inside the head.
-fn shortest_wrap(boundary: &HeadBoundary, src: Vec2, target_idx: usize) -> Option<Wrap> {
+/// n); `None` when `src` lies strictly inside the head. Its tangent
+/// search, if any, is added to `work`.
+fn shortest_wrap(
+    boundary: &HeadBoundary,
+    src: Vec2,
+    target_idx: usize,
+    work: &mut WrapWork,
+) -> Option<Wrap> {
     if boundary.contains(src) {
         return None;
     }
@@ -157,7 +189,7 @@ fn shortest_wrap(boundary: &HeadBoundary, src: Vec2, target_idx: usize) -> Optio
         });
     }
 
-    let tangents = tangent_vertices(boundary, src);
+    let tangents = tangent_vertices(boundary, src, work);
     let (length, t_idx, ccw) = boundary.arcs().wrap(src, tangents, target_idx);
     Some(Wrap {
         length,
@@ -185,21 +217,29 @@ fn signed_angle(src: Vec2, base: f64, v: Vec2) -> f64 {
 /// to `t_max` and falls back, so each extreme is found by descending from
 /// an analytic seed ([`tangent_seeds`], within a vertex or two of the
 /// answer) and settling ties in a small window. O(1) angle evaluations
-/// for a well-seeded source, O(n) only in the worst case.
-fn tangent_vertices(boundary: &HeadBoundary, src: Vec2) -> [usize; 2] {
+/// for a well-seeded source, O(n) only in the worst case. The search and
+/// its angle evaluations are added to `work`.
+fn tangent_vertices(boundary: &HeadBoundary, src: Vec2, work: &mut WrapWork) -> [usize; 2] {
     let verts = boundary.vertices();
     let base = (-src).normalized().angle();
-    let angle_at = |k: usize| signed_angle(src, base, verts[k]);
+    let evals = std::cell::Cell::new(0u64);
+    let angle_at = |k: usize| {
+        evals.set(evals.get() + 1);
+        signed_angle(src, base, verts[k])
+    };
     let [s0, s1] = tangent_seeds(boundary.params(), src, verts.len());
     let (lo, hi) = if angle_at(s1) < angle_at(s0) {
         (s1, s0)
     } else {
         (s0, s1)
     };
-    [
+    let tangents = [
         first_minimum(verts.len(), lo, angle_at),
         first_minimum(verts.len(), hi, |k| -angle_at(k)),
-    ]
+    ];
+    work.tangent_searches += 1;
+    work.angle_evals += evals.get();
+    tangents
 }
 
 /// Half-width of the window [`first_minimum`] rescans around the bottom
@@ -328,7 +368,7 @@ mod tests {
     /// with the linear-scan oracle at `src`.
     fn assert_matches_oracle(b: &HeadBoundary, src: Vec2) {
         let expect = linear_tangents(b, src);
-        let got = tangent_vertices(b, src);
+        let got = tangent_vertices(b, src, &mut WrapWork::default());
         let h = b.params();
         assert_eq!(
             got,
@@ -342,7 +382,8 @@ mod tests {
         for ear in Ear::BOTH {
             let oracle = oracle_length(b, src, b.ear_index(ear), expect).map(f64::to_bits);
             let full = path_to_ear(b, src, ear).map(|p| p.length.to_bits());
-            let with_gradient = path_length_and_gradient(b, src, ear).map(|(l, _)| l.to_bits());
+            let with_gradient = path_length_and_gradient(b, src, ear, &mut WrapWork::default())
+                .map(|(l, _)| l.to_bits());
             assert_eq!(
                 full,
                 oracle,
@@ -445,7 +486,7 @@ mod tests {
         // Which anchor the path leaves from: `None` for a lit ear, else
         // the tangent vertex and wrap direction.
         let anchor = |b: &HeadBoundary, p: Vec2, ear: Ear| {
-            shortest_wrap(b, p, b.ear_index(ear)).map(|w| w.tangent)
+            shortest_wrap(b, p, b.ear_index(ear), &mut WrapWork::default()).map(|w| w.tangent)
         };
         let length = |b: &HeadBoundary, p: Vec2, ear: Ear| path_to_ear(b, p, ear).unwrap().length;
         let h = 1e-7;
@@ -461,7 +502,9 @@ mod tests {
                     for r in [0.2, 0.45, 1.0] {
                         let src = unit_from_theta(theta) * r;
                         for ear in Ear::BOTH {
-                            let (len, grad) = path_length_and_gradient(&b, src, ear).unwrap();
+                            let (len, grad) =
+                                path_length_and_gradient(&b, src, ear, &mut WrapWork::default())
+                                    .unwrap();
                             assert_eq!(len.to_bits(), length(&b, src, ear).to_bits());
                             let stencil = [
                                 Vec2::new(h, 0.0),
@@ -504,9 +547,10 @@ mod tests {
     fn gradient_is_zero_at_the_anchor_and_none_inside() {
         let b = boundary();
         let right_ear = b.vertices()[b.ear_index(Ear::Right)];
-        let at_ear = path_length_and_gradient(&b, right_ear, Ear::Right);
+        let mut work = WrapWork::default();
+        let at_ear = path_length_and_gradient(&b, right_ear, Ear::Right, &mut work);
         assert_eq!(at_ear, Some((0.0, Vec2::ZERO)));
-        assert!(path_length_and_gradient(&b, Vec2::new(0.01, 0.0), Ear::Left).is_none());
+        assert!(path_length_and_gradient(&b, Vec2::new(0.01, 0.0), Ear::Left, &mut work).is_none());
     }
 
     #[test]
@@ -566,7 +610,10 @@ mod tests {
         let b = boundary();
         assert!(path_to_ear(&b, Vec2::ZERO, Ear::Left).is_none());
         assert!(path_to_ear(&b, Vec2::new(0.01, 0.01), Ear::Right).is_none());
-        assert!(path_length_and_gradient(&b, Vec2::new(0.01, 0.01), Ear::Left).is_none());
+        let mut work = WrapWork::default();
+        assert!(
+            path_length_and_gradient(&b, Vec2::new(0.01, 0.01), Ear::Left, &mut work).is_none()
+        );
     }
 
     #[test]

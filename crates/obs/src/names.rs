@@ -48,6 +48,13 @@ pub const FUSION_RESIDUAL_EVALS: &str = "fusion.residual_evals";
 /// Gauss–Newton steps solved across the fit's objective evaluations
 /// (counter; deterministic at any thread count).
 pub const FUSION_GN_ITERATIONS: &str = "fusion.gn_iterations";
+/// Tangent-vertex searches the wrap-path queries of the fit's
+/// Gauss–Newton residuals ran (counter; deterministic at any thread
+/// count).
+pub const FUSION_TANGENT_SEARCHES: &str = "fusion.tangent_searches";
+/// Vertex angles (one `atan2` each) those tangent searches evaluated
+/// (counter; deterministic at any thread count).
+pub const FUSION_ANGLE_EVALS: &str = "fusion.angle_evals";
 
 /// Estimated gesture radius, metres.
 pub const PERSONALIZE_RADIUS_M: &str = "personalize.radius_m";
@@ -180,6 +187,8 @@ pub const ALL_METRICS: &[&str] = &[
     FUSION_OBJECTIVE_EVALS,
     FUSION_RESIDUAL_EVALS,
     FUSION_GN_ITERATIONS,
+    FUSION_TANGENT_SEARCHES,
+    FUSION_ANGLE_EVALS,
     PERSONALIZE_RADIUS_M,
     PERSONALIZE_ATTEMPTS,
     GESTURE_REJECTED,

@@ -106,17 +106,17 @@ target/release/baseline verify-profile "$ci_tmp/profile.json"
 test -s "$ci_tmp/flame.txt"
 
 echo "== fusion work counters (seed 6, identical at 1 and 4 threads) =="
-# Objective evaluation, residual evaluation and Gauss-Newton step counts
-# are pure functions of the workload, unlike wall time, so they must
-# agree exactly across pool sizes.
+# Objective evaluation, residual evaluation, Gauss-Newton step, tangent
+# search and vertex-angle counts are pure functions of the workload,
+# unlike wall time, so they must agree exactly across pool sizes.
 for threads in 1 4; do
   UNIQ_THREADS=$threads target/release/uniq personalize --seed 6 \
     --anechoic --grid 15 --snr 45 --out "$ci_tmp/work_hrtf" \
     --profile-out "$ci_tmp/work_$threads.json" > /dev/null
-  grep -o '"fusion\.\([a-z_]*_evals\|gn_iterations\)": [0-9]*' \
+  grep -o '"fusion\.\([a-z_]*_evals\|gn_iterations\|tangent_searches\)": [0-9]*' \
     "$ci_tmp/work_$threads.json" > "$ci_tmp/work_$threads.txt"
 done
-[ "$(wc -l < "$ci_tmp/work_1.txt")" -eq 3 ] \
+[ "$(wc -l < "$ci_tmp/work_1.txt")" -eq 5 ] \
   || { echo "profile JSON lacks the fusion work counters" >&2; exit 1; }
 cmp -s "$ci_tmp/work_1.txt" "$ci_tmp/work_4.txt" \
   || { echo "fusion work counters differ between 1 and 4 threads" >&2; exit 1; }

@@ -124,3 +124,33 @@ fn paper_config_session_runs_a_pinned_number_of_transforms() {
         );
     }
 }
+
+/// The wrap-path work behind the paper-config fit (seed 801), pinned as
+/// exact counts at pool sizes 1 and 4: the tangent-vertex searches the
+/// Gauss–Newton residuals ran and the vertex angles (one `atan2` each)
+/// those searches evaluated.
+#[test]
+fn paper_config_fusion_runs_a_pinned_wrap_path_work() {
+    const TANGENT_SEARCHES: u64 = 22_060;
+    const ANGLE_EVALS: u64 = 441_203;
+    const SEED: u64 = 801;
+    let subject = Subject::from_seed(SEED);
+    for threads in [1, 4] {
+        let cfg = uniq_core::config::UniqConfig {
+            threads,
+            ..Default::default()
+        };
+        let sink = std::sync::Arc::new(uniq_obs::sink::MemorySink::new());
+        uniq_obs::with_sink(sink.clone(), || {
+            personalize_with_retry(&subject, &cfg, SEED, 3).expect("paper config")
+        });
+        assert_eq!(
+            (
+                sink.counter_total(uniq_obs::names::FUSION_TANGENT_SEARCHES),
+                sink.counter_total(uniq_obs::names::FUSION_ANGLE_EVALS)
+            ),
+            (TANGENT_SEARCHES, ANGLE_EVALS),
+            "{threads} thread(s)"
+        );
+    }
+}
