@@ -3,7 +3,7 @@
 
 use criterion::{criterion_group, criterion_main, BenchmarkId, Criterion};
 use uniq_geometry::critical::critical_angles;
-use uniq_geometry::diffraction::{path_length_and_gradient, path_to_ear};
+use uniq_geometry::diffraction::{ear_paths_and_gradients, path_to_ear, WrapWork};
 use uniq_geometry::head::BoundaryTable;
 use uniq_geometry::planewave::plane_path_to_ear;
 use uniq_geometry::vec2::unit_from_theta;
@@ -51,16 +51,22 @@ fn bench_wrap_path(c: &mut Criterion) {
     group.finish();
 }
 
-/// The query behind each Gauss–Newton residual: the length plus its
-/// gradient, the tangent search without `path_to_ear`'s wrap-angle walk,
-/// so it should cost less than `path_to_ear` at the same resolution.
-fn bench_wrap_length_and_gradient(c: &mut Criterion) {
-    let mut group = c.benchmark_group("path_length_and_gradient_1024");
+/// The query behind each Gauss–Newton residual: both ears' lengths plus
+/// their gradients, one containment test and at most one tangent search,
+/// without `path_to_ear`'s wrap angle, so it should cost less than two
+/// `path_to_ear` calls at the same resolution.
+fn bench_ear_paths_and_gradients(c: &mut Criterion) {
+    let mut group = c.benchmark_group("ear_paths_and_gradients_1024");
     let boundary = HeadBoundary::new(HeadParams::average_adult(), 1024);
-    let src = unit_from_theta(40.0) * 0.45;
-    for (name, ear) in [("shadowed", Ear::Right), ("lit", Ear::Left)] {
+    // At 40° the left ear is lit and the right shadowed; straight ahead
+    // both are shadowed and share the search.
+    for (name, theta) in [("one_shadowed", 40.0), ("both_shadowed", 0.0)] {
+        let src = unit_from_theta(theta) * 0.45;
         group.bench_function(name, |b| {
-            b.iter(|| path_length_and_gradient(std::hint::black_box(&boundary), src, ear))
+            b.iter(|| {
+                let mut work = WrapWork::default();
+                ear_paths_and_gradients(std::hint::black_box(&boundary), src, &mut work)
+            })
         });
     }
     group.finish();
@@ -84,6 +90,6 @@ criterion_group! {
     name = benches;
     config = Criterion::default().sample_size(30);
     targets = bench_boundary_construction, bench_boundary_new_1024, bench_wrap_path,
-        bench_wrap_length_and_gradient, bench_plane_wave, bench_critical_angles
+        bench_ear_paths_and_gradients, bench_plane_wave, bench_critical_angles
 }
 criterion_main!(benches);

@@ -960,6 +960,8 @@ mod tests {
             uniq_obs::names::FUSION_OBJECTIVE_EVALS,
             uniq_obs::names::FUSION_RESIDUAL_EVALS,
             uniq_obs::names::FUSION_GN_ITERATIONS,
+            uniq_obs::names::FUSION_TANGENT_SEARCHES,
+            uniq_obs::names::FUSION_ANGLE_EVALS,
             uniq_obs::names::RENDER_BLOCKS,
         ] {
             assert!(

@@ -19,10 +19,10 @@
 
 use crate::config::UniqConfig;
 use std::cell::{Cell, RefCell};
-use uniq_geometry::diffraction::{path_length_and_gradient, WrapWork};
+use uniq_geometry::diffraction::{ear_paths_and_gradients, WrapWork};
 use uniq_geometry::head::BoundaryTable;
 use uniq_geometry::vec2::{angle_diff_deg, theta_from_vec, unit_from_theta};
-use uniq_geometry::{Ear, HeadBoundary, HeadParams, Vec2};
+use uniq_geometry::{HeadBoundary, HeadParams, Vec2};
 use uniq_optim::{nelder_mead, solve_2d, NelderMeadOptions};
 use uniq_par::ThreadPool;
 
@@ -126,12 +126,9 @@ fn localize_counted(
         evals.set(evals.get() + 1);
         let pos = Vec2::new(p[0], p[1]);
         let mut work = wrap.get();
-        // Both lengths are `None` exactly when `pos` is inside the head.
-        let paths = path_length_and_gradient(boundary, pos, Ear::Left, &mut work).and_then(|l| {
-            path_length_and_gradient(boundary, pos, Ear::Right, &mut work).map(|r| (l, r))
-        });
+        let paths = ear_paths_and_gradients(boundary, pos, &mut work);
         wrap.set(work);
-        let Some(((pl, gl), (pr, gr))) = paths else {
+        let Some([(pl, gl), (pr, gr)]) = paths else {
             return INSIDE;
         };
         (
@@ -239,8 +236,9 @@ fn fusion_objective(
 /// is bit-identical to the unweighted equations.
 ///
 /// Returns `None` when fewer than [`MIN_STOPS`] inputs are given, when
-/// `weights` is `Some` with a length different from `inputs`, or when no
-/// hypothesis localizes a majority of stops — a hopeless measurement set.
+/// `weights` is `Some` with a length different from `inputs`, when the
+/// Eq. 2 objective is NaN (a NaN weight), or when no hypothesis localizes a
+/// majority of stops — a hopeless measurement set.
 pub fn fuse_weighted(
     inputs: &[FusionInput],
     weights: Option<&[f64]>,
@@ -297,9 +295,11 @@ pub fn fuse_weighted(
         uniq_obs::names::FUSION_ANGLE_EVALS,
         gn_work.wrap.angle_evals,
     );
-    if !fit.fx.is_finite() {
-        return None;
-    }
+    // A NaN objective (a NaN weight) fits nothing.
+    let fit = match fit {
+        Ok(fit) if fit.fx.is_finite() => fit,
+        _ => return None,
+    };
     let head = HeadParams::new(fit.x[0], fit.x[1], fit.x[2]);
     let mut boundary = boundary.into_inner();
     boundary.reshape(head, &table);
@@ -402,6 +402,7 @@ pub fn session_to_inputs(
 mod tests {
     use super::*;
     use uniq_geometry::diffraction::path_to_ear;
+    use uniq_geometry::Ear;
 
     /// Synthesizes noise-free fusion inputs directly from geometry: the
     /// fastest way to test the inverse problem in isolation.
@@ -586,6 +587,16 @@ mod tests {
             assert!(fuse_weighted(&inputs[..n], None, &test_cfg()).is_none());
         }
         assert!(fuse_weighted(&inputs[..MIN_STOPS], None, &test_cfg()).is_some());
+    }
+
+    #[test]
+    fn nan_weight_fails_the_fit_without_a_panic() {
+        // A NaN stop weight makes the Eq. 2 objective NaN under every
+        // hypothesis.
+        let inputs = synthetic_inputs(HeadParams::average_adult(), 0.4, 8);
+        let mut weights = vec![1.0; inputs.len()];
+        weights[3] = f64::NAN;
+        assert!(fuse_weighted(&inputs, Some(&weights), &test_cfg()).is_none());
     }
 
     #[test]

@@ -104,9 +104,10 @@ pub fn localize_phone_3d(head: &Head3, input: &FusionInput3) -> Option<Localized
         x_tol: 1e-9,
     };
     let fit = nelder_mead(objective, &seed, &opts);
-    if !fit.fx.is_finite() {
-        return None;
-    }
+    let fit = match fit {
+        Ok(fit) if fit.fx.is_finite() => fit,
+        _ => return None,
+    };
     // Residual without the prior.
     let pos = Vec3::from_angles(fit.x[0], fit.x[1]).scale(fit.x[2]);
     let dl = path_to_ear_3d_res(head, pos, Ear::Left, INVERSE_SECTION)?.length;
@@ -164,9 +165,10 @@ pub fn fuse_3d(inputs: &[FusionInput3]) -> Option<FusionResult3> {
         x_tol: 1e-5,
     };
     let fit = nelder_mead(objective, &[avg.a, avg.b, avg.c, 0.11], &opts);
-    if !fit.fx.is_finite() {
-        return None;
-    }
+    let fit = match fit {
+        Ok(fit) if fit.fx.is_finite() => fit,
+        _ => return None,
+    };
     let head = Head3::new(HeadParams::new(fit.x[0], fit.x[1], fit.x[2]), fit.x[3]);
 
     let mut stops = Vec::new();
@@ -288,6 +290,17 @@ mod tests {
             snr_db: 45.0,
             ..UniqConfig::fast_test()
         }
+    }
+
+    #[test]
+    fn nan_path_length_fails_the_3d_localization_without_a_panic() {
+        let input = FusionInput3 {
+            alpha_az_deg: 40.0,
+            alpha_el_deg: 15.0,
+            d_left_m: f64::NAN,
+            d_right_m: 0.5,
+        };
+        assert!(localize_phone_3d(&Head3::average_adult(), &input).is_none());
     }
 
     #[test]

@@ -19,7 +19,7 @@ use crate::nearfield::shift_first_tap_to;
 use uniq_acoustics::types::{BinauralIr, HrirBank};
 use uniq_dsp::peaks::first_tap;
 use uniq_geometry::critical::critical_angles;
-use uniq_geometry::planewave::plane_path_to_ear;
+use uniq_geometry::planewave::plane_excess;
 use uniq_geometry::{Ear, HeadBoundary};
 
 /// Converts an interpolated near-field bank into the far-field bank on the
@@ -52,8 +52,8 @@ pub fn convert(near: &HrirBank, fusion: &FusionResult, cfg: &UniqConfig, radius:
             // delay predicted by the fused head parameters, and undo the
             // near-field spreading loss (multiply by the trajectory radius)
             // so the far HRIR is normalized to unit incident amplitude.
-            let plane = plane_path_to_ear(&boundary, theta, ear);
-            shift_first_tap_to(&mut sig, cfg.render.metres_to_samples(plane.excess));
+            let excess = plane_excess(&boundary, theta, ear);
+            shift_first_tap_to(&mut sig, cfg.render.metres_to_samples(excess));
             for v in &mut sig {
                 *v *= radius;
             }

@@ -18,7 +18,7 @@ use uniq_acoustics::types::{BinauralIr, HrirBank};
 use uniq_dsp::align::shift_signal_in_place;
 use uniq_dsp::interp::{bracket_angle, lerp};
 use uniq_dsp::peaks::first_tap;
-use uniq_geometry::diffraction::path_to_ear;
+use uniq_geometry::diffraction::path_length;
 use uniq_geometry::vec2::unit_from_theta;
 use uniq_geometry::{Ear, HeadBoundary};
 
@@ -140,8 +140,8 @@ fn model_correct(
 ) {
     let pos = unit_from_theta(theta_deg) * radius;
     for (sig, ear) in [(&mut ir.left, Ear::Left), (&mut ir.right, Ear::Right)] {
-        let offset = path_to_ear(boundary, pos, ear)
-            .and_then(|path| shift_first_tap_to(sig, cfg.render.metres_to_samples(path.length)));
+        let offset = path_length(boundary, pos, ear)
+            .and_then(|length| shift_first_tap_to(sig, cfg.render.metres_to_samples(length)));
         if let Some(offset) = offset {
             uniq_obs::metric(
                 uniq_obs::names::NEARFIELD_INTERP_TAP_DEV,
@@ -169,6 +169,7 @@ mod tests {
     use uniq_acoustics::render::Renderer;
     use uniq_dsp::align::shift_signal;
     use uniq_dsp::interp::lerp_vec;
+    use uniq_geometry::diffraction::path_to_ear;
     use uniq_geometry::HeadParams;
 
     fn cfg() -> UniqConfig {

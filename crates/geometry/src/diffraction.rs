@@ -71,13 +71,23 @@ pub fn path_to_ear(boundary: &HeadBoundary, src: Vec2, ear: Ear) -> Option<Diffr
     path_to_vertex(boundary, src, boundary.ear_index(ear))
 }
 
-/// Length of the shortest diffraction path from `src` to the given ear,
-/// bit-identical to `path_to_ear(..).map(|p| p.length)` but without the
-/// wrap angle and arrival direction (the O(arc) part of a wrapped path),
-/// and its gradient with respect to `src`. The tangent search it runs, if
-/// any, is added to `work`.
+/// Length of the shortest diffraction path from `src` to the given ear:
+/// `path_to_ear(..).map(|p| p.length)` without the wrap angle and arrival
+/// direction, for callers that read only the length.
 ///
-/// The path leaves `src` along a straight segment to its first anchor:
+/// Returns `None` when `src` lies strictly inside the head.
+pub fn path_length(boundary: &HeadBoundary, src: Vec2, ear: Ear) -> Option<f64> {
+    shortest_wrap(boundary, src, boundary.ear_index(ear)).map(|wrap| wrap.length)
+}
+
+/// Lengths of the shortest diffraction paths from `src` to both ears,
+/// `[left, right]`, each with its gradient with respect to `src`:
+/// bit-identical to `path_to_ear(..).map(|p| p.length)` per ear but
+/// without the wrap angle and arrival direction (the O(arc) part of a
+/// wrapped path). The ears share one containment test and, when either
+/// is shadowed, one tangent search, which is added to `work`.
+///
+/// Each path leaves `src` along a straight segment to its first anchor:
 /// the source tangent vertex of a wrapped path, or the ear itself when
 /// the ear is lit. Moving the source moves neither the anchor nor the arc
 /// behind it until the tangent vertex switches, so the gradient is the
@@ -85,30 +95,35 @@ pub fn path_to_ear(boundary: &HeadBoundary, src: Vec2, ear: Ear) -> Option<Diffr
 ///
 /// ```
 /// use uniq_geometry::{HeadBoundary, HeadParams, Ear, Vec2};
-/// use uniq_geometry::diffraction::{path_length_and_gradient, path_to_ear, WrapWork};
+/// use uniq_geometry::diffraction::{ear_paths_and_gradients, path_to_ear, WrapWork};
 /// let b = HeadBoundary::new(HeadParams::average_adult(), 1024);
-/// let phone = Vec2::new(-0.4, 0.0);                  // left ear is lit
+/// let phone = Vec2::new(-0.4, 0.0);                  // left ear lit, right shadowed
 /// let mut work = WrapWork::default();
-/// let (len, grad) = path_length_and_gradient(&b, phone, Ear::Left, &mut work).unwrap();
+/// let [(len, grad), _] = ear_paths_and_gradients(&b, phone, &mut work).unwrap();
 /// assert_eq!(len, path_to_ear(&b, phone, Ear::Left).unwrap().length);
 /// assert!((grad - Vec2::new(-1.0, 0.0)).norm() < 1e-12); // away from the ear
-/// assert_eq!(work.tangent_searches, 0);              // a lit ear needs no tangents
+/// assert_eq!(work.tangent_searches, 1);              // for the shadowed ear only
 /// ```
 ///
 /// Returns `None` when `src` lies strictly inside the head.
-pub fn path_length_and_gradient(
+pub fn ear_paths_and_gradients(
     boundary: &HeadBoundary,
     src: Vec2,
-    ear: Ear,
     work: &mut WrapWork,
-) -> Option<(f64, Vec2)> {
-    let target_idx = boundary.ear_index(ear);
-    let wrap = shortest_wrap(boundary, src, target_idx, work)?;
-    let anchor_idx = wrap.tangent.map_or(target_idx, |(t_idx, _)| t_idx);
-    let to_src = src - boundary.vertices()[anchor_idx];
-    let seg = to_src.norm();
-    let gradient = if seg > 0.0 { to_src / seg } else { Vec2::ZERO };
-    Some((wrap.length, gradient))
+) -> Option<[(f64, Vec2); 2]> {
+    if boundary.contains(src) {
+        return None;
+    }
+    let mut tangents = None;
+    Some(Ear::BOTH.map(|ear| {
+        let target_idx = boundary.ear_index(ear);
+        let wrap = wrap_outside(boundary, src, target_idx, &mut tangents, work);
+        let anchor_idx = wrap.tangent.map_or(target_idx, |(t_idx, _)| t_idx);
+        let to_src = src - boundary.vertices()[anchor_idx];
+        let seg = to_src.norm();
+        let gradient = if seg > 0.0 { to_src / seg } else { Vec2::ZERO };
+        (wrap.length, gradient)
+    }))
 }
 
 /// Computes the shortest diffraction path from `src` to an arbitrary
@@ -122,7 +137,7 @@ pub fn path_to_vertex(
 ) -> Option<DiffractionPath> {
     let n = boundary.len();
     let target_idx = target_idx % n;
-    let wrap = shortest_wrap(boundary, src, target_idx, &mut WrapWork::default())?;
+    let wrap = shortest_wrap(boundary, src, target_idx)?;
     let target = boundary.vertices()[target_idx];
 
     let Some((t_idx, ccw)) = wrap.tangent else {
@@ -170,31 +185,41 @@ struct Wrap {
 }
 
 /// Shortest path from `src` to vertex `target_idx` (already reduced mod
-/// n); `None` when `src` lies strictly inside the head. Its tangent
-/// search, if any, is added to `work`.
-fn shortest_wrap(
-    boundary: &HeadBoundary,
-    src: Vec2,
-    target_idx: usize,
-    work: &mut WrapWork,
-) -> Option<Wrap> {
+/// n); `None` when `src` lies strictly inside the head.
+fn shortest_wrap(boundary: &HeadBoundary, src: Vec2, target_idx: usize) -> Option<Wrap> {
     if boundary.contains(src) {
         return None;
     }
+    let mut work = WrapWork::default();
+    Some(wrap_outside(
+        boundary, src, target_idx, &mut None, &mut work,
+    ))
+}
+
+/// [`shortest_wrap`] from a `src` known to lie outside the head.
+/// `tangents` holds the source's tangent vertices once a shadowed target
+/// has needed them, so several targets share one search; that search is
+/// added to `work`.
+fn wrap_outside(
+    boundary: &HeadBoundary,
+    src: Vec2,
+    target_idx: usize,
+    tangents: &mut Option<[usize; 2]>,
+    work: &mut WrapWork,
+) -> Wrap {
     let target = boundary.vertices()[target_idx];
     if boundary.segment_clear(src, target) {
-        return Some(Wrap {
+        return Wrap {
             length: (target - src).norm(),
             tangent: None,
-        });
+        };
     }
-
-    let tangents = tangent_vertices(boundary, src, work);
+    let tangents = *tangents.get_or_insert_with(|| tangent_vertices(boundary, src, work));
     let (length, t_idx, ccw) = boundary.arcs().wrap(src, tangents, target_idx);
-    Some(Wrap {
+    Wrap {
         length,
         tangent: Some((t_idx, ccw)),
-    })
+    }
 }
 
 /// Signed angle of vertex `v` as seen from `src`, relative to the
@@ -216,9 +241,10 @@ fn signed_angle(src: Vec2, base: f64, v: Vec2) -> f64 {
 /// Along the convex boundary the angle rises monotonically from `t_min`
 /// to `t_max` and falls back, so each extreme is found by descending from
 /// an analytic seed ([`tangent_seeds`], within a vertex or two of the
-/// answer) and settling ties in a small window. O(1) angle evaluations
-/// for a well-seeded source, O(n) only in the worst case. The search and
-/// its angle evaluations are added to `work`.
+/// answer), reusing the seeds' angles, and settling near-ties in a small
+/// window. O(1) angle evaluations for a well-seeded source, O(n) only in
+/// the worst case. The search and its angle evaluations are added to
+/// `work`.
 fn tangent_vertices(boundary: &HeadBoundary, src: Vec2, work: &mut WrapWork) -> [usize; 2] {
     let verts = boundary.vertices();
     let base = (-src).normalized().angle();
@@ -228,48 +254,74 @@ fn tangent_vertices(boundary: &HeadBoundary, src: Vec2, work: &mut WrapWork) -> 
         signed_angle(src, base, verts[k])
     };
     let [s0, s1] = tangent_seeds(boundary.params(), src, verts.len());
-    let (lo, hi) = if angle_at(s1) < angle_at(s0) {
-        (s1, s0)
+    let (a0, a1) = (angle_at(s0), angle_at(s1));
+    let ((lo, a_lo), (hi, a_hi)) = if a1 < a0 {
+        ((s1, a1), (s0, a0))
     } else {
-        (s0, s1)
+        ((s0, a0), (s1, a1))
     };
     let tangents = [
-        first_minimum(verts.len(), lo, angle_at),
-        first_minimum(verts.len(), hi, |k| -angle_at(k)),
+        first_minimum(verts.len(), lo, a_lo, angle_at),
+        first_minimum(verts.len(), hi, -a_hi, |k| -angle_at(k)),
     ];
     work.tangent_searches += 1;
     work.angle_evals += evals.get();
     tangents
 }
 
-/// Half-width of the window [`first_minimum`] rescans around the bottom
-/// it descended to: it covers equal-valued neighbours and last-ulp
+/// Half-width of the window [`first_minimum`] rescans around a bottom
+/// that is not [`STEEP`]: it covers equal-valued neighbours and last-ulp
 /// rounding wobble at the flat extreme of the angle curve.
 const TIE_WINDOW: usize = 3;
 
+/// How far both neighbours of a bottom must lie above it for
+/// [`first_minimum`] to skip the tie rescan, radians: far above the
+/// last-ulp rounding wobble of a vertex angle (~1e-16), so no vertex in
+/// the window can tie with or undercut the bottom.
+const STEEP: f64 = 1e-12;
+
 /// Smallest index among the minima of `f` over `0..n`, for `f` unimodal
-/// around the cycle: descends from `seed` while `f` strictly falls, then
-/// picks the lowest `(f, index)` within [`TIE_WINDOW`] of the bottom.
-fn first_minimum(n: usize, seed: usize, f: impl Fn(usize) -> f64) -> usize {
-    let mut k = seed;
-    let mut fk = f(k);
-    for step in [1, n - 1] {
-        for _ in 0..n {
-            let next = (k + step) % n;
-            let fnext = f(next);
-            if fnext < fk {
-                k = next;
-                fk = fnext;
-            } else {
-                break;
-            }
+/// around the cycle, given `f_seed = f(seed)`: descends from `seed` while
+/// `f` strictly falls, then picks the lowest `(f, index)` within
+/// [`TIE_WINDOW`] of the bottom — unless both neighbours of the bottom,
+/// which the descent has already evaluated, lie [`STEEP`]ly above it.
+fn first_minimum(n: usize, seed: usize, f_seed: f64, f: impl Fn(usize) -> f64) -> usize {
+    let (mut k, mut fk) = (seed, f_seed);
+    // `f(k + 1)` and `f(k − 1)` once evaluated.
+    let (mut up, mut down) = (None, None);
+    for _ in 0..n {
+        let next = (k + 1) % n;
+        let f_next = f(next);
+        if f_next < fk {
+            (down, k, fk) = (Some(fk), next, f_next);
+        } else {
+            up = Some(f_next);
+            break;
+        }
+    }
+    for _ in 0..n {
+        let next = (k + n - 1) % n;
+        let f_next = down.unwrap_or_else(|| f(next));
+        if f_next < fk {
+            (up, down, k, fk) = (Some(fk), None, next, f_next);
+        } else {
+            down = Some(f_next);
+            break;
+        }
+    }
+    if let (Some(u), Some(d)) = (up, down) {
+        if u - fk > STEEP && d - fk > STEEP {
+            return k;
         }
     }
     let mut best = k;
     let mut f_best = fk;
     for d in 1..=TIE_WINDOW {
-        for j in [(k + d) % n, (k + n - d) % n] {
-            let fj = f(j);
+        for (j, known) in [((k + d) % n, up), ((k + n - d) % n, down)] {
+            let fj = match known {
+                Some(v) if d == 1 => v,
+                _ => f(j),
+            };
             if fj < f_best || (fj == f_best && j < best) {
                 best = j;
                 f_best = fj;
@@ -334,6 +386,84 @@ mod tests {
         [t_min, t_max]
     }
 
+    /// Equivalence oracle: the descent that always rescanned
+    /// [`TIE_WINDOW`] around its bottom and re-evaluated the seeds and
+    /// the bottom's neighbours — what [`first_minimum`] replaced.
+    fn first_minimum_rescan(n: usize, seed: usize, f: impl Fn(usize) -> f64) -> usize {
+        let mut k = seed;
+        let mut fk = f(k);
+        for step in [1, n - 1] {
+            for _ in 0..n {
+                let next = (k + step) % n;
+                let fnext = f(next);
+                if fnext < fk {
+                    k = next;
+                    fk = fnext;
+                } else {
+                    break;
+                }
+            }
+        }
+        let mut best = k;
+        let mut f_best = fk;
+        for d in 1..=TIE_WINDOW {
+            for j in [(k + d) % n, (k + n - d) % n] {
+                let fj = f(j);
+                if fj < f_best || (fj == f_best && j < best) {
+                    best = j;
+                    f_best = fj;
+                }
+            }
+        }
+        best
+    }
+
+    /// Equivalence oracle: the tangent search over [`first_minimum_rescan`].
+    fn rescan_tangents(boundary: &HeadBoundary, src: Vec2) -> [usize; 2] {
+        let verts = boundary.vertices();
+        let base = (-src).normalized().angle();
+        let angle_at = |k: usize| signed_angle(src, base, verts[k]);
+        let [s0, s1] = tangent_seeds(boundary.params(), src, verts.len());
+        let (lo, hi) = if angle_at(s1) < angle_at(s0) {
+            (s1, s0)
+        } else {
+            (s0, s1)
+        };
+        [
+            first_minimum_rescan(verts.len(), lo, angle_at),
+            first_minimum_rescan(verts.len(), hi, |k| -angle_at(k)),
+        ]
+    }
+
+    /// Equivalence oracle: the one-ear query the two-ear call replaced,
+    /// with its own containment test and tangent search.
+    fn path_length_and_gradient(
+        boundary: &HeadBoundary,
+        src: Vec2,
+        ear: Ear,
+    ) -> Option<(f64, Vec2)> {
+        let target_idx = boundary.ear_index(ear);
+        let wrap = shortest_wrap(boundary, src, target_idx)?;
+        let anchor_idx = wrap.tangent.map_or(target_idx, |(t_idx, _)| t_idx);
+        let to_src = src - boundary.vertices()[anchor_idx];
+        let seg = to_src.norm();
+        let gradient = if seg > 0.0 { to_src / seg } else { Vec2::ZERO };
+        Some((wrap.length, gradient))
+    }
+
+    /// Both ears through the one-ear oracle, as the two-ear call returns
+    /// them.
+    fn both_ears_one_by_one(boundary: &HeadBoundary, src: Vec2) -> Option<[(f64, Vec2); 2]> {
+        let left = path_length_and_gradient(boundary, src, Ear::Left)?;
+        let right = path_length_and_gradient(boundary, src, Ear::Right)?;
+        Some([left, right])
+    }
+
+    /// The bits of a two-ear result: both lengths and gradients.
+    fn ear_bits(paths: Option<[(f64, Vec2); 2]>) -> Option<[u64; 6]> {
+        paths.map(|[(l, gl), (r, gr)]| [l, gl.x, gl.y, r, gr.x, gr.y].map(f64::to_bits))
+    }
+
     /// Equivalence oracle: the geodesic length over the scanned tangents.
     fn oracle_length(
         boundary: &HeadBoundary,
@@ -364,8 +494,9 @@ mod tests {
         best
     }
 
-    /// Asserts the tangent search and both path queries agree bit for bit
-    /// with the linear-scan oracle at `src`.
+    /// Asserts the tangent search agrees with the linear-scan and the
+    /// full-rescan oracles at `src`, and both path queries agree bit for
+    /// bit with the linear-scan oracle.
     fn assert_matches_oracle(b: &HeadBoundary, src: Vec2) {
         let expect = linear_tangents(b, src);
         let got = tangent_vertices(b, src, &mut WrapWork::default());
@@ -379,11 +510,14 @@ mod tests {
             h.c,
             b.len()
         );
-        for ear in Ear::BOTH {
+        assert_eq!(got, rescan_tangents(b, src), "rescan at src={src:?}");
+        let both = ear_paths_and_gradients(b, src, &mut WrapWork::default());
+        for (e, ear) in Ear::BOTH.into_iter().enumerate() {
             let oracle = oracle_length(b, src, b.ear_index(ear), expect).map(f64::to_bits);
             let full = path_to_ear(b, src, ear).map(|p| p.length.to_bits());
-            let with_gradient = path_length_and_gradient(b, src, ear, &mut WrapWork::default())
-                .map(|(l, _)| l.to_bits());
+            let length_only = path_length(b, src, ear).map(f64::to_bits);
+            assert_eq!(length_only, full, "path_length {ear:?} at src={src:?}");
+            let with_gradient = both.map(|paths| paths[e].0.to_bits());
             assert_eq!(
                 full,
                 oracle,
@@ -393,7 +527,7 @@ mod tests {
             assert_eq!(
                 with_gradient,
                 oracle,
-                "path_length_and_gradient {ear:?} at src={src:?}, n={}",
+                "ear_paths_and_gradients {ear:?} at src={src:?}, n={}",
                 b.len()
             );
         }
@@ -467,6 +601,43 @@ mod tests {
         #![proptest_config(proptest::prelude::ProptestConfig::with_cases(256))]
 
         #[test]
+        fn two_ear_call_matches_one_ear_calls(
+            a in 0.050..0.110f64,
+            bb in 0.060..0.150f64,
+            c in 0.060..0.140f64,
+            n_idx in 0usize..4,
+            t in 0.0..std::f64::consts::TAU,
+            scale in 0.2..100.0f64,
+        ) {
+            let head = HeadParams::new(a, bb, c);
+            let b = HeadBoundary::new(head, [16, 256, 1024, 4096][n_idx]);
+            assert_two_ears_match_one_by_one(&b, head.boundary_point(t) * scale);
+        }
+
+        #[test]
+        fn first_minimum_matches_the_full_rescan(
+            n in 16usize..64,
+            centre_frac in 0.0..1.0f64,
+            plateau in 1usize..6,
+            flat_bottom in 0usize..3,
+            seed_frac in 0.0..1.0f64,
+        ) {
+            // A unimodal cycle with plateaus: exact ties at the bottom and
+            // on the slopes, the cases where the rescan decides.
+            let centre = (centre_frac * n as f64) as usize % n;
+            let f = |k: usize| {
+                let d = (k + n - centre) % n;
+                let d = d.min(n - d).saturating_sub(flat_bottom);
+                (d / plateau) as f64
+            };
+            let seed = (seed_frac * n as f64) as usize % n;
+            proptest::prop_assert_eq!(
+                first_minimum(n, seed, f(seed), f),
+                first_minimum_rescan(n, seed, f)
+            );
+        }
+
+        #[test]
         fn tangent_search_matches_linear_scan(
             a in 0.050..0.110f64,
             bb in 0.060..0.150f64,
@@ -481,12 +652,97 @@ mod tests {
         }
     }
 
+    /// Asserts the two-ear call returns the one-ear oracle's bits at
+    /// `src`, runs one tangent search exactly when an ear is shadowed,
+    /// and returns how many ears are shadowed (`None` inside the head).
+    fn assert_two_ears_match_one_by_one(b: &HeadBoundary, src: Vec2) -> Option<usize> {
+        let mut work = WrapWork::default();
+        let both = ear_paths_and_gradients(b, src, &mut work);
+        assert_eq!(
+            ear_bits(both),
+            ear_bits(both_ears_one_by_one(b, src)),
+            "src={src:?}, n={}",
+            b.len()
+        );
+        both?;
+        let shadowed = Ear::BOTH
+            .into_iter()
+            .filter(|&ear| !b.segment_clear(src, b.vertices()[b.ear_index(ear)]))
+            .count();
+        assert_eq!(
+            work.tangent_searches,
+            u64::from(shadowed > 0),
+            "src={src:?}: {shadowed} shadowed ear(s)"
+        );
+        Some(shadowed)
+    }
+
+    #[test]
+    fn two_ear_call_matches_one_ear_calls_in_every_case() {
+        // Inside the head, one ear lit and one shadowed, and both
+        // shadowed (a source near the face sees neither ear). Both ears
+        // are lit only within segment_clear's grazing tolerance, from
+        // kilometres ahead of or behind the head.
+        let mut cases = [0usize; 4];
+        let mut sources = Vec::new();
+        for head in sweep_heads() {
+            for n in [16, 256, 1024, 4096] {
+                let b = HeadBoundary::new(head, n);
+                for k in 0..120 {
+                    let t = (k as f64 * 3.0 + 0.4).to_radians();
+                    for scale in [0.5, 0.999, 1.001, 1.05, 1.5, 4.0, 50.0] {
+                        sources.push(head.boundary_point(t) * scale);
+                    }
+                }
+                for y in [1e4, -1e4, 3e4] {
+                    for x in [0.0, 0.05, -0.05] {
+                        sources.push(Vec2::new(x, y));
+                    }
+                }
+                for src in sources.drain(..) {
+                    match assert_two_ears_match_one_by_one(&b, src) {
+                        None => cases[0] += 1,
+                        Some(shadowed) => cases[1 + shadowed] += 1,
+                    }
+                }
+            }
+        }
+        assert!(
+            cases.iter().all(|&c| c >= 50),
+            "inside / lit-lit / lit-shadowed / shadowed-shadowed: {cases:?}"
+        );
+    }
+
+    #[test]
+    fn steep_bottoms_skip_the_rescan_and_ties_still_rescan() {
+        // A well-seeded search costs the two seeds plus a few descent and
+        // neighbour angles, not the twelve of a ±3 rescan per extreme.
+        let b = boundary();
+        let mut work = WrapWork::default();
+        for k in 0..360 {
+            tangent_vertices(&b, unit_from_theta(k as f64) * 0.4, &mut work);
+        }
+        assert_eq!(work.tangent_searches, 360);
+        assert!(
+            work.angle_evals <= 360 * 10,
+            "{} angle evaluations over 360 searches",
+            work.angle_evals
+        );
+        // An exact tie at the bottom is never steep, so it rescans and
+        // resolves to the first index, as the oracle does.
+        let tie = |k: usize| [3.0, 2.0, 1.0, 1.0, 2.0, 3.0, 4.0, 5.0][k];
+        for seed in 0..8 {
+            assert_eq!(first_minimum(8, seed, tie(seed), tie), 2, "seed {seed}");
+            assert_eq!(first_minimum_rescan(8, seed, tie), 2, "seed {seed}");
+        }
+    }
+
     #[test]
     fn gradient_matches_central_differences() {
         // Which anchor the path leaves from: `None` for a lit ear, else
         // the tangent vertex and wrap direction.
         let anchor = |b: &HeadBoundary, p: Vec2, ear: Ear| {
-            shortest_wrap(b, p, b.ear_index(ear), &mut WrapWork::default()).map(|w| w.tangent)
+            shortest_wrap(b, p, b.ear_index(ear)).map(|w| w.tangent)
         };
         let length = |b: &HeadBoundary, p: Vec2, ear: Ear| path_to_ear(b, p, ear).unwrap().length;
         let h = 1e-7;
@@ -502,9 +758,7 @@ mod tests {
                     for r in [0.2, 0.45, 1.0] {
                         let src = unit_from_theta(theta) * r;
                         for ear in Ear::BOTH {
-                            let (len, grad) =
-                                path_length_and_gradient(&b, src, ear, &mut WrapWork::default())
-                                    .unwrap();
+                            let (len, grad) = path_length_and_gradient(&b, src, ear).unwrap();
                             assert_eq!(len.to_bits(), length(&b, src, ear).to_bits());
                             let stencil = [
                                 Vec2::new(h, 0.0),
@@ -548,9 +802,9 @@ mod tests {
         let b = boundary();
         let right_ear = b.vertices()[b.ear_index(Ear::Right)];
         let mut work = WrapWork::default();
-        let at_ear = path_length_and_gradient(&b, right_ear, Ear::Right, &mut work);
-        assert_eq!(at_ear, Some((0.0, Vec2::ZERO)));
-        assert!(path_length_and_gradient(&b, Vec2::new(0.01, 0.0), Ear::Left, &mut work).is_none());
+        let at_ear = ear_paths_and_gradients(&b, right_ear, &mut work).unwrap();
+        assert_eq!(at_ear[1], (0.0, Vec2::ZERO));
+        assert!(ear_paths_and_gradients(&b, Vec2::new(0.01, 0.0), &mut work).is_none());
     }
 
     #[test]
@@ -611,9 +865,8 @@ mod tests {
         assert!(path_to_ear(&b, Vec2::ZERO, Ear::Left).is_none());
         assert!(path_to_ear(&b, Vec2::new(0.01, 0.01), Ear::Right).is_none());
         let mut work = WrapWork::default();
-        assert!(
-            path_length_and_gradient(&b, Vec2::new(0.01, 0.01), Ear::Left, &mut work).is_none()
-        );
+        assert!(ear_paths_and_gradients(&b, Vec2::new(0.01, 0.01), &mut work).is_none());
+        assert_eq!(work, WrapWork::default(), "no search from inside the head");
     }
 
     #[test]

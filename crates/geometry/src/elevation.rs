@@ -196,22 +196,27 @@ pub fn path_to_ear_3d_res(head: &Head3, src: Vec3, ear: Ear, resolution: usize) 
     }
     let e2 = ortho.normalized();
 
-    // Sample the cross-section: for angle t, direction d(t) in the plane,
-    // surface point r(t)·d(t) projected to plane coordinates.
-    let verts: Vec<Vec2> = (0..resolution)
+    let poly = ConvexPolygon::new(section_vertices(head, e1, e2, resolution));
+
+    let src2d = Vec2::new(src.dot(e1), src.dot(e2));
+    // The ear is vertex 0 by construction (t = 0 points at the ear and the
+    // ear lies on the surface).
+    poly.wrap_to_vertex(src2d, 0)
+}
+
+/// The head's cross-section in the plane spanned by the orthonormal
+/// `e1`, `e2`, as `resolution` counter-clockwise vertices: for angle `t`,
+/// direction `d(t)` in the plane, surface point `r(t)·d(t)` projected to
+/// plane coordinates. Vertex 0 lies along `e1`.
+fn section_vertices(head: &Head3, e1: Vec3, e2: Vec3, resolution: usize) -> Vec<Vec2> {
+    (0..resolution)
         .map(|k| {
             let t = std::f64::consts::TAU * k as f64 / resolution as f64;
             let d = e1.scale(t.cos()).addv(e2.scale(t.sin()));
             let r = head.surface_radius(d.normalized());
             Vec2::new(r * t.cos(), r * t.sin())
         })
-        .collect();
-    let poly = ConvexPolygon::new(verts);
-
-    let src2d = Vec2::new(src.dot(e1), src.dot(e2));
-    // The ear is vertex 0 by construction (t = 0 points at the ear and the
-    // ear lies on the surface).
-    poly.wrap_to_vertex(src2d, 0)
+        .collect()
 }
 
 impl Vec3 {
@@ -539,6 +544,20 @@ mod tests {
             "lit {lit}, shadowed {shadowed}"
         );
         assert_eq!(digest, 0x795f_28f7_bf48_3d80, "digest {digest:#018x}");
+    }
+
+    #[test]
+    fn section_turning_matches_the_per_vertex_walk() {
+        // An elevated section through the left ear: its vertices come
+        // from the ellipsoid, not the two-half-ellipse boundary.
+        let head = Head3::new(HeadParams::new(0.06, 0.14, 0.07), 0.09);
+        let e1 = head.ear(Ear::Left).normalized();
+        let e2 = Vec3::new(0.0, 0.6, 0.8);
+        for resolution in [16, 128, 512] {
+            ConvexPolygon::new(section_vertices(&head, e1, e2, resolution))
+                .poly
+                .assert_turning_matches_walk();
+        }
     }
 
     fn circle(n: usize, r: f64) -> ConvexPolygon {

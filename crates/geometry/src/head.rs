@@ -9,6 +9,7 @@
 
 use crate::vec2::Vec2;
 use std::f64::consts::PI;
+use std::sync::OnceLock;
 
 /// Which ear a path terminates at.
 #[derive(Debug, Clone, Copy, PartialEq, Eq, Hash)]
@@ -371,6 +372,12 @@ pub(crate) struct ArcTable {
     /// `cum[i]` = arc length from vertex 0 to vertex `i` (so `cum[0] = 0`);
     /// one extra entry holds the full perimeter.
     cum: Vec<f64>,
+    /// `exterior[k]` = the exterior turning angle at vertex `k`, between
+    /// the edges into and out of it (radians, non-negative): built by the
+    /// first [`ArcTable::turning`] call on this shape, dropped by
+    /// [`ArcTable::reshape`], so a shape nobody asks a wrap angle of
+    /// never pays for it.
+    exterior: OnceLock<Vec<f64>>,
 }
 
 impl ArcTable {
@@ -380,6 +387,7 @@ impl ArcTable {
         let mut table = ArcTable {
             verts,
             cum: vec![0.0; n + 1],
+            exterior: OnceLock::new(),
         };
         table.measure();
         table
@@ -391,6 +399,7 @@ impl ArcTable {
         for (k, v) in self.verts.iter_mut().enumerate() {
             *v = vertex(k);
         }
+        self.exterior.take();
         self.measure();
     }
 
@@ -457,13 +466,40 @@ impl ArcTable {
     /// Sum of exterior turning angles along the polygon from vertex `i` to
     /// vertex `j` in the given direction (radians, non-negative for a
     /// convex polygon): the wrap angle of a path whose arc runs `i → j`.
+    ///
+    /// The angles at the vertices strictly between `i` and `j` are summed
+    /// from the exterior-angle table in walk order. Walking clockwise
+    /// reverses both edges at a vertex, which negates their cross product
+    /// exactly, so each angle is the same in either direction.
     pub(crate) fn turning(&self, i: usize, j: usize, ccw: bool) -> f64 {
+        let n = self.verts.len();
+        let steps = if ccw {
+            (j + n - i) % n
+        } else {
+            (i + n - j) % n
+        };
+        if steps < 2 {
+            return 0.0;
+        }
+        let exterior = self.exterior_angles();
+        let mut total = 0.0;
+        let mut k = i;
+        for _ in 1..steps {
+            k = if ccw { (k + 1) % n } else { (k + n - 1) % n };
+            total += exterior[k];
+        }
+        total
+    }
+
+    /// Equivalence oracle: the per-vertex walk the exterior-angle table
+    /// replaced — one `normalize` per step and one `asin` per vertex.
+    #[cfg(test)]
+    pub(crate) fn turning_walk(&self, i: usize, j: usize, ccw: bool) -> f64 {
         let n = self.verts.len();
         let step = |k: usize| if ccw { (k + 1) % n } else { (k + n - 1) % n };
         let mut total = 0.0;
         let mut k = i;
         let mut prev_dir: Option<Vec2> = None;
-        // Bounded walk (at most n steps) from i to j.
         for _ in 0..n {
             if k == j {
                 break;
@@ -477,6 +513,47 @@ impl ArcTable {
             k = nk;
         }
         total
+    }
+
+    /// Asserts [`ArcTable::turning`] returns the walk's bits in both
+    /// directions between a spread of vertex pairs, adjacent and equal
+    /// ones included.
+    #[cfg(test)]
+    pub(crate) fn assert_turning_matches_walk(&self) {
+        let n = self.verts.len();
+        let picks: Vec<usize> = [0, 1, 2, n / 4, n / 2 - 1, n / 2, n / 2 + 1, n - 2, n - 1]
+            .into_iter()
+            .chain((0..n).step_by(n.div_ceil(24)).map(|k| (k * 7 + 3) % n))
+            .collect();
+        for &i in &picks {
+            for &j in &picks {
+                for ccw in [true, false] {
+                    assert_eq!(
+                        self.turning(i, j, ccw).to_bits(),
+                        self.turning_walk(i, j, ccw).to_bits(),
+                        "n = {n}, {i} -> {j}, ccw = {ccw}"
+                    );
+                }
+            }
+        }
+    }
+
+    /// The exterior-angle table, built on first use: one normalized
+    /// direction per edge and one `asin` per vertex.
+    fn exterior_angles(&self) -> &[f64] {
+        self.exterior.get_or_init(|| {
+            let n = self.verts.len();
+            let edge = |k: usize| (self.verts[(k + 1) % n] - self.verts[k]).normalized();
+            let mut into = edge(n - 1);
+            (0..n)
+                .map(|k| {
+                    let out = edge(k);
+                    let angle = into.cross(out).clamp(-1.0, 1.0).asin().abs();
+                    into = out;
+                    angle
+                })
+                .collect()
+        })
     }
 }
 
@@ -605,6 +682,44 @@ mod tests {
                 assert_eq!(b.perimeter().to_bits(), fresh.perimeter().to_bits());
             }
         }
+    }
+
+    #[test]
+    fn tabulated_turning_matches_the_per_vertex_walk() {
+        let heads = [
+            head(),
+            HeadParams::new(0.05, 0.15, 0.06),
+            HeadParams::new(0.11, 0.06, 0.14),
+            HeadParams::new(0.08, 0.08, 0.08),
+        ];
+        for n in [16, 256, 1024, 4096] {
+            let table = BoundaryTable::new(n);
+            let mut b = HeadBoundary::new(head(), n);
+            for params in heads {
+                // A reshape drops the old shape's table; the next query
+                // rebuilds it for the new vertices.
+                b.reshape(params, &table);
+                b.arcs().assert_turning_matches_walk();
+                HeadBoundary::new(params, n)
+                    .arcs()
+                    .assert_turning_matches_walk();
+            }
+        }
+    }
+
+    #[test]
+    fn reshape_drops_the_turning_table() {
+        let mut b = HeadBoundary::new(head(), 256);
+        let before = b.arcs().turning(10, 100, true);
+        assert!(b.arcs().exterior.get().is_some());
+        b.reshape(HeadParams::new(0.05, 0.15, 0.06), &BoundaryTable::new(256));
+        assert!(b.arcs().exterior.get().is_none());
+        let after = b.arcs().turning(10, 100, true);
+        assert_ne!(before.to_bits(), after.to_bits());
+        assert_eq!(
+            after.to_bits(),
+            b.arcs().turning_walk(10, 100, true).to_bits()
+        );
     }
 
     #[test]

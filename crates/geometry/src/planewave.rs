@@ -11,7 +11,7 @@
 //! source placed [`FAR_DISTANCE`] away and subtract the reference distance
 //! to the wavefront through the origin.
 
-use crate::diffraction::path_to_ear;
+use crate::diffraction::{path_length, path_to_ear};
 use crate::head::{Ear, HeadBoundary};
 use crate::vec2::unit_from_theta;
 
@@ -48,6 +48,15 @@ pub fn plane_path_to_ear(boundary: &HeadBoundary, theta_deg: f64, ear: Ear) -> P
     }
 }
 
+/// The plane-wave excess path of [`plane_path_to_ear`] alone, for callers
+/// that need no wrap angle or arrival direction.
+pub fn plane_excess(boundary: &HeadBoundary, theta_deg: f64, ear: Ear) -> f64 {
+    let src = unit_from_theta(theta_deg) * FAR_DISTANCE;
+    // uniq-analyzer: allow(panic-safety) — FAR_DISTANCE is 100 m; no head model approaches that radius
+    let length = path_length(boundary, src, ear).expect("far source cannot be inside the head");
+    length - FAR_DISTANCE
+}
+
 /// Far-field interaural path difference (right minus left) in metres for a
 /// source at `theta_deg`.
 ///
@@ -59,9 +68,7 @@ pub fn plane_path_to_ear(boundary: &HeadBoundary, theta_deg: f64, ear: Ear) -> P
 /// assert!(plane_itd_metres(&b, 90.0) > 0.15);       // lateral: big ITD
 /// ```
 pub fn plane_itd_metres(boundary: &HeadBoundary, theta_deg: f64) -> f64 {
-    let l = plane_path_to_ear(boundary, theta_deg, Ear::Left);
-    let r = plane_path_to_ear(boundary, theta_deg, Ear::Right);
-    r.excess - l.excess
+    plane_excess(boundary, theta_deg, Ear::Right) - plane_excess(boundary, theta_deg, Ear::Left)
 }
 
 #[cfg(test)]
@@ -71,6 +78,23 @@ mod tests {
 
     fn boundary() -> HeadBoundary {
         HeadBoundary::new(HeadParams::average_adult(), 2048)
+    }
+
+    #[test]
+    fn excess_alone_matches_the_full_plane_path() {
+        for n in [256, 2048] {
+            let b = HeadBoundary::new(HeadParams::new(0.06, 0.14, 0.07), n);
+            for k in 0..720 {
+                let theta = k as f64 * 0.5 + 0.1;
+                for ear in Ear::BOTH {
+                    assert_eq!(
+                        plane_excess(&b, theta, ear).to_bits(),
+                        plane_path_to_ear(&b, theta, ear).excess.to_bits(),
+                        "{ear:?} at {theta} deg, n = {n}"
+                    );
+                }
+            }
+        }
     }
 
     #[test]

@@ -54,27 +54,58 @@ pub struct OptimResult {
     pub converged: bool,
 }
 
+/// Why [`nelder_mead`] stopped without a minimizer.
+#[derive(Debug, Clone, PartialEq)]
+pub enum OptimError {
+    /// The objective returned NaN, which orders against no value, so the
+    /// simplex cannot rank its vertices.
+    NanObjective {
+        /// The point the objective was evaluated at.
+        x: Vec<f64>,
+    },
+}
+
+impl std::fmt::Display for OptimError {
+    fn fmt(&self, f: &mut std::fmt::Formatter<'_>) -> std::fmt::Result {
+        match self {
+            OptimError::NanObjective { x } => write!(f, "objective returned NaN at {x:?}"),
+        }
+    }
+}
+
+impl std::error::Error for OptimError {}
+
 /// Minimizes `f` with the Nelder–Mead simplex method starting from `x0`.
 ///
 /// ```
 /// use uniq_optim::{nelder_mead, NelderMeadOptions};
 /// let r = nelder_mead(|x| (x[0] - 2.0).powi(2) + x[1].powi(2), &[0.0, 1.0],
-///                     &NelderMeadOptions::default());
+///                     &NelderMeadOptions::default()).unwrap();
 /// assert!((r.x[0] - 2.0).abs() < 1e-3 && r.x[1].abs() < 1e-3);
 /// ```
 ///
 /// Objective values may be `INFINITY` to mark infeasible regions; the
-/// simplex will move away from them. NaN objectives panic.
+/// simplex will move away from them.
+///
+/// # Errors
+/// Returns [`OptimError::NanObjective`] as soon as `f` returns NaN.
 ///
 /// # Panics
-/// Panics if `x0` is empty or `f` returns NaN.
-pub fn nelder_mead(f: impl Fn(&[f64]) -> f64, x0: &[f64], opts: &NelderMeadOptions) -> OptimResult {
+/// Panics if `x0` is empty.
+pub fn nelder_mead(
+    f: impl Fn(&[f64]) -> f64,
+    x0: &[f64],
+    opts: &NelderMeadOptions,
+) -> Result<OptimResult, OptimError> {
     assert!(!x0.is_empty(), "nelder_mead: empty start point");
     let n = x0.len();
-    let eval = |x: &[f64]| -> f64 {
+    let eval = |x: &[f64]| -> Result<f64, OptimError> {
         let v = f(x);
-        assert!(!v.is_nan(), "nelder_mead: objective returned NaN at {x:?}");
-        v
+        if v.is_nan() {
+            // uniq-analyzer: allow(hot-path-alloc) — the optimizer allocates a handful of n-element points (n = 3 head parameters) per iteration, once per fusion solve, and this error copies one point once — not in the per-sample path
+            return Err(OptimError::NanObjective { x: x.to_vec() });
+        }
+        Ok(v)
     };
 
     // Initial simplex: x0 plus a perturbed point per coordinate. The step
@@ -84,13 +115,12 @@ pub fn nelder_mead(f: impl Fn(&[f64]) -> f64, x0: &[f64], opts: &NelderMeadOptio
     let scale = x0.iter().fold(0.0_f64, |m, v| m.max(v.abs()));
     let floor = opts.initial_step * 0.05 * (1.0 + scale);
     let mut simplex: Vec<(Vec<f64>, f64)> = Vec::with_capacity(n + 1);
-    // uniq-analyzer: allow(hot-path-alloc) — the optimizer allocates a handful of n-element points (n = 3 head parameters) per iteration, once per fusion solve — not in the per-sample path
-    simplex.push((x0.to_vec(), eval(x0)));
+    simplex.push((x0.to_vec(), eval(x0)?));
     for i in 0..n {
         let mut x = x0.to_vec();
         let step = (x[i].abs() * opts.initial_step).max(floor);
         x[i] += step;
-        let fx = eval(&x);
+        let fx = eval(&x)?;
         simplex.push((x, fx));
     }
 
@@ -137,11 +167,11 @@ pub fn nelder_mead(f: impl Fn(&[f64]) -> f64, x0: &[f64], opts: &NelderMeadOptio
 
         // Reflection.
         let xr = blend(alpha);
-        let fr = eval(&xr);
+        let fr = eval(&xr)?;
         if fr < simplex[0].1 {
             // Expansion.
             let xe = blend(gamma);
-            let fe = eval(&xe);
+            let fe = eval(&xe)?;
             simplex[n] = if fe < fr { (xe, fe) } else { (xr, fr) };
             continue;
         }
@@ -152,11 +182,11 @@ pub fn nelder_mead(f: impl Fn(&[f64]) -> f64, x0: &[f64], opts: &NelderMeadOptio
         // Contraction (outside if reflected better than worst, else inside).
         let (xc, fc) = if fr < simplex[n].1 {
             let x = blend(rho);
-            let fx = eval(&x);
+            let fx = eval(&x)?;
             (x, fx)
         } else {
             let x = blend(-rho);
-            let fx = eval(&x);
+            let fx = eval(&x)?;
             (x, fx)
         };
         if fc < simplex[n].1.min(fr) {
@@ -172,19 +202,19 @@ pub fn nelder_mead(f: impl Fn(&[f64]) -> f64, x0: &[f64], opts: &NelderMeadOptio
                 .zip(&best_x)
                 .map(|(&xi, &bi)| bi + sigma * (xi - bi))
                 .collect();
-            let fx = eval(&x);
+            let fx = eval(&x)?;
             *entry = (x, fx);
         }
     }
 
     simplex.sort_by(|a, b| a.1.total_cmp(&b.1));
     let (x, fx) = simplex.swap_remove(0);
-    OptimResult {
+    Ok(OptimResult {
         x,
         fx,
         iterations,
         converged,
-    }
+    })
 }
 
 /// Minimizes a 1-D unimodal function on `[lo, hi]` by golden-section
@@ -305,7 +335,7 @@ mod tests {
     #[test]
     fn nelder_mead_quadratic_bowl() {
         let f = |x: &[f64]| (x[0] - 3.0).powi(2) + (x[1] + 1.0).powi(2);
-        let r = nelder_mead(f, &[0.0, 0.0], &NelderMeadOptions::default());
+        let r = nelder_mead(f, &[0.0, 0.0], &NelderMeadOptions::default()).unwrap();
         assert!(r.converged);
         assert!((r.x[0] - 3.0).abs() < 1e-4, "x0 = {}", r.x[0]);
         assert!((r.x[1] + 1.0).abs() < 1e-4, "x1 = {}", r.x[1]);
@@ -318,7 +348,7 @@ mod tests {
             max_iter: 5000,
             ..Default::default()
         };
-        let r = nelder_mead(f, &[-1.2, 1.0], &opts);
+        let r = nelder_mead(f, &[-1.2, 1.0], &opts).unwrap();
         assert!(r.fx < 1e-8, "fx = {}", r.fx);
         assert!((r.x[0] - 1.0).abs() < 1e-3);
     }
@@ -333,21 +363,43 @@ mod tests {
                 (x[0] - 2.0).powi(2)
             }
         };
-        let r = nelder_mead(f, &[1.5], &NelderMeadOptions::default());
+        let r = nelder_mead(f, &[1.5], &NelderMeadOptions::default()).unwrap();
         assert!((r.x[0] - 2.0).abs() < 1e-4);
     }
 
     #[test]
     fn nelder_mead_3d() {
         let f = |x: &[f64]| (x[0] - 0.08).powi(2) + (x[1] - 0.10).powi(2) + (x[2] - 0.09).powi(2);
-        let r = nelder_mead(f, &[0.075, 0.095, 0.085], &NelderMeadOptions::default());
+        let r = nelder_mead(f, &[0.075, 0.095, 0.085], &NelderMeadOptions::default()).unwrap();
         assert!(r.fx < 1e-10);
     }
 
     #[test]
     #[should_panic(expected = "empty start")]
     fn nelder_mead_empty_start_panics() {
-        nelder_mead(|_| 0.0, &[], &NelderMeadOptions::default());
+        let _ = nelder_mead(|_| 0.0, &[], &NelderMeadOptions::default());
+    }
+
+    #[test]
+    fn nelder_mead_nan_objective_is_a_typed_error() {
+        // NaN at the start point, and NaN only once the simplex wanders
+        // past x = 1 on its way to the minimum at 3.
+        let r = nelder_mead(|_| f64::NAN, &[0.5, 0.5], &NelderMeadOptions::default());
+        assert_eq!(
+            r.unwrap_err(),
+            OptimError::NanObjective { x: vec![0.5, 0.5] }
+        );
+        let f = |x: &[f64]| {
+            if x[0] > 1.0 {
+                f64::NAN
+            } else {
+                (x[0] - 3.0).powi(2)
+            }
+        };
+        match nelder_mead(f, &[0.0], &NelderMeadOptions::default()) {
+            Err(OptimError::NanObjective { x }) => assert!(x[0] > 1.0, "NaN reported at {x:?}"),
+            Ok(r) => panic!("a NaN objective produced a result at {:?}", r.x),
+        }
     }
 
     #[test]

@@ -14,7 +14,7 @@ proptest! {
     ) {
         let f = |x: &[f64]| sx * (x[0] - cx).powi(2) + sy * (x[1] - cy).powi(2);
         let opts = NelderMeadOptions { max_iter: 1000, ..Default::default() };
-        let r = nelder_mead(f, &[x0, y0], &opts);
+        let r = nelder_mead(f, &[x0, y0], &opts).unwrap();
         prop_assert!((r.x[0] - cx).abs() < 1e-3, "x: {} vs {cx}", r.x[0]);
         prop_assert!((r.x[1] - cy).abs() < 1e-3, "y: {} vs {cy}", r.x[1]);
     }
@@ -30,7 +30,7 @@ proptest! {
             coeffs[0] * t.sin() + coeffs[1] * (0.5 * t).cos() + coeffs[2] * 0.01 * t * t + t * t * 0.1
         };
         let start = f(&[x0]);
-        let r = nelder_mead(f, &[x0], &NelderMeadOptions::default());
+        let r = nelder_mead(f, &[x0], &NelderMeadOptions::default()).unwrap();
         prop_assert!(r.fx <= start + 1e-12);
     }
 
