@@ -13,6 +13,7 @@
 //! realizes this magnitude as a **linear-phase FIR** (frequency sampling),
 //! so shadowed taps keep their arrival time while losing treble.
 
+use std::sync::LazyLock;
 use uniq_dsp::complex::Complex;
 use uniq_dsp::fft::ifft;
 use uniq_dsp::window::{window, WindowKind};
@@ -29,6 +30,9 @@ pub const SHADOW_F0_HZ: f64 = 4000.0;
 
 /// Frequency-sampling design size.
 const DESIGN_N: usize = 256;
+
+/// The Hann window that truncates every shadow FIR, built once.
+static FIR_WINDOW: LazyLock<Vec<f64>> = LazyLock::new(|| window(WindowKind::Hann, SHADOW_FIR_LEN));
 
 /// The shadow magnitude `A(f, φ)` of the model above.
 pub fn shadow_magnitude(freq_hz: f64, wrap_angle: f64) -> f64 {
@@ -49,21 +53,21 @@ pub fn shadow_fir(wrap_angle: f64, sample_rate: f64) -> Option<Vec<f64>> {
         return None;
     }
     // Sample the desired magnitude on the full FFT grid (conjugate
-    // symmetric, zero phase) and inverse transform.
+    // symmetric, zero phase) and inverse transform. Bin k > n/2 samples
+    // frequency (n − k)·fs/n, so it mirrors bin n − k.
     let mut spec = vec![Complex::ZERO; DESIGN_N];
-    for (k, s) in spec.iter_mut().enumerate() {
-        let f = if k <= DESIGN_N / 2 {
-            k as f64 * sample_rate / DESIGN_N as f64
-        } else {
-            (DESIGN_N - k) as f64 * sample_rate / DESIGN_N as f64
-        };
+    for (k, s) in spec[..=DESIGN_N / 2].iter_mut().enumerate() {
+        let f = k as f64 * sample_rate / DESIGN_N as f64;
         *s = Complex::from_real(shadow_magnitude(f, wrap_angle));
+    }
+    for k in DESIGN_N / 2 + 1..DESIGN_N {
+        spec[k] = spec[DESIGN_N - k];
     }
     let impulse = ifft(&spec);
     // Zero-phase impulse is centred at 0 (wrapping negatively); rotate so
     // the centre lands mid-kernel, window, truncate.
     let half = SHADOW_FIR_LEN / 2;
-    let win = window(WindowKind::Hann, SHADOW_FIR_LEN);
+    let win = &*FIR_WINDOW;
     let mut taps: Vec<f64> = (0..SHADOW_FIR_LEN)
         .map(|i| {
             let src = (i + DESIGN_N - half) % DESIGN_N;
@@ -94,6 +98,72 @@ mod tests {
     use uniq_dsp::fft::rfft;
 
     const SR: f64 = 48_000.0;
+
+    /// Equivalence oracle: the design as it was before the magnitude was
+    /// mirrored and the window built once — every bin's magnitude and a
+    /// fresh window per call.
+    fn shadow_fir_per_call(wrap_angle: f64, sample_rate: f64) -> Option<Vec<f64>> {
+        if wrap_angle <= 0.0 {
+            return None;
+        }
+        let mut spec = vec![Complex::ZERO; DESIGN_N];
+        for (k, s) in spec.iter_mut().enumerate() {
+            let f = if k <= DESIGN_N / 2 {
+                k as f64 * sample_rate / DESIGN_N as f64
+            } else {
+                (DESIGN_N - k) as f64 * sample_rate / DESIGN_N as f64
+            };
+            *s = Complex::from_real(shadow_magnitude(f, wrap_angle));
+        }
+        let impulse = ifft(&spec);
+        let half = SHADOW_FIR_LEN / 2;
+        let win = window(WindowKind::Hann, SHADOW_FIR_LEN);
+        let mut taps: Vec<f64> = (0..SHADOW_FIR_LEN)
+            .map(|i| {
+                let src = (i + DESIGN_N - half) % DESIGN_N;
+                impulse[src].re * win[i]
+            })
+            .collect();
+        let dc: f64 = taps.iter().sum();
+        let want = shadow_magnitude(0.0, wrap_angle);
+        if dc.abs() > 1e-12 {
+            let g = want / dc;
+            for t in taps.iter_mut() {
+                *t *= g;
+            }
+        }
+        Some(taps)
+    }
+
+    fn bits(taps: Option<Vec<f64>>) -> Option<Vec<u64>> {
+        taps.map(|t| t.into_iter().map(f64::to_bits).collect())
+    }
+
+    #[test]
+    fn mirrored_design_matches_the_per_call_design() {
+        for k in 0..400 {
+            let wrap = k as f64 * 0.0125 - 0.5;
+            for sr in [8_000.0, 44_100.0, SR, 96_000.0] {
+                assert_eq!(
+                    bits(shadow_fir(wrap, sr)),
+                    bits(shadow_fir_per_call(wrap, sr)),
+                    "wrap {wrap}, rate {sr}"
+                );
+            }
+        }
+    }
+
+    proptest::proptest! {
+        #![proptest_config(proptest::prelude::ProptestConfig::with_cases(256))]
+
+        #[test]
+        fn mirrored_design_matches_the_per_call_design_anywhere(
+            wrap in 1e-6..4.0f64,
+            sr in 8_000.0..192_000.0f64,
+        ) {
+            proptest::prop_assert_eq!(bits(shadow_fir(wrap, sr)), bits(shadow_fir_per_call(wrap, sr)));
+        }
+    }
 
     #[test]
     fn magnitude_monotone_in_everything() {

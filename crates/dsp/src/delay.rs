@@ -7,6 +7,7 @@
 
 use crate::window::{window, WindowKind};
 use std::f64::consts::PI;
+use std::sync::LazyLock;
 
 /// Half-width (in samples) of the windowed-sinc interpolation kernel.
 pub const SINC_HALF_WIDTH: usize = 16;
@@ -21,6 +22,10 @@ pub fn sinc(x: f64) -> f64 {
     }
 }
 
+/// The Hann window of the interpolation kernel, built once.
+static SINC_WINDOW: LazyLock<Vec<f64>> =
+    LazyLock::new(|| window(WindowKind::Hann, 2 * SINC_HALF_WIDTH + 1));
+
 /// Adds a band-limited impulse of amplitude `amp` at (possibly fractional)
 /// sample position `pos` into `buf`, using a Hann-windowed sinc kernel.
 ///
@@ -33,7 +38,7 @@ pub fn add_fractional_impulse(buf: &mut [f64], pos: f64, amp: f64) {
     let center = pos.round() as isize;
     let frac = pos - center as f64; // in [-0.5, 0.5]
     let half = SINC_HALF_WIDTH as isize;
-    let win = window(WindowKind::Hann, 2 * SINC_HALF_WIDTH + 1);
+    let win = &*SINC_WINDOW;
     // Pre-compute the full kernel and normalize to unit sum so a fractional
     // tap keeps exact DC gain (truncated windowed sincs otherwise droop).
     let mut kernel = [0.0; 2 * SINC_HALF_WIDTH + 1];
@@ -139,6 +144,60 @@ mod tests {
         add_fractional_impulse(&mut buf, 7.7, 1.0);
         // Should not panic; some energy may land inside.
         assert!(buf.iter().all(|v| v.is_finite()));
+    }
+
+    /// Equivalence oracle: the impulse as placed before its window was
+    /// built once, with a fresh window per call.
+    fn add_fractional_impulse_per_call(buf: &mut [f64], pos: f64, amp: f64) {
+        if amp == 0.0 || !pos.is_finite() {
+            return;
+        }
+        let center = pos.round() as isize;
+        let frac = pos - center as f64;
+        let half = SINC_HALF_WIDTH as isize;
+        let win = window(WindowKind::Hann, 2 * SINC_HALF_WIDTH + 1);
+        let mut kernel = [0.0; 2 * SINC_HALF_WIDTH + 1];
+        let mut total = 0.0;
+        for k in -half..=half {
+            let x = k as f64 - frac;
+            let w = win[(k + half) as usize] * sinc(x);
+            kernel[(k + half) as usize] = w;
+            total += w;
+        }
+        if total.abs() < 1e-12 {
+            return;
+        }
+        for k in -half..=half {
+            let idx = center + k;
+            if idx < 0 || idx as usize >= buf.len() {
+                continue;
+            }
+            buf[idx as usize] += amp * kernel[(k + half) as usize] / total;
+        }
+    }
+
+    proptest::proptest! {
+        #![proptest_config(proptest::prelude::ProptestConfig::with_cases(256))]
+
+        #[test]
+        fn once_built_window_matches_the_per_call_impulse(
+            len in 1usize..96,
+            pos in -40.0..140.0f64,
+            amp in -3.0..3.0f64,
+            twice in 0usize..2,
+        ) {
+            let mut once = vec![0.0; len];
+            let mut per_call = vec![0.0; len];
+            add_fractional_impulse(&mut once, pos, amp);
+            add_fractional_impulse_per_call(&mut per_call, pos, amp);
+            if twice == 1 {
+                // A second tap on top, as a pinna response adds them.
+                add_fractional_impulse(&mut once, pos * 0.5 + 7.25, 1.0);
+                add_fractional_impulse_per_call(&mut per_call, pos * 0.5 + 7.25, 1.0);
+            }
+            let bits = |b: &[f64]| b.iter().map(|v| v.to_bits()).collect::<Vec<_>>();
+            proptest::prop_assert_eq!(bits(&once), bits(&per_call));
+        }
     }
 
     #[test]
