@@ -167,6 +167,13 @@ pub const STORE_PUT_BYTES: &str = "store.put_bytes";
 pub const STORE_DEDUP_HITS: &str = "store.dedup_hits";
 /// Distinct artifacts in the store after an operation.
 pub const STORE_ENTRIES: &str = "store.entries";
+/// Blob bytes one store call folded into a content key with FNV-1a
+/// (counter, emitted once per `put`/`get`; the subject fingerprint's
+/// fold is not counted).
+pub const STORE_BYTES_HASHED: &str = "store.bytes_hashed";
+/// Blob bytes one store call ran through CRC-32, header and payload
+/// (counter, emitted once per `encode`/`decode`/`get`).
+pub const STORE_BYTES_CRC: &str = "store.bytes_crc";
 
 /// Every metric/counter name the workspace may emit. The workspace-level
 /// `every_emitted_name_is_registered` test runs a full pipeline under a
@@ -222,6 +229,8 @@ pub const ALL_METRICS: &[&str] = &[
     STORE_PUT_BYTES,
     STORE_DEDUP_HITS,
     STORE_ENTRIES,
+    STORE_BYTES_HASHED,
+    STORE_BYTES_CRC,
 ];
 
 // Span names. Spans are the unit the profiling layer (`uniq-profile`)
