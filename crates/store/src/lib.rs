@@ -27,5 +27,7 @@ pub mod format;
 pub mod store;
 
 pub use error::StoreError;
-pub use format::{content_key, decode, encode, Grid, HrtfArtifact, FORMAT_VERSION, HEADER_LEN};
+pub use format::{
+    content_key, decode, encode, Encoded, Grid, HrtfArtifact, FORMAT_VERSION, HEADER_LEN,
+};
 pub use store::{IndexEntry, PutOutcome, Store, VerifyReport};
