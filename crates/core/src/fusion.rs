@@ -150,11 +150,13 @@ fn localize_counted(
         let root = solve_2d(residual, [seed.x, seed.y], 60);
         iterations += root.iterations as u64;
         let res = root.residual;
-        if res > LOC_TOL_M {
+        // A NaN residual or root (a NaN path length or IMU angle) fails
+        // the stop like a miss.
+        if res.is_nan() || res > LOC_TOL_M {
             continue;
         }
         let pos = Vec2::new(root.x[0], root.x[1]);
-        if pos.norm() < 1e-6 {
+        if pos.norm().is_nan() || pos.norm() < 1e-6 {
             continue;
         }
         let cand = LocalizedStop {
@@ -237,8 +239,10 @@ fn fusion_objective(
 ///
 /// Returns `None` when fewer than [`MIN_STOPS`] inputs are given, when
 /// `weights` is `Some` with a length different from `inputs`, when the
-/// Eq. 2 objective is NaN (a NaN weight), or when no hypothesis localizes a
-/// majority of stops — a hopeless measurement set.
+/// Eq. 2 objective is NaN (a NaN weight), when a stop with a non-finite
+/// IMU angle fails to localize (no angle to fall back on), or when no
+/// hypothesis localizes a majority of stops — a hopeless measurement set.
+/// A NaN path length fails its stop.
 pub fn fuse_weighted(
     inputs: &[FusionInput],
     weights: Option<&[f64]>,
@@ -328,6 +332,9 @@ pub fn fuse_weighted(
                 stops.push(loc);
                 localized += 1;
             }
+            // A stop that neither localizes nor has a finite IMU angle
+            // to fall back on leaves no angle for the output grid.
+            None if !inp.alpha_deg.is_finite() => return None,
             None => {
                 // Keep index alignment: fall back to the IMU angle with a
                 // flagged (infinite) residual radius entry.
@@ -597,6 +604,40 @@ mod tests {
         let mut weights = vec![1.0; inputs.len()];
         weights[3] = f64::NAN;
         assert!(fuse_weighted(&inputs, Some(&weights), &test_cfg()).is_none());
+    }
+
+    #[test]
+    fn nan_imu_angle_fails_the_fit_without_a_panic() {
+        // The NaN angle seeds both Gauss–Newton roots with NaN; the stop
+        // fails under every hypothesis and has no angle to fall back on.
+        let mut inputs = synthetic_inputs(HeadParams::average_adult(), 0.4, 8);
+        inputs[3].alpha_deg = f64::NAN;
+        let boundary = HeadBoundary::new(HeadParams::average_adult(), 512);
+        let stop = &inputs[3];
+        assert!(localize_phone(&boundary, stop.d_left_m, stop.d_right_m, stop.alpha_deg).is_none());
+        assert!(fuse_weighted(&inputs, None, &test_cfg()).is_none());
+    }
+
+    #[test]
+    fn nan_path_length_fails_the_stop() {
+        // A NaN distance gives a NaN residual, which must not pass the
+        // tolerance check: the stop fails and falls back to its IMU angle,
+        // while the other stops still fit.
+        let mut inputs = synthetic_inputs(HeadParams::average_adult(), 0.4, 8);
+        inputs[3].d_left_m = f64::NAN;
+        let boundary = HeadBoundary::new(HeadParams::average_adult(), 512);
+        let stop = &inputs[3];
+        assert!(localize_phone(&boundary, stop.d_left_m, stop.d_right_m, stop.alpha_deg).is_none());
+        let fit = fuse_weighted(&inputs, None, &test_cfg()).expect("seven stops still fit");
+        assert_eq!(fit.stops[3].residual_m, f64::INFINITY);
+        assert_eq!(fit.final_thetas_deg[3], inputs[3].alpha_deg);
+        assert!(
+            fit.stops
+                .iter()
+                .filter(|s| s.residual_m.is_finite())
+                .count()
+                == 7
+        );
     }
 
     #[test]
