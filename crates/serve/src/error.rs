@@ -74,6 +74,12 @@ pub enum ServeError {
         /// Its queue capacity.
         queue_depth: usize,
     },
+    /// The server already holds its limit of live connections; the new
+    /// connection was refused (wire kind `overloaded`).
+    ConnectionLimit {
+        /// Live connections the server allows.
+        limit: usize,
+    },
     /// The server is draining and accepts no new work.
     ShuttingDown,
     /// The personalization pipeline failed for this request.
@@ -115,7 +121,7 @@ impl ServeError {
             ServeError::UnknownField { .. } => "unknown_field",
             ServeError::UnknownType { .. } => "unknown_type",
             ServeError::BodyTooLarge { .. } => "body_too_large",
-            ServeError::Overloaded { .. } => "overloaded",
+            ServeError::Overloaded { .. } | ServeError::ConnectionLimit { .. } => "overloaded",
             ServeError::ShuttingDown => "shutting_down",
             ServeError::Pipeline { .. } => "pipeline",
             ServeError::Internal { .. } => "internal",
@@ -167,6 +173,10 @@ impl fmt::Display for ServeError {
             ServeError::Overloaded { shard, queue_depth } => write!(
                 f,
                 "shard {shard} queue full (depth {queue_depth}); request shed"
+            ),
+            ServeError::ConnectionLimit { limit } => write!(
+                f,
+                "server holds its limit of {limit} live connections; connection refused"
             ),
             ServeError::ShuttingDown => write!(f, "server is shutting down"),
             ServeError::Pipeline { detail } => write!(f, "personalization failed: {detail}"),
