@@ -371,9 +371,10 @@ impl ConvexPolygon {
         }
 
         let (length, t_idx, ccw) = self.poly.wrap(src, [t_min, t_max], target_idx);
+        // The polygon is built for this one query: no exterior-angle table.
         Some(Path3 {
             length,
-            wrap_angle: self.poly.turning(t_idx, target_idx, ccw),
+            wrap_angle: self.poly.turning_once(t_idx, target_idx, ccw),
             direct: false,
         })
     }
@@ -544,6 +545,19 @@ mod tests {
             "lit {lit}, shadowed {shadowed}"
         );
         assert_eq!(digest, 0x795f_28f7_bf48_3d80, "digest {digest:#018x}");
+    }
+
+    #[test]
+    fn a_section_query_builds_no_exterior_angle_table() {
+        let head = Head3::average_adult();
+        let e1 = head.ear(Ear::Right).normalized();
+        let e2 = Vec3::new(0.0, 1.0, 0.0);
+        let poly = ConvexPolygon::new(section_vertices(&head, e1, e2, 128));
+        // A source on the far side of the head wraps.
+        let far = poly.poly.vertices()[64] * 4.0;
+        let path = poly.wrap_to_vertex(far, 0).expect("source outside");
+        assert!(!path.direct && path.wrap_angle > 0.5, "{path:?}");
+        assert!(!poly.poly.has_exterior_table());
     }
 
     #[test]

@@ -472,23 +472,41 @@ impl ArcTable {
     /// reverses both edges at a vertex, which negates their cross product
     /// exactly, so each angle is the same in either direction.
     pub(crate) fn turning(&self, i: usize, j: usize, ccw: bool) -> f64 {
+        self.turning_by(i, j, ccw, |k| self.exterior_angles()[k])
+    }
+
+    /// [`ArcTable::turning`] for a shape asked a single wrap angle: the
+    /// walk's vertex angles are computed as it reaches them, and no
+    /// exterior-angle table is built. Same bits.
+    pub(crate) fn turning_once(&self, i: usize, j: usize, ccw: bool) -> f64 {
+        let n = self.verts.len();
+        self.turning_by(i, j, ccw, |k| {
+            exterior_angle(self.edge((k + n - 1) % n), self.edge(k))
+        })
+    }
+
+    /// Sums `angle(k)` over the vertices `k` strictly between `i` and `j`,
+    /// in walk order.
+    fn turning_by(&self, i: usize, j: usize, ccw: bool, angle: impl Fn(usize) -> f64) -> f64 {
         let n = self.verts.len();
         let steps = if ccw {
             (j + n - i) % n
         } else {
             (i + n - j) % n
         };
-        if steps < 2 {
-            return 0.0;
-        }
-        let exterior = self.exterior_angles();
         let mut total = 0.0;
         let mut k = i;
         for _ in 1..steps {
             k = if ccw { (k + 1) % n } else { (k + n - 1) % n };
-            total += exterior[k];
+            total += angle(k);
         }
         total
+    }
+
+    /// The unit direction of edge `k`, from vertex `k` to vertex `k + 1`.
+    fn edge(&self, k: usize) -> Vec2 {
+        let n = self.verts.len();
+        (self.verts[(k + 1) % n] - self.verts[k]).normalized()
     }
 
     /// Equivalence oracle: the per-vertex walk the exterior-angle table
@@ -515,9 +533,9 @@ impl ArcTable {
         total
     }
 
-    /// Asserts [`ArcTable::turning`] returns the walk's bits in both
-    /// directions between a spread of vertex pairs, adjacent and equal
-    /// ones included.
+    /// Asserts [`ArcTable::turning`] and [`ArcTable::turning_once`] return
+    /// the walk's bits in both directions between a spread of vertex
+    /// pairs, adjacent and equal ones included.
     #[cfg(test)]
     pub(crate) fn assert_turning_matches_walk(&self) {
         let n = self.verts.len();
@@ -528,11 +546,10 @@ impl ArcTable {
         for &i in &picks {
             for &j in &picks {
                 for ccw in [true, false] {
-                    assert_eq!(
-                        self.turning(i, j, ccw).to_bits(),
-                        self.turning_walk(i, j, ccw).to_bits(),
-                        "n = {n}, {i} -> {j}, ccw = {ccw}"
-                    );
+                    let walk = self.turning_walk(i, j, ccw).to_bits();
+                    let what = format!("n = {n}, {i} -> {j}, ccw = {ccw}");
+                    assert_eq!(self.turning(i, j, ccw).to_bits(), walk, "{what}");
+                    assert_eq!(self.turning_once(i, j, ccw).to_bits(), walk, "{what}");
                 }
             }
         }
@@ -543,18 +560,29 @@ impl ArcTable {
     fn exterior_angles(&self) -> &[f64] {
         self.exterior.get_or_init(|| {
             let n = self.verts.len();
-            let edge = |k: usize| (self.verts[(k + 1) % n] - self.verts[k]).normalized();
-            let mut into = edge(n - 1);
+            let mut into = self.edge(n - 1);
             (0..n)
                 .map(|k| {
-                    let out = edge(k);
-                    let angle = into.cross(out).clamp(-1.0, 1.0).asin().abs();
+                    let out = self.edge(k);
+                    let angle = exterior_angle(into, out);
                     into = out;
                     angle
                 })
                 .collect()
         })
     }
+
+    /// Whether the exterior-angle table has been built.
+    #[cfg(test)]
+    pub(crate) fn has_exterior_table(&self) -> bool {
+        self.exterior.get().is_some()
+    }
+}
+
+/// The exterior turning angle at a vertex, between the unit directions of
+/// the edges into and out of it (radians, non-negative).
+fn exterior_angle(into: Vec2, out: Vec2) -> f64 {
+    into.cross(out).clamp(-1.0, 1.0).asin().abs()
 }
 
 #[cfg(test)]
