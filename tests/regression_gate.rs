@@ -79,7 +79,7 @@ fn run_doc(edit: impl FnOnce(&mut Knobs)) -> Json {
         )
         .text("serve", "fingerprint", k.serve_fingerprint)
         .raw("serve", "cache_hits", k.cache_hits.to_string())
-        .num("serve", "p50_ms", 100.0 * k.slowdown);
+        .num("serve", "miss_p50_ms", 100.0 * k.slowdown);
     Json::parse(&doc.render()).expect("RunDoc renders valid JSON")
 }
 
@@ -163,7 +163,7 @@ fn three_times_slower_run_warns() {
     let slow = run_doc(|k| k.slowdown = 3.0);
     let report = judge(&slow, &stable_history(4));
     assert!(report.quality_failures.is_empty(), "{report:?}");
-    // Wall seconds, stage p50 and p99, serve p50.
+    // Wall seconds, stage p50 and p99, serve miss p50.
     assert_eq!(report.perf_warnings.len(), 4, "{report:?}");
     assert!(any(&report.perf_warnings, "perf.stages.personalize.p50_ns"));
     assert!(report.passes(false));
